@@ -285,6 +285,9 @@ impl Experiment {
             engine.model_mut().begin_measurement(now);
         }
         engine.run_until(cycle * upto);
+        // Stalled routers apply their skipped ticks, so the capture holds
+        // what every router would have had ticking every cycle.
+        engine.model_mut().network_mut().settle_all();
         // Capture non-destructively: drain the calendar, snapshot it, and
         // re-schedule in drain order — ascending insertion sequence keeps
         // same-time events in their original relative order.
@@ -392,6 +395,9 @@ impl Experiment {
     /// Audits, finalizes telemetry, and assembles the [`RunResult`] —
     /// shared by the sharded, save, and resume paths.
     fn collect(&self, mut sim: PowerAwareSim, end: Picos, events: u64, resumed: bool) -> RunResult {
+        // Stalled routers apply their skipped ticks before anything below
+        // reads the network.
+        sim.network_mut().settle_all();
         // Telemetry with shards > 1 forces the audit even in release: the
         // exported counters must agree with the auditor's flit/credit
         // balance across every shard cut.

@@ -1261,7 +1261,7 @@ pub fn run_sharded_with(
         for (l, n) in donor_ctx.foreign_arrivals.iter().enumerate() {
             foreign[l] += n;
         }
-        base.merge_shard(&donor, &specs[i + 1]);
+        base.merge_shard(&mut donor, &specs[i + 1]);
         events += ev;
         // Window framings between stops are per-shard; report the
         // busiest worker. Barrier counts agree across workers.

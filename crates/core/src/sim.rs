@@ -1029,6 +1029,11 @@ impl PowerAwareSim {
         let mut i = 0;
         while i < self.sleeping.len() {
             let id = self.sleeping[i];
+            // An immutable read, though the upstream router may be
+            // stalled with ticks unapplied: gating this link went through
+            // `link_mut`, which ended that stall, and a router that
+            // requests the link again noted demand in the real tick before
+            // it stalled, so whether the count is zero is already settled.
             if self.net.link(id).window_demand() > 0 {
                 if let Some(GateAction::WakeAt(ready)) = self.onoff[id.index()].on_demand(now) {
                     self.net.link_mut(id).power_gate_wake(ready);
@@ -1213,7 +1218,7 @@ impl PowerAwareSim {
         };
         for r in self.net.routers() {
             m.alloc_won += r.flits_switched;
-            m.alloc_lost += r.sa_denials;
+            m.alloc_lost += r.sa_denials();
         }
         for l in 0..self.net.link_count() {
             let link = self.net.link(LinkId(l as u32));
@@ -1243,6 +1248,8 @@ impl PowerAwareSim {
     /// was disabled. `events` is the engine's processed-event count.
     pub fn take_telemetry_report(&mut self, end: Picos, events: u64) -> Option<TelemetryReport> {
         self.telemetry.as_deref()?;
+        // The registry reads router denial counts: apply skipped ticks.
+        self.net.settle_all();
         self.telemetry_flush(end);
         let mut t = *self.telemetry.take().expect("checked above");
         let counters = if t.config.counters {
@@ -1297,9 +1304,13 @@ impl PowerAwareSim {
     /// controllers, lasers, energy accounts, operating points, epochs, and
     /// fault state — and folds in its owned counters, reassembling the
     /// sequential engine's state from per-shard replicas.
-    pub(crate) fn merge_shard(&mut self, donor: &PowerAwareSim, spec: &crate::shard::ShardSpec) {
+    pub(crate) fn merge_shard(
+        &mut self,
+        donor: &mut PowerAwareSim,
+        spec: &crate::shard::ShardSpec,
+    ) {
         self.net.adopt_region(
-            &donor.net,
+            &mut donor.net,
             spec.routers.clone(),
             spec.nodes.clone(),
             [spec.ir_links.clone(), spec.node_links.clone()],
@@ -1351,11 +1362,15 @@ impl PowerAwareSim {
     /// [`crate::Checkpoint`] because it is a trait object the sim does
     /// not own the concrete type of.
     ///
+    /// Call [`Network::settle_all`] on [`PowerAwareSim::network_mut`]
+    /// first, as [`crate::Experiment::save_at`] does: a stalled router's
+    /// counters are only complete once its skipped ticks are applied.
+    ///
     /// # Panics
     ///
     /// Panics if called on a shard replica: checkpoints capture the
     /// sequential engine only (see `CHECKPOINTS.md`).
-    pub(crate) fn checkpoint_state(&self) -> Value {
+    pub fn checkpoint_state(&self) -> Value {
         assert!(
             self.shard.is_none(),
             "checkpoints capture the sequential engine, not shard replicas"

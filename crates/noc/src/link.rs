@@ -223,6 +223,12 @@ impl Link {
         self.window_demand_ticks += 1;
     }
 
+    /// Adds the demand of `ticks` stalled cycles at once (a router's
+    /// skipped ticks, see [`crate::router::Stall`]).
+    pub(crate) fn note_demand_ticks(&mut self, ticks: u64) {
+        self.window_demand_ticks += ticks;
+    }
+
     /// Drains the accumulated demand-tick count since the last call.
     pub fn take_window_demand(&mut self) -> u64 {
         std::mem::replace(&mut self.window_demand_ticks, 0)

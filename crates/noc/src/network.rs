@@ -8,6 +8,12 @@
 //! returns) back at their due times via [`Network::flit_arrived`] /
 //! [`Network::credit_arrived`]. The power-aware layer manipulates link
 //! rates between ticks through [`Network::link_mut`].
+//!
+//! A router whose tick would move nothing — every switch requester held
+//! back by a busy, relocking or gated link or by missing credits — sleeps
+//! until an event or a link-ready time can move it, and its skipped ticks
+//! are applied in one step before anything reads the counters they touch
+//! (see [`Network::settle_all`] and DESIGN.md §6i).
 
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet};
@@ -15,7 +21,7 @@ use crate::ids::{LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 use crate::link::{Endpoint, Link, LinkKind};
 use crate::node::{SinkNode, SourceNode};
 use crate::route_table::{RouteTable, RouteTableMode};
-use crate::router::Router;
+use crate::router::{InputPort, Router, Stall};
 use crate::routing::RoutingAlgorithm;
 use crate::topology::Topology;
 use lumen_desim::Picos;
@@ -84,6 +90,14 @@ pub struct Network {
     // whole `Link` through the cache for the destination alone.
     to_ep: Vec<Endpoint>,
     from_ep: Vec<Endpoint>,
+    // Per-router stall records (see `Router::stall`), side arrays like the
+    // endpoint tables. `wake` is read for every busy router every cycle and
+    // on every arrival, so it stays dense: non-zero means stalled until
+    // then. `stalls` holds the rest of each record. Never checkpointed:
+    // capture settles every stall first, so a checkpoint holds exactly the
+    // state of real ticks.
+    wake: Vec<Picos>,
+    stalls: Vec<Stall>,
     inter_router_links: usize,
     ticks: u64,
 }
@@ -213,6 +227,8 @@ impl Network {
         let from_ep = links.iter().map(Link::from).collect();
         Network {
             config: config.clone(),
+            wake: vec![Picos::ZERO; routers.len()],
+            stalls: vec![Stall::default(); routers.len()],
             routers,
             sources,
             sinks,
@@ -261,13 +277,21 @@ impl Network {
         self.ticks
     }
 
-    /// Immutable access to a link.
+    /// Immutable access to a link. Its window demand count lags by the
+    /// ticks its upstream router has skipped while stalled;
+    /// [`Network::link_mut`] and [`Network::settle_all`] bring it up to
+    /// date.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.index()]
     }
 
     /// Mutable access to a link (the power-aware layer's rate-change hook).
+    /// Ends the stall of the link's upstream router first: the caller may
+    /// read its window counters or change when it is ready.
     pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
+        if let Endpoint::RouterPort { router, .. } = self.from_ep[id.index()] {
+            self.settle(router);
+        }
         &mut self.links[id.index()]
     }
 
@@ -321,14 +345,8 @@ impl Network {
     /// One router-core cycle: all sources try to inject, all routers step
     /// their pipelines. Effects are appended to `effects`.
     pub fn tick(&mut self, now: Picos, effects: &mut Vec<Effect>) {
-        self.ticks += 1;
-        for src in &mut self.sources {
-            src.tick(now, &mut self.links, effects);
-        }
-        let table = self.route_table.as_deref();
-        for router in &mut self.routers {
-            router.tick(now, &self.config, table, &mut self.links, effects);
-        }
+        let (routers, nodes) = (0..self.routers.len(), 0..self.sources.len());
+        self.tick_range(now, effects, routers, nodes);
     }
 
     /// One router-core cycle restricted to a contiguous region: only the
@@ -337,6 +355,12 @@ impl Network {
     /// runtime's stepping primitive — each shard replica ticks only the
     /// rows it owns, so effect emission order within a shard matches the
     /// sequential engine's order restricted to that region.
+    ///
+    /// A stalled router is skipped until its wake time; one that wakes
+    /// applies its skipped ticks before ticking for real. After a tick
+    /// that switched nothing, a router whose next ticks cannot move
+    /// anything records a stall, unless the next tick would wake it
+    /// anyway (see DESIGN.md §6i).
     pub fn tick_range(
         &mut self,
         now: Picos,
@@ -344,13 +368,79 @@ impl Network {
         routers: std::ops::Range<usize>,
         nodes: std::ops::Range<usize>,
     ) {
-        self.ticks += 1;
         for src in &mut self.sources[nodes] {
             src.tick(now, &mut self.links, effects);
         }
         let table = self.route_table.as_deref();
-        for router in &mut self.routers[routers] {
+        let cycle = self.config.cycle();
+        for r in routers {
+            let router = &mut self.routers[r];
+            if router.is_idle() {
+                continue; // never stalled: a stall holds buffered flits
+            }
+            let wake = self.wake[r];
+            if now < wake {
+                continue;
+            }
+            if wake != Picos::ZERO {
+                self.wake[r] = Picos::ZERO;
+                router.settle(self.stalls[r], self.ticks, &mut self.links);
+            }
+            let (switched, requesters) = (router.flits_switched, router.requesters());
             router.tick(now, &self.config, table, &mut self.links, effects);
+            // A stall may start after a tick that switched nothing and kept
+            // its requesters: each of them requested in it and so noted
+            // demand on its link, which the on/off wake check relies on.
+            if requesters != 0
+                && router.flits_switched == switched
+                && router.requesters() == requesters
+            {
+                if let Some(mut s) = router.stall(now, cycle, &self.links) {
+                    s.since = self.ticks + 1;
+                    self.wake[r] = s.wake_at;
+                    self.stalls[r] = s;
+                }
+            }
+        }
+        self.ticks += 1;
+    }
+
+    /// Applies the ticks `router` has skipped while stalled and ends the
+    /// stall, so it ticks for real next cycle.
+    #[inline]
+    fn settle(&mut self, router: RouterId) {
+        if self.wake[router.index()] != Picos::ZERO {
+            self.settle_stalled(router.index());
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn settle_stalled(&mut self, r: usize) {
+        self.wake[r] = Picos::ZERO;
+        self.routers[r].settle(self.stalls[r], self.ticks, &mut self.links);
+    }
+
+    /// Brings every stalled router's counters up to date (denials,
+    /// rotating priority, occupancy samples, and its output links'
+    /// demand ticks). Call before reading those through
+    /// [`Network::routers`] or [`Network::link`], and before
+    /// [`Network::checkpoint_state`].
+    pub fn settle_all(&mut self) {
+        for r in 0..self.routers.len() {
+            self.settle(RouterId(r as u32));
+        }
+    }
+
+    /// The input port downstream of `link`, its router settled first so
+    /// the port's occupancy counter is current. `None` for ejection links.
+    fn downstream_input(&mut self, link: LinkId) -> Option<&mut InputPort> {
+        match self.to_ep[link.index()] {
+            Endpoint::RouterPort { router, port } => {
+                self.settle(router);
+                Some(&mut self.routers[router.index()].inputs[port.0 as usize])
+            }
+            Endpoint::Node(_) => None,
         }
     }
 
@@ -367,6 +457,7 @@ impl Network {
         self.links[link.index()].note_arrival();
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
+                self.settle(router);
                 self.routers[router.index()].accept_flit(port, vc, flit);
             }
             Endpoint::Node(n) => {
@@ -392,6 +483,7 @@ impl Network {
     ) {
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
+                self.settle(router);
                 self.routers[router.index()].accept_flit(port, vc, flit);
             }
             Endpoint::Node(n) => {
@@ -412,6 +504,7 @@ impl Network {
         let depth = self.config.depth_per_vc();
         match self.from_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
+                self.settle(router);
                 self.routers[router.index()].return_credit(port, vc, depth);
             }
             Endpoint::Node(n) => {
@@ -424,14 +517,8 @@ impl Network {
     /// since last sampled, over `cycles` observation cycles. `None` for
     /// ejection links (the sink drains instantly, so `Bu` is zero there).
     pub fn take_downstream_occupancy(&mut self, link: LinkId, cycles: u64) -> Option<f64> {
-        match self.links[link.index()].to() {
-            Endpoint::RouterPort { router, port } => {
-                let accum =
-                    self.routers[router.index()].inputs[port.0 as usize].take_occupancy_accum();
-                (cycles > 0).then(|| accum as f64 / cycles as f64)
-            }
-            Endpoint::Node(_) => None,
-        }
+        let accum = self.downstream_input(link)?.take_occupancy_accum();
+        (cycles > 0).then(|| accum as f64 / cycles as f64)
     }
 
     /// Takes (and resets) the raw occupancy accumulator of the input port
@@ -442,23 +529,16 @@ impl Network {
     /// it on the owner's (never-ticked, zero-accumulator) replica so
     /// [`Network::take_downstream_occupancy`] then reads the true value.
     pub fn take_input_occupancy(&mut self, link: LinkId) -> u64 {
-        match self.to_ep[link.index()] {
-            Endpoint::RouterPort { router, port } => {
-                self.routers[router.index()].inputs[port.0 as usize].take_occupancy_accum()
-            }
-            Endpoint::Node(_) => 0,
-        }
+        self.downstream_input(link)
+            .map_or(0, InputPort::take_occupancy_accum)
     }
 
     /// Installs a raw occupancy accumulator on the input port downstream of
     /// `link` (see [`Network::take_input_occupancy`]). No-op for ejection
     /// links.
     pub fn set_input_occupancy(&mut self, link: LinkId, accum: u64) {
-        match self.to_ep[link.index()] {
-            Endpoint::RouterPort { router, port } => {
-                self.routers[router.index()].inputs[port.0 as usize].occupancy_accum = accum;
-            }
-            Endpoint::Node(_) => {}
+        if let Some(input) = self.downstream_input(link) {
+            input.set_occupancy_accum(accum);
         }
     }
 
@@ -467,16 +547,20 @@ impl Network {
     /// one coherent network after a parallel run by adopting each shard's
     /// owned region into a single replica; endpoints and topology are
     /// construction-deterministic, so only the mutable component state
-    /// moves.
+    /// moves. The donor's routers are settled first (which also brings
+    /// their output links, all inside the adopted link ranges, up to
+    /// date); the adopted routers start unstalled here.
     pub fn adopt_region(
         &mut self,
-        donor: &Network,
+        donor: &mut Network,
         routers: std::ops::Range<usize>,
         nodes: std::ops::Range<usize>,
         link_ranges: [std::ops::Range<usize>; 2],
     ) {
         for r in routers {
+            donor.settle(RouterId(r as u32));
             self.routers[r].clone_from(&donor.routers[r]);
+            self.wake[r] = Picos::ZERO;
         }
         for n in nodes {
             self.sources[n].clone_from(&donor.sources[n]);
@@ -494,8 +578,14 @@ impl Network {
     /// topology wiring, endpoint tables, the route table — is a pure
     /// function of the configuration and is rebuilt by the constructor at
     /// resume (see `CHECKPOINTS.md` for the serialized-vs-recomputed
-    /// contract).
+    /// contract). Call [`Network::settle_all`] first: the state of a
+    /// stalled router is only complete once its skipped ticks are applied
+    /// (debug builds assert it).
     pub fn checkpoint_state(&self) -> serde::Value {
+        debug_assert!(
+            self.wake.iter().all(|&w| w == Picos::ZERO),
+            "checkpoint capture with a stalled router unsettled"
+        );
         serde::Value::Map(vec![
             ("routers".into(), self.routers.serialize_value()),
             ("sources".into(), self.sources.serialize_value()),
@@ -544,6 +634,7 @@ impl Network {
         self.sinks = sinks;
         self.links = links;
         self.ticks = ticks;
+        self.wake.fill(Picos::ZERO);
         Ok(())
     }
 
@@ -617,35 +708,48 @@ mod tests {
 
         /// Runs `cycles` core cycles.
         fn run(&mut self, cycles: u64) {
-            let cycle = self.net.config().cycle();
             for _ in 0..cycles {
-                // Deliver all effects due at or before `now`.
-                while let Some(t) = self.queue.peek_time() {
-                    if t > self.now {
-                        break;
-                    }
-                    let (at, eff) = self.queue.pop().expect("peeked");
-                    match eff {
-                        Effect::Flit { link, vc, flit, .. } => {
-                            self.net.flit_arrived(at, link, vc, flit, &mut self.effects);
-                        }
-                        Effect::Credit { link, vc, .. } => {
-                            self.net.credit_arrived(link, vc);
-                        }
-                        Effect::Ejected { .. } => unreachable!("ejections emitted inline"),
-                    }
-                }
-                self.net.tick(self.now, &mut self.effects);
-                for eff in self.effects.drain(..) {
-                    match eff {
-                        Effect::Ejected { .. } => self.ejected.push(eff),
-                        Effect::Flit { at, .. } | Effect::Credit { at, .. } => {
-                            self.queue.schedule(at, eff);
-                        }
-                    }
-                }
-                self.now += cycle;
+                self.deliver();
+                self.tick();
             }
+        }
+
+        /// Delivers all effects due at or before `now`.
+        fn deliver(&mut self) {
+            while let Some(t) = self.queue.peek_time() {
+                if t > self.now {
+                    break;
+                }
+                let (at, eff) = self.queue.pop().expect("peeked");
+                match eff {
+                    Effect::Flit { link, vc, flit, .. } => {
+                        self.net.flit_arrived(at, link, vc, flit, &mut self.effects);
+                    }
+                    Effect::Credit { link, vc, .. } => {
+                        self.net.credit_arrived(link, vc);
+                    }
+                    Effect::Ejected { .. } => unreachable!("ejections emitted inline"),
+                }
+            }
+        }
+
+        /// Ticks the network at `now` and advances one cycle.
+        fn tick(&mut self) {
+            self.net.tick(self.now, &mut self.effects);
+            for eff in self.effects.drain(..) {
+                match eff {
+                    Effect::Ejected { .. } => self.ejected.push(eff),
+                    Effect::Flit { at, .. } | Effect::Credit { at, .. } => {
+                        self.queue.schedule(at, eff);
+                    }
+                }
+            }
+            self.now += self.net.config().cycle();
+        }
+
+        /// The stall record of router `r`, if it is asleep.
+        fn stall(&self, r: usize) -> Option<Stall> {
+            (self.net.wake[r] != Picos::ZERO).then_some(self.net.stalls[r])
         }
     }
 
@@ -911,6 +1015,103 @@ mod tests {
         // Ejection links report None.
         let ej = d.net.sinks[7].ejection_link();
         assert_eq!(d.net.take_downstream_occupancy(ej, 50), None);
+    }
+
+    #[test]
+    fn stalled_router_resumes_on_first_ready_tick() {
+        let config = NocConfig::small_for_tests();
+        let cycle = config.cycle();
+        let mut d = Driver::new(&config);
+        // Node 0 -> node 1 stays on router 0 and leaves on node 1's
+        // ejection link, relocking until just past a cycle boundary.
+        let ej = d.net.sinks[1].ejection_link();
+        let relock = cycle * 40 + Picos::from_ps(700);
+        d.net.link_mut(ej).disable_until(relock);
+        d.net.inject(packet(1, 0, 1, 2, Picos::ZERO));
+        let mut asleep = 0;
+        let sent_at = loop {
+            assert!(d.now < cycle * 100, "the flit never left");
+            let now = d.now;
+            d.run(1);
+            if d.net.link(ej).flits_sent() > 0 {
+                break now;
+            }
+            if let Some(s) = d.stall(0) {
+                assert_eq!(s.wake_at, relock - cycle);
+                asleep += 1;
+            }
+        };
+        // The first tick whose switch traversal (`now + cycle`) finds the
+        // link ready: 40 cycles, since 39 + 1 cycles falls 700 ps short.
+        assert_eq!(sent_at, cycle * 40);
+        assert!(sent_at < relock && sent_at + cycle >= relock);
+        assert!(asleep > 30, "router 0 slept only {asleep} ticks");
+        d.run(10);
+        assert_eq!(d.ejected.len(), 1);
+    }
+
+    #[test]
+    fn flit_arrival_ends_a_stall_in_that_cycle() {
+        let config = NocConfig::small_for_tests();
+        let cycle = config.cycle();
+        let mut d = Driver::new(&config);
+        let ej = d.net.sinks[1].ejection_link();
+        d.net.link_mut(ej).disable_until(cycle * 200);
+        d.net.inject(packet(1, 0, 1, 2, Picos::ZERO));
+        d.run(20);
+        assert!(d.stall(0).is_some(), "router 0 should sleep behind the relock");
+        // A packet from node 1 to node 0 enters router 0 on another port.
+        d.net.inject(packet(2, 1, 0, 1, d.now));
+        loop {
+            assert!(d.now < cycle * 60, "the second packet never arrived");
+            let accepted = d.net.routers[0].flits_accepted;
+            d.deliver();
+            if d.net.routers[0].flits_accepted > accepted {
+                assert!(d.stall(0).is_none(), "the arrival must end the stall");
+                d.tick();
+                // The router ticked for real: the new head computed its route.
+                assert!(matches!(
+                    d.net.routers[0].inputs[1].vc_state[0],
+                    crate::router::VcState::VcAlloc { .. }
+                ));
+                break;
+            }
+            d.tick();
+        }
+    }
+
+    #[test]
+    fn credit_return_ends_a_stall_in_that_cycle() {
+        let config = NocConfig::small_for_tests();
+        let cycle = config.cycle();
+        let mut d = Driver::new(&config);
+        // Node 0 (router 0) -> node 2 (router 1): router 1 parks the flits
+        // behind its relocking ejection link, so router 0 runs out of
+        // credits with the rest of the packet buffered.
+        let ej = d.net.sinks[2].ejection_link();
+        d.net.link_mut(ej).disable_until(cycle * 60);
+        d.net.inject(packet(1, 0, 2, 12, Picos::ZERO));
+        let mut credit_bound = false;
+        loop {
+            assert!(d.now < cycle * 120, "no credit ever woke router 0");
+            let stalled = d.stall(0);
+            credit_bound |= stalled.is_some_and(|s| s.wake_at == Picos::MAX);
+            let credits: u16 = d.net.routers[0].outputs.iter().flat_map(|o| &o.credits).sum();
+            d.deliver();
+            let now_credits: u16 = d.net.routers[0].outputs.iter().flat_map(|o| &o.credits).sum();
+            if stalled.is_some() && now_credits > credits {
+                assert!(d.stall(0).is_none(), "the credit must end the stall");
+                let switched = d.net.routers[0].flits_switched;
+                d.tick();
+                assert_eq!(d.net.routers[0].flits_switched, switched + 1);
+                break;
+            }
+            d.tick();
+        }
+        assert!(credit_bound, "router 0 never slept waiting for credits");
+        d.run(200);
+        assert_eq!(d.ejected.len(), 1);
+        assert!(d.net.is_quiescent());
     }
 
     #[test]

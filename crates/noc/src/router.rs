@@ -57,8 +57,8 @@ pub struct InputPort {
     pub vc_state: Vec<VcState>,
     /// The upstream link filling this port (None on mesh-edge ports).
     pub feeder: Option<LinkId>,
-    /// Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
-    pub occupancy_accum: u64,
+    // Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
+    occupancy_accum: u64,
 }
 
 impl InputPort {
@@ -71,9 +71,20 @@ impl InputPort {
         }
     }
 
+    /// Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
+    /// Through [`crate::Network`] it lags by the ticks a stalled router
+    /// has skipped until [`crate::Network::settle_all`] applies them.
+    pub fn occupancy_accum(&self) -> u64 {
+        self.occupancy_accum
+    }
+
     /// Drains the accumulated occupancy counter.
     pub fn take_occupancy_accum(&mut self) -> u64 {
         std::mem::replace(&mut self.occupancy_accum, 0)
+    }
+
+    pub(crate) fn set_occupancy_accum(&mut self, accum: u64) {
+        self.occupancy_accum = accum;
     }
 }
 
@@ -134,6 +145,26 @@ impl SlotSet {
     }
 }
 
+/// What a router's tick repeats every cycle while it is stalled: switch
+/// allocation has requesters but grants none, and VA and RC have nothing
+/// to do. Until a flit arrives, a credit returns, an output link changes,
+/// or `wake_at` comes, every tick denies the same requesters, notes
+/// demand on the same links, samples the same occupancy and advances the
+/// rotating priority by one, so [`crate::Network`] skips those ticks and
+/// applies them `n` at a time (see DESIGN.md §6i).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Stall {
+    // First tick time at which a requested output link whose requester
+    // holds a credit is ready again; `Picos::MAX` waits for an event.
+    pub(crate) wake_at: Picos,
+    // The network's tick count at the first skipped tick.
+    pub(crate) since: u64,
+    // Requesters denied per stalled tick.
+    denials: u32,
+    // Output ports whose links note demand each stalled tick.
+    demand: u64,
+}
+
 /// A rack's communication router.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Router {
@@ -157,11 +188,9 @@ pub struct Router {
     /// `flits_accepted == flits_switched + buffered` holds at every event
     /// boundary (checked by the conservation auditor).
     pub flits_accepted: u64,
-    /// Switch-allocation requests denied over its lifetime: a requester
-    /// whose output link was mid-rate-change, that lost arbitration, or
-    /// was crossbar/credit-ineligible. A flit requests once per cycle
-    /// until granted, so this counts request-cycles, not distinct flits.
-    pub sa_denials: u64,
+    // Switch-allocation requests denied over its lifetime (see
+    // `Router::sa_denials`).
+    sa_denials: u64,
     // Fast-path counters: flits buffered and VCs not in Idle. When both
     // are zero the router has nothing to do this cycle.
     buffered_flits: u32,
@@ -216,6 +245,23 @@ impl Router {
         self.id
     }
 
+    /// Switch-allocation requests denied over its lifetime: a requester
+    /// whose output link was mid-rate-change, that lost arbitration, or
+    /// was crossbar/credit-ineligible. A flit requests once per cycle
+    /// until granted, so this counts request-cycles, not distinct flits.
+    /// Through [`crate::Network`] it lags by the ticks a stalled router
+    /// has skipped until [`crate::Network::settle_all`] applies them.
+    pub fn sa_denials(&self) -> u64 {
+        self.sa_denials
+    }
+
+    /// Whether the router holds no flit and no packet in flight: its tick
+    /// would do nothing at all.
+    #[inline]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.buffered_flits == 0 && self.active_vcs == 0
+    }
+
     /// One core-clock cycle: SA/ST, then VA, then RC, then statistics.
     ///
     /// `links` is the network-global link table; emitted flit departures
@@ -230,7 +276,7 @@ impl Router {
         links: &mut [Link],
         effects: &mut Vec<Effect>,
     ) {
-        if self.buffered_flits == 0 && self.active_vcs == 0 {
+        if self.is_idle() {
             return; // idle fast path: nothing buffered, no packet in flight
         }
         self.switch_allocation(now, config, links, effects);
@@ -238,6 +284,87 @@ impl Router {
         self.route_computation(config, route_table);
         for input in &mut self.inputs {
             input.occupancy_accum += input.buffer.total_occupancy() as u64;
+        }
+    }
+
+    /// The input-VC slots requesting the switch, as a bitmask.
+    #[inline]
+    pub(crate) fn requesters(&self) -> u64 {
+        self.sa_ready.words[0]
+    }
+
+    /// The [`Stall`] the router repeats from the tick after `now` on, or
+    /// `None` if that tick can move anything or the next but one would
+    /// (a stall that short is not worth recording). There is no RC
+    /// candidate (RC empties them every tick); if no requester can win
+    /// and VA has no free output VC to hand out, every following tick
+    /// denies the same requesters until something around the router
+    /// changes or `wake_at` comes.
+    #[cold]
+    pub(crate) fn stall(&self, now: Picos, cycle: Picos, links: &[Link]) -> Option<Stall> {
+        let next = now + cycle;
+        let mut stall = Stall {
+            wake_at: Picos::MAX,
+            ..Stall::default()
+        };
+        let mut w = self.sa_ready.words[0];
+        while w != 0 {
+            let req = w.trailing_zeros() as usize;
+            w &= w - 1;
+            let (ip, vc) = (req / self.vcs, req % self.vcs);
+            let VcState::Active { out_port, out_vc } = self.inputs[ip].vc_state[vc] else {
+                unreachable!("sa_ready slot not in Active state");
+            };
+            let op = out_port.0 as usize;
+            let Some(link) = self.outputs[op].link else {
+                continue;
+            };
+            stall.denials += 1;
+            stall.demand |= 1u64 << op;
+            if self.outputs[op].credits[out_vc.0 as usize] > 0 {
+                let ready = links[link.index()].next_free().saturating_sub(cycle);
+                if ready <= next {
+                    return None; // the link is ready for the next tick
+                }
+                stall.wake_at = stall.wake_at.min(ready);
+            }
+        }
+        let mut w = self.va_set.words[0];
+        while w != 0 {
+            let req = w.trailing_zeros() as usize;
+            w &= w - 1;
+            let (ip, vc) = (req / self.vcs, req % self.vcs);
+            let VcState::VcAlloc { out_port } = self.inputs[ip].vc_state[vc] else {
+                unreachable!("va_set slot not in VcAlloc state");
+            };
+            let out = &self.outputs[out_port.0 as usize];
+            if out.link.is_some() && out.vc_owner.iter().any(Option::is_none) {
+                return None; // VA hands out a free output VC next tick
+            }
+        }
+        Some(stall)
+    }
+
+    /// Applies the ticks skipped since `stall` began, up to the network's
+    /// tick count `ticks`: what `n` real stalled ticks would have done.
+    #[cold]
+    pub(crate) fn settle(&mut self, stall: Stall, ticks: u64, links: &mut [Link]) {
+        let n = ticks - stall.since;
+        if n == 0 {
+            return; // ended before its first skipped tick
+        }
+        let ports = self.outputs.len() as u64;
+        self.sa_rotate = ((self.sa_rotate as u64 + n) % ports) as usize;
+        self.sa_denials += n * u64::from(stall.denials);
+        let mut m = stall.demand;
+        while m != 0 {
+            let op = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let link = self.outputs[op].link.expect("demand noted on a wired output");
+            links[link.index()].note_demand_ticks(n);
+        }
+        for input in &mut self.inputs {
+            input.occupancy_accum += n * input.buffer.total_occupancy() as u64;
         }
     }
 
@@ -766,6 +893,50 @@ mod tests {
         h.tick();
         assert_eq!(h.router.inputs[1].take_occupancy_accum(), 2);
         assert_eq!(h.router.inputs[1].take_occupancy_accum(), 0);
+    }
+
+    #[test]
+    fn settled_ticks_equal_real_stalled_ticks() {
+        let mut h = Harness::new();
+        // Two packets from two ports for the relocking ejection link: one
+        // holds the output VC and requests the switch, one waits in VA.
+        h.links[0].disable_until(Picos::from_us(1));
+        for f in packet_to(NodeId(0), 3).into_flits() {
+            h.router.accept_flit(PortId(1), VcId(0), f);
+        }
+        for f in packet_to(NodeId(0), 2).into_flits() {
+            h.router.accept_flit(PortId(5), VcId(0), f);
+        }
+        for _ in 0..3 {
+            h.tick();
+        }
+        h.tick();
+        let stall = h
+            .router
+            .stall(h.now - h.config.cycle(), h.config.cycle(), &h.links)
+            .expect("a router that cannot move records a stall");
+        assert_eq!(stall.wake_at, Picos::from_us(1) - h.config.cycle());
+        let (mut real, mut real_links) = (h.router.clone(), h.links.clone());
+        let (mut skipped, mut skipped_links) = (h.router.clone(), h.links.clone());
+        // Not a multiple of the 6 ports, so the rotation wraps mid-way.
+        let n = 37;
+        for _ in 0..n {
+            real.tick(h.now, &h.config, h.table.as_deref(), &mut real_links, &mut h.effects);
+            let again = real.stall(h.now, h.config.cycle(), &real_links).expect("still stalled");
+            assert!(again.denials == stall.denials && again.demand == stall.demand);
+            h.now += h.config.cycle();
+        }
+        assert!(h.effects.is_empty());
+        skipped.settle(stall, n, &mut skipped_links);
+        assert_eq!(skipped.sa_rotate, real.sa_rotate);
+        assert_eq!(skipped.sa_denials, real.sa_denials);
+        assert!(real.sa_denials >= n);
+        for (a, b) in skipped.inputs.iter().zip(&real.inputs) {
+            assert_eq!(a.occupancy_accum, b.occupancy_accum);
+        }
+        assert_eq!(skipped_links[0].window_demand(), real_links[0].window_demand());
+        assert_eq!(skipped_links, real_links);
+        assert_eq!(skipped.serialize_value(), real.serialize_value());
     }
 
     #[test]
