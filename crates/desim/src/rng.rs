@@ -10,6 +10,34 @@
 
 use serde::{Deserialize, Serialize};
 
+/// `2^53`: the number of distinct values [`Rng::next_f64`] draws.
+const UNIT: u64 = 1 << 53;
+
+/// One xoshiro256** step on `s`, returning the next raw value.
+#[inline(always)]
+fn xoshiro_step(s: &mut [u64; 4]) -> u64 {
+    let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    result
+}
+
+/// `ceil(p·2^53)` for `0 < p < 1` (0 for NaN), taken in integers with no
+/// libm call. `p·2^53` is exact in `f64`: a power-of-two scaling, which
+/// stays normal even for subnormal `p`. Below `2^53`, its truncation and
+/// the truncation's conversion back are exact too.
+#[inline]
+fn unit_ceil(p: f64) -> u64 {
+    let x = p * UNIT as f64;
+    let t = x as i64;
+    (t + i64::from((t as f64) < x)) as u64
+}
+
 /// SplitMix64 step, used for seeding and stream derivation.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -72,18 +100,7 @@ impl Rng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        xoshiro_step(&mut self.s)
     }
 
     /// A uniform value in `[0, bound)` via Lemire's multiply-shift method.
@@ -119,15 +136,56 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+    /// A Bernoulli draw with probability `p` (clamped to `[0, 1]`): true
+    /// iff [`Rng::next_f64`] would fall below `p`. `p <= 0` and `p >= 1`
+    /// decide without drawing.
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
         } else if p >= 1.0 {
             true
         } else {
-            self.next_f64() < p
+            self.next_u64() >> 11 < unit_ceil(p)
         }
+    }
+
+    /// The exact integer threshold of [`Rng::chance`]: `ceil(p·2^53)`,
+    /// clamped to `[0, 2^53]` (NaN gives 0). A draw `m·2^-53` of
+    /// [`Rng::next_f64`] is below `p` iff `m < ceil(p·2^53)`.
+    pub fn chance_threshold(p: f64) -> u64 {
+        if p >= 1.0 {
+            UNIT
+        } else if p > 0.0 {
+            unit_ceil(p)
+        } else {
+            0
+        }
+    }
+
+    /// Draws Bernoulli trials with the integer `threshold` of
+    /// [`Rng::chance_threshold`] until the first success or `max`
+    /// failures, and returns the failure count (`max` if none succeeded).
+    /// Consumes exactly the values, in the same order, that a loop of
+    /// [`Rng::chance`] stopping at its first `true` would: a threshold of 0
+    /// never succeeds and one of `2^53` always does, both without
+    /// drawing. The generator state stays in registers for the whole run.
+    pub fn failures_before_success(&mut self, threshold: u64, max: u64) -> u64 {
+        if threshold >= UNIT {
+            return 0;
+        }
+        if threshold == 0 {
+            return max;
+        }
+        // `x >> 11 < threshold` iff `x < threshold << 11`, which cannot
+        // overflow below 2^53; comparing raw values saves a shift per draw.
+        let bound = threshold << 11;
+        let mut s = self.s;
+        let mut failures = 0;
+        while failures < max && xoshiro_step(&mut s) >= bound {
+            failures += 1;
+        }
+        self.s = s;
+        failures
     }
 
     /// An exponentially distributed value with the given mean.
@@ -259,6 +317,172 @@ mod tests {
         let hits = (0..n).filter(|_| r.chance(0.3)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.01, "rate {rate}");
+    }
+
+    /// The reference for the run-length draw: a loop of `chance(p)`
+    /// stopping at its first success.
+    fn chance_loop(rng: &mut Rng, p: f64, max: u64) -> u64 {
+        (0..max)
+            .position(|_| rng.chance(p))
+            .map_or(max, |k| k as u64)
+    }
+
+    /// Runs both draws from the same seed for `rounds` consecutive runs
+    /// and asserts equal failure counts and equal final states.
+    fn assert_draw_for_draw(seed: u64, p: f64, max: u64, rounds: usize) {
+        let (mut fast, mut slow) = (Rng::seed_from(seed), Rng::seed_from(seed));
+        let threshold = Rng::chance_threshold(p);
+        for round in 0..rounds {
+            let got = fast.failures_before_success(threshold, max);
+            let want = chance_loop(&mut slow, p, max);
+            assert_eq!(got, want, "p {p:e} max {max} seed {seed} round {round}");
+            assert_eq!(
+                fast, slow,
+                "state after p {p:e} max {max} seed {seed} round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn chance_threshold_is_the_exact_ceiling() {
+        let unit = UNIT as f64;
+        let tiny = f64::from_bits(1); // the smallest positive subnormal
+        assert_eq!(Rng::chance_threshold(tiny), 1);
+        assert_eq!(Rng::chance_threshold(1.0 / unit), 1);
+        let k = 3u64 << 50; // p = k·2^-53 = 0.375: the threshold is an integer
+        let p = k as f64 / unit;
+        assert_eq!(Rng::chance_threshold(p), k);
+        assert_eq!(
+            Rng::chance_threshold(f64::from_bits(p.to_bits() + 1)),
+            k + 1
+        );
+        assert_eq!(Rng::chance_threshold(f64::from_bits(p.to_bits() - 1)), k);
+        assert_eq!(Rng::chance_threshold(1.0 - 1.0 / unit), UNIT - 1);
+        assert_eq!(Rng::chance_threshold(1.0), UNIT);
+        assert_eq!(Rng::chance_threshold(7.0), UNIT);
+        assert_eq!(Rng::chance_threshold(0.0), 0);
+        assert_eq!(Rng::chance_threshold(-0.5), 0);
+        assert_eq!(Rng::chance_threshold(f64::NAN), 0);
+        // At the boundary, `m < threshold` decides exactly as the float
+        // comparison `m·2^-53 < p` does, for every draw `m` near it.
+        for p in [
+            p,
+            f64::from_bits(p.to_bits() + 1),
+            f64::from_bits(p.to_bits() - 1),
+        ] {
+            for m in k - 2..k + 3 {
+                let float = m as f64 * (1.0 / unit) < p;
+                assert_eq!(m < Rng::chance_threshold(p), float, "m {m} p {p:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn chance_matches_the_float_comparison() {
+        let ps = [
+            f64::from_bits(1),
+            0.3 / 512.0,
+            4.0 / 512.0,
+            0.25,
+            0.3,
+            0.8,
+            1.0 - 1e-16,
+        ];
+        for (i, &p) in ps.iter().enumerate() {
+            let (mut a, mut b) = (Rng::seed_from(i as u64), Rng::seed_from(i as u64));
+            for _ in 0..20_000 {
+                let old = (b.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p;
+                assert_eq!(a.chance(p), old, "p {p:e}");
+            }
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn run_length_draw_matches_chance_loop() {
+        let unit = UNIT as f64;
+        let k = 3u64 << 50;
+        let exact = k as f64 / unit;
+        let cases = [
+            (f64::from_bits(1), 5_000),
+            (1.0 / unit, 5_000),
+            (exact, 64),
+            (f64::from_bits(exact.to_bits() + 1), 64),
+            (f64::from_bits(exact.to_bits() - 1), 64),
+            (0.3 / 512.0, 512),
+            (4.0 / 512.0, 512),
+            (1.0 - 1.0 / unit, 8),
+        ];
+        for (seed, &(p, max)) in cases.iter().enumerate() {
+            assert_draw_for_draw(seed as u64, p, max, 200);
+        }
+        // No room to fail, and certain or impossible draws: nothing drawn.
+        for p in [0.3 / 512.0, 0.5, 1.0, 2.0, 0.0, -1.0] {
+            assert_draw_for_draw(9, p, 0, 3);
+        }
+        for p in [1.0, 2.0, f64::INFINITY] {
+            let mut r = Rng::seed_from(10);
+            assert_eq!(r.failures_before_success(Rng::chance_threshold(p), 512), 0);
+            assert_eq!(r, Rng::seed_from(10), "p {p} must draw nothing");
+            assert_draw_for_draw(10, p, 512, 3);
+        }
+        assert_draw_for_draw(11, 0.0, 512, 3);
+    }
+
+    /// A generator whose next raw value is `x`: xoshiro256** outputs
+    /// `rotl(s1·5, 7)·9`, which inverts for `s1` (5 and 9 are odd, so
+    /// invertible mod 2^64; Newton's iteration doubles the correct bits).
+    fn rng_yielding(x: u64) -> Rng {
+        let inv = |a: u64| {
+            (0..6).fold(a, |y, _| {
+                y.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(y)))
+            })
+        };
+        let s1 = x.wrapping_mul(inv(9)).rotate_right(7).wrapping_mul(inv(5));
+        Rng { s: [1, s1, 2, 3] }
+    }
+
+    #[test]
+    fn draws_at_the_threshold_decide_like_chance() {
+        // p = k·2^-53 exactly: the draw m = k - 1 succeeds and m = k fails,
+        // whatever the 11 raw bits below m.
+        let k = 3u64 << 50;
+        let p = k as f64 / UNIT as f64;
+        for (m, low) in [(k - 1, 0), (k - 1, 0x7ff), (k, 0), (k, 0x7ff)] {
+            let x = m << 11 | low;
+            let r = rng_yielding(x);
+            assert_eq!(r.clone().next_u64(), x);
+            let hit = r.clone().chance(p);
+            assert_eq!(hit, m < k, "m {m} low {low:#x}");
+            let failures = r
+                .clone()
+                .failures_before_success(Rng::chance_threshold(p), 1);
+            assert_eq!(failures, u64::from(!hit), "m {m} low {low:#x}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn run_length_draw_sweep(
+            seed in 0u64..1 << 40,
+            log2_p in -24.0f64..0.0,
+            max in 0u64..3_000,
+        ) {
+            let p = log2_p.exp2();
+            let (mut fast, mut slow) = (Rng::seed_from(seed), Rng::seed_from(seed));
+            let threshold = Rng::chance_threshold(p);
+            for _ in 0..4 {
+                let got = fast.failures_before_success(threshold, max);
+                proptest::prop_assert_eq!(got, chance_loop(&mut slow, p, max));
+                proptest::prop_assert!(
+                    fast == slow,
+                    "state after seed {} p {:e} max {}",
+                    seed,
+                    p,
+                    max
+                );
+            }
+        }
     }
 
     #[test]

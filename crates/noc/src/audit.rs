@@ -17,6 +17,9 @@
 //!   4. **Credit soundness per (link, VC)** — credits held upstream plus
 //!      flits occupying the downstream buffer never exceed the buffer
 //!      depth (credits in flight make this an inequality mid-run).
+//!   5. **Activity sets** — a source is in the network's active set iff
+//!      it has queued flits, and a router iff it is not idle. A missed
+//!      member would silently stop stepping (DESIGN.md §6j).
 //!
 //! - [`audit_quiescent`] additionally requires the stronger equalities
 //!   that only hold once the network has drained: every credit returned
@@ -139,6 +142,7 @@ pub fn audit(net: &Network) -> AuditReport {
     }
 
     check_credits(net, false, &mut violations);
+    check_activity(net, &mut violations);
 
     AuditReport {
         flits_injected,
@@ -174,6 +178,29 @@ pub fn audit_quiescent(net: &Network) -> AuditReport {
     }
     check_credits(net, true, &mut report.violations);
     report
+}
+
+/// The activity sets hold exactly the sources with queued flits and the
+/// routers that are not idle.
+fn check_activity(net: &Network, violations: &mut Vec<String>) {
+    for (n, source) in net.sources().enumerate() {
+        let (marked, queued) = (net.source_marked_active(n), source.backlog_flits());
+        if marked != (queued > 0) {
+            violations.push(format!(
+                "source {}: activity bit {marked} with {queued} flits queued",
+                source.id()
+            ));
+        }
+    }
+    for (r, router) in net.routers().enumerate() {
+        let (marked, idle) = (net.router_marked_active(r), router.is_idle());
+        if marked == idle {
+            violations.push(format!(
+                "router {}: activity bit {marked} but idle {idle}",
+                router.id()
+            ));
+        }
+    }
 }
 
 /// Per-(link, VC) credit checks. Mid-run: held + downstream occupancy ≤

@@ -13,7 +13,9 @@
 //! back by a busy, relocking or gated link or by missing credits — sleeps
 //! until an event or a link-ready time can move it, and its skipped ticks
 //! are applied in one step before anything reads the counters they touch
-//! (see [`Network::settle_all`] and DESIGN.md §6i).
+//! (see [`Network::settle_all`] and DESIGN.md §6i). Sources with nothing
+//! queued and idle routers, whose ticks do nothing at all, are not visited
+//! (DESIGN.md §6j).
 
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet};
@@ -21,7 +23,7 @@ use crate::ids::{LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 use crate::link::{Endpoint, Link, LinkKind};
 use crate::node::{SinkNode, SourceNode};
 use crate::route_table::{RouteTable, RouteTableMode};
-use crate::router::{InputPort, Router, Stall};
+use crate::router::{InputPort, Router, SlotSet, Stall};
 use crate::routing::RoutingAlgorithm;
 use crate::topology::Topology;
 use lumen_desim::Picos;
@@ -98,6 +100,13 @@ pub struct Network {
     // state of real ticks.
     wake: Vec<Picos>,
     stalls: Vec<Stall>,
+    // Activity sets: the sources with queued flits and the routers that
+    // are not idle — the only ones whose tick does anything. Set by
+    // `inject` and by flit arrivals, cleared by the tick that empties or
+    // idles the component, rebuilt from component state on restore and
+    // adoption. Derived state, never checkpointed.
+    active_sources: SlotSet,
+    active_routers: SlotSet,
     inter_router_links: usize,
     ticks: u64,
 }
@@ -229,6 +238,8 @@ impl Network {
             config: config.clone(),
             wake: vec![Picos::ZERO; routers.len()],
             stalls: vec![Stall::default(); routers.len()],
+            active_sources: SlotSet::new(sources.len()),
+            active_routers: SlotSet::new(routers.len()),
             routers,
             sources,
             sinks,
@@ -339,7 +350,19 @@ impl Network {
 
     /// Queues a packet at its source node.
     pub fn inject(&mut self, packet: Packet) {
-        self.sources[packet.src.index()].enqueue(packet);
+        let n = packet.src.index();
+        self.sources[n].enqueue(packet);
+        self.active_sources.set(n);
+    }
+
+    /// Whether source `n` is in the active set (conservation auditor).
+    pub(crate) fn source_marked_active(&self, n: usize) -> bool {
+        self.active_sources.contains(n)
+    }
+
+    /// Whether router `r` is in the active set (conservation auditor).
+    pub(crate) fn router_marked_active(&self, r: usize) -> bool {
+        self.active_routers.contains(r)
     }
 
     /// One router-core cycle: all sources try to inject, all routers step
@@ -356,11 +379,13 @@ impl Network {
     /// rows it owns, so effect emission order within a shard matches the
     /// sequential engine's order restricted to that region.
     ///
-    /// A stalled router is skipped until its wake time; one that wakes
-    /// applies its skipped ticks before ticking for real. After a tick
-    /// that switched nothing, a router whose next ticks cannot move
-    /// anything records a stall, unless the next tick would wake it
-    /// anyway (see DESIGN.md §6i).
+    /// Only the active sources and routers are visited, in ascending
+    /// index: a source with nothing queued and an idle router would do
+    /// nothing at all (see DESIGN.md §6j). A stalled router is skipped
+    /// until its wake time; one that wakes applies its skipped ticks
+    /// before ticking for real. After a tick that switched nothing, a
+    /// router whose next ticks cannot move anything records a stall,
+    /// unless the next tick would wake it anyway (see DESIGN.md §6i).
     pub fn tick_range(
         &mut self,
         now: Picos,
@@ -368,26 +393,26 @@ impl Network {
         routers: std::ops::Range<usize>,
         nodes: std::ops::Range<usize>,
     ) {
-        for src in &mut self.sources[nodes] {
-            src.tick(now, &mut self.links, effects);
-        }
+        let (sources, links) = (&mut self.sources, &mut self.links);
+        self.active_sources.retain_range(nodes, |n| {
+            sources[n].tick(now, links, effects);
+            sources[n].backlog_flits() > 0
+        });
         let table = self.route_table.as_deref();
         let cycle = self.config.cycle();
-        for r in routers {
+        let ticks = self.ticks;
+        let (config, wake, stalls) = (&self.config, &mut self.wake, &mut self.stalls);
+        self.active_routers.retain_range(routers, |r| {
             let router = &mut self.routers[r];
-            if router.is_idle() {
-                continue; // never stalled: a stall holds buffered flits
+            if now < wake[r] {
+                return true; // stalled, so not idle
             }
-            let wake = self.wake[r];
-            if now < wake {
-                continue;
-            }
-            if wake != Picos::ZERO {
-                self.wake[r] = Picos::ZERO;
-                router.settle(self.stalls[r], self.ticks, &mut self.links);
+            if wake[r] != Picos::ZERO {
+                wake[r] = Picos::ZERO;
+                router.settle(stalls[r], ticks, links);
             }
             let (switched, requesters) = (router.flits_switched, router.requesters());
-            router.tick(now, &self.config, table, &mut self.links, effects);
+            router.tick(now, config, table, links, effects);
             // A stall may start after a tick that switched nothing and kept
             // its requesters: each of them requested in it and so noted
             // demand on its link, which the on/off wake check relies on.
@@ -395,13 +420,14 @@ impl Network {
                 && router.flits_switched == switched
                 && router.requesters() == requesters
             {
-                if let Some(mut s) = router.stall(now, cycle, &self.links) {
-                    s.since = self.ticks + 1;
-                    self.wake[r] = s.wake_at;
-                    self.stalls[r] = s;
+                if let Some(mut s) = router.stall(now, cycle, links) {
+                    s.since = ticks + 1;
+                    wake[r] = s.wake_at;
+                    stalls[r] = s;
                 }
             }
-        }
+            !router.is_idle()
+        });
         self.ticks += 1;
     }
 
@@ -459,6 +485,7 @@ impl Network {
             Endpoint::RouterPort { router, port } => {
                 self.settle(router);
                 self.routers[router.index()].accept_flit(port, vc, flit);
+                self.active_routers.set(router.index());
             }
             Endpoint::Node(n) => {
                 self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
@@ -485,6 +512,7 @@ impl Network {
             Endpoint::RouterPort { router, port } => {
                 self.settle(router);
                 self.routers[router.index()].accept_flit(port, vc, flit);
+                self.active_routers.set(router.index());
             }
             Endpoint::Node(n) => {
                 self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
@@ -549,7 +577,8 @@ impl Network {
     /// construction-deterministic, so only the mutable component state
     /// moves. The donor's routers are settled first (which also brings
     /// their output links, all inside the adopted link ranges, up to
-    /// date); the adopted routers start unstalled here.
+    /// date); the adopted routers start unstalled here, and the adopted
+    /// components' activity follows their state.
     pub fn adopt_region(
         &mut self,
         donor: &mut Network,
@@ -557,12 +586,12 @@ impl Network {
         nodes: std::ops::Range<usize>,
         link_ranges: [std::ops::Range<usize>; 2],
     ) {
-        for r in routers {
+        for r in routers.clone() {
             donor.settle(RouterId(r as u32));
             self.routers[r].clone_from(&donor.routers[r]);
             self.wake[r] = Picos::ZERO;
         }
-        for n in nodes {
+        for n in nodes.clone() {
             self.sources[n].clone_from(&donor.sources[n]);
             self.sinks[n].clone_from(&donor.sinks[n]);
         }
@@ -570,6 +599,19 @@ impl Network {
             for l in range {
                 self.links[l].clone_from(&donor.links[l]);
             }
+        }
+        self.rebuild_activity(routers, nodes);
+    }
+
+    /// Rebuilds the activity sets over `routers` and `nodes` from the
+    /// components' state.
+    fn rebuild_activity(&mut self, routers: std::ops::Range<usize>, nodes: std::ops::Range<usize>) {
+        for r in routers {
+            self.active_routers.assign(r, !self.routers[r].is_idle());
+        }
+        for n in nodes {
+            self.active_sources
+                .assign(n, self.sources[n].backlog_flits() > 0);
         }
     }
 
@@ -635,6 +677,7 @@ impl Network {
         self.links = links;
         self.ticks = ticks;
         self.wake.fill(Picos::ZERO);
+        self.rebuild_activity(0..self.routers.len(), 0..self.sources.len());
         Ok(())
     }
 
@@ -1112,6 +1155,45 @@ mod tests {
         d.run(200);
         assert_eq!(d.ejected.len(), 1);
         assert!(d.net.is_quiescent());
+    }
+
+    #[test]
+    fn auditor_names_a_missed_activity_bit() {
+        let config = NocConfig::small_for_tests();
+        let mut d = Driver::new(&config);
+        // A long packet keeps node 0 queued while its head crosses router 0.
+        d.net.inject(packet(1, 0, 7, 16, Picos::ZERO));
+        d.run(6);
+        assert!(d.net.sources[0].backlog_flits() > 0 && !d.net.routers[0].is_idle());
+        crate::audit::audit(&d.net).assert_ok();
+
+        let mut lost_source = d.net.clone();
+        lost_source.active_sources.clear(0);
+        let report = crate::audit::audit(&lost_source);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert!(
+            report.violations[0].starts_with("source n0: activity bit false"),
+            "{report}"
+        );
+
+        let mut lost_router = d.net.clone();
+        lost_router.active_routers.clear(0);
+        let report = crate::audit::audit(&lost_router);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert!(
+            report.violations[0].starts_with("router r0: activity bit false"),
+            "{report}"
+        );
+
+        // A stale bit on an idle component is named too.
+        let idle = (0..d.net.router_count())
+            .find(|&r| d.net.routers[r].is_idle())
+            .expect("an idle router");
+        let mut stale = d.net.clone();
+        stale.active_routers.set(idle);
+        let report = crate::audit::audit(&stale);
+        let named = format!("router r{idle}: activity bit true");
+        assert!(report.violations[0].starts_with(&named), "{report}");
     }
 
     #[test]

@@ -114,34 +114,79 @@ impl OutputPort {
     }
 }
 
-/// A bitset over the router's `ports × vcs` input-VC slots, iterated in
-/// ascending slot order — the same `(port, vc)` order the pipeline's full
-/// scans used, so replacing a scan with a set walk is order-identical.
+/// A bitset over dense indices, iterated in ascending order: the
+/// router's `ports × vcs` input-VC slots — the same `(port, vc)` order the
+/// pipeline's full scans used, so replacing a scan with a set walk is
+/// order-identical — and the network's active sources and routers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct SlotSet {
+pub(crate) struct SlotSet {
     words: Vec<u64>,
 }
 
 impl SlotSet {
-    fn new(slots: usize) -> Self {
+    pub(crate) fn new(slots: usize) -> Self {
         SlotSet {
             words: vec![0; slots.div_ceil(64)],
         }
     }
 
     #[inline]
-    fn set(&mut self, i: usize) {
+    pub(crate) fn set(&mut self, i: usize) {
         self.words[i >> 6] |= 1u64 << (i & 63);
     }
 
     #[inline]
-    fn clear(&mut self, i: usize) {
+    pub(crate) fn clear(&mut self, i: usize) {
         self.words[i >> 6] &= !(1u64 << (i & 63));
+    }
+
+    #[inline]
+    pub(crate) fn assign(&mut self, i: usize, on: bool) {
+        if on {
+            self.set(i);
+        } else {
+            self.clear(i);
+        }
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.words[i >> 6] >> (i & 63) & 1 == 1
     }
 
     #[inline]
     fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Calls `step` on every member in `range`, in ascending order, and
+    /// drops each member for which it returns `false`.
+    #[inline]
+    pub(crate) fn retain_range(
+        &mut self,
+        range: std::ops::Range<usize>,
+        mut step: impl FnMut(usize) -> bool,
+    ) {
+        if range.is_empty() {
+            return;
+        }
+        let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
+        for wi in first..=last {
+            let mut w = self.words[wi];
+            if wi == first {
+                w &= !0u64 << (range.start & 63);
+            }
+            if wi == last {
+                w &= !0u64 >> (63 - ((range.end - 1) & 63));
+            }
+            while w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                if !step(wi << 6 | bit) {
+                    self.words[wi] &= !(1u64 << bit);
+                }
+            }
+        }
     }
 }
 

@@ -136,18 +136,28 @@ impl TrafficSource for SyntheticSource {
         if p <= 0.0 {
             return;
         }
-        for src in 0..n {
-            if !self.rng.chance(p) {
-                continue;
+        // One `chance(p)` per node in node order, but jumping from hit to
+        // hit: the failed coins in between are one run-length draw, with
+        // the same values in the same order.
+        let threshold = Rng::chance_threshold(p);
+        let mut src = 0;
+        while src < n {
+            src += self
+                .rng
+                .failures_before_success(threshold, (n - src) as u64) as usize;
+            if src == n {
+                break;
             }
-            let Some(dst) = self.pattern.pick(&self.config, NodeId(src as u32), &mut self.rng) else {
+            let node = NodeId(src as u32);
+            src += 1;
+            let Some(dst) = self.pattern.pick(&self.config, node, &mut self.rng) else {
                 continue;
             };
             let size = self.size.draw(&mut self.rng);
             let id = PacketId(self.next_id);
             self.next_id += 1;
             self.generated += 1;
-            out.push(Packet::new(id, NodeId(src as u32), dst, size, now));
+            out.push(Packet::new(id, node, dst, size, now));
         }
     }
 
@@ -344,6 +354,55 @@ mod tests {
         assert_eq!(gen(5), gen(5));
         assert_ne!(gen(5).len(), 0);
         assert_ne!(gen(5).len(), gen(6).len());
+    }
+
+    #[test]
+    fn synthetic_draws_like_one_chance_per_node() {
+        // The per-node loop the run-length draw replaces, written out.
+        let config = cfg();
+        let n = config.node_count();
+        let reference = |pattern: &Pattern, rate: f64, rng: &mut Rng, out: &mut Vec<Packet>| {
+            let p = (rate / n as f64).clamp(0.0, 1.0);
+            for src in 0..n {
+                if p > 0.0 && rng.chance(p) {
+                    let node = NodeId(src as u32);
+                    if let Some(dst) = pattern.pick(&config, node, rng) {
+                        let size = PacketSize::Uniform(2, 8).draw(rng);
+                        out.push(Packet::new(
+                            PacketId(out.len() as u64),
+                            node,
+                            dst,
+                            size,
+                            Picos::ZERO,
+                        ));
+                    }
+                }
+            }
+        };
+        let patterns = [
+            Pattern::Uniform,
+            Pattern::paper_hotspot(&config),
+            Pattern::Transpose,
+        ];
+        for (seed, pattern) in patterns.iter().enumerate() {
+            for rate in [0.3, 4.0, 60.0, n as f64, 2.0 * n as f64] {
+                let rng = Rng::seed_from(seed as u64);
+                let mut src = SyntheticSource::new(
+                    &config,
+                    pattern.clone(),
+                    RateProfile::Constant(rate),
+                    PacketSize::Uniform(2, 8),
+                    rng.clone(),
+                );
+                let (mut got, mut want, mut rng) = (Vec::new(), Vec::new(), rng);
+                for c in 0..200 {
+                    src.packets_for_cycle(c, Picos::ZERO, &mut got);
+                    reference(pattern, rate, &mut rng, &mut want);
+                }
+                assert_eq!(got, want, "{pattern:?} at rate {rate}");
+                assert_eq!(src.rng, rng, "{pattern:?} at rate {rate}");
+            }
+        }
     }
 
     #[test]

@@ -183,6 +183,49 @@ fn split_non_power_aware_matches_unbroken() {
     assert_split_invariant(config, WARMUP + MEASURE / 2, 0.25, &[4], "nonpa");
 }
 
+/// A field of a checkpoint's schema tree.
+fn field<'v>(v: &'v serde::Value, name: &str) -> &'v serde::Value {
+    serde::map_field(v.as_map().expect("a map"), name, "checkpoint tree").expect("field present")
+}
+
+/// The u64 field of a checkpoint's schema tree.
+fn count(v: &serde::Value, name: &str) -> u64 {
+    match field(v, name) {
+        serde::Value::U64(n) => *n,
+        other => panic!("{name} is not a count: {other:?}"),
+    }
+}
+
+#[test]
+fn split_with_busy_sources_and_routers_matches_unbroken() {
+    // The network steps only its active sources and routers (DESIGN.md
+    // §6j), and the sets are derived state outside the checkpoint: resume
+    // and shard merges rebuild them from component state. Cut where both
+    // sets are non-empty, so a rebuild that missed a member would stop it.
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 41);
+    let (cut, rate) = (WARMUP + MEASURE / 2, 0.6);
+    let path = ckpt_path("active-sets");
+    experiment(config.clone())
+        .save_at(cut, &path)
+        .run_uniform(rate, PacketSize::Fixed(4));
+    let ckpt = Checkpoint::read_from(&path).expect("checkpoint written");
+    std::fs::remove_file(&path).ok();
+    let net = field(&ckpt.sim, "net");
+    let sources = field(net, "sources").as_seq().expect("sources");
+    let queued = sources
+        .iter()
+        .filter(|s| !field(s, "queue").as_seq().expect("queue").is_empty())
+        .count();
+    let routers = field(net, "routers").as_seq().expect("routers");
+    let busy = routers
+        .iter()
+        .filter(|r| count(r, "buffered_flits") + count(r, "active_vcs") > 0)
+        .count();
+    assert!(queued > 0, "no source has queued flits at cycle {cut}");
+    assert!(busy > 0, "every router is idle at cycle {cut}");
+    assert_split_invariant(config, cut, rate, &[1, 2, 4], "active-sets");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
