@@ -1,44 +1,31 @@
 //! Micro-benchmarks for the discrete-event calendar: the hottest data
 //! structure in the simulator (every flit hop schedules two events).
 //!
-//! Each workload runs on both backends — the default bucketed cycle
-//! wheel and the reference binary heap — so the wheel's speedup is
-//! visible directly in the report (and recorded by the CI perf-smoke
-//! job). The `cycle_synchronous` group models the simulator's actual
-//! access pattern: per 1600 ps cycle, a batch of same-cycle arrivals is
+//! The `cycle_synchronous` group models the simulator's actual access
+//! pattern: per 1600 ps cycle, a batch of same-cycle arrivals is
 //! scheduled one cycle ahead and the current cycle's batch is drained.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use lumen_desim::{EventQueue, Picos, Rng};
 use std::hint::black_box;
 
-fn queue_for(backend: &str, capacity: usize) -> EventQueue<u64> {
-    match backend {
-        "wheel" => EventQueue::with_capacity(capacity),
-        "heap" => EventQueue::reference_heap_with_capacity(capacity),
-        other => panic!("unknown backend {other}"),
-    }
-}
-
 fn schedule_pop_interleaved(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
-    for backend in ["wheel", "heap"] {
-        for &pending in &[64usize, 1024, 16_384] {
-            group.throughput(Throughput::Elements(1));
-            group.bench_function(format!("{backend}_hold_{pending}_schedule_pop"), |b| {
-                let mut rng = Rng::seed_from(7);
-                let mut q = queue_for(backend, pending + 1);
-                for i in 0..pending {
-                    q.schedule(Picos::from_ps(rng.next_below(1_000_000)), i as u64);
-                }
-                let mut t = 1_000_000u64;
-                b.iter(|| {
-                    t += 100;
-                    q.schedule(Picos::from_ps(rng.next_below(1_000_000) + t), t);
-                    black_box(q.pop());
-                });
+    for &pending in &[64usize, 1024, 16_384] {
+        group.throughput(Throughput::Elements(1));
+        group.bench_function(format!("wheel_hold_{pending}_schedule_pop"), |b| {
+            let mut rng = Rng::seed_from(7);
+            let mut q = EventQueue::with_capacity(pending + 1);
+            for i in 0..pending {
+                q.schedule(Picos::from_ps(rng.next_below(1_000_000)), i as u64);
+            }
+            let mut t = 1_000_000u64;
+            b.iter(|| {
+                t += 100;
+                q.schedule(Picos::from_ps(rng.next_below(1_000_000) + t), t);
+                black_box(q.pop());
             });
-        }
+        });
     }
     group.finish();
 }
@@ -46,27 +33,25 @@ fn schedule_pop_interleaved(c: &mut Criterion) {
 fn drain_ordered(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_drain");
     let n = 10_000u64;
-    for backend in ["wheel", "heap"] {
-        group.throughput(Throughput::Elements(n));
-        group.bench_function(format!("{backend}_drain_10k_random"), |b| {
-            b.iter_batched(
-                || {
-                    let mut rng = Rng::seed_from(3);
-                    let mut q = queue_for(backend, n as usize);
-                    for i in 0..n {
-                        q.schedule(Picos::from_ps(rng.next_below(1 << 40)), i);
-                    }
-                    q
-                },
-                |mut q| {
-                    while let Some(e) = q.pop() {
-                        black_box(e);
-                    }
-                },
-                BatchSize::LargeInput,
-            );
-        });
-    }
+    group.throughput(Throughput::Elements(n));
+    group.bench_function("wheel_drain_10k_random", |b| {
+        b.iter_batched(
+            || {
+                let mut rng = Rng::seed_from(3);
+                let mut q = EventQueue::with_capacity(n as usize);
+                for i in 0..n {
+                    q.schedule(Picos::from_ps(rng.next_below(1 << 40)), i);
+                }
+                q
+            },
+            |mut q| {
+                while let Some(e) = q.pop() {
+                    black_box(e);
+                }
+            },
+            BatchSize::LargeInput,
+        );
+    });
     group.finish();
 }
 
@@ -77,30 +62,28 @@ fn cycle_synchronous(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue_cycle_synchronous");
     let cycle = 1600u64;
     let batch = 64u64; // ~flit+credit arrivals per cycle at load
-    for backend in ["wheel", "heap"] {
-        group.throughput(Throughput::Elements(batch));
-        group.bench_function(format!("{backend}_batch_{batch}_per_cycle"), |b| {
-            let mut q = queue_for(backend, 4 * batch as usize);
-            let mut now = 0u64;
-            for i in 0..batch {
-                q.schedule(Picos::from_ps(now + cycle), i);
+    group.throughput(Throughput::Elements(batch));
+    group.bench_function(format!("wheel_batch_{batch}_per_cycle"), |b| {
+        let mut q = EventQueue::with_capacity(4 * batch as usize);
+        let mut now = 0u64;
+        for i in 0..batch {
+            q.schedule(Picos::from_ps(now + cycle), i);
+        }
+        b.iter(|| {
+            now += cycle;
+            let mut popped = 0u64;
+            while let Some((t, id)) = q.pop_if_at_or_before(Picos::from_ps(now)) {
+                black_box((t, id));
+                q.schedule(Picos::from_ps(now + cycle), id);
+                popped += 1;
             }
-            b.iter(|| {
-                now += cycle;
-                let mut popped = 0u64;
-                while let Some((t, id)) = q.pop_if_at_or_before(Picos::from_ps(now)) {
-                    black_box((t, id));
-                    q.schedule(Picos::from_ps(now + cycle), id);
-                    popped += 1;
-                }
-                // Rare far-future event, like a TransitionComplete.
-                if now % (cycle * 512) == 0 {
-                    q.schedule(Picos::from_ps(now + cycle * 4096), u64::MAX);
-                }
-                black_box(popped);
-            });
+            // Rare far-future event, like a TransitionComplete.
+            if now % (cycle * 512) == 0 {
+                q.schedule(Picos::from_ps(now + cycle * 4096), u64::MAX);
+            }
+            black_box(popped);
         });
-    }
+    });
     group.finish();
 }
 

@@ -9,15 +9,17 @@ use lumen_noc::flit::Packet;
 use lumen_noc::ids::{LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 use lumen_noc::link::{Endpoint, Link, LinkKind};
 use lumen_noc::network::Effect;
+use lumen_noc::route_table::RouteTable;
 use lumen_noc::router::Router;
 use lumen_noc::routing::RoutingAlgorithm;
 use std::hint::black_box;
 
 /// A paper-dimension router (12 ports) with an ejection link on port 0
 /// and a continuous supply of flits on input port 1.
-fn harness() -> (NocConfig, Router, Vec<Link>) {
+fn harness() -> (NocConfig, RouteTable, Router, Vec<Link>) {
     let config = NocConfig::paper_default();
-    let mut router = Router::new(RouterId(0), RoutingAlgorithm::XY, &config);
+    let table = RouteTable::build(&config, RoutingAlgorithm::XY);
+    let mut router = Router::new(RouterId(0), &config);
     let eject = Link::new(
         LinkId(0),
         LinkKind::Ejection,
@@ -32,18 +34,18 @@ fn harness() -> (NocConfig, Router, Vec<Link>) {
     );
     router.outputs[0].link = Some(LinkId(0));
     router.inputs[1].feeder = Some(LinkId(0)); // placeholder feeder id
-    (config, router, vec![eject])
+    (config, table, router, vec![eject])
 }
 
 fn idle_tick(c: &mut Criterion) {
-    let (config, mut router, mut links) = harness();
+    let (config, table, mut router, mut links) = harness();
     let mut effects = Vec::new();
     let mut group = c.benchmark_group("router");
     group.throughput(Throughput::Elements(1));
     group.bench_function("idle_tick", |b| {
         let mut now = Picos::ZERO;
         b.iter(|| {
-            router.tick(now, &config, &mut links, &mut effects);
+            router.tick(now, &config, &table, &mut links, &mut effects);
             effects.clear();
             now += config.cycle();
             black_box(&router);
@@ -53,7 +55,7 @@ fn idle_tick(c: &mut Criterion) {
 }
 
 fn streaming_tick(c: &mut Criterion) {
-    let (config, mut router, mut links) = harness();
+    let (config, table, mut router, mut links) = harness();
     let mut effects = Vec::new();
     let mut group = c.benchmark_group("router");
     group.throughput(Throughput::Elements(1));
@@ -75,7 +77,7 @@ fn streaming_tick(c: &mut Criterion) {
                     pending.pop();
                 }
             }
-            router.tick(now, &config, &mut links, &mut effects);
+            router.tick(now, &config, &table, &mut links, &mut effects);
             // Instantly recycle credits so traffic keeps flowing.
             for eff in effects.drain(..) {
                 if let Effect::Flit { vc, .. } = eff {

@@ -1,19 +1,18 @@
 //! Perf-trajectory harness: measures event-core throughput (events/sec)
-//! on the full-scale `fig5_load` uniform-random points for both calendar
-//! backends — the bucketed cycle wheel and the pre-wheel reference binary
-//! heap — and for the sharded conservative-parallel backend at shard
+//! on the full-scale `fig5_load` uniform-random points for the sequential
+//! engine and for the sharded conservative-parallel backend at shard
 //! counts {1, 2, 4}, plus the `fig5_load --quick` sweep wall-clock at
 //! `--jobs 1` and `--jobs 4`, and writes the numbers to
 //! `BENCH_events.json` so later PRs have a recorded baseline to compare
 //! against.
 //!
-//! All backends are also cross-checked here: every measured point must
-//! deliver identical packet counts and energy on every calendar and
-//! every shard count, so a perf run doubles as a bit-identity smoke
-//! test. Sharded events/sec is reported as *sequential* event count over
-//! sharded wall-clock, so speedups are comparable across shard counts
-//! (each shard engine also processes barrier-window bookkeeping events
-//! that the sequential engine does not).
+//! Every shard count is also cross-checked here: each measured point must
+//! deliver identical packet counts and energy at every shard count, so a
+//! perf run doubles as a bit-identity smoke test. Sharded events/sec is
+//! reported as *sequential* event count over sharded wall-clock, so
+//! speedups are comparable across shard counts (each shard engine also
+//! processes barrier-window bookkeeping events that the sequential engine
+//! does not).
 //!
 //! Each point is also measured with full telemetry recording enabled
 //! (counters + per-link window series): the traced run must process the
@@ -25,12 +24,9 @@
 //! perf-smoke job sets this — the job is `continue-on-error`, so shared-
 //! runner noise flags rather than gates).
 //!
-//! Since the precomputed route table landed, every point is additionally
-//! rerun with `RouteTableMode::Off` (on-the-fly routing, the pre-table
-//! RC stage) and cross-checked bit-identical, a routing micro-bench
-//! measures raw lookup throughput (table vs on-the-fly) per topology,
-//! and two `ext_datacenter`-shaped full-scale points (32×32 mesh and
-//! folded Clos under DVS) record the end-to-end before/after.
+//! A routing micro-bench measures raw lookup throughput per topology: the
+//! precomputed route table the RC stage reads against `route_candidates`,
+//! the on-the-fly oracle it is built from.
 //!
 //! Run: `cargo run --release -p lumen-bench --bin perf_events -- \
 //!       [--quick] [--jobs N] [--shards N] [--out PATH]`
@@ -38,10 +34,9 @@
 
 use lumen_bench::{banner, defaults, run_points, BenchArgs, RunScale};
 use lumen_core::prelude::*;
-use lumen_desim::{Engine, Rng};
+use lumen_desim::Rng;
 use lumen_noc::routing::route_candidates;
 use lumen_noc::{NodeId, RouteTable, RouterId};
-use lumen_traffic::DatacenterSource;
 use std::time::Instant;
 
 /// Pre-change throughput of the seed commit (`07c112b`, the BinaryHeap
@@ -69,12 +64,12 @@ const PR4_WHEEL_BASELINE: &[(&str, f64)] = &[
 /// Tolerated events/sec drop vs the PR-4 baseline when gating.
 const PERF_GATE_TOLERANCE: f64 = 0.03;
 
-/// One backend's measurement of one simulation point.
+/// One sequential-engine measurement of one simulation point.
 struct BackendPerf {
     events: u64,
     scheduled: u64,
     wall_s: f64,
-    /// Cross-check values: must match across backends bit-for-bit.
+    /// Cross-check values: must match across runs bit-for-bit.
     delivered: u64,
     energy_nj: f64,
 }
@@ -134,7 +129,6 @@ fn run_point_sharded(config: SystemConfig, rate: f64, scale: RunScale, shards: u
         measure,
         shards,
         None,
-        RouteTableMode::Auto,
     );
     let wall_s = start.elapsed().as_secs_f64();
     ShardPerf {
@@ -149,15 +143,25 @@ fn run_point_sharded(config: SystemConfig, rate: f64, scale: RunScale, shards: u
     }
 }
 
-/// Drives one prebuilt engine over the fig5-shaped warmup/measure
-/// schedule and collects the backend measurement.
-fn drive(
-    mut engine: Engine<PowerAwareSim>,
-    cycle: lumen_desim::Picos,
-    warmup: u64,
-    measure: u64,
-    start: Instant,
+/// One sequential run of a fig5-shaped point, construction included.
+fn run_point(
+    config: SystemConfig,
+    rate: f64,
+    scale: RunScale,
+    telemetry: TelemetryConfig,
 ) -> BackendPerf {
+    let warmup = scale.cycles(defaults::WARMUP_CYCLES);
+    let measure = scale.cycles(60_000); // fig5_load's per-point horizon
+    let source = Box::new(SyntheticSource::new(
+        &config.noc,
+        Pattern::Uniform,
+        RateProfile::Constant(rate),
+        PacketSize::Fixed(defaults::SYNTHETIC_PACKET_FLITS),
+        Rng::seed_from(config.seed),
+    ));
+    let cycle = config.noc.cycle();
+    let start = Instant::now();
+    let mut engine = PowerAwareSim::build_engine_telemetry(config, source, None, telemetry);
     engine.run_until(cycle * warmup);
     let now = engine.now();
     engine.model_mut().begin_measurement(now);
@@ -172,73 +176,6 @@ fn drive(
         delivered: sim.network().packets_delivered(),
         energy_nj: sim.energy_nj(end),
     }
-}
-
-fn run_point(
-    config: SystemConfig,
-    rate: f64,
-    scale: RunScale,
-    reference: bool,
-    telemetry: TelemetryConfig,
-    route_table: RouteTableMode,
-) -> BackendPerf {
-    let warmup = scale.cycles(defaults::WARMUP_CYCLES);
-    let measure = scale.cycles(60_000); // fig5_load's per-point horizon
-    let source = Box::new(SyntheticSource::new(
-        &config.noc,
-        Pattern::Uniform,
-        RateProfile::Constant(rate),
-        PacketSize::Fixed(defaults::SYNTHETIC_PACKET_FLITS),
-        Rng::seed_from(config.seed),
-    ));
-    let cycle = config.noc.cycle();
-    let start = Instant::now();
-    let engine: Engine<PowerAwareSim> = if reference {
-        PowerAwareSim::build_engine_reference_queue(config, source, None)
-    } else {
-        PowerAwareSim::build_engine_with_route_table(config, source, None, telemetry, route_table)
-    };
-    drive(engine, cycle, warmup, measure, start)
-}
-
-/// One `ext_datacenter`-shaped point (request/response traffic with
-/// incast and diurnal ramp) on the sequential engine, timed with the
-/// given route-table mode. The acceptance row for the table: the 32×32
-/// mesh and the Clos pay the dispatched `route_inter` most.
-fn run_point_datacenter(
-    config: SystemConfig,
-    scale: RunScale,
-    measure_mult: u64,
-    mode: RouteTableMode,
-) -> BackendPerf {
-    let warmup = scale.cycles(defaults::WARMUP_CYCLES);
-    // ext_datacenter's per-point horizon, stretched by `measure_mult` on
-    // small fabrics so every timed drive runs long enough (seconds, not
-    // milliseconds) for events/sec to resolve the RC-stage delta.
-    let measure = scale.cycles(60_000) * measure_mult;
-    let mut dc = DatacenterConfig::web_like(config.noc.node_count() / 4);
-    dc.request_rate = config.noc.node_count() as f64 * 0.004;
-    dc.diurnal_period_cycles = scale.cycles(40_000);
-    dc.incast_period_cycles = scale.cycles(8_000);
-    // Same seed-stream decorrelation as `Workload::Datacenter`.
-    let source = Box::new(DatacenterSource::new(
-        &config.noc,
-        dc,
-        Rng::seed_from(lumen_core::exec::derive_seed(config.seed, u64::MAX - 1)),
-    ));
-    let cycle = config.noc.cycle();
-    let engine = PowerAwareSim::build_engine_with_route_table(
-        config,
-        source,
-        None,
-        TelemetryConfig::default(),
-        mode,
-    );
-    // Time the drive only: engine construction (and the route-table
-    // build inside it) is a one-time setup cost, amortized further by
-    // the sharded backend's Arc sharing, while this row measures
-    // steady-state event throughput.
-    drive(engine, cycle, warmup, measure, Instant::now())
 }
 
 /// Raw routing-lookup throughput on one fabric: the precomputed table
@@ -333,9 +270,7 @@ fn json_point(
     name: &str,
     cycles: u64,
     wheel: &BackendPerf,
-    heap: &BackendPerf,
     traced: &BackendPerf,
-    table_off: &BackendPerf,
     vs_pr4: Option<f64>,
     shard_runs: &[ShardPerf],
     pr4_barriers: u64,
@@ -381,14 +316,10 @@ fn json_point(
     let vs_pr4 = vs_pr4.map_or(String::from("null"), |r| format!("{r:.3}"));
     let (auto_resolved, auto_wall) = auto;
     format!(
-        "    {{\n      \"name\": \"{name}\",\n      \"cycles\": {cycles},\n      \"wheel\": {},\n      \"reference_heap\": {},\n      \"speedup\": {:.2},\n      \"telemetry_on\": {},\n      \"telemetry_overhead_pct\": {:.1},\n      \"route_table_off\": {},\n      \"route_table_speedup\": {:.3},\n      \"wheel_vs_pr4_baseline\": {},\n      \"sharded\": [\n{}\n      ],\n      \"shards_auto\": {{\"requested\": 2, \"resolved\": {auto_resolved}, \"wall_s\": {auto_wall:.3}, \"speedup_vs_1\": {:.2}}}\n    }}",
+        "    {{\n      \"name\": \"{name}\",\n      \"cycles\": {cycles},\n      \"wheel\": {},\n      \"telemetry_on\": {},\n      \"telemetry_overhead_pct\": {:.1},\n      \"wheel_vs_pr4_baseline\": {},\n      \"sharded\": [\n{}\n      ],\n      \"shards_auto\": {{\"requested\": 2, \"resolved\": {auto_resolved}, \"wall_s\": {auto_wall:.3}, \"speedup_vs_1\": {:.2}}}\n    }}",
         backend(wheel),
-        backend(heap),
-        wheel.events_per_sec() / heap.events_per_sec(),
         backend(traced),
         (wheel.events_per_sec() / traced.events_per_sec() - 1.0) * 100.0,
-        backend(table_off),
-        wheel.events_per_sec() / table_off.events_per_sec(),
         vs_pr4,
         shards.join(",\n"),
         shard_runs[0].wall_s / auto_wall
@@ -413,7 +344,7 @@ fn main() {
         Err(lumen_bench::ParseOutcome::Help) => {
             println!(
                 "usage: perf_events [--quick] [--jobs N] [--shards N] [--out PATH]\n\
-                 measures event-core throughput on both calendar backends and\n\
+                 measures event-core throughput on the sequential engine and\n\
                  on the sharded parallel backend (shards 1/2/4 plus --shards N),\n\
                  then writes BENCH_events.json (the perf trajectory record)"
             );
@@ -432,7 +363,7 @@ fn main() {
     let perf_gate = std::env::var("LUMEN_PERF_GATE").is_ok_and(|v| v == "1");
     banner("perf_events", "event-core throughput trajectory");
 
-    // --- Single-point events/sec: wheel vs reference heap. -------------
+    // --- Single-point events/sec: sequential, traced, sharded. ----------
     let point_cycles = scale.cycles(defaults::WARMUP_CYCLES) + scale.cycles(60_000);
     let mut point_json = Vec::new();
     for (name, pa, rate) in [
@@ -445,63 +376,17 @@ fn main() {
             c
         };
         println!("\n{name} ({scale_name} scale, {point_cycles} cycles):");
-        let wheel = run_point(
-            config.clone(),
-            rate,
-            scale,
-            false,
-            TelemetryConfig::default(),
-            RouteTableMode::Auto,
-        );
+        let wheel = run_point(config.clone(), rate, scale, TelemetryConfig::default());
         println!(
-            "  wheel          {:>12.0} events/s  ({} events, {:.2}s)",
+            "  sequential     {:>12.0} events/s  ({} events, {:.2}s)",
             wheel.events_per_sec(),
             wheel.events,
             wheel.wall_s
         );
-        let heap = run_point(
-            config.clone(),
-            rate,
-            scale,
-            true,
-            TelemetryConfig::default(),
-            RouteTableMode::Auto,
-        );
-        println!(
-            "  reference heap {:>12.0} events/s  ({} events, {:.2}s)",
-            heap.events_per_sec(),
-            heap.events,
-            heap.wall_s
-        );
-        // Same events, same physics: the backends must agree exactly.
-        assert_eq!(
-            (wheel.events, wheel.scheduled, wheel.delivered),
-            (heap.events, heap.scheduled, heap.delivered),
-            "calendar backends diverged on {name}"
-        );
-        assert!(
-            wheel.energy_nj == heap.energy_nj,
-            "energy diverged on {name}: {} vs {}",
-            wheel.energy_nj,
-            heap.energy_nj
-        );
-        println!(
-            "  speedup {:.2}x (cross-check ok: {} packets, {:.1} nJ on both)",
-            wheel.events_per_sec() / heap.events_per_sec(),
-            wheel.delivered,
-            wheel.energy_nj
-        );
 
-        // Full telemetry recording on the wheel backend: observation only,
-        // so event counts, packets, and energy must all be untouched.
-        let traced = run_point(
-            config.clone(),
-            rate,
-            scale,
-            false,
-            TelemetryConfig::full(),
-            RouteTableMode::Auto,
-        );
+        // Full telemetry recording: observation only, so event counts,
+        // packets, and energy must all be untouched.
+        let traced = run_point(config, rate, scale, TelemetryConfig::full());
         assert_eq!(
             (traced.events, traced.scheduled, traced.delivered),
             (wheel.events, wheel.scheduled, wheel.delivered),
@@ -517,34 +402,6 @@ fn main() {
             "  telemetry on   {:>12.0} events/s  ({:.1}% overhead, bit-identical output)",
             traced.events_per_sec(),
             (wheel.events_per_sec() / traced.events_per_sec() - 1.0) * 100.0
-        );
-
-        // On-the-fly routing (the pre-table RC stage): the route table is
-        // a pure performance knob, so event counts, packets, and energy
-        // must all reproduce bit-for-bit without it.
-        let table_off = run_point(
-            config,
-            rate,
-            scale,
-            false,
-            TelemetryConfig::default(),
-            RouteTableMode::Off,
-        );
-        assert_eq!(
-            (table_off.events, table_off.scheduled, table_off.delivered),
-            (wheel.events, wheel.scheduled, wheel.delivered),
-            "route table changed the simulation on {name}"
-        );
-        assert!(
-            table_off.energy_nj == wheel.energy_nj,
-            "route table changed energy on {name}: {} vs {}",
-            table_off.energy_nj,
-            wheel.energy_nj
-        );
-        println!(
-            "  route-table off {:>11.0} events/s  (table speedup {:.2}x, bit-identical output)",
-            table_off.events_per_sec(),
-            wheel.events_per_sec() / table_off.events_per_sec()
         );
 
         // Telemetry-disabled hot path vs the PR-4 record (same host
@@ -665,9 +522,7 @@ fn main() {
             name,
             point_cycles,
             &wheel,
-            &heap,
             &traced,
-            &table_off,
             vs_pr4,
             &shard_runs,
             pr4_barriers,
@@ -710,112 +565,6 @@ fn main() {
         micro_json.push(row);
     }
 
-    // --- ext_datacenter full-scale rows: route table on vs off. ---------
-    // The fabrics where route compute costs most (1024 routers; Clos
-    // dispatch); the acceptance row for the table work.
-    let mut dc_json = Vec::new();
-    for (name, noc, measure_mult) in [
-        (
-            "ext_datacenter mesh-32x32 DVS",
-            {
-                let mut noc = SystemConfig::paper_default().noc;
-                noc.width = 32;
-                noc.height = 32;
-                noc.nodes_per_rack = 1;
-                noc
-            },
-            1,
-        ),
-        (
-            "ext_datacenter folded-clos DVS",
-            {
-                let mut noc = SystemConfig::paper_default().noc;
-                noc.width = 4;
-                noc.height = 4;
-                noc.nodes_per_rack = 4;
-                noc.topology = TopologyKind::FoldedClos { spines: 4 };
-                noc
-            },
-            // 64 nodes vs 1024: stretch the horizon so the timed drive
-            // is seconds long on this fabric too.
-            40,
-        ),
-    ] {
-        let config = {
-            let mut c = SystemConfig::paper_default();
-            c.noc = noc;
-            c
-        };
-        println!("\n{name} ({scale_name} scale):");
-        // Measured in adjacent (on, off) pairs: the RC saving is a small
-        // slice of total event cost while shared-host scheduler noise is
-        // multiplicative and low-frequency, so the robust statistic is
-        // the MEDIAN of per-pair wall ratios (each pair runs seconds
-        // apart and sees near-identical machine state). Identity is
-        // asserted on every repetition.
-        let pairs = if scale == RunScale::Quick { 1 } else { 7 };
-        let mut on_walls = Vec::new();
-        let mut off_walls = Vec::new();
-        let mut ratios = Vec::new();
-        let mut first: Option<BackendPerf> = None;
-        for p in 0..pairs {
-            let a = run_point_datacenter(config.clone(), scale, measure_mult, RouteTableMode::Auto);
-            let b = run_point_datacenter(config.clone(), scale, measure_mult, RouteTableMode::Off);
-            assert_eq!(
-                (a.events, a.scheduled, a.delivered),
-                (b.events, b.scheduled, b.delivered),
-                "route table changed the simulation on {name}"
-            );
-            assert!(
-                a.energy_nj == b.energy_nj,
-                "route table changed energy on {name}: {} vs {}",
-                a.energy_nj,
-                b.energy_nj
-            );
-            if let Some(f) = &first {
-                assert_eq!((a.events, a.scheduled), (f.events, f.scheduled));
-            }
-            println!(
-                "  pair {p}: on {:.2}s  off {:.2}s  ratio {:.4}",
-                a.wall_s,
-                b.wall_s,
-                b.wall_s / a.wall_s
-            );
-            ratios.push(b.wall_s / a.wall_s);
-            on_walls.push(a.wall_s);
-            off_walls.push(b.wall_s);
-            if first.is_none() {
-                first = Some(a);
-            }
-        }
-        let first = first.expect("at least one pair");
-        let median = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite walls"));
-            v[v.len() / 2]
-        };
-        let speedup = median(&mut ratios);
-        let on_wall = median(&mut on_walls);
-        let off_wall = median(&mut off_walls);
-        let events = first.events;
-        println!(
-            "  route table on  {:>11.0} events/s  ({events} events, {on_wall:.2}s median of {pairs})",
-            events as f64 / on_wall,
-        );
-        println!(
-            "  route table off {:>11.0} events/s  ({off_wall:.2}s median of {pairs})",
-            events as f64 / off_wall,
-        );
-        println!(
-            "  table speedup {speedup:.3}x median-of-pairs (cross-check ok: {} packets, {:.1} nJ on both)",
-            first.delivered, first.energy_nj
-        );
-        dc_json.push(format!(
-            "    {{\"name\": \"{name}\", \"events\": {events}, \"pairs\": {pairs}, \"table_on\": {{\"wall_s\": {on_wall:.3}, \"events_per_sec\": {:.0}}}, \"table_off\": {{\"wall_s\": {off_wall:.3}, \"events_per_sec\": {:.0}}}, \"route_table_speedup\": {speedup:.3}}}",
-            events as f64 / on_wall,
-            events as f64 / off_wall,
-        ));
-    }
-
     // --- Whole-sweep wall-clock at jobs=1 and jobs=N (quick scale). -----
     // Always quick: this entry tracks harness latency, not throughput,
     // and must stay cheap enough for the CI perf-smoke job.
@@ -847,12 +596,11 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": \"lumen-bench-events/5\",\n  \"scale\": \"{scale_name}\",\n  \"host_parallelism\": {},\n  \"sharded_note\": \"sharded events_per_sec = sequential event count / sharded wall-clock (comparable across shard counts). The sharded rows FORCE the partition even when the host has fewer cores than shards, so they measure the conservative protocol's true coordination cost; shards_auto is the host-aware policy (Experiment::shards_auto) that never runs more shards than cores — results are bit-identical either way, so on an oversubscribed host a 2-shard request resolves toward the sequential engine and costs ~nothing. barriers counts one rendezvous per mandatory stop (DVS window closes, sample/publish ticks, run end) and is deterministic; windows is the busiest worker's window count and depends on thread scheduling; barrier_reduction_vs_pre_lookahead compares against the one-cycle-window protocol's deterministic barrier count\",\n  \"route_table_note\": \"route_table_off reruns the point with RouteTableMode::Off (the pre-table on-the-fly RC stage); outputs are asserted bit-identical, so route_table_speedup is a pure hot-path measurement. routing_microbench times raw candidate lookups with no simulator around them. datacenter_points are ext_datacenter-shaped sequential runs timed in adjacent on/off pairs (engine construction excluded); their route_table_speedup is the median of per-pair wall ratios, the statistic robust to the multiplicative low-frequency scheduler noise of a shared host — the RC stage is a small slice of total event cost, so expect a small single-digit-percent figure, not the microbench's raw lookup speedup\",\n  \"seed_baseline\": {{\n    \"commit\": \"07c112b\",\n    \"backend\": \"binary_heap\",\n    \"scale\": \"full\",\n    \"note\": \"pre-wheel throughput, measured once on the dev host; kept as the trajectory anchor\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"points\": [\n{}\n  ],\n  \"routing_microbench\": [\n{}\n  ],\n  \"datacenter_points\": [\n{}\n  ],\n  \"quick_sweep\": {{\n    \"harness\": \"fig5_load-shaped\",\n    \"points\": {n_points},\n    \"runs\": [\n{}\n    ]\n  }}\n}}\n",
+        "{{\n  \"schema\": \"lumen-bench-events/6\",\n  \"scale\": \"{scale_name}\",\n  \"host_parallelism\": {},\n  \"sharded_note\": \"sharded events_per_sec = sequential event count / sharded wall-clock (comparable across shard counts). The sharded rows FORCE the partition even when the host has fewer cores than shards, so they measure the conservative protocol's true coordination cost; shards_auto is the host-aware policy (Experiment::shards_auto) that never runs more shards than cores — results are bit-identical either way, so on an oversubscribed host a 2-shard request resolves toward the sequential engine and costs ~nothing. barriers counts one rendezvous per mandatory stop (DVS window closes, sample/publish ticks, run end) and is deterministic; windows is the busiest worker's window count and depends on thread scheduling; barrier_reduction_vs_pre_lookahead compares against the one-cycle-window protocol's deterministic barrier count\",\n  \"route_table_note\": \"routing_microbench times raw candidate lookups with no simulator around them: the precomputed table the RC stage reads against route_candidates, the on-the-fly oracle it is built from\",\n  \"seed_baseline\": {{\n    \"commit\": \"07c112b\",\n    \"backend\": \"binary_heap\",\n    \"scale\": \"full\",\n    \"note\": \"pre-wheel throughput, measured once on the dev host; kept as the trajectory anchor\",\n    \"points\": [\n{}\n    ]\n  }},\n  \"points\": [\n{}\n  ],\n  \"routing_microbench\": [\n{}\n  ],\n  \"quick_sweep\": {{\n    \"harness\": \"fig5_load-shaped\",\n    \"points\": {n_points},\n    \"runs\": [\n{}\n    ]\n  }}\n}}\n",
         Executor::available().jobs(),
         seed_json.join(",\n"),
         point_json.join(",\n"),
         micro_json.join(",\n"),
-        dc_json.join(",\n"),
         sweep_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_events.json");

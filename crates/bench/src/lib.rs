@@ -67,7 +67,7 @@ pub struct BenchArgs {
     /// TOPOLOGIES.md for what each geometry means.
     pub topology: Option<TopologyKind>,
     /// Mid-run checkpointing (`--checkpoint PATH@CYCLE`): every point
-    /// saves a `lumen-ckpt/1` snapshot at the given router cycle and then
+    /// saves a `lumen-ckpt/2` snapshot at the given router cycle and then
     /// runs to completion. Multi-point sweeps write one file per point
     /// (`PATH.<label>`); a single-point run uses `PATH` verbatim. Only
     /// harnesses that call [`BenchArgs::apply_run_control`] honour it;
@@ -310,7 +310,7 @@ impl BenchArgs {
              \x20 --topology T     fabric geometry for harnesses that\n\
              \x20                  support it: mesh, torus, or\n\
              \x20                  folded-clos[:spines] (see TOPOLOGIES.md)\n\
-             \x20 --checkpoint P@C save a lumen-ckpt/1 snapshot of every\n\
+             \x20 --checkpoint P@C save a lumen-ckpt/2 snapshot of every\n\
              \x20                  point at router cycle C to path P, then\n\
              \x20                  run to completion (see CHECKPOINTS.md)\n\
              \x20 --resume P       restore every point from the snapshot a\n\
@@ -708,11 +708,8 @@ mod tests {
         std::fs::remove_file(format!("{base}.load-0-1")).unwrap();
         std::fs::remove_file(format!("{base}.load-0-1--b-")).unwrap();
 
-        // Under LUMEN_TEST_CHECKPOINT=1 the plain runs are themselves
-        // split in-memory, so only the saving run is guaranteed cold.
-        let env_split = std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1");
         for ((u, s), r) in unbroken.iter().zip(&saved).zip(&resumed) {
-            assert!(u.resumed == env_split && !s.resumed && r.resumed);
+            assert!(!u.resumed && !s.resumed && r.resumed);
             assert_eq!(u.packets_delivered, s.packets_delivered);
             assert_eq!(u.packets_delivered, r.packets_delivered);
             assert_eq!(u.avg_power_mw.to_bits(), r.avg_power_mw.to_bits());

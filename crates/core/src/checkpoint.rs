@@ -31,7 +31,7 @@ use std::path::Path;
 /// Checkpoint schema identifier, stored inside the file body. Bump the
 /// trailing number when a field is added, removed, or changes meaning
 /// (see `CHECKPOINTS.md` for the compatibility policy).
-pub const CKPT_SCHEMA: &str = "lumen-ckpt/1";
+pub const CKPT_SCHEMA: &str = "lumen-ckpt/2";
 
 /// File magic: identifies a lumen checkpoint before any decoding.
 const MAGIC: &[u8; 8] = b"LUMENCK\n";

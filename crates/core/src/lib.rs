@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::sim::PowerAwareSim;
     pub use crate::sweep::LoadSweep;
     pub use crate::telemetry::{TelemetryConfig, TelemetryReport};
-    pub use lumen_noc::{NocConfig, RouteTableMode, TopologyKind};
+    pub use lumen_noc::{NocConfig, TopologyKind};
     pub use lumen_opto::link::TransmitterKind;
     pub use lumen_policy::{BitRateLadder, OpticalMode, PolicyConfig};
     pub use lumen_traffic::{

@@ -6,7 +6,6 @@ use crate::results::RunResult;
 use crate::sim::PowerAwareSim;
 use crate::telemetry::TelemetryConfig;
 use lumen_desim::{Engine, Picos, Rng};
-use lumen_noc::RouteTableMode;
 use lumen_traffic::{PacketSize, Pattern, RateProfile, SplashApp, SyntheticSource, TrafficSource};
 use std::path::PathBuf;
 
@@ -49,7 +48,6 @@ pub struct Experiment {
     shards: usize,
     lookahead_cap: Option<u64>,
     telemetry: TelemetryConfig,
-    route_table: RouteTableMode,
     save: Option<(u64, PathBuf)>,
     resume_from: Option<PathBuf>,
 }
@@ -70,7 +68,6 @@ impl Experiment {
             shards: crate::shard::default_shards(),
             lookahead_cap: None,
             telemetry: TelemetryConfig::default(),
-            route_table: RouteTableMode::Auto,
             save: None,
             resume_from: None,
         }
@@ -98,16 +95,6 @@ impl Experiment {
     /// saved). The resumed run's [`RunResult::resumed`] flag is set.
     pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_from = Some(path.into());
-        self
-    }
-
-    /// Sets the route-table mode (default [`RouteTableMode::Auto`]:
-    /// precompute a flat table unless `LUMEN_ROUTE_TABLE=off`). A pure
-    /// performance knob — results are bit-identical in every mode; used
-    /// by the perf harness and differential tests to measure and pin
-    /// exactly that.
-    pub fn route_table(mut self, mode: RouteTableMode) -> Self {
-        self.route_table = mode;
         self
     }
 
@@ -226,18 +213,6 @@ impl Experiment {
         if let Some((cycle, path)) = self.save.clone() {
             return self.run_with_save(source, cycle, &path);
         }
-        // LUMEN_TEST_CHECKPOINT=1: route every eligible run through an
-        // in-memory save/resume split at mid-horizon. Tier-1 tests then
-        // exercise the checkpoint path end-to-end — every assertion they
-        // make about unbroken runs must hold for split runs too.
-        if std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1")
-            && source.checkpoint_state().is_some()
-        {
-            let mid = (self.warmup_cycles + self.measure_cycles) / 2;
-            let (ckpt, engine) = self.run_prefix(source, mid);
-            let ckpt = Checkpoint::from_bytes(&ckpt.to_bytes()).expect("checkpoint round trip");
-            return self.run_resumed(ckpt, engine.into_model().source);
-        }
         let shards = if self.needs_sequential() { 1 } else { self.shards };
         let outcome = crate::shard::run_sharded_with(
             self.config.clone(),
@@ -248,7 +223,6 @@ impl Experiment {
             self.measure_cycles,
             shards,
             self.lookahead_cap,
-            self.route_table.clone(),
         );
         self.collect(outcome.sim, outcome.end, outcome.events, false)
     }
@@ -271,12 +245,11 @@ impl Experiment {
             source.checkpoint_state().is_some(),
             "this traffic source is not checkpointable"
         );
-        let mut engine = PowerAwareSim::build_engine_with_route_table(
+        let mut engine = PowerAwareSim::build_engine_telemetry(
             self.config.clone(),
             source,
             self.sample_every,
             self.telemetry,
-            self.route_table.clone(),
         );
         let cycle = engine.model().cycle;
         if upto >= self.warmup_cycles {
@@ -358,12 +331,11 @@ impl Experiment {
             "checkpoint cycle {} is beyond this run's {total}-cycle horizon",
             ckpt.cycle
         );
-        let mut engine = PowerAwareSim::build_engine_with_route_table(
+        let mut engine = PowerAwareSim::build_engine_telemetry(
             self.config.clone(),
             source,
             self.sample_every,
             self.telemetry,
-            self.route_table.clone(),
         );
         // The fresh engine scheduled a cold start (tick 0, laser epoch,
         // fault onsets); the checkpoint's calendar replaces all of it.

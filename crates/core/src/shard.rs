@@ -118,14 +118,14 @@ use crate::sim::{PowerAwareSim, SimEvent};
 use crate::telemetry::TelemetryConfig;
 use lumen_desim::Picos;
 use lumen_noc::ids::{LinkId, VcId};
-use lumen_noc::{Channel, Network, NocConfig, Packet, RouteTableMode, Topology};
+use lumen_noc::{Channel, Network, NocConfig, Packet, RouteTable, Topology};
 use lumen_policy::{PolicyMode, TimingConfig};
 use lumen_stats::{Histogram, Summary, TimeSeries};
 use lumen_traffic::TrafficSource;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Delivery keys pack `(launch_cycle << 24) | (shard << 20) | position`;
 /// sorting `(arrival time, key)` reproduces the sequential calendar's
@@ -153,21 +153,9 @@ pub fn set_default_shards(n: usize) {
 }
 
 /// The process-wide default shard count: the last
-/// [`set_default_shards`] value, else `LUMEN_TEST_SHARDS` from the
-/// environment (read once), else 1 (sequential).
+/// [`set_default_shards`] value, else 1 (sequential).
 pub fn default_shards() -> usize {
-    let v = DEFAULT_SHARDS.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("LUMEN_TEST_SHARDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+    DEFAULT_SHARDS.load(Ordering::Relaxed).max(1)
 }
 
 /// The shard count actually usable for a fabric: the topology's cut
@@ -830,18 +818,16 @@ pub fn run_sharded(
         measure_cycles,
         shards,
         None,
-        RouteTableMode::Auto,
     )
 }
 
 /// [`run_sharded`] with an explicit cap on the conservative lookahead
-/// (barrier window length, in router cycles) and an explicit
-/// [`RouteTableMode`]. `Some(1)` reproduces the pre-lookahead
-/// one-cycle-window protocol exactly; `None` uses the full static bound.
-/// Results are bit-identical at every cap and route-table mode — both
-/// are pure performance knobs. The route table is resolved **once** on
-/// the caller's thread and the same immutable `Arc` handed to every
-/// shard replica, so replicas never redo the all-pairs enumeration.
+/// (barrier window length, in router cycles). `Some(1)` reproduces the
+/// pre-lookahead one-cycle-window protocol exactly; `None` uses the full
+/// static bound. Results are bit-identical at every cap — a pure
+/// performance knob. The route table is built **once** on the caller's
+/// thread and the same immutable `Arc` handed to every shard replica, so
+/// replicas never redo the all-pairs enumeration.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_with(
     config: SystemConfig,
@@ -852,7 +838,6 @@ pub fn run_sharded_with(
     measure_cycles: u64,
     shards: usize,
     lookahead_cap: Option<u64>,
-    route_table: RouteTableMode,
 ) -> ShardedOutcome {
     // Validate on the caller's thread so a bad configuration panics
     // here (where Executor's catch_unwind sees the real message), not
@@ -864,13 +849,8 @@ pub fn run_sharded_with(
     let specs = partition(&config.noc, shards);
     if specs.len() <= 1 {
         // Sequential reference path, identical to Experiment::run.
-        let mut engine = PowerAwareSim::build_engine_with_route_table(
-            config,
-            source,
-            sample_every,
-            telemetry,
-            route_table,
-        );
+        let mut engine =
+            PowerAwareSim::build_engine_telemetry(config, source, sample_every, telemetry);
         engine.run_until(cycle * warmup_cycles);
         let now = engine.now();
         engine.model_mut().begin_measurement(now);
@@ -886,10 +866,9 @@ pub fn run_sharded_with(
     }
 
     let s_count = specs.len();
-    // One table for the whole run: resolved here, shared by `Arc` into
-    // every replica below (`None` — env-disabled or oversized — keeps
-    // every replica on the on-the-fly path).
-    let shared_table = route_table.resolve(&config.noc);
+    // One table for the whole run: built here, shared by `Arc` into
+    // every replica below.
+    let route_table = Arc::new(RouteTable::build(&config.noc, config.noc.routing));
     let (owner, to_owner) = ownership(&config.noc, &specs);
     let link_count = owner.len();
     let owner = Arc::new(owner);
@@ -988,10 +967,7 @@ pub fn run_sharded_with(
             let clocks = &clocks;
             let ir_lens = &ir_lens;
             let ledger_links = boundary_out[s].clone();
-            let table_mode = match &shared_table {
-                Some(t) => RouteTableMode::Shared(Arc::clone(t)),
-                None => RouteTableMode::Off,
-            };
+            let route_table = Arc::clone(&route_table);
             handles.push(scope.spawn(move || {
                 let mut ledger = CreditLedger::new(ledger_links, link_count, &cfg.noc, lookahead);
                 let ctx = ShardCtx::new(spec, owner, to_owner, s_count);
@@ -1005,7 +981,7 @@ pub fn run_sharded_with(
                     feed_source,
                     sample_every,
                     telemetry,
-                    table_mode,
+                    route_table,
                     ctx,
                 );
                 let mut coordinator = coordinator;
@@ -1543,7 +1519,6 @@ mod tests {
                 measure,
                 2,
                 cap,
-                RouteTableMode::Auto,
             )
         };
         let capped = run(Some(1));

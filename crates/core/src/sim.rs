@@ -28,7 +28,7 @@ use lumen_desim::{Engine, EventQueue, Picos, SimModel};
 use lumen_noc::flit::Flit;
 use lumen_noc::ids::{LinkId, VcId};
 use lumen_noc::network::Effect;
-use lumen_noc::{Network, Packet, RouteTableMode};
+use lumen_noc::{Network, Packet, RouteTable};
 use lumen_opto::link::OperatingPoint;
 use lumen_opto::{Gbps, LinkPowerModel, MilliWatts};
 use lumen_policy::{
@@ -38,6 +38,7 @@ use lumen_policy::{
 use lumen_stats::{EnergyAccount, Histogram, Summary, TimeSeries};
 use lumen_traffic::TrafficSource;
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// The simulation's event alphabet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -208,15 +209,7 @@ impl PowerAwareSim {
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,
     ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(
-            config,
-            source,
-            sample_every,
-            TelemetryConfig::default(),
-            RouteTableMode::Auto,
-            false,
-            None,
-        )
+        Self::build_engine_telemetry(config, source, sample_every, TelemetryConfig::default())
     }
 
     /// [`PowerAwareSim::build_engine`] with telemetry recording enabled per
@@ -228,39 +221,19 @@ impl PowerAwareSim {
         sample_every: Option<u64>,
         telemetry: TelemetryConfig,
     ) -> Engine<PowerAwareSim> {
-        Self::build_engine_with_route_table(
-            config,
-            source,
-            sample_every,
-            telemetry,
-            RouteTableMode::Auto,
-        )
-    }
-
-    /// [`PowerAwareSim::build_engine_telemetry`] with an explicit
-    /// [`RouteTableMode`]: `Off` forces on-the-fly routing (the
-    /// before/after rows in `perf_events` and the bit-identity
-    /// differential tests), `Shared` adopts a table built once for many
-    /// engines. Simulation output is bit-identical across modes.
-    pub fn build_engine_with_route_table(
-        config: SystemConfig,
-        source: Box<dyn TrafficSource + Send>,
-        sample_every: Option<u64>,
-        telemetry: TelemetryConfig,
-        route_table: RouteTableMode,
-    ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(config, source, sample_every, telemetry, route_table, false, None)
+        Self::build_engine_inner(config, source, sample_every, telemetry, None, None)
     }
 
     /// Builds one shard replica of the system for the conservative-parallel
     /// backend: the replica holds the full network image but only ticks,
-    /// polices, and fault-schedules the region `ctx` owns.
+    /// polices, and fault-schedules the region `ctx` owns. Every replica
+    /// adopts the run's one `route_table`.
     pub(crate) fn build_engine_shard(
         config: SystemConfig,
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,
         telemetry: TelemetryConfig,
-        route_table: RouteTableMode,
+        route_table: Arc<RouteTable>,
         ctx: crate::shard::ShardCtx,
     ) -> Engine<PowerAwareSim> {
         Self::build_engine_inner(
@@ -268,45 +241,26 @@ impl PowerAwareSim {
             source,
             sample_every,
             telemetry,
-            route_table,
-            false,
+            Some(route_table),
             Some(Box::new(ctx)),
         )
     }
 
-    /// [`PowerAwareSim::build_engine`], but on the reference binary-heap
-    /// calendar instead of the bucketed cycle wheel. Outputs are
-    /// bit-identical (both calendars deliver the same `(time, seq)`
-    /// sequence); this exists so perf harnesses can measure the pre-wheel
-    /// baseline and differential tests can pin the equivalence.
-    pub fn build_engine_reference_queue(
-        config: SystemConfig,
-        source: Box<dyn TrafficSource + Send>,
-        sample_every: Option<u64>,
-    ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(
-            config,
-            source,
-            sample_every,
-            TelemetryConfig::default(),
-            RouteTableMode::Auto,
-            true,
-            None,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// The one engine builder; `route_table` is `None` unless a shard
+    /// replica adopts the run's shared table.
     fn build_engine_inner(
         config: SystemConfig,
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,
         telemetry: TelemetryConfig,
-        route_table: RouteTableMode,
-        reference_queue: bool,
+        route_table: Option<Arc<RouteTable>>,
         shard: Option<Box<crate::shard::ShardCtx>>,
     ) -> Engine<PowerAwareSim> {
         config.validate();
-        let net = Network::with_route_table(&config.noc, config.noc.routing, route_table);
+        let net = match route_table {
+            Some(table) => Network::with_route_table(&config.noc, config.noc.routing, table),
+            None => Network::new(&config.noc),
+        };
         let model = config.link_model();
         let cycle = config.noc.cycle();
         let link_count = net.link_count();
@@ -444,11 +398,7 @@ impl PowerAwareSim {
         // fan-out, plus the tick/policy/laser/fault tail. Buckets are one
         // router cycle wide so same-cycle arrivals drain as one batch.
         let capacity = link_count * 8 + 64;
-        let queue = if reference_queue {
-            EventQueue::reference_heap_with_capacity(capacity)
-        } else {
-            EventQueue::with_capacity_and_width(capacity, cycle)
-        };
+        let queue = EventQueue::with_capacity_and_width(capacity, cycle);
         let mut engine = Engine::with_queue(sim, queue);
         engine.queue_mut().schedule(Picos::ZERO, SimEvent::CoreTick);
         if three_level {
@@ -1668,7 +1618,10 @@ mod tests {
     #[test]
     fn wheel_and_reference_calendars_agree_bit_for_bit() {
         // The full system, faults and all, must produce identical output
-        // on both calendar backends — the tentpole's correctness contract.
+        // whichever tier of the calendar holds its events. The reference
+        // run moves the cold-start events onto 1 ps buckets: the 256-slot
+        // wheel then spans a sixth of a cycle, so nearly every event waits
+        // in the overflow heap, a plain `(time, seq)` binary heap.
         let run = |reference: bool| {
             use crate::fault::FaultConfig;
             let mut config = small_config(true);
@@ -1680,18 +1633,24 @@ mod tests {
                 ..FaultConfig::disabled()
             };
             let source = uniform_source(&config, 0.15);
-            let mut engine = if reference {
-                PowerAwareSim::build_engine_reference_queue(config, source, Some(500))
-            } else {
-                PowerAwareSim::build_engine(config, source, Some(500))
-            };
+            let mut engine = PowerAwareSim::build_engine(config, source, Some(500));
+            if reference {
+                let pending = engine.drain_pending();
+                let mut queue = EventQueue::with_bucket_width(Picos::from_ps(1));
+                for (at, ev) in pending {
+                    queue.schedule(at, ev);
+                }
+                engine = Engine::with_queue(engine.into_model(), queue);
+            }
             let end = run_cycles(&mut engine, 12_000);
             let sim = engine.model();
+            assert!(sim.faults_injected() > 0 && sim.transitions() > 0);
             (
+                engine.processed(),
                 sim.latency_summary().count(),
-                sim.latency_summary().mean(),
-                sim.latency_summary().max(),
-                sim.energy_nj(end),
+                sim.latency_summary().mean().to_bits(),
+                sim.latency_summary().max().map(f64::to_bits),
+                sim.energy_nj(end).to_bits(),
                 sim.transitions(),
                 sim.faults_injected(),
                 sim.network().flits_corrupted(),

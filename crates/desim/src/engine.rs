@@ -93,7 +93,7 @@ impl<M: SimModel> Engine<M> {
     }
 
     /// Creates an engine over a caller-built calendar (custom bucket
-    /// width, capacity, or the reference heap backend).
+    /// width or capacity).
     pub fn with_queue(model: M, queue: EventQueue<M::Event>) -> Self {
         Engine {
             model,
@@ -525,21 +525,10 @@ mod tests {
         // zero-delay event after the already-queued peers (FIFO), never
         // left pending past the horizon.
         let t = Picos::from_ns(3);
-        for reference in [false, true] {
-            let queue = if reference {
-                EventQueue::reference_heap()
-            } else {
-                EventQueue::new()
-            };
-            let mut eng = Engine::with_queue(SameInstant { seen: vec![] }, queue);
-            eng.queue_mut().schedule(t, 1);
-            eng.queue_mut().schedule(t, 2);
-            assert_eq!(eng.run_until(t), RunOutcome::QueueDrained);
-            assert_eq!(
-                eng.model().seen,
-                vec![(t, 1), (t, 2), (t, 99)],
-                "reference={reference}"
-            );
-        }
+        let mut eng = Engine::new(SameInstant { seen: vec![] });
+        eng.queue_mut().schedule(t, 1);
+        eng.queue_mut().schedule(t, 2);
+        assert_eq!(eng.run_until(t), RunOutcome::QueueDrained);
+        assert_eq!(eng.model().seen, vec![(t, 1), (t, 2), (t, 99)]);
     }
 }

@@ -1,24 +1,18 @@
-//! The event calendar.
+//! The event calendar: a **bucketed cycle wheel**.
 //!
-//! Two interchangeable backends live behind the [`EventQueue`] API:
+//! A ring of [`WHEEL_SLOTS`] per-bucket FIFO lanes, each bucket one router
+//! cycle wide by default, plus an overflow binary heap for far-future
+//! events (policy transition completions, laser decisions, fault onsets).
+//! The cycle-synchronous common case — every flit/credit arrival landing
+//! within a few cycles of `now` — becomes an O(1) lane append and an
+//! amortized O(1) drain of a sorted `Vec`, instead of O(log n) heap sifts
+//! per event.
 //!
-//! - the default **bucketed cycle wheel** ([`EventQueue::new`]): a ring of
-//!   [`WHEEL_SLOTS`] per-bucket FIFO lanes, each bucket one router cycle
-//!   wide by default, plus an overflow binary heap for far-future events
-//!   (policy transition completions, laser decisions, fault onsets). The
-//!   cycle-synchronous common case — every flit/credit arrival landing
-//!   within a few cycles of `now` — becomes an O(1) lane append and an
-//!   amortized O(1) drain of a sorted `Vec`, instead of O(log n) heap
-//!   sifts per event.
-//! - the **reference binary heap** ([`EventQueue::reference_heap`]): the
-//!   original comparison-based calendar, kept for differential testing
-//!   and as the perf baseline recorded in `BENCH_events.json`.
-//!
-//! Both deliver events in exactly the same order — nondecreasing
-//! `(time, seq)`, i.e. FIFO among events scheduled for the same instant —
-//! so swapping backends never changes simulation output. The property
-//! test in `tests/tests/event_core.rs` pins that equivalence for
-//! arbitrary schedules.
+//! Events are delivered in nondecreasing `(time, seq)` order, i.e. FIFO
+//! among events scheduled for the same instant — exactly the order of a
+//! plain binary heap keyed on `(time, seq)`. The property tests in
+//! `tests/tests/event_core.rs` pin that equivalence against such a heap
+//! model, for arbitrary schedules and for a full power-aware run.
 
 use crate::time::Picos;
 use std::cmp::Ordering;
@@ -263,18 +257,11 @@ impl<E> Wheel<E> {
     }
 }
 
-enum Backend<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
 /// A deterministic pending-event calendar.
 ///
 /// Events scheduled for the same timestamp are delivered in the order they
 /// were scheduled (FIFO), which makes whole-system simulations reproducible
-/// regardless of calendar internals. The default backend is the bucketed
-/// cycle wheel (see the module docs); [`EventQueue::reference_heap`] selects
-/// the original binary-heap calendar, which delivers the identical sequence.
+/// regardless of calendar internals (see the module docs for the wheel).
 ///
 /// # Example
 ///
@@ -290,7 +277,7 @@ enum Backend<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    wheel: Wheel<E>,
     next_seq: u64,
     scheduled_total: u64,
     len: usize,
@@ -335,33 +322,11 @@ impl<E> EventQueue<E> {
     /// Panics if `width` is zero.
     pub fn with_capacity_and_width(capacity: usize, width: Picos) -> Self {
         EventQueue {
-            backend: Backend::Wheel(Wheel::new(width, capacity)),
+            wheel: Wheel::new(width, capacity),
             next_seq: 0,
             scheduled_total: 0,
             len: 0,
         }
-    }
-
-    /// Creates an empty queue on the reference binary-heap backend (the
-    /// pre-wheel calendar). Delivery order is identical to the wheel's;
-    /// this exists for differential testing and perf baselines.
-    pub fn reference_heap() -> Self {
-        Self::reference_heap_with_capacity(0)
-    }
-
-    /// [`EventQueue::reference_heap`] with pre-allocated capacity.
-    pub fn reference_heap_with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::with_capacity(capacity)),
-            next_seq: 0,
-            scheduled_total: 0,
-            len: 0,
-        }
-    }
-
-    /// Whether this queue runs on the reference binary-heap backend.
-    pub fn is_reference_heap(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -377,10 +342,7 @@ impl<E> EventQueue<E> {
         };
         let was_empty = self.len == 0;
         self.len += 1;
-        match &mut self.backend {
-            Backend::Wheel(w) => w.schedule(entry, was_empty),
-            Backend::Heap(h) => h.push(entry),
-        }
+        self.wheel.schedule(entry, was_empty);
     }
 
     /// Removes and returns the earliest pending event.
@@ -396,13 +358,7 @@ impl<E> EventQueue<E> {
     /// peek pass.
     #[inline]
     pub fn pop_if_at_or_before(&mut self, horizon: Picos) -> Option<(Picos, E)> {
-        let popped = match &mut self.backend {
-            Backend::Wheel(w) => w.pop_if_at_or_before(horizon),
-            Backend::Heap(h) => match h.peek() {
-                Some(e) if e.time <= horizon => h.pop().map(|e| (e.time, e.event)),
-                _ => None,
-            },
-        };
+        let popped = self.wheel.pop_if_at_or_before(horizon);
         if popped.is_some() {
             self.len -= 1;
         }
@@ -411,10 +367,7 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Picos> {
-        match &self.backend {
-            Backend::Wheel(w) => w.peek_time(),
-            Backend::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
@@ -465,10 +418,7 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.clear(),
-            Backend::Heap(h) => h.clear(),
-        }
+        self.wheel.clear();
         self.len = 0;
     }
 }
@@ -478,13 +428,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("pending", &self.len)
             .field("scheduled_total", &self.scheduled_total)
-            .field(
-                "backend",
-                &match self.backend {
-                    Backend::Wheel(_) => "wheel",
-                    Backend::Heap(_) => "reference_heap",
-                },
-            )
             .finish()
     }
 }
@@ -493,31 +436,24 @@ impl<E> std::fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
 
-    /// Every backend must pass the same semantic suite.
-    fn backends() -> Vec<EventQueue<i32>> {
-        vec![EventQueue::new(), EventQueue::reference_heap()]
-    }
-
     #[test]
     fn orders_by_time() {
-        for mut q in backends() {
-            q.schedule(Picos::from_ns(30), 3);
-            q.schedule(Picos::from_ns(10), 1);
-            q.schedule(Picos::from_ns(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Picos::from_ns(30), 3);
+        q.schedule(Picos::from_ns(10), 1);
+        q.schedule(Picos::from_ns(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn fifo_for_ties() {
-        for mut q in backends() {
-            for i in 0..100 {
-                q.schedule(Picos::from_ns(5), i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(Picos::from_ns(5), i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -533,16 +469,15 @@ mod tests {
 
     #[test]
     fn peek_and_len() {
-        for mut q in backends() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule(Picos::from_ns(7), 0);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.peek_time(), Some(Picos::from_ns(7)));
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_total(), 1);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(Picos::from_ns(7), 0);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(Picos::from_ns(7)));
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 1);
     }
 
     #[test]
@@ -572,12 +507,11 @@ mod tests {
 
     #[test]
     fn zero_time_events() {
-        for mut q in backends() {
-            q.schedule(Picos::ZERO, 1);
-            q.schedule(Picos::ZERO, 2);
-            assert_eq!(q.pop(), Some((Picos::ZERO, 1)));
-            assert_eq!(q.pop(), Some((Picos::ZERO, 2)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Picos::ZERO, 1);
+        q.schedule(Picos::ZERO, 2);
+        assert_eq!(q.pop(), Some((Picos::ZERO, 1)));
+        assert_eq!(q.pop(), Some((Picos::ZERO, 2)));
     }
 
     #[test]
@@ -619,37 +553,35 @@ mod tests {
 
     #[test]
     fn schedule_into_the_past_still_delivers_first() {
-        // The heap delivers the global (time, seq) minimum regardless of
-        // what was popped before; the wheel must match even when an event
-        // lands behind the cursor.
-        for mut q in backends() {
-            q.schedule(Picos::from_ns(10), 1);
-            q.schedule(Picos::from_ns(500), 3);
-            assert_eq!(q.pop(), Some((Picos::from_ns(10), 1)));
-            q.schedule(Picos::from_ns(1), 2); // behind the frontier
-            assert_eq!(q.peek_time(), Some(Picos::from_ns(1)));
-            assert_eq!(q.pop(), Some((Picos::from_ns(1), 2)));
-            assert_eq!(q.pop(), Some((Picos::from_ns(500), 3)));
-        }
+        // A heap would deliver the global (time, seq) minimum regardless
+        // of what was popped before; the wheel must match even when an
+        // event lands behind the cursor.
+        let mut q = EventQueue::new();
+        q.schedule(Picos::from_ns(10), 1);
+        q.schedule(Picos::from_ns(500), 3);
+        assert_eq!(q.pop(), Some((Picos::from_ns(10), 1)));
+        q.schedule(Picos::from_ns(1), 2); // behind the frontier
+        assert_eq!(q.peek_time(), Some(Picos::from_ns(1)));
+        assert_eq!(q.pop(), Some((Picos::from_ns(1), 2)));
+        assert_eq!(q.pop(), Some((Picos::from_ns(500), 3)));
     }
 
     #[test]
     fn pop_if_at_or_before_respects_horizon() {
-        for mut q in backends() {
-            q.schedule(Picos::from_ns(1), 1);
-            q.schedule(Picos::from_ns(5), 2);
-            assert_eq!(
-                q.pop_if_at_or_before(Picos::from_ns(2)),
-                Some((Picos::from_ns(1), 1))
-            );
-            assert_eq!(q.pop_if_at_or_before(Picos::from_ns(2)), None);
-            assert_eq!(q.len(), 1, "beyond-horizon event must stay queued");
-            assert_eq!(
-                q.pop_if_at_or_before(Picos::from_ns(5)),
-                Some((Picos::from_ns(5), 2))
-            );
-            assert_eq!(q.pop_if_at_or_before(Picos::MAX), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(Picos::from_ns(1), 1);
+        q.schedule(Picos::from_ns(5), 2);
+        assert_eq!(
+            q.pop_if_at_or_before(Picos::from_ns(2)),
+            Some((Picos::from_ns(1), 1))
+        );
+        assert_eq!(q.pop_if_at_or_before(Picos::from_ns(2)), None);
+        assert_eq!(q.len(), 1, "beyond-horizon event must stay queued");
+        assert_eq!(
+            q.pop_if_at_or_before(Picos::from_ns(5)),
+            Some((Picos::from_ns(5), 2))
+        );
+        assert_eq!(q.pop_if_at_or_before(Picos::MAX), None);
     }
 
     #[test]
@@ -668,12 +600,19 @@ mod tests {
     #[test]
     fn wheel_matches_reference_heap_on_random_interleavings() {
         use crate::rng::Rng;
-        // Differential check across backends: random mixes of schedules
-        // (near, far, past) and pops must produce identical sequences.
+        use std::cmp::Reverse;
+        // Differential check against a plain binary heap keyed on
+        // `(time, seq)`: random mixes of schedules (near, far, past) and
+        // pops must produce identical sequences. Each event is its own
+        // sequence number, so the heap key carries it.
         for seed in 0..40u64 {
             let mut rng = Rng::seed_from(seed ^ 0xabcdef);
             let mut wheel = EventQueue::new();
-            let mut heap = EventQueue::reference_heap();
+            let mut heap = BinaryHeap::new();
+            let heap_pop = |h: &mut BinaryHeap<Reverse<(u64, u64)>>| {
+                h.pop()
+                    .map(|Reverse((t, id))| (Picos::from_ps(t), id as i32))
+            };
             let mut out_wheel = Vec::new();
             let mut out_heap = Vec::new();
             for step in 0..400u64 {
@@ -685,21 +624,20 @@ mod tests {
                         _ => rng.next_below(1 << 42),
                     };
                     wheel.schedule(Picos::from_ps(t), step as i32);
-                    heap.schedule(Picos::from_ps(t), step as i32);
+                    heap.push(Reverse((t, step)));
                 } else {
                     out_wheel.push(wheel.pop());
-                    out_heap.push(heap.pop());
+                    out_heap.push(heap_pop(&mut heap));
                 }
             }
             while let Some(e) = wheel.pop() {
                 out_wheel.push(Some(e));
             }
-            while let Some(e) = heap.pop() {
+            while let Some(e) = heap_pop(&mut heap) {
                 out_heap.push(Some(e));
             }
             assert_eq!(out_wheel, out_heap, "diverged (seed {seed})");
             assert_eq!(wheel.len(), 0);
-            assert_eq!(heap.len(), 0);
         }
     }
 

@@ -141,7 +141,7 @@ pub struct DseConfig {
     /// Warm-start the full-fidelity pass from quick-run checkpoints.
     ///
     /// When set, quick trials run the **full** warmup followed by the
-    /// quick measure window and save a `lumen-ckpt/1` snapshot at their
+    /// quick measure window and save a `lumen-ckpt/2` snapshot at their
     /// end; survivors *resume* those snapshots and only simulate the
     /// remaining `measure - quick_measure` cycles instead of re-running
     /// warmup + full measure from scratch. Because resume is
@@ -526,9 +526,7 @@ mod tests {
             let r = Point::new("unbroken", exp, workload)
                 .in_group(scenario.group)
                 .run_at_index(0);
-            // Cold, unless LUMEN_TEST_CHECKPOINT=1 split it in-memory.
-            let env_split = std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1");
-            assert_eq!(r.resumed, env_split);
+            assert!(!r.resumed, "the unbroken reference run is cold");
             let o = r.objectives().expect("unbroken run usable");
             assert_eq!(
                 p.objectives.normalized_power.to_bits(),

@@ -112,24 +112,9 @@ impl NocConfig {
         }
     }
 
-    /// A small 2×2 fabric with 2 nodes per rack for unit tests.
-    ///
-    /// The topology honors `LUMEN_TEST_TOPOLOGY` (`mesh` or `torus`, read
-    /// once per process) so the whole tier-1 suite can be replayed on a
-    /// torus; [`NocConfig::paper_default`] always stays a mesh because
-    /// the paper's pinned link counts and results depend on it.
+    /// A small 2×2 mesh with 2 nodes per rack for unit tests. Tests that
+    /// want another fabric set [`NocConfig::topology`] on the result.
     pub fn small_for_tests() -> Self {
-        use std::sync::OnceLock;
-        static ENV: OnceLock<TopologyKind> = OnceLock::new();
-        let topology = *ENV.get_or_init(|| {
-            match std::env::var("LUMEN_TEST_TOPOLOGY").as_deref() {
-                Ok("torus") => TopologyKind::Torus,
-                Ok("mesh") | Ok("") | Err(_) => TopologyKind::Mesh,
-                Ok(other) => panic!(
-                    "unknown LUMEN_TEST_TOPOLOGY {other:?} (expected \"mesh\" or \"torus\")"
-                ),
-            }
-        });
         NocConfig {
             width: 2,
             height: 2,
@@ -142,7 +127,7 @@ impl NocConfig {
             propagation: Picos::from_ps(1600),
             credit_delay: Picos::from_ps(1600),
             routing: RoutingAlgorithm::XY,
-            topology,
+            topology: TopologyKind::Mesh,
             allow_torus_mesh_routing: false,
         }
     }

@@ -70,6 +70,6 @@ pub use config::NocConfig;
 pub use flit::{Flit, FlitKind, Packet};
 pub use ids::{Direction, LinkId, NodeId, PacketId, PortId, RackCoord, RouterId, VcId};
 pub use network::{Effect, Network};
-pub use route_table::{RouteSet, RouteTable, RouteTableMode};
+pub use route_table::{RouteSet, RouteTable};
 pub use stats::{LinkClassStats, NetworkSnapshot};
 pub use topology::{BuiltinTopology, Channel, Topology, TopologyKind};

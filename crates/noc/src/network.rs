@@ -22,12 +22,13 @@ use crate::flit::{Flit, Packet};
 use crate::ids::{LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 use crate::link::{Endpoint, Link, LinkKind};
 use crate::node::{SinkNode, SourceNode};
-use crate::route_table::{RouteTable, RouteTableMode};
+use crate::route_table::RouteTable;
 use crate::router::{InputPort, Router, SlotSet, Stall};
 use crate::routing::RoutingAlgorithm;
 use crate::topology::Topology;
 use lumen_desim::Picos;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// An externally-visible consequence of stepping the network; the driver
 /// schedules each at its `at` time.
@@ -81,10 +82,9 @@ pub struct Network {
     sinks: Vec<SinkNode>,
     links: Vec<Link>,
     // Precomputed flat routing table serving the RC stage (see
-    // `crate::route_table`); `None` routes on the fly. Shared by `Arc` so
-    // shard replicas adopt one build instead of each redoing the
-    // all-pairs enumeration.
-    route_table: Option<std::sync::Arc<RouteTable>>,
+    // `crate::route_table`). Shared by `Arc` so shard replicas adopt one
+    // build instead of each redoing the all-pairs enumeration.
+    route_table: Arc<RouteTable>,
     // Dense copies of each link's endpoints (fixed at construction).
     // `Link` is a large struct (rate ladder state, window statistics), so
     // the per-event delivery paths — ~2 lookups per flit hop, tens of
@@ -124,39 +124,34 @@ impl Network {
     ///
     /// Panics if the configuration is invalid (see [`NocConfig::validate`]).
     pub fn with_routing(config: &NocConfig, routing: RoutingAlgorithm) -> Self {
-        Network::with_route_table(config, routing, RouteTableMode::Auto)
+        config.validate();
+        // Built for the *effective* algorithm: the override, not the
+        // config's choice, is what the routers run.
+        let table = Arc::new(RouteTable::build(config, routing));
+        Network::with_route_table(config, routing, table)
     }
 
-    /// Builds the network with an explicit routing algorithm and route-
-    /// table mode: [`RouteTableMode::Auto`] precomputes the flat table
-    /// (unless `LUMEN_ROUTE_TABLE=off`), [`RouteTableMode::Off`] routes
-    /// on the fly, and [`RouteTableMode::Shared`] adopts a table built
-    /// once for many replicas (the sharded backend).
+    /// Builds the network with an explicit routing algorithm over a route
+    /// table built elsewhere: the sharded backend builds one table per
+    /// run and hands the same `Arc` to every replica.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`NocConfig::validate`])
-    /// or a shared table does not match it.
+    /// or the table was built for a different geometry or algorithm.
     pub fn with_route_table(
         config: &NocConfig,
         routing: RoutingAlgorithm,
-        mode: RouteTableMode,
+        route_table: Arc<RouteTable>,
     ) -> Self {
         config.validate();
-        // Resolve against the *effective* algorithm: `with_routing` may
-        // override the config's choice, and the table must serve the
-        // algorithm the routers actually run.
-        let route_table = match mode {
-            RouteTableMode::Auto => RouteTable::shared(config, routing),
-            other => {
-                let mut cfg = config.clone();
-                cfg.routing = routing;
-                other.resolve(&cfg)
-            }
-        };
+        assert!(
+            route_table.matches(config, routing),
+            "shared route table was built for a different geometry or algorithm"
+        );
         let topo = config.topo();
         let mut routers: Vec<Router> = (0..topo.router_count())
-            .map(|r| Router::new(RouterId(r as u32), routing, config))
+            .map(|r| Router::new(RouterId(r as u32), config))
             .collect();
         let mut links = Vec::new();
 
@@ -250,12 +245,6 @@ impl Network {
             inter_router_links,
             ticks: 0,
         }
-    }
-
-    /// The precomputed route table serving this network's RC stage, if
-    /// any (`None` when routing on the fly).
-    pub fn route_table(&self) -> Option<&std::sync::Arc<RouteTable>> {
-        self.route_table.as_ref()
     }
 
     /// The configuration the network was built with.
@@ -398,7 +387,7 @@ impl Network {
             sources[n].tick(now, links, effects);
             sources[n].backlog_flits() > 0
         });
-        let table = self.route_table.as_deref();
+        let table = &*self.route_table;
         let cycle = self.config.cycle();
         let ticks = self.ticks;
         let (config, wake, stalls) = (&self.config, &mut self.wake, &mut self.stalls);
@@ -725,6 +714,7 @@ mod tests {
     use super::*;
     use crate::ids::Direction;
     use crate::routing::direction_port;
+    use crate::topology::TopologyKind;
     use lumen_desim::EventQueue;
     use lumen_opto::Gbps;
 
@@ -953,58 +943,64 @@ mod tests {
 
     #[test]
     fn west_first_every_pair_delivers() {
-        let mut config = NocConfig::small_for_tests();
-        // Under LUMEN_TEST_TOPOLOGY=torus this exercises the (opt-in)
-        // mesh-order fallback; the delivery guarantee must still hold.
-        config.allow_torus_mesh_routing = true;
-        let mut d = Driver {
-            net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
-            queue: EventQueue::new(),
-            effects: Vec::new(),
-            ejected: Vec::new(),
-            now: Picos::ZERO,
-        };
-        let n = d.net.node_count();
-        let mut id = 0;
-        for s in 0..n {
-            for t in 0..n {
-                if s != t {
-                    id += 1;
-                    d.net.inject(packet(id, s, t, 3, Picos::ZERO));
+        // On the torus this exercises the (opt-in) mesh-order fallback;
+        // the delivery guarantee must still hold.
+        for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
+            let mut config = NocConfig::small_for_tests();
+            config.topology = topology;
+            config.allow_torus_mesh_routing = true;
+            let mut d = Driver {
+                net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
+                queue: EventQueue::new(),
+                effects: Vec::new(),
+                ejected: Vec::new(),
+                now: Picos::ZERO,
+            };
+            let n = d.net.node_count();
+            let mut id = 0;
+            for s in 0..n {
+                for t in 0..n {
+                    if s != t {
+                        id += 1;
+                        d.net.inject(packet(id, s, t, 3, Picos::ZERO));
+                    }
                 }
             }
+            d.run(4000);
+            assert_eq!(d.ejected.len() as u64, id);
+            assert!(d.net.is_quiescent());
         }
-        d.run(4000);
-        assert_eq!(d.ejected.len() as u64, id);
-        assert!(d.net.is_quiescent());
     }
 
     #[test]
     fn west_first_adversarial_hotspot_drains() {
         // Heavy many-to-one plus cross traffic: a deadlock hazard for
         // non-turn-model adaptive schemes; west-first must drain.
-        let mut config = NocConfig::small_for_tests();
-        config.allow_torus_mesh_routing = true;
-        let mut d = Driver {
-            net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
-            queue: EventQueue::new(),
-            effects: Vec::new(),
-            ejected: Vec::new(),
-            now: Picos::ZERO,
-        };
-        let mut id = 0;
-        for s in 0..d.net.node_count() {
-            for k in 0..6 {
-                let t = (s + 1 + k) % d.net.node_count();
-                if t != s {
-                    id += 1;
-                    d.net.inject(packet(id, s, t, 6, Picos::ZERO));
+        for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
+            let mut config = NocConfig::small_for_tests();
+            config.topology = topology;
+            config.allow_torus_mesh_routing = true;
+            let mut d = Driver {
+                net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
+                queue: EventQueue::new(),
+                effects: Vec::new(),
+                ejected: Vec::new(),
+                now: Picos::ZERO,
+            };
+            let mut id = 0;
+            for s in 0..d.net.node_count() {
+                for k in 0..6 {
+                    let t = (s + 1 + k) % d.net.node_count();
+                    if t != s {
+                        id += 1;
+                        d.net.inject(packet(id, s, t, 6, Picos::ZERO));
+                    }
                 }
             }
+            d.run(8000);
+            assert_eq!(d.ejected.len() as u64, id);
+            assert!(d.net.is_quiescent());
         }
-        d.run(8000);
-        assert_eq!(d.ejected.len() as u64, id);
-        assert!(d.net.is_quiescent());
     }
 
     #[test]

@@ -52,23 +52,20 @@
 //! tie-breaks and break bit-reproducibility. This is why entries store
 //! explicit ordered ports rather than a port bitmask — `WestFirst`
 //! pushes East (port `npr+2`) before South/North (`npr+1`/`npr+0`), an
-//! order no ascending bitmask walk can reproduce. The on-the-fly path
-//! stays alive as the oracle the table is built from (and differentially
-//! tested against), and as the `LUMEN_ROUTE_TABLE=off` fallback.
+//! order no ascending bitmask walk can reproduce. The on-the-fly walk
+//! (`route_inter`, and [`route_candidates`](crate::routing::route_candidates)
+//! for a node destination) stays as the oracle the table is built from
+//! and differentially tested against; the router's RC stage only ever
+//! reads the table.
 
 use crate::config::NocConfig;
 use crate::ids::{NodeId, PortId, RouterId};
 use crate::routing::RoutingAlgorithm;
 use crate::topology::{Topology, TopologyKind};
-use std::sync::Arc;
 
 /// Maximum number of minimal-route candidates any built-in algorithm
 /// yields (`WestFirst` on a mesh: up to East + South/North… bounded by 3).
 pub const MAX_ROUTE_CANDIDATES: usize = 3;
-
-/// Tables larger than this fall back to on-the-fly routing rather than
-/// paying the memory (64 MB ≈ a 4096-router fabric).
-pub const MAX_ROUTE_TABLE_BYTES: usize = 64 << 20;
 
 /// A packed, ordered candidate set: the output ports a head flit at one
 /// router may take toward one destination rack, in the exact order the
@@ -133,42 +130,6 @@ impl RouteSet {
     }
 }
 
-/// How a [`Network`](crate::network::Network) acquires its route table.
-#[derive(Debug, Clone, Default)]
-pub enum RouteTableMode {
-    /// Build a table for the configured topology/algorithm unless
-    /// `LUMEN_ROUTE_TABLE=off` (or the table would exceed
-    /// [`MAX_ROUTE_TABLE_BYTES`]). The default everywhere.
-    #[default]
-    Auto,
-    /// Route on the fly (the pre-table behaviour). Used by the env
-    /// fallback, the differential tests, and the `perf_events`
-    /// before/after rows.
-    Off,
-    /// Adopt a table built elsewhere. The sharded backend builds one
-    /// table per run and hands the same `Arc` to every shard replica, so
-    /// replicas never rebuild it.
-    Shared(Arc<RouteTable>),
-}
-
-impl RouteTableMode {
-    /// Resolves the mode against a configuration: the table the network
-    /// should route through, if any.
-    pub fn resolve(self, config: &NocConfig) -> Option<Arc<RouteTable>> {
-        match self {
-            RouteTableMode::Auto => RouteTable::shared(config, config.routing),
-            RouteTableMode::Off => None,
-            RouteTableMode::Shared(table) => {
-                assert!(
-                    table.matches(config, config.routing),
-                    "shared route table was built for a different geometry or algorithm"
-                );
-                Some(table)
-            }
-        }
-    }
-}
-
 /// How the conceptual `(here, dst_rack)` candidate array is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Layout {
@@ -185,6 +146,14 @@ enum Layout {
 
 /// A dense precomputed routing table for one `(topology, algorithm)`
 /// pair. Immutable once built; share across shard replicas via `Arc`.
+///
+/// Every configuration [`NocConfig::validate`] accepts yields a small
+/// table, so there is no size limit to check. `width` and `height` are
+/// `u8`, so a mesh/torus delta table holds at most 509² entries × 4 B ≈
+/// 1.0 MB. A spine's port count is at least the leaf count and `validate`
+/// requires `ports × vcs ≤ 64`, so a folded Clos has at most 64 leaves
+/// and 63 spines: at most 127 × 64 entries × 4 B, under 32 KB. The node
+/// maps add 5 B per node beside the per-node state the network holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteTable {
     kind: TopologyKind,
@@ -304,25 +273,6 @@ impl RouteTable {
         table
     }
 
-    /// Builds a shareable table unless disabled by `LUMEN_ROUTE_TABLE=off`
-    /// (read once per process) or oversized
-    /// (> [`MAX_ROUTE_TABLE_BYTES`]); `None` means route on the fly.
-    pub fn shared(config: &NocConfig, algo: RoutingAlgorithm) -> Option<Arc<RouteTable>> {
-        if !env_enabled() {
-            return None;
-        }
-        let entry_count = match config.topology {
-            TopologyKind::Mesh | TopologyKind::Torus => {
-                (2 * config.width as usize - 1) * (2 * config.height as usize - 1)
-            }
-            TopologyKind::FoldedClos { .. } => config.router_count() * config.rack_count(),
-        };
-        if entry_count * std::mem::size_of::<RouteSet>() > MAX_ROUTE_TABLE_BYTES {
-            return None;
-        }
-        Some(Arc::new(RouteTable::build(config, algo)))
-    }
-
     /// The algorithm this table was built for.
     pub fn algorithm(&self) -> RoutingAlgorithm {
         self.algo
@@ -386,25 +336,12 @@ impl RouteTable {
     }
 }
 
-/// Whether `LUMEN_ROUTE_TABLE` permits table-backed routing (read once
-/// per process; `off`/`0` disables, `on`/`1`/unset enables).
-pub fn env_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("LUMEN_ROUTE_TABLE").as_deref() {
-        Ok("off") | Ok("0") => false,
-        Ok("on") | Ok("1") | Ok("") | Err(_) => true,
-        Ok(other) => panic!(
-            "unknown LUMEN_ROUTE_TABLE {other:?} (expected \"on\"/\"1\" or \"off\"/\"0\")"
-        ),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::route_candidates;
     use crate::topology::TopologyKind;
+    use std::sync::Arc;
 
     fn all_configs() -> Vec<NocConfig> {
         let mut configs = vec![NocConfig::paper_default(), NocConfig::small_for_tests()];
@@ -514,25 +451,10 @@ mod tests {
     }
 
     #[test]
-    fn mode_resolution() {
-        let c = NocConfig::small_for_tests();
-        assert!(RouteTableMode::Off.resolve(&c).is_none());
-        let table = Arc::new(RouteTable::build(&c, c.routing));
-        let resolved = RouteTableMode::Shared(Arc::clone(&table)).resolve(&c);
-        assert!(Arc::ptr_eq(&resolved.unwrap(), &table));
-        // Auto obeys the (unset-in-tests ⇒ enabled) env switch.
-        if env_enabled() {
-            assert!(RouteTableMode::Auto.resolve(&c).is_some());
-        } else {
-            assert!(RouteTableMode::Auto.resolve(&c).is_none());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "different geometry")]
     fn mismatched_shared_table_rejected() {
         let c = NocConfig::paper_default();
         let small = Arc::new(RouteTable::build(&NocConfig::small_for_tests(), c.routing));
-        let _ = RouteTableMode::Shared(small).resolve(&c);
+        let _ = crate::network::Network::with_route_table(&c, c.routing, small);
     }
 }

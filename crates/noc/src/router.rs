@@ -24,8 +24,7 @@ use crate::flit::FlitKind;
 use crate::ids::{LinkId, PortId, RouterId, VcId};
 use crate::link::Link;
 use crate::network::Effect;
-use crate::route_table::{RouteSet, RouteTable};
-use crate::routing::{route_candidates, RoutingAlgorithm};
+use crate::route_table::RouteTable;
 use lumen_desim::Picos;
 use serde::{Deserialize, Serialize};
 
@@ -214,7 +213,6 @@ pub(crate) struct Stall {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Router {
     id: RouterId,
-    routing: RoutingAlgorithm,
     vcs: usize,
     /// Input ports, indexed by [`PortId`].
     pub inputs: Vec<InputPort>,
@@ -226,7 +224,6 @@ pub struct Router {
     // `port * vcs + vc` slot space (capped at 64 slots per router), so
     // allocation iterates set bits instead of pushing through Vecs.
     scratch_port_mask: Vec<u64>,
-    scratch_routes: Vec<PortId>,
     /// Flits this router has switched over its lifetime.
     pub flits_switched: u64,
     /// Flits accepted into input buffers over its lifetime. The invariant
@@ -254,7 +251,7 @@ pub struct Router {
 impl Router {
     /// Creates a router with unwired ports (the network builder attaches
     /// links and feeders afterwards).
-    pub fn new(id: RouterId, routing: RoutingAlgorithm, config: &NocConfig) -> Self {
+    pub fn new(id: RouterId, config: &NocConfig) -> Self {
         let p = config.ports_per_router();
         let slots = p * config.vcs as usize;
         assert!(
@@ -264,16 +261,11 @@ impl Router {
         );
         Router {
             id,
-            routing,
             vcs: config.vcs as usize,
             inputs: (0..p).map(|_| InputPort::new(config)).collect(),
             outputs: (0..p).map(|_| OutputPort::new(config)).collect(),
             sa_rotate: 0,
             scratch_port_mask: vec![0; p],
-            // Sized to the candidate bound so the fallback RC path never
-            // grows it mid-run (audited: route_candidates pushes at most
-            // MAX_ROUTE_CANDIDATES ports, or a single ejection port).
-            scratch_routes: Vec::with_capacity(crate::route_table::MAX_ROUTE_CANDIDATES),
             flits_switched: 0,
             flits_accepted: 0,
             sa_denials: 0,
@@ -310,14 +302,13 @@ impl Router {
     /// One core-clock cycle: SA/ST, then VA, then RC, then statistics.
     ///
     /// `links` is the network-global link table; emitted flit departures
-    /// and credit returns are appended to `effects`. `route_table`, when
-    /// present, serves RC with precomputed candidates (identical order);
-    /// `None` routes on the fly.
+    /// and credit returns are appended to `effects`. `route_table` serves
+    /// RC with the precomputed candidates.
     pub fn tick(
         &mut self,
         now: Picos,
         config: &NocConfig,
-        route_table: Option<&RouteTable>,
+        route_table: &RouteTable,
         links: &mut [Link],
         effects: &mut Vec<Effect>,
     ) {
@@ -591,7 +582,7 @@ impl Router {
     /// preferring ready links (not mid-transition) with the most
     /// downstream credits — which makes routing *power-aware*: traffic
     /// steers around links parked at low rates or disabled for relock.
-    fn route_computation(&mut self, config: &NocConfig, table: Option<&RouteTable>) {
+    fn route_computation(&mut self, config: &NocConfig, table: &RouteTable) {
         let vcs = config.vcs as usize;
         // Every rc_ready VC (Idle with a buffered head flit) computes its
         // route this cycle, so the whole word empties; take it up front.
@@ -610,25 +601,9 @@ impl Router {
                     front.kind.is_head(),
                     "non-head flit {front} at front of idle VC: wormhole order violated"
                 );
-                let dst = front.dst;
-                // The hot path: one indexed load from the precomputed
-                // table. The fallback (LUMEN_ROUTE_TABLE=off, oversized
-                // tables) recomputes through the topology; both yield the
-                // same candidates in the same order, so selection below is
-                // bit-identical either way.
-                let candidates = match table {
-                    Some(t) => t.candidates(self.id, dst),
-                    None => {
-                        route_candidates(
-                            config,
-                            self.routing,
-                            self.id,
-                            dst,
-                            &mut self.scratch_routes,
-                        );
-                        RouteSet::from_slice(&self.scratch_routes)
-                    }
-                };
+                // One indexed load from the precomputed table, whose
+                // candidates keep the routing algorithm's order.
+                let candidates = table.candidates(self.id, front.dst);
                 let cands = candidates.as_slice();
                 let out_port = if cands.len() == 1 {
                     cands[0]
@@ -715,7 +690,7 @@ mod tests {
     struct Harness {
         config: NocConfig,
         router: Router,
-        table: Option<std::sync::Arc<RouteTable>>,
+        table: RouteTable,
         links: Vec<Link>,
         effects: Vec<Effect>,
         now: Picos,
@@ -724,7 +699,7 @@ mod tests {
     impl Harness {
         fn new() -> Self {
             let config = NocConfig::small_for_tests();
-            let mut router = Router::new(RouterId(0), RoutingAlgorithm::XY, &config);
+            let mut router = Router::new(RouterId(0), &config);
             let eject = Link::new(
                 LinkId(0),
                 LinkKind::Ejection,
@@ -755,9 +730,7 @@ mod tests {
             router.outputs[0].link = Some(LinkId(0));
             router.outputs[4].link = Some(LinkId(1));
             router.inputs[1].feeder = Some(LinkId(7)); // pretend injection feeder
-            // Honors LUMEN_ROUTE_TABLE, so the suite covers the fallback
-            // RC path too when CI replays with the table disabled.
-            let table = RouteTable::shared(&config, RoutingAlgorithm::XY);
+            let table = RouteTable::build(&config, crate::routing::RoutingAlgorithm::XY);
             Harness {
                 config,
                 router,
@@ -772,7 +745,7 @@ mod tests {
             self.router.tick(
                 self.now,
                 &self.config,
-                self.table.as_deref(),
+                &self.table,
                 &mut self.links,
                 &mut self.effects,
             );
@@ -966,7 +939,7 @@ mod tests {
         // Not a multiple of the 6 ports, so the rotation wraps mid-way.
         let n = 37;
         for _ in 0..n {
-            real.tick(h.now, &h.config, h.table.as_deref(), &mut real_links, &mut h.effects);
+            real.tick(h.now, &h.config, &h.table, &mut real_links, &mut h.effects);
             let again = real.stall(h.now, h.config.cycle(), &real_links).expect("still stalled");
             assert!(again.denials == stall.denials && again.demand == stall.demand);
             h.now += h.config.cycle();

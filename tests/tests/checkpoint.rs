@@ -7,7 +7,8 @@
 //! `lumen-trace/1` JSONL/CSV traces match byte for byte. Because shard
 //! count is itself a pinned pure-performance knob (see
 //! `tests/tests/lookahead.rs`), the unbroken side runs at shard counts
-//! {1, 2, 4}: split-sequential must equal every one of them.
+//! {1, 2, 4}: split-sequential must equal every one of them. Every
+//! checkpointable traffic source takes its turn as the split run's input.
 //!
 //! A second battery checks rejection: corrupted, truncated, foreign, and
 //! mismatched checkpoint files must fail with the right typed
@@ -15,7 +16,12 @@
 
 use lumen_core::prelude::*;
 use lumen_core::{Checkpoint, CheckpointError};
+use lumen_desim::Rng;
 use lumen_policy::OnOffConfig;
+use lumen_traffic::{
+    DatacenterSource, SelfSimilarConfig, SelfSimilarSource, Trace, TraceRecord, TraceSource,
+    TrafficSource,
+};
 // `proptest` here is the vendored stand-in (vendor/proptest, v0.0.0-lumen):
 // 64 fixed deterministic cases, no shrinking, no PROPTEST_* reproduction.
 use proptest::prelude::*;
@@ -99,27 +105,41 @@ fn fingerprint(r: &RunResult) -> (Vec<u64>, String, String) {
     )
 }
 
+/// Builds a fresh traffic source for one run of `config`.
+type SourceFn<'a> = &'a dyn Fn(&SystemConfig) -> Box<dyn TrafficSource + Send>;
+
+/// Uniform-random traffic at `rate` packets/cycle.
+fn uniform(rate: f64) -> impl Fn(&SystemConfig) -> Box<dyn TrafficSource + Send> {
+    move |c: &SystemConfig| {
+        Box::new(SyntheticSource::new(
+            &c.noc,
+            Pattern::Uniform,
+            RateProfile::Constant(rate),
+            PacketSize::Fixed(4),
+            Rng::seed_from(c.seed),
+        ))
+    }
+}
+
 /// Runs the experiment unbroken and split-at-`save_cycle` (through a real
 /// file), asserting the split run reproduces the unbroken run bit for bit
 /// at every requested shard count.
 fn assert_split_invariant(
     config: SystemConfig,
     save_cycle: u64,
-    rate: f64,
+    source: SourceFn,
     shard_counts: &[usize],
     tag: &str,
 ) {
     let exp = experiment(config);
-    let unbroken = exp.clone().run_uniform(rate, PacketSize::Fixed(4));
+    let run = |exp: Experiment| exp.run(source(exp.config()));
+    let unbroken = run(exp.clone());
     let want = fingerprint(&unbroken);
-    // Under LUMEN_TEST_CHECKPOINT=1 even the "unbroken" reference run
-    // is routed through an in-memory save/resume split, so its
-    // provenance flag is legitimately set.
-    let env_split = std::env::var("LUMEN_TEST_CHECKPOINT").is_ok_and(|v| v == "1");
-    assert_eq!(unbroken.resumed, env_split);
+    assert!(!unbroken.resumed);
+    assert!(unbroken.packets_delivered > 0, "{tag}: no traffic to split");
 
     for &s in shard_counts {
-        let sharded = exp.clone().shards(s).run_uniform(rate, PacketSize::Fixed(4));
+        let sharded = run(exp.clone().shards(s));
         assert_eq!(
             fingerprint(&sharded),
             want,
@@ -128,16 +148,13 @@ fn assert_split_invariant(
     }
 
     let path = ckpt_path(tag);
-    let first = exp
-        .clone()
-        .save_at(save_cycle, &path)
-        .run_uniform(rate, PacketSize::Fixed(4));
+    let first = run(exp.clone().save_at(save_cycle, &path));
     assert_eq!(
         fingerprint(&first),
         want,
         "{tag}: the saving run itself diverged"
     );
-    let resumed = exp.resume(&path).run_uniform(rate, PacketSize::Fixed(4));
+    let resumed = run(exp.resume(&path));
     std::fs::remove_file(&path).ok();
     assert!(resumed.resumed, "{tag}: provenance flag missing");
     assert_eq!(
@@ -158,7 +175,7 @@ fn split_matches_unbroken_on_every_fabric() {
         // RNG streams, fault windows, in-flight transitions, and
         // telemetry retention all cross the checkpoint boundary.
         let config = config_for(kind, Mode::Dvs, true, 33);
-        assert_split_invariant(config, WARMUP + MEASURE / 2, 0.15, &[1, 2, 4], tag);
+        assert_split_invariant(config, WARMUP + MEASURE / 2, &uniform(0.15), &[1, 2, 4], tag);
     }
 }
 
@@ -167,20 +184,108 @@ fn split_inside_warmup_matches_unbroken() {
     // Saving before `begin_measurement` exercises the resume path that
     // must still run the warmup boundary itself.
     let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 7);
-    assert_split_invariant(config, WARMUP / 2, 0.2, &[2], "warmup-split");
+    assert_split_invariant(config, WARMUP / 2, &uniform(0.2), &[2], "warmup-split");
 }
 
 #[test]
 fn split_under_onoff_gating_matches_unbroken() {
     // Sleeping links, pending wakes, and gate counters cross the save.
     let config = config_for(TopologyKind::Mesh, Mode::OnOff, false, 19);
-    assert_split_invariant(config, WARMUP + MEASURE / 3, 0.05, &[2], "onoff");
+    assert_split_invariant(config, WARMUP + MEASURE / 3, &uniform(0.05), &[2], "onoff");
 }
 
 #[test]
 fn split_non_power_aware_matches_unbroken() {
     let config = config_for(TopologyKind::Mesh, Mode::NonPa, true, 23);
-    assert_split_invariant(config, WARMUP + MEASURE / 2, 0.25, &[4], "nonpa");
+    assert_split_invariant(config, WARMUP + MEASURE / 2, &uniform(0.25), &[4], "nonpa");
+}
+
+#[test]
+fn split_matches_unbroken_for_every_checkpointable_source() {
+    // Each source carries its own state across the save: RNG streams,
+    // burst phases (self-similar), client flows and pending responses
+    // (datacenter), the replay cursor (trace). The hotspot and SPLASH
+    // schedules change rate with the cycle, so a resumed source picks up
+    // mid-schedule.
+    let trace = {
+        let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 0);
+        let mut synth = uniform(0.2)(&config);
+        let cycle = config.noc.cycle();
+        let mut packets = Vec::new();
+        for c in 0..WARMUP + MEASURE {
+            synth.packets_for_cycle(c, cycle * c, &mut packets);
+        }
+        Trace::from_records(
+            packets
+                .iter()
+                .map(|p| TraceRecord {
+                    at_ps: p.created_at.as_ps(),
+                    src: p.src.index(),
+                    dst: p.dst.index(),
+                    size_flits: p.size_flits,
+                })
+                .collect(),
+        )
+    };
+    let synthetic = |pattern: fn(&SystemConfig) -> Pattern, profile: RateProfile, size: u32| {
+        move |c: &SystemConfig| -> Box<dyn TrafficSource + Send> {
+            Box::new(SyntheticSource::new(
+                &c.noc,
+                pattern(c),
+                profile.clone(),
+                PacketSize::Fixed(size),
+                Rng::seed_from(c.seed),
+            ))
+        }
+    };
+    let datacenter = |c: &SystemConfig| -> Box<dyn TrafficSource + Send> {
+        let dc = DatacenterConfig {
+            diurnal_period_cycles: 2_000,
+            incast_period_cycles: 500,
+            incast_fanin: 4,
+            ..DatacenterConfig::web_like(2)
+        };
+        Box::new(DatacenterSource::new(&c.noc, dc, Rng::seed_from(c.seed)))
+    };
+    let self_similar = |c: &SystemConfig| -> Box<dyn TrafficSource + Send> {
+        let burst = SelfSimilarConfig {
+            mean_off_cycles: 400.0,
+            on_rate: 0.1,
+            ..SelfSimilarConfig::ethernet_like()
+        };
+        Box::new(SelfSimilarSource::new(
+            &c.noc,
+            burst,
+            Pattern::Uniform,
+            PacketSize::Fixed(4),
+            Rng::seed_from(c.seed),
+        ))
+    };
+    let replay = |_: &SystemConfig| -> Box<dyn TrafficSource + Send> {
+        Box::new(TraceSource::new(trace.clone()))
+    };
+    let hotspot = synthetic(
+        |c| Pattern::paper_hotspot(&c.noc),
+        RateProfile::paper_hotspot_schedule(),
+        4,
+    );
+    let app = SplashApp::Radix;
+    let splash = synthetic(
+        |_| Pattern::Uniform,
+        RateProfile::Splash(app),
+        app.packet_size_flits(),
+    );
+    let sources: [(&str, SourceFn); 5] = [
+        ("datacenter", &datacenter),
+        ("self-similar", &self_similar),
+        ("trace", &replay),
+        ("hotspot", &hotspot),
+        ("splash", &splash),
+    ];
+    for (tag, source) in sources {
+        let config = config_for(TopologyKind::Mesh, Mode::Dvs, true, 43);
+        assert_split_invariant(config, WARMUP + MEASURE / 2, source, &[2], tag);
+    }
 }
 
 /// A field of a checkpoint's schema tree.
@@ -223,7 +328,7 @@ fn split_with_busy_sources_and_routers_matches_unbroken() {
         .count();
     assert!(queued > 0, "no source has queued flits at cycle {cut}");
     assert!(busy > 0, "every router is idle at cycle {cut}");
-    assert_split_invariant(config, cut, rate, &[1, 2, 4], "active-sets");
+    assert_split_invariant(config, cut, &uniform(rate), &[1, 2, 4], "active-sets");
 }
 
 proptest! {

@@ -49,32 +49,34 @@ fn flit_conservation_after_drain() {
 #[test]
 fn energy_is_exactly_power_times_time_for_baseline() {
     // The non-power-aware system draws constant power, so the integral is
-    // analytic: links × 290 mW × duration.
-    let config = small_config(false);
-    let source = Box::new(SyntheticSource::new(
-        &config.noc,
-        Pattern::Uniform,
-        RateProfile::Constant(0.05),
-        PacketSize::Fixed(4),
-        Rng::seed_from(3),
-    ));
-    // Injection + ejection per node, plus the topology's own directed
-    // inter-router channels (8 on the 2×2 mesh; 16 on the 2×2 torus
-    // when LUMEN_TEST_TOPOLOGY re-points the small config).
-    let mut channels = Vec::new();
-    config.noc.topo().channels(&mut channels);
-    let links = 2 * config.noc.node_count() + channels.len();
-    let mut engine = PowerAwareSim::build_engine(config, source, None);
-    let horizon = Picos::from_us(10);
-    engine.run_until(horizon);
-    let sim = engine.model();
-    assert_eq!(sim.network().link_count(), links);
-    let expect_nj = links as f64 * 290.0 * horizon.as_us_f64() * 1e-3 * 1e3;
-    let got = sim.energy_nj(horizon);
-    assert!(
-        (got - expect_nj).abs() / expect_nj < 1e-9,
-        "energy {got} nJ vs analytic {expect_nj} nJ"
-    );
+    // analytic: links × 290 mW × duration. Injection + ejection per node,
+    // plus the topology's own directed inter-router channels (8 on the
+    // 2×2 mesh; 16 on the 2×2 torus, whose wraps double every pair).
+    for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
+        let mut config = small_config(false);
+        config.noc.topology = topology;
+        let source = Box::new(SyntheticSource::new(
+            &config.noc,
+            Pattern::Uniform,
+            RateProfile::Constant(0.05),
+            PacketSize::Fixed(4),
+            Rng::seed_from(3),
+        ));
+        let mut channels = Vec::new();
+        config.noc.topo().channels(&mut channels);
+        let links = 2 * config.noc.node_count() + channels.len();
+        let mut engine = PowerAwareSim::build_engine(config, source, None);
+        let horizon = Picos::from_us(10);
+        engine.run_until(horizon);
+        let sim = engine.model();
+        assert_eq!(sim.network().link_count(), links);
+        let expect_nj = links as f64 * 290.0 * horizon.as_us_f64() * 1e-3 * 1e3;
+        let got = sim.energy_nj(horizon);
+        assert!(
+            (got - expect_nj).abs() / expect_nj < 1e-9,
+            "{topology:?}: energy {got} nJ vs analytic {expect_nj} nJ"
+        );
+    }
 }
 
 #[test]

@@ -7,16 +7,28 @@
 //! shard count, and lookahead cap, deliveries, latencies, energy, and
 //! the exported telemetry trace bytes are **bit-identical** to the
 //! sequential engine. A forced `lookahead_cap(1)` run pins the original
-//! one-cycle-window protocol as a regression anchor.
+//! one-cycle-window protocol as a regression anchor. Routing is an input
+//! too: adaptive west-first routing reads raw credit values, so its
+//! windows stay pinned to the knowledge horizon unless every boundary VC
+//! is fully accounted.
 
 use lumen_core::prelude::*;
+use lumen_noc::routing::RoutingAlgorithm;
 use lumen_noc::TopologyKind;
 // `proptest` here is the vendored stand-in (vendor/proptest, v0.0.0-lumen):
 // 64 fixed deterministic cases, no shrinking, no PROPTEST_* reproduction.
 use proptest::prelude::*;
 
 /// A small fabric of the given kind on the unit-test clock envelope.
-fn config_for(kind: u8, seed: u64, width: u8, height: u8, vcs: u8, pa: bool) -> SystemConfig {
+fn config_for(
+    kind: u8,
+    seed: u64,
+    width: u8,
+    height: u8,
+    vcs: u8,
+    pa: bool,
+    routing: RoutingAlgorithm,
+) -> SystemConfig {
     let mut c = SystemConfig::paper_default().with_seed(seed);
     c.noc = NocConfig::small_for_tests();
     c.noc.width = width;
@@ -29,6 +41,7 @@ fn config_for(kind: u8, seed: u64, width: u8, height: u8, vcs: u8, pa: bool) -> 
         1 => TopologyKind::Torus,
         _ => TopologyKind::FoldedClos { spines: 2 },
     };
+    c.noc.routing = routing;
     c.power_aware = pa;
     c.policy.timing.tw_cycles = 200;
     c
@@ -90,10 +103,11 @@ fn assert_cap_invariant(config: SystemConfig, shards: usize, cap: u64, rate: f64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random topology × shard count × lookahead cap: the stretched
-    /// protocol is bit-identical to the sequential engine. Caps above
-    /// the static bound clamp to it, so high caps exercise the
-    /// automatic window sizing and cap 1 the degenerate protocol.
+    /// Random topology × shard count × lookahead cap, each under XY and
+    /// west-first routing: the stretched protocol is bit-identical to the
+    /// sequential engine. Caps above the static bound clamp to it, so
+    /// high caps exercise the automatic window sizing and cap 1 the
+    /// degenerate protocol.
     #[test]
     fn stretched_windows_match_sequential_everywhere(
         seed in 0u64..1_000,
@@ -106,8 +120,28 @@ proptest! {
         rate_milli in 20u64..250,
         pa in 0u8..2,
     ) {
-        let config = config_for(kind, seed, width, height, vcs, pa == 1);
-        assert_cap_invariant(config, shards, cap, rate_milli as f64 / 1_000.0);
+        for routing in [RoutingAlgorithm::XY, RoutingAlgorithm::WestFirst] {
+            let config = config_for(kind, seed, width, height, vcs, pa == 1, routing);
+            // `validate` rejects west-first on the torus.
+            let torus = config.noc.topology == TopologyKind::Torus;
+            if torus && routing == RoutingAlgorithm::WestFirst {
+                continue;
+            }
+            assert_cap_invariant(config, shards, cap, rate_milli as f64 / 1_000.0);
+        }
+    }
+}
+
+/// Adaptive routing past saturation: west-first scores raw credit
+/// counts, and at this load boundary credits are still in flight at most
+/// window ends, so only the adaptive window rule — windows pinned to the
+/// knowledge horizon unless every boundary VC is fully accounted — keeps
+/// the sharded run exact.
+#[test]
+fn saturated_west_first_matches_sequential() {
+    for (width, height, pa, seed) in [(4, 4, true, 1), (4, 4, true, 2), (3, 3, false, 1)] {
+        let config = config_for(0, seed, width, height, 2, pa, RoutingAlgorithm::WestFirst);
+        assert_cap_invariant(config, 2, 8, 1.0);
     }
 }
 
@@ -117,7 +151,7 @@ proptest! {
 /// never drift from the pinned behavior.
 #[test]
 fn forced_single_cycle_windows_pin_the_old_protocol() {
-    let config = config_for(0, 7, 3, 4, 2, true);
+    let config = config_for(0, 7, 3, 4, 2, true, RoutingAlgorithm::XY);
     let exp = Experiment::new(config)
         .warmup_cycles(400)
         .measure_cycles(3_000)

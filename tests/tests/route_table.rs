@@ -10,13 +10,9 @@
 //!   on-the-fly `route_candidates` oracle for *every* `(router, node)`
 //!   pair, in the same candidate order (adaptive tie-breaks select by
 //!   position, so order equality — not set equality — is the contract);
-//! - **bit identity** — a full power-aware system run produces
-//!   bit-identical `RunResult`s with the table enabled (`Auto`), shared
-//!   explicitly (`Shared`), and disabled (`Off`), sequential and
-//!   sharded, exactly like shard count and lookahead never change
-//!   results.
-
-use std::sync::Arc;
+//! - **bit identity** — a sharded run, whose replicas all adopt one
+//!   `Arc`'d table built by the runner, produces bit-identical
+//!   `RunResult`s to the sequential engine, which builds its own.
 
 use lumen_core::prelude::*;
 use lumen_noc::routing::{route_candidates, RoutingAlgorithm};
@@ -161,41 +157,16 @@ fn experiment(kind: TopologyKind, seed: u64) -> Experiment {
         .audit_conservation()
 }
 
-/// The route table never changes results: `Auto`, `Off`, and an
-/// explicitly pre-built `Shared` table replay bit-identically on the
-/// sequential engine.
-#[test]
-fn table_modes_replay_bit_identically_sequential() {
-    for kind in [TopologyKind::Mesh, TopologyKind::Torus] {
-        let exp = experiment(kind, 29);
-        let auto = exp.clone().run_uniform(0.15, PacketSize::Fixed(4));
-        assert!(auto.packets_delivered > 0);
-        let off = exp
-            .clone()
-            .route_table(RouteTableMode::Off)
-            .run_uniform(0.15, PacketSize::Fixed(4));
-        assert_bit_identical(&auto, &off, "auto vs off");
-        let table = Arc::new(RouteTable::build(
-            &exp.config().noc,
-            exp.config().noc.routing,
-        ));
-        let shared = exp
-            .route_table(RouteTableMode::Shared(table))
-            .run_uniform(0.15, PacketSize::Fixed(4));
-        assert_bit_identical(&auto, &shared, "auto vs shared");
-    }
-}
-
-/// Same contract through the sharded conservative-parallel engine: the
-/// workers share one `Arc`'d table and still match the table-off run.
+/// The two ways a network acquires its table replay bit-identically: the
+/// sharded engine's replicas share one `Arc`'d table built by the runner,
+/// the sequential engine builds its own.
 #[test]
 fn table_modes_replay_bit_identically_sharded() {
-    let exp = experiment(TopologyKind::Mesh, 31);
-    let on = exp.clone().shards(2).run_uniform(0.15, PacketSize::Fixed(4));
-    assert!(on.packets_delivered > 0);
-    let off = exp
-        .shards(2)
-        .route_table(RouteTableMode::Off)
-        .run_uniform(0.15, PacketSize::Fixed(4));
-    assert_bit_identical(&on, &off, "sharded on vs off");
+    for kind in [TopologyKind::Mesh, TopologyKind::Torus] {
+        let exp = experiment(kind, 31);
+        let shared = exp.clone().shards(2).run_uniform(0.15, PacketSize::Fixed(4));
+        assert!(shared.packets_delivered > 0);
+        let own = exp.shards(1).run_uniform(0.15, PacketSize::Fixed(4));
+        assert_bit_identical(&shared, &own, &format!("{kind:?}: shared vs own table"));
+    }
 }
