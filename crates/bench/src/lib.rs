@@ -26,14 +26,6 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// Parses process arguments (`--quick` selects [`RunScale::Quick`]).
-    ///
-    /// Unknown flags terminate the process with a usage message; this is
-    /// a shorthand for [`BenchArgs::parse`] that keeps only the scale.
-    pub fn from_args() -> RunScale {
-        BenchArgs::parse().scale
-    }
-
     /// Scales a cycle count.
     pub fn cycles(self, full: u64) -> u64 {
         match self {
@@ -265,12 +257,12 @@ impl BenchArgs {
     }
 
     /// The shard count a run on a `host`-core machine should actually
-    /// use: `--shards` clamped to the cores, mirroring
-    /// [`Experiment::shards_auto`]'s host clamp. Shards are a pure
-    /// performance knob (results are bit-identical at every count), so
-    /// an oversubscribed request like `--jobs 4 --shards 2` on a 1-core
-    /// host must *degrade* — fewer shards, fewer jobs — never error and
-    /// never time-slice shard workers against each other.
+    /// use: `--shards` clamped to the cores (the only host clamp on the
+    /// shard count). Shards are a pure performance knob (results are
+    /// bit-identical at every count), so an oversubscribed request like
+    /// `--jobs 4 --shards 2` on a 1-core host must *degrade* — fewer
+    /// shards, fewer jobs — never error and never time-slice shard
+    /// workers against each other.
     pub fn resolved_shards(&self, host: usize) -> usize {
         self.shards.clamp(1, host.max(1))
     }
@@ -294,7 +286,8 @@ impl BenchArgs {
     /// The usage text shared by every harness binary.
     pub fn usage() -> String {
         format!(
-            "usage: <harness> [--quick] [--jobs N] [--shards N] [--trace PATH] [--topology T] [--help]\n\
+            "usage: <harness> [--quick] [--jobs N] [--shards N] [--trace PATH] [--topology T] \
+             [--checkpoint P@C | --resume P] [--help]\n\
              \n\
              options:\n\
              \x20 --quick          ~10x shorter horizons (smoke/CI runs)\n\
@@ -754,10 +747,9 @@ mod tests {
         assert_eq!(a.executor_for(2).jobs(), 1);
         assert_eq!(a.resolved_shards(8), 2);
         assert_eq!(a.executor_for(8).jobs(), 4);
-        // The resolved shard count matches what Experiment::shards_auto
-        // would pick on the same host (topology permitting), so the
-        // process default installed by parse() and the per-experiment
-        // clamp can never disagree.
+        // The paper mesh's cuts admit the 2 shards asked for, so the
+        // count parse() installs there is the request clamped to the
+        // host's cores alone.
         let noc = lumen_noc::NocConfig::paper_default();
         let host = Executor::available().jobs();
         assert_eq!(
@@ -834,7 +826,44 @@ mod tests {
             BenchArgs::try_parse(&argv(&["--help"])),
             Err(ParseOutcome::Help)
         );
-        assert!(BenchArgs::usage().contains("--jobs"));
+        let usage = BenchArgs::usage();
+        let synopsis: Vec<&str> = usage
+            .lines()
+            .next()
+            .unwrap()
+            .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+            .collect();
+        // Every flag the parser accepts, with a valid value where it takes
+        // one, and its short alias if it has one: the long form must be
+        // on the synopsis line, the alias in the options list.
+        for (flag, short, value) in [
+            ("--quick", None, None),
+            ("--jobs", Some("-j"), Some("2")),
+            ("--shards", Some("-s"), Some("2")),
+            ("--trace", None, Some("t.jsonl")),
+            ("--topology", None, Some("torus")),
+            ("--checkpoint", None, Some("c.ckpt@10")),
+            ("--resume", None, Some("c.ckpt")),
+            ("--help", Some("-h"), None),
+        ] {
+            for form in std::iter::once(flag).chain(short) {
+                let argv: Vec<String> = std::iter::once(form)
+                    .chain(value)
+                    .map(String::from)
+                    .collect();
+                match BenchArgs::try_parse_partial(&argv) {
+                    Ok((_, extras)) => assert!(extras.is_empty(), "{form} not parsed"),
+                    Err(outcome) => assert_eq!(outcome, ParseOutcome::Help, "{form}"),
+                }
+            }
+            assert!(synopsis.contains(&flag), "{flag} missing from the synopsis");
+            if let Some(short) = short {
+                assert!(
+                    usage.contains(&format!(", {short}")),
+                    "{short} undocumented"
+                );
+            }
+        }
     }
 
     #[test]

@@ -77,8 +77,7 @@ pub use fault::{FaultConfig, FaultKind, FaultPlan, FAULT_STREAM};
 pub use results::RunResult;
 pub use runner::Experiment;
 pub use shard::{
-    default_shards, effective_shards, host_shards, run_sharded, run_sharded_with,
-    set_default_shards, ShardedOutcome,
+    default_shards, effective_shards, run_sharded_with, set_default_shards, ShardedOutcome,
 };
 pub use sim::PowerAwareSim;
 pub use sweep::{LoadSweep, SweepPoint};

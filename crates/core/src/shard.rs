@@ -1,6 +1,6 @@
 //! The sharded conservative-parallel simulation backend.
 //!
-//! [`run_sharded`] partitions the fabric into `S` contiguous router
+//! [`run_sharded_with`] partitions the fabric into `S` contiguous router
 //! bands — the cuts come from the topology
 //! ([`Topology::shard_cuts`]; row bands on meshes and tori, leaf bands
 //! on the folded Clos) — gives each band its own [`PowerAwareSim`]
@@ -165,24 +165,6 @@ pub fn effective_shards(noc: &NocConfig, requested: usize) -> usize {
     requested.clamp(1, noc.topo().max_shards().min(MAX_SHARDS))
 }
 
-/// [`effective_shards`] further clamped to the host's core count: the
-/// shard count a run should *actually* use when the caller wants speed
-/// rather than a specific partition. Shard count is a pure performance
-/// knob — results are bit-identical at every count (the differential
-/// wall in `tests/tests/lookahead.rs` pins this) — so running more
-/// shards than the host has cores can only add coordination cost:
-/// workers time-slice one core, alternating every couple of lookahead
-/// windows, and the conservative protocol's per-window gates become
-/// pure overhead. On such hosts this returns a smaller count (down to
-/// 1 = the sequential engine). Use [`effective_shards`] (or
-/// [`Experiment::shards`](crate::runner::Experiment::shards), which
-/// never host-clamps) when the point *is* the partition — differential
-/// tests, protocol benchmarks, CI shard sweeps.
-pub fn host_shards(noc: &NocConfig, requested: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    effective_shards(noc, requested.min(cores))
-}
-
 // ---------------------------------------------------------------------
 // Partitioning
 // ---------------------------------------------------------------------
@@ -220,7 +202,7 @@ pub(crate) fn partition(noc: &NocConfig, requested: usize) -> Vec<ShardSpec> {
     // Inter-router links are laid out grouped by source router in
     // ascending order (the `Topology::channels` contract); a prefix sum
     // over router out-degrees maps router ranges to link ranges exactly
-    // as `Network::with_routing` assigned them.
+    // as `Network::with_route_table` assigned them.
     let mut channels: Vec<Channel> = Vec::new();
     topo.channels(&mut channels);
     let mut prefix = vec![0usize; routers_total + 1];
@@ -767,7 +749,7 @@ impl Coordinator {
 // The parallel run
 // ---------------------------------------------------------------------
 
-/// The outcome of a [`run_sharded`] call.
+/// The outcome of a [`run_sharded_with`] call.
 pub struct ShardedOutcome {
     /// The merged system, equivalent to the sequential engine's final
     /// model: every accessor (`latency_summary`, `energy_nj`, series,
@@ -800,34 +782,15 @@ pub struct ShardedOutcome {
 /// engine verbatim), producing results
 /// bit-identical to [`PowerAwareSim::build_engine`] driven sequentially
 /// over the same warmup/measure schedule.
-pub fn run_sharded(
-    config: SystemConfig,
-    source: Box<dyn TrafficSource + Send>,
-    sample_every: Option<u64>,
-    telemetry: TelemetryConfig,
-    warmup_cycles: u64,
-    measure_cycles: u64,
-    shards: usize,
-) -> ShardedOutcome {
-    run_sharded_with(
-        config,
-        source,
-        sample_every,
-        telemetry,
-        warmup_cycles,
-        measure_cycles,
-        shards,
-        None,
-    )
-}
-
-/// [`run_sharded`] with an explicit cap on the conservative lookahead
-/// (barrier window length, in router cycles). `Some(1)` reproduces the
-/// pre-lookahead one-cycle-window protocol exactly; `None` uses the full
-/// static bound. Results are bit-identical at every cap — a pure
-/// performance knob. The route table is built **once** on the caller's
-/// thread and the same immutable `Arc` handed to every shard replica, so
-/// replicas never redo the all-pairs enumeration.
+///
+/// `lookahead_cap` caps the conservative lookahead (barrier window
+/// length, in router cycles). `Some(1)` reproduces the pre-lookahead
+/// one-cycle-window protocol exactly; `None` uses the full static bound.
+/// Results are bit-identical at every cap — a pure performance knob.
+///
+/// The route table is built **once** on the caller's thread and the same
+/// immutable `Arc` handed to every shard replica, so replicas never redo
+/// the all-pairs enumeration.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sharded_with(
     config: SystemConfig,
@@ -976,13 +939,13 @@ pub fn run_sharded_with(
                     cursor: 0,
                     generated: 0,
                 });
-                let mut engine = PowerAwareSim::build_engine_shard(
+                let mut engine = PowerAwareSim::build_engine_inner(
                     cfg,
                     feed_source,
                     sample_every,
                     telemetry,
-                    route_table,
-                    ctx,
+                    Some(route_table),
+                    Some(Box::new(ctx)),
                 );
                 let mut coordinator = coordinator;
                 let (mut windows, mut barriers) = (0u64, 0u64);
@@ -1275,17 +1238,6 @@ mod tests {
         config
     }
 
-    #[test]
-    fn host_shards_clamps_to_cores_and_topology() {
-        let noc = NocConfig::small_for_tests();
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let h = host_shards(&noc, 64);
-        assert!(h >= 1);
-        assert!(h <= cores, "host_shards must never oversubscribe");
-        assert!(h <= effective_shards(&noc, 64));
-        assert_eq!(host_shards(&noc, 1), 1);
-    }
-
     fn uniform(config: &SystemConfig, rate: f64) -> Box<dyn TrafficSource + Send> {
         Box::new(SyntheticSource::new(
             &config.noc,
@@ -1373,7 +1325,7 @@ mod tests {
     /// deliveries, latency statistics, energy, transitions, and audit.
     fn assert_matches_sequential(config: SystemConfig, rate: f64, sample: Option<u64>) {
         let (warmup, measure) = (500, 3_000);
-        let seq = run_sharded(
+        let seq = run_sharded_with(
             config.clone(),
             uniform(&config, rate),
             sample,
@@ -1381,8 +1333,9 @@ mod tests {
             warmup,
             measure,
             1,
+            None,
         );
-        let par = run_sharded(
+        let par = run_sharded_with(
             config.clone(),
             uniform(&config, rate),
             sample,
@@ -1390,6 +1343,7 @@ mod tests {
             warmup,
             measure,
             2,
+            None,
         );
         let end = seq.end;
         assert_eq!(par.end, end);
@@ -1449,7 +1403,7 @@ mod tests {
         assert_eq!(static_lookahead(&small, 2), 3);
         // One shard has no cut: lookahead degenerates to the uniform
         // default, which must still be safe (and is, trivially: it is
-        // never used — run_sharded falls back to the sequential engine).
+        // never used — run_sharded_with falls back to the sequential engine).
         assert!(static_lookahead(&small, 1) >= 1);
     }
 
@@ -1527,9 +1481,7 @@ mod tests {
         assert_eq!(capped.windows, warmup + measure + 1);
         assert_eq!(auto.lookahead, 3);
         // Between stops the framing is paced by the live peer clocks,
-        // so only the one-cycle ceiling is deterministic here; the
-        // paper-scale bench in `perf_events` asserts the real window
-        // stretch and the wall-clock gate.
+        // so only the one-cycle ceiling is deterministic here.
         assert!(
             auto.windows <= capped.windows,
             "stretched windows cannot outnumber one-cycle windows: {} vs {}",

@@ -191,8 +191,7 @@ pub struct PowerAwareSim {
     pub(crate) effects: Vec<Effect>,
     pub(crate) packets: Vec<Packet>,
     // Parallel-shard context: `Some` only on a shard replica driven by
-    // `crate::shard::run_sharded`. `None` is the sequential engine, whose
-    // behavior this PR leaves bit-for-bit untouched.
+    // `crate::shard::run_sharded_with`; `None` on the sequential engine.
     pub(crate) shard: Option<Box<crate::shard::ShardCtx>>,
     // Telemetry recording state: `None` when disabled, so the only cost on
     // the disabled path is this Option check at policy-window boundaries.
@@ -224,31 +223,12 @@ impl PowerAwareSim {
         Self::build_engine_inner(config, source, sample_every, telemetry, None, None)
     }
 
-    /// Builds one shard replica of the system for the conservative-parallel
-    /// backend: the replica holds the full network image but only ticks,
-    /// polices, and fault-schedules the region `ctx` owns. Every replica
-    /// adopts the run's one `route_table`.
-    pub(crate) fn build_engine_shard(
-        config: SystemConfig,
-        source: Box<dyn TrafficSource + Send>,
-        sample_every: Option<u64>,
-        telemetry: TelemetryConfig,
-        route_table: Arc<RouteTable>,
-        ctx: crate::shard::ShardCtx,
-    ) -> Engine<PowerAwareSim> {
-        Self::build_engine_inner(
-            config,
-            source,
-            sample_every,
-            telemetry,
-            Some(route_table),
-            Some(Box::new(ctx)),
-        )
-    }
-
-    /// The one engine builder; `route_table` is `None` unless a shard
-    /// replica adopts the run's shared table.
-    fn build_engine_inner(
+    /// The one engine builder. The sharded backend builds each replica
+    /// here with `Some` of both: the run's one shared `route_table`, and
+    /// the `shard` context of the region the replica ticks, polices and
+    /// fault-schedules (it holds the full network image). `None` for both
+    /// is the sequential engine.
+    pub(crate) fn build_engine_inner(
         config: SystemConfig,
         source: Box<dyn TrafficSource + Send>,
         sample_every: Option<u64>,
@@ -258,7 +238,7 @@ impl PowerAwareSim {
     ) -> Engine<PowerAwareSim> {
         config.validate();
         let net = match route_table {
-            Some(table) => Network::with_route_table(&config.noc, config.noc.routing, table),
+            Some(table) => Network::with_route_table(&config.noc, table),
             None => Network::new(&config.noc),
         };
         let model = config.link_model();

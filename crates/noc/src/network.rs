@@ -24,7 +24,6 @@ use crate::link::{Endpoint, Link, LinkKind};
 use crate::node::{SinkNode, SourceNode};
 use crate::route_table::RouteTable;
 use crate::router::{InputPort, Router, SlotSet, Stall};
-use crate::routing::RoutingAlgorithm;
 use crate::topology::Topology;
 use lumen_desim::Picos;
 use serde::{Deserialize, Serialize};
@@ -113,40 +112,28 @@ pub struct Network {
 
 impl Network {
     /// Builds the network with the configuration's routing discipline.
-    pub fn new(config: &NocConfig) -> Self {
-        Network::with_routing(config, config.routing)
-    }
-
-    /// Builds the network with an explicit routing algorithm (overriding
-    /// the configuration's choice).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`NocConfig::validate`]).
-    pub fn with_routing(config: &NocConfig, routing: RoutingAlgorithm) -> Self {
+    pub fn new(config: &NocConfig) -> Self {
         config.validate();
-        // Built for the *effective* algorithm: the override, not the
-        // config's choice, is what the routers run.
-        let table = Arc::new(RouteTable::build(config, routing));
-        Network::with_route_table(config, routing, table)
+        let table = Arc::new(RouteTable::build(config, config.routing));
+        Network::with_route_table(config, table)
     }
 
-    /// Builds the network with an explicit routing algorithm over a route
-    /// table built elsewhere: the sharded backend builds one table per
-    /// run and hands the same `Arc` to every replica.
+    /// Builds the network over a route table built elsewhere for the
+    /// configuration's routing discipline: the sharded backend builds one
+    /// table per run and hands the same `Arc` to every replica.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`NocConfig::validate`])
     /// or the table was built for a different geometry or algorithm.
-    pub fn with_route_table(
-        config: &NocConfig,
-        routing: RoutingAlgorithm,
-        route_table: Arc<RouteTable>,
-    ) -> Self {
+    pub fn with_route_table(config: &NocConfig, route_table: Arc<RouteTable>) -> Self {
         config.validate();
         assert!(
-            route_table.matches(config, routing),
+            route_table.matches(config, config.routing),
             "shared route table was built for a different geometry or algorithm"
         );
         let topo = config.topo();
@@ -948,14 +935,9 @@ mod tests {
         for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
             let mut config = NocConfig::small_for_tests();
             config.topology = topology;
+            config.routing = crate::routing::RoutingAlgorithm::WestFirst;
             config.allow_torus_mesh_routing = true;
-            let mut d = Driver {
-                net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
-                queue: EventQueue::new(),
-                effects: Vec::new(),
-                ejected: Vec::new(),
-                now: Picos::ZERO,
-            };
+            let mut d = Driver::new(&config);
             let n = d.net.node_count();
             let mut id = 0;
             for s in 0..n {
@@ -979,14 +961,9 @@ mod tests {
         for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
             let mut config = NocConfig::small_for_tests();
             config.topology = topology;
+            config.routing = crate::routing::RoutingAlgorithm::WestFirst;
             config.allow_torus_mesh_routing = true;
-            let mut d = Driver {
-                net: Network::with_routing(&config, crate::routing::RoutingAlgorithm::WestFirst),
-                queue: EventQueue::new(),
-                effects: Vec::new(),
-                ejected: Vec::new(),
-                now: Picos::ZERO,
-            };
+            let mut d = Driver::new(&config);
             let mut id = 0;
             for s in 0..d.net.node_count() {
                 for k in 0..6 {

@@ -455,6 +455,6 @@ mod tests {
     fn mismatched_shared_table_rejected() {
         let c = NocConfig::paper_default();
         let small = Arc::new(RouteTable::build(&NocConfig::small_for_tests(), c.routing));
-        let _ = crate::network::Network::with_route_table(&c, c.routing, small);
+        let _ = crate::network::Network::with_route_table(&c, small);
     }
 }

@@ -50,7 +50,7 @@ fn report_json_is_byte_identical_across_reruns_and_thread_counts() {
 
 /// Every full-fidelity point in a report re-evaluates bit-identically
 /// when its recorded knobs are replayed through a fresh experiment at
-/// the report's full horizons (the acceptance criterion that makes the
+/// the report's full horizons (the property that makes the
 /// Pareto front auditable).
 #[test]
 fn reported_full_points_replay_bit_identically() {
