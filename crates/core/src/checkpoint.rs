@@ -1,7 +1,7 @@
 //! Checkpoint/restore for long-horizon runs: schema-versioned snapshots
 //! of the full simulation state.
 //!
-//! A [`Checkpoint`] captures everything a run needs to continue exactly
+//! A checkpoint captures everything a run needs to continue exactly
 //! where it stopped: the network (per-flit buffer occupancy, credits,
 //! in-flight rate changes), every policy controller and laser governor,
 //! the per-link RNG fault streams, the traffic source's RNG and cursors,
@@ -20,12 +20,21 @@
 //! file starts with an 8-byte magic and a version word, so stale or
 //! foreign files are rejected with a typed [`CheckpointError`] instead
 //! of garbage state.
+//!
+//! One byte writer and one byte reader implement the codec, as a serde
+//! token [`Sink`] and [`Source`]. [`crate::Experiment::save_at`] streams
+//! engine state straight through the writer into the file, and
+//! [`crate::Experiment::resume`] streams the file straight back into a
+//! freshly built engine, so neither builds a [`Value`] tree of the sim.
+//! [`Checkpoint`] is the inspection view: the same stream with the
+//! `sim` and `source` sections held as trees.
 
 use crate::config::SystemConfig;
 use crate::sim::SimEvent;
 use lumen_desim::Picos;
-use serde::{Deserialize, Serialize, Value};
-use std::io::{Read, Write};
+use serde::{Deserialize, Serialize, Sink, Source, Token, Value};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// Checkpoint schema identifier, stored inside the file body. Bump the
@@ -55,8 +64,10 @@ pub enum CheckpointError {
     /// The byte stream decoded to something structurally invalid (an
     /// unknown tag, a non-UTF-8 string, an over-long length).
     Corrupt(String),
-    /// The Value tree was well-formed but did not match the checkpoint
-    /// schema (missing field, wrong type, wrong enum variant).
+    /// The byte stream was well-formed but does not fit the checkpoint
+    /// schema (a missing or out-of-order field, a wrong type or enum
+    /// variant) or the resuming run (a per-link count, the fault plan's
+    /// or telemetry's presence, the telemetry retention).
     Decode(serde::Error),
     /// The checkpoint is valid but belongs to a different experiment
     /// (configuration, topology, or horizon mismatch).
@@ -73,7 +84,7 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::Truncated => write!(f, "checkpoint file is truncated"),
             CheckpointError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
-            CheckpointError::Decode(e) => write!(f, "checkpoint schema mismatch: {e}"),
+            CheckpointError::Decode(e) => write!(f, "checkpoint does not fit this run: {e}"),
             CheckpointError::Mismatch(msg) => write!(f, "checkpoint mismatch: {msg}"),
         }
     }
@@ -90,24 +101,25 @@ impl std::error::Error for CheckpointError {
 
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
+        match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => CheckpointError::Truncated,
+            _ => CheckpointError::Io(e),
+        }
     }
 }
 
-impl From<serde::Error> for CheckpointError {
-    fn from(e: serde::Error) -> Self {
-        CheckpointError::Decode(e)
-    }
-}
-
-/// A complete, resumable snapshot of an [`crate::Experiment`] run.
+/// A complete, resumable snapshot of an [`crate::Experiment`] run, as
+/// an inspection view: the `sim` and `source` sections are [`Value`]
+/// trees.
 ///
-/// Checkpoints are captured by [`crate::Experiment::save_at`] and loaded
-/// by [`crate::Experiment::resume`]; the bench CLI exposes them as
-/// `--checkpoint PATH@CYCLE` and `--resume PATH`. "Saved at cycle `c`"
-/// means the state *after* processing core tick `c` and every event at
-/// time ≤ `c` router cycles — including the already-scheduled tick
-/// `c + 1`, which rides along in [`Checkpoint::pending`].
+/// Checkpoints are written by [`crate::Experiment::save_at`] and read by
+/// [`crate::Experiment::resume`]; the bench CLI exposes them as
+/// `--checkpoint PATH@CYCLE` and `--resume PATH`. Those paths stream
+/// engine state without this view; it exists to look inside a file and
+/// to re-encode it, byte for byte. "Saved at cycle `c`" means the state
+/// *after* processing core tick `c` and every event at time ≤ `c` router
+/// cycles — including the already-scheduled tick `c + 1`, which rides
+/// along in [`Checkpoint::pending`].
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// The complete system configuration of the saved run. Resume
@@ -137,118 +149,142 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes to the schema [`Value`] tree (the logical format that
-    /// `CHECKPOINTS.md` documents).
-    pub fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("schema".into(), Value::Str(CKPT_SCHEMA.to_string())),
-            ("config".into(), self.config.serialize_value()),
-            ("warmup_cycles".into(), self.warmup_cycles.serialize_value()),
-            (
-                "measure_cycles".into(),
-                self.measure_cycles.serialize_value(),
-            ),
-            ("sample_every".into(), self.sample_every.serialize_value()),
-            ("cycle".into(), self.cycle.serialize_value()),
-            ("events".into(), self.events.serialize_value()),
-            ("pending".into(), self.pending.serialize_value()),
-            ("sim".into(), self.sim.clone()),
-            ("source".into(), self.source.clone()),
-        ])
-    }
-
-    /// Parses the schema tree back into a checkpoint.
-    pub fn from_value(v: &Value) -> Result<Self, CheckpointError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "Checkpoint"))?;
-        let field = |name: &str| serde::map_field(map, name, "Checkpoint");
-        let schema = String::deserialize_value(field("schema")?)?;
-        if schema != CKPT_SCHEMA {
-            return Err(CheckpointError::Mismatch(format!(
-                "checkpoint schema {schema:?}, this build reads {CKPT_SCHEMA:?}"
-            )));
+    /// The writer's layout of this view.
+    fn snapshot(&self) -> Snapshot<'_, Value> {
+        Snapshot {
+            head: Head {
+                config: self.config.clone(),
+                warmup_cycles: self.warmup_cycles,
+                measure_cycles: self.measure_cycles,
+                sample_every: self.sample_every,
+                cycle: self.cycle,
+                events: self.events,
+            },
+            pending: &self.pending,
+            sim: &self.sim,
+            source: &self.source,
         }
-        Ok(Checkpoint {
-            config: SystemConfig::deserialize_value(field("config")?)?,
-            warmup_cycles: u64::deserialize_value(field("warmup_cycles")?)?,
-            measure_cycles: u64::deserialize_value(field("measure_cycles")?)?,
-            sample_every: Option::deserialize_value(field("sample_every")?)?,
-            cycle: u64::deserialize_value(field("cycle")?)?,
-            events: u64::deserialize_value(field("events")?)?,
-            pending: Vec::deserialize_value(field("pending")?)?,
-            sim: field("sim")?.clone(),
-            source: field("source")?.clone(),
-        })
     }
 
     /// Encodes the checkpoint as the versioned binary container.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-        encode_value(&self.to_value(), &mut out);
-        out
+        to_bytes(&self.snapshot())
     }
 
     /// Decodes a checkpoint from the versioned binary container,
     /// rejecting foreign, truncated, or corrupted input with a typed
     /// error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(if bytes.starts_with(&MAGIC[..bytes.len().min(8)]) {
-                CheckpointError::Truncated
-            } else {
-                CheckpointError::BadMagic
-            });
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != CONTAINER_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let mut cursor = &bytes[12..];
-        let value = decode_value(&mut cursor, 0)?;
-        if !cursor.is_empty() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after the checkpoint tree",
-                cursor.len()
-            )));
-        }
-        Self::from_value(&value)
+        Self::read(Reader::from_slice(bytes)?)
     }
 
     /// Writes the binary container to `path` atomically (via a sibling
     /// temp file + rename), so a crash mid-save never leaves a torn
     /// checkpoint where a valid one is expected.
     pub fn write_to(&self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = self.to_bytes();
-        let tmp = path.with_extension("ckpt-partial");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        self.snapshot().write_to(path)
     }
 
     /// Reads and decodes a checkpoint file.
     pub fn read_from(path: &Path) -> Result<Self, CheckpointError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
+        Self::read(Reader::open(path)?)
+    }
+
+    fn read<R: BufRead>(mut reader: Reader<R>) -> Result<Self, CheckpointError> {
+        let head = reader.head()?;
+        let pending = reader.section("pending", Vec::deserialize)?;
+        let sim = reader.section("sim", Value::deserialize)?;
+        let source = reader.section("source", Value::deserialize)?;
+        reader.finish()?;
+        Ok(Checkpoint {
+            config: head.config,
+            warmup_cycles: head.warmup_cycles,
+            measure_cycles: head.measure_cycles,
+            sample_every: head.sample_every,
+            cycle: head.cycle,
+            events: head.events,
+            pending,
+            sim,
+            source,
+        })
     }
 }
 
-// --- binary Value codec ----------------------------------------------------
+/// The schema tree of the view (the logical format `CHECKPOINTS.md`
+/// documents), through [`Serialize::serialize_value`].
+impl Serialize for Checkpoint {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        self.snapshot().serialize(out)
+    }
+}
+
+/// A checkpoint's header fields, everything before `pending`: what a
+/// resume checks before it builds an engine.
+pub(crate) struct Head {
+    pub config: SystemConfig,
+    pub warmup_cycles: u64,
+    pub measure_cycles: u64,
+    pub sample_every: Option<u64>,
+    pub cycle: u64,
+    pub events: u64,
+}
+
+/// One checkpoint in file order, as the writer streams it. The `sim`
+/// section is generic: the engine path streams [`crate::PowerAwareSim`]
+/// itself, the [`Checkpoint`] view its tree.
+pub(crate) struct Snapshot<'a, Sim: ?Sized> {
+    pub head: Head,
+    pub pending: &'a [(Picos, SimEvent)],
+    pub sim: &'a Sim,
+    pub source: &'a Value,
+}
+
+impl<Sim: Serialize + ?Sized> Serialize for Snapshot<'_, Sim> {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        let head = &self.head;
+        out.token(Token::Map(10));
+        out.field("schema", CKPT_SCHEMA);
+        out.field("config", &head.config);
+        out.field("warmup_cycles", &head.warmup_cycles);
+        out.field("measure_cycles", &head.measure_cycles);
+        out.field("sample_every", &head.sample_every);
+        out.field("cycle", &head.cycle);
+        out.field("events", &head.events);
+        out.field("pending", self.pending);
+        out.field("sim", self.sim);
+        out.field("source", self.source);
+    }
+}
+
+impl<Sim: Serialize + ?Sized> Snapshot<'_, Sim> {
+    /// Streams the container to `path` atomically: through a buffered
+    /// writer into a sibling temp file, which is synced to disk and then
+    /// renamed over `path`.
+    pub(crate) fn write_to(&self, path: &Path) -> Result<(), CheckpointError> {
+        let tmp = path.with_extension("ckpt-partial");
+        let mut writer = Writer::new(BufWriter::with_capacity(BUFFER, File::create(&tmp)?));
+        self.serialize(&mut writer);
+        let file = writer.finish()?.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    }
+}
+
+/// The binary container of `value`, in memory.
+pub(crate) fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+    let mut writer = Writer::new(Vec::new());
+    value.serialize(&mut writer);
+    writer.finish().expect("writing to memory cannot fail")
+}
+
+// --- the binary codec ------------------------------------------------------
 //
 // Tag byte then payload; lengths and integers are fixed-width u64 LE so
 // the format needs no varint machinery. Floats are stored as raw IEEE
 // bits (`to_bits`), which round-trips every value including NaN and the
-// infinities `serde_json` rejects.
+// infinities `serde_json` rejects. A map entry is its key (u64 LE
+// length, UTF-8 bytes) followed by its value.
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -261,127 +297,341 @@ const TAG_MAP: u8 = 7;
 
 /// Nesting bound for the decoder: real checkpoints nest a handful of
 /// levels; anything deeper is corrupt input trying to blow the stack.
-const MAX_DEPTH: u32 = 64;
+const MAX_DEPTH: usize = 64;
 
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
+/// I/O buffer size for checkpoint files.
+const BUFFER: usize = 1 << 16;
+
+/// The one byte writer: the container header, then tokens in the binary
+/// codec, into any [`Write`]. The first I/O error sticks; later tokens
+/// are dropped and [`Writer::finish`] returns it.
+struct Writer<W: Write> {
+    out: W,
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> Writer<W> {
+    /// Starts a container on `out`: the magic and the version word.
+    fn new(out: W) -> Self {
+        let mut writer = Writer { out, error: None };
+        writer.put(MAGIC);
+        writer.put(&CONTAINER_VERSION.to_le_bytes());
+        writer
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            self.error = self.out.write_all(bytes).err();
         }
-        Value::U64(x) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I64(x) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-            for (k, val) in entries {
-                out.extend_from_slice(&(k.len() as u64).to_le_bytes());
-                out.extend_from_slice(k.as_bytes());
-                encode_value(val, out);
+    }
+
+    /// A tag byte and its 8-byte little-endian payload.
+    fn word(&mut self, tag: u8, word: u64) {
+        let mut buf = [tag; 9];
+        buf[1..].copy_from_slice(&word.to_le_bytes());
+        self.put(&buf);
+    }
+
+    /// A length-prefixed string.
+    fn text(&mut self, s: &str) {
+        self.put(&(s.len() as u64).to_le_bytes());
+        self.put(s.as_bytes());
+    }
+
+    /// Flushes, returning the output or the first I/O error.
+    fn finish(mut self) -> Result<W, CheckpointError> {
+        match self.error.take() {
+            Some(e) => Err(e.into()),
+            None => {
+                self.out.flush()?;
+                Ok(self.out)
             }
         }
     }
 }
 
-fn take<'a>(cursor: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
-    if cursor.len() < n {
-        return Err(CheckpointError::Truncated);
-    }
-    let (head, tail) = cursor.split_at(n);
-    *cursor = tail;
-    Ok(head)
-}
-
-fn take_u64(cursor: &mut &[u8]) -> Result<u64, CheckpointError> {
-    Ok(u64::from_le_bytes(
-        take(cursor, 8)?.try_into().expect("8 bytes"),
-    ))
-}
-
-fn take_len(cursor: &mut &[u8]) -> Result<usize, CheckpointError> {
-    let len = take_u64(cursor)?;
-    // A length can never exceed the bytes that remain; checking here
-    // turns a corrupted length word into an error instead of an OOM.
-    if len > cursor.len() as u64 {
-        return Err(CheckpointError::Corrupt(format!(
-            "length {len} exceeds the {} remaining bytes",
-            cursor.len()
-        )));
-    }
-    Ok(len as usize)
-}
-
-fn take_string(cursor: &mut &[u8]) -> Result<String, CheckpointError> {
-    let len = take_len(cursor)?;
-    let bytes = take(cursor, len)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| CheckpointError::Corrupt("string is not valid UTF-8".to_string()))
-}
-
-fn decode_value(cursor: &mut &[u8], depth: u32) -> Result<Value, CheckpointError> {
-    if depth > MAX_DEPTH {
-        return Err(CheckpointError::Corrupt(format!(
-            "nesting exceeds the maximum depth of {MAX_DEPTH}"
-        )));
-    }
-    let tag = take(cursor, 1)?[0];
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL => match take(cursor, 1)?[0] {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            b => Err(CheckpointError::Corrupt(format!("bool byte {b:#04x}"))),
-        },
-        TAG_U64 => Ok(Value::U64(take_u64(cursor)?)),
-        TAG_I64 => Ok(Value::I64(i64::from_le_bytes(
-            take(cursor, 8)?.try_into().expect("8 bytes"),
-        ))),
-        TAG_F64 => Ok(Value::F64(f64::from_bits(take_u64(cursor)?))),
-        TAG_STR => Ok(Value::Str(take_string(cursor)?)),
-        TAG_SEQ => {
-            let len = take_len(cursor)?;
-            let mut items = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                items.push(decode_value(cursor, depth + 1)?);
+impl<W: Write> Sink for Writer<W> {
+    fn token(&mut self, token: Token<'_>) {
+        match token {
+            Token::Null => self.put(&[TAG_NULL]),
+            Token::Bool(b) => self.put(&[TAG_BOOL, u8::from(b)]),
+            Token::U64(n) => self.word(TAG_U64, n),
+            Token::I64(n) => self.word(TAG_I64, n as u64),
+            Token::F64(x) => self.word(TAG_F64, x.to_bits()),
+            Token::Str(s) => {
+                self.put(&[TAG_STR]);
+                self.text(s);
             }
-            Ok(Value::Seq(items))
+            Token::Seq(len) => self.word(TAG_SEQ, len as u64),
+            Token::Map(len) => self.word(TAG_MAP, len as u64),
         }
-        TAG_MAP => {
-            let len = take_len(cursor)?;
-            let mut entries = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                let key = take_string(cursor)?;
-                let val = decode_value(cursor, depth + 1)?;
-                entries.push((key, val));
+    }
+
+    fn key(&mut self, key: &str) {
+        self.text(key);
+    }
+}
+
+/// The one byte reader: checks the container header, then decodes the
+/// binary codec from any [`BufRead`] as a token [`Source`]. It is
+/// defensive: every length word is checked against the bytes actually
+/// remaining (a corrupted length errors instead of attempting a huge
+/// allocation), nesting is capped at [`MAX_DEPTH`], a non-UTF-8 string or
+/// an unknown tag is corrupt, and [`Reader::finish`] rejects trailing
+/// bytes.
+pub(crate) struct Reader<R: BufRead> {
+    input: R,
+    /// Bytes not yet read.
+    left: u64,
+    /// Entries still to come in each open container, innermost last.
+    open: Vec<usize>,
+    /// The last string read.
+    text: Vec<u8>,
+    /// The codec failure behind the last error, if any: the [`Source`]
+    /// interface carries a plain [`serde::Error`], and
+    /// [`Reader::read`] restores the typed one.
+    fault: Option<CheckpointError>,
+}
+
+impl Reader<BufReader<File>> {
+    /// Opens a checkpoint file and checks its header.
+    pub(crate) fn open(path: &Path) -> Result<Self, CheckpointError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        Reader::new(BufReader::with_capacity(BUFFER, file), len)
+    }
+}
+
+impl<'a> Reader<&'a [u8]> {
+    /// Reads a checkpoint held in memory, after checking its header.
+    pub(crate) fn from_slice(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
+        Reader::new(bytes, bytes.len() as u64)
+    }
+}
+
+impl<R: BufRead> Reader<R> {
+    /// Checks the magic and the version word of an input `len` bytes
+    /// long.
+    fn new(mut input: R, len: u64) -> Result<Self, CheckpointError> {
+        let mut header = [0u8; 12];
+        let header = &mut header[..len.min(12) as usize];
+        input.read_exact(header)?;
+        if header.len() < 12 {
+            return Err(if header.starts_with(&MAGIC[..header.len().min(8)]) {
+                CheckpointError::Truncated
+            } else {
+                CheckpointError::BadMagic
+            });
+        }
+        if &header[..8] != MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        let version = u32::from_le_bytes(header[8..].try_into().expect("4 bytes"));
+        if version != CONTAINER_VERSION {
+            return Err(CheckpointError::UnsupportedVersion(version));
+        }
+        Ok(Reader {
+            input,
+            left: len - 12,
+            open: Vec::new(),
+            text: Vec::new(),
+            fault: None,
+        })
+    }
+
+    /// Runs one streaming read, turning its error into the typed cause:
+    /// the codec failure if there was one, else a schema mismatch.
+    pub(crate) fn read<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, serde::Error>,
+    ) -> Result<T, CheckpointError> {
+        let result = read(self);
+        result.map_err(|e| self.fault.take().unwrap_or(CheckpointError::Decode(e)))
+    }
+
+    /// Reads the root map's head and the header fields. The schema id
+    /// is checked before anything else: a different id is a
+    /// [`CheckpointError::Mismatch`] whatever follows it.
+    pub(crate) fn head(&mut self) -> Result<Head, CheckpointError> {
+        const TY: &str = "Checkpoint";
+        let fields = self.read(|src| match src.token()? {
+            Token::Map(n) => Ok(n),
+            _ => Err(serde::Error::expected("map", TY)),
+        })?;
+        let schema: String = self.read(|src| src.field("schema", TY))?;
+        if schema != CKPT_SCHEMA {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpoint schema {schema:?}, this build reads {CKPT_SCHEMA:?}"
+            )));
+        }
+        if fields != 10 {
+            return Err(CheckpointError::Decode(serde::Error::custom(format!(
+                "expected 10 fields for {TY}, got {fields}"
+            ))));
+        }
+        self.read(|src| {
+            Ok(Head {
+                config: src.field("config", TY)?,
+                warmup_cycles: src.field("warmup_cycles", TY)?,
+                measure_cycles: src.field("measure_cycles", TY)?,
+                sample_every: src.field("sample_every", TY)?,
+                cycle: src.field("cycle", TY)?,
+                events: src.field("events", TY)?,
+            })
+        })
+    }
+
+    /// Reads the next root field, which must be `name`, with `read`.
+    pub(crate) fn section<T>(
+        &mut self,
+        name: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, serde::Error>,
+    ) -> Result<T, CheckpointError> {
+        self.read(|src| {
+            src.expect_key(name, "Checkpoint")?;
+            read(src)
+        })
+    }
+
+    /// Checks that nothing follows the root value.
+    pub(crate) fn finish(self) -> Result<(), CheckpointError> {
+        debug_assert!(self.open.is_empty(), "checkpoint read stopped mid-tree");
+        if self.left > 0 {
+            return Err(CheckpointError::Corrupt(format!(
+                "{} trailing bytes after the checkpoint tree",
+                self.left
+            )));
+        }
+        Ok(())
+    }
+
+    /// Records a codec failure; returns its stand-in for [`Source`].
+    fn fail(&mut self, e: CheckpointError) -> serde::Error {
+        let error = serde::Error::custom(e.to_string());
+        self.fault = Some(e);
+        error
+    }
+
+    fn corrupt(&mut self, msg: String) -> serde::Error {
+        self.fail(CheckpointError::Corrupt(msg))
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), serde::Error> {
+        if buf.len() as u64 > self.left {
+            return Err(self.fail(CheckpointError::Truncated));
+        }
+        if let Err(e) = self.input.read_exact(buf) {
+            return Err(self.fail(e.into()));
+        }
+        self.left -= buf.len() as u64;
+        Ok(())
+    }
+
+    fn word(&mut self) -> Result<u64, serde::Error> {
+        let mut buf = [0u8; 8];
+        self.fill(&mut buf)?;
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    /// A length word, which can never exceed the bytes that remain:
+    /// checking here turns a corrupted length into an error instead of
+    /// an out-of-memory abort.
+    fn len(&mut self) -> Result<usize, serde::Error> {
+        let len = self.word()?;
+        if len > self.left {
+            return Err(self.corrupt(format!(
+                "length {len} exceeds the {} remaining bytes",
+                self.left
+            )));
+        }
+        Ok(len as usize)
+    }
+
+    /// A length-prefixed UTF-8 string.
+    fn text(&mut self) -> Result<&str, serde::Error> {
+        let len = self.len()?;
+        let mut text = std::mem::take(&mut self.text);
+        text.resize(len, 0);
+        let filled = self.fill(&mut text);
+        self.text = text;
+        filled?;
+        if std::str::from_utf8(&self.text).is_err() {
+            return Err(self.corrupt("string is not valid UTF-8".to_string()));
+        }
+        Ok(std::str::from_utf8(&self.text).expect("checked above"))
+    }
+
+    /// Counts one finished value against the open containers, closing
+    /// every container it completes.
+    fn end_value(&mut self) {
+        while let Some(left) = self.open.last_mut() {
+            *left -= 1;
+            if *left > 0 {
+                return;
             }
-            Ok(Value::Map(entries))
+            self.open.pop();
         }
-        other => Err(CheckpointError::Corrupt(format!(
-            "unknown value tag {other:#04x}"
-        ))),
+    }
+}
+
+impl<R: BufRead> Source for Reader<R> {
+    fn token(&mut self) -> Result<Token<'_>, serde::Error> {
+        if self.open.len() > MAX_DEPTH {
+            return Err(self.corrupt(format!("nesting exceeds the maximum depth of {MAX_DEPTH}")));
+        }
+        let mut tag = [0u8];
+        self.fill(&mut tag)?;
+        let token = match tag[0] {
+            TAG_NULL => Token::Null,
+            TAG_BOOL => {
+                let mut b = [0u8];
+                self.fill(&mut b)?;
+                match b[0] {
+                    0 => Token::Bool(false),
+                    1 => Token::Bool(true),
+                    b => return Err(self.corrupt(format!("bool byte {b:#04x}"))),
+                }
+            }
+            TAG_U64 => Token::U64(self.word()?),
+            TAG_I64 => Token::I64(self.word()? as i64),
+            TAG_F64 => Token::F64(f64::from_bits(self.word()?)),
+            TAG_STR => {
+                self.text()?;
+                self.end_value();
+                return Ok(Token::Str(
+                    std::str::from_utf8(&self.text).expect("checked by text()"),
+                ));
+            }
+            TAG_SEQ | TAG_MAP => {
+                let len = self.len()?;
+                if len > 0 {
+                    self.open.push(len);
+                } else {
+                    self.end_value();
+                }
+                return Ok(if tag[0] == TAG_SEQ {
+                    Token::Seq(len)
+                } else {
+                    Token::Map(len)
+                });
+            }
+            other => return Err(self.corrupt(format!("unknown value tag {other:#04x}"))),
+        };
+        self.end_value();
+        Ok(token)
+    }
+
+    fn key(&mut self) -> Result<&str, serde::Error> {
+        self.text()
+    }
+
+    fn peek_null(&mut self) -> Result<bool, serde::Error> {
+        let next = self.input.fill_buf().map(|buf| buf.first().copied());
+        match next {
+            Ok(Some(tag)) if self.left > 0 => Ok(tag == TAG_NULL),
+            Ok(_) => Err(self.fail(CheckpointError::Truncated)),
+            Err(e) => Err(self.fail(e.into())),
+        }
     }
 }
 
@@ -510,29 +760,49 @@ mod tests {
 
     #[test]
     fn wrong_schema_string_rejected() {
-        let mut ckpt = sample();
-        let mut v = ckpt.to_value();
+        let mut v = sample().serialize_value();
         if let Value::Map(entries) = &mut v {
             entries[0].1 = Value::Str("lumen-ckpt/999".to_string());
         }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-        encode_value(&v, &mut bytes);
         assert!(matches!(
-            Checkpoint::from_bytes(&bytes),
+            Checkpoint::from_bytes(&to_bytes(&v)),
             Err(CheckpointError::Mismatch(_))
         ));
         // And a structurally wrong tree is a Decode error.
-        ckpt.pending.clear();
         let v = Value::Map(vec![("schema".into(), Value::Str(CKPT_SCHEMA.into()))]);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-        encode_value(&v, &mut bytes);
         assert!(matches!(
-            Checkpoint::from_bytes(&bytes),
+            Checkpoint::from_bytes(&to_bytes(&v)),
             Err(CheckpointError::Decode(_))
+        ));
+    }
+
+    #[test]
+    fn fields_out_of_declaration_order_rejected() {
+        let mut v = sample().serialize_value();
+        if let Value::Map(entries) = &mut v {
+            entries.swap(3, 4);
+        }
+        let err = Checkpoint::from_bytes(&to_bytes(&v)).expect_err("out of order");
+        assert!(matches!(err, CheckpointError::Decode(_)), "{err}");
+        assert!(err.to_string().contains("declaration order"), "{err}");
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_rejected() {
+        let deep = |levels: usize| {
+            let mut v = Value::Null;
+            for _ in 0..levels {
+                v = Value::Seq(vec![v]);
+            }
+            let mut ckpt = sample();
+            ckpt.sim = v;
+            ckpt.to_bytes()
+        };
+        // The sim tree sits at depth 1; its innermost null at depth 1 + levels.
+        Checkpoint::from_bytes(&deep(MAX_DEPTH - 1)).expect("within the cap");
+        assert!(matches!(
+            Checkpoint::from_bytes(&deep(MAX_DEPTH)),
+            Err(CheckpointError::Corrupt(msg)) if msg.contains("depth")
         ));
     }
 

@@ -76,9 +76,7 @@ pub use exec::{Executor, Point, PointError, PointResult, Workload};
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FAULT_STREAM};
 pub use results::RunResult;
 pub use runner::Experiment;
-pub use shard::{
-    default_shards, effective_shards, run_sharded_with, set_default_shards, ShardedOutcome,
-};
+pub use shard::{default_shards, effective_shards, set_default_shards};
 pub use sim::PowerAwareSim;
 pub use sweep::{LoadSweep, SweepPoint};
 pub use telemetry::{

@@ -1,13 +1,14 @@
 //! Experiment orchestration: warmup, measurement, and result collection.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{CheckpointError, Head, Reader, Snapshot};
 use crate::config::SystemConfig;
 use crate::results::RunResult;
-use crate::sim::PowerAwareSim;
+use crate::sim::{PowerAwareSim, SimEvent};
 use crate::telemetry::TelemetryConfig;
-use lumen_desim::{Engine, Picos, Rng};
+use lumen_desim::{Picos, Rng};
 use lumen_traffic::{PacketSize, Pattern, RateProfile, SplashApp, SyntheticSource, TrafficSource};
-use std::path::PathBuf;
+use serde::{Deserialize, Value};
+use std::path::{Path, PathBuf};
 
 /// The injection rate (packets/cycle) of the near-idle run that anchors
 /// the paper's saturation-throughput definition (§4.1).
@@ -73,7 +74,7 @@ impl Experiment {
         }
     }
 
-    /// Saves a [`Checkpoint`] to `path` when the run reaches `cycle`
+    /// Saves a [`crate::Checkpoint`] to `path` when the run reaches `cycle`
     /// (counted from cycle 0, warmup included), then continues to the
     /// end. "At cycle `c`" means after core tick `c` and every event at
     /// time ≤ `c` cycles — so a later [`Experiment::resume`] continues
@@ -193,9 +194,7 @@ impl Experiment {
                 self.save.is_none(),
                 "resume + save_at in one run is not supported; resume, then save from that run"
             );
-            let ckpt = Checkpoint::read_from(&path)
-                .unwrap_or_else(|e| panic!("cannot resume from {}: {e}", path.display()));
-            return self.run_resumed(ckpt, source);
+            return self.run_resumed(&path, source);
         }
         if let Some((cycle, path)) = self.save.clone() {
             return self.run_with_save(source, cycle, &path);
@@ -214,19 +213,18 @@ impl Experiment {
         self.collect(outcome.sim, outcome.end, outcome.events, false)
     }
 
-    /// Builds the sequential engine and runs it up to `upto` cycles
-    /// (warmup included), capturing a [`Checkpoint`] there. The engine is
-    /// returned still live — the calendar is intact (captured events are
-    /// re-scheduled in drain order), so the caller can keep running it.
-    fn run_prefix(
+    /// The `save_at` run: sequential to the save point, the engine state
+    /// streamed to disk there, then on to the end on the same engine.
+    fn run_with_save(
         &self,
         source: Box<dyn TrafficSource + Send>,
-        upto: u64,
-    ) -> (Checkpoint, Engine<PowerAwareSim>) {
+        save_cycle: u64,
+        path: &Path,
+    ) -> RunResult {
         let total = self.warmup_cycles + self.measure_cycles;
         assert!(
-            upto <= total,
-            "checkpoint cycle {upto} is beyond the run's {total}-cycle horizon"
+            save_cycle <= total,
+            "checkpoint cycle {save_cycle} is beyond the run's {total}-cycle horizon"
         );
         assert!(
             source.checkpoint_state().is_some(),
@@ -239,12 +237,12 @@ impl Experiment {
             self.telemetry,
         );
         let cycle = engine.model().cycle;
-        if upto >= self.warmup_cycles {
+        if save_cycle >= self.warmup_cycles {
             engine.run_until(cycle * self.warmup_cycles);
             let now = engine.now();
             engine.model_mut().begin_measurement(now);
         }
-        engine.run_until(cycle * upto);
+        engine.run_until(cycle * save_cycle);
         // Stalled routers apply their skipped ticks, so the capture holds
         // what every router would have had ticking every cycle.
         engine.model_mut().network_mut().settle_all();
@@ -255,68 +253,63 @@ impl Experiment {
         for &(at, ev) in &pending {
             engine.queue_mut().schedule(at, ev);
         }
-        let ckpt = Checkpoint {
-            config: self.config.clone(),
-            warmup_cycles: self.warmup_cycles,
-            measure_cycles: self.measure_cycles,
-            sample_every: self.sample_every,
-            cycle: upto,
-            events: engine.processed(),
-            pending,
-            sim: engine.model().checkpoint_state(),
-            source: engine
-                .model()
-                .source
-                .checkpoint_state()
-                .expect("checked checkpointable above"),
-        };
-        (ckpt, engine)
-    }
-
-    /// The `save_at` run: sequential to the save point, checkpoint to
-    /// disk, then continue to the end on the same engine.
-    fn run_with_save(
-        &self,
-        source: Box<dyn TrafficSource + Send>,
-        save_cycle: u64,
-        path: &std::path::Path,
-    ) -> RunResult {
-        let (ckpt, mut engine) = self.run_prefix(source, save_cycle);
-        ckpt.write_to(path)
-            .unwrap_or_else(|e| panic!("cannot write checkpoint to {}: {e}", path.display()));
-        let cycle = engine.model().cycle;
+        let source = engine
+            .model()
+            .source
+            .checkpoint_state()
+            .expect("checked checkpointable above");
+        Snapshot {
+            head: Head {
+                config: self.config.clone(),
+                warmup_cycles: self.warmup_cycles,
+                measure_cycles: self.measure_cycles,
+                sample_every: self.sample_every,
+                cycle: save_cycle,
+                events: engine.processed(),
+            },
+            pending: &pending,
+            sim: engine.model(),
+            source: &source,
+        }
+        .write_to(path)
+        .unwrap_or_else(|e| panic!("cannot write checkpoint to {}: {e}", path.display()));
         if save_cycle < self.warmup_cycles {
             engine.run_until(cycle * self.warmup_cycles);
             let now = engine.now();
             engine.model_mut().begin_measurement(now);
         }
-        let end = cycle * (self.warmup_cycles + self.measure_cycles);
+        let end = cycle * total;
         engine.run_until(end);
         let events = engine.processed();
         self.collect(engine.into_model(), end, events, false)
     }
 
-    /// The resume path: rebuild a fresh system from configuration,
-    /// restore the checkpointed state into it, replay the saved calendar,
-    /// and run from the save point to the end.
-    fn run_resumed(&self, ckpt: Checkpoint, source: Box<dyn TrafficSource + Send>) -> RunResult {
+    /// The resume path: check the checkpoint's header against this
+    /// experiment, build a fresh system from configuration, stream the
+    /// saved state into it in file order, replay the saved calendar, and
+    /// run from the save point to the end.
+    fn run_resumed(&self, path: &Path, source: Box<dyn TrafficSource + Send>) -> RunResult {
+        let fail =
+            |e: CheckpointError| -> ! { panic!("cannot resume from {}: {e}", path.display()) };
+        let mut reader = Reader::open(path).unwrap_or_else(|e| fail(e));
+        let head = reader.head().unwrap_or_else(|e| fail(e));
         assert!(
-            ckpt.config == self.config,
+            head.config == self.config,
             "checkpoint was saved from a different system configuration"
         );
         assert_eq!(
-            ckpt.warmup_cycles, self.warmup_cycles,
+            head.warmup_cycles, self.warmup_cycles,
             "checkpoint warmup differs from this experiment's"
         );
         assert_eq!(
-            ckpt.sample_every, self.sample_every,
+            head.sample_every, self.sample_every,
             "checkpoint sampling period differs from this experiment's"
         );
         let total = self.warmup_cycles + self.measure_cycles;
         assert!(
-            ckpt.cycle <= total,
+            head.cycle <= total,
             "checkpoint cycle {} is beyond this run's {total}-cycle horizon",
-            ckpt.cycle
+            head.cycle
         );
         let mut engine = PowerAwareSim::build_engine_telemetry(
             self.config.clone(),
@@ -327,27 +320,33 @@ impl Experiment {
         // The fresh engine scheduled a cold start (tick 0, laser epoch,
         // fault onsets); the checkpoint's calendar replaces all of it.
         let _ = engine.drain_pending();
-        engine
-            .model_mut()
-            .restore_state(&ckpt.sim)
-            .unwrap_or_else(|e| panic!("checkpoint does not fit this system: {e}"));
+        let pending: Vec<(Picos, SimEvent)> = reader
+            .section("pending", Vec::deserialize)
+            .unwrap_or_else(|e| fail(e));
+        reader
+            .section("sim", |src| engine.model_mut().restore(src))
+            .unwrap_or_else(|e| fail(e));
+        let source: Value = reader
+            .section("source", Value::deserialize)
+            .unwrap_or_else(|e| fail(e));
+        reader.finish().unwrap_or_else(|e| fail(e));
         engine
             .model_mut()
             .source
-            .restore_state(&ckpt.source)
+            .restore_state(&source)
             .unwrap_or_else(|e| panic!("checkpoint does not fit this traffic source: {e}"));
-        for &(at, ev) in &ckpt.pending {
+        for (at, ev) in pending {
             engine.queue_mut().schedule(at, ev);
         }
         let cycle = engine.model().cycle;
-        if ckpt.cycle < self.warmup_cycles {
+        if head.cycle < self.warmup_cycles {
             engine.run_until(cycle * self.warmup_cycles);
             let now = engine.now();
             engine.model_mut().begin_measurement(now);
         }
         let end = cycle * total;
         engine.run_until(end);
-        let events = ckpt.events + engine.processed();
+        let events = head.events + engine.processed();
         self.collect(engine.into_model(), end, events, true)
     }
 

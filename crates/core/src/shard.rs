@@ -1,6 +1,6 @@
 //! The sharded conservative-parallel simulation backend.
 //!
-//! [`run_sharded_with`] partitions the fabric into `S` contiguous router
+//! `run_sharded_with` partitions the fabric into `S` contiguous router
 //! bands — the cuts come from the topology
 //! ([`Topology::shard_cuts`]; row bands on meshes and tori, leaf bands
 //! on the folded Clos) — gives each band its own [`PowerAwareSim`]
@@ -749,8 +749,10 @@ impl Coordinator {
 // The parallel run
 // ---------------------------------------------------------------------
 
-/// The outcome of a [`run_sharded_with`] call.
-pub struct ShardedOutcome {
+/// The outcome of a [`run_sharded_with`] call. Only the protocol tests
+/// read the window, barrier and lookahead counts.
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) struct ShardedOutcome {
     /// The merged system, equivalent to the sequential engine's final
     /// model: every accessor (`latency_summary`, `energy_nj`, series,
     /// counters, audit) reads identically.
@@ -792,7 +794,7 @@ pub struct ShardedOutcome {
 /// immutable `Arc` handed to every shard replica, so replicas never redo
 /// the all-pairs enumeration.
 #[allow(clippy::too_many_arguments)]
-pub fn run_sharded_with(
+pub(crate) fn run_sharded_with(
     config: SystemConfig,
     source: Box<dyn TrafficSource + Send>,
     sample_every: Option<u64>,

@@ -37,7 +37,7 @@ use lumen_policy::{
 };
 use lumen_stats::{EnergyAccount, Histogram, Summary, TimeSeries};
 use lumen_traffic::TrafficSource;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Source, Token};
 use std::sync::Arc;
 
 /// The simulation's event alphabet.
@@ -1283,170 +1283,122 @@ impl PowerAwareSim {
         self.faults_at_measure += donor.faults_at_measure;
     }
 
-    /// The sim's complete mutable state as a checkpoint [`Value`] tree.
-    ///
-    /// Serializes exactly the state that evolves during a run; everything
-    /// derivable from [`SystemConfig`] (the power model, the LUT, cycle
-    /// and window constants, routing tables) is rebuilt on restore. The
-    /// traffic source is *not* included — it lives beside the sim in
-    /// [`crate::Checkpoint`] because it is a trait object the sim does
-    /// not own the concrete type of.
-    ///
-    /// Call [`Network::settle_all`] on [`PowerAwareSim::network_mut`]
-    /// first, as [`crate::Experiment::save_at`] does: a stalled router's
-    /// counters are only complete once its skipped ticks are applied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a shard replica: checkpoints capture the
-    /// sequential engine only (see `CHECKPOINTS.md`).
-    pub fn checkpoint_state(&self) -> Value {
-        assert!(
-            self.shard.is_none(),
-            "checkpoints capture the sequential engine, not shard replicas"
-        );
-        let telemetry = match self.telemetry.as_deref() {
-            Some(t) => t.checkpoint_state(),
-            None => Value::Null,
-        };
-        Value::Map(vec![
-            ("net".into(), self.net.checkpoint_state()),
-            ("controllers".into(), self.controllers.serialize_value()),
-            ("onoff".into(), self.onoff.serialize_value()),
-            ("sleeping".into(), self.sleeping.serialize_value()),
-            ("lasers".into(), self.lasers.serialize_value()),
-            ("accounts".into(), self.accounts.serialize_value()),
-            ("current_point".into(), self.current_point.serialize_value()),
-            ("cycle_index".into(), self.cycle_index.serialize_value()),
-            ("faults".into(), self.faults.serialize_value()),
-            ("link_epoch".into(), self.link_epoch.serialize_value()),
-            ("measure_from".into(), self.measure_from.serialize_value()),
-            ("latency".into(), self.latency.serialize_value()),
-            ("latency_hist".into(), self.latency_hist.serialize_value()),
-            (
-                "packets_injected_measured".into(),
-                self.packets_injected_measured.serialize_value(),
-            ),
-            (
-                "packets_dropped_at_measure".into(),
-                self.packets_dropped_at_measure.serialize_value(),
-            ),
-            (
-                "flits_dropped_at_measure".into(),
-                self.flits_dropped_at_measure.serialize_value(),
-            ),
-            (
-                "flits_corrupted_at_measure".into(),
-                self.flits_corrupted_at_measure.serialize_value(),
-            ),
-            (
-                "faults_at_measure".into(),
-                self.faults_at_measure.serialize_value(),
-            ),
-            ("bucket_latency".into(), self.bucket_latency.serialize_value()),
-            ("bucket_injected".into(), self.bucket_injected.serialize_value()),
-            (
-                "last_sample_time".into(),
-                self.last_sample_time.serialize_value(),
-            ),
-            (
-                "last_sample_energy_nj".into(),
-                self.last_sample_energy_nj.serialize_value(),
-            ),
-            ("latency_series".into(), self.latency_series.serialize_value()),
-            ("power_series".into(), self.power_series.serialize_value()),
-            (
-                "injection_series".into(),
-                self.injection_series.serialize_value(),
-            ),
-            ("telemetry".into(), telemetry),
-        ])
-    }
-
-    /// Restores state captured by [`PowerAwareSim::checkpoint_state`] into
-    /// a freshly built sim of the *same* [`SystemConfig`]. Validates that
-    /// every per-link vector matches this system's link count, so loading
-    /// a checkpoint into a mismatched topology fails loudly instead of
-    /// silently corrupting state.
-    pub(crate) fn restore_state(&mut self, state: &Value) -> Result<(), serde::Error> {
+    /// Restores the state [`PowerAwareSim`]'s [`Serialize`] impl wrote
+    /// into a freshly built sim of the *same* [`SystemConfig`], reading
+    /// the checkpoint stream in place. Validates that every per-link
+    /// vector matches this system's link count and that the fault plan,
+    /// telemetry and its retention are configured alike, so loading a
+    /// checkpoint into a mismatched system fails loudly instead of
+    /// silently corrupting state. On an error the sim is partly restored
+    /// and must be discarded.
+    pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         assert!(
             self.shard.is_none(),
             "checkpoints restore onto the sequential engine, not shard replicas"
         );
-        let map = state
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "PowerAwareSim"))?;
-        let field = |name: &str| serde::map_field(map, name, "PowerAwareSim");
-        let links = self.net.link_count();
-        let controllers: Vec<LinkPolicyController> =
-            Vec::deserialize_value(field("controllers")?)?;
-        let onoff: Vec<OnOffController> = Vec::deserialize_value(field("onoff")?)?;
-        let lasers: Vec<LaserSourceController> = Vec::deserialize_value(field("lasers")?)?;
-        let accounts: Vec<EnergyAccount> = Vec::deserialize_value(field("accounts")?)?;
-        let current_point: Vec<OperatingPoint> =
-            Vec::deserialize_value(field("current_point")?)?;
-        let link_epoch: Vec<u64> = Vec::deserialize_value(field("link_epoch")?)?;
-        for (name, got, want) in [
-            ("controllers", controllers.len(), self.controllers.len()),
-            ("onoff", onoff.len(), self.onoff.len()),
-            ("lasers", lasers.len(), self.lasers.len()),
-            ("accounts", accounts.len(), links),
-            ("current_point", current_point.len(), links),
-            ("link_epoch", link_epoch.len(), links),
-        ] {
-            if got != want {
-                return Err(serde::Error::custom(format!(
-                    "checkpoint {name} has {got} entries, this system expects {want}"
-                )));
-            }
-        }
-        let faults: Option<FaultPlan> = Option::deserialize_value(field("faults")?)?;
+        const TY: &str = "PowerAwareSim";
+        src.map_of(26, TY)?;
+        src.expect_key("net", TY)?;
+        self.net.restore(src)?;
+        src.field_into("controllers", &mut self.controllers, TY)?;
+        src.field_into("onoff", &mut self.onoff, TY)?;
+        self.sleeping = src.field("sleeping", TY)?;
+        src.field_into("lasers", &mut self.lasers, TY)?;
+        src.field_into("accounts", &mut self.accounts, TY)?;
+        src.field_into("current_point", &mut self.current_point, TY)?;
+        self.cycle_index = src.field("cycle_index", TY)?;
+        let faults: Option<FaultPlan> = src.field("faults", TY)?;
         if faults.is_some() != self.faults.is_some() {
             return Err(serde::Error::custom(
                 "checkpoint fault plan presence does not match this configuration",
             ));
         }
-        self.net.restore_state(field("net")?)?;
-        match (self.telemetry.as_deref_mut(), field("telemetry")?) {
-            (Some(t), v @ Value::Map(_)) => t.restore_state(v)?,
-            (None, Value::Null) => {}
-            (mine, _) => {
-                return Err(serde::Error::custom(format!(
-                    "checkpoint telemetry presence does not match this configuration \
-                     (collector enabled here: {})",
-                    mine.is_some()
-                )));
-            }
-        }
-        self.controllers = controllers;
-        self.onoff = onoff;
-        self.lasers = lasers;
-        self.accounts = accounts;
-        self.current_point = current_point;
-        self.link_epoch = link_epoch;
         self.faults = faults;
-        self.sleeping = Vec::deserialize_value(field("sleeping")?)?;
-        self.cycle_index = u64::deserialize_value(field("cycle_index")?)?;
-        self.measure_from = Picos::deserialize_value(field("measure_from")?)?;
-        self.latency = Summary::deserialize_value(field("latency")?)?;
-        self.latency_hist = Histogram::deserialize_value(field("latency_hist")?)?;
-        self.packets_injected_measured =
-            u64::deserialize_value(field("packets_injected_measured")?)?;
-        self.packets_dropped_at_measure =
-            u64::deserialize_value(field("packets_dropped_at_measure")?)?;
-        self.flits_dropped_at_measure =
-            u64::deserialize_value(field("flits_dropped_at_measure")?)?;
-        self.flits_corrupted_at_measure =
-            u64::deserialize_value(field("flits_corrupted_at_measure")?)?;
-        self.faults_at_measure = u64::deserialize_value(field("faults_at_measure")?)?;
-        self.bucket_latency = Summary::deserialize_value(field("bucket_latency")?)?;
-        self.bucket_injected = u64::deserialize_value(field("bucket_injected")?)?;
-        self.last_sample_time = Picos::deserialize_value(field("last_sample_time")?)?;
-        self.last_sample_energy_nj = f64::deserialize_value(field("last_sample_energy_nj")?)?;
-        self.latency_series = TimeSeries::deserialize_value(field("latency_series")?)?;
-        self.power_series = TimeSeries::deserialize_value(field("power_series")?)?;
-        self.injection_series = TimeSeries::deserialize_value(field("injection_series")?)?;
-        Ok(())
+        src.field_into("link_epoch", &mut self.link_epoch, TY)?;
+        self.measure_from = src.field("measure_from", TY)?;
+        self.latency = src.field("latency", TY)?;
+        self.latency_hist = src.field("latency_hist", TY)?;
+        self.packets_injected_measured = src.field("packets_injected_measured", TY)?;
+        self.packets_dropped_at_measure = src.field("packets_dropped_at_measure", TY)?;
+        self.flits_dropped_at_measure = src.field("flits_dropped_at_measure", TY)?;
+        self.flits_corrupted_at_measure = src.field("flits_corrupted_at_measure", TY)?;
+        self.faults_at_measure = src.field("faults_at_measure", TY)?;
+        self.bucket_latency = src.field("bucket_latency", TY)?;
+        self.bucket_injected = src.field("bucket_injected", TY)?;
+        self.last_sample_time = src.field("last_sample_time", TY)?;
+        self.last_sample_energy_nj = src.field("last_sample_energy_nj", TY)?;
+        self.latency_series = src.field("latency_series", TY)?;
+        self.power_series = src.field("power_series", TY)?;
+        self.injection_series = src.field("injection_series", TY)?;
+        src.expect_key("telemetry", TY)?;
+        match (self.telemetry.as_deref_mut(), src.peek_null()?) {
+            (Some(t), false) => t.restore(src),
+            (None, true) => src.token().map(drop),
+            (mine, _) => Err(serde::Error::custom(format!(
+                "checkpoint telemetry presence does not match this configuration \
+                 (collector enabled here: {})",
+                mine.is_some()
+            ))),
+        }
+    }
+}
+
+/// The sim's complete mutable state: the `sim` section of a checkpoint.
+///
+/// Serializes exactly the state that evolves during a run; everything
+/// derivable from [`SystemConfig`] (the power model, the LUT, cycle and
+/// window constants, routing tables) is rebuilt on restore. The traffic
+/// source is *not* included — it lives beside the sim in the checkpoint
+/// because it is a trait object the sim does not own the concrete type
+/// of.
+///
+/// Call [`Network::settle_all`] on [`PowerAwareSim::network_mut`] first,
+/// as [`crate::Experiment::save_at`] does: a stalled router's counters
+/// are only complete once its skipped ticks are applied.
+///
+/// # Panics
+///
+/// Panics on a shard replica: checkpoints capture the sequential engine
+/// only (see `CHECKPOINTS.md`).
+impl Serialize for PowerAwareSim {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        assert!(
+            self.shard.is_none(),
+            "checkpoints capture the sequential engine, not shard replicas"
+        );
+        out.token(Token::Map(26));
+        out.field("net", &self.net);
+        out.field("controllers", &self.controllers);
+        out.field("onoff", &self.onoff);
+        out.field("sleeping", &self.sleeping);
+        out.field("lasers", &self.lasers);
+        out.field("accounts", &self.accounts);
+        out.field("current_point", &self.current_point);
+        out.field("cycle_index", &self.cycle_index);
+        out.field("faults", &self.faults);
+        out.field("link_epoch", &self.link_epoch);
+        out.field("measure_from", &self.measure_from);
+        out.field("latency", &self.latency);
+        out.field("latency_hist", &self.latency_hist);
+        out.field("packets_injected_measured", &self.packets_injected_measured);
+        out.field(
+            "packets_dropped_at_measure",
+            &self.packets_dropped_at_measure,
+        );
+        out.field("flits_dropped_at_measure", &self.flits_dropped_at_measure);
+        out.field(
+            "flits_corrupted_at_measure",
+            &self.flits_corrupted_at_measure,
+        );
+        out.field("faults_at_measure", &self.faults_at_measure);
+        out.field("bucket_latency", &self.bucket_latency);
+        out.field("bucket_injected", &self.bucket_injected);
+        out.field("last_sample_time", &self.last_sample_time);
+        out.field("last_sample_energy_nj", &self.last_sample_energy_nj);
+        out.field("latency_series", &self.latency_series);
+        out.field("power_series", &self.power_series);
+        out.field("injection_series", &self.injection_series);
+        out.field("telemetry", &self.telemetry);
     }
 }
 

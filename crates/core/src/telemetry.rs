@@ -24,7 +24,7 @@
 //! order exactly, so `--shards 1` and `--shards 2` traces are
 //! byte-identical. See `DESIGN.md` §6d and `OBSERVABILITY.md`.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Source, Token};
 use std::collections::VecDeque;
 
 /// Version tag stamped into every trace header. Bump when a field is
@@ -448,39 +448,46 @@ impl TelemetryCollector {
         out
     }
 
-    /// The collector's mutable state as a checkpoint [`Value`]
-    /// (configuration is rebuilt from [`SystemConfig`], not stored).
-    pub fn checkpoint_state(&self) -> Value {
-        Value::Map(vec![
-            ("active".into(), self.active.serialize_value()),
-            ("rows".into(), self.rows.serialize_value()),
-            (
-                "last_energy_nj".into(),
-                self.last_energy_nj.serialize_value(),
-            ),
-            ("retention".into(), self.retention.serialize_value()),
-        ])
-    }
-
-    /// Restores state captured by [`TelemetryCollector::checkpoint_state`].
-    pub fn restore_state(&mut self, state: &Value) -> Result<(), serde::Error> {
-        let map = state
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "TelemetryCollector"))?;
-        let field = |name: &str| serde::map_field(map, name, "TelemetryCollector");
-        let last: Vec<f64> = Vec::deserialize_value(field("last_energy_nj")?)?;
-        if last.len() != self.last_energy_nj.len() {
+    /// Restores the state the collector's [`Serialize`] impl wrote,
+    /// reading the checkpoint stream in place. The saved retention must
+    /// be this run's ([`TelemetryConfig::retain_windows`], as the cap it
+    /// becomes): a resumed run that adopted another retention would
+    /// silently export a different trace than either run asked for.
+    pub fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+        const TY: &str = "TelemetryCollector";
+        src.map_of(4, TY)?;
+        self.active = src.field("active", TY)?;
+        self.rows = src.field("rows", TY)?;
+        src.field_into("last_energy_nj", &mut self.last_energy_nj, TY)?;
+        let retention: Option<RowRetention> = src.field("retention", TY)?;
+        let saved = retention.as_ref().map(|r| r.cap);
+        let here = self.config.retain_windows.map(|n| (n as usize).max(2));
+        if saved != here {
+            let describe = |cap: Option<usize>| match cap {
+                Some(cap) => format!("a {cap}-window retention cap"),
+                None => "no retention cap (every window kept)".to_string(),
+            };
             return Err(serde::Error::custom(format!(
-                "checkpoint has {} telemetry links, this network has {}",
-                last.len(),
-                self.last_energy_nj.len()
+                "telemetry retention differs: the checkpoint has {}, this run has {}",
+                describe(saved),
+                describe(here)
             )));
         }
-        self.active = bool::deserialize_value(field("active")?)?;
-        self.rows = Vec::deserialize_value(field("rows")?)?;
-        self.last_energy_nj = last;
-        self.retention = Option::deserialize_value(field("retention")?)?;
+        self.retention = retention;
         Ok(())
+    }
+}
+
+/// The collector's mutable state, the `telemetry` entry of a checkpoint's
+/// `sim` section. Its configuration is rebuilt from the resuming run, not
+/// stored: the file records neither `counters` nor `link_series`.
+impl Serialize for TelemetryCollector {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        out.token(Token::Map(4));
+        out.field("active", &self.active);
+        out.field("rows", &self.rows);
+        out.field("last_energy_nj", &self.last_energy_nj);
+        out.field("retention", &self.retention);
     }
 }
 
@@ -628,6 +635,18 @@ mod tests {
         }
     }
 
+    /// Streams `from`'s checkpoint state into `into` through the byte
+    /// codec.
+    fn transfer(
+        from: &TelemetryCollector,
+        into: &mut TelemetryCollector,
+    ) -> Result<(), crate::CheckpointError> {
+        let bytes = crate::checkpoint::to_bytes(from);
+        let mut reader = crate::checkpoint::Reader::from_slice(&bytes)?;
+        reader.read(|src| into.restore(src))?;
+        reader.finish()
+    }
+
     #[test]
     fn retention_keeps_everything_below_cap() {
         let mut c = TelemetryCollector::new(retained_config(8), 2);
@@ -691,9 +710,8 @@ mod tests {
 
         let mut first = TelemetryCollector::new(retained_config(4), 1);
         feed(&mut first, 1..137);
-        let state = first.checkpoint_state();
         let mut second = TelemetryCollector::new(retained_config(4), 1);
-        second.restore_state(&state).unwrap();
+        transfer(&first, &mut second).unwrap();
         feed(&mut second, 137..300);
 
         assert_eq!(unbroken.take_rows(), second.take_rows());
@@ -715,8 +733,22 @@ mod tests {
     #[test]
     fn collector_restore_rejects_link_count_mismatch() {
         let c = TelemetryCollector::new(retained_config(4), 3);
-        let state = c.checkpoint_state();
         let mut other = TelemetryCollector::new(retained_config(4), 5);
-        assert!(other.restore_state(&state).is_err());
+        assert!(transfer(&c, &mut other).is_err());
+    }
+
+    #[test]
+    fn collector_restore_rejects_a_different_retention() {
+        let saved = TelemetryCollector::new(retained_config(4), 2);
+        let mut same_cap = TelemetryCollector::new(retained_config(4), 2);
+        transfer(&saved, &mut same_cap).expect("same retention");
+        // Caps below two behave as two, so they are the same retention.
+        let mut one = TelemetryCollector::new(retained_config(1), 2);
+        transfer(&TelemetryCollector::new(retained_config(2), 2), &mut one).expect("both cap 2");
+        for here in [TelemetryConfig::full(), retained_config(8)] {
+            let mut other = TelemetryCollector::new(here, 2);
+            let err = transfer(&saved, &mut other).expect_err("retention differs");
+            assert!(err.to_string().contains("4-window retention cap"), "{err}");
+        }
     }
 }

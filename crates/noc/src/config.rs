@@ -87,6 +87,27 @@ impl Deserialize for NocConfig {
             },
         })
     }
+
+    // Checkpoints always carry every field, so the stream is read strictly.
+    fn deserialize<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
+        const TY: &str = "NocConfig";
+        src.map_of(13, TY)?;
+        Ok(NocConfig {
+            width: src.field("width", TY)?,
+            height: src.field("height", TY)?,
+            nodes_per_rack: src.field("nodes_per_rack", TY)?,
+            buffer_depth: src.field("buffer_depth", TY)?,
+            vcs: src.field("vcs", TY)?,
+            flit_bits: src.field("flit_bits", TY)?,
+            max_rate: src.field("max_rate", TY)?,
+            core_clock: src.field("core_clock", TY)?,
+            propagation: src.field("propagation", TY)?,
+            credit_delay: src.field("credit_delay", TY)?,
+            routing: src.field("routing", TY)?,
+            topology: src.field("topology", TY)?,
+            allow_torus_mesh_routing: src.field("allow_torus_mesh_routing", TY)?,
+        })
+    }
 }
 
 impl NocConfig {

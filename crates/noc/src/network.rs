@@ -26,7 +26,7 @@ use crate::route_table::RouteTable;
 use crate::router::{InputPort, Router, SlotSet, Stall};
 use crate::topology::Topology;
 use lumen_desim::Picos;
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Sink, Source};
 use std::sync::Arc;
 
 /// An externally-visible consequence of stepping the network; the driver
@@ -426,8 +426,8 @@ impl Network {
     /// Brings every stalled router's counters up to date (denials,
     /// rotating priority, occupancy samples, and its output links'
     /// demand ticks). Call before reading those through
-    /// [`Network::routers`] or [`Network::link`], and before
-    /// [`Network::checkpoint_state`].
+    /// [`Network::routers`] or [`Network::link`], and before serializing
+    /// the network into a checkpoint.
     pub fn settle_all(&mut self) {
         for r in 0..self.routers.len() {
             self.settle(RouterId(r as u32));
@@ -591,67 +591,28 @@ impl Network {
         }
     }
 
-    /// Serializes the network's *mutable* state for a checkpoint: routers,
-    /// source/sink nodes, links, and the tick counter. Everything else —
-    /// topology wiring, endpoint tables, the route table — is a pure
-    /// function of the configuration and is rebuilt by the constructor at
-    /// resume (see `CHECKPOINTS.md` for the serialized-vs-recomputed
-    /// contract). Call [`Network::settle_all`] first: the state of a
-    /// stalled router is only complete once its skipped ticks are applied
-    /// (debug builds assert it).
-    pub fn checkpoint_state(&self) -> serde::Value {
-        debug_assert!(
-            self.wake.iter().all(|&w| w == Picos::ZERO),
-            "checkpoint capture with a stalled router unsettled"
-        );
-        serde::Value::Map(vec![
-            ("routers".into(), self.routers.serialize_value()),
-            ("sources".into(), self.sources.serialize_value()),
-            ("sinks".into(), self.sinks.serialize_value()),
-            ("links".into(), self.links.serialize_value()),
-            ("ticks".into(), self.ticks.serialize_value()),
-        ])
-    }
-
-    /// Restores mutable state captured by [`Network::checkpoint_state`]
-    /// into a freshly constructed network of the *same configuration*.
+    /// Restores the mutable state [`Network`]'s [`Serialize`] impl wrote
+    /// into a freshly constructed network of the *same configuration*,
+    /// reading the checkpoint stream in place.
     ///
     /// # Errors
     ///
-    /// Fails if the value is malformed or the component counts do not
+    /// Fails if the stream is malformed or a component count does not
     /// match this network's topology (a checkpoint from a different
-    /// configuration).
-    pub fn restore_state(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "Network"))?;
-        let field = |name: &str| serde::map_field(map, name, "Network");
-        let routers: Vec<Router> = Vec::deserialize_value(field("routers")?)?;
-        let sources: Vec<SourceNode> = Vec::deserialize_value(field("sources")?)?;
-        let sinks: Vec<SinkNode> = Vec::deserialize_value(field("sinks")?)?;
-        let links: Vec<Link> = Vec::deserialize_value(field("links")?)?;
-        let ticks = u64::deserialize_value(field("ticks")?)?;
-        if routers.len() != self.routers.len()
-            || sources.len() != self.sources.len()
-            || sinks.len() != self.sinks.len()
-            || links.len() != self.links.len()
-        {
-            return Err(serde::Error::custom(format!(
-                "checkpoint topology mismatch: {} routers / {} nodes / {} links \
-                 vs configured {} / {} / {}",
-                routers.len(),
-                sources.len(),
-                links.len(),
-                self.routers.len(),
-                self.sources.len(),
-                self.links.len()
-            )));
+    /// configuration). The network is then partly restored and must be
+    /// discarded.
+    pub fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+        const TY: &str = "Network";
+        src.map_of(5, TY)?;
+        src.field_into("routers", &mut self.routers, TY)?;
+        src.field_into("sources", &mut self.sources, TY)?;
+        src.expect_key("sinks", TY)?;
+        src.seq_of(self.sinks.len(), "sinks")?;
+        for sink in &mut self.sinks {
+            sink.restore(src)?;
         }
-        self.routers = routers;
-        self.sources = sources;
-        self.sinks = sinks;
-        self.links = links;
-        self.ticks = ticks;
+        src.field_into("links", &mut self.links, TY)?;
+        self.ticks = src.field("ticks", TY)?;
         self.wake.fill(Picos::ZERO);
         self.rebuild_activity(0..self.routers.len(), 0..self.sources.len());
         Ok(())
@@ -693,6 +654,29 @@ impl Network {
         self.source_backlog() == 0
             && self.routers.iter().all(Router::is_quiescent)
             && self.sinks.iter().all(|s| s.partial_packets() == 0)
+    }
+}
+
+/// The network's *mutable* state, the `net` section of a checkpoint:
+/// routers, source/sink nodes, links, and the tick counter. Everything
+/// else — topology wiring, endpoint tables, the route table — is a pure
+/// function of the configuration and is rebuilt by the constructor at
+/// resume (see `CHECKPOINTS.md` for the serialized-vs-recomputed
+/// contract). Call [`Network::settle_all`] first: the state of a stalled
+/// router is only complete once its skipped ticks are applied (debug
+/// builds assert it).
+impl Serialize for Network {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        debug_assert!(
+            self.wake.iter().all(|&w| w == Picos::ZERO),
+            "checkpoint capture with a stalled router unsettled"
+        );
+        out.token(serde::Token::Map(5));
+        out.field("routers", &self.routers);
+        out.field("sources", &self.sources);
+        out.field("sinks", &self.sinks);
+        out.field("links", &self.links);
+        out.field("ticks", &self.ticks);
     }
 }
 

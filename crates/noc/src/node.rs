@@ -12,7 +12,7 @@ use crate::ids::{LinkId, NodeId, PacketId, VcId};
 use crate::link::Link;
 use crate::network::Effect;
 use lumen_desim::Picos;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Source, Token};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -295,66 +295,47 @@ impl SinkNode {
 // Hand-written: the vendored serde has no HashMap impl, and hash-map
 // iteration order must not leak into serialized bytes anyway (checkpoints
 // of identical states must be byte-identical). Mid-flight packets are
-// emitted as a sequence sorted by packet id.
+// written as a sequence sorted by packet id.
 impl Serialize for SinkNode {
-    fn serialize_value(&self) -> Value {
-        let mut in_flight: Vec<(u64, &PartialPacket)> =
-            self.in_flight.iter().map(|(k, v)| (k.0, v)).collect();
-        in_flight.sort_unstable_by_key(|&(id, _)| id);
-        let in_flight = Value::Seq(
-            in_flight
-                .into_iter()
-                .map(|(id, p)| (id, p.seen, p.poisoned).serialize_value())
-                .collect(),
-        );
-        Value::Map(vec![
-            ("id".into(), self.id.serialize_value()),
-            ("ej_link".into(), self.ej_link.serialize_value()),
-            ("in_flight".into(), in_flight),
-            (
-                "packets_received".into(),
-                self.packets_received.serialize_value(),
-            ),
-            ("flits_received".into(), self.flits_received.serialize_value()),
-            (
-                "flits_delivered".into(),
-                self.flits_delivered.serialize_value(),
-            ),
-            (
-                "packets_dropped".into(),
-                self.packets_dropped.serialize_value(),
-            ),
-            ("flits_dropped".into(), self.flits_dropped.serialize_value()),
-            (
-                "flits_corrupted".into(),
-                self.flits_corrupted.serialize_value(),
-            ),
-        ])
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        let mut in_flight: Vec<(u64, u32, bool)> = self
+            .in_flight
+            .iter()
+            .map(|(id, p)| (id.0, p.seen, p.poisoned))
+            .collect();
+        in_flight.sort_unstable_by_key(|&(id, ..)| id);
+        out.token(Token::Map(9));
+        out.field("id", &self.id);
+        out.field("ej_link", &self.ej_link);
+        out.field("in_flight", &in_flight);
+        out.field("packets_received", &self.packets_received);
+        out.field("flits_received", &self.flits_received);
+        out.field("flits_delivered", &self.flits_delivered);
+        out.field("packets_dropped", &self.packets_dropped);
+        out.field("flits_dropped", &self.flits_dropped);
+        out.field("flits_corrupted", &self.flits_corrupted);
     }
 }
 
-impl Deserialize for SinkNode {
-    fn deserialize_value(v: &Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "SinkNode"))?;
-        let field = |name: &str| serde::map_field(map, name, "SinkNode");
-        let entries: Vec<(u64, u32, bool)> = Vec::deserialize_value(field("in_flight")?)?;
-        let mut in_flight = PacketMap::default();
-        for (id, seen, poisoned) in entries {
-            in_flight.insert(PacketId(id), PartialPacket { seen, poisoned });
-        }
-        Ok(SinkNode {
-            id: NodeId::deserialize_value(field("id")?)?,
-            ej_link: LinkId::deserialize_value(field("ej_link")?)?,
-            in_flight,
-            packets_received: u64::deserialize_value(field("packets_received")?)?,
-            flits_received: u64::deserialize_value(field("flits_received")?)?,
-            flits_delivered: u64::deserialize_value(field("flits_delivered")?)?,
-            packets_dropped: u64::deserialize_value(field("packets_dropped")?)?,
-            flits_dropped: u64::deserialize_value(field("flits_dropped")?)?,
-            flits_corrupted: u64::deserialize_value(field("flits_corrupted")?)?,
-        })
+impl SinkNode {
+    /// Reads the state its [`Serialize`] impl wrote back into this sink.
+    pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+        const TY: &str = "SinkNode";
+        src.map_of(9, TY)?;
+        self.id = src.field("id", TY)?;
+        self.ej_link = src.field("ej_link", TY)?;
+        let in_flight: Vec<(u64, u32, bool)> = src.field("in_flight", TY)?;
+        self.in_flight = in_flight
+            .into_iter()
+            .map(|(id, seen, poisoned)| (PacketId(id), PartialPacket { seen, poisoned }))
+            .collect();
+        self.packets_received = src.field("packets_received", TY)?;
+        self.flits_received = src.field("flits_received", TY)?;
+        self.flits_delivered = src.field("flits_delivered", TY)?;
+        self.packets_dropped = src.field("packets_dropped", TY)?;
+        self.flits_dropped = src.field("flits_dropped", TY)?;
+        self.flits_corrupted = src.field("flits_corrupted", TY)?;
+        Ok(())
     }
 }
 

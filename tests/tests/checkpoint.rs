@@ -12,7 +12,15 @@
 //!
 //! A second battery checks rejection: corrupted, truncated, foreign, and
 //! mismatched checkpoint files must fail with the right typed
-//! [`CheckpointError`], never a panic or garbage state.
+//! [`CheckpointError`] — through the inspection view and through
+//! `Experiment::resume`, which streams the file into a live engine —
+//! never an index or allocation panic or garbage state.
+//!
+//! A third part pins the bytes. The recursive tree codec the library
+//! used before save and resume streamed lives on here as the reference:
+//! the one streaming codec must write its bytes and read them back bit
+//! for bit, and a real checkpoint file is pinned to the size and hash the
+//! tree codec gave it.
 
 use lumen_core::prelude::*;
 use lumen_core::{Checkpoint, CheckpointError};
@@ -154,6 +162,7 @@ fn assert_split_invariant(
         want,
         "{tag}: the saving run itself diverged"
     );
+    assert_reencodes(&std::fs::read(&path).expect("checkpoint written"), tag);
     let resumed = run(exp.resume(&path));
     std::fs::remove_file(&path).ok();
     assert!(resumed.resumed, "{tag}: provenance flag missing");
@@ -431,6 +440,63 @@ fn corrupted_and_truncated_checkpoints_are_rejected_with_typed_errors() {
 }
 
 #[test]
+fn resume_refuses_corrupted_files_with_typed_errors() {
+    // `Experiment::resume` streams untrusted bytes straight into a live
+    // engine. Every bad file must stop it with the checkpoint error the
+    // inspection view reports for the same bytes, never an index,
+    // capacity or allocation panic from half-read state.
+    let bytes = valid_checkpoint_bytes("resume-reject");
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let mut future = bytes.clone();
+    future[8..12].copy_from_slice(&7u32.to_le_bytes());
+    let mut flipped = bytes.clone();
+    flipped[12] = 0xEE;
+    let mut trailing = bytes.clone();
+    trailing.extend_from_slice(b"tail");
+    let mut bad = vec![
+        ("future version".to_string(), future),
+        ("flipped tag".to_string(), flipped),
+        ("trailing bytes".to_string(), trailing),
+        (
+            "foreign bytes".to_string(),
+            b"{\"kind\":\"header\"}".to_vec(),
+        ),
+    ];
+    for cut in [0, 4, 12, 13, bytes.len() / 2, bytes.len() - 1] {
+        bad.push((format!("prefix of {cut} bytes"), bytes[..cut].to_vec()));
+    }
+    for (what, file) in bad {
+        let want = Checkpoint::from_bytes(&file)
+            .expect_err("a bad file")
+            .to_string();
+        let path = ckpt_path("resume-reject-file");
+        std::fs::write(&path, &file).expect("write the bad file");
+        let result = std::panic::catch_unwind(|| {
+            experiment(config.clone())
+                .resume(&path)
+                .run_uniform(0.1, PacketSize::Fixed(4))
+        });
+        std::fs::remove_file(&path).ok();
+        let msg = panic_message(result.expect_err("a bad file must refuse"));
+        assert!(
+            msg.starts_with("cannot resume from") && msg.ends_with(&want),
+            "{what}: expected the checkpoint error {want:?}, got the panic {msg:?}"
+        );
+        assert!(
+            [
+                "checkpoint file is truncated",
+                "corrupt checkpoint",
+                "not a lumen checkpoint",
+                "unsupported checkpoint container version",
+            ]
+            .iter()
+            .any(|text| msg.contains(text)),
+            "{what}: {msg}"
+        );
+    }
+}
+
+#[test]
 fn resume_into_a_different_configuration_panics() {
     let path = ckpt_path("mismatch");
     let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 11);
@@ -445,16 +511,59 @@ fn resume_into_a_different_configuration_panics() {
             .run_uniform(0.1, PacketSize::Fixed(4))
     });
     std::fs::remove_file(&path).ok();
-    let err = result.expect_err("mismatched resume must refuse");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    let msg = panic_message(result.expect_err("mismatched resume must refuse"));
     assert!(
         msg.contains("different system configuration"),
         "unexpected panic message: {msg}"
     );
+}
+
+/// The text of a caught panic.
+fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn resume_refuses_a_different_telemetry_retention() {
+    // The file carries the saving run's retention state. Adopting it
+    // under another `retain_windows` would export a trace that neither
+    // configuration produces, so resume refuses, naming both.
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 29);
+    let exp = |retain_windows: Option<u32>| {
+        Experiment::new(config.clone())
+            .warmup_cycles(WARMUP)
+            .measure_cycles(MEASURE)
+            .telemetry(TelemetryConfig {
+                retain_windows,
+                ..TelemetryConfig::full()
+            })
+    };
+    let describe = |retain: Option<u32>| match retain {
+        Some(n) => format!("a {n}-window retention cap"),
+        None => "no retention cap".to_string(),
+    };
+    for (saved, resumed) in [(Some(4), None), (None, Some(4)), (Some(4), Some(8))] {
+        let path = ckpt_path(&format!("retention-{saved:?}-{resumed:?}"));
+        exp(saved)
+            .save_at(WARMUP + MEASURE / 2, &path)
+            .run_uniform(0.15, PacketSize::Fixed(4));
+        let result = std::panic::catch_unwind(|| {
+            exp(resumed)
+                .resume(&path)
+                .run_uniform(0.15, PacketSize::Fixed(4))
+        });
+        std::fs::remove_file(&path).ok();
+        let msg = panic_message(result.expect_err("a different retention must refuse"));
+        assert!(
+            msg.contains("telemetry retention differs")
+                && msg.contains(&format!("the checkpoint has {}", describe(saved)))
+                && msg.contains(&format!("this run has {}", describe(resumed))),
+            "{saved:?} -> {resumed:?}: unexpected panic message: {msg}"
+        );
+    }
 }
 
 #[test]
@@ -506,4 +615,334 @@ fn bounded_retention_is_split_safe_and_flags_decimated_rows() {
         t.to_jsonl(),
         "retained trace diverged across the split"
     );
+}
+
+// --- the reference codec and the byte pins ----------------------------------
+
+/// The recursive tree codec the library used before save and resume
+/// streamed: a whole [`serde::Value`] tree to the binary codec and back.
+/// It is the reference the one streaming codec must agree with.
+mod reference {
+    use lumen_core::CheckpointError;
+    use serde::Value;
+
+    const TAG_NULL: u8 = 0;
+    const TAG_BOOL: u8 = 1;
+    const TAG_U64: u8 = 2;
+    const TAG_I64: u8 = 3;
+    const TAG_F64: u8 = 4;
+    const TAG_STR: u8 = 5;
+    const TAG_SEQ: u8 = 6;
+    const TAG_MAP: u8 = 7;
+    const MAX_DEPTH: u32 = 64;
+
+    /// The 12-byte container header: magic and version word.
+    pub const HEADER: &[u8; 12] = b"LUMENCK\n\x01\0\0\0";
+
+    /// A container holding `tree`.
+    pub fn encode(tree: &Value) -> Vec<u8> {
+        let mut out = HEADER.to_vec();
+        encode_value(tree, &mut out);
+        out
+    }
+
+    /// The tree in a container, which must end with it.
+    pub fn decode(bytes: &[u8]) -> Result<Value, CheckpointError> {
+        let mut cursor = bytes
+            .strip_prefix(HEADER)
+            .ok_or(CheckpointError::BadMagic)?;
+        let tree = decode_value(&mut cursor, 0)?;
+        match cursor.len() {
+            0 => Ok(tree),
+            n => Err(CheckpointError::Corrupt(format!("{n} trailing bytes"))),
+        }
+    }
+
+    pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+        match v {
+            Value::Null => out.push(TAG_NULL),
+            Value::Bool(b) => {
+                out.push(TAG_BOOL);
+                out.push(u8::from(*b));
+            }
+            Value::U64(x) => {
+                out.push(TAG_U64);
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+            Value::I64(x) => {
+                out.push(TAG_I64);
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+            Value::F64(x) => {
+                out.push(TAG_F64);
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            Value::Str(s) => {
+                out.push(TAG_STR);
+                out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            Value::Seq(items) => {
+                out.push(TAG_SEQ);
+                out.extend_from_slice(&(items.len() as u64).to_le_bytes());
+                for item in items {
+                    encode_value(item, out);
+                }
+            }
+            Value::Map(entries) => {
+                out.push(TAG_MAP);
+                out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+                for (k, val) in entries {
+                    out.extend_from_slice(&(k.len() as u64).to_le_bytes());
+                    out.extend_from_slice(k.as_bytes());
+                    encode_value(val, out);
+                }
+            }
+        }
+    }
+
+    fn take<'a>(cursor: &mut &'a [u8], n: usize) -> Result<&'a [u8], CheckpointError> {
+        if cursor.len() < n {
+            return Err(CheckpointError::Truncated);
+        }
+        let (head, tail) = cursor.split_at(n);
+        *cursor = tail;
+        Ok(head)
+    }
+
+    fn take_u64(cursor: &mut &[u8]) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(
+            take(cursor, 8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn take_len(cursor: &mut &[u8]) -> Result<usize, CheckpointError> {
+        let len = take_u64(cursor)?;
+        if len > cursor.len() as u64 {
+            return Err(CheckpointError::Corrupt(format!(
+                "length {len} exceeds the {} remaining bytes",
+                cursor.len()
+            )));
+        }
+        Ok(len as usize)
+    }
+
+    fn take_string(cursor: &mut &[u8]) -> Result<String, CheckpointError> {
+        let len = take_len(cursor)?;
+        let bytes = take(cursor, len)?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| CheckpointError::Corrupt("string is not valid UTF-8".to_string()))
+    }
+
+    pub fn decode_value(cursor: &mut &[u8], depth: u32) -> Result<Value, CheckpointError> {
+        if depth > MAX_DEPTH {
+            return Err(CheckpointError::Corrupt(format!(
+                "nesting exceeds the maximum depth of {MAX_DEPTH}"
+            )));
+        }
+        let tag = take(cursor, 1)?[0];
+        match tag {
+            TAG_NULL => Ok(Value::Null),
+            TAG_BOOL => match take(cursor, 1)?[0] {
+                0 => Ok(Value::Bool(false)),
+                1 => Ok(Value::Bool(true)),
+                b => Err(CheckpointError::Corrupt(format!("bool byte {b:#04x}"))),
+            },
+            TAG_U64 => Ok(Value::U64(take_u64(cursor)?)),
+            TAG_I64 => Ok(Value::I64(take_u64(cursor)? as i64)),
+            TAG_F64 => Ok(Value::F64(f64::from_bits(take_u64(cursor)?))),
+            TAG_STR => Ok(Value::Str(take_string(cursor)?)),
+            TAG_SEQ => {
+                let len = take_len(cursor)?;
+                let mut items = Vec::with_capacity(len.min(1 << 16));
+                for _ in 0..len {
+                    items.push(decode_value(cursor, depth + 1)?);
+                }
+                Ok(Value::Seq(items))
+            }
+            TAG_MAP => {
+                let len = take_len(cursor)?;
+                let mut entries = Vec::with_capacity(len.min(1 << 16));
+                for _ in 0..len {
+                    let key = take_string(cursor)?;
+                    let val = decode_value(cursor, depth + 1)?;
+                    entries.push((key, val));
+                }
+                Ok(Value::Map(entries))
+            }
+            other => Err(CheckpointError::Corrupt(format!(
+                "unknown value tag {other:#04x}"
+            ))),
+        }
+    }
+}
+
+/// Compares trees with floats by bit pattern (NaN-safe, `-0.0 != 0.0`).
+fn bits_eq(a: &serde::Value, b: &serde::Value) -> bool {
+    use serde::Value;
+    match (a, b) {
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        (Value::Seq(x), Value::Seq(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| bits_eq(a, b))
+        }
+        (Value::Map(x), Value::Map(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((ka, va), (kb, vb))| ka == kb && bits_eq(va, vb))
+        }
+        _ => a == b,
+    }
+}
+
+/// A checkpoint file re-encodes byte for byte through the reference
+/// codec and through the inspection view.
+fn assert_reencodes(bytes: &[u8], tag: &str) {
+    let tree = reference::decode(bytes).expect("the reference codec reads the file");
+    assert!(
+        reference::encode(&tree) == bytes,
+        "{tag}: reference re-encode differs"
+    );
+    let view = Checkpoint::from_bytes(bytes).expect("the view reads the file");
+    assert!(view.to_bytes() == bytes, "{tag}: view re-encode differs");
+}
+
+/// FNV-1a, 64-bit.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned_to_the_tree_codec() {
+    // The rejection battery's file, written by the engine's streaming
+    // path, has the size and hash the tree codec gave the same run.
+    let bytes = valid_checkpoint_bytes("pin");
+    assert_eq!(bytes.len(), 87_070);
+    assert_eq!(format!("{:016x}", fnv64(&bytes)), "1098ffdd3b39b5f6");
+    assert_reencodes(&bytes, "pin");
+}
+
+/// A random tree at most `depth` containers deep, biased towards the
+/// awkward cases: NaN payloads, infinities, negative zero, multi-byte
+/// strings and empty containers.
+fn random_tree(rng: &mut Rng, depth: u32) -> serde::Value {
+    use serde::Value;
+    const FLOATS: [f64; 6] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        0.1 + 0.2,
+    ];
+    const WORDS: [&str; 5] = ["", "rate", "λ-link", "日本", "\u{1F600}"];
+    match rng.index(if depth == 0 { 6 } else { 8 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.chance(0.5)),
+        2 => Value::U64(rng.next_u64()),
+        3 => Value::I64(rng.next_u64() as i64 | i64::MIN),
+        4 if rng.chance(0.5) => Value::F64(FLOATS[rng.index(FLOATS.len())]),
+        4 => Value::F64(f64::from_bits(rng.next_u64())),
+        5 => Value::Str(WORDS[rng.index(WORDS.len())].repeat(rng.index(3))),
+        6 => Value::Seq(
+            (0..rng.index(4))
+                .map(|_| random_tree(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Map(
+            (0..rng.index(4))
+                .map(|_| {
+                    let key = WORDS[rng.index(WORDS.len())].to_string();
+                    (key, random_tree(rng, depth - 1))
+                })
+                .collect(),
+        ),
+    }
+}
+
+#[test]
+fn the_one_codec_matches_the_reference_on_random_trees() {
+    use serde::{Serialize, Value};
+    let mut rng = Rng::seed_from(0x0C0D_EC);
+    let config = SystemConfig::paper_default();
+    for case in 0..300 {
+        let ckpt = Checkpoint {
+            config: config.clone(),
+            warmup_cycles: rng.next_below(1 << 20),
+            measure_cycles: rng.next_u64(),
+            sample_every: rng.chance(0.5).then(|| rng.next_u64()),
+            cycle: rng.next_u64(),
+            events: rng.next_u64(),
+            pending: Vec::new(),
+            sim: random_tree(&mut rng, 6),
+            source: random_tree(&mut rng, 3),
+        };
+        // The tree the library's tree codec used to encode.
+        let tree = Value::Map(vec![
+            ("schema".into(), Value::Str(lumen_core::CKPT_SCHEMA.into())),
+            ("config".into(), ckpt.config.serialize_value()),
+            ("warmup_cycles".into(), Value::U64(ckpt.warmup_cycles)),
+            ("measure_cycles".into(), Value::U64(ckpt.measure_cycles)),
+            (
+                "sample_every".into(),
+                ckpt.sample_every.map_or(Value::Null, Value::U64),
+            ),
+            ("cycle".into(), Value::U64(ckpt.cycle)),
+            ("events".into(), Value::U64(ckpt.events)),
+            ("pending".into(), Value::Seq(Vec::new())),
+            ("sim".into(), ckpt.sim.clone()),
+            ("source".into(), ckpt.source.clone()),
+        ]);
+        let bytes = ckpt.to_bytes();
+        assert!(
+            bytes == reference::encode(&tree),
+            "case {case}: bytes differ"
+        );
+        let decoded = reference::decode(&bytes).expect("the reference reads it");
+        assert!(
+            bits_eq(&decoded, &tree),
+            "case {case}: reference round trip"
+        );
+        let back = Checkpoint::from_bytes(&bytes).expect("the one codec reads it");
+        assert!(bits_eq(&back.sim, &ckpt.sim), "case {case}: sim round trip");
+        assert!(
+            bits_eq(&back.source, &ckpt.source),
+            "case {case}: source round trip"
+        );
+        assert!(
+            bits_eq(&back.serialize_value(), &tree),
+            "case {case}: view tree"
+        );
+    }
+    // Both codecs cap nesting at the same depth.
+    for levels in [62, 63, 64] {
+        let mut sim = Value::Null;
+        for _ in 0..levels {
+            sim = Value::Seq(vec![sim]);
+        }
+        let bytes = reference::encode(&Value::Map(vec![("sim".into(), sim.clone())]));
+        let streamed = Checkpoint {
+            config: config.clone(),
+            warmup_cycles: 0,
+            measure_cycles: 0,
+            sample_every: None,
+            cycle: 0,
+            events: 0,
+            pending: Vec::new(),
+            sim,
+            source: Value::Null,
+        }
+        .to_bytes();
+        let ok = |r: Result<(), CheckpointError>| match r {
+            Ok(()) => true,
+            Err(CheckpointError::Corrupt(msg)) if msg.contains("depth") => false,
+            Err(e) => panic!("{levels} levels: {e}"),
+        };
+        let reference_ok = ok(reference::decode(&bytes).map(drop));
+        let streamed_ok = ok(Checkpoint::from_bytes(&streamed).map(drop));
+        assert_eq!(reference_ok, streamed_ok, "{levels} levels");
+        assert_eq!(reference_ok, levels < 64, "{levels} levels");
+    }
 }

@@ -94,7 +94,7 @@ fn capture(engine: &mut Engine<PowerAwareSim>, config: &SystemConfig, cut: u64) 
         cycle: cut,
         events: engine.processed(),
         pending,
-        sim: engine.model().checkpoint_state(),
+        sim: serde::Serialize::serialize_value(engine.model()),
         source: serde::Value::Null,
     }
     .to_bytes()
