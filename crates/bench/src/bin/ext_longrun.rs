@@ -6,11 +6,10 @@
 //! this harness demonstrates both:
 //!
 //! 1. **Streaming statistics** — latency percentiles come from the
-//!    fixed-size histogram, time series from `lumen-stats`
-//!    online-decimating `SeriesRetention`, and the per-link telemetry
-//!    window series from `TelemetryConfig::retain_windows` (dense recent
-//!    tail, stride-doubled decimation beyond). Memory is flat at any
-//!    horizon.
+//!    fixed-size histogram and the per-link telemetry window series from
+//!    `TelemetryConfig::retain_windows` (dense recent tail,
+//!    stride-doubled decimation beyond); the harness samples no time
+//!    series. Memory is flat at any horizon.
 //! 2. **Checkpoint/restore** — `--checkpoint PATH@CYCLE` snapshots the
 //!    long run mid-flight and `--resume PATH` replays it bit-identically
 //!    (see CHECKPOINTS.md), so hour-scale runs survive preemption.

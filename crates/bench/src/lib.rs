@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lumen_core::prelude::*;
@@ -59,7 +60,7 @@ pub struct BenchArgs {
     /// TOPOLOGIES.md for what each geometry means.
     pub topology: Option<TopologyKind>,
     /// Mid-run checkpointing (`--checkpoint PATH@CYCLE`): every point
-    /// saves a `lumen-ckpt/2` snapshot at the given router cycle and then
+    /// saves a `lumen-ckpt/3` snapshot at the given router cycle and then
     /// runs to completion. Multi-point sweeps write one file per point
     /// (`PATH.<label>`); a single-point run uses `PATH` verbatim. Only
     /// harnesses that call [`BenchArgs::apply_run_control`] honour it;
@@ -303,7 +304,7 @@ impl BenchArgs {
              \x20 --topology T     fabric geometry for harnesses that\n\
              \x20                  support it: mesh, torus, or\n\
              \x20                  folded-clos[:spines] (see TOPOLOGIES.md)\n\
-             \x20 --checkpoint P@C save a lumen-ckpt/2 snapshot of every\n\
+             \x20 --checkpoint P@C save a lumen-ckpt/3 snapshot of every\n\
              \x20                  point at router cycle C to path P, then\n\
              \x20                  run to completion (see CHECKPOINTS.md)\n\
              \x20 --resume P       restore every point from the snapshot a\n\
@@ -426,41 +427,30 @@ pub fn write_trace(args: &BenchArgs, points: &[Point], results: &[RunResult]) {
         return;
     };
     let csv = path.ends_with(".csv");
-    let mut out = String::new();
-    let mut traced = 0usize;
-    for (point, result) in points.iter().zip(results) {
-        let Some(report) = result.telemetry.as_ref() else {
-            continue;
-        };
-        traced += 1;
-        if csv {
-            let body = report.to_csv();
-            let mut lines = body.lines();
-            match lines.next() {
-                Some(header) if out.is_empty() => {
-                    out.push_str("label,");
-                    out.push_str(header);
-                    out.push('\n');
-                }
-                _ => {} // repeated header dropped on later points
+    // Records stream straight into the file: no point's trace is held
+    // in memory as text.
+    let write = || -> std::io::Result<usize> {
+        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+        let mut traced = 0usize;
+        for (point, result) in points.iter().zip(results) {
+            let Some(report) = result.telemetry.as_ref() else {
+                continue;
+            };
+            if csv {
+                // One header, on the first point.
+                report.write_csv(&mut out, Some(&point.label), traced == 0)?;
+            } else {
+                // `{:?}` on a str matches JSON string escaping for the
+                // ASCII labels the harnesses use.
+                writeln!(out, "{{\"kind\":\"point\",\"label\":{:?}}}", point.label)?;
+                report.write_jsonl(&mut out)?;
             }
-            for line in lines {
-                out.push_str(&point.label);
-                out.push(',');
-                out.push_str(line);
-                out.push('\n');
-            }
-        } else {
-            // `{:?}` on a str matches JSON string escaping for the ASCII
-            // labels the harnesses use.
-            out.push_str(&format!(
-                "{{\"kind\":\"point\",\"label\":{:?}}}\n",
-                point.label
-            ));
-            out.push_str(&report.to_jsonl());
+            traced += 1;
         }
-    }
-    std::fs::write(path, &out).expect("write --trace output");
+        out.flush()?;
+        Ok(traced)
+    };
+    let traced = write().expect("write --trace output");
     println!("wrote telemetry trace ({traced} points) to {path}");
 }
 

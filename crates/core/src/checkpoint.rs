@@ -40,7 +40,7 @@ use std::path::Path;
 /// Checkpoint schema identifier, stored inside the file body. Bump the
 /// trailing number when a field is added, removed, or changes meaning
 /// (see `CHECKPOINTS.md` for the compatibility policy).
-pub const CKPT_SCHEMA: &str = "lumen-ckpt/2";
+pub const CKPT_SCHEMA: &str = "lumen-ckpt/3";
 
 /// File magic: identifies a lumen checkpoint before any decoding.
 const MAGIC: &[u8; 8] = b"LUMENCK\n";
@@ -760,14 +760,18 @@ mod tests {
 
     #[test]
     fn wrong_schema_string_rejected() {
-        let mut v = sample().serialize_value();
-        if let Value::Map(entries) = &mut v {
-            entries[0].1 = Value::Str("lumen-ckpt/999".to_string());
+        // The previous schema, whose time series carried a `retention`
+        // entry, and a future one.
+        for schema in ["lumen-ckpt/2", "lumen-ckpt/999"] {
+            let mut v = sample().serialize_value();
+            if let Value::Map(entries) = &mut v {
+                entries[0].1 = Value::Str(schema.to_string());
+            }
+            assert!(matches!(
+                Checkpoint::from_bytes(&to_bytes(&v)),
+                Err(CheckpointError::Mismatch(_))
+            ));
         }
-        assert!(matches!(
-            Checkpoint::from_bytes(&to_bytes(&v)),
-            Err(CheckpointError::Mismatch(_))
-        ));
         // And a structurally wrong tree is a Decode error.
         let v = Value::Map(vec![("schema".into(), Value::Str(CKPT_SCHEMA.into()))]);
         assert!(matches!(

@@ -541,14 +541,6 @@ impl PowerAwareSim {
         dvs + gate
     }
 
-    /// Telemetry rows currently held in memory (windowed series plus
-    /// closing rows), or `None` when telemetry is off. With bounded
-    /// retention ([`TelemetryConfig::retain_windows`]) this stays flat at
-    /// any horizon — the long-run harness reports it next to peak RSS.
-    pub fn telemetry_retained_rows(&self) -> Option<usize> {
-        self.telemetry.as_deref().map(|t| t.retained_rows())
-    }
-
     /// The recorded time series (empty unless sampling was enabled).
     pub fn series(&self) -> (&TimeSeries, &TimeSeries, &TimeSeries) {
         (

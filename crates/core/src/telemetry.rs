@@ -26,6 +26,7 @@
 
 use serde::{Deserialize, Serialize, Sink, Source, Token};
 use std::collections::VecDeque;
+use std::io::{self, Write};
 
 /// Version tag stamped into every trace header. Bump when a field is
 /// added, removed, or changes meaning (see `OBSERVABILITY.md`).
@@ -176,12 +177,16 @@ pub struct TelemetryReport {
     pub energy_nj: f64,
 }
 
-/// Shortest-round-trip float text, matching the vendored `serde_json`
-/// printer so traces and `RunResult` JSON agree bit-for-bit.
-fn f(x: f64) -> String {
-    format!("{x:?}")
+/// Renders a report into memory through one of its writers.
+fn render(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("the renderers write UTF-8")
 }
 
+// Floats print in shortest-round-trip form (`{:?}`), matching the
+// vendored `serde_json` printer, so traces and `RunResult` JSON agree
+// bit-for-bit.
 impl TelemetryReport {
     /// Renders the report as JSON Lines: a `header` record, one `window`
     /// record per row, a `counters` record, and an `end` record.
@@ -190,41 +195,58 @@ impl TelemetryReport {
     /// shard count (replicated tick events), and exported traces are
     /// required to be byte-identical across shard counts.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"kind\":\"header\",\"schema\":\"{}\",\"tw_cycles\":{},\"links\":{},\"components\":[{}]}}\n",
-            self.schema,
-            self.tw_cycles,
-            self.links,
-            self.components
-                .iter()
-                .map(|c| format!("\"{c}\""))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
+        render(|out| self.write_jsonl(out))
+    }
+
+    /// Writes the [`Self::to_jsonl`] records into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if writing to `out` fails.
+    pub fn write_jsonl<W: Write>(&self, out: &mut W) -> io::Result<()> {
+        write!(
+            out,
+            "{{\"kind\":\"header\",\"schema\":\"{}\",\"tw_cycles\":{},\"links\":{},\"components\":[",
+            self.schema, self.tw_cycles, self.links,
+        )?;
+        for (i, c) in self.components.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(out, "{sep}\"{c}\"")?;
+        }
+        writeln!(out, "]}}")?;
         for r in &self.rows {
-            // The `decimated` marker appears only on decimated rows, so
-            // retention-off traces stay byte-identical to schema 1
-            // traces that predate the field.
-            let decimated = if r.decimated { ",\"decimated\":true" } else { "" };
-            out.push_str(&format!(
-                "{{\"kind\":\"window\",\"cycle\":{},\"t_ps\":{},\"link\":{},\"closing\":{},\"lu\":{},\"lu_avg\":{},\"bu\":{},\"rate_gbps\":{},\"power_mw\":{},\"energy_nj\":{},\"components_mw\":[{}]{decimated}}}\n",
+            write!(
+                out,
+                "{{\"kind\":\"window\",\"cycle\":{},\"t_ps\":{},\"link\":{},\"closing\":{},\"lu\":{:?},\"lu_avg\":{:?},\"bu\":{:?},\"rate_gbps\":{:?},\"power_mw\":{:?},\"energy_nj\":{:?},\"components_mw\":[",
                 r.cycle,
                 r.t_ps,
                 r.link,
                 r.closing,
-                f(r.lu),
-                f(r.lu_avg),
-                f(r.bu),
-                f(r.rate_gbps),
-                f(r.power_mw),
-                f(r.energy_nj),
-                r.components_mw.iter().map(|&c| f(c)).collect::<Vec<_>>().join(",")
-            ));
+                r.lu,
+                r.lu_avg,
+                r.bu,
+                r.rate_gbps,
+                r.power_mw,
+                r.energy_nj,
+            )?;
+            for (i, c) in r.components_mw.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                write!(out, "{sep}{c:?}")?;
+            }
+            // The `decimated` marker appears only on decimated rows, so
+            // retention-off traces stay byte-identical to schema 1
+            // traces that predate the field.
+            let decimated = if r.decimated {
+                ",\"decimated\":true"
+            } else {
+                ""
+            };
+            writeln!(out, "]{decimated}}}")?;
         }
         let c = &self.counters;
-        out.push_str(&format!(
-            "{{\"kind\":\"counters\",\"packets_delivered\":{},\"packets_dropped\":{},\"flits_injected\":{},\"flits_dropped\":{},\"flits_corrupted\":{},\"flits_sent\":{},\"alloc_won\":{},\"alloc_lost\":{},\"rate_changes\":{},\"dvs_decisions\":{},\"dvs_ups\":{},\"dvs_downs\":{},\"onoff_sleeps\":{},\"onoff_wakes\":{},\"laser_pincs\":{},\"laser_pdecs\":{},\"faults_injected\":{}}}\n",
+        writeln!(
+            out,
+            "{{\"kind\":\"counters\",\"packets_delivered\":{},\"packets_dropped\":{},\"flits_injected\":{},\"flits_dropped\":{},\"flits_corrupted\":{},\"flits_sent\":{},\"alloc_won\":{},\"alloc_lost\":{},\"rate_changes\":{},\"dvs_decisions\":{},\"dvs_ups\":{},\"dvs_downs\":{},\"onoff_sleeps\":{},\"onoff_wakes\":{},\"laser_pincs\":{},\"laser_pdecs\":{},\"faults_injected\":{}}}",
             c.packets_delivered,
             c.packets_dropped,
             c.flits_injected,
@@ -242,45 +264,70 @@ impl TelemetryReport {
             c.laser_pincs,
             c.laser_pdecs,
             c.faults_injected,
-        ));
-        out.push_str(&format!(
-            "{{\"kind\":\"end\",\"t_ps\":{},\"energy_nj\":{}}}\n",
-            self.end_t_ps,
-            f(self.energy_nj)
-        ));
-        out
+        )?;
+        writeln!(
+            out,
+            "{{\"kind\":\"end\",\"t_ps\":{},\"energy_nj\":{:?}}}",
+            self.end_t_ps, self.energy_nj
+        )
     }
 
     /// Renders the window series as CSV (no counters; use JSONL for the
     /// full record). The header names the component columns.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("cycle,t_ps,link,closing,lu,lu_avg,bu,rate_gbps,power_mw,energy_nj");
-        for c in &self.components {
-            out.push_str(&format!(",{}_mw", c.replace(' ', "_").to_lowercase()));
+        render(|out| self.write_csv(out, None, true))
+    }
+
+    /// Writes the [`Self::to_csv`] rows into `out`, after the header line
+    /// if `header` is set. With a `label`, every line gains a first
+    /// column: `label` in the header, the label itself in the rows.
+    ///
+    /// # Errors
+    ///
+    /// Fails if writing to `out` fails.
+    pub fn write_csv<W: Write>(
+        &self,
+        out: &mut W,
+        label: Option<&str>,
+        header: bool,
+    ) -> io::Result<()> {
+        if header {
+            if label.is_some() {
+                write!(out, "label,")?;
+            }
+            write!(
+                out,
+                "cycle,t_ps,link,closing,lu,lu_avg,bu,rate_gbps,power_mw,energy_nj"
+            )?;
+            for c in &self.components {
+                write!(out, ",{}_mw", c.replace(' ', "_").to_lowercase())?;
+            }
+            writeln!(out)?;
         }
-        out.push('\n');
         for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{}",
+            if let Some(label) = label {
+                write!(out, "{label},")?;
+            }
+            write!(
+                out,
+                "{},{},{},{},{:?},{:?},{:?},{:?},{:?},{:?}",
                 r.cycle,
                 r.t_ps,
                 r.link,
                 r.closing,
-                f(r.lu),
-                f(r.lu_avg),
-                f(r.bu),
-                f(r.rate_gbps),
-                f(r.power_mw),
-                f(r.energy_nj),
-            ));
-            for &c in &r.components_mw {
-                out.push(',');
-                out.push_str(&f(c));
+                r.lu,
+                r.lu_avg,
+                r.bu,
+                r.rate_gbps,
+                r.power_mw,
+                r.energy_nj,
+            )?;
+            for c in &r.components_mw {
+                write!(out, ",{c:?}")?;
             }
-            out.push('\n');
+            writeln!(out)?;
         }
-        out
+        Ok(())
     }
 
     /// Sum of the `energy_nj` column — telescopes to [`Self::energy_nj`]
@@ -293,10 +340,9 @@ impl TelemetryReport {
 
 /// Windowed downsampling state for the link series: the most recent
 /// `cap` policy windows are kept at full resolution; windows evicted
-/// from that dense tail are retained with stride doubling (the same
-/// deterministic scheme as [`lumen_stats::SeriesRetention`], applied to
-/// the eviction stream), so total memory is bounded by `2·cap` windows
-/// of rows. Retention is a pure function of the absolute window index,
+/// from that dense tail are retained with stride doubling over the
+/// eviction stream, so total memory is bounded by `2·cap` windows of
+/// rows. Retention is a pure function of the absolute window index,
 /// which makes a retained run split at any checkpoint boundary keep
 /// exactly the rows the unbroken run keeps.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -426,16 +472,6 @@ impl TelemetryCollector {
             Some(r) if !row.closing => r.push(row),
             _ => self.rows.push(row),
         }
-    }
-
-    /// Rows currently retained (windowed series + closing rows). Used by
-    /// the long-run harness to report live memory occupancy.
-    pub fn retained_rows(&self) -> usize {
-        let windowed = self.retention.as_ref().map_or(0, |r| {
-            r.old.iter().map(Vec::len).sum::<usize>()
-                + r.recent.iter().map(|(_, w)| w.len()).sum::<usize>()
-        });
-        windowed + self.rows.len()
     }
 
     /// Drains every retained row, unordered (the report sorts).
@@ -660,6 +696,15 @@ mod tests {
         assert!(rows.iter().all(|r| !r.decimated));
     }
 
+    /// Rows the collector holds: the windowed series plus closing rows.
+    fn retained_rows(c: &TelemetryCollector) -> usize {
+        let windowed = c.retention.as_ref().map_or(0, |r| {
+            r.old.iter().map(Vec::len).sum::<usize>()
+                + r.recent.iter().map(|(_, w)| w.len()).sum::<usize>()
+        });
+        windowed + c.rows.len()
+    }
+
     #[test]
     fn retention_bounds_memory_and_marks_decimated() {
         let cap = 8u32;
@@ -667,9 +712,9 @@ mod tests {
         for w in 1..=1_000u64 {
             c.push_row(row(w * 200, 0));
             assert!(
-                c.retained_rows() <= 2 * cap as usize,
+                retained_rows(&c) <= 2 * cap as usize,
                 "window {w}: {} rows retained",
-                c.retained_rows()
+                retained_rows(&c)
             );
         }
         let rows = c.take_rows();

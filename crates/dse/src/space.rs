@@ -236,22 +236,6 @@ impl PolicyDraw {
             OpticalMode::SingleLevel
         };
     }
-
-    /// The draw as `(name, value)` pairs in dimension order, for reports.
-    pub fn named_values(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("tl_uncongested", self.tl_uncongested),
-            ("th_uncongested", self.th_uncongested),
-            ("tl_congested", self.tl_congested),
-            ("th_congested", self.th_congested),
-            ("tw_cycles", self.tw_cycles as f64),
-            ("n_windows", self.n_windows as f64),
-            ("ladder_levels", self.ladder_levels as f64),
-            ("ladder_min_gbps", self.ladder_min_gbps),
-            ("laser_decision_us", self.laser_decision_us),
-            ("optical_mode", if self.three_level_optics { 1.0 } else { 0.0 }),
-        ]
-    }
 }
 
 #[cfg(test)]

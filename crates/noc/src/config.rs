@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Defaults ([`NocConfig::paper_default`]) follow the paper's evaluation
 /// setup: an 8×8 mesh of racks, 8 nodes per rack, 625 MHz routers, 16-flit
 /// input buffers, 16-bit flits, 10 Gb/s maximum link rate.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NocConfig {
     /// Mesh width in racks.
     pub width: u8,
@@ -36,8 +36,8 @@ pub struct NocConfig {
     pub credit_delay: Picos,
     /// Routing discipline for the mesh.
     pub routing: RoutingAlgorithm,
-    /// Fabric shape (defaults to the paper's mesh; see
-    /// [`crate::topology`]). `width`/`height`/`nodes_per_rack` above
+    /// Fabric shape (the paper's mesh in [`NocConfig::paper_default`];
+    /// see [`crate::topology`]). `width`/`height`/`nodes_per_rack` above
     /// parameterize whichever topology is selected.
     pub topology: TopologyKind,
     /// Opt-in acknowledgement that `WestFirst` routing on a [`TopologyKind::Torus`]
@@ -48,66 +48,6 @@ pub struct NocConfig {
     /// behaviour change would corrupt cross-topology comparisons (a DSE
     /// sweep "on a torus" that actually measured mesh routes).
     pub allow_torus_mesh_routing: bool,
-}
-
-// Hand-written so configurations serialized before the `topology` field
-// existed still deserialize (missing field → mesh). The vendored serde
-// facade has no `#[serde(default)]`.
-impl Deserialize for NocConfig {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "NocConfig"))?;
-        fn field<T: Deserialize>(
-            map: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            Deserialize::deserialize_value(serde::map_field(map, name, "NocConfig")?)
-        }
-        Ok(NocConfig {
-            width: field(map, "width")?,
-            height: field(map, "height")?,
-            nodes_per_rack: field(map, "nodes_per_rack")?,
-            buffer_depth: field(map, "buffer_depth")?,
-            vcs: field(map, "vcs")?,
-            flit_bits: field(map, "flit_bits")?,
-            max_rate: field(map, "max_rate")?,
-            core_clock: field(map, "core_clock")?,
-            propagation: field(map, "propagation")?,
-            credit_delay: field(map, "credit_delay")?,
-            routing: field(map, "routing")?,
-            topology: match map.iter().find(|(k, _)| k == "topology") {
-                Some((_, v)) => Deserialize::deserialize_value(v)?,
-                None => TopologyKind::default(),
-            },
-            allow_torus_mesh_routing: match map.iter().find(|(k, _)| k == "allow_torus_mesh_routing")
-            {
-                Some((_, v)) => Deserialize::deserialize_value(v)?,
-                None => false,
-            },
-        })
-    }
-
-    // Checkpoints always carry every field, so the stream is read strictly.
-    fn deserialize<S: serde::Source>(src: &mut S) -> Result<Self, serde::Error> {
-        const TY: &str = "NocConfig";
-        src.map_of(13, TY)?;
-        Ok(NocConfig {
-            width: src.field("width", TY)?,
-            height: src.field("height", TY)?,
-            nodes_per_rack: src.field("nodes_per_rack", TY)?,
-            buffer_depth: src.field("buffer_depth", TY)?,
-            vcs: src.field("vcs", TY)?,
-            flit_bits: src.field("flit_bits", TY)?,
-            max_rate: src.field("max_rate", TY)?,
-            core_clock: src.field("core_clock", TY)?,
-            propagation: src.field("propagation", TY)?,
-            credit_delay: src.field("credit_delay", TY)?,
-            routing: src.field("routing", TY)?,
-            topology: src.field("topology", TY)?,
-            allow_torus_mesh_routing: src.field("allow_torus_mesh_routing", TY)?,
-        })
-    }
 }
 
 impl NocConfig {
@@ -371,22 +311,6 @@ mod tests {
         let mut torus_xy = NocConfig::paper_default();
         torus_xy.topology = TopologyKind::Torus;
         torus_xy.validate();
-    }
-
-    #[test]
-    fn legacy_configs_deserialize_as_mesh() {
-        // A config serialized before the `topology` field existed must
-        // still deserialize (defaulting to the mesh).
-        let serde::Value::Map(mut fields) =
-            Serialize::serialize_value(&NocConfig::paper_default())
-        else {
-            panic!("NocConfig must serialize as a map");
-        };
-        fields.retain(|(k, _)| k != "topology" && k != "allow_torus_mesh_routing");
-        let c = NocConfig::deserialize_value(&serde::Value::Map(fields)).unwrap();
-        assert_eq!(c.topology, TopologyKind::Mesh);
-        assert!(!c.allow_torus_mesh_routing);
-        assert_eq!(c, NocConfig::paper_default());
     }
 
     #[test]

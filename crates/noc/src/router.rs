@@ -20,7 +20,6 @@
 use crate::arbiter::RoundRobinArbiter;
 use crate::buffer::InputBuffer;
 use crate::config::NocConfig;
-use crate::flit::FlitKind;
 use crate::ids::{LinkId, PortId, RouterId, VcId};
 use crate::link::Link;
 use crate::network::Effect;
@@ -669,11 +668,6 @@ impl Router {
             p.buffer.total_occupancy() == 0
                 && p.vc_state.iter().all(|s| *s == VcState::Idle)
         })
-    }
-
-    /// The flit kind at the front of an input VC (testing aid).
-    pub fn front_kind(&self, port: PortId, vc: VcId) -> Option<FlitKind> {
-        self.inputs[port.0 as usize].buffer.front(vc).map(|f| f.kind)
     }
 }
 

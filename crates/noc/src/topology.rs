@@ -55,13 +55,11 @@ pub struct Channel {
 
 /// Which built-in topology a [`NocConfig`] describes.
 ///
-/// Stored on the configuration (serde-defaulting to `Mesh`, so every
-/// pre-existing config deserializes unchanged) and expanded to a concrete
+/// Stored on the configuration and expanded to a concrete
 /// [`BuiltinTopology`] via [`NocConfig::topo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TopologyKind {
     /// Rectangular mesh (the paper's fabric).
-    #[default]
     Mesh,
     /// Rectangular torus: the mesh plus wrap-around channels.
     Torus,
@@ -985,7 +983,9 @@ mod tests {
 
     #[test]
     fn kind_serde_default_is_mesh() {
-        assert_eq!(TopologyKind::default(), TopologyKind::Mesh);
+        assert_eq!(NocConfig::paper_default().topology, TopologyKind::Mesh);
+        let k: TopologyKind = serde_json::from_str("\"Mesh\"").unwrap();
+        assert_eq!(k, TopologyKind::Mesh);
         let k: TopologyKind = serde_json::from_str("{\"FoldedClos\":{\"spines\":4}}").unwrap();
         assert_eq!(k, TopologyKind::FoldedClos { spines: 4 });
     }

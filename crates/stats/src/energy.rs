@@ -134,11 +134,6 @@ impl EnergyAccount {
     pub fn start(&self) -> Picos {
         self.start
     }
-
-    /// Whether the account has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed_at.is_some()
-    }
 }
 
 #[cfg(test)]

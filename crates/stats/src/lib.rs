@@ -15,10 +15,7 @@
 //!   paper's link policy controller uses over per-window utilization
 //!   statistics (Eq. 11).
 //! - [`timeseries::TimeSeries`] — timestamped samples for the
-//!   latency/power-over-time plots (Figs. 6 and 7), with optional
-//!   bounded-memory retention
-//!   ([`TimeSeries::with_retention`](timeseries::TimeSeries::with_retention))
-//!   for long-horizon runs.
+//!   latency/power-over-time plots (Figs. 6 and 7).
 //! - [`csv`] — tiny CSV emission for the benchmark harnesses.
 
 #![forbid(unsafe_code)]
@@ -37,4 +34,4 @@ pub use energy::EnergyAccount;
 pub use histogram::Histogram;
 pub use sliding::SlidingWindow;
 pub use summary::Summary;
-pub use timeseries::{SeriesRetention, TimeSeries};
+pub use timeseries::TimeSeries;

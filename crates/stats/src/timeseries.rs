@@ -21,24 +21,6 @@ pub struct TimeSeries {
     name: String,
     times: Vec<Picos>,
     values: Vec<f64>,
-    retention: Option<SeriesRetention>,
-}
-
-/// Online-downsampling state for a bounded-memory [`TimeSeries`] (see
-/// [`TimeSeries::with_retention`]).
-///
-/// Samples are kept by *absolute index*: sample `i` of the stream is
-/// retained iff `i % stride == 0`. When the retained set would exceed
-/// the cap, the stride doubles and every other retained sample is
-/// dropped — so memory stays below the cap at any horizon, and the kept
-/// set is a pure function of the sample stream (never of buffer history
-/// or timing), which is what lets a checkpoint-resumed run reproduce it
-/// bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesRetention {
-    cap: usize,
-    stride: u64,
-    seen: u64,
 }
 
 impl TimeSeries {
@@ -48,65 +30,6 @@ impl TimeSeries {
             name: name.into(),
             times: Vec::new(),
             values: Vec::new(),
-            retention: None,
-        }
-    }
-
-    /// Converts the series to bounded-memory form: at most `cap` samples
-    /// are retained at any time, with older samples thinned by a
-    /// power-of-two stride over absolute sample indices.
-    ///
-    /// Retention is deterministic in the sample stream alone, so a run
-    /// resumed from a checkpoint (which serializes the stride/seen
-    /// counters) retains exactly the same samples as the unbroken run.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use lumen_desim::Picos;
-    /// use lumen_stats::TimeSeries;
-    /// let mut ts = TimeSeries::new("power").with_retention(64);
-    /// for i in 0..10_000u64 {
-    ///     ts.record(Picos::from_ns(i), i as f64);
-    /// }
-    /// assert!(ts.len() <= 64);
-    /// // Retained samples are an index-strided subsequence of the stream.
-    /// let stride = ts.retention_stride().unwrap();
-    /// assert!(stride.is_power_of_two());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap < 2`.
-    pub fn with_retention(mut self, cap: usize) -> Self {
-        assert!(cap >= 2, "retention cap must be at least 2");
-        let seen = self.times.len() as u64;
-        self.retention = Some(SeriesRetention {
-            cap,
-            stride: 1,
-            seen,
-        });
-        self.compact_to_cap();
-        self
-    }
-
-    /// The retention cap, or `None` when the series is unbounded.
-    pub fn retention_cap(&self) -> Option<usize> {
-        self.retention.as_ref().map(|r| r.cap)
-    }
-
-    /// The current retention stride (samples kept per `stride` offered),
-    /// or `None` when the series is unbounded.
-    pub fn retention_stride(&self) -> Option<u64> {
-        self.retention.as_ref().map(|r| r.stride)
-    }
-
-    /// Total samples ever offered to [`record`](Self::record), counting
-    /// ones the retention policy dropped.
-    pub fn samples_seen(&self) -> u64 {
-        match &self.retention {
-            Some(r) => r.seen,
-            None => self.times.len() as u64,
         }
     }
 
@@ -117,10 +40,6 @@ impl TimeSeries {
 
     /// Appends a sample.
     ///
-    /// Under a retention policy ([`with_retention`](Self::with_retention))
-    /// the sample may be dropped rather than stored; which samples are
-    /// kept depends only on their absolute index in the stream.
-    ///
     /// # Panics
     ///
     /// Panics if `at` precedes the last recorded time or `value` is NaN.
@@ -129,37 +48,8 @@ impl TimeSeries {
         if let Some(&last) = self.times.last() {
             assert!(at >= last, "samples must be time-ordered");
         }
-        if let Some(r) = &mut self.retention {
-            let index = r.seen;
-            r.seen += 1;
-            if index % r.stride != 0 {
-                return;
-            }
-        }
         self.times.push(at);
         self.values.push(value);
-        self.compact_to_cap();
-    }
-
-    /// Halves the retained set (doubling the stride) until it fits the
-    /// retention cap. Retained entry `j` always has absolute stream index
-    /// `j * stride`, so dropping odd positions and doubling the stride
-    /// preserves that invariant.
-    fn compact_to_cap(&mut self) {
-        let Some(r) = &mut self.retention else {
-            return;
-        };
-        while self.times.len() > r.cap {
-            let mut keep = 0usize;
-            for j in (0..self.times.len()).step_by(2) {
-                self.times[keep] = self.times[j];
-                self.values[keep] = self.values[j];
-                keep += 1;
-            }
-            self.times.truncate(keep);
-            self.values.truncate(keep);
-            r.stride *= 2;
-        }
     }
 
     /// Number of samples.
@@ -293,51 +183,5 @@ mod tests {
         assert!(ts.is_empty());
         assert_eq!(ts.mean(), 0.0);
         assert_eq!(ts.last(), None);
-    }
-
-    #[test]
-    fn retention_caps_memory() {
-        let mut ts = TimeSeries::new("r").with_retention(16);
-        for i in 0..100_000u64 {
-            ts.record(Picos::from_ns(i), i as f64);
-        }
-        assert!(ts.len() <= 16);
-        assert_eq!(ts.samples_seen(), 100_000);
-        let stride = ts.retention_stride().unwrap();
-        assert!(stride.is_power_of_two());
-        // Every retained entry sits at absolute index j * stride.
-        for (j, (_, v)) in ts.iter().enumerate() {
-            assert_eq!(v, (j as u64 * stride) as f64);
-        }
-    }
-
-    #[test]
-    fn retention_is_stream_deterministic() {
-        // Recording the same stream in one go or split at an arbitrary
-        // point yields identical retained sets — the property checkpoint
-        // resume relies on.
-        let total = 12_345u64;
-        for split in [1u64, 7, 100, 9_999] {
-            let mut whole = TimeSeries::new("w").with_retention(32);
-            let mut a = TimeSeries::new("w").with_retention(32);
-            for i in 0..total {
-                whole.record(Picos::from_ns(i), (i * 3) as f64);
-            }
-            for i in 0..split {
-                a.record(Picos::from_ns(i), (i * 3) as f64);
-            }
-            let mut b = a.clone();
-            for i in split..total {
-                b.record(Picos::from_ns(i), (i * 3) as f64);
-            }
-            assert_eq!(whole, b);
-        }
-    }
-
-    #[test]
-    fn retention_applies_to_existing_samples() {
-        let ts = series(100).with_retention(8);
-        assert!(ts.len() <= 8);
-        assert_eq!(ts.samples_seen(), 100);
     }
 }

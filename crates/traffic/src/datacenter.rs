@@ -255,21 +255,6 @@ impl DatacenterSource {
         &self.config
     }
 
-    /// Number of client nodes (non-servers).
-    pub fn client_count(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// Clients whose flow gate is currently ON.
-    pub fn active_clients(&self) -> usize {
-        self.gates.iter().filter(|g| g.on).count()
-    }
-
-    /// Responses committed but not yet injected.
-    pub fn pending_responses(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The diurnal load multiplier at `cycle`: a raised cosine from
     /// [`DatacenterConfig::diurnal_floor`] (at cycle 0) up to 1 at
     /// mid-period and back.
@@ -353,35 +338,42 @@ impl TrafficSource for DatacenterSource {
     }
 
     fn checkpoint_state(&self) -> Option<serde::Value> {
-        Some(serde::Value::Map(vec![
-            ("rng".into(), self.rng.serialize_value()),
-            ("gates".into(), self.gates.serialize_value()),
-            ("pending".into(), self.pending.serialize_value()),
-            ("next_id".into(), self.next_id.serialize_value()),
-            ("generated".into(), self.generated.serialize_value()),
-        ]))
+        let state = DatacenterState {
+            rng: self.rng.clone(),
+            gates: self.gates.clone(),
+            pending: self.pending.clone(),
+            next_id: self.next_id,
+            generated: self.generated,
+        };
+        Some(state.serialize_value())
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let map = state
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "DatacenterSource"))?;
-        let field = |name: &str| serde::map_field(map, name, "DatacenterSource");
-        let gates: Vec<Gate> = Vec::deserialize_value(field("gates")?)?;
-        if gates.len() != self.gates.len() {
+        let state: DatacenterState = serde::from_value(state)?;
+        if state.gates.len() != self.gates.len() {
             return Err(serde::Error::custom(format!(
                 "checkpoint has {} client gates, this network has {}",
-                gates.len(),
+                state.gates.len(),
                 self.gates.len()
             )));
         }
-        self.rng = Rng::deserialize_value(field("rng")?)?;
-        self.gates = gates;
-        self.pending = VecDeque::deserialize_value(field("pending")?)?;
-        self.next_id = u64::deserialize_value(field("next_id")?)?;
-        self.generated = u64::deserialize_value(field("generated")?)?;
+        self.rng = state.rng;
+        self.gates = state.gates;
+        self.pending = state.pending;
+        self.next_id = state.next_id;
+        self.generated = state.generated;
         Ok(())
     }
+}
+
+/// The checkpointed state of a [`DatacenterSource`].
+#[derive(Serialize, Deserialize)]
+struct DatacenterState {
+    rng: Rng,
+    gates: Vec<Gate>,
+    pending: VecDeque<PendingResponse>,
+    next_id: u64,
+    generated: u64,
 }
 
 #[cfg(test)]

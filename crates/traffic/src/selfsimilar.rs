@@ -199,33 +199,39 @@ impl TrafficSource for SelfSimilarSource {
     }
 
     fn checkpoint_state(&self) -> Option<serde::Value> {
-        Some(serde::Value::Map(vec![
-            ("rng".into(), self.rng.serialize_value()),
-            ("states".into(), self.states.serialize_value()),
-            ("next_id".into(), self.next_id.serialize_value()),
-            ("generated".into(), self.generated.serialize_value()),
-        ]))
+        let state = SelfSimilarState {
+            rng: self.rng.clone(),
+            states: self.states.clone(),
+            next_id: self.next_id,
+            generated: self.generated,
+        };
+        Some(state.serialize_value())
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let map = state
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "SelfSimilarSource"))?;
-        let field = |name: &str| serde::map_field(map, name, "SelfSimilarSource");
-        let states: Vec<NodeState> = Vec::deserialize_value(field("states")?)?;
-        if states.len() != self.states.len() {
+        let state: SelfSimilarState = serde::from_value(state)?;
+        if state.states.len() != self.states.len() {
             return Err(serde::Error::custom(format!(
                 "checkpoint has {} node states, this network has {}",
-                states.len(),
+                state.states.len(),
                 self.states.len()
             )));
         }
-        self.rng = Rng::deserialize_value(field("rng")?)?;
-        self.states = states;
-        self.next_id = u64::deserialize_value(field("next_id")?)?;
-        self.generated = u64::deserialize_value(field("generated")?)?;
+        self.rng = state.rng;
+        self.states = state.states;
+        self.next_id = state.next_id;
+        self.generated = state.generated;
         Ok(())
     }
+}
+
+/// The checkpointed state of a [`SelfSimilarSource`].
+#[derive(Serialize, Deserialize)]
+struct SelfSimilarState {
+    rng: Rng,
+    states: Vec<NodeState>,
+    next_id: u64,
+    generated: u64,
 }
 
 #[cfg(test)]

@@ -166,23 +166,29 @@ impl TrafficSource for SyntheticSource {
     }
 
     fn checkpoint_state(&self) -> Option<serde::Value> {
-        Some(serde::Value::Map(vec![
-            ("rng".into(), self.rng.serialize_value()),
-            ("next_id".into(), self.next_id.serialize_value()),
-            ("generated".into(), self.generated.serialize_value()),
-        ]))
+        let state = SyntheticState {
+            rng: self.rng.clone(),
+            next_id: self.next_id,
+            generated: self.generated,
+        };
+        Some(state.serialize_value())
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let map = state
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "SyntheticSource"))?;
-        let field = |name: &str| serde::map_field(map, name, "SyntheticSource");
-        self.rng = Rng::deserialize_value(field("rng")?)?;
-        self.next_id = u64::deserialize_value(field("next_id")?)?;
-        self.generated = u64::deserialize_value(field("generated")?)?;
+        let state: SyntheticState = serde::from_value(state)?;
+        self.rng = state.rng;
+        self.next_id = state.next_id;
+        self.generated = state.generated;
         Ok(())
     }
+}
+
+/// The checkpointed state of a [`SyntheticSource`].
+#[derive(Serialize, Deserialize)]
+struct SyntheticState {
+    rng: Rng,
+    next_id: u64,
+    generated: u64,
 }
 
 /// Replays a recorded [`Trace`] (packets sorted by creation time).
@@ -246,30 +252,36 @@ impl TrafficSource for TraceSource {
     }
 
     fn checkpoint_state(&self) -> Option<serde::Value> {
-        Some(serde::Value::Map(vec![
-            ("cursor".into(), self.cursor.serialize_value()),
-            ("next_id".into(), self.next_id.serialize_value()),
-            ("generated".into(), self.generated.serialize_value()),
-        ]))
+        let state = TraceState {
+            cursor: self.cursor,
+            next_id: self.next_id,
+            generated: self.generated,
+        };
+        Some(state.serialize_value())
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let map = state
-            .as_map()
-            .ok_or_else(|| serde::Error::expected("map", "TraceSource"))?;
-        let field = |name: &str| serde::map_field(map, name, "TraceSource");
-        let cursor = usize::deserialize_value(field("cursor")?)?;
-        if cursor > self.records.len() {
+        let state: TraceState = serde::from_value(state)?;
+        if state.cursor > self.records.len() {
             return Err(serde::Error::custom(format!(
-                "trace cursor {cursor} past end of {}-record trace",
+                "trace cursor {} past end of {}-record trace",
+                state.cursor,
                 self.records.len()
             )));
         }
-        self.cursor = cursor;
-        self.next_id = u64::deserialize_value(field("next_id")?)?;
-        self.generated = u64::deserialize_value(field("generated")?)?;
+        self.cursor = state.cursor;
+        self.next_id = state.next_id;
+        self.generated = state.generated;
         Ok(())
     }
+}
+
+/// The checkpointed state of a [`TraceSource`].
+#[derive(Serialize, Deserialize)]
+struct TraceState {
+    cursor: usize,
+    next_id: u64,
+    generated: u64,
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use lumen_core::prelude::*;
 use lumen_dse::{
-    run_scenario, DseConfig, DseWorkload, Goal, PolicyDraw, Scenario, SearchSpace,
+    run_scenario, DseConfig, DseReport, DseWorkload, Goal, PolicyDraw, Scenario, SearchSpace,
     DSE_SCHEMA,
 };
 // `proptest` here is the vendored stand-in (vendor/proptest, v0.0.0-lumen):
@@ -160,4 +160,20 @@ fn table1_draw_round_trips_through_the_objective_path() {
     assert!(obj.normalized_power.is_finite());
     assert!(obj.p99_latency_cycles.is_finite());
     assert_eq!(obj.delivery_ratio, 1.0);
+}
+
+#[test]
+fn recorded_reports_read_back_byte_identically() {
+    // The recorded Pareto reports parse through the JSON reader and
+    // re-serialize to the same bytes.
+    for scenario in ["dc-folded-clos", "fig5-uniform", "fig6-hotspot"] {
+        let path = format!(
+            "{}/../results/dse_{scenario}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let json = std::fs::read_to_string(&path).expect("recorded report");
+        let report: DseReport = serde_json::from_str(&json).expect("report parses");
+        assert_eq!(report.schema, DSE_SCHEMA);
+        assert!(report.to_json() == json, "{scenario}: bytes differ");
+    }
 }
