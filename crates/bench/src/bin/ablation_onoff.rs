@@ -40,7 +40,10 @@ fn main() {
             .measure_cycles(measure)
             .telemetry(args.telemetry())
     };
-    let disciplines = [("DVS", dvs_config as fn() -> SystemConfig), ("on/off", onoff_config)];
+    let disciplines = [
+        ("DVS", dvs_config as fn() -> SystemConfig),
+        ("on/off", onoff_config),
+    ];
 
     // Per workload: one baseline point, then one point per discipline.
     // Each workload's baseline and disciplines share a comparison group

@@ -146,14 +146,24 @@ fn main() {
         println!("\n{name} (every point conservation-audited):");
         println!(
             "  {:>7} {:>10} {:>9} {:>12} {:>12} {:>10} {:>11}",
-            "policy", "delivered", "latency", "norm latency", "power (mW)", "norm power", "transitions"
+            "policy",
+            "delivered",
+            "latency",
+            "norm latency",
+            "power (mW)",
+            "norm power",
+            "transitions"
         );
         for (i, policy) in policies.iter().enumerate() {
             let r = &results[k * policies.len() + i];
             let nl = r.normalized_latency(base);
             println!(
                 "  {policy:>7} {:>10} {:>9.1} {nl:>12.2} {:>12.1} {:>10.3} {:>11}",
-                r.packets_delivered, r.avg_latency_cycles, r.avg_power_mw, r.normalized_power, r.transitions
+                r.packets_delivered,
+                r.avg_latency_cycles,
+                r.avg_power_mw,
+                r.normalized_power,
+                r.transitions
             );
             csv.row(vec![
                 (*name).into(),

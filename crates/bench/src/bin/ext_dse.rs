@@ -235,7 +235,9 @@ fn main() {
 
     let quick_budget = scale == RunScale::Quick;
     let dse = DseConfig {
-        trials: dse_args.trials.unwrap_or(if quick_budget { 10 } else { 24 }),
+        trials: dse_args
+            .trials
+            .unwrap_or(if quick_budget { 10 } else { 24 }),
         survivors: dse_args
             .survivors
             .unwrap_or(if quick_budget { 3 } else { 6 }),
@@ -302,7 +304,11 @@ fn main() {
                 o.avg_latency_cycles,
                 o.p99_latency_cycles,
                 o.delivery_ratio,
-                if o.p99_saturated { "  (p99 at histogram edge)" } else { "" },
+                if o.p99_saturated {
+                    "  (p99 at histogram edge)"
+                } else {
+                    ""
+                },
             );
             csv.row(vec![
                 report.scenario.clone(),
@@ -314,7 +320,11 @@ fn main() {
                 feasible.to_string(),
             ]);
         };
-        row("non-PA baseline", base, base.delivery_ratio >= dse.min_delivery);
+        row(
+            "non-PA baseline",
+            base,
+            base.delivery_ratio >= dse.min_delivery,
+        );
         row("Table 1", t1, t1.delivery_ratio >= dse.min_delivery);
         match best_full_point(&report) {
             Some(i) => {
@@ -375,9 +385,7 @@ fn main() {
                 let workload = scenario
                     .workload
                     .workload(&scenario.config.noc, scenario.measure_cycles);
-                points.push(
-                    Point::new(label, experiment, workload).in_group(scenario.group),
-                );
+                points.push(Point::new(label, experiment, workload).in_group(scenario.group));
             };
             with_draw(
                 format!("{} table1", scenario.name),

@@ -91,8 +91,12 @@ fn main() {
             .measure_cycles(scale.cycles(60_000))
             .telemetry(args.telemetry());
         points.push(
-            Point::new(format!("{name} zero-load"), exp.clone(), Workload::ZeroLoad { size })
-                .in_group(0),
+            Point::new(
+                format!("{name} zero-load"),
+                exp.clone(),
+                Workload::ZeroLoad { size },
+            )
+            .in_group(0),
         );
         points.extend(rates.iter().enumerate().map(|(i, &rate)| {
             Point::new(
@@ -124,7 +128,11 @@ fn main() {
         );
         for (i, &rate) in rates.iter().enumerate() {
             let r = &results[c * stride + 1 + i];
-            let sat = if r.is_saturated(zero_load) { "yes" } else { "no" };
+            let sat = if r.is_saturated(zero_load) {
+                "yes"
+            } else {
+                "no"
+            };
             println!(
                 "  {rate:>5.1} {:>11.2} {:>14.1} {:>11} {:>10.3}",
                 r.throughput(),

@@ -16,7 +16,10 @@ use lumen_stats::csv::CsvBuilder;
 fn main() {
     let args = BenchArgs::parse();
     let scale = args.scale;
-    banner("Fig 5(d,e,f)", "latency / power / PLP vs utilization threshold");
+    banner(
+        "Fig 5(d,e,f)",
+        "latency / power / PLP vs utilization threshold",
+    );
 
     let averages: &[f64] = &[0.35, 0.45, 0.55, 0.65];
     let rates: &[f64] = &[1.25, 3.3, 5.05];

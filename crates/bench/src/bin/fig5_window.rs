@@ -19,7 +19,10 @@ use lumen_stats::csv::CsvBuilder;
 fn main() {
     let args = BenchArgs::parse();
     let scale = args.scale;
-    banner("Fig 5(a,b,c)", "latency / power / PLP vs policy window size");
+    banner(
+        "Fig 5(a,b,c)",
+        "latency / power / PLP vs policy window size",
+    );
 
     let windows: &[u64] = &[100, 500, 1_000, 5_000, 10_000];
     let rates: &[f64] = &[1.25, 3.3, 5.0];
@@ -87,14 +90,7 @@ fn main() {
                 nl * np,
                 r.transitions
             );
-            csv.row_f64(&[
-                tw as f64,
-                rate,
-                nl,
-                np,
-                nl * np,
-                r.transitions as f64,
-            ]);
+            csv.row_f64(&[tw as f64, rate, nl, np, nl * np, r.transitions as f64]);
         }
     }
     println!("\nCSV:\n{}", csv.as_str());

@@ -19,7 +19,10 @@ use lumen_stats::csv::CsvBuilder;
 fn main() {
     let args = BenchArgs::parse();
     let scale = args.scale;
-    banner("Fig 7", "SPLASH2-like traces: injection rate and power over time");
+    banner(
+        "Fig 7",
+        "SPLASH2-like traces: injection rate and power over time",
+    );
 
     let points: Vec<Point> = SplashApp::ALL
         .into_iter()

@@ -97,8 +97,8 @@ impl SystemConfig {
 mod tests {
     use super::*;
     use lumen_opto::Gbps;
-    use lumen_policy::BitRateLadder;
     use lumen_opto::Volts;
+    use lumen_policy::BitRateLadder;
 
     #[test]
     fn paper_default_is_valid() {

@@ -88,7 +88,10 @@ use std::time::{Duration, Instant};
 /// first, runs on a derived stream by design, making "same batch, same
 /// thread count or not" the only identity that holds.
 pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(0x2545_f491_4f6c_dd1d);
+    let mut z = base
+        ^ stream
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(0x2545_f491_4f6c_dd1d);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -305,9 +308,7 @@ pub struct Executor {
 impl Executor {
     /// An executor with exactly `jobs` worker threads (clamped to ≥ 1).
     pub fn new(jobs: usize) -> Executor {
-        Executor {
-            jobs: jobs.max(1),
-        }
+        Executor { jobs: jobs.max(1) }
     }
 
     /// An executor sized to the machine's available parallelism.
@@ -371,10 +372,11 @@ impl Executor {
 
 fn run_point(point: &Point, index: usize) -> PointResult {
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| point.run_at_index(index)))
-        .map_err(|payload| PointError {
+    let outcome = catch_unwind(AssertUnwindSafe(|| point.run_at_index(index))).map_err(|payload| {
+        PointError {
             message: panic_message(payload),
-        });
+        }
+    });
     PointResult {
         label: point.label.clone(),
         index,
@@ -557,8 +559,7 @@ mod tests {
         assert_ne!(derive_seed(1, 0), derive_seed(1, 1));
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
         // No short-range collisions for a typical sweep.
-        let seeds: std::collections::HashSet<u64> =
-            (0..1000).map(|i| derive_seed(1, i)).collect();
+        let seeds: std::collections::HashSet<u64> = (0..1000).map(|i| derive_seed(1, i)).collect();
         assert_eq!(seeds.len(), 1000);
     }
 

@@ -177,9 +177,7 @@ impl Experiment {
     /// (results are bit-identical at every count), so forcing the
     /// sequential engine changes nothing observable.
     fn needs_sequential(&self) -> bool {
-        self.save.is_some()
-            || self.resume_from.is_some()
-            || self.telemetry.retain_windows.is_some()
+        self.save.is_some() || self.resume_from.is_some() || self.telemetry.retain_windows.is_some()
     }
 
     /// Runs the experiment with an arbitrary traffic source, on the
@@ -199,7 +197,11 @@ impl Experiment {
         if let Some((cycle, path)) = self.save.clone() {
             return self.run_with_save(source, cycle, &path);
         }
-        let shards = if self.needs_sequential() { 1 } else { self.shards };
+        let shards = if self.needs_sequential() {
+            1
+        } else {
+            self.shards
+        };
         let outcome = crate::shard::run_sharded_with(
             self.config.clone(),
             source,
@@ -359,10 +361,9 @@ impl Experiment {
         // Telemetry with shards > 1 forces the audit even in release: the
         // exported counters must agree with the auditor's flit/credit
         // balance across every shard cut.
-        let audit_report = (self.audit
-            || cfg!(debug_assertions)
-            || (self.telemetry.enabled() && self.shards > 1))
-            .then(|| lumen_noc::audit(sim.network()));
+        let audit_report =
+            (self.audit || cfg!(debug_assertions) || (self.telemetry.enabled() && self.shards > 1))
+                .then(|| lumen_noc::audit(sim.network()));
         if let Some(report) = audit_report.as_ref() {
             report.assert_ok();
         }

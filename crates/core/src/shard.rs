@@ -469,12 +469,7 @@ struct CreditLedger {
 }
 
 impl CreditLedger {
-    fn new(
-        links: Vec<u32>,
-        link_count: usize,
-        noc: &NocConfig,
-        lookahead: u64,
-    ) -> Self {
+    fn new(links: Vec<u32>, link_count: usize, noc: &NocConfig, lookahead: u64) -> Self {
         let mut dense = vec![u32::MAX; link_count];
         for (i, &l) in links.iter().enumerate() {
             dense[l as usize] = i as u32;
@@ -860,8 +855,8 @@ pub(crate) fn run_sharded_with(
         }
     }
 
-    let lookahead = static_lookahead(&config.noc, s_count)
-        .min(lookahead_cap.unwrap_or(u64::MAX).max(1));
+    let lookahead =
+        static_lookahead(&config.noc, s_count).min(lookahead_cap.unwrap_or(u64::MAX).max(1));
     let plan = WindowPlan {
         lookahead,
         timing: has_dvs.then_some(config.policy.timing),

@@ -1058,7 +1058,15 @@ impl PowerAwareSim {
     /// closing flush). No-op unless the link series is enabled and
     /// measurement has begun. Reads only values the policy path already
     /// computed — never perturbs simulation state.
-    fn telemetry_push(&mut self, now: Picos, l: usize, lu: f64, lu_avg: f64, bu: f64, closing: bool) {
+    fn telemetry_push(
+        &mut self,
+        now: Picos,
+        l: usize,
+        lu: f64,
+        lu_avg: f64,
+        bu: f64,
+        closing: bool,
+    ) {
         let Some(t) = self.telemetry.as_deref() else {
             return;
         };

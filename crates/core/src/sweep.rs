@@ -107,8 +107,7 @@ impl LoadSweep {
                 return Some(match prev {
                     None => p.offered,
                     Some(q) => {
-                        let f = (limit - q.latency_cycles)
-                            / (p.latency_cycles - q.latency_cycles);
+                        let f = (limit - q.latency_cycles) / (p.latency_cycles - q.latency_cycles);
                         q.offered + f.clamp(0.0, 1.0) * (p.offered - q.offered)
                     }
                 });
@@ -120,10 +119,7 @@ impl LoadSweep {
 
     /// The highest delivered rate observed anywhere in the sweep.
     pub fn peak_throughput(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.throughput)
-            .fold(0.0, f64::max)
+        self.points.iter().map(|p| p.throughput).fold(0.0, f64::max)
     }
 }
 

@@ -446,7 +446,9 @@ impl TelemetryCollector {
             active: false,
             rows: Vec::new(),
             last_energy_nj: vec![0.0; links],
-            retention: config.retain_windows.map(|cap| RowRetention::new(cap as usize)),
+            retention: config
+                .retain_windows
+                .map(|cap| RowRetention::new(cap as usize)),
         }
     }
 
@@ -725,10 +727,7 @@ mod tests {
             .filter(|r| !r.decimated)
             .map(|r| r.cycle)
             .collect();
-        assert_eq!(
-            dense,
-            (993..=1_000).map(|w| w * 200).collect::<Vec<u64>>()
-        );
+        assert_eq!(dense, (993..=1_000).map(|w| w * 200).collect::<Vec<u64>>());
         // Older surviving rows are flagged and strictly ordered.
         let old: Vec<u64> = rows
             .iter()

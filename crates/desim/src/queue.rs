@@ -186,13 +186,17 @@ impl<E> Wheel<E> {
         self.cursor = next;
         // Swap rather than move so the drained bucket inherits the
         // drain's (empty, but allocated) buffer.
-        std::mem::swap(&mut self.drain, &mut self.slots[(next & SLOT_MASK) as usize]);
+        std::mem::swap(
+            &mut self.drain,
+            &mut self.slots[(next & SLOT_MASK) as usize],
+        );
         self.in_slots -= self.drain.len();
         while let Some(e) = self.overflow.peek() {
             if self.bucket_of(e.time) != next {
                 break;
             }
-            self.drain.push(self.overflow.pop().expect("peeked entry must pop"));
+            self.drain
+                .push(self.overflow.pop().expect("peeked entry must pop"));
         }
         self.sort_drain();
     }
@@ -224,7 +228,10 @@ impl<E> Wheel<E> {
             }
             return self.drain.iter().map(|e| e.time).min();
         }
-        let overflow = self.overflow.peek().map(|e| (self.bucket_of(e.time), e.time));
+        let overflow = self
+            .overflow
+            .peek()
+            .map(|e| (self.bucket_of(e.time), e.time));
         if self.in_slots == 0 {
             return overflow.map(|(_, t)| t);
         }

@@ -89,9 +89,7 @@ impl DseWorkload {
                 let rates = [1.0, 1.5, 1.0, 3.5, 4.0, 3.5, 1.5, 1.0];
                 Workload::Synthetic {
                     pattern: Pattern::paper_hotspot(noc),
-                    profile: RateProfile::Phases(
-                        rates.iter().map(|&r| (phase, r)).collect(),
-                    ),
+                    profile: RateProfile::Phases(rates.iter().map(|&r| (phase, r)).collect()),
                     size,
                 }
             }
@@ -193,7 +191,10 @@ impl DseConfig {
     /// CLI's `--quick` scaling: `full / divisor`, floored at 2000).
     pub fn quick_horizons(&self, scenario: &Scenario) -> (u64, u64) {
         let scale = |full: u64| (full / self.quick_divisor).max(2_000);
-        (scale(scenario.warmup_cycles), scale(scenario.measure_cycles))
+        (
+            scale(scenario.warmup_cycles),
+            scale(scenario.measure_cycles),
+        )
     }
 }
 
@@ -240,7 +241,11 @@ pub fn run_scenario(
     let warm = dse.warm_start
         && scenario.workload.warm_startable()
         && quick_measure <= scenario.measure_cycles;
-    let quick_warmup = if warm { scenario.warmup_cycles } else { quick_warmup };
+    let quick_warmup = if warm {
+        scenario.warmup_cycles
+    } else {
+        quick_warmup
+    };
     let warm_ckpt = |trial: usize| {
         std::env::temp_dir().join(format!(
             "lumen-dse-warm-{}-{}-{trial}.ckpt",
@@ -251,27 +256,52 @@ pub fn run_scenario(
     let base_seed = scenario.config.seed;
     let point_seed = derive_seed(base_seed, scenario.group);
 
-    let build_point = |draw: &PolicyDraw, power_aware: bool, warmup: u64, measure: u64, label: String| {
-        let mut config = scenario.config.clone();
-        config.power_aware = power_aware;
-        draw.apply(&mut config);
-        let experiment = Experiment::new(config)
-            .warmup_cycles(warmup)
-            .measure_cycles(measure);
-        let noc = &scenario.config.noc;
-        Point::new(label, experiment, scenario.workload.workload(noc, measure))
-            .in_group(scenario.group)
-    };
+    let build_point =
+        |draw: &PolicyDraw, power_aware: bool, warmup: u64, measure: u64, label: String| {
+            let mut config = scenario.config.clone();
+            config.power_aware = power_aware;
+            draw.apply(&mut config);
+            let experiment = Experiment::new(config)
+                .warmup_cycles(warmup)
+                .measure_cycles(measure);
+            let noc = &scenario.config.noc;
+            Point::new(label, experiment, scenario.workload.workload(noc, measure))
+                .in_group(scenario.group)
+        };
 
     // Reference rows: Table 1 and the non-PA baseline, both fidelities.
     // They run in the same comparison group as every trial, so the whole
     // scenario is one common-random-numbers block.
     let table1 = PolicyDraw::paper_table1();
     let refs = vec![
-        build_point(&table1, true, quick_warmup, quick_measure, "table1 quick".into()),
-        build_point(&table1, true, scenario.warmup_cycles, scenario.measure_cycles, "table1 full".into()),
-        build_point(&table1, false, quick_warmup, quick_measure, "non-PA quick".into()),
-        build_point(&table1, false, scenario.warmup_cycles, scenario.measure_cycles, "non-PA full".into()),
+        build_point(
+            &table1,
+            true,
+            quick_warmup,
+            quick_measure,
+            "table1 quick".into(),
+        ),
+        build_point(
+            &table1,
+            true,
+            scenario.warmup_cycles,
+            scenario.measure_cycles,
+            "table1 full".into(),
+        ),
+        build_point(
+            &table1,
+            false,
+            quick_warmup,
+            quick_measure,
+            "non-PA quick".into(),
+        ),
+        build_point(
+            &table1,
+            false,
+            scenario.warmup_cycles,
+            scenario.measure_cycles,
+            "non-PA full".into(),
+        ),
     ];
     progress(&format!("{}: reference rows (4 runs)", scenario.name));
     let ref_results = executor.run(&refs);
@@ -281,8 +311,14 @@ pub fn run_scenario(
             .objectives()
             .unwrap_or_else(|e| panic!("reference run `{}` unusable: {e}", refs[i].label))
     };
-    let table1_row = ReferenceRow { quick: ref_obj(0), full: ref_obj(1) };
-    let baseline_row = ReferenceRow { quick: ref_obj(2), full: ref_obj(3) };
+    let table1_row = ReferenceRow {
+        quick: ref_obj(0),
+        full: ref_obj(1),
+    };
+    let baseline_row = ReferenceRow {
+        quick: ref_obj(2),
+        full: ref_obj(3),
+    };
 
     // Quick-fidelity TPE generations.
     let mut tpe = Tpe::new(space.clone(), dse.sampler_seed);
@@ -322,15 +358,17 @@ pub fn run_scenario(
         ));
         let results = executor.run(&points);
         for ((cube, draw), pr) in cubes.into_iter().zip(draws).zip(&results) {
-            let objectives = pr
-                .run_result()
-                .and_then(|r| r.objectives().ok());
+            let objectives = pr.run_result().and_then(|r| r.objectives().ok());
             let goal = match &objectives {
                 Some(obj) => Goal::new(obj, dse.min_delivery),
                 None => failed_trial_goal(),
             };
             tpe.observe(cube, goal);
-            evaluated.push(Evaluated { draw, objectives, goal });
+            evaluated.push(Evaluated {
+                draw,
+                objectives,
+                goal,
+            });
         }
     }
 
@@ -429,7 +467,10 @@ pub fn run_scenario(
         base_seed,
         group: scenario.group,
         min_delivery: dse.min_delivery,
-        quick: Fidelity { warmup_cycles: quick_warmup, measure_cycles: quick_measure },
+        quick: Fidelity {
+            warmup_cycles: quick_warmup,
+            measure_cycles: quick_measure,
+        },
         full: Fidelity {
             warmup_cycles: scenario.warmup_cycles,
             measure_cycles: scenario.measure_cycles,
@@ -573,7 +614,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "survivors must be in")]
     fn config_rejects_more_survivors_than_trials() {
-        let dse = DseConfig { trials: 2, survivors: 5, ..DseConfig::default() };
+        let dse = DseConfig {
+            trials: 2,
+            survivors: 5,
+            ..DseConfig::default()
+        };
         dse.validate();
     }
 }

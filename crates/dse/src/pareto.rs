@@ -74,9 +74,8 @@ pub fn ranks(goals: &[Goal]) -> Vec<usize> {
             if rank[i] != usize::MAX {
                 continue;
             }
-            let dominated = (0..n).any(|j| {
-                j != i && rank[j] == usize::MAX && goals[j].dominates(&goals[i])
-            });
+            let dominated =
+                (0..n).any(|j| j != i && rank[j] == usize::MAX && goals[j].dominates(&goals[i]));
             if !dominated {
                 front.push(i);
             }

@@ -102,16 +102,52 @@ impl SearchSpace {
     pub fn paper_policy() -> Self {
         SearchSpace {
             dims: vec![
-                Dim { name: "tl_uncongested", scale: Scale::Linear { lo: 0.10, hi: 0.60 } },
-                Dim { name: "th_gap_uncongested", scale: Scale::Linear { lo: 0.05, hi: 0.35 } },
-                Dim { name: "tl_congested", scale: Scale::Linear { lo: 0.20, hi: 0.80 } },
-                Dim { name: "th_gap_congested", scale: Scale::Linear { lo: 0.05, hi: 0.30 } },
-                Dim { name: "tw_cycles", scale: Scale::Log { lo: 100.0, hi: 8000.0 } },
-                Dim { name: "n_windows", scale: Scale::Integer { lo: 1, hi: 8 } },
-                Dim { name: "ladder_levels", scale: Scale::Integer { lo: 2, hi: 8 } },
-                Dim { name: "ladder_min_gbps", scale: Scale::Linear { lo: 3.0, hi: 8.0 } },
-                Dim { name: "laser_decision_us", scale: Scale::Log { lo: 50.0, hi: 400.0 } },
-                Dim { name: "optical_mode", scale: Scale::Categorical { n: 2 } },
+                Dim {
+                    name: "tl_uncongested",
+                    scale: Scale::Linear { lo: 0.10, hi: 0.60 },
+                },
+                Dim {
+                    name: "th_gap_uncongested",
+                    scale: Scale::Linear { lo: 0.05, hi: 0.35 },
+                },
+                Dim {
+                    name: "tl_congested",
+                    scale: Scale::Linear { lo: 0.20, hi: 0.80 },
+                },
+                Dim {
+                    name: "th_gap_congested",
+                    scale: Scale::Linear { lo: 0.05, hi: 0.30 },
+                },
+                Dim {
+                    name: "tw_cycles",
+                    scale: Scale::Log {
+                        lo: 100.0,
+                        hi: 8000.0,
+                    },
+                },
+                Dim {
+                    name: "n_windows",
+                    scale: Scale::Integer { lo: 1, hi: 8 },
+                },
+                Dim {
+                    name: "ladder_levels",
+                    scale: Scale::Integer { lo: 2, hi: 8 },
+                },
+                Dim {
+                    name: "ladder_min_gbps",
+                    scale: Scale::Linear { lo: 3.0, hi: 8.0 },
+                },
+                Dim {
+                    name: "laser_decision_us",
+                    scale: Scale::Log {
+                        lo: 50.0,
+                        hi: 400.0,
+                    },
+                },
+                Dim {
+                    name: "optical_mode",
+                    scale: Scale::Categorical { n: 2 },
+                },
             ],
         }
     }
@@ -247,7 +283,10 @@ mod tests {
         let lin = Scale::Linear { lo: 2.0, hi: 4.0 };
         assert_eq!(lin.decode(0.0), 2.0);
         assert_eq!(lin.decode(1.0), 4.0);
-        let log = Scale::Log { lo: 100.0, hi: 8000.0 };
+        let log = Scale::Log {
+            lo: 100.0,
+            hi: 8000.0,
+        };
         assert!((log.decode(0.0) - 100.0).abs() < 1e-9);
         assert!((log.decode(1.0) - 8000.0).abs() < 1e-6);
         let int = Scale::Integer { lo: 1, hi: 8 };
@@ -286,7 +325,10 @@ mod tests {
         PolicyDraw::paper_table1().apply(&mut config);
         assert_eq!(config.policy.thresholds, reference.policy.thresholds);
         assert_eq!(config.policy.ladder, reference.policy.ladder);
-        assert_eq!(config.policy.timing.tw_cycles, reference.policy.timing.tw_cycles);
+        assert_eq!(
+            config.policy.timing.tw_cycles,
+            reference.policy.timing.tw_cycles
+        );
         assert_eq!(config.policy.optical_mode, reference.policy.optical_mode);
     }
 

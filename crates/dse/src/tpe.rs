@@ -261,8 +261,7 @@ mod tests {
         // suggestions should concentrate there versus uniform (mean 0.5).
         let all = drive(11, 40);
         let model_phase = &all[8..];
-        let mean: f64 =
-            model_phase.iter().map(|p| p[0]).sum::<f64>() / model_phase.len() as f64;
+        let mean: f64 = model_phase.iter().map(|p| p[0]).sum::<f64>() / model_phase.len() as f64;
         assert!(mean < 0.45, "TPE failed to exploit: mean x0 = {mean}");
     }
 

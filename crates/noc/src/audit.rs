@@ -161,14 +161,16 @@ pub fn audit(net: &Network) -> AuditReport {
 pub fn audit_quiescent(net: &Network) -> AuditReport {
     let mut report = audit(net);
     if report.flits_on_links != 0 {
-        report
-            .violations
-            .push(format!("{} flits on links at quiescence", report.flits_on_links));
+        report.violations.push(format!(
+            "{} flits on links at quiescence",
+            report.flits_on_links
+        ));
     }
     if report.flits_buffered != 0 {
-        report
-            .violations
-            .push(format!("{} flits buffered at quiescence", report.flits_buffered));
+        report.violations.push(format!(
+            "{} flits buffered at quiescence",
+            report.flits_buffered
+        ));
     }
     if report.partial_flits != 0 {
         report.violations.push(format!(
@@ -222,11 +224,10 @@ fn check_credits(net: &Network, quiescent: bool, violations: &mut Vec<String>) {
             };
             let occupancy = match link.to() {
                 Endpoint::Node(_) => 0, // sinks drain instantly
-                Endpoint::RouterPort { router, port } => {
-                    net.router(router).inputs[port.0 as usize]
-                        .buffer
-                        .len(crate::ids::VcId(vc as u8)) as u64
-                }
+                Endpoint::RouterPort { router, port } => net.router(router).inputs[port.0 as usize]
+                    .buffer
+                    .len(crate::ids::VcId(vc as u8))
+                    as u64,
             };
             if held + occupancy > depth {
                 violations.push(format!(
@@ -377,14 +378,10 @@ mod tests {
                 let (at, eff) = queue.pop().expect("peeked");
                 match eff {
                     Effect::Flit {
-                        link,
-                        vc,
-                        mut flit,
-                        ..
+                        link, vc, mut flit, ..
                     } => {
                         // Corrupt every 7th flit crossing any link.
-                        if (flit.packet.0 * 31 + u64::from(flit.seq)) % 7 == 0 && !flit.corrupted
-                        {
+                        if (flit.packet.0 * 31 + u64::from(flit.seq)) % 7 == 0 && !flit.corrupted {
                             flit.corrupted = true;
                             poisoned += 1;
                         }

@@ -108,8 +108,8 @@ impl InputBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{NodeId, PacketId};
     use crate::flit::{FlitKind, Packet};
+    use crate::ids::{NodeId, PacketId};
     use lumen_desim::Picos;
 
     fn flit(seq: u32) -> Flit {

@@ -99,9 +99,18 @@ impl NocConfig {
     ///
     /// Panics with a description of the first violated constraint.
     pub fn validate(&self) {
-        assert!(self.width >= 1 && self.height >= 1, "mesh must be non-empty");
-        assert!(self.nodes_per_rack >= 1, "each rack needs at least one node");
-        assert!(self.buffer_depth >= 1, "buffers must hold at least one flit");
+        assert!(
+            self.width >= 1 && self.height >= 1,
+            "mesh must be non-empty"
+        );
+        assert!(
+            self.nodes_per_rack >= 1,
+            "each rack needs at least one node"
+        );
+        assert!(
+            self.buffer_depth >= 1,
+            "buffers must hold at least one flit"
+        );
         assert!(self.vcs >= 1, "need at least one virtual channel");
         assert!(
             self.buffer_depth as usize >= self.vcs as usize,
@@ -172,10 +181,7 @@ impl NocConfig {
     /// for routers below [`NocConfig::rack_count`] (Clos spines have no
     /// coordinate).
     pub fn coord_of(&self, r: RouterId) -> RackCoord {
-        debug_assert!(
-            r.index() < self.rack_count(),
-            "{r} is not a rack router"
-        );
+        debug_assert!(r.index() < self.rack_count(), "{r} is not a rack router");
         RackCoord::new(
             (r.0 % self.width as u32) as u8,
             (r.0 / self.width as u32) as u8,

@@ -1059,7 +1059,10 @@ mod tests {
         d.net.link_mut(ej).disable_until(cycle * 200);
         d.net.inject(packet(1, 0, 1, 2, Picos::ZERO));
         d.run(20);
-        assert!(d.stall(0).is_some(), "router 0 should sleep behind the relock");
+        assert!(
+            d.stall(0).is_some(),
+            "router 0 should sleep behind the relock"
+        );
         // A packet from node 1 to node 0 enters router 0 on another port.
         d.net.inject(packet(2, 1, 0, 1, d.now));
         loop {
@@ -1096,9 +1099,17 @@ mod tests {
             assert!(d.now < cycle * 120, "no credit ever woke router 0");
             let stalled = d.stall(0);
             credit_bound |= stalled.is_some_and(|s| s.wake_at == Picos::MAX);
-            let credits: u16 = d.net.routers[0].outputs.iter().flat_map(|o| &o.credits).sum();
+            let credits: u16 = d.net.routers[0]
+                .outputs
+                .iter()
+                .flat_map(|o| &o.credits)
+                .sum();
             d.deliver();
-            let now_credits: u16 = d.net.routers[0].outputs.iter().flat_map(|o| &o.credits).sum();
+            let now_credits: u16 = d.net.routers[0]
+                .outputs
+                .iter()
+                .flat_map(|o| &o.credits)
+                .sum();
             if stalled.is_some() && now_credits > credits {
                 assert!(d.stall(0).is_none(), "the credit must end the stall");
                 let switched = d.net.routers[0].flits_switched;

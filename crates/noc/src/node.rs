@@ -111,7 +111,11 @@ impl SourceNode {
     /// Returns one credit for the downstream VC.
     pub fn return_credit(&mut self, vc: VcId, depth_per_vc: u16) {
         let c = &mut self.credits[vc.0 as usize];
-        assert!(*c < depth_per_vc, "injection credit overflow at {}", self.id);
+        assert!(
+            *c < depth_per_vc,
+            "injection credit overflow at {}",
+            self.id
+        );
         *c += 1;
     }
 
@@ -123,7 +127,10 @@ impl SourceNode {
         };
         links[self.inj_link.index()].note_demand();
         if self.active_vc.is_none() {
-            debug_assert!(front.kind.is_head(), "source queue must start at a head flit");
+            debug_assert!(
+                front.kind.is_head(),
+                "source queue must start at a head flit"
+            );
             for (v, &c) in self.credits.iter().enumerate() {
                 self.scratch_eligible[v] = c > 0;
             }

@@ -214,7 +214,14 @@ impl RouteTable {
                         (c.x, c.y)
                     })
                     .collect();
-                (Layout::Delta { width: w, height: h }, entries, coords)
+                (
+                    Layout::Delta {
+                        width: w,
+                        height: h,
+                    },
+                    entries,
+                    coords,
+                )
             }
             TopologyKind::FoldedClos { .. } => {
                 let mut entries = vec![RouteSet::EMPTY; routers * racks];
@@ -366,9 +373,7 @@ mod tests {
                 RoutingAlgorithm::YX,
                 RoutingAlgorithm::WestFirst,
             ] {
-                if algo == RoutingAlgorithm::WestFirst
-                    && config.topology == TopologyKind::Torus
-                {
+                if algo == RoutingAlgorithm::WestFirst && config.topology == TopologyKind::Torus {
                     continue; // rejected by validate() without opt-in
                 }
                 let table = RouteTable::build(&config, algo);

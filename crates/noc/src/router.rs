@@ -395,7 +395,9 @@ impl Router {
         while m != 0 {
             let op = m.trailing_zeros() as usize;
             m &= m - 1;
-            let link = self.outputs[op].link.expect("demand noted on a wired output");
+            let link = self.outputs[op]
+                .link
+                .expect("demand noted on a wired output");
             links[link.index()].note_demand_ticks(n);
         }
         for input in &mut self.inputs {
@@ -417,7 +419,11 @@ impl Router {
         if self.sa_ready.is_empty() {
             // No Active VC holds a flit: nothing to allocate, but the
             // rotating priority still advances exactly as it always did.
-            self.sa_rotate = if self.sa_rotate + 1 == ports { 0 } else { self.sa_rotate + 1 };
+            self.sa_rotate = if self.sa_rotate + 1 == ports {
+                0
+            } else {
+                self.sa_rotate + 1
+            };
             return;
         }
         let st_time = now + config.cycle();
@@ -525,7 +531,11 @@ impl Router {
             }
             input_used |= 1u64 << ip;
         }
-        self.sa_rotate = if self.sa_rotate + 1 == ports { 0 } else { self.sa_rotate + 1 };
+        self.sa_rotate = if self.sa_rotate + 1 == ports {
+            0
+        } else {
+            self.sa_rotate + 1
+        };
     }
 
     /// VA: hand free output VCs to packets whose route is computed.
@@ -612,8 +622,7 @@ impl Router {
                     for &cand in cands {
                         let out = &self.outputs[cand.0 as usize];
                         let free_vc = out.vc_owner.iter().filter(|o| o.is_none()).count() as i64;
-                        let credits: i64 =
-                            out.credits.iter().map(|&c| c as i64).sum();
+                        let credits: i64 = out.credits.iter().map(|&c| c as i64).sum();
                         let score = free_vc * 1_000 + credits;
                         if score > best_score {
                             best_score = score;
@@ -665,8 +674,7 @@ impl Router {
     /// for drain detection in tests and experiments).
     pub fn is_quiescent(&self) -> bool {
         self.inputs.iter().all(|p| {
-            p.buffer.total_occupancy() == 0
-                && p.vc_state.iter().all(|s| *s == VcState::Idle)
+            p.buffer.total_occupancy() == 0 && p.vc_state.iter().all(|s| *s == VcState::Idle)
         })
     }
 }
@@ -764,10 +772,15 @@ mod tests {
         assert!(h.effects.is_empty());
         assert_eq!(
             h.router.inputs[1].vc_state[0],
-            VcState::VcAlloc { out_port: PortId(0) }
+            VcState::VcAlloc {
+                out_port: PortId(0)
+            }
         );
         h.tick();
-        assert!(matches!(h.router.inputs[1].vc_state[0], VcState::Active { .. }));
+        assert!(matches!(
+            h.router.inputs[1].vc_state[0],
+            VcState::Active { .. }
+        ));
         h.tick();
         // SA granted during the 3rd tick; flit departure scheduled.
         let flit_events: Vec<&Effect> = h
@@ -841,7 +854,8 @@ mod tests {
         // Only `depth` flits may leave before credits run out.
         assert_eq!(sent, depth as usize);
         // Returning one credit lets exactly one more through.
-        h.router.return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
+        h.router
+            .return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
         h.effects.clear();
         h.tick();
         h.tick();
@@ -934,7 +948,9 @@ mod tests {
         let n = 37;
         for _ in 0..n {
             real.tick(h.now, &h.config, &h.table, &mut real_links, &mut h.effects);
-            let again = real.stall(h.now, h.config.cycle(), &real_links).expect("still stalled");
+            let again = real
+                .stall(h.now, h.config.cycle(), &real_links)
+                .expect("still stalled");
             assert!(again.denials == stall.denials && again.demand == stall.demand);
             h.now += h.config.cycle();
         }
@@ -946,7 +962,10 @@ mod tests {
         for (a, b) in skipped.inputs.iter().zip(&real.inputs) {
             assert_eq!(a.occupancy_accum, b.occupancy_accum);
         }
-        assert_eq!(skipped_links[0].window_demand(), real_links[0].window_demand());
+        assert_eq!(
+            skipped_links[0].window_demand(),
+            real_links[0].window_demand()
+        );
         assert_eq!(skipped_links, real_links);
         assert_eq!(skipped.serialize_value(), real.serialize_value());
     }

@@ -163,7 +163,10 @@ mod tests {
         let here = c.router_at(RackCoord::new(1, 1));
         // Destination two columns east, one row south.
         let dst = c.node_at(c.router_at(RackCoord::new(3, 2)), 0);
-        assert_eq!(route(&c, RoutingAlgorithm::XY, here, dst), direction_port(&c, Direction::East));
+        assert_eq!(
+            route(&c, RoutingAlgorithm::XY, here, dst),
+            direction_port(&c, Direction::East)
+        );
         // After X is resolved, go south.
         let aligned = c.router_at(RackCoord::new(3, 1));
         assert_eq!(
@@ -177,7 +180,10 @@ mod tests {
         let c = cfg();
         let here = c.router_at(RackCoord::new(1, 1));
         let dst = c.node_at(c.router_at(RackCoord::new(3, 2)), 0);
-        assert_eq!(route(&c, RoutingAlgorithm::YX, here, dst), direction_port(&c, Direction::South));
+        assert_eq!(
+            route(&c, RoutingAlgorithm::YX, here, dst),
+            direction_port(&c, Direction::South)
+        );
     }
 
     #[test]
@@ -253,7 +259,9 @@ mod tests {
                 let dst = c.node_at(RouterId(dst_r as u32), 0);
                 route_candidates(&c, RoutingAlgorithm::WestFirst, here, dst, &mut cands);
                 assert!(!cands.is_empty());
-                let d0 = c.coord_of(here).manhattan(c.coord_of(RouterId(dst_r as u32)));
+                let d0 = c
+                    .coord_of(here)
+                    .manhattan(c.coord_of(RouterId(dst_r as u32)));
                 for &p in &cands {
                     match port_direction(&c, p) {
                         None => assert_eq!(d0, 0),
@@ -280,7 +288,13 @@ mod tests {
         for here in 0..c.rack_count() {
             for dst_r in 0..c.rack_count() {
                 let dst = c.node_at(RouterId(dst_r as u32), 0);
-                route_candidates(&c, RoutingAlgorithm::WestFirst, RouterId(here as u32), dst, &mut cands);
+                route_candidates(
+                    &c,
+                    RoutingAlgorithm::WestFirst,
+                    RouterId(here as u32),
+                    dst,
+                    &mut cands,
+                );
                 let west = direction_port(&c, Direction::West);
                 if cands.contains(&west) {
                     assert_eq!(cands.len(), 1, "west must be exclusive");

@@ -161,7 +161,13 @@ mod tests {
         // Slow one mesh link down.
         net.link_mut(LinkId(0))
             .begin_rate_change(Picos::ZERO, Gbps::from_gbps(5.0), Picos::ZERO);
-        net.inject(Packet::new(PacketId(1), NodeId(0), NodeId(1), 2, Picos::ZERO));
+        net.inject(Packet::new(
+            PacketId(1),
+            NodeId(0),
+            NodeId(1),
+            2,
+            Picos::ZERO,
+        ));
         let mut effects = Vec::new();
         for c in 0..50u64 {
             net.tick(Picos::from_ps(c * 1600), &mut effects);
@@ -170,9 +176,7 @@ mod tests {
                     crate::network::Effect::Flit { link, vc, flit, at } => {
                         net.flit_arrived(at, link, vc, flit, &mut effects)
                     }
-                    crate::network::Effect::Credit { link, vc, .. } => {
-                        net.credit_arrived(link, vc)
-                    }
+                    crate::network::Effect::Credit { link, vc, .. } => net.credit_arrived(link, vc),
                     crate::network::Effect::Ejected { .. } => {}
                 }
             }

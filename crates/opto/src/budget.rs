@@ -213,9 +213,18 @@ mod tests {
         // Measured: Low closes through ~3.3–4 Gb/s (paper band < 4),
         // Mid through ~6 (paper 4–6), High through 10 (paper 6–10).
         let b = LinkBudget::paper_mqw();
-        let low_max = b.max_closing_rate(OpticalLevel::Low, 1.0).unwrap().as_gbps();
-        let mid_max = b.max_closing_rate(OpticalLevel::Mid, 1.0).unwrap().as_gbps();
-        let high_max = b.max_closing_rate(OpticalLevel::High, 1.0).unwrap().as_gbps();
+        let low_max = b
+            .max_closing_rate(OpticalLevel::Low, 1.0)
+            .unwrap()
+            .as_gbps();
+        let mid_max = b
+            .max_closing_rate(OpticalLevel::Mid, 1.0)
+            .unwrap()
+            .as_gbps();
+        let high_max = b
+            .max_closing_rate(OpticalLevel::High, 1.0)
+            .unwrap()
+            .as_gbps();
         assert!((3.3..5.0).contains(&low_max), "low band top {low_max}");
         assert!((5.0..8.0).contains(&mid_max), "mid band top {mid_max}");
         assert!((high_max - 10.0).abs() < 1e-9, "high band top {high_max}");

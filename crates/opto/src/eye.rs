@@ -75,7 +75,10 @@ impl EyeAnalysis {
         bandwidth_at_max: Gbps,
         bandwidth_tracks_rate: bool,
     ) -> Self {
-        assert!(bandwidth_at_max.as_gbps() > 0.0, "bandwidth must be positive");
+        assert!(
+            bandwidth_at_max.as_gbps() > 0.0,
+            "bandwidth must be positive"
+        );
         EyeAnalysis {
             sensitivity,
             bandwidth_at_max,
@@ -201,7 +204,10 @@ mod tests {
         let eye = EyeAnalysis::paper_default();
         let full = eye.margin(MicroWatts::from_uw(50.0), 10.0, Gbps::from_gbps(10.0));
         let half = eye.margin(MicroWatts::from_uw(25.0), 10.0, Gbps::from_gbps(5.0));
-        assert!((full.as_db() - half.as_db()).abs() < 0.1, "{full} vs {half}");
+        assert!(
+            (full.as_db() - half.as_db()).abs() < 0.1,
+            "{full} vs {half}"
+        );
     }
 
     #[test]
@@ -227,13 +233,20 @@ mod tests {
         assert!(re > 1.0);
         // Just above the bound closes; well below does not.
         assert!(eye.closes(MicroWatts::from_uw(50.0), re * 1.01, Gbps::from_gbps(10.0)));
-        assert!(!eye.closes(MicroWatts::from_uw(50.0), 1.0 + (re - 1.0) * 0.5, Gbps::from_gbps(10.0)));
+        assert!(!eye.closes(
+            MicroWatts::from_uw(50.0),
+            1.0 + (re - 1.0) * 0.5,
+            Gbps::from_gbps(10.0)
+        ));
     }
 
     #[test]
     fn uncloseable_link_reports_none() {
         let eye = EyeAnalysis::paper_default();
         // 1 µW at 10 Gb/s: hopeless at any contrast.
-        assert_eq!(eye.min_contrast(MicroWatts::from_uw(1.0), Gbps::from_gbps(10.0)), None);
+        assert_eq!(
+            eye.min_contrast(MicroWatts::from_uw(1.0), Gbps::from_gbps(10.0)),
+            None
+        );
     }
 }

@@ -83,7 +83,14 @@ impl MqwModulator {
     /// reference \[7\]: ~1 dB on-state loss (≈20%), 10:1 contrast at a 1.8 V
     /// swing, 0.8 A/W conversion.
     pub fn ingaas_10g() -> Self {
-        MqwModulator::new(0.2, 10.0, 0.8, Volts::from_v(2.5), Volts::from_v(1.8), 0.3e-12)
+        MqwModulator::new(
+            0.2,
+            10.0,
+            0.8,
+            Volts::from_v(2.5),
+            Volts::from_v(1.8),
+            0.3e-12,
+        )
     }
 
     /// On-state insertion loss as a fraction.
@@ -132,8 +139,8 @@ impl MqwModulator {
         let rs = self.responsivity_a_per_w;
         let pi_w = input.as_uw() / 1e6;
         let on_term = self.insertion_loss * (self.bias_voltage.as_v() - vdd.as_v()).abs();
-        let off_term = (1.0 - (1.0 - self.insertion_loss) / self.contrast_ratio)
-            * self.bias_voltage.as_v();
+        let off_term =
+            (1.0 - (1.0 - self.insertion_loss) / self.contrast_ratio) * self.bias_voltage.as_v();
         MilliWatts::from_mw(0.5 * rs * pi_w * (on_term + off_term) * 1e3)
     }
 

@@ -93,7 +93,10 @@ impl SplitterStage {
     /// Panics if `ways < 2` or excess loss is negative.
     pub fn new(ways: u32, excess_loss: Decibels) -> Self {
         assert!(ways >= 2, "a splitter needs at least 2 ways");
-        assert!(excess_loss.as_db() >= 0.0, "excess loss must be non-negative");
+        assert!(
+            excess_loss.as_db() >= 0.0,
+            "excess loss must be non-negative"
+        );
         SplitterStage { ways, excess_loss }
     }
 
@@ -185,7 +188,10 @@ impl ExternalLaserSource {
     /// loss is negative.
     pub fn new(output: MicroWatts, tree: SplitterTree, voa_floor_loss: Decibels) -> Self {
         assert!(output.as_uw() > 0.0, "laser output must be positive");
-        assert!(voa_floor_loss.as_db() >= 0.0, "VOA floor loss must be non-negative");
+        assert!(
+            voa_floor_loss.as_db() >= 0.0,
+            "VOA floor loss must be non-negative"
+        );
         ExternalLaserSource {
             output,
             tree,

@@ -90,8 +90,9 @@ impl ClockSynthesizer {
         };
         let mut best_err = f64::INFINITY;
         for divide in 1..=16u32 {
-            let multiply =
-                (target * divide as f64 / self.reference_ghz).round().clamp(1.0, 64.0) as u32;
+            let multiply = (target * divide as f64 / self.reference_ghz)
+                .round()
+                .clamp(1.0, 64.0) as u32;
             let setting = DividerSetting { multiply, divide };
             let err = (setting.output_ghz(self.reference_ghz) - target).abs();
             if err < best_err {

@@ -43,8 +43,14 @@ impl ScalingTrend {
     ///
     /// Panics if either ratio is negative or non-finite.
     pub fn factor(self, v: f64, b: f64) -> f64 {
-        assert!(v.is_finite() && v >= 0.0, "voltage ratio must be non-negative");
-        assert!(b.is_finite() && b >= 0.0, "bit-rate ratio must be non-negative");
+        assert!(
+            v.is_finite() && v >= 0.0,
+            "voltage ratio must be non-negative"
+        );
+        assert!(
+            b.is_finite() && b >= 0.0,
+            "bit-rate ratio must be non-negative"
+        );
         match self {
             ScalingTrend::Constant => 1.0,
             ScalingTrend::Vdd => v,

@@ -48,7 +48,10 @@ impl VcselThermalModel {
     ///
     /// Panics on non-positive coefficients or a rollover at/below `t_min`.
     pub fn validate(&self) {
-        assert!(self.threshold_k_ma_per_c2 >= 0.0, "threshold k must be non-negative");
+        assert!(
+            self.threshold_k_ma_per_c2 >= 0.0,
+            "threshold k must be non-negative"
+        );
         assert!(
             (0.0..1.0).contains(&self.slope_derate_per_c),
             "slope derating must be a small fraction"
@@ -117,7 +120,10 @@ mod tests {
     use super::*;
 
     fn setup() -> (VcselThermalModel, Vcsel) {
-        (VcselThermalModel::typical_1550nm(), Vcsel::oxide_aperture_10g())
+        (
+            VcselThermalModel::typical_1550nm(),
+            Vcsel::oxide_aperture_10g(),
+        )
     }
 
     #[test]

@@ -79,7 +79,10 @@ impl TimingConfig {
     /// Panics on a zero window or zero sliding-window length.
     pub fn validate(&self) {
         assert!(self.tw_cycles > 0, "Tw must be positive");
-        assert!(self.n_windows > 0, "sliding window needs at least one entry");
+        assert!(
+            self.n_windows > 0,
+            "sliding window needs at least one entry"
+        );
     }
 }
 
@@ -114,7 +117,10 @@ impl Predictor {
     /// Panics if an EWMA factor is outside `(0, 1]`.
     pub fn validate(&self) {
         if let Predictor::Ewma(a) = self {
-            assert!(*a > 0.0 && *a <= 1.0, "EWMA alpha must be in (0,1], got {a}");
+            assert!(
+                *a > 0.0 && *a <= 1.0,
+                "EWMA alpha must be in (0,1], got {a}"
+            );
         }
     }
 }

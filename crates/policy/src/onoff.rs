@@ -62,7 +62,10 @@ impl OnOffConfig {
             (0.0..=1.0).contains(&self.off_power_fraction),
             "off power fraction must be in [0,1]"
         );
-        assert!(self.n_windows > 0, "sliding window needs at least one entry");
+        assert!(
+            self.n_windows > 0,
+            "sliding window needs at least one entry"
+        );
     }
 }
 

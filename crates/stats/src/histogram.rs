@@ -134,8 +134,15 @@ impl Histogram {
     ///
     /// Panics if the geometries differ.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bucket_width, other.bucket_width, "bucket width mismatch");
-        assert_eq!(self.buckets.len(), other.buckets.len(), "bucket count mismatch");
+        assert_eq!(
+            self.bucket_width, other.bucket_width,
+            "bucket width mismatch"
+        );
+        assert_eq!(
+            self.buckets.len(),
+            other.buckets.len(),
+            "bucket count mismatch"
+        );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }

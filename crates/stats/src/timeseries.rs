@@ -172,9 +172,13 @@ mod tests {
     #[test]
     fn window_mean() {
         let ts = series(10);
-        let m = ts.window_mean(Picos::from_ns(2), Picos::from_ns(5)).unwrap();
+        let m = ts
+            .window_mean(Picos::from_ns(2), Picos::from_ns(5))
+            .unwrap();
         assert_eq!(m, 3.0); // values 2,3,4
-        assert!(ts.window_mean(Picos::from_us(1), Picos::from_us(2)).is_none());
+        assert!(ts
+            .window_mean(Picos::from_us(1), Picos::from_us(2))
+            .is_none());
     }
 
     #[test]

@@ -100,10 +100,7 @@ impl Pattern {
             Pattern::BitComplement => {
                 let r = config.router_of_node(src);
                 let c = config.coord_of(r);
-                let mirrored = RackCoord::new(
-                    config.width - 1 - c.x,
-                    config.height - 1 - c.y,
-                );
+                let mirrored = RackCoord::new(config.width - 1 - c.x, config.height - 1 - c.y);
                 if mirrored == c {
                     return None;
                 }

@@ -184,7 +184,13 @@ fn split_matches_unbroken_on_every_fabric() {
         // RNG streams, fault windows, in-flight transitions, and
         // telemetry retention all cross the checkpoint boundary.
         let config = config_for(kind, Mode::Dvs, true, 33);
-        assert_split_invariant(config, WARMUP + MEASURE / 2, &uniform(0.15), &[1, 2, 4], tag);
+        assert_split_invariant(
+            config,
+            WARMUP + MEASURE / 2,
+            &uniform(0.15),
+            &[1, 2, 4],
+            tag,
+        );
     }
 }
 

@@ -84,11 +84,12 @@ fn reported_full_points_replay_bit_identically() {
 fn reference_rows_are_sane() {
     let report = run_scenario(&scenario(31), &dse(), &Executor::new(2), |_| {});
     assert!(report.baseline_non_pa.full.normalized_power > 0.9);
-    assert!(
-        report.table1.full.normalized_power < report.baseline_non_pa.full.normalized_power
-    );
+    assert!(report.table1.full.normalized_power < report.baseline_non_pa.full.normalized_power);
     assert_eq!(report.table1.full.delivery_ratio, 1.0);
-    assert!(report.points.iter().all(|p| p.objectives.delivery_ratio > 0.0));
+    assert!(report
+        .points
+        .iter()
+        .all(|p| p.objectives.delivery_ratio > 0.0));
 }
 
 proptest! {

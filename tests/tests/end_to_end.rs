@@ -43,7 +43,10 @@ fn flit_conservation_after_drain() {
         engine.model().packets_injected_measured(),
         "every injected packet must be delivered"
     );
-    assert!(net.packets_delivered() > 0, "burst must have carried packets");
+    assert!(
+        net.packets_delivered() > 0,
+        "burst must have carried packets"
+    );
 }
 
 #[test]
@@ -177,11 +180,13 @@ fn manual_rate_change_mid_flight_is_safe() {
         for l in 0..n {
             let rate = if step % 2 == 0 { 5.0 } else { 10.0 };
             let now = Picos::from_ps(1600 * 500 * step);
-            sim.network_mut().link_mut(LinkId(l as u32)).begin_rate_change(
-                now,
-                lumen_opto::Gbps::from_gbps(rate),
-                Picos::from_ps(32_000),
-            );
+            sim.network_mut()
+                .link_mut(LinkId(l as u32))
+                .begin_rate_change(
+                    now,
+                    lumen_opto::Gbps::from_gbps(rate),
+                    Picos::from_ps(32_000),
+                );
         }
     }
     engine.run_until(Picos::from_ps(1600 * 12_000));

@@ -85,7 +85,11 @@ fn degradation_is_graceful_under_shared_fault_realization() {
         pa.delivery_ratio(),
         base.delivery_ratio()
     );
-    assert!(pa.delivery_ratio() > 0.97, "PA delivery {}", pa.delivery_ratio());
+    assert!(
+        pa.delivery_ratio() > 0.97,
+        "PA delivery {}",
+        pa.delivery_ratio()
+    );
 }
 
 #[test]
@@ -162,11 +166,9 @@ fn vcsel_links_never_see_laser_dropouts() {
     // Dropouts model sag in the shared external laser of an MQW system; a
     // VCSEL generates its own light per link, so a dropout-only schedule
     // must inject nothing.
-    let r = run(
-        small(3)
-            .with_transmitter(TransmitterKind::Vcsel)
-            .with_faults(faulted(0, 2_000)),
-    );
+    let r = run(small(3)
+        .with_transmitter(TransmitterKind::Vcsel)
+        .with_faults(faulted(0, 2_000)));
     assert_eq!(r.link_faults, 0);
     assert_eq!(r.flits_corrupted, 0);
     assert_eq!(r.packets_dropped, 0);

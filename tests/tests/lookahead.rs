@@ -60,7 +60,10 @@ fn assert_cap_invariant(config: SystemConfig, shards: usize, cap: u64, rate: f64
     if eff == 1 {
         return; // nothing to split
     }
-    let seq = exp.clone().shards(1).run_uniform(rate, PacketSize::Fixed(4));
+    let seq = exp
+        .clone()
+        .shards(1)
+        .run_uniform(rate, PacketSize::Fixed(4));
     let par = exp
         .shards(shards)
         .lookahead_cap(cap)
@@ -157,7 +160,10 @@ fn forced_single_cycle_windows_pin_the_old_protocol() {
         .measure_cycles(3_000)
         .sample_every(500)
         .audit_conservation();
-    let seq = exp.clone().shards(1).run_uniform(0.12, PacketSize::Fixed(4));
+    let seq = exp
+        .clone()
+        .shards(1)
+        .run_uniform(0.12, PacketSize::Fixed(4));
     let capped = exp
         .clone()
         .shards(2)

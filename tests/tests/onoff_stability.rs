@@ -46,8 +46,16 @@ fn reference_wake_penalty_is_unstable_at_sparse_load() {
     let short = run(onoff_config(17, 1_000), 6_000);
     let long = run(onoff_config(17, 1_000), 24_000);
     // Injection keeps pace with the offered rate...
-    assert!(short.packets_injected > 250, "inj {}", short.packets_injected);
-    assert!(long.packets_injected > 1_100, "inj {}", long.packets_injected);
+    assert!(
+        short.packets_injected > 250,
+        "inj {}",
+        short.packets_injected
+    );
+    assert!(
+        long.packets_injected > 1_100,
+        "inj {}",
+        long.packets_injected
+    );
     // ...but delivery does not: the overwhelming majority of measured
     // packets are still queued when the horizon ends.
     assert!(

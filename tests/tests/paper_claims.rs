@@ -32,7 +32,10 @@ fn latency_cost_under_double_at_light_load() {
         .run_uniform(1.25, PacketSize::Fixed(5));
     let nl = pa.normalized_latency(&base);
     assert!(nl < 2.0, "normalized latency {nl}");
-    assert!(nl >= 1.0, "power-aware cannot be faster than baseline: {nl}");
+    assert!(
+        nl >= 1.0,
+        "power-aware cannot be faster than baseline: {nl}"
+    );
     assert!(pa.power_latency_product(&base) < 0.7);
 }
 
@@ -42,10 +45,8 @@ fn vcsel_beats_mqw_on_power() {
     // slightly better power (laser scales with the rail; the modulator
     // driver's supply is pinned).
     let mqw = experiment(SystemConfig::paper_default()).run_uniform(2.0, PacketSize::Fixed(5));
-    let vcsel = experiment(
-        SystemConfig::paper_default().with_transmitter(TransmitterKind::Vcsel),
-    )
-    .run_uniform(2.0, PacketSize::Fixed(5));
+    let vcsel = experiment(SystemConfig::paper_default().with_transmitter(TransmitterKind::Vcsel))
+        .run_uniform(2.0, PacketSize::Fixed(5));
     assert!(
         vcsel.normalized_power < mqw.normalized_power,
         "VCSEL {} vs MQW {}",
@@ -88,17 +89,19 @@ fn wider_ladder_saves_more_at_light_load() {
         Volts::from_v(1.8),
     );
     let wide = experiment(config).run_uniform(0.3, PacketSize::Fixed(5));
-    let narrow = experiment(
-        SystemConfig::paper_default().with_transmitter(TransmitterKind::Vcsel),
-    )
-    .run_uniform(0.3, PacketSize::Fixed(5));
+    let narrow = experiment(SystemConfig::paper_default().with_transmitter(TransmitterKind::Vcsel))
+        .run_uniform(0.3, PacketSize::Fixed(5));
     assert!(
         wide.normalized_power < narrow.normalized_power,
         "3.3-floor {} vs 5-floor {}",
         wide.normalized_power,
         narrow.normalized_power
     );
-    assert!(wide.normalized_power < 0.15, "wide ladder {} not <15%", wide.normalized_power);
+    assert!(
+        wide.normalized_power < 0.15,
+        "wide ladder {} not <15%",
+        wide.normalized_power
+    );
 }
 
 #[test]
@@ -124,6 +127,10 @@ fn splash_power_near_floor() {
         .warmup_cycles(4_000)
         .measure_cycles(25_000)
         .run_splash(SplashApp::Radix);
-    assert!(r.normalized_power < 0.35, "radix power {}", r.normalized_power);
+    assert!(
+        r.normalized_power < 0.35,
+        "radix power {}",
+        r.normalized_power
+    );
     assert!(r.packets_delivered > 0);
 }

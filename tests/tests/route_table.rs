@@ -120,7 +120,10 @@ proptest! {
 /// harnesses serialize (f64s compared by bit pattern, not value).
 fn assert_bit_identical(a: &RunResult, b: &RunResult, what: &str) {
     assert_eq!(a.packets_injected, b.packets_injected, "{what}: injected");
-    assert_eq!(a.packets_delivered, b.packets_delivered, "{what}: delivered");
+    assert_eq!(
+        a.packets_delivered, b.packets_delivered,
+        "{what}: delivered"
+    );
     assert_eq!(a.packets_dropped, b.packets_dropped, "{what}: dropped");
     assert_eq!(
         a.avg_latency_cycles.to_bits(),
@@ -164,7 +167,10 @@ fn experiment(kind: TopologyKind, seed: u64) -> Experiment {
 fn table_modes_replay_bit_identically_sharded() {
     for kind in [TopologyKind::Mesh, TopologyKind::Torus] {
         let exp = experiment(kind, 31);
-        let shared = exp.clone().shards(2).run_uniform(0.15, PacketSize::Fixed(4));
+        let shared = exp
+            .clone()
+            .shards(2)
+            .run_uniform(0.15, PacketSize::Fixed(4));
         assert!(shared.packets_delivered > 0);
         let own = exp.shards(1).run_uniform(0.15, PacketSize::Fixed(4));
         assert_bit_identical(&shared, &own, &format!("{kind:?}: shared vs own table"));

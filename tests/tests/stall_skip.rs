@@ -184,7 +184,10 @@ fn assert_matches_oracle(config: &SystemConfig, rate: f64, tag: &str) -> u64 {
     assert_eq!(oracle.settled_denials, 0, "{tag}: the oracle skipped ticks");
     assert_eq!(fast.outputs, oracle.outputs, "{tag}: outputs diverged");
     assert_eq!(fast.counters, oracle.counters, "{tag}: counters diverged");
-    assert!(fast.jsonl == oracle.jsonl, "{tag}: lumen-trace/1 export diverged");
+    assert!(
+        fast.jsonl == oracle.jsonl,
+        "{tag}: lumen-trace/1 export diverged"
+    );
     assert_eq!(fast.checkpoints.len(), CUTS.len());
     for (i, (a, b)) in fast.checkpoints.iter().zip(&oracle.checkpoints).enumerate() {
         assert!(a == b, "{tag}: checkpoint at cycle {} diverged", CUTS[i]);
@@ -194,16 +197,27 @@ fn assert_matches_oracle(config: &SystemConfig, rate: f64, tag: &str) -> u64 {
 
 #[test]
 fn clos_onoff_with_faults_sleeps_and_matches_every_cycle_ticking() {
-    let config = config_for(TopologyKind::FoldedClos { spines: 2 }, Mode::OnOff, true, 11);
+    let config = config_for(
+        TopologyKind::FoldedClos { spines: 2 },
+        Mode::OnOff,
+        true,
+        11,
+    );
     let skipped = assert_matches_oracle(&config, 0.5, "clos/onoff/faults");
-    assert!(skipped > 0, "no router ever slept: the oracle compared nothing");
+    assert!(
+        skipped > 0,
+        "no router ever slept: the oracle compared nothing"
+    );
 }
 
 #[test]
 fn mesh_dvs_with_faults_sleeps_and_matches_every_cycle_ticking() {
     let config = config_for(TopologyKind::Mesh, Mode::Dvs, true, 5);
     let skipped = assert_matches_oracle(&config, 0.6, "mesh/dvs/faults");
-    assert!(skipped > 0, "no router ever slept: the oracle compared nothing");
+    assert!(
+        skipped > 0,
+        "no router ever slept: the oracle compared nothing"
+    );
 }
 
 proptest! {

@@ -62,7 +62,10 @@ fn telemetry_is_purely_observational() {
             .telemetry(TelemetryConfig::full())
             .run_uniform(0.15, PacketSize::Fixed(4));
         assert_eq!(traced.packets_injected, plain.packets_injected, "{mode:?}");
-        assert_eq!(traced.packets_delivered, plain.packets_delivered, "{mode:?}");
+        assert_eq!(
+            traced.packets_delivered, plain.packets_delivered,
+            "{mode:?}"
+        );
         assert_eq!(
             traced.avg_latency_cycles.to_bits(),
             plain.avg_latency_cycles.to_bits(),
@@ -208,6 +211,9 @@ fn counters_only_mode_skips_series() {
         .telemetry(cfg)
         .run_uniform(0.1, PacketSize::Fixed(4));
     let t = r.telemetry.expect("trace");
-    assert!(t.rows.is_empty(), "series recorded despite link_series=false");
+    assert!(
+        t.rows.is_empty(),
+        "series recorded despite link_series=false"
+    );
     assert!(t.counters.flits_injected > 0);
 }

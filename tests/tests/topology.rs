@@ -48,7 +48,12 @@ fn next_hop_maps(topo: &dyn Topology) -> Vec<Vec<Option<RouterId>>> {
     topo.channels(&mut channels);
     for ch in &channels {
         let slot = &mut maps[ch.from.index()][ch.from_port.0 as usize];
-        assert!(slot.is_none(), "two channels leave {:?} {:?}", ch.from, ch.from_port);
+        assert!(
+            slot.is_none(),
+            "two channels leave {:?} {:?}",
+            ch.from,
+            ch.from_port
+        );
         *slot = Some(ch.to);
     }
     maps
@@ -107,7 +112,10 @@ fn assert_routing_invariants(config: &NocConfig, algos: &[RoutingAlgorithm], dia
                 let (src, dst) = (RouterId(a as u32), RouterId(b as u32));
                 let hops = walk_and_check(&topo, &maps, algo, src, dst);
                 assert_eq!(hops, topo.min_hops(src, dst), "{algo:?} {src:?} -> {dst:?}");
-                assert!(hops <= diameter, "{algo:?} {src:?} -> {dst:?}: {hops} > {diameter}");
+                assert!(
+                    hops <= diameter,
+                    "{algo:?} {src:?} -> {dst:?}: {hops} > {diameter}"
+                );
             }
         }
     }
@@ -199,7 +207,10 @@ fn sharded_torus_matches_sequential_bit_for_bit() {
         .warmup_cycles(400)
         .measure_cycles(3_000)
         .audit_conservation();
-    let seq = exp.clone().shards(1).run_uniform(0.15, PacketSize::Fixed(4));
+    let seq = exp
+        .clone()
+        .shards(1)
+        .run_uniform(0.15, PacketSize::Fixed(4));
     assert!(seq.packets_delivered > 0);
     let par = exp.shards(2).run_uniform(0.15, PacketSize::Fixed(4));
     assert_eq!(par.packets_injected, seq.packets_injected);
