@@ -13,8 +13,8 @@
 //! Every point runs with the flit/credit conservation auditor enabled,
 //! and the scenario honours `--shards N` — the 32×32 mesh under
 //! `--shards 2` is the acceptance gate for topology-provided shard cuts.
-//! `--topology torus` swaps the mesh scenario onto a wrap-around torus
-//! (the folded-Clos scenario always runs; see TOPOLOGIES.md).
+//! `--topology` applies to the mesh scenario only (the folded-Clos
+//! scenario always runs; see TOPOLOGIES.md).
 //!
 //! Run: `cargo run --release -p lumen-bench --bin ext_datacenter
 //! [--quick] [--jobs N] [--shards N] [--topology T]`
@@ -24,7 +24,7 @@ use lumen_core::prelude::*;
 use lumen_policy::OnOffConfig;
 use lumen_stats::csv::CsvBuilder;
 
-/// The 32×32 single-node-per-rack mesh (or torus under `--topology`).
+/// The 32×32 single-node-per-rack mesh (`--topology` applies here).
 fn scaleout_noc(args: &BenchArgs) -> NocConfig {
     let mut noc = NocConfig::paper_default();
     noc.width = 32;

@@ -151,7 +151,7 @@ fn run_child(args: &BenchArgs, factor: u64) {
     let result = run_points(&args.executor(), &points)
         .pop()
         .expect("one point per child");
-    write_trace(&args, &points, std::slice::from_ref(&result));
+    write_trace(args, &points, std::slice::from_ref(&result));
 
     let t = result.telemetry.as_ref().expect("telemetry enabled");
     let links = t

@@ -21,15 +21,6 @@ use lumen_core::prelude::*;
 use lumen_opto::{Gbps, Volts};
 use lumen_stats::csv::CsvBuilder;
 
-fn ladder(min: f64, max: f64) -> BitRateLadder {
-    BitRateLadder::evenly_spaced(
-        Gbps::from_gbps(min),
-        Gbps::from_gbps(max),
-        6,
-        Volts::from_v(1.8),
-    )
-}
-
 fn config_for(kind: &str) -> SystemConfig {
     let mut c = SystemConfig::paper_default();
     match kind {
@@ -48,14 +39,14 @@ fn config_for(kind: &str) -> SystemConfig {
         }
         "MQW-5-10" => {}
         "MQW-3.3-10" => {
-            c.policy.ladder = ladder(3.3, 10.0);
+            c.policy.ladder = BitRateLadder::paper_3_3_to_10();
         }
         "VCSEL-5-10" => {
             c.transmitter = TransmitterKind::Vcsel;
         }
         "VCSEL-3.3-10" => {
             c.transmitter = TransmitterKind::Vcsel;
-            c.policy.ladder = ladder(3.3, 10.0);
+            c.policy.ladder = BitRateLadder::paper_3_3_to_10();
         }
         other => panic!("unknown config {other}"),
     }

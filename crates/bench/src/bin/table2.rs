@@ -25,7 +25,7 @@ fn main() {
     for kind in [TransmitterKind::Vcsel, TransmitterKind::MqwModulator] {
         let link = presets::paper_link(kind);
         println!("\n{kind}-based link at 10 Gb/s / 1.8 V:");
-        println!("  {:<18} {:>10}  {}", "component", "power", "scaling trend");
+        println!("  {:<18} {:>10}  scaling trend", "component", "power");
         for comp in link.components() {
             println!(
                 "  {:<18} {:>10}  {}",

@@ -52,7 +52,7 @@ pub struct BenchArgs {
     /// leaves telemetry off entirely; a `.csv` suffix selects CSV, any
     /// other suffix JSON Lines (see OBSERVABILITY.md for the schema).
     pub trace: Option<String>,
-    /// Fabric geometry override (`--topology mesh|torus|folded-clos[:S]`,
+    /// Fabric geometry override (`--topology mesh|folded-clos[:S]`,
     /// default `None` = keep each harness's configured topology — the
     /// paper's mesh for the figure/table harnesses). `folded-clos`
     /// defaults to 4 spine routers; `folded-clos:S` selects `S`. Only
@@ -60,7 +60,7 @@ pub struct BenchArgs {
     /// TOPOLOGIES.md for what each geometry means.
     pub topology: Option<TopologyKind>,
     /// Mid-run checkpointing (`--checkpoint PATH@CYCLE`): every point
-    /// saves a `lumen-ckpt/3` snapshot at the given router cycle and then
+    /// saves a `lumen-ckpt/4` snapshot at the given router cycle and then
     /// runs to completion. Multi-point sweeps write one file per point
     /// (`PATH.<label>`); a single-point run uses `PATH` verbatim. Only
     /// harnesses that call [`BenchArgs::apply_run_control`] honour it;
@@ -99,7 +99,7 @@ impl BenchArgs {
 
     /// Parses an argument list (without the program name). Returns the
     /// options, or a help/error outcome the caller must surface.
-    pub fn try_parse(argv: &[String]) -> Result<BenchArgs, ParseOutcome> {
+    pub(crate) fn try_parse(argv: &[String]) -> Result<BenchArgs, ParseOutcome> {
         let (args, extras) = Self::try_parse_partial(argv)?;
         if let Some(first) = extras.first() {
             return Err(ParseOutcome::Error(format!("unknown flag `{first}`")));
@@ -107,7 +107,7 @@ impl BenchArgs {
         Ok(args)
     }
 
-    /// Like [`BenchArgs::try_parse`], but returns arguments this parser
+    /// Like `BenchArgs::try_parse`, but returns arguments this parser
     /// does not recognise (in their original order) instead of rejecting
     /// them, so a harness with extra flags (`ext_dse --trials 24`) can
     /// layer its own strict parser on top of the shared one. Malformed
@@ -277,7 +277,7 @@ impl BenchArgs {
     /// uses [`BenchArgs::resolved_shards`], so both knobs degrade
     /// together on small hosts instead of the raw `--shards` value
     /// starving `--jobs` down to 1 while each point still oversubscribes.
-    pub fn executor_for(&self, host: usize) -> Executor {
+    pub(crate) fn executor_for(&self, host: usize) -> Executor {
         let cap = (host.max(1) / self.resolved_shards(host)).max(1);
         Executor::new(self.jobs.min(cap).max(1))
     }
@@ -300,9 +300,9 @@ impl BenchArgs {
              \x20                  and write a merged trace (JSONL; CSV if\n\
              \x20                  PATH ends in .csv) — see OBSERVABILITY.md\n\
              \x20 --topology T     fabric geometry for harnesses that\n\
-             \x20                  support it: mesh, torus, or\n\
+             \x20                  support it: mesh or\n\
              \x20                  folded-clos[:spines] (see TOPOLOGIES.md)\n\
-             \x20 --checkpoint P@C save a lumen-ckpt/3 snapshot of every\n\
+             \x20 --checkpoint P@C save a lumen-ckpt/4 snapshot of every\n\
              \x20                  point at router cycle C to path P, then\n\
              \x20                  run to completion (see CHECKPOINTS.md)\n\
              \x20 --resume P       restore every point from the snapshot a\n\
@@ -314,7 +314,7 @@ impl BenchArgs {
     }
 }
 
-/// Why [`BenchArgs::try_parse`] did not return options.
+/// Why `BenchArgs::try_parse` did not return options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseOutcome {
     /// `--help` was requested.
@@ -344,7 +344,6 @@ fn parse_shards(value: &str) -> Result<usize, ParseOutcome> {
 fn parse_topology(value: &str) -> Result<TopologyKind, ParseOutcome> {
     match value {
         "mesh" => Ok(TopologyKind::Mesh),
-        "torus" => Ok(TopologyKind::Torus),
         "folded-clos" => Ok(TopologyKind::FoldedClos { spines: 4 }),
         other => {
             if let Some(spec) = other.strip_prefix("folded-clos:") {
@@ -354,7 +353,7 @@ fn parse_topology(value: &str) -> Result<TopologyKind, ParseOutcome> {
                 }
             }
             Err(ParseOutcome::Error(format!(
-                "`--topology` needs mesh, torus, or folded-clos[:spines], got `{other}`"
+                "`--topology` needs mesh or folded-clos[:spines], got `{other}`"
             )))
         }
     }
@@ -585,7 +584,6 @@ mod tests {
     fn args_topology_forms() {
         for (form, want) in [
             (argv(&["--topology", "mesh"]), TopologyKind::Mesh),
-            (argv(&["--topology=torus"]), TopologyKind::Torus),
             (
                 argv(&["--topology", "folded-clos"]),
                 TopologyKind::FoldedClos { spines: 4 },
@@ -607,11 +605,11 @@ mod tests {
         assert!(!none.apply_topology(&mut noc));
         assert_eq!(noc.topology, TopologyKind::Mesh);
 
-        let torus = BenchArgs::try_parse(&argv(&["--topology", "torus"])).unwrap();
-        assert!(torus.apply_topology(&mut noc));
-        assert_eq!(noc.topology, TopologyKind::Torus);
-        // Idempotent: already a torus, nothing to change.
-        assert!(!torus.apply_topology(&mut noc));
+        let clos = BenchArgs::try_parse(&argv(&["--topology", "folded-clos"])).unwrap();
+        assert!(clos.apply_topology(&mut noc));
+        assert_eq!(noc.topology, TopologyKind::FoldedClos { spines: 4 });
+        // Idempotent: already that Clos, nothing to change.
+        assert!(!clos.apply_topology(&mut noc));
     }
 
     #[test]
@@ -801,6 +799,13 @@ mod tests {
                 other => panic!("{bad:?} parsed as {other:?}"),
             }
         }
+        // A fabric that is not built in is refused, naming the ones that are.
+        match BenchArgs::try_parse(&argv(&["--topology", "torus"])) {
+            Err(ParseOutcome::Error(msg)) => {
+                assert!(msg.contains("mesh") && msg.contains("folded-clos"), "{msg}")
+            }
+            other => panic!("parsed as {other:?}"),
+        }
     }
 
     #[test]
@@ -845,7 +850,7 @@ mod tests {
             ("--jobs", Some("-j"), Some("2")),
             ("--shards", Some("-s"), Some("2")),
             ("--trace", None, Some("t.jsonl")),
-            ("--topology", None, Some("torus")),
+            ("--topology", None, Some("folded-clos")),
             ("--checkpoint", None, Some("c.ckpt@10")),
             ("--resume", None, Some("c.ckpt")),
             ("--help", Some("-h"), None),

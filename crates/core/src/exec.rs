@@ -122,7 +122,7 @@ pub enum Workload {
         size: PacketSize,
     },
     /// The near-idle run anchoring the paper's saturation definition
-    /// (rate = [`ZERO_LOAD_RATE`]).
+    /// (rate = `ZERO_LOAD_RATE`).
     ZeroLoad {
         /// Packet size distribution.
         size: PacketSize,

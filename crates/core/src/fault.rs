@@ -18,7 +18,7 @@
 //!   closes the slower eye.
 //!
 //! Schedules are derived from the master seed through the reserved
-//! [`FAULT_STREAM`], with three independent sub-streams per link (outage
+//! `FAULT_STREAM`, with three independent sub-streams per link (outage
 //! arrivals, dropout arrivals, per-flit corruption draws), so fault
 //! timelines are bit-identical across runs, across `--jobs` levels, and
 //! unperturbed by how much traffic happens to flow. With faults disabled
@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// [`crate::exec`] reserves `u64::MAX` for self-similar traffic sources;
 /// faults take the next value down so fault timelines never collide with
 /// traffic randomness or executor point streams.
-pub const FAULT_STREAM: u64 = u64::MAX - 1;
+pub(crate) const FAULT_STREAM: u64 = u64::MAX - 1;
 
 /// Which fault class an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,18 +90,18 @@ impl FaultConfig {
     }
 
     /// Whether any fault class is active.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.outages_enabled() || self.dropouts_enabled()
     }
 
     /// Whether link outages are active.
-    pub fn outages_enabled(&self) -> bool {
+    pub(crate) fn outages_enabled(&self) -> bool {
         self.outage_mtbf_cycles > 0
     }
 
     /// Whether laser dropouts are active (still gated on the transmitter
     /// technology by the simulation: VCSEL links have no shared laser).
-    pub fn dropouts_enabled(&self) -> bool {
+    pub(crate) fn dropouts_enabled(&self) -> bool {
         self.dropout_mtbf_cycles > 0
     }
 
@@ -112,7 +112,7 @@ impl FaultConfig {
     /// Panics if an enabled fault class has a zero mean duration, the
     /// light fraction falls outside `[0, 1]`, or the path loss is
     /// negative or non-finite.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if self.outages_enabled() {
             assert!(
                 self.outage_mean_duration_cycles > 0,
@@ -152,7 +152,7 @@ impl Default for FaultConfig {
 /// per-flit corruption during active dropouts. All draws come from
 /// per-link sub-streams of the master seed's [`FAULT_STREAM`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     config: FaultConfig,
     cycle: Picos,
     outage_rng: Vec<Rng>,
@@ -208,13 +208,8 @@ impl FaultPlan {
         }
     }
 
-    /// The configuration the plan was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// Total fault windows begun so far (outages + dropouts, all links).
-    pub fn faults_injected(&self) -> u64 {
+    pub(crate) fn faults_injected(&self) -> u64 {
         self.faults_injected
     }
 
@@ -224,7 +219,7 @@ impl FaultPlan {
 
     /// Draws when the next `kind` fault on `link` begins, measured from
     /// `from`.
-    pub fn next_begin(&mut self, from: Picos, link: usize, kind: FaultKind) -> Picos {
+    pub(crate) fn next_begin(&mut self, from: Picos, link: usize, kind: FaultKind) -> Picos {
         let (rng, mtbf) = match kind {
             FaultKind::Outage => (&mut self.outage_rng[link], self.config.outage_mtbf_cycles),
             FaultKind::LaserDropout => {
@@ -237,7 +232,7 @@ impl FaultPlan {
     /// Starts a `kind` fault on `link` at `now`. Returns the fault's end
     /// time and whether the link was previously fault-free (the edge on
     /// which the policy layer pins the link to its safe rate).
-    pub fn begin(&mut self, now: Picos, link: usize, kind: FaultKind) -> (Picos, bool) {
+    pub(crate) fn begin(&mut self, now: Picos, link: usize, kind: FaultKind) -> (Picos, bool) {
         let was_clear = !self.is_faulted(link, now);
         let (rng, mean, slot) = match kind {
             FaultKind::Outage => (
@@ -260,32 +255,32 @@ impl FaultPlan {
     /// Ends a `kind` fault on `link` at `now`. Returns when the next
     /// fault of the same kind begins and whether the link is now entirely
     /// fault-free (the edge on which the policy layer unpins it).
-    pub fn end(&mut self, now: Picos, link: usize, kind: FaultKind) -> (Picos, bool) {
+    pub(crate) fn end(&mut self, now: Picos, link: usize, kind: FaultKind) -> (Picos, bool) {
         let next = self.next_begin(now, link, kind);
         (next, !self.is_faulted(link, now))
     }
 
     /// Whether any fault window is active on `link` at `now`.
-    pub fn is_faulted(&self, link: usize, now: Picos) -> bool {
+    pub(crate) fn is_faulted(&self, link: usize, now: Picos) -> bool {
         now < self.outage_until[link] || now < self.dropout_until[link]
     }
 
     /// Whether a laser dropout is active on `link` at `now`.
-    pub fn dropout_active(&self, link: usize, now: Picos) -> bool {
+    pub(crate) fn dropout_active(&self, link: usize, now: Picos) -> bool {
         now < self.dropout_until[link]
     }
 
     /// When the current outage window on `link` ends ([`Picos::ZERO`] if
     /// none is active). Used to re-disable a link that a power-gating
     /// wake would otherwise re-enable mid-outage.
-    pub fn outage_until(&self, link: usize) -> Picos {
+    pub(crate) fn outage_until(&self, link: usize) -> Picos {
         self.outage_until[link]
     }
 
     /// Probability that one flit launched at bit rate `rate` during an
     /// active dropout suffers at least one bit error, per the
     /// receiver-sensitivity BER model under the dropout's starved light.
-    pub fn corruption_probability(&self, rate: Gbps) -> f64 {
+    pub(crate) fn corruption_probability(&self, rate: Gbps) -> f64 {
         let received = MicroWatts::from_uw(self.nominal_uw * self.config.dropout_light_fraction);
         self.sensitivity
             .flit_corruption_probability(received, rate, self.flit_bits)
@@ -293,7 +288,7 @@ impl FaultPlan {
 
     /// Draws whether a flit on `link` is corrupted, with probability `p`.
     /// Never draws from the RNG when `p` is zero.
-    pub fn draw_corruption(&mut self, link: usize, p: f64) -> bool {
+    pub(crate) fn draw_corruption(&mut self, link: usize, p: f64) -> bool {
         self.corruption_rng[link].chance(p)
     }
 

@@ -49,18 +49,16 @@ pub mod results;
 pub mod runner;
 pub mod shard;
 pub mod sim;
-pub mod sweep;
 pub mod telemetry;
 
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::config::SystemConfig;
-    pub use crate::exec::{Executor, Point, PointResult, Workload};
-    pub use crate::fault::{FaultConfig, FaultKind};
-    pub use crate::results::{ObjectiveError, Objectives, RunResult};
+    pub use crate::exec::{Executor, Point, Workload};
+    pub use crate::fault::FaultConfig;
+    pub use crate::results::{Objectives, RunResult};
     pub use crate::runner::Experiment;
     pub use crate::sim::PowerAwareSim;
-    pub use crate::sweep::LoadSweep;
     pub use crate::telemetry::{TelemetryConfig, TelemetryReport};
     pub use lumen_noc::{NocConfig, TopologyKind};
     pub use lumen_opto::link::TransmitterKind;
@@ -72,13 +70,10 @@ pub mod prelude {
 
 pub use checkpoint::{Checkpoint, CheckpointError, CKPT_SCHEMA};
 pub use config::SystemConfig;
-pub use exec::{Executor, Point, PointError, PointResult, Workload};
-pub use fault::{FaultConfig, FaultKind, FaultPlan, FAULT_STREAM};
+pub use exec::{Executor, Point, Workload};
+pub use fault::FaultConfig;
 pub use results::RunResult;
 pub use runner::Experiment;
-pub use shard::{default_shards, effective_shards, set_default_shards};
+pub use shard::{effective_shards, set_default_shards};
 pub use sim::PowerAwareSim;
-pub use sweep::{LoadSweep, SweepPoint};
-pub use telemetry::{
-    LinkWindowRow, MetricsRegistry, TelemetryConfig, TelemetryReport, TRACE_SCHEMA,
-};
+pub use telemetry::{MetricsRegistry, TelemetryConfig, TelemetryReport, TRACE_SCHEMA};

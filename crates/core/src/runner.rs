@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 /// The injection rate (packets/cycle) of the near-idle run that anchors
 /// the paper's saturation-throughput definition (§4.1).
-pub const ZERO_LOAD_RATE: f64 = 0.01;
+pub(crate) const ZERO_LOAD_RATE: f64 = 0.01;
 
 /// A configured experiment: one system, a warmup phase whose statistics
 /// are discarded, and a measurement phase.
@@ -160,7 +160,7 @@ impl Experiment {
 
     /// Replaces the master seed (used by the parallel executor to give
     /// each batch point its own derived stream).
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    pub(crate) fn with_seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self
     }
@@ -425,7 +425,7 @@ impl Experiment {
     }
 
     /// Runs under the paper's time-varying hotspot workload (Fig. 6).
-    pub fn run_hotspot(&self, size: PacketSize) -> RunResult {
+    pub(crate) fn run_hotspot(&self, size: PacketSize) -> RunResult {
         self.run_synthetic(
             Pattern::paper_hotspot(&self.config.noc),
             RateProfile::paper_hotspot_schedule(),
@@ -457,14 +457,6 @@ impl Experiment {
             Rng::seed_from(self.config.seed),
         );
         self.run(Box::new(source))
-    }
-
-    /// Measures the zero-load latency: a near-idle run (at
-    /// [`ZERO_LOAD_RATE`]) whose mean latency anchors the paper's
-    /// saturation-throughput definition.
-    pub fn zero_load_latency(&self, size: PacketSize) -> f64 {
-        let result = self.run_uniform(ZERO_LOAD_RATE, size);
-        result.avg_latency_cycles
     }
 }
 
@@ -507,12 +499,6 @@ mod tests {
         assert!(pa.normalized_latency(&base) >= 1.0);
         // And wins on power-latency product at light load.
         assert!(pa.power_latency_product(&base) < 1.0);
-    }
-
-    #[test]
-    fn zero_load_latency_is_small() {
-        let z = small(false).zero_load_latency(PacketSize::Fixed(4));
-        assert!(z > 5.0 && z < 60.0, "zero-load {z}");
     }
 
     #[test]

@@ -154,12 +154,12 @@ pub fn set_default_shards(n: usize) {
 
 /// The process-wide default shard count: the last
 /// [`set_default_shards`] value, else 1 (sequential).
-pub fn default_shards() -> usize {
+pub(crate) fn default_shards() -> usize {
     DEFAULT_SHARDS.load(Ordering::Relaxed).max(1)
 }
 
 /// The shard count actually usable for a fabric: the topology's cut
-/// granularity (one mesh/torus row, one Clos leaf row, per shard),
+/// granularity (one mesh row, one Clos leaf row, per shard),
 /// further clamped to the delivery-key ceiling of `MAX_SHARDS` (16).
 pub fn effective_shards(noc: &NocConfig, requested: usize) -> usize {
     requested.clamp(1, noc.topo().max_shards().min(MAX_SHARDS))
@@ -186,7 +186,7 @@ pub(crate) struct ShardSpec {
 
 impl ShardSpec {
     /// Whether this shard owns link `l` (its from-endpoint is in-band).
-    pub fn owns_link(&self, l: usize) -> bool {
+    pub(crate) fn owns_link(&self, l: usize) -> bool {
         self.ir_links.contains(&l) || self.node_links.contains(&l)
     }
 }
@@ -269,6 +269,12 @@ fn ownership(noc: &NocConfig, specs: &[ShardSpec]) -> (Vec<u8>, Vec<u8>) {
 // Per-shard runtime context (lives inside PowerAwareSim)
 // ---------------------------------------------------------------------
 
+/// An event bound for another shard, with its due time.
+type TimedEvent = (Picos, SimEvent);
+
+/// One ejection: `(arrival, delivery key, packet created_at)`.
+type Delivery = (Picos, u64, Picos);
+
 /// The shard-local state a replica's event handlers need: ownership
 /// maps, per-destination outboxes, delivery tagging, and the deferred
 /// DVS-window flag. Boxed into [`PowerAwareSim`] so the sequential
@@ -279,7 +285,7 @@ pub(crate) struct ShardCtx {
     pub owner: Arc<Vec<u8>>,
     pub to_owner: Arc<Vec<u8>>,
     /// Events bound for other shards, flushed to mailboxes each window.
-    pub outbox: Vec<Vec<(Picos, SimEvent)>>,
+    pub outbox: Vec<Vec<TimedEvent>>,
     /// Arrival counts on links this shard does not own (the owner's
     /// `flits_arrived` counter is reconciled at merge time).
     pub foreign_arrivals: Vec<u64>,
@@ -287,7 +293,7 @@ pub(crate) struct ShardCtx {
     /// link's in-order delivery).
     pub ej_keys: Vec<VecDeque<u64>>,
     /// Ejections since the last drain: `(arrival, key, created_at)`.
-    pub deliveries: Vec<(Picos, u64, Picos)>,
+    pub deliveries: Vec<Delivery>,
     /// Ejection launches so far this tick (the key position field).
     pub launch_pos: u64,
     /// A DVS window closed this tick and awaits the barrier exchange.
@@ -316,13 +322,13 @@ impl ShardCtx {
     }
 
     /// Whether this shard owns link `l`.
-    pub fn owns_link(&self, l: usize) -> bool {
+    pub(crate) fn owns_link(&self, l: usize) -> bool {
         self.spec.owns_link(l)
     }
 
     /// Whether `l` is an ejection link this shard owns. Node links
     /// alternate injection (even offset) / ejection (odd offset).
-    pub fn owns_ej_link(&self, l: usize) -> bool {
+    pub(crate) fn owns_ej_link(&self, l: usize) -> bool {
         self.spec.node_links.contains(&l) && (l - self.spec.ir_total) % 2 == 1
     }
 }
@@ -433,7 +439,7 @@ impl WindowPlan {
     /// The last tick of the window starting at tick `start`, given the
     /// number of cycles the caller's gate has proved safe (saturated to
     /// at least one; the clock gate never admits less).
-    pub fn end(&self, start: u64, slack: u64) -> u64 {
+    pub(crate) fn end(&self, start: u64, slack: u64) -> u64 {
         let mut k = start + self.lookahead.min(slack.max(1)) - 1;
         if let Some(t) = &self.timing {
             k = k.min(t.next_window_close(start));
@@ -674,7 +680,7 @@ impl Coordinator {
     }
 
     /// Replays a batch of deliveries in the sequential engine's order.
-    fn replay(&mut self, batch: &mut Vec<(Picos, u64, Picos)>) {
+    fn replay(&mut self, batch: &mut Vec<Delivery>) {
         batch.sort_unstable_by_key(|&(at, key, _)| (at, key));
         for &(at, _, created_at) in batch.iter() {
             if created_at < self.measure_from {
@@ -870,7 +876,7 @@ pub(crate) fn run_sharded_with(
     // in the phase before a stop barrier and read in the phase after
     // it, double-buffered by exchange parity for readers that lag a
     // full stop behind (see the module docs).
-    let mailboxes: Vec<Vec<Mutex<Vec<(Picos, SimEvent)>>>> = (0..s_count)
+    let mailboxes: Vec<Vec<Mutex<Vec<TimedEvent>>>> = (0..s_count)
         .map(|_| (0..s_count).map(|_| Mutex::new(Vec::new())).collect())
         .collect();
     let occ_vals: Vec<Vec<[Mutex<Vec<u64>>; 2]>> = (0..s_count)
@@ -883,7 +889,7 @@ pub(crate) fn run_sharded_with(
     let energy_slots: Vec<[Mutex<Vec<f64>>; 2]> = (0..s_count)
         .map(|_| std::array::from_fn(|_| Mutex::new(Vec::new())))
         .collect();
-    let delivery_slots: Vec<[Mutex<Vec<(Picos, u64, Picos)>>; 2]> = (0..s_count)
+    let delivery_slots: Vec<[Mutex<Vec<Delivery>>; 2]> = (0..s_count)
         .map(|_| std::array::from_fn(|_| Mutex::new(Vec::new())))
         .collect();
     // Per-shard window clocks: `clocks[s]` holds one past the last tick
@@ -986,9 +992,9 @@ pub(crate) fn run_sharded_with(
                             }
                             continue;
                         }
-                        for src in 0..s_count {
+                        for (src, row) in mailboxes.iter().enumerate() {
                             if src != s {
-                                let mut slot = mailboxes[src][s].lock().unwrap();
+                                let mut slot = row[s].lock().unwrap();
                                 for (at, ev) in slot.drain(..) {
                                     if at <= t_done {
                                         // A cross-cut credit can land
@@ -1050,16 +1056,16 @@ pub(crate) fn run_sharded_with(
                     // that lets peers run ahead without a rendezvous.
                     {
                         let ctx = engine.model_mut().shard.as_deref_mut().expect("shard ctx");
-                        for dest in 0..s_count {
-                            if dest != s && !ctx.outbox[dest].is_empty() {
+                        for (dest, outbox) in ctx.outbox.iter_mut().enumerate() {
+                            if dest != s && !outbox.is_empty() {
                                 let mut slot = mailboxes[s][dest].lock().unwrap();
-                                slot.append(&mut ctx.outbox[dest]);
+                                slot.append(outbox);
                             }
                         }
                     }
                     clocks[s].store(end_k + 1, Ordering::Release);
 
-                    let policy_due = has_dvs && (end_k + 1) % tw == 0;
+                    let policy_due = has_dvs && (end_k + 1).is_multiple_of(tw);
                     if policy_due {
                         let sim = engine.model_mut();
                         for cons in 0..s_count {
@@ -1074,7 +1080,7 @@ pub(crate) fn run_sharded_with(
                             }
                         }
                     }
-                    let sample_due = sample_every.is_some_and(|e| (end_k + 1) % e == 0);
+                    let sample_due = sample_every.is_some_and(|e| (end_k + 1).is_multiple_of(e));
                     let publish_due = sample_due || end_k == warmup_cycles || end_k == total;
                     if publish_due {
                         // Snapshotting *before* the deferred policy run

@@ -412,11 +412,6 @@ impl PowerAwareSim {
         &mut self.net
     }
 
-    /// Core cycles simulated.
-    pub fn cycles(&self) -> u64 {
-        self.cycle_index
-    }
-
     /// Resets all measurement state at `now`: latency statistics restart
     /// and every link's energy account reopens at its current power.
     pub fn begin_measurement(&mut self, now: Picos) {
@@ -487,32 +482,6 @@ impl PowerAwareSim {
         self.accounts.iter().map(|a| a.energy_nj_at(now)).sum()
     }
 
-    /// Average power split by link class since measurement began, in mW:
-    /// `(mesh, injection, ejection)`. The paper's observation that
-    /// injection/ejection links idle at the floor while mesh links carry
-    /// the load shows up directly here.
-    pub fn average_power_by_class(&self, now: Picos) -> (MilliWatts, MilliWatts, MilliWatts) {
-        use lumen_noc::link::LinkKind;
-        let dt = (now - self.measure_from).as_ps() as f64;
-        if dt == 0.0 {
-            return (MilliWatts::ZERO, MilliWatts::ZERO, MilliWatts::ZERO);
-        }
-        let mut sums = [0.0f64; 3];
-        for (l, acct) in self.accounts.iter().enumerate() {
-            let idx = match self.net.link(LinkId(l as u32)).kind() {
-                LinkKind::InterRouter => 0,
-                LinkKind::Injection => 1,
-                LinkKind::Ejection => 2,
-            };
-            sums[idx] += acct.energy_nj_at(now);
-        }
-        (
-            MilliWatts::from_mw(sums[0] / dt * 1e6),
-            MilliWatts::from_mw(sums[1] / dt * 1e6),
-            MilliWatts::from_mw(sums[2] / dt * 1e6),
-        )
-    }
-
     /// Average network power since measurement began.
     pub fn average_power(&self, now: Picos) -> MilliWatts {
         let dt = (now - self.measure_from).as_ps() as f64;
@@ -524,7 +493,7 @@ impl PowerAwareSim {
 
     /// The non-power-aware network's constant power: every link at the
     /// maximum operating point.
-    pub fn baseline_power(&self) -> MilliWatts {
+    pub(crate) fn baseline_power(&self) -> MilliWatts {
         self.model.max_power() * self.net.link_count() as f64
     }
 
@@ -578,7 +547,7 @@ impl PowerAwareSim {
         if !self.sleeping.is_empty() {
             self.wake_demanded_links(now);
         }
-        if self.cycle_index % self.tw_cycles == 0 {
+        if self.cycle_index.is_multiple_of(self.tw_cycles) {
             if !self.controllers.is_empty() {
                 if let Some(ctx) = self.shard.as_deref_mut() {
                     // DVS windows need cross-shard buffer occupancy; the
@@ -621,7 +590,7 @@ impl PowerAwareSim {
         // which owns the merged measurement state).
         if self.shard.is_none() {
             if let Some(every) = self.sample_every {
-                if self.cycle_index % every == 0 {
+                if self.cycle_index.is_multiple_of(every) {
                     self.take_sample(now, every);
                 }
             }
@@ -1188,7 +1157,7 @@ impl PowerAwareSim {
             MetricsRegistry::default()
         };
         let mut rows = t.take_rows();
-        rows.sort_by(|a, b| (a.t_ps, a.link, a.closing).cmp(&(b.t_ps, b.link, b.closing)));
+        rows.sort_by_key(|a| (a.t_ps, a.link, a.closing));
         Some(TelemetryReport {
             schema: TRACE_SCHEMA.to_string(),
             tw_cycles: self.tw_cycles,
@@ -1633,24 +1602,7 @@ mod tests {
         let (lat, pow, inj) = engine.model().series();
         assert!(pow.len() >= 7, "power series {}", pow.len());
         assert!(inj.len() >= 7);
-        assert!(lat.len() >= 1);
-    }
-
-    #[test]
-    fn power_by_class_sums_to_total() {
-        let config = small_config(true);
-        let source = uniform_source(&config, 0.2);
-        let mut engine = PowerAwareSim::build_engine(config, source, None);
-        run_cycles(&mut engine, 2_000);
-        let now = engine.now();
-        engine.model_mut().begin_measurement(now);
-        let end = run_cycles(&mut engine, 6_000);
-        let sim = engine.model();
-        let (mesh, inj, ej) = sim.average_power_by_class(end);
-        let total = sim.average_power(end).as_mw();
-        let parts = mesh.as_mw() + inj.as_mw() + ej.as_mw();
-        assert!((parts - total).abs() < 1e-6, "{parts} vs {total}");
-        assert!(mesh.as_mw() > 0.0 && inj.as_mw() > 0.0 && ej.as_mw() > 0.0);
+        assert!(!lat.is_empty());
     }
 
     #[test]

@@ -382,7 +382,7 @@ impl RowRetention {
                     let (_, window) = self.recent.pop_front().expect("non-empty");
                     let index = self.evicted;
                     self.evicted += 1;
-                    if index % self.stride == 0 {
+                    if index.is_multiple_of(self.stride) {
                         self.old.push(window);
                         while self.old.len() > self.cap {
                             // Keep even eviction ordinals; the stride
@@ -454,7 +454,7 @@ impl TelemetryCollector {
 
     /// Arms recording and zeroes the energy baselines; called by
     /// `begin_measurement` so warmup windows are not recorded.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.active = true;
         self.rows.clear();
         for e in &mut self.last_energy_nj {
@@ -469,7 +469,7 @@ impl TelemetryCollector {
     /// Accepts one row, routing non-closing rows through the retention
     /// window when enabled. Closing flush rows are always kept: the
     /// energy column must telescope to the measured total.
-    pub fn push_row(&mut self, row: LinkWindowRow) {
+    pub(crate) fn push_row(&mut self, row: LinkWindowRow) {
         match &mut self.retention {
             Some(r) if !row.closing => r.push(row),
             _ => self.rows.push(row),
@@ -477,7 +477,7 @@ impl TelemetryCollector {
     }
 
     /// Drains every retained row, unordered (the report sorts).
-    pub fn take_rows(&mut self) -> Vec<LinkWindowRow> {
+    pub(crate) fn take_rows(&mut self) -> Vec<LinkWindowRow> {
         let mut out = match self.retention.take() {
             Some(r) => r.into_rows(),
             None => Vec::new(),
@@ -491,7 +491,7 @@ impl TelemetryCollector {
     /// be this run's ([`TelemetryConfig::retain_windows`], as the cap it
     /// becomes): a resumed run that adopted another retention would
     /// silently export a different trace than either run asked for.
-    pub fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+    pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "TelemetryCollector";
         src.map_of(4, TY)?;
         self.active = src.field("active", TY)?;

@@ -56,8 +56,6 @@ pub enum RunOutcome {
     QueueDrained,
     /// The time horizon was reached; later events remain pending.
     HorizonReached,
-    /// The event budget was exhausted (see [`Engine::set_event_budget`]).
-    BudgetExhausted,
 }
 
 /// A generic discrete-event simulation engine.
@@ -74,22 +72,12 @@ pub struct Engine<M: SimModel> {
     inbox_seq: u64,
     now: Picos,
     processed: u64,
-    event_budget: Option<u64>,
 }
 
 impl<M: SimModel> Engine<M> {
     /// Creates an engine at time zero with an empty calendar.
     pub fn new(model: M) -> Self {
         Self::with_queue(model, EventQueue::new())
-    }
-
-    /// Creates an engine whose calendar pre-allocates room for `capacity`
-    /// pending events. Simulations that schedule tens of millions of
-    /// events (two per flit hop) should size this from their fan-out —
-    /// e.g. links × events-per-link-per-cycle × in-flight cycles — to
-    /// avoid reallocation churn in the hot path.
-    pub fn with_capacity(model: M, capacity: usize) -> Self {
-        Self::with_queue(model, EventQueue::with_capacity(capacity))
     }
 
     /// Creates an engine over a caller-built calendar (custom bucket
@@ -102,7 +90,6 @@ impl<M: SimModel> Engine<M> {
             inbox_seq: 0,
             now: Picos::ZERO,
             processed: 0,
-            event_budget: None,
         }
     }
 
@@ -120,11 +107,6 @@ impl<M: SimModel> Engine<M> {
         let seq = self.inbox_seq;
         self.inbox_seq += 1;
         self.inbox.push(InboxEntry { at, seq, event });
-    }
-
-    /// Number of externally-injected events still awaiting delivery.
-    pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
     }
 
     /// Pops the inbox head if it is due at or before `horizon` *and* not
@@ -204,20 +186,10 @@ impl<M: SimModel> Engine<M> {
         out
     }
 
-    /// Caps the total number of events this engine will ever process; a
-    /// safety valve against runaway self-scheduling models.
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = Some(budget);
-    }
-
-    /// Runs until the queue drains, the budget is exhausted, or the next
-    /// event would occur strictly after `horizon` (events *at* the horizon
-    /// are processed).
+    /// Runs until the queue drains or the next event would occur strictly
+    /// after `horizon` (events *at* the horizon are processed).
     pub fn run_until(&mut self, horizon: Picos) -> RunOutcome {
         loop {
-            if self.budget_spent() {
-                return RunOutcome::BudgetExhausted;
-            }
             // The sequential hot path pays exactly one `is_empty` branch
             // for the inbox; shard runs additionally peek both heads so
             // the earlier (inbox at ties) is delivered first.
@@ -250,37 +222,9 @@ impl<M: SimModel> Engine<M> {
         }
     }
 
-    /// Runs until the queue is fully drained (or the budget is exhausted).
+    /// Runs until the queue is fully drained.
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(Picos::MAX)
-    }
-
-    /// Processes exactly one event, if any is pending. Returns its time.
-    ///
-    /// Returns `None` once the event budget is spent (the same cap
-    /// [`Engine::run_until`] enforces): a budget-exhausted engine cannot
-    /// be stepped past its cap. Use [`Engine::processed`] against the
-    /// budget to distinguish exhaustion from an empty calendar.
-    pub fn step(&mut self) -> Option<Picos> {
-        if self.budget_spent() {
-            return None;
-        }
-        let (time, event) = if !self.inbox.is_empty() {
-            self.pop_inbox_if_due(Picos::MAX)
-                .or_else(|| self.queue.pop())?
-        } else {
-            self.queue.pop()?
-        };
-        debug_assert!(time >= self.now);
-        self.now = time;
-        self.processed += 1;
-        self.model.handle(time, event, &mut self.queue);
-        Some(time)
-    }
-
-    fn budget_spent(&self) -> bool {
-        self.event_budget
-            .is_some_and(|budget| self.processed >= budget)
     }
 }
 
@@ -360,79 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_stops_runaway() {
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: true,
-        });
-        eng.set_event_budget(3);
-        eng.queue_mut().schedule(Picos::ZERO, 0);
-        assert_eq!(eng.run_to_completion(), RunOutcome::BudgetExhausted);
-        assert_eq!(eng.processed(), 3);
-    }
-
-    #[test]
-    fn step_processes_one() {
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: false,
-        });
-        eng.queue_mut().schedule(Picos::from_ns(4), 7);
-        assert_eq!(eng.step(), Some(Picos::from_ns(4)));
-        assert_eq!(eng.step(), None);
-    }
-
-    #[test]
-    fn step_respects_event_budget() {
-        // A budget-exhausted engine must not be steppable past its cap,
-        // whether the budget was spent by run_until or by step itself.
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: true,
-        });
-        eng.set_event_budget(3);
-        eng.queue_mut().schedule(Picos::ZERO, 0);
-        assert_eq!(eng.run_to_completion(), RunOutcome::BudgetExhausted);
-        assert_eq!(eng.processed(), 3);
-        assert!(!eng.queue().is_empty(), "respawned event still pending");
-        assert_eq!(eng.step(), None, "step must honor the spent budget");
-        assert_eq!(eng.processed(), 3);
-
-        // Spending the budget via step alone hits the same wall.
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: true,
-        });
-        eng.set_event_budget(2);
-        eng.queue_mut().schedule(Picos::ZERO, 0);
-        assert!(eng.step().is_some());
-        assert!(eng.step().is_some());
-        assert_eq!(eng.step(), None);
-        assert_eq!(eng.processed(), 2);
-    }
-
-    #[test]
-    fn with_capacity_runs_identically() {
-        let run = |mut eng: Engine<Echo>| {
-            eng.queue_mut().schedule(Picos::ZERO, 0);
-            eng.run_to_completion();
-            eng.into_model().seen
-        };
-        let plain = run(Engine::new(Echo {
-            seen: vec![],
-            respawn: true,
-        }));
-        let sized = run(Engine::with_capacity(
-            Echo {
-                seen: vec![],
-                respawn: true,
-            },
-            1 << 12,
-        ));
-        assert_eq!(plain, sized);
-    }
-
-    #[test]
     fn inbox_wins_ties_against_calendar_events() {
         let mut eng = Engine::new(Echo {
             seen: vec![],
@@ -467,38 +338,8 @@ mod tests {
         eng.push_external(Picos::from_ns(5), 50);
         assert_eq!(eng.run_until(Picos::from_ns(3)), RunOutcome::HorizonReached);
         assert!(eng.model().seen.is_empty());
-        assert_eq!(eng.inbox_len(), 1);
         assert_eq!(eng.run_until(Picos::from_ns(5)), RunOutcome::QueueDrained);
         assert_eq!(eng.model().seen, vec![(Picos::from_ns(5), 50)]);
-    }
-
-    #[test]
-    fn inbox_respects_event_budget_and_step() {
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: false,
-        });
-        eng.set_event_budget(1);
-        eng.push_external(Picos::from_ns(1), 1);
-        eng.push_external(Picos::from_ns(2), 2);
-        assert_eq!(eng.run_to_completion(), RunOutcome::BudgetExhausted);
-        assert_eq!(eng.processed(), 1);
-        assert_eq!(eng.step(), None, "budget spent");
-        assert_eq!(eng.inbox_len(), 1);
-    }
-
-    #[test]
-    fn step_prefers_due_inbox_event() {
-        let mut eng = Engine::new(Echo {
-            seen: vec![],
-            respawn: false,
-        });
-        eng.queue_mut().schedule(Picos::from_ns(2), 1);
-        eng.push_external(Picos::from_ns(2), 100);
-        assert_eq!(eng.step(), Some(Picos::from_ns(2)));
-        assert_eq!(eng.model().seen, vec![(Picos::from_ns(2), 100)]);
-        assert_eq!(eng.step(), Some(Picos::from_ns(2)));
-        assert_eq!(eng.model().seen.len(), 2);
     }
 
     /// A model that, on its first event at time t, schedules another event

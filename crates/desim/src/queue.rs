@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 /// scheduled a cycle or more ahead always lands in a *later* bucket, so
 /// the in-progress drain almost never takes a mid-flight insertion and
 /// the re-sort path stays cold.
-pub const DEFAULT_BUCKET_PS: u64 = 1600;
+pub(crate) const DEFAULT_BUCKET_PS: u64 = 1600;
 
 /// Number of near-future buckets in the wheel (must be a power of two).
 /// 256 cycles comfortably covers flit serialization at the slowest ladder
@@ -106,10 +106,9 @@ struct Wheel<E> {
 impl<E> Wheel<E> {
     fn new(width: Picos, capacity: usize) -> Self {
         assert!(width > Picos::ZERO, "bucket width must be positive");
-        let mut drain = Vec::new();
         // The drain and a handful of slots recycle their buffers between
         // bucket swaps, so a modest up-front reservation suffices.
-        drain.reserve(capacity / 8);
+        let drain = Vec::with_capacity(capacity / 8);
         let w = width.as_ps();
         let shift = 63 - w.leading_zeros(); // floor(log2(width))
         Wheel {
@@ -157,7 +156,10 @@ impl<E> Wheel<E> {
     /// Sorts the drain descending by `(time, seq)` (earliest last).
     #[inline]
     fn sort_drain(&mut self) {
-        self.drain.sort_unstable_by(|a, b| b.key().cmp(&a.key()));
+        // Keys are unique (the sequence number breaks time ties), so an
+        // unstable sort is exact.
+        self.drain
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
         self.drain_sorted = true;
     }
 
@@ -252,16 +254,6 @@ impl<E> Wheel<E> {
             _ => Some(slot_time),
         }
     }
-
-    fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
-        self.drain.clear();
-        self.drain_sorted = true;
-        self.in_slots = 0;
-        self.overflow.clear();
-    }
 }
 
 /// A deterministic pending-event calendar.
@@ -298,14 +290,9 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty wheel-backed queue with the default bucket width
-    /// (one router-core cycle, [`DEFAULT_BUCKET_PS`]).
+    /// (one router-core cycle, `DEFAULT_BUCKET_PS`).
     pub fn new() -> Self {
         Self::with_capacity_and_width(0, Picos::from_ps(DEFAULT_BUCKET_PS))
-    }
-
-    /// Creates an empty wheel-backed queue with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_width(capacity, Picos::from_ps(DEFAULT_BUCKET_PS))
     }
 
     /// Creates an empty wheel-backed queue whose buckets are `width` wide
@@ -422,12 +409,6 @@ impl<E> EventQueue<E> {
         }
         out
     }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.wheel.clear();
-        self.len = 0;
-    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
@@ -482,7 +463,7 @@ mod tests {
         q.schedule(Picos::from_ns(7), 0);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(Picos::from_ns(7)));
-        q.clear();
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 1);
     }

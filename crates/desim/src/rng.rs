@@ -200,51 +200,6 @@ impl Rng {
         let u = 1.0 - self.next_f64();
         -mean * u.ln()
     }
-
-    /// A geometrically distributed count of failures before a success with
-    /// success probability `p` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1]`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "p must be in (0,1], got {p}");
-        if p >= 1.0 {
-            return 0;
-        }
-        let u = 1.0 - self.next_f64();
-        (u.ln() / (1.0 - p).ln()) as u64
-    }
-
-    /// Chooses an index according to a slice of non-negative weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero/non-finite.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weights must be non-empty");
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total.is_finite() && total > 0.0,
-            "weights must sum to a positive finite value"
-        );
-        let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -493,41 +448,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exponential(4.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let mut r = Rng::seed_from(13);
-        let p: f64 = 0.25;
-        let n = 100_000;
-        let sum: u64 = (0..n).map(|_| r.geometric(p)).sum();
-        let mean = sum as f64 / n as f64;
-        let expect = (1.0 - p) / p; // 3.0
-        assert!((mean - expect).abs() < 0.1, "mean {mean}");
-        assert_eq!(r.geometric(1.0), 0);
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut r = Rng::seed_from(17);
-        let w = [1.0, 0.0, 3.0];
-        let mut counts = [0u32; 3];
-        for _ in 0..40_000 {
-            counts[r.weighted_index(&w)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::seed_from(19);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

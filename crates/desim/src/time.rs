@@ -58,32 +58,9 @@ impl Picos {
         Picos(ms * 1_000_000_000)
     }
 
-    /// Creates a duration from a (non-negative, finite) number of seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative, NaN, or too large to represent.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "seconds must be finite and non-negative, got {secs}"
-        );
-        let ps = secs * 1e12;
-        assert!(
-            ps <= u64::MAX as f64,
-            "duration overflows picoseconds: {secs}s"
-        );
-        Picos(ps.round() as u64)
-    }
-
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
         self.0
-    }
-
-    /// This time expressed in fractional nanoseconds.
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// This time expressed in fractional microseconds.
@@ -91,33 +68,14 @@ impl Picos {
         self.0 as f64 / 1e6
     }
 
-    /// This time expressed in fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e12
-    }
-
     /// Saturating subtraction: returns [`Picos::ZERO`] instead of wrapping.
     pub fn saturating_sub(self, rhs: Picos) -> Picos {
         Picos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    pub fn checked_add(self, rhs: Picos) -> Option<Picos> {
-        self.0.checked_add(rhs.0).map(Picos)
-    }
-
     /// Returns the smaller of two times.
-    pub fn min(self, rhs: Picos) -> Picos {
+    pub(crate) fn min(self, rhs: Picos) -> Picos {
         if self <= rhs {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// Returns the larger of two times.
-    pub fn max(self, rhs: Picos) -> Picos {
-        if self >= rhs {
             self
         } else {
             rhs
@@ -130,11 +88,11 @@ impl fmt::Display for Picos {
         let ps = self.0;
         if ps == 0 {
             write!(f, "0ps")
-        } else if ps % 1_000_000_000 == 0 {
+        } else if ps.is_multiple_of(1_000_000_000) {
             write!(f, "{}ms", ps / 1_000_000_000)
-        } else if ps % 1_000_000 == 0 {
+        } else if ps.is_multiple_of(1_000_000) {
             write!(f, "{}us", ps / 1_000_000)
-        } else if ps % 1_000 == 0 {
+        } else if ps.is_multiple_of(1_000) {
             write!(f, "{}ns", ps / 1_000)
         } else {
             write!(f, "{ps}ps")
@@ -212,11 +170,6 @@ pub struct Cycles(pub u64);
 impl Cycles {
     /// Zero cycles.
     pub const ZERO: Cycles = Cycles(0);
-
-    /// Raw cycle count.
-    pub const fn count(self) -> u64 {
-        self.0
-    }
 }
 
 impl fmt::Display for Cycles {
@@ -272,34 +225,9 @@ impl ClockDomain {
         }
     }
 
-    /// A clock domain with the given period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn with_period(period: Picos) -> Self {
-        assert!(period > Picos::ZERO, "clock period must be positive");
-        ClockDomain { period }
-    }
-
-    /// A clock domain with the given frequency in Hz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hz` is not strictly positive and finite.
-    pub fn with_frequency_hz(hz: f64) -> Self {
-        assert!(hz.is_finite() && hz > 0.0, "frequency must be positive");
-        Self::with_period(Picos::from_secs_f64(1.0 / hz))
-    }
-
     /// The clock period.
     pub const fn period(self) -> Picos {
         self.period
-    }
-
-    /// The clock frequency in Hz.
-    pub fn frequency_hz(self) -> f64 {
-        1e12 / self.period.as_ps() as f64
     }
 
     /// The time at which cycle `c` begins.
@@ -312,17 +240,6 @@ impl ClockDomain {
     pub fn cycle_at(self, t: Picos) -> Cycles {
         Cycles(t / self.period)
     }
-
-    /// The start time of the first cycle at or after `t`.
-    pub fn next_edge_at_or_after(self, t: Picos) -> Picos {
-        let c = self.cycle_at(t);
-        let edge = self.time_of(c);
-        if edge == t {
-            t
-        } else {
-            self.time_of(Cycles(c.0 + 1))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -334,22 +251,7 @@ mod tests {
         assert_eq!(Picos::from_ns(3).as_ps(), 3_000);
         assert_eq!(Picos::from_us(2).as_ps(), 2_000_000);
         assert_eq!(Picos::from_ms(1).as_ps(), 1_000_000_000);
-        assert_eq!(Picos::from_ps(1500).as_ns_f64(), 1.5);
         assert_eq!(Picos::from_us(1).as_us_f64(), 1.0);
-    }
-
-    #[test]
-    fn from_secs_rounds() {
-        assert_eq!(Picos::from_secs_f64(1e-12), Picos::from_ps(1));
-        assert_eq!(Picos::from_secs_f64(0.0), Picos::ZERO);
-        // 1.6ns
-        assert_eq!(Picos::from_secs_f64(1.6e-9), Picos::from_ps(1600));
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn from_secs_rejects_negative() {
-        let _ = Picos::from_secs_f64(-1.0);
     }
 
     #[test]
@@ -364,7 +266,6 @@ mod tests {
         assert_eq!(a % b, Picos::from_ns(2));
         assert_eq!(b.saturating_sub(a), Picos::ZERO);
         assert_eq!(a.min(b), b);
-        assert_eq!(a.max(b), a);
     }
 
     #[test]
@@ -386,42 +287,16 @@ mod tests {
     fn router_core_clock() {
         let core = ClockDomain::router_core();
         assert_eq!(core.period(), Picos::from_ps(1600));
-        let hz = core.frequency_hz();
+        let hz = 1e12 / core.period().as_ps() as f64;
         assert!((hz - 625e6).abs() < 1.0, "frequency {hz}");
     }
 
     #[test]
     fn cycle_time_mapping() {
-        let clk = ClockDomain::with_period(Picos::from_ps(100));
+        let clk = ClockDomain::router_core();
         assert_eq!(clk.time_of(Cycles(0)), Picos::ZERO);
-        assert_eq!(clk.time_of(Cycles(3)), Picos::from_ps(300));
-        assert_eq!(clk.cycle_at(Picos::from_ps(299)), Cycles(2));
-        assert_eq!(clk.cycle_at(Picos::from_ps(300)), Cycles(3));
-    }
-
-    #[test]
-    fn next_edge() {
-        let clk = ClockDomain::with_period(Picos::from_ps(100));
-        assert_eq!(
-            clk.next_edge_at_or_after(Picos::from_ps(300)),
-            Picos::from_ps(300)
-        );
-        assert_eq!(
-            clk.next_edge_at_or_after(Picos::from_ps(301)),
-            Picos::from_ps(400)
-        );
-        assert_eq!(clk.next_edge_at_or_after(Picos::ZERO), Picos::ZERO);
-    }
-
-    #[test]
-    fn frequency_constructor() {
-        let clk = ClockDomain::with_frequency_hz(625e6);
-        assert_eq!(clk.period(), Picos::from_ps(1600));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_period_rejected() {
-        let _ = ClockDomain::with_period(Picos::ZERO);
+        assert_eq!(clk.time_of(Cycles(3)), Picos::from_ps(4800));
+        assert_eq!(clk.cycle_at(Picos::from_ps(4799)), Cycles(2));
+        assert_eq!(clk.cycle_at(Picos::from_ps(4800)), Cycles(3));
     }
 }

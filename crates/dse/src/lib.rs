@@ -39,8 +39,8 @@ pub mod report;
 pub mod space;
 pub mod tpe;
 
-pub use pareto::{pareto_front, ranks as pareto_ranks, Goal};
-pub use report::{DseReport, Fidelity, ReferenceRow, ReportPoint, DSE_SCHEMA};
+pub use pareto::Goal;
+pub use report::{DseReport, DSE_SCHEMA};
 pub use space::{PolicyDraw, SearchSpace};
 pub use tpe::Tpe;
 
@@ -48,6 +48,7 @@ use lumen_core::exec::derive_seed;
 use lumen_core::prelude::*;
 use lumen_core::results::Objectives;
 use pareto::ranks;
+use report::{Fidelity, ReferenceRow, ReportPoint};
 
 /// The traffic a scenario drives, parameterized by the measure horizon so
 /// phase-structured workloads keep their full shape at both fidelities.
@@ -75,7 +76,7 @@ impl DseWorkload {
     /// [`DseWorkload::HotspotCompressed`] is not: its phase schedule is a
     /// function of the measure horizon, so the two fidelities drive
     /// different traffic and survivors must re-run cold.
-    pub fn warm_startable(&self) -> bool {
+    pub(crate) fn warm_startable(&self) -> bool {
         !matches!(self, DseWorkload::HotspotCompressed)
     }
 
@@ -139,7 +140,7 @@ pub struct DseConfig {
     /// Warm-start the full-fidelity pass from quick-run checkpoints.
     ///
     /// When set, quick trials run the **full** warmup followed by the
-    /// quick measure window and save a `lumen-ckpt/3` snapshot at their
+    /// quick measure window and save a `lumen-ckpt/4` snapshot at their
     /// end; survivors *resume* those snapshots and only simulate the
     /// remaining `measure - quick_measure` cycles instead of re-running
     /// warmup + full measure from scratch. Because resume is
@@ -147,7 +148,7 @@ pub struct DseConfig {
     /// full-fidelity objectives equal the unbroken full run's exactly;
     /// only the quick cohort's numbers shift (they measure after the
     /// full warmup). Workloads whose quick run is not a prefix of the
-    /// full run ([`DseWorkload::warm_startable`]) fall back to cold
+    /// full run (`DseWorkload::warm_startable`) fall back to cold
     /// full re-runs.
     pub warm_start: bool,
 }

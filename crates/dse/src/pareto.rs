@@ -45,7 +45,7 @@ impl Goal {
     }
 
     /// Constrained dominance: does `self` dominate `other`?
-    pub fn dominates(&self, other: &Goal) -> bool {
+    pub(crate) fn dominates(&self, other: &Goal) -> bool {
         match (self.feasible(), other.feasible()) {
             (true, false) => true,
             (false, true) => false,
@@ -63,7 +63,7 @@ impl Goal {
 /// Non-dominated rank of every goal: rank 0 is the Pareto front, rank 1
 /// the front of what remains, and so on. Stable and deterministic for a
 /// given input order.
-pub fn ranks(goals: &[Goal]) -> Vec<usize> {
+pub(crate) fn ranks(goals: &[Goal]) -> Vec<usize> {
     let n = goals.len();
     let mut rank = vec![usize::MAX; n];
     let mut assigned = 0;
@@ -88,15 +88,6 @@ pub fn ranks(goals: &[Goal]) -> Vec<usize> {
         current += 1;
     }
     rank
-}
-
-/// Indices of the rank-0 (non-dominated) goals, in input order.
-pub fn pareto_front(goals: &[Goal]) -> Vec<usize> {
-    ranks(goals)
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, r)| (r == 0).then_some(i))
-        .collect()
 }
 
 #[cfg(test)]
@@ -146,7 +137,6 @@ mod tests {
         ];
         let r = ranks(&goals);
         assert_eq!(r, vec![0, 0, 1, 2]);
-        assert_eq!(pareto_front(&goals), vec![0, 1]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// How a unit-cube coordinate maps to a knob value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scale {
+pub(crate) enum Scale {
     /// `lo + u · (hi − lo)`.
     Linear {
         /// Lower bound.
@@ -53,7 +53,7 @@ pub enum Scale {
 impl Scale {
     /// Decodes a cube coordinate to the knob's numeric value (the choice
     /// index for categorical dimensions).
-    pub fn decode(&self, u: f64) -> f64 {
+    pub(crate) fn decode(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
         match *self {
             Scale::Linear { lo, hi } => lo + u * (hi - lo),
@@ -65,21 +65,6 @@ impl Scale {
             Scale::Categorical { n } => ((u * n as f64) as usize).min(n - 1) as f64,
         }
     }
-
-    /// Whether nearby cube coordinates mean nearby values (false for
-    /// categorical dimensions, whose kernel must be a histogram).
-    pub fn is_ordered(&self) -> bool {
-        !matches!(self, Scale::Categorical { .. })
-    }
-}
-
-/// One searchable dimension: a name for reports and a scale.
-#[derive(Debug, Clone)]
-pub struct Dim {
-    /// Stable knob name (appears in the Pareto JSON).
-    pub name: &'static str,
-    /// Coordinate mapping.
-    pub scale: Scale,
 }
 
 /// The fixed 10-knob search space of the `ext_dse` harness: the paper's
@@ -88,7 +73,8 @@ pub struct Dim {
 /// knobs.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
-    dims: Vec<Dim>,
+    /// One coordinate mapping per knob, in cube-coordinate order.
+    dims: Vec<Scale>,
 }
 
 impl Default for SearchSpace {
@@ -102,58 +88,38 @@ impl SearchSpace {
     pub fn paper_policy() -> Self {
         SearchSpace {
             dims: vec![
-                Dim {
-                    name: "tl_uncongested",
-                    scale: Scale::Linear { lo: 0.10, hi: 0.60 },
+                // tl_uncongested
+                Scale::Linear { lo: 0.10, hi: 0.60 },
+                // th_gap_uncongested
+                Scale::Linear { lo: 0.05, hi: 0.35 },
+                // tl_congested
+                Scale::Linear { lo: 0.20, hi: 0.80 },
+                // th_gap_congested
+                Scale::Linear { lo: 0.05, hi: 0.30 },
+                // tw_cycles
+                Scale::Log {
+                    lo: 100.0,
+                    hi: 8000.0,
                 },
-                Dim {
-                    name: "th_gap_uncongested",
-                    scale: Scale::Linear { lo: 0.05, hi: 0.35 },
+                // n_windows
+                Scale::Integer { lo: 1, hi: 8 },
+                // ladder_levels
+                Scale::Integer { lo: 2, hi: 8 },
+                // ladder_min_gbps
+                Scale::Linear { lo: 3.0, hi: 8.0 },
+                // laser_decision_us
+                Scale::Log {
+                    lo: 50.0,
+                    hi: 400.0,
                 },
-                Dim {
-                    name: "tl_congested",
-                    scale: Scale::Linear { lo: 0.20, hi: 0.80 },
-                },
-                Dim {
-                    name: "th_gap_congested",
-                    scale: Scale::Linear { lo: 0.05, hi: 0.30 },
-                },
-                Dim {
-                    name: "tw_cycles",
-                    scale: Scale::Log {
-                        lo: 100.0,
-                        hi: 8000.0,
-                    },
-                },
-                Dim {
-                    name: "n_windows",
-                    scale: Scale::Integer { lo: 1, hi: 8 },
-                },
-                Dim {
-                    name: "ladder_levels",
-                    scale: Scale::Integer { lo: 2, hi: 8 },
-                },
-                Dim {
-                    name: "ladder_min_gbps",
-                    scale: Scale::Linear { lo: 3.0, hi: 8.0 },
-                },
-                Dim {
-                    name: "laser_decision_us",
-                    scale: Scale::Log {
-                        lo: 50.0,
-                        hi: 400.0,
-                    },
-                },
-                Dim {
-                    name: "optical_mode",
-                    scale: Scale::Categorical { n: 2 },
-                },
+                // optical_mode
+                Scale::Categorical { n: 2 },
             ],
         }
     }
 
     /// The dimensions, in cube-coordinate order.
-    pub fn dims(&self) -> &[Dim] {
+    pub(crate) fn dims(&self) -> &[Scale] {
         &self.dims
     }
 
@@ -177,7 +143,7 @@ impl SearchSpace {
         let v: Vec<f64> = u
             .iter()
             .zip(&self.dims)
-            .map(|(&x, d)| d.scale.decode(x))
+            .map(|(&x, d)| d.decode(x))
             .collect();
         // TH = TL + gap, clamped so the table always validates (TL < TH
         // ≤ 1); the gap floor of the scale keeps the pair non-degenerate.
@@ -296,8 +262,6 @@ mod tests {
         let cat = Scale::Categorical { n: 2 };
         assert_eq!(cat.decode(0.49), 0.0);
         assert_eq!(cat.decode(0.51), 1.0);
-        assert!(!cat.is_ordered());
-        assert!(int.is_ordered());
     }
 
     #[test]

@@ -34,7 +34,7 @@ const KERNEL_HALF_WIDTH: f64 = 0.12;
 
 /// One observed trial: where it ran and how it scored.
 #[derive(Debug, Clone)]
-pub struct Observation {
+pub(crate) struct Observation {
     /// The cube point that was evaluated.
     pub point: Vec<f64>,
     /// Its constrained objectives.
@@ -66,11 +66,6 @@ impl Tpe {
             n_candidates: 24,
             gamma: 0.25,
         }
-    }
-
-    /// The trials observed so far.
-    pub fn observations(&self) -> &[Observation] {
-        &self.observations
     }
 
     /// Records a finished trial.
@@ -155,7 +150,7 @@ impl Tpe {
         for (d, dim) in self.space.dims().iter().enumerate() {
             // One center per dimension (TPE factorizes across dims).
             let c = centers[self.rng.index(centers.len())][d];
-            let u = match dim.scale {
+            let u = match *dim {
                 Scale::Categorical { n } => {
                     // Smoothed histogram: re-draw the observed category
                     // with high probability, else uniform over all.
@@ -186,7 +181,7 @@ impl Tpe {
         let mut log_p = 0.0;
         for (d, dim) in self.space.dims().iter().enumerate() {
             let x = point[d];
-            let p = match dim.scale {
+            let p = match *dim {
                 Scale::Categorical { n } => {
                     let cat = (x * n as f64) as usize;
                     let hits = centers

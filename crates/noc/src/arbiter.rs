@@ -69,7 +69,7 @@ impl RoundRobinArbiter {
     /// trailing-zeros count.
     ///
     /// [`grant`]: RoundRobinArbiter::grant
-    pub fn grant_masked(&mut self, mask: u64) -> Option<usize> {
+    pub(crate) fn grant_masked(&mut self, mask: u64) -> Option<usize> {
         debug_assert!(self.n <= 64, "grant_masked needs n <= 64");
         debug_assert_eq!(mask >> self.n, 0, "mask bit set at or above n");
         if mask == 0 {

@@ -56,7 +56,7 @@ pub struct AuditReport {
 
 impl AuditReport {
     /// Whether every checked invariant held.
-    pub fn is_ok(&self) -> bool {
+    pub(crate) fn is_ok(&self) -> bool {
         self.violations.is_empty()
     }
 

@@ -36,23 +36,13 @@ impl InputBuffer {
         }
     }
 
-    /// Number of virtual channels.
-    pub fn vcs(&self) -> u8 {
-        self.queues.len() as u8
-    }
-
-    /// Capacity per VC, in flits.
-    pub fn depth_per_vc(&self) -> usize {
-        self.depth_per_vc
-    }
-
     /// Pushes a flit into a VC.
     ///
     /// # Panics
     ///
     /// Panics if the VC is full (credit protocol violation) or the VC index
     /// is out of range.
-    pub fn push(&mut self, vc: VcId, flit: Flit) {
+    pub(crate) fn push(&mut self, vc: VcId, flit: Flit) {
         let q = &mut self.queues[vc.0 as usize];
         assert!(
             q.len() < self.depth_per_vc,
@@ -63,12 +53,12 @@ impl InputBuffer {
     }
 
     /// The head-of-line flit of a VC, if any.
-    pub fn front(&self, vc: VcId) -> Option<&Flit> {
+    pub(crate) fn front(&self, vc: VcId) -> Option<&Flit> {
         self.queues[vc.0 as usize].front()
     }
 
     /// Pops the head-of-line flit of a VC.
-    pub fn pop(&mut self, vc: VcId) -> Option<Flit> {
+    pub(crate) fn pop(&mut self, vc: VcId) -> Option<Flit> {
         let f = self.queues[vc.0 as usize].pop_front();
         self.occupancy -= f.is_some() as usize;
         f
@@ -80,28 +70,18 @@ impl InputBuffer {
     }
 
     /// Whether one VC is empty.
-    pub fn is_empty(&self, vc: VcId) -> bool {
+    pub(crate) fn is_empty(&self, vc: VcId) -> bool {
         self.queues[vc.0 as usize].is_empty()
     }
 
     /// Total occupancy across all VCs, in flits (the `F(t)` of the paper's
     /// buffer-utilization statistic, Eq. 10).
-    pub fn total_occupancy(&self) -> usize {
+    pub(crate) fn total_occupancy(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
             self.queues.iter().map(VecDeque::len).sum::<usize>()
         );
         self.occupancy
-    }
-
-    /// Total capacity across all VCs, in flits (the `B` of Eq. 10).
-    pub fn total_capacity(&self) -> usize {
-        self.depth_per_vc * self.queues.len()
-    }
-
-    /// Free slots in one VC.
-    pub fn free_slots(&self, vc: VcId) -> usize {
-        self.depth_per_vc - self.queues[vc.0 as usize].len()
     }
 }
 
@@ -139,20 +119,9 @@ mod tests {
         assert_eq!(b.len(VcId(0)), 1);
         assert_eq!(b.len(VcId(1)), 1);
         assert_eq!(b.total_occupancy(), 2);
-        assert_eq!(b.total_capacity(), 4);
         assert_eq!(b.pop(VcId(1)).unwrap().seq, 1);
         assert!(b.is_empty(VcId(1)));
         assert!(!b.is_empty(VcId(0)));
-    }
-
-    #[test]
-    fn free_slots_track_occupancy() {
-        let mut b = InputBuffer::new(1, 3);
-        assert_eq!(b.free_slots(VcId(0)), 3);
-        b.push(VcId(0), flit(0));
-        assert_eq!(b.free_slots(VcId(0)), 2);
-        b.pop(VcId(0));
-        assert_eq!(b.free_slots(VcId(0)), 3);
     }
 
     #[test]

@@ -40,14 +40,6 @@ pub struct NocConfig {
     /// see [`crate::topology`]). `width`/`height`/`nodes_per_rack` above
     /// parameterize whichever topology is selected.
     pub topology: TopologyKind,
-    /// Opt-in acknowledgement that `WestFirst` routing on a [`TopologyKind::Torus`]
-    /// deliberately routes mesh-style (wrap channels stay idle — the
-    /// deadlock-free fallback documented on
-    /// [`crate::topology::Torus`]). Off by default, in which case
-    /// [`NocConfig::validate`] rejects the combination: a silent
-    /// behaviour change would corrupt cross-topology comparisons (a DSE
-    /// sweep "on a torus" that actually measured mesh routes).
-    pub allow_torus_mesh_routing: bool,
 }
 
 impl NocConfig {
@@ -69,7 +61,6 @@ impl NocConfig {
             credit_delay: Picos::from_ps(1600),
             routing: RoutingAlgorithm::XY,
             topology: TopologyKind::Mesh,
-            allow_torus_mesh_routing: false,
         }
     }
 
@@ -89,7 +80,6 @@ impl NocConfig {
             credit_delay: Picos::from_ps(1600),
             routing: RoutingAlgorithm::XY,
             topology: TopologyKind::Mesh,
-            allow_torus_mesh_routing: false,
         }
     }
 
@@ -121,14 +111,6 @@ impl NocConfig {
         if let TopologyKind::FoldedClos { spines } = self.topology {
             assert!(spines >= 1, "folded Clos needs at least one spine");
         }
-        assert!(
-            !(self.topology == TopologyKind::Torus
-                && self.routing == RoutingAlgorithm::WestFirst
-                && !self.allow_torus_mesh_routing),
-            "WestFirst on a torus falls back to mesh-order routing (wrap channels \
-             stay idle); set allow_torus_mesh_routing = true to opt into the \
-             fallback explicitly, or use XY/YX routing"
-        );
         assert!(
             self.ports_per_router() <= u8::MAX as usize,
             "port index must fit a u8"
@@ -267,9 +249,6 @@ mod tests {
         let mut c = NocConfig::paper_default();
         assert_eq!(c.topology, TopologyKind::Mesh);
         assert_eq!(c.router_count(), 64);
-        c.topology = TopologyKind::Torus;
-        c.validate();
-        assert_eq!(c.router_count(), 64);
         assert_eq!(c.ports_per_router(), 12);
         // A 4×4 Clos with 4 spines: 16 leaves + 4 spines, spine needs 16
         // downlink ports.
@@ -291,32 +270,6 @@ mod tests {
         // 64 leaves would need 64 spine downlinks × 2 VCs = 128 slots.
         c.topology = TopologyKind::FoldedClos { spines: 4 };
         c.validate();
-    }
-
-    #[test]
-    fn torus_west_first_needs_explicit_opt_in() {
-        let mut c = NocConfig::paper_default();
-        c.topology = TopologyKind::Torus;
-        c.routing = RoutingAlgorithm::WestFirst;
-        // Silent mesh-fallback rejected by default…
-        let rejected = c.clone();
-        let err = std::panic::catch_unwind(move || rejected.validate()).unwrap_err();
-        let msg = err
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("allow_torus_mesh_routing"), "{msg}");
-        // …accepted once acknowledged.
-        c.allow_torus_mesh_routing = true;
-        c.validate();
-        // And irrelevant off the torus/WestFirst combination.
-        let mut mesh = NocConfig::paper_default();
-        mesh.routing = RoutingAlgorithm::WestFirst;
-        mesh.validate();
-        let mut torus_xy = NocConfig::paper_default();
-        torus_xy.topology = TopologyKind::Torus;
-        torus_xy.validate();
     }
 
     #[test]

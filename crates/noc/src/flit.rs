@@ -40,7 +40,7 @@ impl Packet {
     }
 
     /// Breaks the packet into its flit sequence.
-    pub fn into_flits(self) -> impl Iterator<Item = Flit> {
+    pub(crate) fn into_flits(self) -> impl Iterator<Item = Flit> {
         let size = self.size_flits;
         (0..size).map(move |seq| {
             let kind = if size == 1 {
@@ -92,12 +92,12 @@ pub enum FlitKind {
 impl FlitKind {
     /// Whether this flit opens a packet (needs route computation / VC
     /// allocation).
-    pub fn is_head(self) -> bool {
+    pub(crate) fn is_head(self) -> bool {
         matches!(self, FlitKind::Head | FlitKind::HeadTail)
     }
 
     /// Whether this flit closes a packet (releases the output VC).
-    pub fn is_tail(self) -> bool {
+    pub(crate) fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
 }

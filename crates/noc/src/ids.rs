@@ -91,7 +91,7 @@ impl fmt::Display for PacketId {
 
 /// A mesh direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Towards smaller `y`.
     North,
     /// Towards larger `y`.
@@ -104,7 +104,7 @@ pub enum Direction {
 
 impl Direction {
     /// All four directions in port order (N, S, E, W).
-    pub const ALL: [Direction; 4] = [
+    pub(crate) const ALL: [Direction; 4] = [
         Direction::North,
         Direction::South,
         Direction::East,
@@ -112,7 +112,7 @@ impl Direction {
     ];
 
     /// The opposite direction.
-    pub fn opposite(self) -> Direction {
+    pub(crate) fn opposite(self) -> Direction {
         match self {
             Direction::North => Direction::South,
             Direction::South => Direction::North,
@@ -122,7 +122,7 @@ impl Direction {
     }
 
     /// Index of this direction within [`Direction::ALL`].
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Direction::North => 0,
             Direction::South => 1,
@@ -161,7 +161,7 @@ impl RackCoord {
 
     /// The neighboring coordinate in `dir`, if it stays within a
     /// `width × height` mesh.
-    pub fn neighbor(self, dir: Direction, width: u8, height: u8) -> Option<RackCoord> {
+    pub(crate) fn neighbor(self, dir: Direction, width: u8, height: u8) -> Option<RackCoord> {
         match dir {
             Direction::North => (self.y > 0).then(|| RackCoord::new(self.x, self.y - 1)),
             Direction::South => (self.y + 1 < height).then(|| RackCoord::new(self.x, self.y + 1)),
@@ -171,7 +171,7 @@ impl RackCoord {
     }
 
     /// Manhattan distance to another coordinate.
-    pub fn manhattan(self, other: RackCoord) -> u32 {
+    pub(crate) fn manhattan(self, other: RackCoord) -> u32 {
         self.x.abs_diff(other.x) as u32 + self.y.abs_diff(other.y) as u32
     }
 }

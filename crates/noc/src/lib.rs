@@ -34,8 +34,8 @@
 //! The geometry — which routers exist, how they are wired, how packets
 //! route between them, and how the fabric cuts into shard bands — lives
 //! behind the [`topology::Topology`] trait. The paper's clustered mesh
-//! is one implementation; wrap-around tori and a two-level folded Clos
-//! ship alongside it, and TOPOLOGIES.md walks through adding your own.
+//! is one implementation; a two-level folded Clos ships alongside it,
+//! and TOPOLOGIES.md walks through adding your own.
 //!
 //! ```
 //! use lumen_noc::config::NocConfig;
@@ -62,14 +62,12 @@ pub mod node;
 pub mod route_table;
 pub mod router;
 pub mod routing;
-pub mod stats;
 pub mod topology;
 
-pub use audit::{audit, audit_quiescent, AuditReport};
+pub use audit::{audit, audit_quiescent};
 pub use config::NocConfig;
-pub use flit::{Flit, FlitKind, Packet};
-pub use ids::{Direction, LinkId, NodeId, PacketId, PortId, RackCoord, RouterId, VcId};
+pub use flit::{Flit, Packet};
+pub use ids::{LinkId, NodeId, PacketId, PortId, RackCoord, RouterId, VcId};
 pub use network::{Effect, Network};
-pub use route_table::{RouteSet, RouteTable};
-pub use stats::{LinkClassStats, NetworkSnapshot};
-pub use topology::{BuiltinTopology, Channel, Topology, TopologyKind};
+pub use route_table::RouteTable;
+pub use topology::{Channel, Topology, TopologyKind};

@@ -122,13 +122,8 @@ impl Link {
     }
 
     /// The link's id.
-    pub fn id(&self) -> LinkId {
+    pub(crate) fn id(&self) -> LinkId {
         self.id
-    }
-
-    /// The link's topological role.
-    pub fn kind(&self) -> LinkKind {
-        self.kind
     }
 
     /// The upstream endpoint (where credits return to).
@@ -147,18 +142,18 @@ impl Link {
     }
 
     /// Time to serialize one flit at the current rate.
-    pub fn flit_time(&self) -> Picos {
+    pub(crate) fn flit_time(&self) -> Picos {
         debug_assert_eq!(self.flit_ps, self.rate.serialization_ps(self.flit_bits));
         Picos::from_ps(self.flit_ps)
     }
 
     /// Whether a new flit can start at time `t` (idle and enabled).
-    pub fn ready_at(&self, t: Picos) -> bool {
+    pub(crate) fn ready_at(&self, t: Picos) -> bool {
         t >= self.busy_until && t >= self.disabled_until
     }
 
     /// When the link next becomes able to start a flit.
-    pub fn next_free(&self) -> Picos {
+    pub(crate) fn next_free(&self) -> Picos {
         self.busy_until.max(self.disabled_until)
     }
 
@@ -168,7 +163,7 @@ impl Link {
     /// # Panics
     ///
     /// Panics if the link is not ready at `start` (an allocation bug).
-    pub fn start_flit(&mut self, start: Picos) -> Picos {
+    pub(crate) fn start_flit(&mut self, start: Picos) -> Picos {
         assert!(
             self.ready_at(start),
             "{}: flit start at {start} while busy until {} / disabled until {}",
@@ -203,11 +198,6 @@ impl Link {
         self.disabled_until = self.disabled_until.max(until);
     }
 
-    /// When the current disable window ends.
-    pub fn disabled_until(&self) -> Picos {
-        self.disabled_until
-    }
-
     /// Drains the accumulated busy time since the last call (part of the
     /// policy's link-utilization statistic).
     pub fn take_window_busy(&mut self) -> Picos {
@@ -219,7 +209,7 @@ impl Link {
     /// or out of credits). Demand ticks let the policy see saturation even
     /// when allocator and flow-control overheads keep the raw busy
     /// fraction below 1 (see DESIGN.md, utilization calibration note).
-    pub fn note_demand(&mut self) {
+    pub(crate) fn note_demand(&mut self) {
         self.window_demand_ticks += 1;
     }
 
@@ -247,7 +237,7 @@ impl Link {
     }
 
     /// Whether the link is currently gated off.
-    pub fn is_power_gated(&self) -> bool {
+    pub(crate) fn is_power_gated(&self) -> bool {
         self.disabled_until == Picos::MAX
     }
 
@@ -291,7 +281,7 @@ impl Link {
     /// Lifetime count of flits delivered downstream. The difference
     /// `flits_sent() - flits_arrived()` is the number of flits currently
     /// in flight on the wire (used by the conservation auditor).
-    pub fn flits_arrived(&self) -> u64 {
+    pub(crate) fn flits_arrived(&self) -> u64 {
         self.flits_arrived
     }
 
@@ -360,7 +350,7 @@ mod tests {
             Picos::from_ps(32_000),
         );
         // Disable window starts when the in-flight flit drains.
-        assert_eq!(l.disabled_until(), Picos::from_ps(1600 + 32_000));
+        assert_eq!(l.disabled_until, Picos::from_ps(1600 + 32_000));
         assert!(!l.ready_at(Picos::from_ps(20_000)));
         assert!(l.ready_at(Picos::from_ps(33_600)));
         assert_eq!(l.rate(), Gbps::from_gbps(5.0));
@@ -397,7 +387,7 @@ mod tests {
         let mut l = link(10.0);
         l.disable_until(Picos::from_us(5));
         l.disable_until(Picos::from_us(3)); // must not shrink
-        assert_eq!(l.disabled_until(), Picos::from_us(5));
+        assert_eq!(l.disabled_until, Picos::from_us(5));
     }
 
     #[test]

@@ -259,11 +259,6 @@ impl Network {
         self.inter_router_links
     }
 
-    /// Core cycles executed so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
     /// Immutable access to a link. Its window demand count lags by the
     /// ticks its upstream router has skipped while stalled;
     /// [`Network::link_mut`] and [`Network::settle_all`] bring it up to
@@ -283,7 +278,7 @@ impl Network {
     }
 
     /// Iterates over all links.
-    pub fn links(&self) -> impl Iterator<Item = &Link> {
+    pub(crate) fn links(&self) -> impl Iterator<Item = &Link> {
         self.links.iter()
     }
 
@@ -315,12 +310,12 @@ impl Network {
     }
 
     /// Iterates over all source nodes (conservation auditor).
-    pub fn sources(&self) -> impl Iterator<Item = &SourceNode> {
+    pub(crate) fn sources(&self) -> impl Iterator<Item = &SourceNode> {
         self.sources.iter()
     }
 
     /// Iterates over all sink nodes (conservation auditor).
-    pub fn sinks(&self) -> impl Iterator<Item = &SinkNode> {
+    pub(crate) fn sinks(&self) -> impl Iterator<Item = &SinkNode> {
         self.sinks.iter()
     }
 
@@ -619,7 +614,7 @@ impl Network {
     }
 
     /// Total flits queued at source nodes (offered-load backlog).
-    pub fn source_backlog(&self) -> usize {
+    pub(crate) fn source_backlog(&self) -> usize {
         self.sources.iter().map(SourceNode::backlog_flits).sum()
     }
 
@@ -684,10 +679,27 @@ impl Serialize for Network {
 mod tests {
     use super::*;
     use crate::ids::Direction;
-    use crate::routing::direction_port;
     use crate::topology::TopologyKind;
     use lumen_desim::EventQueue;
     use lumen_opto::Gbps;
+
+    /// The injection link node `n` drives: its router's local input feeder.
+    fn injection_link(net: &Network, n: usize) -> LinkId {
+        let node = NodeId(n as u32);
+        let router = net.router(net.config().router_of_node(node));
+        router.inputs[net.config().local_index(node) as usize]
+            .feeder
+            .expect("local input wired")
+    }
+
+    /// The ejection link feeding node `n`: its router's local output link.
+    fn ejection_link(net: &Network, n: usize) -> LinkId {
+        let node = NodeId(n as u32);
+        let router = net.router(net.config().router_of_node(node));
+        router.outputs[net.config().local_index(node) as usize]
+            .link
+            .expect("local output wired")
+    }
 
     /// A minimal driver for the passive network model: schedules a tick
     /// every core cycle and replays effects at their due times.
@@ -778,31 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_topology_counts_and_delivery() {
-        let mut config = NocConfig::small_for_tests();
-        config.topology = crate::topology::TopologyKind::Torus;
-        let mut d = Driver::new(&config);
-        // A 2×2 torus wires all four ports of every router: 16 directed
-        // channels vs the mesh's 8.
-        assert_eq!(d.net.router_count(), 4);
-        assert_eq!(d.net.inter_router_links(), 16);
-        assert_eq!(d.net.link_count(), 16 + 2 * 8);
-        let n = d.net.node_count();
-        let mut id = 0;
-        for s in 0..n {
-            for t in 0..n {
-                if s != t {
-                    id += 1;
-                    d.net.inject(packet(id, s, t, 2, Picos::ZERO));
-                }
-            }
-        }
-        d.run(3000);
-        assert_eq!(d.ejected.len() as u64, id);
-        assert!(d.net.is_quiescent());
-    }
-
-    #[test]
     fn folded_clos_topology_counts_and_delivery() {
         let mut config = NocConfig::small_for_tests();
         config.topology = crate::topology::TopologyKind::FoldedClos { spines: 2 };
@@ -840,7 +827,7 @@ mod tests {
             }
             // Mesh ports wired exactly when a neighbor exists.
             for dir in Direction::ALL {
-                let port = direction_port(&config, dir);
+                let port = PortId(config.nodes_per_rack + dir.index() as u8);
                 let has = coord.neighbor(dir, config.width, config.height).is_some();
                 assert_eq!(router.outputs[port.0 as usize].link.is_some(), has);
                 assert_eq!(router.inputs[port.0 as usize].feeder.is_some(), has);
@@ -914,13 +901,12 @@ mod tests {
 
     #[test]
     fn west_first_every_pair_delivers() {
-        // On the torus this exercises the (opt-in) mesh-order fallback;
-        // the delivery guarantee must still hold.
-        for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
+        // On the folded Clos west-first routes up/down like every
+        // algorithm; the delivery guarantee must hold on both fabrics.
+        for topology in [TopologyKind::Mesh, TopologyKind::FoldedClos { spines: 2 }] {
             let mut config = NocConfig::small_for_tests();
             config.topology = topology;
             config.routing = crate::routing::RoutingAlgorithm::WestFirst;
-            config.allow_torus_mesh_routing = true;
             let mut d = Driver::new(&config);
             let n = d.net.node_count();
             let mut id = 0;
@@ -942,11 +928,10 @@ mod tests {
     fn west_first_adversarial_hotspot_drains() {
         // Heavy many-to-one plus cross traffic: a deadlock hazard for
         // non-turn-model adaptive schemes; west-first must drain.
-        for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
+        for topology in [TopologyKind::Mesh, TopologyKind::FoldedClos { spines: 2 }] {
             let mut config = NocConfig::small_for_tests();
             config.topology = topology;
             config.routing = crate::routing::RoutingAlgorithm::WestFirst;
-            config.allow_torus_mesh_routing = true;
             let mut d = Driver::new(&config);
             let mut id = 0;
             for s in 0..d.net.node_count() {
@@ -1009,11 +994,11 @@ mod tests {
         d.net.inject(packet(1, 0, 7, 8, Picos::ZERO));
         d.run(50);
         // The injection link of node 0 feeds router 0 port 0.
-        let inj = d.net.sources[0].injection_link();
+        let inj = injection_link(&d.net, 0);
         let occ = d.net.take_downstream_occupancy(inj, 50);
         assert!(occ.is_some());
         // Ejection links report None.
-        let ej = d.net.sinks[7].ejection_link();
+        let ej = ejection_link(&d.net, 7);
         assert_eq!(d.net.take_downstream_occupancy(ej, 50), None);
     }
 
@@ -1024,7 +1009,7 @@ mod tests {
         let mut d = Driver::new(&config);
         // Node 0 -> node 1 stays on router 0 and leaves on node 1's
         // ejection link, relocking until just past a cycle boundary.
-        let ej = d.net.sinks[1].ejection_link();
+        let ej = ejection_link(&d.net, 1);
         let relock = cycle * 40 + Picos::from_ps(700);
         d.net.link_mut(ej).disable_until(relock);
         d.net.inject(packet(1, 0, 1, 2, Picos::ZERO));
@@ -1055,7 +1040,7 @@ mod tests {
         let config = NocConfig::small_for_tests();
         let cycle = config.cycle();
         let mut d = Driver::new(&config);
-        let ej = d.net.sinks[1].ejection_link();
+        let ej = ejection_link(&d.net, 1);
         d.net.link_mut(ej).disable_until(cycle * 200);
         d.net.inject(packet(1, 0, 1, 2, Picos::ZERO));
         d.run(20);
@@ -1091,7 +1076,7 @@ mod tests {
         // Node 0 (router 0) -> node 2 (router 1): router 1 parks the flits
         // behind its relocking ejection link, so router 0 runs out of
         // credits with the rest of the packet buffered.
-        let ej = d.net.sinks[2].ejection_link();
+        let ej = ejection_link(&d.net, 2);
         d.net.link_mut(ej).disable_until(cycle * 60);
         d.net.inject(packet(1, 0, 2, 12, Picos::ZERO));
         let mut credit_bound = false;
@@ -1170,7 +1155,7 @@ mod tests {
         let mut d = Driver::new(&config);
         d.net.inject(packet(1, 0, 7, 4, Picos::ZERO));
         d.run(200);
-        let inj = d.net.sources[0].injection_link();
+        let inj = injection_link(&d.net, 0);
         assert_eq!(d.net.link(inj).flits_sent(), 4);
         let busy = d.net.link_mut(inj).take_window_busy();
         assert_eq!(busy, config.flit_time(config.max_rate) * 4);

@@ -24,7 +24,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// runs (required for reproducibility — though nothing here iterates the
 /// map in a result-affecting order anyway).
 #[derive(Default)]
-pub struct PacketIdHasher(u64);
+pub(crate) struct PacketIdHasher(u64);
 
 impl Hasher for PacketIdHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -46,7 +46,7 @@ type PacketMap<V> = HashMap<PacketId, V, BuildHasherDefault<PacketIdHasher>>;
 
 /// The traffic-source half of a processing node.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SourceNode {
+pub(crate) struct SourceNode {
     id: NodeId,
     inj_link: LinkId,
     queue: VecDeque<Flit>,
@@ -78,13 +78,8 @@ impl SourceNode {
     }
 
     /// The node's id.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The injection link this source drives.
-    pub fn injection_link(&self) -> LinkId {
-        self.inj_link
     }
 
     /// Queues a packet for injection.
@@ -92,24 +87,24 @@ impl SourceNode {
     /// # Panics
     ///
     /// Panics if the packet's source is not this node.
-    pub fn enqueue(&mut self, packet: Packet) {
+    pub(crate) fn enqueue(&mut self, packet: Packet) {
         assert_eq!(packet.src, self.id, "packet source mismatch");
         self.packets_queued += 1;
         self.queue.extend(packet.into_flits());
     }
 
     /// Flits still waiting (source queue occupancy).
-    pub fn backlog_flits(&self) -> usize {
+    pub(crate) fn backlog_flits(&self) -> usize {
         self.queue.len()
     }
 
     /// Current credit balance per VC (for the conservation auditor).
-    pub fn credits(&self) -> &[u16] {
+    pub(crate) fn credits(&self) -> &[u16] {
         &self.credits
     }
 
     /// Returns one credit for the downstream VC.
-    pub fn return_credit(&mut self, vc: VcId, depth_per_vc: u16) {
+    pub(crate) fn return_credit(&mut self, vc: VcId, depth_per_vc: u16) {
         let c = &mut self.credits[vc.0 as usize];
         assert!(
             *c < depth_per_vc,
@@ -121,7 +116,7 @@ impl SourceNode {
 
     /// One core cycle: try to put the next queued flit on the injection
     /// link.
-    pub fn tick(&mut self, now: Picos, links: &mut [Link], effects: &mut Vec<Effect>) {
+    pub(crate) fn tick(&mut self, now: Picos, links: &mut [Link], effects: &mut Vec<Effect>) {
         let Some(front) = self.queue.front() else {
             return;
         };
@@ -176,7 +171,7 @@ struct PartialPacket {
 
 /// The traffic-sink half of a processing node.
 #[derive(Debug, Clone)]
-pub struct SinkNode {
+pub(crate) struct SinkNode {
     id: NodeId,
     ej_link: LinkId,
     in_flight: PacketMap<PartialPacket>,
@@ -210,16 +205,6 @@ impl SinkNode {
         }
     }
 
-    /// The node's id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The ejection link feeding this sink.
-    pub fn ejection_link(&self) -> LinkId {
-        self.ej_link
-    }
-
     /// Accepts a flit off the ejection link: returns the credit upstream
     /// and, on the tail flit, either emits the packet-ejected effect
     /// carrying the end-to-end latency or — if any flit of the packet
@@ -233,7 +218,7 @@ impl SinkNode {
     ///
     /// Panics if the flit is misaddressed or packet reassembly is
     /// inconsistent (simulator invariant violations).
-    pub fn receive(
+    pub(crate) fn receive(
         &mut self,
         now: Picos,
         vc: VcId,
@@ -288,13 +273,13 @@ impl SinkNode {
     }
 
     /// Packets currently mid-reassembly.
-    pub fn partial_packets(&self) -> usize {
+    pub(crate) fn partial_packets(&self) -> usize {
         self.in_flight.len()
     }
 
     /// Flits currently held in partially reassembled packets (for the
     /// conservation auditor).
-    pub fn partial_flits(&self) -> u64 {
+    pub(crate) fn partial_flits(&self) -> u64 {
         self.in_flight.values().map(|p| u64::from(p.seen)).sum()
     }
 }

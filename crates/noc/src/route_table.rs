@@ -12,7 +12,7 @@
 //! ## Layout
 //!
 //! One [`RouteSet`] (4 bytes: a length byte plus up to
-//! [`MAX_ROUTE_CANDIDATES`] packed port indices — port indices always fit
+//! `MAX_ROUTE_CANDIDATES` packed port indices — port indices always fit
 //! a `u8` because [`NocConfig::validate`] caps `ports × vcs` at 64) per
 //! conceptual `(here_router, dst_rack)` pair. Two physical layouts store
 //! that array:
@@ -22,7 +22,7 @@
 //!   appear as sources but never as destinations, so the table is
 //!   `router_count × rack_count` entries — a 4×4-leaf Clos costs
 //!   20 × 16 × 4 B = 1.25 KB.
-//! - **Delta-compressed** (mesh, torus): dimension-order routing is
+//! - **Delta-compressed** (mesh): mesh routing is
 //!   *translation-invariant* — the candidate set is a pure function of
 //!   the signed coordinate delta `(dx, dy) = dst − here` — so the
 //!   per-pair array compresses to `(2W−1) × (2H−1)` distinct rows,
@@ -65,7 +65,7 @@ use crate::topology::{Topology, TopologyKind};
 
 /// Maximum number of minimal-route candidates any built-in algorithm
 /// yields (`WestFirst` on a mesh: up to East + South/North… bounded by 3).
-pub const MAX_ROUTE_CANDIDATES: usize = 3;
+pub(crate) const MAX_ROUTE_CANDIDATES: usize = 3;
 
 /// A packed, ordered candidate set: the output ports a head flit at one
 /// router may take toward one destination rack, in the exact order the
@@ -78,14 +78,14 @@ pub struct RouteSet {
 
 impl RouteSet {
     /// The empty candidate set (diagonal table entries).
-    pub const EMPTY: RouteSet = RouteSet {
+    pub(crate) const EMPTY: RouteSet = RouteSet {
         len: 0,
         ports: [PortId(0); MAX_ROUTE_CANDIDATES],
     };
 
     /// A single-candidate set.
     #[inline]
-    pub fn single(port: PortId) -> RouteSet {
+    pub(crate) fn single(port: PortId) -> RouteSet {
         let mut s = RouteSet::EMPTY;
         s.push(port);
         s
@@ -93,7 +93,7 @@ impl RouteSet {
 
     /// Packs a candidate slice (at most [`MAX_ROUTE_CANDIDATES`] ports),
     /// preserving order.
-    pub fn from_slice(ports: &[PortId]) -> RouteSet {
+    pub(crate) fn from_slice(ports: &[PortId]) -> RouteSet {
         let mut s = RouteSet::EMPTY;
         for &p in ports {
             s.push(p);
@@ -137,7 +137,7 @@ enum Layout {
     /// `entries[here * racks + dst_rack]`. The general form; used by the
     /// folded Clos, whose up/down routes are not translation-invariant.
     PerPair,
-    /// Mesh/torus compression: routing is a pure function of the signed
+    /// Mesh compression: routing is a pure function of the signed
     /// coordinate delta, so
     /// `entries[(dy + h−1) * (2w−1) + (dx + w−1)]` after two
     /// `coords` lookups. Keeps datacenter-scale tables cache-resident.
@@ -149,7 +149,7 @@ enum Layout {
 ///
 /// Every configuration [`NocConfig::validate`] accepts yields a small
 /// table, so there is no size limit to check. `width` and `height` are
-/// `u8`, so a mesh/torus delta table holds at most 509² entries × 4 B ≈
+/// `u8`, so a mesh delta table holds at most 509² entries × 4 B ≈
 /// 1.0 MB. A spine's port count is at least the leaf count and `validate`
 /// requires `ports × vcs ≤ 64`, so a folded Clos has at most 64 leaves
 /// and 63 spines: at most 127 × 64 entries × 4 B, under 32 KB. The node
@@ -175,7 +175,7 @@ pub struct RouteTable {
 impl RouteTable {
     /// Enumerates `route_inter` into the packed table for the configured
     /// topology, preserving candidate order exactly: per signed
-    /// coordinate delta on the translation-invariant mesh/torus, per
+    /// coordinate delta on the translation-invariant mesh, per
     /// `(here, dst_rack)` pair on the folded Clos.
     pub fn build(config: &NocConfig, algo: RoutingAlgorithm) -> RouteTable {
         let topo = config.topo();
@@ -183,7 +183,7 @@ impl RouteTable {
         let racks = topo.rack_count();
         let mut scratch = Vec::with_capacity(MAX_ROUTE_CANDIDATES);
         let (layout, entries, coords) = match config.topology {
-            TopologyKind::Mesh | TopologyKind::Torus => {
+            TopologyKind::Mesh => {
                 let (w, h) = (config.width as i32, config.height as i32);
                 let mut entries = vec![RouteSet::EMPTY; ((2 * w - 1) * (2 * h - 1)) as usize];
                 for dy in -(h - 1)..=(h - 1) {
@@ -280,11 +280,6 @@ impl RouteTable {
         table
     }
 
-    /// The algorithm this table was built for.
-    pub fn algorithm(&self) -> RoutingAlgorithm {
-        self.algo
-    }
-
     /// Whether this table serves the given configuration/algorithm
     /// (topology kind plus entry and node counts).
     pub fn matches(&self, config: &NocConfig, algo: RoutingAlgorithm) -> bool {
@@ -293,14 +288,6 @@ impl RouteTable {
             && self.routers == config.router_count()
             && self.racks == config.rack_count()
             && self.node_router.len() == config.node_count()
-    }
-
-    /// Heap footprint of the packed tables, in bytes.
-    pub fn bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<RouteSet>()
-            + self.coords.len() * 2
-            + self.node_router.len() * std::mem::size_of::<RouterId>()
-            + self.node_local.len() * std::mem::size_of::<PortId>()
     }
 
     /// The inter-router table row for `here → dst_router` (`here` must
@@ -352,9 +339,6 @@ mod tests {
 
     fn all_configs() -> Vec<NocConfig> {
         let mut configs = vec![NocConfig::paper_default(), NocConfig::small_for_tests()];
-        let mut torus = NocConfig::paper_default();
-        torus.topology = TopologyKind::Torus;
-        configs.push(torus);
         let mut clos = NocConfig::paper_default();
         clos.width = 4;
         clos.height = 4;
@@ -373,9 +357,6 @@ mod tests {
                 RoutingAlgorithm::YX,
                 RoutingAlgorithm::WestFirst,
             ] {
-                if algo == RoutingAlgorithm::WestFirst && config.topology == TopologyKind::Torus {
-                    continue; // rejected by validate() without opt-in
-                }
                 let table = RouteTable::build(&config, algo);
                 for here in 0..config.router_count() {
                     let here = RouterId(here as u32);
@@ -413,11 +394,18 @@ mod tests {
 
     #[test]
     fn memory_math() {
+        // Heap footprint of the packed tables, in bytes.
+        fn bytes(t: &RouteTable) -> usize {
+            t.entries.len() * std::mem::size_of::<RouteSet>()
+                + t.coords.len() * 2
+                + t.node_router.len() * std::mem::size_of::<RouterId>()
+                + t.node_local.len() * std::mem::size_of::<PortId>()
+        }
         let c = NocConfig::paper_default();
         let t = RouteTable::build(&c, RoutingAlgorithm::XY);
         // Delta-compressed 8×8 mesh: 15 × 15 entries × 4 B + 64 router
         // coords × 2 B + 512-node maps (4 B router + 1 B port).
-        assert_eq!(t.bytes(), 15 * 15 * 4 + 64 * 2 + 512 * 4 + 512);
+        assert_eq!(bytes(&t), 15 * 15 * 4 + 64 * 2 + 512 * 4 + 512);
         assert!(t.matches(&c, RoutingAlgorithm::XY));
         assert!(!t.matches(&c, RoutingAlgorithm::YX));
         assert!(!t.matches(&NocConfig::small_for_tests(), RoutingAlgorithm::XY));
@@ -429,18 +417,7 @@ mod tests {
         clos.nodes_per_rack = 4;
         clos.topology = TopologyKind::FoldedClos { spines: 4 };
         let t = RouteTable::build(&clos, RoutingAlgorithm::XY);
-        assert_eq!(t.bytes(), 20 * 16 * 4 + 64 * 4 + 64);
-    }
-
-    #[test]
-    fn same_geometry_different_kind_is_a_mismatch() {
-        // A mesh table must not serve a torus of the same dimensions:
-        // entry counts agree, routes do not.
-        let mesh = NocConfig::paper_default();
-        let mut torus = NocConfig::paper_default();
-        torus.topology = TopologyKind::Torus;
-        let t = RouteTable::build(&mesh, RoutingAlgorithm::XY);
-        assert!(!t.matches(&torus, RoutingAlgorithm::XY));
+        assert_eq!(bytes(&t), 20 * 16 * 4 + 64 * 4 + 64);
     }
 
     #[test]

@@ -69,15 +69,8 @@ impl InputPort {
         }
     }
 
-    /// Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
-    /// Through [`crate::Network`] it lags by the ticks a stalled router
-    /// has skipped until [`crate::Network::settle_all`] applies them.
-    pub fn occupancy_accum(&self) -> u64 {
-        self.occupancy_accum
-    }
-
     /// Drains the accumulated occupancy counter.
-    pub fn take_occupancy_accum(&mut self) -> u64 {
+    pub(crate) fn take_occupancy_accum(&mut self) -> u64 {
         std::mem::replace(&mut self.occupancy_accum, 0)
     }
 
@@ -277,7 +270,7 @@ impl Router {
     }
 
     /// The router's id.
-    pub fn id(&self) -> RouterId {
+    pub(crate) fn id(&self) -> RouterId {
         self.id
     }
 
@@ -303,7 +296,7 @@ impl Router {
     /// `links` is the network-global link table; emitted flit departures
     /// and credit returns are appended to `effects`. `route_table` serves
     /// RC with the precomputed candidates.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         now: Picos,
         config: &NocConfig,
@@ -639,7 +632,7 @@ impl Router {
     }
 
     /// Accepts a flit delivered by an upstream link into an input buffer.
-    pub fn accept_flit(&mut self, port: PortId, vc: VcId, flit: crate::flit::Flit) {
+    pub(crate) fn accept_flit(&mut self, port: PortId, vc: VcId, flit: crate::flit::Flit) {
         let ip = port.0 as usize;
         self.inputs[ip].buffer.push(vc, flit);
         // A previously-empty VC becomes a pipeline candidate: Idle VCs go
@@ -660,7 +653,7 @@ impl Router {
     ///
     /// Panics if the credit would exceed the downstream buffer capacity
     /// (a flow-control accounting bug).
-    pub fn return_credit(&mut self, port: PortId, vc: VcId, depth_per_vc: u16) {
+    pub(crate) fn return_credit(&mut self, port: PortId, vc: VcId, depth_per_vc: u16) {
         let c = &mut self.outputs[port.0 as usize].credits[vc.0 as usize];
         assert!(
             *c < depth_per_vc,
@@ -672,7 +665,7 @@ impl Router {
 
     /// Whether every input buffer and pipeline state is empty/idle (used
     /// for drain detection in tests and experiments).
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.inputs.iter().all(|p| {
             p.buffer.total_occupancy() == 0 && p.vc_state.iter().all(|s| *s == VcState::Idle)
         })
@@ -839,7 +832,7 @@ mod tests {
         pending.reverse();
         for _ in 0..24 {
             if let Some(&next) = pending.last() {
-                if h.router.inputs[1].buffer.free_slots(VcId(0)) > 0 {
+                if h.router.inputs[1].buffer.len(VcId(0)) < depth as usize {
                     h.router.accept_flit(PortId(1), VcId(0), next);
                     pending.pop();
                 }
@@ -855,7 +848,7 @@ mod tests {
         assert_eq!(sent, depth as usize);
         // Returning one credit lets exactly one more through.
         h.router
-            .return_credit(PortId(0), VcId(0), h.config.depth_per_vc() as u16);
+            .return_credit(PortId(0), VcId(0), h.config.depth_per_vc());
         h.effects.clear();
         h.tick();
         h.tick();
@@ -974,7 +967,7 @@ mod tests {
     #[should_panic(expected = "credit overflow")]
     fn credit_overflow_detected() {
         let mut h = Harness::new();
-        let depth = h.config.depth_per_vc() as u16;
+        let depth = h.config.depth_per_vc();
         h.router.return_credit(PortId(0), VcId(0), depth);
     }
 }

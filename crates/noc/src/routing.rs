@@ -7,11 +7,11 @@
 //!
 //! The geometric step — which inter-router port makes minimal progress —
 //! is delegated to the configuration's [`Topology`] implementation, so
-//! these entry points work unchanged on meshes, tori, and folded-Clos
-//! fabrics (see [`crate::topology`]).
+//! these entry points work unchanged on meshes and folded-Clos fabrics
+//! (see [`crate::topology`]).
 
 use crate::config::NocConfig;
-use crate::ids::{Direction, NodeId, PortId, RouterId};
+use crate::ids::{NodeId, PortId, RouterId};
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -40,29 +40,6 @@ impl RoutingAlgorithm {
     /// cycle, so windows only stretch when boundary links are fully idle.
     pub fn is_adaptive(self) -> bool {
         matches!(self, RoutingAlgorithm::WestFirst)
-    }
-}
-
-/// Port index of a mesh direction: local ports come first, then N/S/E/W.
-pub fn direction_port(config: &NocConfig, dir: Direction) -> PortId {
-    PortId(config.nodes_per_rack + dir.index() as u8)
-}
-
-/// The mesh direction of a port, if it is an inter-router port of a mesh
-/// or torus fabric. Folded-Clos up/down ports have no compass meaning,
-/// so this returns `None` for every port there.
-pub fn port_direction(config: &NocConfig, port: PortId) -> Option<Direction> {
-    if matches!(
-        config.topology,
-        crate::topology::TopologyKind::FoldedClos { .. }
-    ) {
-        return None;
-    }
-    let base = config.nodes_per_rack;
-    if port.0 >= base && port.0 < base + 4 {
-        Some(Direction::ALL[(port.0 - base) as usize])
-    } else {
-        None
     }
 }
 
@@ -105,56 +82,31 @@ pub fn route_candidates(
     debug_assert!(!out.is_empty(), "no route from {here} to {dst}");
 }
 
-/// Computes the output port at `here` for a packet addressed to `dst`.
-///
-/// Returns the destination's local ejection port once the packet has
-/// reached its destination rack. For adaptive algorithms this returns
-/// the first (most deterministic) candidate; adaptive selection happens
-/// in the router via [`route_candidates`].
-pub fn route(config: &NocConfig, algo: RoutingAlgorithm, here: RouterId, dst: NodeId) -> PortId {
-    // A thread-local scratch keeps this allocation-free per call (traffic
-    // patterns and tests loop over it; the router hot path uses the
-    // precomputed table in `crate::route_table` instead).
-    std::thread_local! {
-        static SCRATCH: std::cell::RefCell<Vec<PortId>> =
-            std::cell::RefCell::new(Vec::with_capacity(crate::route_table::MAX_ROUTE_CANDIDATES));
-    }
-    SCRATCH.with(|scratch| {
-        let mut candidates = scratch.borrow_mut();
-        route_candidates(config, algo, here, dst, &mut candidates);
-        candidates[0]
-    })
-}
-
-/// Number of router-to-router hops of a minimal path (on the mesh, the
-/// Manhattan distance between the racks; wrap-aware on tori, up/down
-/// depth on the folded Clos).
-pub fn hop_count(config: &NocConfig, src: NodeId, dst: NodeId) -> u32 {
-    config
-        .topo()
-        .min_hops(config.router_of_node(src), config.router_of_node(dst))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{RackCoord, RouterId};
+    use crate::ids::{Direction, RackCoord, RouterId};
 
     fn cfg() -> NocConfig {
         NocConfig::paper_default()
     }
 
-    #[test]
-    fn direction_ports_follow_locals() {
-        let c = cfg();
-        assert_eq!(direction_port(&c, Direction::North), PortId(8));
-        assert_eq!(direction_port(&c, Direction::South), PortId(9));
-        assert_eq!(direction_port(&c, Direction::East), PortId(10));
-        assert_eq!(direction_port(&c, Direction::West), PortId(11));
-        assert_eq!(port_direction(&c, PortId(8)), Some(Direction::North));
-        assert_eq!(port_direction(&c, PortId(11)), Some(Direction::West));
-        assert_eq!(port_direction(&c, PortId(0)), None);
-        assert_eq!(port_direction(&c, PortId(12)), None);
+    /// Port index of a mesh direction: local ports come first, then N/S/E/W.
+    fn direction_port(config: &NocConfig, dir: Direction) -> PortId {
+        PortId(config.nodes_per_rack + dir.index() as u8)
+    }
+
+    /// The first (most deterministic) candidate output port at `here`.
+    fn route(config: &NocConfig, algo: RoutingAlgorithm, here: RouterId, dst: NodeId) -> PortId {
+        let mut candidates = Vec::new();
+        route_candidates(config, algo, here, dst, &mut candidates);
+        candidates[0]
+    }
+
+    /// The mesh direction of an inter-router port; `None` for local ports.
+    fn port_direction(config: &NocConfig, port: PortId) -> Option<Direction> {
+        let base = config.nodes_per_rack;
+        (port.0 >= base && port.0 < base + 4).then(|| Direction::ALL[(port.0 - base) as usize])
     }
 
     #[test]
@@ -220,8 +172,12 @@ mod tests {
                 }
             }
             assert_eq!(here, c.router_of_node(dst));
-            let src_node = c.node_at(RouterId(start as u32), 0);
-            assert_eq!(hops, hop_count(&c, src_node, dst), "from r{start}");
+            let dst_coord = c.coord_of(c.router_of_node(dst));
+            assert_eq!(
+                hops,
+                c.coord_of(RouterId(start as u32)).manhattan(dst_coord),
+                "from r{start}"
+            );
         }
     }
 
@@ -313,17 +269,5 @@ mod tests {
             assert_eq!(cands.len(), 1);
             assert_eq!(cands[0], route(&c, algo, RouterId(0), dst));
         }
-    }
-
-    #[test]
-    fn hop_count_symmetric() {
-        let c = cfg();
-        let a = c.node_at(c.router_at(RackCoord::new(0, 0)), 0);
-        let b = c.node_at(c.router_at(RackCoord::new(7, 7)), 5);
-        assert_eq!(hop_count(&c, a, b), 14);
-        assert_eq!(hop_count(&c, b, a), 14);
-        // Same rack: zero inter-router hops.
-        let a2 = c.node_at(c.router_at(RackCoord::new(0, 0)), 1);
-        assert_eq!(hop_count(&c, a, a2), 0);
     }
 }

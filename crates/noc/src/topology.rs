@@ -5,8 +5,7 @@
 //! geometric out of [`Network`](crate::network::Network) construction and
 //! the routing layer into the [`Topology`] trait, so the same
 //! router/link/policy stack runs on arbitrary rectangular meshes
-//! ([`Mesh`]), wrap-around tori ([`Torus`]), and a two-level folded-Clos
-//! fabric ([`FoldedClos`]).
+//! ([`Mesh`]) and on a two-level folded-Clos fabric ([`FoldedClos`]).
 //!
 //! ## Contract
 //!
@@ -24,12 +23,10 @@
 //!
 //! Routing must be **minimal and livelock-free**: every candidate port
 //! leads to a router strictly closer to the destination (in
-//! [`Topology::min_hops`] terms), except that [`Torus`] intentionally
-//! routes `WestFirst` mesh-style (see its docs). Deadlock freedom is the
+//! [`Topology::min_hops`] terms). Deadlock freedom is the
 //! implementation's responsibility; the built-ins rely on dimension
-//! order (mesh), dimension order without wrap ties broken toward the
-//! mesh direction (torus — see the caveat on [`Torus`]), and up/down
-//! routing (folded Clos).
+//! order or west-first turn restrictions (mesh) and up/down routing
+//! (folded Clos).
 
 use crate::config::NocConfig;
 use crate::ids::{Direction, PortId, RackCoord, RouterId};
@@ -61,8 +58,6 @@ pub struct Channel {
 pub enum TopologyKind {
     /// Rectangular mesh (the paper's fabric).
     Mesh,
-    /// Rectangular torus: the mesh plus wrap-around channels.
-    Torus,
     /// Two-level folded Clos (fat tree): every rack (leaf) connects to
     /// every spine.
     FoldedClos {
@@ -181,7 +176,7 @@ pub trait Topology {
 }
 
 // ---------------------------------------------------------------------
-// Shared mesh/torus helpers
+// Shared grid helpers
 // ---------------------------------------------------------------------
 
 /// Port index of a mesh direction given the number of local ports.
@@ -200,7 +195,7 @@ fn grid_coord(width: u8, r: RouterId) -> RackCoord {
     RackCoord::new((r.0 % width as u32) as u8, (r.0 / width as u32) as u8)
 }
 
-/// Row-band cuts shared by [`Mesh`] and [`Torus`]: shard `s` gets rows
+/// Row-band cuts shared by [`Mesh`] and [`FoldedClos`]: shard `s` gets rows
 /// `s·h/S .. (s+1)·h/S`, i.e. routers `row·width` onward.
 fn row_band_cuts(width: u8, height: u8, shards: usize) -> Vec<Range<usize>> {
     let (w, h) = (width as usize, height as usize);
@@ -233,16 +228,47 @@ impl Mesh {
     fn coord(&self, r: RouterId) -> RackCoord {
         grid_coord(self.width, r)
     }
+}
 
-    /// Mesh-style minimal candidates: the shared implementation for
-    /// [`Mesh`] and for [`Torus`]'s `WestFirst` fallback.
-    fn mesh_route(
+impl Topology for Mesh {
+    fn router_count(&self) -> usize {
+        self.width as usize * self.height as usize
+    }
+
+    fn rack_count(&self) -> usize {
+        self.router_count()
+    }
+
+    fn ports_per_router(&self) -> usize {
+        self.nodes_per_rack as usize + 4
+    }
+
+    fn channels(&self, out: &mut Vec<Channel>) {
+        for r in 0..self.router_count() {
+            let here = RouterId(r as u32);
+            let coord = self.coord(here);
+            for dir in Direction::ALL {
+                let Some(nbr) = coord.neighbor(dir, self.width, self.height) else {
+                    continue;
+                };
+                out.push(Channel {
+                    from: here,
+                    from_port: dir_port(self.nodes_per_rack, dir),
+                    to: grid_router(self.width, nbr),
+                    to_port: dir_port(self.nodes_per_rack, dir.opposite()),
+                });
+            }
+        }
+    }
+
+    fn route_inter(
         &self,
         algo: RoutingAlgorithm,
         here: RouterId,
         dst: RouterId,
         out: &mut Vec<PortId>,
     ) {
+        debug_assert_ne!(here, dst);
         let npr = self.nodes_per_rack;
         let here_c = self.coord(here);
         let dst_c = self.coord(dst);
@@ -289,251 +315,9 @@ impl Mesh {
             }
         }
     }
-}
-
-impl Topology for Mesh {
-    fn router_count(&self) -> usize {
-        self.width as usize * self.height as usize
-    }
-
-    fn rack_count(&self) -> usize {
-        self.router_count()
-    }
-
-    fn ports_per_router(&self) -> usize {
-        self.nodes_per_rack as usize + 4
-    }
-
-    fn channels(&self, out: &mut Vec<Channel>) {
-        for r in 0..self.router_count() {
-            let here = RouterId(r as u32);
-            let coord = self.coord(here);
-            for dir in Direction::ALL {
-                let Some(nbr) = coord.neighbor(dir, self.width, self.height) else {
-                    continue;
-                };
-                out.push(Channel {
-                    from: here,
-                    from_port: dir_port(self.nodes_per_rack, dir),
-                    to: grid_router(self.width, nbr),
-                    to_port: dir_port(self.nodes_per_rack, dir.opposite()),
-                });
-            }
-        }
-    }
-
-    fn route_inter(
-        &self,
-        algo: RoutingAlgorithm,
-        here: RouterId,
-        dst: RouterId,
-        out: &mut Vec<PortId>,
-    ) {
-        debug_assert_ne!(here, dst);
-        self.mesh_route(algo, here, dst, out);
-    }
 
     fn min_hops(&self, a: RouterId, b: RouterId) -> u32 {
         self.coord(a).manhattan(self.coord(b))
-    }
-
-    fn max_shards(&self) -> usize {
-        self.height as usize
-    }
-
-    fn shard_cuts(&self, shards: usize) -> Vec<Range<usize>> {
-        row_band_cuts(self.width, self.height, shards)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Torus
-// ---------------------------------------------------------------------
-
-/// A rectangular torus: the mesh plus wrap-around channels, halving the
-/// worst-case hop count. Dimensions of size 1 get no wrap channel (it
-/// would be a self-loop); a torus with both dimensions ≤ 2 has the same
-/// reachability as the mesh, and its routing below intentionally matches
-/// the mesh's choices there.
-///
-/// Dimension-order routing picks, per dimension, the wrap direction with
-/// the shorter distance; on ties (even dimension, exactly half-way) it
-/// takes the plain mesh direction, so wherever both fabrics offer
-/// equal-length paths the torus reproduces the mesh's route exactly.
-///
-/// **Deadlock caveat**: rings routed minimally can deadlock under
-/// sustained all-to-all pressure because the channel dependency graph
-/// cycles around each ring; the classical fix is a dateline VC. This
-/// implementation does not add dateline VCs — with `vcs ≥ 2` and the
-/// bursty open-loop workloads simulated here the cycle has never closed
-/// in practice, but saturating a small torus deliberately can wedge it.
-/// `WestFirst` sidesteps the issue entirely by routing mesh-style (wrap
-/// channels stay idle), trading hops for provable deadlock freedom.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Torus {
-    /// Racks per row.
-    pub width: u8,
-    /// Racks per column.
-    pub height: u8,
-    /// Local (node) ports per rack.
-    pub nodes_per_rack: u8,
-}
-
-/// One dimension's wrap-aware direction choice: distance going "positive"
-/// (East/South) vs "negative", tie broken toward the plain mesh delta.
-fn wrap_step(here: u8, dst: u8, size: u8, pos: Direction, neg: Direction) -> (Direction, u32) {
-    let size = size as i32;
-    let fwd = (dst as i32 - here as i32).rem_euclid(size);
-    let bwd = size - fwd;
-    debug_assert!(fwd > 0, "wrap_step requires movement in this dimension");
-    if fwd < bwd || (fwd == bwd && dst > here) {
-        (pos, fwd as u32)
-    } else {
-        (neg, bwd as u32)
-    }
-}
-
-impl Torus {
-    fn as_mesh(&self) -> Mesh {
-        Mesh {
-            width: self.width,
-            height: self.height,
-            nodes_per_rack: self.nodes_per_rack,
-        }
-    }
-
-    fn coord(&self, r: RouterId) -> RackCoord {
-        grid_coord(self.width, r)
-    }
-
-    /// Wrap-aware neighbor; `None` only when the dimension has size 1.
-    fn torus_neighbor(&self, c: RackCoord, dir: Direction) -> Option<RackCoord> {
-        let (w, h) = (self.width, self.height);
-        match dir {
-            Direction::North | Direction::South => {
-                if h == 1 {
-                    return None;
-                }
-                let y = if dir == Direction::South {
-                    (c.y + 1) % h
-                } else {
-                    (c.y + h - 1) % h
-                };
-                Some(RackCoord::new(c.x, y))
-            }
-            Direction::East | Direction::West => {
-                if w == 1 {
-                    return None;
-                }
-                let x = if dir == Direction::East {
-                    (c.x + 1) % w
-                } else {
-                    (c.x + w - 1) % w
-                };
-                Some(RackCoord::new(x, c.y))
-            }
-        }
-    }
-}
-
-impl Topology for Torus {
-    fn router_count(&self) -> usize {
-        self.width as usize * self.height as usize
-    }
-
-    fn rack_count(&self) -> usize {
-        self.router_count()
-    }
-
-    fn ports_per_router(&self) -> usize {
-        self.nodes_per_rack as usize + 4
-    }
-
-    fn channels(&self, out: &mut Vec<Channel>) {
-        for r in 0..self.router_count() {
-            let here = RouterId(r as u32);
-            let coord = self.coord(here);
-            for dir in Direction::ALL {
-                let Some(nbr) = self.torus_neighbor(coord, dir) else {
-                    continue;
-                };
-                out.push(Channel {
-                    from: here,
-                    from_port: dir_port(self.nodes_per_rack, dir),
-                    to: grid_router(self.width, nbr),
-                    to_port: dir_port(self.nodes_per_rack, dir.opposite()),
-                });
-            }
-        }
-    }
-
-    fn route_inter(
-        &self,
-        algo: RoutingAlgorithm,
-        here: RouterId,
-        dst: RouterId,
-        out: &mut Vec<PortId>,
-    ) {
-        debug_assert_ne!(here, dst);
-        let npr = self.nodes_per_rack;
-        let here_c = self.coord(here);
-        let dst_c = self.coord(dst);
-        match algo {
-            RoutingAlgorithm::XY => {
-                let dir = if dst_c.x != here_c.x {
-                    wrap_step(
-                        here_c.x,
-                        dst_c.x,
-                        self.width,
-                        Direction::East,
-                        Direction::West,
-                    )
-                    .0
-                } else {
-                    wrap_step(
-                        here_c.y,
-                        dst_c.y,
-                        self.height,
-                        Direction::South,
-                        Direction::North,
-                    )
-                    .0
-                };
-                out.push(dir_port(npr, dir));
-            }
-            RoutingAlgorithm::YX => {
-                let dir = if dst_c.y != here_c.y {
-                    wrap_step(
-                        here_c.y,
-                        dst_c.y,
-                        self.height,
-                        Direction::South,
-                        Direction::North,
-                    )
-                    .0
-                } else {
-                    wrap_step(
-                        here_c.x,
-                        dst_c.x,
-                        self.width,
-                        Direction::East,
-                        Direction::West,
-                    )
-                    .0
-                };
-                out.push(dir_port(npr, dir));
-            }
-            // Mesh-style on purpose: provably deadlock-free without
-            // dateline VCs (wrap channels stay idle). See the type docs.
-            RoutingAlgorithm::WestFirst => self.as_mesh().mesh_route(algo, here, dst, out),
-        }
-    }
-
-    fn min_hops(&self, a: RouterId, b: RouterId) -> u32 {
-        let (ac, bc) = (self.coord(a), self.coord(b));
-        let dx = ac.x.abs_diff(bc.x) as u32;
-        let dy = ac.y.abs_diff(bc.y) as u32;
-        dx.min(self.width as u32 - dx) + dy.min(self.height as u32 - dy)
     }
 
     fn max_shards(&self) -> usize {
@@ -683,8 +467,6 @@ impl Topology for FoldedClos {
 pub enum BuiltinTopology {
     /// A rectangular mesh.
     Mesh(Mesh),
-    /// A rectangular torus.
-    Torus(Torus),
     /// A two-level folded Clos.
     FoldedClos(FoldedClos),
 }
@@ -693,7 +475,6 @@ macro_rules! dispatch {
     ($self:expr, $t:ident => $body:expr) => {
         match $self {
             BuiltinTopology::Mesh($t) => $body,
-            BuiltinTopology::Torus($t) => $body,
             BuiltinTopology::FoldedClos($t) => $body,
         }
     };
@@ -702,15 +483,10 @@ macro_rules! dispatch {
 impl BuiltinTopology {
     /// Expands a configuration's [`TopologyKind`] to its concrete
     /// geometry.
-    pub fn from_config(config: &NocConfig) -> BuiltinTopology {
+    pub(crate) fn from_config(config: &NocConfig) -> BuiltinTopology {
         let (width, height, nodes_per_rack) = (config.width, config.height, config.nodes_per_rack);
         match config.topology {
             TopologyKind::Mesh => BuiltinTopology::Mesh(Mesh {
-                width,
-                height,
-                nodes_per_rack,
-            }),
-            TopologyKind::Torus => BuiltinTopology::Torus(Torus {
                 width,
                 height,
                 nodes_per_rack,
@@ -777,14 +553,6 @@ mod tests {
         }
     }
 
-    fn torus44() -> Torus {
-        Torus {
-            width: 4,
-            height: 4,
-            nodes_per_rack: 2,
-        }
-    }
-
     fn clos() -> FoldedClos {
         FoldedClos {
             width: 4,
@@ -829,79 +597,14 @@ mod tests {
     }
 
     #[test]
-    fn torus_channel_count_and_wrap() {
-        let t = torus44();
-        let mut ch = Vec::new();
-        t.channels(&mut ch);
-        // Every router wires all four directions on a 4×4 torus.
-        assert_eq!(ch.len(), 16 * 4);
-        assert!(ch.windows(2).all(|w| w[0].from.0 <= w[1].from.0));
-        // No self loops even on degenerate dimensions.
-        let thin = Torus {
-            width: 1,
-            height: 4,
-            nodes_per_rack: 1,
-        };
-        ch.clear();
-        thin.channels(&mut ch);
-        assert!(ch.iter().all(|c| c.from != c.to));
-        assert_eq!(ch.len(), 8); // N+S per router only
-    }
-
-    #[test]
-    fn torus_min_hops_uses_wrap() {
-        let t = torus44();
-        // (0,0) to (3,3): mesh would need 6 hops, wrap needs 1+1.
-        assert_eq!(t.min_hops(RouterId(0), RouterId(15)), 2);
-        assert_eq!(mesh44().min_hops(RouterId(0), RouterId(15)), 6);
-    }
-
-    #[test]
     fn all_pairs_route_minimally() {
         for algo in [RoutingAlgorithm::XY, RoutingAlgorithm::YX] {
             let m = mesh44();
-            let t = torus44();
             for a in 0..16u32 {
                 for b in 0..16u32 {
                     if a != b {
                         walk(&m, algo, RouterId(a), RouterId(b));
-                        walk(&t, algo, RouterId(a), RouterId(b));
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn torus_tie_break_matches_mesh() {
-        // 2×2 torus: every pair is 1 hop both ways; the tie-break must
-        // pick the mesh direction so both fabrics route identically.
-        let t = Torus {
-            width: 2,
-            height: 2,
-            nodes_per_rack: 2,
-        };
-        let m = Mesh {
-            width: 2,
-            height: 2,
-            nodes_per_rack: 2,
-        };
-        let (mut to, mut mo) = (Vec::new(), Vec::new());
-        for algo in [
-            RoutingAlgorithm::XY,
-            RoutingAlgorithm::YX,
-            RoutingAlgorithm::WestFirst,
-        ] {
-            for a in 0..4u32 {
-                for b in 0..4u32 {
-                    if a == b {
-                        continue;
-                    }
-                    to.clear();
-                    mo.clear();
-                    t.route_inter(algo, RouterId(a), RouterId(b), &mut to);
-                    m.route_inter(algo, RouterId(a), RouterId(b), &mut mo);
-                    assert_eq!(to, mo, "{algo:?} {a}->{b}");
                 }
             }
         }
@@ -935,7 +638,7 @@ mod tests {
 
     #[test]
     fn shard_cuts_tile_contiguously() {
-        let topos: [&dyn Topology; 3] = [&mesh44(), &torus44(), &clos()];
+        let topos: [&dyn Topology; 2] = [&mesh44(), &clos()];
         for topo in topos {
             for s in 1..=topo.max_shards() {
                 let cuts = topo.shard_cuts(s);
@@ -956,7 +659,7 @@ mod tests {
         // Built-in fabrics are latency-uniform, so whenever any channel
         // crosses a cut the minimum is exactly the uniform default.
         let d = Picos::from_ps(3_200);
-        let topos: [&dyn Topology; 3] = [&mesh44(), &torus44(), &clos()];
+        let topos: [&dyn Topology; 2] = [&mesh44(), &clos()];
         for topo in topos {
             assert_eq!(topo.min_cut_latency(1, d), None, "one band has no cut");
             for s in 2..=topo.max_shards() {

@@ -1,11 +1,10 @@
 //! # lumen-opto — opto-electronic link physics and power models
 //!
 //! Implements Section 2 of *"Exploring the Design Space of Power-Aware
-//! Opto-Electronic Networked Systems"* (HPCA-11, 2005): analytical power
-//! models for every component of a board-to-board / box-to-box
-//! opto-electronic link, under two transmitter technologies, together with
-//! the dynamic power-control (bit-rate and supply-voltage scaling) behaviour
-//! of each component.
+//! Opto-Electronic Networked Systems"* (HPCA-11, 2005): the power of every
+//! component of a board-to-board / box-to-box opto-electronic link, under
+//! two transmitter technologies, together with the dynamic power-control
+//! (bit-rate and supply-voltage scaling) behaviour of each component.
 //!
 //! ## Link anatomy
 //!
@@ -19,24 +18,26 @@
 //! Two transmitter options are modeled (paper §2.1):
 //!
 //! - **VCSEL** ([`vcsel`]): a directly-modulated vertical-cavity laser plus
-//!   an inverter-chain driver. Both bit rate and supply voltage may scale.
+//!   its driver. Both bit rate and supply voltage may scale.
 //! - **MQW modulator** ([`modulator`]): an external mode-locked laser feeds
 //!   a passive splitter tree ([`optics`]); each link has a multiple-quantum-
 //!   well electro-absorption modulator and driver. The driver's supply stays
 //!   fixed (voltage scaling would crush the contrast ratio), so only bit
 //!   rate scales; optical power is stepped coarsely via attenuators.
 //!
-//! The receiver ([`photodetector`], [`tia`], [`cdr`]) is common to both.
+//! The receiver (photodetector, TIA, CDR) is common to both.
 //!
 //! ## Two modeling layers
 //!
-//! 1. **First-principles models** (Eqs. 1–9 of the paper) in each component
-//!    module — useful for link-level design-space exploration
-//!    (`examples/link_designer.rs`).
-//! 2. **Calibrated network models** ([`link`]): each component carries its
+//! 1. **Calibrated network models** ([`link`]): each component carries its
 //!    measured power at the 10 Gb/s / 1.8 V operating point (paper Table 2)
 //!    plus a [`scaling::ScalingTrend`]; this is what the network simulator
 //!    integrates. [`presets`] provides the paper's 0.18 µm numbers.
+//! 2. **Device models** for link-level design-space exploration
+//!    (`examples/link_designer.rs`): VCSEL emission (Eq. 1) and contrast
+//!    under swing scaling ([`vcsel`]), MQW contrast collapse under swing
+//!    scaling ([`modulator`]), the external-laser optical budget
+//!    ([`optics`]) and receiver sensitivity / BER ([`sensitivity`]).
 //!
 //! ## Example
 //!
@@ -55,20 +56,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod budget;
-pub mod cdr;
-pub mod constants;
-pub mod eye;
 pub mod link;
 pub mod modulator;
 pub mod optics;
-pub mod photodetector;
-pub mod pll;
 pub mod presets;
 pub mod scaling;
 pub mod sensitivity;
-pub mod thermal;
-pub mod tia;
 pub mod units;
 pub mod vcsel;
 

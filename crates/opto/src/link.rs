@@ -20,10 +20,6 @@ pub enum ComponentId {
     VcselDriver,
     /// The MQW modulator's inverter-chain driver.
     ModulatorDriver,
-    /// The MQW modulator itself (absorbed-light dissipation).
-    Modulator,
-    /// The receiver photodetector.
-    Photodetector,
     /// The transimpedance amplifier.
     Tia,
     /// The clock-and-data-recovery circuit.
@@ -36,8 +32,6 @@ impl fmt::Display for ComponentId {
             ComponentId::Vcsel => "VCSEL",
             ComponentId::VcselDriver => "VCSEL driver",
             ComponentId::ModulatorDriver => "Modulator driver",
-            ComponentId::Modulator => "Modulator",
-            ComponentId::Photodetector => "Photodetector",
             ComponentId::Tia => "TIA",
             ComponentId::Cdr => "CDR",
         };
@@ -131,7 +125,7 @@ impl CalibratedComponent {
     /// # Panics
     ///
     /// Panics if the nominal power is negative.
-    pub fn new(id: ComponentId, nominal: MilliWatts, trend: ScalingTrend) -> Self {
+    pub(crate) fn new(id: ComponentId, nominal: MilliWatts, trend: ScalingTrend) -> Self {
         assert!(nominal.as_mw() >= 0.0, "nominal power must be non-negative");
         CalibratedComponent { id, nominal, trend }
     }
@@ -152,7 +146,7 @@ impl CalibratedComponent {
     }
 
     /// Power at voltage/bit-rate ratios relative to the calibration point.
-    pub fn power_at_ratio(&self, v: f64, b: f64) -> MilliWatts {
+    pub(crate) fn power_at_ratio(&self, v: f64, b: f64) -> MilliWatts {
         self.nominal * self.trend.factor(v, b)
     }
 }
@@ -197,7 +191,7 @@ impl LinkPowerModel {
     /// # Panics
     ///
     /// Panics if `components` is empty.
-    pub fn new(
+    pub(crate) fn new(
         transmitter: TransmitterKind,
         calibration: OperatingPoint,
         components: Vec<CalibratedComponent>,
@@ -211,11 +205,6 @@ impl LinkPowerModel {
             calibration,
             components,
         }
-    }
-
-    /// The transmitter technology.
-    pub fn transmitter(&self) -> TransmitterKind {
-        self.transmitter
     }
 
     /// The calibration operating point.
@@ -259,7 +248,14 @@ impl LinkPowerModel {
     }
 
     /// Power of a single component at an operating point, if present.
-    pub fn component_power(&self, id: ComponentId, op: OperatingPoint) -> Option<MilliWatts> {
+    /// Test-only: the reference for the paper's transmitter/receiver split
+    /// (`presets::tests::tx_rx_split_matches_paper`).
+    #[cfg(test)]
+    pub(crate) fn component_power(
+        &self,
+        id: ComponentId,
+        op: OperatingPoint,
+    ) -> Option<MilliWatts> {
         let (v, b) = self.ratios(op);
         self.components
             .iter()
@@ -364,7 +360,7 @@ mod tests {
             let mut g = 3.3;
             while g <= 10.0 {
                 let p = link.power(OperatingPoint::paper_at_gbps(g)).as_mw();
-                assert!(p > last, "{} not monotone at {g} Gb/s", link.transmitter());
+                assert!(p > last, "{} not monotone at {g} Gb/s", link.transmitter);
                 last = p;
                 g += 0.05;
             }

@@ -34,7 +34,7 @@ impl OpticalLevel {
     pub const ALL: [OpticalLevel; 3] = [OpticalLevel::Low, OpticalLevel::Mid, OpticalLevel::High];
 
     /// Fraction of the full optical power delivered at this level.
-    pub fn fraction(self) -> f64 {
+    pub(crate) fn fraction(self) -> f64 {
         match self {
             OpticalLevel::Low => 0.25,
             OpticalLevel::Mid => 0.5,
@@ -44,7 +44,7 @@ impl OpticalLevel {
 
     /// The attenuation a VOA must add (relative to `High`) to realize this
     /// level.
-    pub fn attenuation(self) -> Decibels {
+    pub(crate) fn attenuation(self) -> Decibels {
         Decibels::from_linear(1.0 / self.fraction())
     }
 
@@ -91,7 +91,7 @@ impl SplitterStage {
     /// # Panics
     ///
     /// Panics if `ways < 2` or excess loss is negative.
-    pub fn new(ways: u32, excess_loss: Decibels) -> Self {
+    pub(crate) fn new(ways: u32, excess_loss: Decibels) -> Self {
         assert!(ways >= 2, "a splitter needs at least 2 ways");
         assert!(
             excess_loss.as_db() >= 0.0,
@@ -101,17 +101,17 @@ impl SplitterStage {
     }
 
     /// Number of output ways.
-    pub fn ways(&self) -> u32 {
+    pub(crate) fn ways(&self) -> u32 {
         self.ways
     }
 
     /// Ideal splitting loss `10·log10(ways)`.
-    pub fn ideal_loss(&self) -> Decibels {
+    pub(crate) fn ideal_loss(&self) -> Decibels {
         Decibels::from_linear(self.ways as f64)
     }
 
     /// Total insertion loss (ideal + excess).
-    pub fn insertion_loss(&self) -> Decibels {
+    pub(crate) fn insertion_loss(&self) -> Decibels {
         self.ideal_loss() + self.excess_loss
     }
 }
@@ -125,14 +125,14 @@ pub struct SplitterTree {
 
 impl SplitterTree {
     /// An empty tree (no splitting).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SplitterTree { stages: Vec::new() }
     }
 
     /// The paper's distribution (Fig. 3(b)): a 1:64 stage to the racks
     /// followed by a 1:20 stage within each rack. Excess losses follow the
     /// footnote's 1:16 ≤ 13.6 dB datum (≈1.56 dB excess per stage).
-    pub fn paper_64rack() -> Self {
+    pub(crate) fn paper_64rack() -> Self {
         let mut tree = SplitterTree::new();
         tree.push(SplitterStage::new(64, Decibels::from_db(1.6)));
         tree.push(SplitterStage::new(20, Decibels::from_db(1.6)));
@@ -140,7 +140,7 @@ impl SplitterTree {
     }
 
     /// Appends a stage.
-    pub fn push(&mut self, stage: SplitterStage) -> &mut Self {
+    pub(crate) fn push(&mut self, stage: SplitterStage) -> &mut Self {
         self.stages.push(stage);
         self
     }
@@ -164,7 +164,7 @@ impl SplitterTree {
     }
 
     /// Optical power reaching a leaf for a given laser output.
-    pub fn power_at_leaf(&self, laser_output: MicroWatts) -> MicroWatts {
+    pub(crate) fn power_at_leaf(&self, laser_output: MicroWatts) -> MicroWatts {
         laser_output.attenuate(self.total_loss())
     }
 }
@@ -186,7 +186,7 @@ impl ExternalLaserSource {
     ///
     /// Panics if the output power is not strictly positive or the floor
     /// loss is negative.
-    pub fn new(output: MicroWatts, tree: SplitterTree, voa_floor_loss: Decibels) -> Self {
+    pub(crate) fn new(output: MicroWatts, tree: SplitterTree, voa_floor_loss: Decibels) -> Self {
         assert!(output.as_uw() > 0.0, "laser output must be positive");
         assert!(
             voa_floor_loss.as_db() >= 0.0,
@@ -227,12 +227,6 @@ impl ExternalLaserSource {
             .power_at_leaf(self.output)
             .attenuate(self.voa_floor_loss)
             .attenuate(level.attenuation())
-    }
-
-    /// Whether the delivered light at `level` meets a required receiver
-    /// power after a further path loss (fiber + modulator insertion loss).
-    pub fn supports(&self, level: OpticalLevel, path_loss: Decibels, required: MicroWatts) -> bool {
-        self.power_at_link(level).attenuate(path_loss) >= required
     }
 }
 
@@ -298,11 +292,7 @@ mod tests {
         // 10 Gb/s receiver sensitivity even after ~3 dB of path loss.
         let high = src.power_at_link(OpticalLevel::High);
         assert!(high.as_uw() > 100.0, "delivered {high}");
-        assert!(src.supports(
-            OpticalLevel::High,
-            Decibels::from_db(3.0),
-            MicroWatts::from_uw(25.0)
-        ));
+        assert!(high.attenuate(Decibels::from_db(3.0)) >= MicroWatts::from_uw(25.0));
     }
 
     #[test]

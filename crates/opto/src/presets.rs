@@ -21,15 +21,15 @@ use crate::scaling::ScalingTrend;
 use crate::units::MilliWatts;
 
 /// Table 2 power: VCSEL laser, 30 mW.
-pub const VCSEL_MW: f64 = 30.0;
+pub(crate) const VCSEL_MW: f64 = 30.0;
 /// Table 2 power: VCSEL driver, 10 mW.
-pub const VCSEL_DRIVER_MW: f64 = 10.0;
+pub(crate) const VCSEL_DRIVER_MW: f64 = 10.0;
 /// Table 2 power: modulator driver, 40 mW.
-pub const MODULATOR_DRIVER_MW: f64 = 40.0;
+pub(crate) const MODULATOR_DRIVER_MW: f64 = 40.0;
 /// Table 2 power: TIA, 100 mW.
-pub const TIA_MW: f64 = 100.0;
+pub(crate) const TIA_MW: f64 = 100.0;
 /// Table 2 power: CDR, 150 mW.
-pub const CDR_MW: f64 = 150.0;
+pub(crate) const CDR_MW: f64 = 150.0;
 
 /// The paper's VCSEL-based link: laser + driver + TIA + CDR, 290 mW at
 /// 10 Gb/s / 1.8 V, with Table 2 scaling trends.
@@ -121,13 +121,10 @@ mod tests {
 
     #[test]
     fn paper_link_dispatch() {
+        assert_eq!(paper_link(TransmitterKind::Vcsel), paper_vcsel_link());
         assert_eq!(
-            paper_link(TransmitterKind::Vcsel).transmitter(),
-            TransmitterKind::Vcsel
-        );
-        assert_eq!(
-            paper_link(TransmitterKind::MqwModulator).transmitter(),
-            TransmitterKind::MqwModulator
+            paper_link(TransmitterKind::MqwModulator),
+            paper_modulator_link()
         );
     }
 }

@@ -42,7 +42,7 @@ impl ScalingTrend {
     /// # Panics
     ///
     /// Panics if either ratio is negative or non-finite.
-    pub fn factor(self, v: f64, b: f64) -> f64 {
+    pub(crate) fn factor(self, v: f64, b: f64) -> f64 {
         assert!(
             v.is_finite() && v >= 0.0,
             "voltage ratio must be non-negative"
@@ -58,22 +58,6 @@ impl ScalingTrend {
             ScalingTrend::VddBr => v * b,
             ScalingTrend::Vdd2Br => v * v * b,
         }
-    }
-
-    /// Whether this trend responds to supply-voltage scaling at all.
-    pub fn voltage_sensitive(self) -> bool {
-        matches!(
-            self,
-            ScalingTrend::Vdd | ScalingTrend::VddBr | ScalingTrend::Vdd2Br
-        )
-    }
-
-    /// Whether this trend responds to bit-rate scaling at all.
-    pub fn rate_sensitive(self) -> bool {
-        matches!(
-            self,
-            ScalingTrend::Br | ScalingTrend::VddBr | ScalingTrend::Vdd2Br
-        )
     }
 }
 
@@ -115,18 +99,6 @@ mod tests {
         ] {
             assert_eq!(t.factor(1.0, 1.0), 1.0, "{t}");
         }
-    }
-
-    #[test]
-    fn sensitivity_flags() {
-        assert!(!ScalingTrend::Constant.voltage_sensitive());
-        assert!(!ScalingTrend::Constant.rate_sensitive());
-        assert!(ScalingTrend::Vdd.voltage_sensitive());
-        assert!(!ScalingTrend::Vdd.rate_sensitive());
-        assert!(!ScalingTrend::Br.voltage_sensitive());
-        assert!(ScalingTrend::Br.rate_sensitive());
-        assert!(ScalingTrend::VddBr.voltage_sensitive());
-        assert!(ScalingTrend::Vdd2Br.rate_sensitive());
     }
 
     #[test]

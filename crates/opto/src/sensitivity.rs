@@ -12,11 +12,11 @@ use crate::units::{Gbps, MicroWatts};
 use serde::{Deserialize, Serialize};
 
 /// Q-factor corresponding to BER = 10⁻¹² for a Gaussian-noise receiver.
-pub const Q_FOR_1E_MINUS_12: f64 = 7.034;
+pub(crate) const Q_FOR_1E_MINUS_12: f64 = 7.034;
 
 /// Complementary error function via the Abramowitz–Stegun 7.1.26
 /// approximation (max absolute error ≈ 1.5e-7) — ample for BER estimates.
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -29,7 +29,7 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// BER for a given Q-factor: `0.5 · erfc(Q/√2)`.
-pub fn ber_from_q(q: f64) -> f64 {
+pub(crate) fn ber_from_q(q: f64) -> f64 {
     0.5 * erfc(q / std::f64::consts::SQRT_2)
 }
 
@@ -51,7 +51,7 @@ impl SensitivityModel {
     /// # Panics
     ///
     /// Panics if powers/rates are non-positive or the exponent is negative.
-    pub fn new(prec_at_max: MicroWatts, br_max: Gbps, exponent: f64) -> Self {
+    pub(crate) fn new(prec_at_max: MicroWatts, br_max: Gbps, exponent: f64) -> Self {
         assert!(prec_at_max.as_uw() > 0.0, "sensitivity must be positive");
         assert!(br_max.as_gbps() > 0.0, "max bit rate must be positive");
         assert!(exponent >= 0.0, "exponent must be non-negative");
@@ -73,14 +73,14 @@ impl SensitivityModel {
     /// # Panics
     ///
     /// Panics if `br` is not strictly positive.
-    pub fn required(&self, br: Gbps) -> MicroWatts {
+    pub(crate) fn required(&self, br: Gbps) -> MicroWatts {
         assert!(br.as_gbps() > 0.0, "bit rate must be positive");
         let ratio = (br.as_gbps() / self.br_max.as_gbps()).powf(self.exponent);
         self.prec_at_max * ratio
     }
 
     /// Optical margin in linear terms: received / required.
-    pub fn margin(&self, received: MicroWatts, br: Gbps) -> f64 {
+    pub(crate) fn margin(&self, received: MicroWatts, br: Gbps) -> f64 {
         received / self.required(br)
     }
 
@@ -88,7 +88,7 @@ impl SensitivityModel {
     /// Q scales linearly with optical power for a thermal-noise-limited
     /// receiver, anchored at Q = 7.034 (BER 10⁻¹²) when exactly at
     /// sensitivity.
-    pub fn q_factor(&self, received: MicroWatts, br: Gbps) -> f64 {
+    pub(crate) fn q_factor(&self, received: MicroWatts, br: Gbps) -> f64 {
         Q_FOR_1E_MINUS_12 * self.margin(received, br)
     }
 

@@ -19,26 +19,6 @@ macro_rules! base_unit {
         impl $name {
             /// The zero value.
             pub const ZERO: $name = $name(0.0);
-
-            /// Raw numeric value in the unit named by the type.
-            pub const fn value(self) -> f64 {
-                self.0
-            }
-
-            /// Returns the smaller of two values.
-            pub fn min(self, rhs: $name) -> $name {
-                $name(self.0.min(rhs.0))
-            }
-
-            /// Returns the larger of two values.
-            pub fn max(self, rhs: $name) -> $name {
-                $name(self.0.max(rhs.0))
-            }
-
-            /// Absolute value.
-            pub fn abs(self) -> $name {
-                $name(self.0.abs())
-            }
         }
 
         impl fmt::Display for $name {
@@ -163,16 +143,6 @@ impl MilliWatts {
     pub const fn as_mw(self) -> f64 {
         self.0
     }
-
-    /// The value in watts.
-    pub fn as_watts(self) -> f64 {
-        self.0 / 1e3
-    }
-
-    /// Converts to microwatts (e.g. for optical power bookkeeping).
-    pub fn to_micro(self) -> MicroWatts {
-        MicroWatts(self.0 * 1e3)
-    }
 }
 
 impl MicroWatts {
@@ -186,34 +156,14 @@ impl MicroWatts {
         self.0
     }
 
-    /// Converts to milliwatts.
-    pub fn to_milli(self) -> MilliWatts {
-        MilliWatts(self.0 / 1e3)
-    }
-
-    /// Expresses this power relative to 1 mW, in dBm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the power is not strictly positive.
-    pub fn as_dbm(self) -> Decibels {
-        assert!(self.0 > 0.0, "dBm undefined for non-positive power");
-        Decibels(10.0 * (self.0 / 1e3).log10())
-    }
-
-    /// Constructs an optical power from a dBm level.
-    pub fn from_dbm(dbm: Decibels) -> Self {
-        MicroWatts(1e3 * 10f64.powf(dbm.value() / 10.0))
-    }
-
     /// Attenuates this power by a positive dB loss.
     ///
     /// # Panics
     ///
     /// Panics if `loss` is negative.
     pub fn attenuate(self, loss: Decibels) -> MicroWatts {
-        assert!(loss.value() >= 0.0, "attenuation must be non-negative");
-        MicroWatts(self.0 * 10f64.powf(-loss.value() / 10.0))
+        assert!(loss.0 >= 0.0, "attenuation must be non-negative");
+        MicroWatts(self.0 * 10f64.powf(-loss.0 / 10.0))
     }
 }
 
@@ -231,12 +181,12 @@ impl Volts {
 
 impl MilliAmps {
     /// Constructs from milliamps.
-    pub const fn from_ma(ma: f64) -> Self {
+    pub(crate) const fn from_ma(ma: f64) -> Self {
         MilliAmps(ma)
     }
 
     /// The value in milliamps.
-    pub const fn as_ma(self) -> f64 {
+    pub(crate) const fn as_ma(self) -> f64 {
         self.0
     }
 }
@@ -250,11 +200,6 @@ impl Gbps {
     /// The value in Gb/s.
     pub const fn as_gbps(self) -> f64 {
         self.0
-    }
-
-    /// The value in bits per second.
-    pub fn as_bits_per_sec(self) -> f64 {
-        self.0 * 1e9
     }
 
     /// Time to serialize `bits` at this rate, in picoseconds (rounded).
@@ -280,17 +225,12 @@ impl Decibels {
         self.0
     }
 
-    /// The linear power ratio corresponding to this dB value.
-    pub fn as_linear(self) -> f64 {
-        10f64.powf(self.0 / 10.0)
-    }
-
     /// Constructs from a linear power ratio.
     ///
     /// # Panics
     ///
     /// Panics if `ratio` is not strictly positive.
-    pub fn from_linear(ratio: f64) -> Self {
+    pub(crate) fn from_linear(ratio: f64) -> Self {
         assert!(ratio > 0.0, "ratio must be positive for dB conversion");
         Decibels(10.0 * ratio.log10())
     }
@@ -324,7 +264,6 @@ mod tests {
         assert_eq!((a * 2.0).as_mw(), 200.0);
         assert_eq!((a / 4.0).as_mw(), 25.0);
         assert_eq!(a / b, 2.0);
-        assert_eq!(a.as_watts(), 0.1);
     }
 
     #[test]
@@ -345,25 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn micro_milli_round_trip() {
-        let p = MilliWatts::from_mw(0.025);
-        assert!((p.to_micro().as_uw() - 25.0).abs() < 1e-12);
-        assert!((MicroWatts::from_uw(25.0).to_milli().as_mw() - 0.025).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dbm_conversions() {
-        // 1 mW = 0 dBm
-        let p = MicroWatts::from_uw(1000.0);
-        assert!(p.as_dbm().as_db().abs() < 1e-12);
-        // 100 µW = -10 dBm
-        let p = MicroWatts::from_uw(100.0);
-        assert!((p.as_dbm().as_db() + 10.0).abs() < 1e-9);
-        let back = MicroWatts::from_dbm(Decibels::from_db(-10.0));
-        assert!((back.as_uw() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn attenuation() {
         let p = MicroWatts::from_uw(1000.0);
         let out = p.attenuate(Decibels::from_db(3.0));
@@ -375,10 +295,7 @@ mod tests {
 
     #[test]
     fn db_linear_round_trip() {
-        let db = Decibels::from_db(6.0);
-        let lin = db.as_linear();
-        assert!((lin - 3.981).abs() < 0.001);
-        let back = Decibels::from_linear(lin);
+        let back = Decibels::from_linear(10f64.powf(0.6));
         assert!((back.as_db() - 6.0).abs() < 1e-9);
     }
 
@@ -390,20 +307,5 @@ mod tests {
         assert_eq!(Gbps::from_gbps(5.0).serialization_ps(16), 3200);
         // at 7 Gb/s, a non-integral number of cycles
         assert_eq!(Gbps::from_gbps(7.0).serialization_ps(16), 2286);
-    }
-
-    #[test]
-    fn min_max_abs() {
-        let a = Gbps::from_gbps(5.0);
-        let b = Gbps::from_gbps(10.0);
-        assert_eq!(a.min(b), a);
-        assert_eq!(a.max(b), b);
-        assert_eq!((-Decibels::from_db(3.0)).abs().as_db(), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dBm undefined")]
-    fn dbm_of_zero_panics() {
-        let _ = MicroWatts::ZERO.as_dbm();
     }
 }

@@ -77,7 +77,7 @@ impl TimingConfig {
     /// # Panics
     ///
     /// Panics on a zero window or zero sliding-window length.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.tw_cycles > 0, "Tw must be positive");
         assert!(
             self.n_windows > 0,
@@ -115,7 +115,7 @@ impl Predictor {
     /// # Panics
     ///
     /// Panics if an EWMA factor is outside `(0, 1]`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Predictor::Ewma(a) = self {
             assert!(
                 *a > 0.0 && *a <= 1.0,

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 
 /// The outcome of one window's threshold comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RateDecision {
+pub(crate) enum RateDecision {
     /// Move one level up.
     Up,
     /// Move one level down.
@@ -105,7 +105,6 @@ impl Transition {
 pub struct LinkPolicyController {
     ladder: BitRateLadder,
     thresholds: ThresholdTable,
-    tw: Picos,
     tbr: Picos,
     tv: Picos,
     level: usize,
@@ -141,7 +140,6 @@ impl LinkPolicyController {
         LinkPolicyController {
             ladder: config.ladder.clone(),
             thresholds: config.thresholds,
-            tw: cycle * config.timing.tw_cycles,
             tbr: cycle * config.timing.tbr_cycles,
             tv: cycle * config.timing.tv_cycles,
             level: initial_level,
@@ -167,16 +165,6 @@ impl LinkPolicyController {
         self.level
     }
 
-    /// The operating point at the current level.
-    pub fn current_point(&self) -> OperatingPoint {
-        self.ladder.point_at(self.level)
-    }
-
-    /// The sampling window duration `Tw`.
-    pub fn window_duration(&self) -> Picos {
-        self.tw
-    }
-
     /// Whether a transition is in flight.
     pub fn in_transition(&self) -> bool {
         self.in_transition
@@ -194,7 +182,7 @@ impl LinkPolicyController {
 
     /// The raw threshold decision for a given averaged utilization and
     /// buffer utilization (exposed for analysis and tests).
-    pub fn classify(&self, lu_avg: f64, bu: f64) -> RateDecision {
+    pub(crate) fn classify(&self, lu_avg: f64, bu: f64) -> RateDecision {
         let (tl, th) = self.thresholds.select(bu);
         if lu_avg > th {
             RateDecision::Up
@@ -319,11 +307,6 @@ impl LinkPolicyController {
     /// one coarse step per window as demand warrants.
     pub fn unpin(&mut self) {
         self.pinned = false;
-    }
-
-    /// Whether the controller is currently pinned by a fault.
-    pub fn is_pinned(&self) -> bool {
-        self.pinned
     }
 
     /// Total level transitions issued.
@@ -492,7 +475,7 @@ mod tests {
         let _ = c.on_window(Picos::ZERO, 0.0, 0.0).expect("step down");
         assert!(c.in_transition());
         c.pin_to_level(0);
-        assert!(c.is_pinned());
+        assert!(c.pinned);
         assert!(!c.in_transition());
         assert_eq!(c.level(), 0);
         // Pinned: demand is observed but no decision is taken.

@@ -117,18 +117,6 @@ impl BitRateLadder {
     pub fn max_rate(&self) -> Gbps {
         self.rates[self.top_level()]
     }
-
-    /// The minimum rate (the power floor).
-    pub fn min_rate(&self) -> Gbps {
-        self.rates[0]
-    }
-
-    /// The level holding a given rate, if the rate is on the ladder.
-    pub fn level_of(&self, rate: Gbps) -> Option<usize> {
-        self.rates
-            .iter()
-            .position(|r| (r.as_gbps() - rate.as_gbps()).abs() < 1e-9)
-    }
 }
 
 #[cfg(test)]
@@ -144,14 +132,12 @@ mod tests {
         }
         assert!((l.vdd_at(5).as_v() - 1.8).abs() < 1e-9);
         assert!((l.vdd_at(0).as_v() - 0.9).abs() < 1e-9);
-        assert_eq!(l.level_of(Gbps::from_gbps(7.0)), Some(2));
-        assert_eq!(l.level_of(Gbps::from_gbps(7.5)), None);
     }
 
     #[test]
     fn paper_3_3_ladder_spans_range() {
         let l = BitRateLadder::paper_3_3_to_10();
-        assert!((l.min_rate().as_gbps() - 3.3).abs() < 1e-9);
+        assert!((l.rate_at(0).as_gbps() - 3.3).abs() < 1e-9);
         assert!((l.max_rate().as_gbps() - 10.0).abs() < 1e-9);
         assert_eq!(l.level_count(), 6);
     }

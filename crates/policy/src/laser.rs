@@ -72,16 +72,6 @@ impl LaserSourceController {
         }
     }
 
-    /// The current optical level.
-    pub fn level(&self) -> OpticalLevel {
-        self.level
-    }
-
-    /// The decision period between `Pdec` evaluations.
-    pub fn decision_period(&self) -> Picos {
-        self.decision_period
-    }
-
     /// Observes the link running at `rate` (called at least once per
     /// policy window so the period tracker sees the full history).
     pub fn note_rate(&mut self, rate: Gbps) {
@@ -158,7 +148,7 @@ mod tests {
         );
         c.note_rate(Gbps::from_gbps(3.0));
         assert_eq!(c.on_decision_period(Picos::from_us(200)), None);
-        assert_eq!(c.level(), OpticalLevel::High);
+        assert_eq!(c.level, OpticalLevel::High);
     }
 
     #[test]
@@ -183,7 +173,7 @@ mod tests {
         // Now a rate in the High band must wait for light.
         let gate = c.request_increase(Picos::from_us(400), Gbps::from_gbps(7.0));
         assert_eq!(gate, OpticalGate::WaitUntil(Picos::from_us(500)));
-        assert_eq!(c.level(), OpticalLevel::High);
+        assert_eq!(c.level, OpticalLevel::High);
         assert_eq!(c.pincs, 1);
     }
 
@@ -194,7 +184,7 @@ mod tests {
         assert!(c.on_decision_period(Picos::from_us(200)).is_some()); // High→Mid
         c.note_rate(Gbps::from_gbps(3.0));
         assert!(c.on_decision_period(Picos::from_us(400)).is_some()); // Mid→Low
-        assert_eq!(c.level(), OpticalLevel::Low);
+        assert_eq!(c.level, OpticalLevel::Low);
         // Jumping straight to the High band needs two attenuator moves.
         let gate = c.request_increase(Picos::from_us(600), Gbps::from_gbps(9.0));
         assert_eq!(gate, OpticalGate::WaitUntil(Picos::from_us(800)));
@@ -212,7 +202,7 @@ mod tests {
         // A boundary after the move completes may decrement again.
         c.note_rate(Gbps::from_gbps(3.0));
         assert!(c.on_decision_period(Picos::from_us(600)).is_some());
-        assert_eq!(c.level(), OpticalLevel::Low);
+        assert_eq!(c.level, OpticalLevel::Low);
     }
 
     #[test]
@@ -221,6 +211,6 @@ mod tests {
         c.note_rate(Gbps::from_gbps(5.0));
         c.note_rate(Gbps::from_gbps(9.5)); // one spike into the High band
         assert_eq!(c.on_decision_period(Picos::from_us(200)), None);
-        assert_eq!(c.level(), OpticalLevel::High);
+        assert_eq!(c.level, OpticalLevel::High);
     }
 }

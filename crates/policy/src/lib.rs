@@ -39,9 +39,9 @@ pub mod laser;
 pub mod onoff;
 pub mod thresholds;
 
-pub use config::{OpticalMode, PolicyConfig, PolicyMode, Predictor, TimingConfig};
-pub use controller::{LinkPolicyController, RateDecision, Transition};
+pub use config::{OpticalMode, PolicyConfig, PolicyMode, TimingConfig};
+pub use controller::{LinkPolicyController, Transition};
 pub use ladder::BitRateLadder;
-pub use laser::{LaserSourceController, LaserUpdate, OpticalGate};
-pub use onoff::{GateAction, GateState, OnOffConfig, OnOffController};
+pub use laser::{LaserSourceController, OpticalGate};
+pub use onoff::{GateAction, OnOffConfig, OnOffController};
 pub use thresholds::ThresholdTable;

@@ -53,7 +53,7 @@ impl OnOffConfig {
     /// # Panics
     ///
     /// Panics on out-of-range thresholds or fractions.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.off_threshold),
             "off threshold must be in [0,1]"
@@ -71,7 +71,7 @@ impl OnOffConfig {
 
 /// The link's gating state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GateState {
+pub(crate) enum GateState {
     /// Link running at full rate.
     On,
     /// Link powered down.
@@ -122,16 +122,6 @@ impl OnOffController {
         }
     }
 
-    /// Current gate state.
-    pub fn state(&self) -> GateState {
-        self.state
-    }
-
-    /// Whether the link is asleep (and should be watched for demand).
-    pub fn is_off(&self) -> bool {
-        self.state == GateState::Off
-    }
-
     /// Feeds one window's utilization; may order a sleep.
     pub fn on_window(&mut self, _now: Picos, lu: f64) -> Option<GateAction> {
         self.window.push(lu.clamp(0.0, 1.0));
@@ -166,11 +156,6 @@ impl OnOffController {
         Some(GateAction::WakeAt(until))
     }
 
-    /// The configured wake penalty as a duration.
-    pub fn wake_penalty(&self) -> Picos {
-        self.wake_penalty
-    }
-
     /// The fraction of full power drawn while off.
     pub fn off_power_fraction(&self) -> f64 {
         self.config.off_power_fraction
@@ -201,7 +186,7 @@ mod tests {
             c.on_window(Picos::from_us(1), 0.05),
             Some(GateAction::SleepNow)
         );
-        assert!(c.is_off());
+        assert_eq!(c.state, GateState::Off);
         assert_eq!(c.sleeps, 1);
     }
 
@@ -211,7 +196,7 @@ mod tests {
         for i in 0..10 {
             assert_eq!(c.on_window(Picos::from_us(i), 0.5), None);
         }
-        assert_eq!(c.state(), GateState::On);
+        assert_eq!(c.state, GateState::On);
         assert_eq!(c.sleeps, 0);
     }
 
@@ -220,11 +205,11 @@ mod tests {
         let mut c = ctl();
         c.on_window(Picos::ZERO, 0.0);
         c.on_window(Picos::ZERO, 0.0);
-        assert!(c.is_off());
+        assert_eq!(c.state, GateState::Off);
         let action = c.on_demand(Picos::from_us(10)).expect("wake");
         let expect = Picos::from_us(10) + Picos::from_ps(1600) * 100;
         assert_eq!(action, GateAction::WakeAt(expect));
-        assert_eq!(c.state(), GateState::Waking { until: expect });
+        assert_eq!(c.state, GateState::Waking { until: expect });
         assert_eq!(c.wakes, 1);
         // Further demand while waking is ignored.
         assert_eq!(c.on_demand(Picos::from_us(11)), None);
@@ -238,7 +223,7 @@ mod tests {
         c.on_demand(Picos::from_us(1));
         // A window boundary after the wake time flips the state to On.
         assert_eq!(c.on_window(Picos::from_us(5), 0.8), None);
-        assert_eq!(c.state(), GateState::On);
+        assert_eq!(c.state, GateState::On);
     }
 
     #[test]

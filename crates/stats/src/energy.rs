@@ -114,26 +114,6 @@ impl EnergyAccount {
             MilliWatts::from_mw(self.energy_mw_ps / dt)
         }
     }
-
-    /// Average power between the account start and an explicit `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` is before the account start.
-    pub fn average_power_at(&self, now: Picos) -> MilliWatts {
-        assert!(now >= self.start, "now precedes account start");
-        let dt = (now - self.start).as_ps() as f64;
-        if dt == 0.0 {
-            MilliWatts::ZERO
-        } else {
-            MilliWatts::from_mw(self.energy_nj_at(now) * 1e6 / dt)
-        }
-    }
-
-    /// When the account was opened.
-    pub fn start(&self) -> Picos {
-        self.start
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +146,6 @@ mod tests {
     fn open_segment_included_in_at_queries() {
         let a = EnergyAccount::new(Picos::ZERO, MilliWatts::from_mw(50.0));
         assert!((a.energy_nj_at(Picos::from_us(2)) - 100.0).abs() < 1e-9);
-        assert!((a.average_power_at(Picos::from_us(2)).as_mw() - 50.0).abs() < 1e-9);
         // Closed bookkeeping alone has seen nothing yet.
         assert_eq!(a.energy_nj(), 0.0);
     }

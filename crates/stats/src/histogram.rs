@@ -71,20 +71,10 @@ impl Histogram {
         self.overflow
     }
 
-    /// Bucket counts (not including overflow).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Bucket width.
-    pub fn bucket_width(&self) -> f64 {
-        self.bucket_width
-    }
-
     /// The lower edge of the overflow bucket: the histogram's covered
     /// range ends here, and every overflow sample is known only to be at
     /// least this large (or non-finite).
-    pub fn overflow_edge(&self) -> f64 {
+    pub(crate) fn overflow_edge(&self) -> f64 {
         self.buckets.len() as f64 * self.bucket_width
     }
 
@@ -108,7 +98,7 @@ impl Histogram {
     /// Like [`Histogram::percentile`], but the overflow case stays finite:
     /// returns `(value, saturated)` where `saturated` means the percentile
     /// landed in the overflow bucket and `value` is the overflow's lower
-    /// edge ([`Histogram::overflow_edge`]) — a *lower bound* on the true
+    /// edge (`Histogram::overflow_edge`) — a *lower bound* on the true
     /// percentile, never `INFINITY`/`NaN`.
     ///
     /// # Panics
@@ -127,28 +117,6 @@ impl Histogram {
         }
         (self.overflow_edge(), true)
     }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "bucket width mismatch"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "bucket count mismatch"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +133,7 @@ mod tests {
         h.record(1.5);
         h.record(3.9);
         h.record(4.0); // overflow
-        assert_eq!(h.buckets(), &[1, 1, 0, 1]);
+        assert_eq!(h.buckets, [1, 1, 0, 1]);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.count(), 4);
     }
@@ -174,7 +142,7 @@ mod tests {
     fn negative_clamps_to_first_bucket() {
         let mut h = Histogram::new(1.0, 2);
         h.record(-5.0);
-        assert_eq!(h.buckets(), &[1, 0]);
+        assert_eq!(h.buckets, [1, 0]);
     }
 
     #[test]
@@ -229,38 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(1.0, 3);
-        let mut b = Histogram::new(1.0, 3);
-        a.record(0.5);
-        b.record(0.5);
-        b.record(2.5);
-        a.merge(&b);
-        assert_eq!(a.buckets(), &[2, 0, 1]);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "empty")]
     fn percentile_of_empty_panics() {
         let h = Histogram::new(1.0, 3);
         let _ = h.percentile(50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width mismatch")]
-    fn merge_width_checked() {
-        let mut a = Histogram::new(1.0, 3);
-        let b = Histogram::new(2.0, 3);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket count mismatch")]
-    fn merge_count_checked() {
-        let mut a = Histogram::new(1.0, 3);
-        let b = Histogram::new(1.0, 4);
-        a.merge(&b);
     }
 
     proptest! {
@@ -270,7 +210,7 @@ mod tests {
             for &x in &xs {
                 h.record(x);
             }
-            let bucket_sum: u64 = h.buckets().iter().sum();
+            let bucket_sum: u64 = h.buckets.iter().sum();
             prop_assert_eq!(bucket_sum + h.overflow(), xs.len() as u64);
             prop_assert_eq!(h.count(), xs.len() as u64);
         }

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod confidence;
 pub mod csv;
 pub mod energy;
 pub mod histogram;
@@ -29,7 +28,6 @@ pub mod sliding;
 pub mod summary;
 pub mod timeseries;
 
-pub use confidence::{BatchMeans, ConfidenceInterval};
 pub use energy::EnergyAccount;
 pub use histogram::Histogram;
 pub use sliding::SlidingWindow;

@@ -57,7 +57,7 @@ impl SlidingWindow {
         self.items.push_back(x);
         self.sum += x;
         // Defend against drift from long runs of float cancellation.
-        if self.items.len() % 4096 == 0 {
+        if self.items.len().is_multiple_of(4096) {
             self.sum = self.items.iter().sum();
         }
     }
@@ -84,21 +84,6 @@ impl SlidingWindow {
     /// Whether the window has reached its capacity.
     pub fn is_full(&self) -> bool {
         self.items.len() == self.capacity
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The most recent sample, if any.
-    pub fn latest(&self) -> Option<f64> {
-        self.items.back().copied()
-    }
-
-    /// Iterates over held samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.items.iter().copied()
     }
 
     /// Clears all samples.
@@ -128,14 +113,14 @@ mod tests {
         w.push(40.0);
         assert_eq!(w.mean(), 30.0);
         assert_eq!(w.len(), 2);
-        assert_eq!(w.latest(), Some(40.0));
+        assert_eq!(w.items.back().copied(), Some(40.0));
     }
 
     #[test]
     fn empty_mean_is_zero() {
         let w = SlidingWindow::new(4);
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.latest(), None);
+        assert_eq!(w.items.back().copied(), None);
     }
 
     #[test]
@@ -145,16 +130,6 @@ mod tests {
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.mean(), 0.0);
-    }
-
-    #[test]
-    fn iter_oldest_first() {
-        let mut w = SlidingWindow::new(3);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            w.push(x);
-        }
-        let v: Vec<f64> = w.iter().collect();
-        assert_eq!(v, vec![2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -54,26 +54,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Merges another summary into this one (parallel-friendly).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -84,13 +64,8 @@ impl Summary {
         self.mean
     }
 
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean * self.count as f64
-    }
-
     /// Population variance (0 with fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -177,7 +152,6 @@ mod tests {
         let s: Summary = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
         assert_eq!(s.count(), 4);
         assert_eq!(s.mean(), 2.5);
-        assert_eq!(s.sum(), 10.0);
         assert!((s.variance() - 1.25).abs() < 1e-12);
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(4.0));
@@ -188,30 +162,6 @@ mod tests {
         let s: Summary = [5.0].into_iter().collect();
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let mut a: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-        let b: Summary = [10.0, 20.0].into_iter().collect();
-        a.merge(&b);
-        let all: Summary = [1.0, 2.0, 3.0, 10.0, 20.0].into_iter().collect();
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a: Summary = [1.0].into_iter().collect();
-        a.merge(&Summary::new());
-        assert_eq!(a.count(), 1);
-        let mut e = Summary::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 1.0);
     }
 
     #[test]
@@ -234,20 +184,6 @@ mod tests {
         fn variance_non_negative(xs in proptest::collection::vec(-1e6f64..1e6, 0..200)) {
             let s: Summary = xs.iter().copied().collect();
             prop_assert!(s.variance() >= 0.0);
-        }
-
-        #[test]
-        fn merge_matches_sequential_prop(
-            xs in proptest::collection::vec(-1e3f64..1e3, 0..50),
-            ys in proptest::collection::vec(-1e3f64..1e3, 0..50),
-        ) {
-            let mut a: Summary = xs.iter().copied().collect();
-            let b: Summary = ys.iter().copied().collect();
-            a.merge(&b);
-            let all: Summary = xs.iter().chain(ys.iter()).copied().collect();
-            prop_assert_eq!(a.count(), all.count());
-            prop_assert!((a.mean() - all.mean()).abs() < 1e-6);
-            prop_assert!((a.variance() - all.variance()).abs() < 1e-4);
         }
     }
 }

@@ -33,11 +33,6 @@ impl TimeSeries {
         }
     }
 
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Appends a sample.
     ///
     /// # Panics
@@ -83,43 +78,6 @@ impl TimeSeries {
             self.values.iter().sum::<f64>() / self.values.len() as f64
         }
     }
-
-    /// Downsamples to at most `max_points` by averaging consecutive runs —
-    /// used when emitting plot data for long simulations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_points` is zero.
-    pub fn downsample(&self, max_points: usize) -> TimeSeries {
-        assert!(max_points > 0, "max_points must be positive");
-        if self.len() <= max_points {
-            return self.clone();
-        }
-        let chunk = self.len().div_ceil(max_points);
-        let mut out = TimeSeries::new(self.name.clone());
-        for block in 0..self.len().div_ceil(chunk) {
-            let lo = block * chunk;
-            let hi = (lo + chunk).min(self.len());
-            let t = self.times[hi - 1];
-            let v = self.values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
-            out.record(t, v);
-        }
-        out
-    }
-
-    /// Values within `[from, to)`, averaged; `None` if no samples fall in
-    /// the interval.
-    pub fn window_mean(&self, from: Picos, to: Picos) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (t, v) in self.iter() {
-            if t >= from && t < to {
-                sum += v;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -156,29 +114,6 @@ mod tests {
         let mut ts = TimeSeries::new("s");
         ts.record(Picos::from_ns(2), 1.0);
         ts.record(Picos::from_ns(1), 2.0);
-    }
-
-    #[test]
-    fn downsample_shrinks() {
-        let ts = series(100);
-        let d = ts.downsample(10);
-        assert!(d.len() <= 10);
-        assert!((d.mean() - ts.mean()).abs() < 1.0);
-        // Small series unchanged.
-        let small = series(3);
-        assert_eq!(small.downsample(10).len(), 3);
-    }
-
-    #[test]
-    fn window_mean() {
-        let ts = series(10);
-        let m = ts
-            .window_mean(Picos::from_ns(2), Picos::from_ns(5))
-            .unwrap();
-        assert_eq!(m, 3.0); // values 2,3,4
-        assert!(ts
-            .window_mean(Picos::from_us(1), Picos::from_us(2))
-            .is_none());
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl DatacenterConfig {
     /// Panics if the server split leaves no server or no client, a rate,
     /// size, or sojourn mean is out of range, or the diurnal floor is
     /// outside `(0, 1]`.
-    pub fn validate(&self, nodes: usize) {
+    pub(crate) fn validate(&self, nodes: usize) {
         assert!(
             self.servers >= 1 && self.servers < nodes,
             "servers must be in 1..{nodes}, got {}",
@@ -156,13 +156,13 @@ impl DatacenterConfig {
     }
 
     /// The long-run fraction of time a client's flow gate is ON.
-    pub fn duty_cycle(&self) -> f64 {
+    pub(crate) fn duty_cycle(&self) -> f64 {
         self.mean_on_cycles / (self.mean_on_cycles + self.mean_off_cycles)
     }
 
     /// The time-average of the diurnal envelope: the mean of the
     /// raised cosine, `(1 + floor) / 2` (or `1` with the ramp disabled).
-    pub fn diurnal_mean(&self) -> f64 {
+    pub(crate) fn diurnal_mean(&self) -> f64 {
         if self.diurnal_period_cycles == 0 {
             1.0
         } else {
@@ -218,7 +218,7 @@ impl DatacenterSource {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`DatacenterConfig::validate`] for this
+    /// Panics if `config` fails `DatacenterConfig::validate` for this
     /// network's node count.
     pub fn new(noc: &NocConfig, config: DatacenterConfig, mut rng: Rng) -> Self {
         config.validate(noc.node_count());
@@ -257,7 +257,7 @@ impl DatacenterSource {
     /// The diurnal load multiplier at `cycle`: a raised cosine from
     /// [`DatacenterConfig::diurnal_floor`] (at cycle 0) up to 1 at
     /// mid-period and back.
-    pub fn diurnal_multiplier(&self, cycle: u64) -> f64 {
+    pub(crate) fn diurnal_multiplier(&self, cycle: u64) -> f64 {
         let period = self.config.diurnal_period_cycles;
         if period == 0 {
             return 1.0;
@@ -321,7 +321,7 @@ impl TrafficSource for DatacenterSource {
         //    aggregator client. RNG-free, so it cannot perturb the
         //    request stream's draw sequence.
         let period = self.config.incast_period_cycles;
-        if period > 0 && cycle > 0 && cycle % period == 0 {
+        if period > 0 && cycle > 0 && cycle.is_multiple_of(period) {
             let round = cycle / period;
             let aggregator = NodeId((servers + (round as usize % clients)) as u32);
             let fanin = (self.config.incast_fanin as usize).min(servers);

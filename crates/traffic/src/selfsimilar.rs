@@ -55,7 +55,7 @@ impl SelfSimilarConfig {
     ///
     /// Panics if `α ∉ (1, 2]`, a mean is non-positive, or the rate is
     /// outside `(0, 1]`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.alpha > 1.0 && self.alpha <= 2.0,
             "alpha must be in (1,2], got {}",
@@ -150,16 +150,6 @@ impl SelfSimilarSource {
     /// The model parameters.
     pub fn config(&self) -> &SelfSimilarConfig {
         &self.config
-    }
-
-    /// Number of sources currently in the ON state.
-    pub fn active_sources(&self) -> usize {
-        self.states.iter().filter(|s| s.on).count()
-    }
-
-    /// The long-run mean network-wide injection rate, packets/cycle.
-    pub fn mean_rate(&self) -> f64 {
-        self.noc.node_count() as f64 * self.config.duty_cycle() * self.config.on_rate
     }
 }
 
@@ -268,7 +258,8 @@ mod tests {
     #[test]
     fn long_run_rate_near_prediction() {
         let mut src = source(7);
-        let predicted = src.mean_rate();
+        // The long-run mean: nodes × ON duty cycle × ON-state rate.
+        let predicted = src.noc.node_count() as f64 * src.config.duty_cycle() * src.config.on_rate;
         let mut out = Vec::new();
         let cycles = 300_000u64;
         for c in 0..cycles {
@@ -320,7 +311,8 @@ mod tests {
     #[test]
     fn active_sources_near_duty_cycle() {
         let src = source(13);
-        let frac = src.active_sources() as f64 / 512.0;
+        let active = src.states.iter().filter(|s| s.on).count();
+        let frac = active as f64 / 512.0;
         assert!(frac > 0.02 && frac < 0.35, "active fraction {frac}");
     }
 

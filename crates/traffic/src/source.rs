@@ -24,7 +24,7 @@ impl PacketSize {
     /// # Panics
     ///
     /// Panics on a zero length or inverted bounds.
-    pub fn draw(self, rng: &mut Rng) -> u32 {
+    pub(crate) fn draw(self, rng: &mut Rng) -> u32 {
         match self {
             PacketSize::Fixed(n) => {
                 assert!(n >= 1, "packet size must be positive");
@@ -34,14 +34,6 @@ impl PacketSize {
                 assert!(lo >= 1 && lo <= hi, "bad size range {lo}..={hi}");
                 lo + rng.next_below((hi - lo + 1) as u64) as u32
             }
-        }
-    }
-
-    /// The mean length.
-    pub fn mean(self) -> f64 {
-        match self {
-            PacketSize::Fixed(n) => n as f64,
-            PacketSize::Uniform(lo, hi) => (lo + hi) as f64 / 2.0,
         }
     }
 }
@@ -121,11 +113,6 @@ impl SyntheticSource {
     /// The temporal profile.
     pub fn profile(&self) -> &RateProfile {
         &self.profile
-    }
-
-    /// The instantaneous network-wide rate at `cycle`.
-    pub fn rate_at(&self, cycle: u64) -> f64 {
-        self.profile.rate_at(cycle)
     }
 }
 
@@ -219,11 +206,6 @@ impl TraceSource {
             generated: 0,
         }
     }
-
-    /// Records remaining to replay.
-    pub fn remaining(&self) -> usize {
-        self.records.len() - self.cursor
-    }
 }
 
 impl TrafficSource for TraceSource {
@@ -296,12 +278,10 @@ mod tests {
     fn packet_sizes() {
         let mut rng = Rng::seed_from(1);
         assert_eq!(PacketSize::Fixed(5).draw(&mut rng), 5);
-        assert_eq!(PacketSize::Fixed(5).mean(), 5.0);
         for _ in 0..1000 {
             let s = PacketSize::Uniform(2, 6).draw(&mut rng);
             assert!((2..=6).contains(&s));
         }
-        assert_eq!(PacketSize::Uniform(2, 6).mean(), 4.0);
     }
 
     #[test]
@@ -440,7 +420,7 @@ mod tests {
             },
         ]);
         let mut src = TraceSource::new(trace);
-        assert_eq!(src.remaining(), 3);
+        assert_eq!(src.records.len() - src.cursor, 3);
         let mut out = Vec::new();
         src.packets_for_cycle(0, Picos::ZERO, &mut out);
         assert_eq!(out.len(), 1);
@@ -448,7 +428,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         src.packets_for_cycle(2, Picos::from_ps(3200), &mut out);
         assert_eq!(out.len(), 3);
-        assert_eq!(src.remaining(), 0);
+        assert_eq!(src.records.len() - src.cursor, 0);
         assert_eq!(src.generated(), 3);
     }
 

@@ -48,7 +48,7 @@ impl SplashApp {
 
     /// Network-wide injection rate (packets/cycle, 48-flit packets) at a
     /// cycle index.
-    pub fn rate_at(self, cycle: u64) -> f64 {
+    pub(crate) fn rate_at(self, cycle: u64) -> f64 {
         let period = self.period_cycles();
         let phase = (cycle % period) as f64 / period as f64;
         match self {

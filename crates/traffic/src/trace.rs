@@ -29,7 +29,7 @@ pub struct Trace {
 
 impl Trace {
     /// The current format version.
-    pub const VERSION: u32 = 1;
+    pub(crate) const VERSION: u32 = 1;
 
     /// Builds a trace from records (sorting them by time).
     pub fn from_records(mut records: Vec<TraceRecord>) -> Self {
@@ -40,13 +40,8 @@ impl Trace {
         }
     }
 
-    /// The records, time-sorted.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
     /// Consumes the trace, returning the records.
-    pub fn into_records(self) -> Vec<TraceRecord> {
+    pub(crate) fn into_records(self) -> Vec<TraceRecord> {
         self.records
     }
 
@@ -58,21 +53,6 @@ impl Trace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Appends a record, keeping time order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record is earlier than the current last record.
-    pub fn push(&mut self, record: TraceRecord) {
-        if let Some(last) = self.records.last() {
-            assert!(
-                record.at_ps >= last.at_ps,
-                "records must be appended in time order"
-            );
-        }
-        self.records.push(record);
     }
 
     /// Serializes to JSON.
@@ -153,27 +133,10 @@ mod tests {
     #[test]
     fn from_records_sorts() {
         let t = Trace::from_records(vec![rec(30), rec(10), rec(20)]);
-        let times: Vec<u64> = t.records().iter().map(|r| r.at_ps).collect();
+        let times: Vec<u64> = t.records.iter().map(|r| r.at_ps).collect();
         assert_eq!(times, vec![10, 20, 30]);
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn push_in_order() {
-        let mut t = Trace::default();
-        t.push(rec(5));
-        t.push(rec(5));
-        t.push(rec(9));
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "time order")]
-    fn push_out_of_order_rejected() {
-        let mut t = Trace::default();
-        t.push(rec(9));
-        t.push(rec(5));
     }
 
     #[test]

@@ -55,34 +55,10 @@ fn transmitter_changes_power_not_traffic() {
 }
 
 #[test]
-fn load_sweep_parallel_matches_serial() {
-    // The executor's contract: thread count must not change any result
-    // bit. Run the same sweep serially and on four workers and compare
-    // every RunResult-derived field.
-    let exp = Experiment::new(config(42))
-        .warmup_cycles(500)
-        .measure_cycles(4_000);
-    let rates = [0.1, 0.3, 0.6];
-    let size = PacketSize::Uniform(2, 8);
-    let serial = LoadSweep::run_with(&Executor::new(1), &exp, &rates, size);
-    let parallel = LoadSweep::run_with(&Executor::new(4), &exp, &rates, size);
-    assert_eq!(serial.zero_load_latency, parallel.zero_load_latency);
-    assert_eq!(serial.points.len(), parallel.points.len());
-    for (s, p) in serial.points.iter().zip(&parallel.points) {
-        assert_eq!(s.offered, p.offered);
-        assert_eq!(s.throughput, p.throughput);
-        assert_eq!(s.latency_cycles, p.latency_cycles);
-        assert_eq!(s.normalized_power, p.normalized_power);
-    }
-    // And the default serial entry point is the jobs=1 executor path.
-    let via_run = LoadSweep::run(&exp, &rates, size);
-    assert_eq!(via_run.zero_load_latency, serial.zero_load_latency);
-}
-
-#[test]
 fn executor_batch_parallel_matches_serial_fields() {
-    // Same property at the raw executor level, over every scalar field
-    // of RunResult (not just the sweep projection).
+    // The executor's contract: thread count must not change any result
+    // bit. Run the same batch serially and on four workers and compare
+    // every scalar field of RunResult.
     let points: Vec<Point> = [0.1, 0.3, 0.5]
         .iter()
         .map(|&rate| {

@@ -54,8 +54,9 @@ fn energy_is_exactly_power_times_time_for_baseline() {
     // The non-power-aware system draws constant power, so the integral is
     // analytic: links × 290 mW × duration. Injection + ejection per node,
     // plus the topology's own directed inter-router channels (8 on the
-    // 2×2 mesh; 16 on the 2×2 torus, whose wraps double every pair).
-    for topology in [TopologyKind::Mesh, TopologyKind::Torus] {
+    // 2×2 mesh; 16 on the 2-spine Clos, one up and one down per leaf and
+    // spine).
+    for topology in [TopologyKind::Mesh, TopologyKind::FoldedClos { spines: 2 }] {
         let mut config = small_config(false);
         config.noc.topology = topology;
         let source = Box::new(SyntheticSource::new(

@@ -157,7 +157,7 @@ proptest! {
                 now = t.complete_at;
                 c.transition_complete();
             }
-            now = now + tw;
+            now += tw;
         }
         prop_assert!(
             c.ups == 0 || c.downs == 0,
@@ -167,7 +167,7 @@ proptest! {
         let settled = c.level();
         for _ in 0..8 {
             prop_assert!(c.on_window(now, lu, bu).is_none());
-            now = now + tw;
+            now += tw;
         }
         prop_assert_eq!(c.level(), settled);
     }

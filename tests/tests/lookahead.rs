@@ -36,9 +36,8 @@ fn config_for(
     c.noc.nodes_per_rack = 2;
     c.noc.vcs = vcs;
     c.noc.buffer_depth = 4 * u16::from(vcs);
-    c.noc.topology = match kind % 3 {
+    c.noc.topology = match kind % 2 {
         0 => TopologyKind::Mesh,
-        1 => TopologyKind::Torus,
         _ => TopologyKind::FoldedClos { spines: 2 },
     };
     c.noc.routing = routing;
@@ -114,7 +113,7 @@ proptest! {
     #[test]
     fn stretched_windows_match_sequential_everywhere(
         seed in 0u64..1_000,
-        kind in 0u8..3,
+        kind in 0u8..2,
         width in 2u8..4,
         height in 2u8..4,
         vcs in 1u8..3,
@@ -125,11 +124,6 @@ proptest! {
     ) {
         for routing in [RoutingAlgorithm::XY, RoutingAlgorithm::WestFirst] {
             let config = config_for(kind, seed, width, height, vcs, pa == 1, routing);
-            // `validate` rejects west-first on the torus.
-            let torus = config.noc.topology == TopologyKind::Torus;
-            if torus && routing == RoutingAlgorithm::WestFirst {
-                continue;
-            }
             assert_cap_invariant(config, shards, cap, rate_milli as f64 / 1_000.0);
         }
     }

@@ -80,14 +80,8 @@ fn more_power_saved_at_light_than_medium_load() {
 #[test]
 fn wider_ladder_saves_more_at_light_load() {
     // §4.3.1: with a 3.3 Gb/s floor, >90% savings are achievable.
-    use lumen_opto::{Gbps, Volts};
     let mut config = SystemConfig::paper_default().with_transmitter(TransmitterKind::Vcsel);
-    config.policy.ladder = BitRateLadder::evenly_spaced(
-        Gbps::from_gbps(3.3),
-        Gbps::from_gbps(10.0),
-        6,
-        Volts::from_v(1.8),
-    );
+    config.policy.ladder = BitRateLadder::paper_3_3_to_10();
     let wide = experiment(config).run_uniform(0.3, PacketSize::Fixed(5));
     let narrow = experiment(SystemConfig::paper_default().with_transmitter(TransmitterKind::Vcsel))
         .run_uniform(0.3, PacketSize::Fixed(5));

@@ -5,7 +5,7 @@
 //! RC stage becomes one indexed load. These tests pin the two promises
 //! that make that safe:
 //!
-//! - **differential** — for random mesh/torus/Clos geometries and every
+//! - **differential** — for random mesh and Clos geometries and every
 //!   routing algorithm, the table's `candidates(here, dst)` equals the
 //!   on-the-fly `route_candidates` oracle for *every* `(router, node)`
 //!   pair, in the same candidate order (adaptive tie-breaks select by
@@ -69,21 +69,6 @@ proptest! {
         assert_table_matches_oracle(
             &config,
             &[RoutingAlgorithm::XY, RoutingAlgorithm::YX, RoutingAlgorithm::WestFirst],
-        );
-    }
-
-    /// Random tori: XY and YX (west-first deliberately routes mesh-style
-    /// on tori and is exercised by the mesh cases above).
-    #[test]
-    fn torus_table_matches_oracle(
-        width in 1u8..6,
-        height in 1u8..6,
-        npr in 1u8..3,
-    ) {
-        let config = noc(TopologyKind::Torus, width, height, npr);
-        assert_table_matches_oracle(
-            &config,
-            &[RoutingAlgorithm::XY, RoutingAlgorithm::YX],
         );
     }
 
@@ -165,7 +150,7 @@ fn experiment(kind: TopologyKind, seed: u64) -> Experiment {
 /// the sequential engine builds its own.
 #[test]
 fn table_modes_replay_bit_identically_sharded() {
-    for kind in [TopologyKind::Mesh, TopologyKind::Torus] {
+    for kind in [TopologyKind::Mesh, TopologyKind::FoldedClos { spines: 2 }] {
         let exp = experiment(kind, 31);
         let shared = exp
             .clone()

@@ -3,8 +3,8 @@
 //! The [`lumen_noc::Topology`] contract (see TOPOLOGIES.md) promises
 //! that `route_inter` is deterministic, minimal, and livelock-free on
 //! every built-in geometry. These tests generate random rectangular
-//! meshes and tori with random endpoint pairs and walk the advertised
-//! routes hop by hop, asserting:
+//! meshes and walk the advertised routes between every endpoint pair hop
+//! by hop, asserting:
 //!
 //! - **determinism** — the same `(topology, algorithm, here, dst)` query
 //!   always returns the same candidate list;
@@ -14,11 +14,7 @@
 //! - **hop bounds** — the walked path length equals `min_hops(src, dst)`
 //!   and stays within the geometry's diameter.
 //!
-//! West-first is checked on meshes only: on a torus it deliberately
-//! routes mesh-style (the wrap channels stay idle; see the `Torus` docs),
-//! so its paths are mesh-minimal, not torus-minimal.
-//!
-//! A differential test then runs a full system on a torus at shard
+//! A differential test then runs a full system on a folded Clos at shard
 //! counts {1, 2} and asserts bit-identical results — the shard cuts a
 //! topology provides must compose with the conservative-parallel engine
 //! exactly like the mesh row bands do.
@@ -139,38 +135,6 @@ proptest! {
             diameter,
         );
     }
-
-    /// Random tori: XY and YX route minimally *in torus distance* (wrap
-    /// links shorten paths), within the torus diameter.
-    #[test]
-    fn torus_routes_minimally_between_all_pairs(
-        width in 1u8..6,
-        height in 1u8..6,
-    ) {
-        let config = noc(TopologyKind::Torus, width, height, 1);
-        let diameter = (width as u32 / 2) + (height as u32 / 2);
-        assert_routing_invariants(
-            &config,
-            &[RoutingAlgorithm::XY, RoutingAlgorithm::YX],
-            diameter,
-        );
-    }
-
-    /// Random torus endpoint pairs never route *longer* than the same
-    /// pair on the equally-sized mesh.
-    #[test]
-    fn torus_never_loses_to_mesh(
-        width in 2u8..6,
-        height in 2u8..6,
-        a in 0u32..25,
-        b in 0u32..25,
-    ) {
-        let routers = width as u32 * height as u32;
-        let (a, b) = (RouterId(a % routers), RouterId(b % routers));
-        let mesh = noc(TopologyKind::Mesh, width, height, 1).topo();
-        let torus = noc(TopologyKind::Torus, width, height, 1).topo();
-        prop_assert!(torus.min_hops(a, b) <= mesh.min_hops(a, b));
-    }
 }
 
 /// The folded Clos routes every leaf pair up-then-down in exactly two
@@ -192,39 +156,6 @@ fn folded_clos_routes_up_then_down() {
             }
         }
     }
-}
-
-/// The shard bit-identity contract extends to topology-provided cuts: a
-/// full power-aware system on a 4×4 torus produces bit-identical results
-/// sharded and sequential (same assertions as `tests/sharded.rs` makes
-/// for the mesh row bands).
-#[test]
-fn sharded_torus_matches_sequential_bit_for_bit() {
-    let mut config = SystemConfig::paper_default().with_seed(17);
-    config.noc = noc(TopologyKind::Torus, 4, 4, 2);
-    config.policy.timing.tw_cycles = 200;
-    let exp = Experiment::new(config)
-        .warmup_cycles(400)
-        .measure_cycles(3_000)
-        .audit_conservation();
-    let seq = exp
-        .clone()
-        .shards(1)
-        .run_uniform(0.15, PacketSize::Fixed(4));
-    assert!(seq.packets_delivered > 0);
-    let par = exp.shards(2).run_uniform(0.15, PacketSize::Fixed(4));
-    assert_eq!(par.packets_injected, seq.packets_injected);
-    assert_eq!(par.packets_delivered, seq.packets_delivered);
-    assert_eq!(
-        par.avg_latency_cycles.to_bits(),
-        seq.avg_latency_cycles.to_bits()
-    );
-    assert_eq!(
-        par.p99_latency_cycles.to_bits(),
-        seq.p99_latency_cycles.to_bits()
-    );
-    assert_eq!(par.avg_power_mw.to_bits(), seq.avg_power_mw.to_bits());
-    assert_eq!(par.transitions, seq.transitions);
 }
 
 /// Same contract on the folded Clos (cuts are leaf row bands with the
@@ -249,19 +180,20 @@ fn sharded_folded_clos_matches_sequential_bit_for_bit() {
     assert_eq!(par.avg_power_mw.to_bits(), seq.avg_power_mw.to_bits());
 }
 
-/// A datacenter-workload end-to-end run on a torus delivers traffic and
-/// conserves flits (the `ext_datacenter` machinery is topology-agnostic).
+/// A datacenter-workload end-to-end run on a folded Clos delivers traffic
+/// and conserves flits (the `ext_datacenter` machinery is
+/// topology-agnostic).
 #[test]
-fn datacenter_workload_runs_on_a_torus() {
+fn datacenter_workload_runs_on_a_folded_clos() {
     let mut config = SystemConfig::paper_default().with_seed(5);
-    config.noc = noc(TopologyKind::Torus, 4, 4, 2);
+    config.noc = noc(TopologyKind::FoldedClos { spines: 2 }, 4, 4, 2);
     config.policy.timing.tw_cycles = 200;
     let exp = Experiment::new(config)
         .warmup_cycles(400)
         .measure_cycles(4_000)
         .audit_conservation();
     let point = Point::new(
-        "dc-torus",
+        "dc-folded-clos",
         exp,
         Workload::Datacenter {
             config: DatacenterConfig {
