@@ -502,6 +502,14 @@ mod tests {
     }
 
     #[test]
+    fn zero_load_latency_is_small() {
+        let z = small(false)
+            .run_uniform(ZERO_LOAD_RATE, PacketSize::Fixed(4))
+            .avg_latency_cycles;
+        assert!(z > 5.0 && z < 60.0, "zero-load {z}");
+    }
+
+    #[test]
     fn splash_runs() {
         let r = small(true).run_splash(SplashApp::Radix);
         assert!(r.packets_delivered > 0);

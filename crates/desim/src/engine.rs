@@ -226,6 +226,24 @@ impl<M: SimModel> Engine<M> {
     pub fn run_to_completion(&mut self) -> RunOutcome {
         self.run_until(Picos::MAX)
     }
+
+    /// Processes exactly one event, if any is pending, and returns its
+    /// time: the single-event form of [`Engine::run_until`]'s ordering
+    /// (a due inbox event wins ties), which the tests step through.
+    #[cfg(test)]
+    fn step(&mut self) -> Option<Picos> {
+        let (time, event) = if !self.inbox.is_empty() {
+            self.pop_inbox_if_due(Picos::MAX)
+                .or_else(|| self.queue.pop())?
+        } else {
+            self.queue.pop()?
+        };
+        debug_assert!(time >= self.now);
+        self.now = time;
+        self.processed += 1;
+        self.model.handle(time, event, &mut self.queue);
+        Some(time)
+    }
 }
 
 impl<M: SimModel + std::fmt::Debug> std::fmt::Debug for Engine<M> {
@@ -242,6 +260,7 @@ impl<M: SimModel + std::fmt::Debug> std::fmt::Debug for Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::DEFAULT_BUCKET_PS;
 
     #[derive(Debug)]
     struct Echo {
@@ -304,6 +323,38 @@ mod tests {
     }
 
     #[test]
+    fn step_processes_one() {
+        let mut eng = Engine::new(Echo {
+            seen: vec![],
+            respawn: false,
+        });
+        eng.queue_mut().schedule(Picos::from_ns(4), 7);
+        assert_eq!(eng.step(), Some(Picos::from_ns(4)));
+        assert_eq!(eng.step(), None);
+    }
+
+    #[test]
+    fn with_capacity_runs_identically() {
+        let run = |mut eng: Engine<Echo>| {
+            eng.queue_mut().schedule(Picos::ZERO, 0);
+            eng.run_to_completion();
+            eng.into_model().seen
+        };
+        let plain = run(Engine::new(Echo {
+            seen: vec![],
+            respawn: true,
+        }));
+        let sized = run(Engine::with_queue(
+            Echo {
+                seen: vec![],
+                respawn: true,
+            },
+            EventQueue::with_capacity_and_width(1 << 12, Picos::from_ps(DEFAULT_BUCKET_PS)),
+        ));
+        assert_eq!(plain, sized);
+    }
+
+    #[test]
     fn inbox_wins_ties_against_calendar_events() {
         let mut eng = Engine::new(Echo {
             seen: vec![],
@@ -340,6 +391,20 @@ mod tests {
         assert!(eng.model().seen.is_empty());
         assert_eq!(eng.run_until(Picos::from_ns(5)), RunOutcome::QueueDrained);
         assert_eq!(eng.model().seen, vec![(Picos::from_ns(5), 50)]);
+    }
+
+    #[test]
+    fn step_prefers_due_inbox_event() {
+        let mut eng = Engine::new(Echo {
+            seen: vec![],
+            respawn: false,
+        });
+        eng.queue_mut().schedule(Picos::from_ns(2), 1);
+        eng.push_external(Picos::from_ns(2), 100);
+        assert_eq!(eng.step(), Some(Picos::from_ns(2)));
+        assert_eq!(eng.model().seen, vec![(Picos::from_ns(2), 100)]);
+        assert_eq!(eng.step(), Some(Picos::from_ns(2)));
+        assert_eq!(eng.model().seen.len(), 2);
     }
 
     /// A model that, on its first event at time t, schedules another event

@@ -200,6 +200,23 @@ impl Rng {
         let u = 1.0 - self.next_f64();
         -mean * u.ln()
     }
+
+    /// A geometrically distributed count of failures before a success with
+    /// success probability `p` in `(0, 1]`: the one-draw inverse transform
+    /// that the tests hold against its known mean.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `(0, 1]`.
+    #[cfg(test)]
+    fn geometric(&mut self, p: f64) -> u64 {
+        assert!(p > 0.0 && p <= 1.0, "p must be in (0,1], got {p}");
+        if p >= 1.0 {
+            return 0;
+        }
+        let u = 1.0 - self.next_f64();
+        (u.ln() / (1.0 - p).ln()) as u64
+    }
 }
 
 #[cfg(test)]
@@ -448,6 +465,18 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exponential(4.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
+    }
+
+    #[test]
+    fn geometric_mean() {
+        let mut r = Rng::seed_from(13);
+        let p: f64 = 0.25;
+        let n = 100_000;
+        let sum: u64 = (0..n).map(|_| r.geometric(p)).sum();
+        let mean = sum as f64 / n as f64;
+        let expect = (1.0 - p) / p; // 3.0
+        assert!((mean - expect).abs() < 0.1, "mean {mean}");
+        assert_eq!(r.geometric(1.0), 0);
     }
 
     #[test]

@@ -58,6 +58,25 @@ impl Picos {
         Picos(ms * 1_000_000_000)
     }
 
+    /// Creates a duration from a (non-negative, finite) number of seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `secs` is negative, NaN, or too large to represent.
+    #[cfg(test)]
+    fn from_secs_f64(secs: f64) -> Self {
+        assert!(
+            secs.is_finite() && secs >= 0.0,
+            "seconds must be finite and non-negative, got {secs}"
+        );
+        let ps = secs * 1e12;
+        assert!(
+            ps <= u64::MAX as f64,
+            "duration overflows picoseconds: {secs}s"
+        );
+        Picos(ps.round() as u64)
+    }
+
     /// Raw picosecond count.
     pub const fn as_ps(self) -> u64 {
         self.0
@@ -225,6 +244,30 @@ impl ClockDomain {
         }
     }
 
+    /// A clock domain with the given period.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    #[cfg(test)]
+    fn with_period(period: Picos) -> Self {
+        assert!(period > Picos::ZERO, "clock period must be positive");
+        ClockDomain { period }
+    }
+
+    /// A clock domain with the given frequency in Hz: the tests' check
+    /// that the paper's 625 MHz router clock is the 1600 ps period that
+    /// [`ClockDomain::router_core`] hard-codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hz` is not strictly positive and finite.
+    #[cfg(test)]
+    fn with_frequency_hz(hz: f64) -> Self {
+        assert!(hz.is_finite() && hz > 0.0, "frequency must be positive");
+        Self::with_period(Picos::from_secs_f64(1.0 / hz))
+    }
+
     /// The clock period.
     pub const fn period(self) -> Picos {
         self.period
@@ -252,6 +295,20 @@ mod tests {
         assert_eq!(Picos::from_us(2).as_ps(), 2_000_000);
         assert_eq!(Picos::from_ms(1).as_ps(), 1_000_000_000);
         assert_eq!(Picos::from_us(1).as_us_f64(), 1.0);
+    }
+
+    #[test]
+    fn from_secs_rounds() {
+        assert_eq!(Picos::from_secs_f64(1e-12), Picos::from_ps(1));
+        assert_eq!(Picos::from_secs_f64(0.0), Picos::ZERO);
+        // 1.6ns
+        assert_eq!(Picos::from_secs_f64(1.6e-9), Picos::from_ps(1600));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn from_secs_rejects_negative() {
+        let _ = Picos::from_secs_f64(-1.0);
     }
 
     #[test]
@@ -298,5 +355,18 @@ mod tests {
         assert_eq!(clk.time_of(Cycles(3)), Picos::from_ps(4800));
         assert_eq!(clk.cycle_at(Picos::from_ps(4799)), Cycles(2));
         assert_eq!(clk.cycle_at(Picos::from_ps(4800)), Cycles(3));
+    }
+
+    #[test]
+    fn frequency_constructor() {
+        let clk = ClockDomain::with_frequency_hz(625e6);
+        assert_eq!(clk.period(), Picos::from_ps(1600));
+        assert_eq!(clk, ClockDomain::router_core());
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_period_rejected() {
+        let _ = ClockDomain::with_period(Picos::ZERO);
     }
 }

@@ -110,6 +110,28 @@ mod tests {
     }
 
     #[test]
+    fn direction_ports_follow_locals() {
+        let c = cfg();
+        assert_eq!(direction_port(&c, Direction::North), PortId(8));
+        assert_eq!(direction_port(&c, Direction::South), PortId(9));
+        assert_eq!(direction_port(&c, Direction::East), PortId(10));
+        assert_eq!(direction_port(&c, Direction::West), PortId(11));
+        assert_eq!(port_direction(&c, PortId(8)), Some(Direction::North));
+        assert_eq!(port_direction(&c, PortId(11)), Some(Direction::West));
+        assert_eq!(port_direction(&c, PortId(0)), None);
+        assert_eq!(port_direction(&c, PortId(12)), None);
+        // The mesh wires every channel between those ports: each leaves on
+        // a direction's port and lands on the opposite direction's port.
+        let mut channels = Vec::new();
+        c.topo().channels(&mut channels);
+        assert!(!channels.is_empty());
+        for ch in channels {
+            let dir = port_direction(&c, ch.from_port).expect("inter-router port");
+            assert_eq!(ch.to_port, direction_port(&c, dir.opposite()));
+        }
+    }
+
+    #[test]
     fn xy_goes_x_first() {
         let c = cfg();
         let here = c.router_at(RackCoord::new(1, 1));
@@ -257,6 +279,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn hop_count_symmetric() {
+        let c = cfg();
+        let hop_count =
+            |a: NodeId, b: NodeId| c.topo().min_hops(c.router_of_node(a), c.router_of_node(b));
+        let a = c.node_at(c.router_at(RackCoord::new(0, 0)), 0);
+        let b = c.node_at(c.router_at(RackCoord::new(7, 7)), 5);
+        assert_eq!(hop_count(a, b), 14);
+        assert_eq!(hop_count(b, a), 14);
+        // Same rack: zero inter-router hops.
+        let a2 = c.node_at(c.router_at(RackCoord::new(0, 0)), 1);
+        assert_eq!(hop_count(a, a2), 0);
     }
 
     #[test]

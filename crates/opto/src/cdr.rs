@@ -14,13 +14,17 @@
 //! link is unusable for the *bit-rate transition delay* `Tbr` after every
 //! frequency hop — the central circuit constraint the paper's network policy
 //! must absorb (20 router cycles in the evaluation).
+//!
+//! The network integrates the calibrated Table 2 power instead
+//! ([`crate::presets`]), so this model is compiled for tests only: it is
+//! the Eq. 9 reference that reproduces the 150 mW calibration point and
+//! its `Vdd² · BR` trend.
 
 use crate::units::{Gbps, MilliWatts, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A PLL-based clock-and-data-recovery circuit model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Cdr {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cdr {
     switching_activity: f64,
     capacitance_f: f64,
     relock_cycles: u32,
@@ -37,7 +41,7 @@ impl Cdr {
     /// # Panics
     ///
     /// Panics on out-of-range activity or non-positive capacitance.
-    pub fn new(switching_activity: f64, capacitance_f: f64, relock_cycles: u32) -> Self {
+    fn new(switching_activity: f64, capacitance_f: f64, relock_cycles: u32) -> Self {
         assert!(
             (0.0..=1.0).contains(&switching_activity),
             "switching activity must be in [0,1]"
@@ -56,7 +60,7 @@ impl Cdr {
     /// # Panics
     ///
     /// Panics if any argument is non-positive.
-    pub fn calibrated(target: MilliWatts, vdd: Volts, br: Gbps, relock_cycles: u32) -> Self {
+    fn calibrated(target: MilliWatts, vdd: Volts, br: Gbps, relock_cycles: u32) -> Self {
         assert!(target.as_mw() > 0.0 && vdd.as_v() > 0.0 && br.as_gbps() > 0.0);
         let alpha = 0.5;
         let c = target.as_watts() / (alpha * vdd.as_v() * vdd.as_v() * br.as_bits_per_sec());
@@ -64,7 +68,7 @@ impl Cdr {
     }
 
     /// Eq. 9 — power at a supply voltage and bit rate.
-    pub fn power(&self, vdd: Volts, br: Gbps) -> MilliWatts {
+    fn power(&self, vdd: Volts, br: Gbps) -> MilliWatts {
         let w = self.switching_activity
             * self.capacitance_f
             * vdd.as_v()
@@ -75,7 +79,7 @@ impl Cdr {
 
     /// Router-core cycles the link is unusable after a bit-rate change
     /// while the timing loop re-locks (`Tbr`).
-    pub fn relock_cycles(&self) -> u32 {
+    fn relock_cycles(&self) -> u32 {
         self.relock_cycles
     }
 }

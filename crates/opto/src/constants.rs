@@ -1,31 +1,33 @@
 //! Physical constants used by the photonics models.
+//!
+//! Compiled for tests only, with the photodetector model that uses them.
 
 /// Elementary charge, in coulombs.
-pub const ELECTRON_CHARGE_C: f64 = 1.602_176_634e-19;
+pub(crate) const ELECTRON_CHARGE_C: f64 = 1.602_176_634e-19;
 
 /// Planck constant, in joule-seconds.
-pub const PLANCK_J_S: f64 = 6.626_070_15e-34;
+pub(crate) const PLANCK_J_S: f64 = 6.626_070_15e-34;
 
 /// Speed of light in vacuum, in meters per second.
-pub const SPEED_OF_LIGHT_M_S: f64 = 2.997_924_58e8;
+pub(crate) const SPEED_OF_LIGHT_M_S: f64 = 2.997_924_58e8;
 
 /// Telecom C-band wavelength used throughout the paper's link budget
 /// (1550 nm InGaAlAs VCSELs / MQW modulators), in meters.
-pub const WAVELENGTH_M: f64 = 1.55e-6;
+pub(crate) const WAVELENGTH_M: f64 = 1.55e-6;
 
 /// Optical frequency ν = c / λ at the telecom wavelength, in hertz.
-pub fn optical_frequency_hz() -> f64 {
+pub(crate) fn optical_frequency_hz() -> f64 {
     SPEED_OF_LIGHT_M_S / WAVELENGTH_M
 }
 
 /// Photon energy hν at the telecom wavelength, in joules.
-pub fn photon_energy_j() -> f64 {
+pub(crate) fn photon_energy_j() -> f64 {
     PLANCK_J_S * optical_frequency_hz()
 }
 
 /// Responsivity upper bound q/(hν): amps of photocurrent per watt of light
 /// for a unit-quantum-efficiency detector at the telecom wavelength.
-pub fn ideal_responsivity_a_per_w() -> f64 {
+pub(crate) fn ideal_responsivity_a_per_w() -> f64 {
     ELECTRON_CHARGE_C / photon_energy_j()
 }
 

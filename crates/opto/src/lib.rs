@@ -65,5 +65,18 @@ pub mod sensitivity;
 pub mod units;
 pub mod vcsel;
 
+// The receiver's device equations (paper Eqs. 6–9), compiled for tests
+// only: the network integrates the calibrated Table 2 powers in `presets`
+// (which leave out the sub-milliwatt detector), and these are the
+// references the tests hold those numbers against.
+#[cfg(test)]
+mod cdr;
+#[cfg(test)]
+mod constants;
+#[cfg(test)]
+mod photodetector;
+#[cfg(test)]
+mod tia;
+
 pub use link::{LinkPowerModel, OperatingPoint, TransmitterKind};
 pub use units::{Decibels, Gbps, MicroWatts, MilliAmps, MilliWatts, Volts};

@@ -12,14 +12,17 @@
 //! Detector power is well under a milliwatt — far below every other link
 //! component — so the paper applies no dynamic power control here; we model
 //! it anyway for completeness of the link budget.
+//!
+//! Compiled for tests only: the network leaves the detector out of its
+//! calibrated Table 2 link power, and this model is the Eq. 6 reference
+//! that shows why.
 
 use crate::constants::ideal_responsivity_a_per_w;
 use crate::units::{MicroWatts, MilliAmps, MilliWatts, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A PIN photodetector model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Photodetector {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Photodetector {
     bias_voltage: Volts,
     quantum_efficiency: f64,
     dark_current: MilliAmps,
@@ -35,13 +38,16 @@ impl Photodetector {
     /// # Panics
     ///
     /// Panics on out-of-range parameters.
-    pub fn new(bias_voltage: Volts, quantum_efficiency: f64, dark_current: MilliAmps) -> Self {
+    fn new(bias_voltage: Volts, quantum_efficiency: f64, dark_current: MilliAmps) -> Self {
         assert!(bias_voltage.as_v() > 0.0, "bias voltage must be positive");
         assert!(
             quantum_efficiency > 0.0 && quantum_efficiency <= 1.0,
             "quantum efficiency must be in (0,1]"
         );
-        assert!(dark_current.as_ma() >= 0.0, "dark current must be non-negative");
+        assert!(
+            dark_current.as_ma() >= 0.0,
+            "dark current must be non-negative"
+        );
         Photodetector {
             bias_voltage,
             quantum_efficiency,
@@ -51,27 +57,17 @@ impl Photodetector {
 
     /// A typical 10 Gb/s PIN detector: 3.3 V bias, 0.8 quantum efficiency,
     /// 5 nA dark current (paper ref. \[10\]).
-    pub fn pin_10g() -> Self {
+    fn pin_10g() -> Self {
         Photodetector::new(Volts::from_v(3.3), 0.8, MilliAmps::from_ma(5e-6))
     }
 
-    /// Reverse bias voltage.
-    pub fn bias_voltage(&self) -> Volts {
-        self.bias_voltage
-    }
-
-    /// Dark (leakage) current.
-    pub fn dark_current(&self) -> MilliAmps {
-        self.dark_current
-    }
-
     /// Responsivity in A/W: quantum efficiency times the ideal `q/hν`.
-    pub fn responsivity_a_per_w(&self) -> f64 {
+    fn responsivity_a_per_w(&self) -> f64 {
         self.quantum_efficiency * ideal_responsivity_a_per_w()
     }
 
     /// Photocurrent generated by a given incident optical power.
-    pub fn photocurrent(&self, light: MicroWatts) -> MilliAmps {
+    fn photocurrent(&self, light: MicroWatts) -> MilliAmps {
         MilliAmps::from_ma(self.responsivity_a_per_w() * light.as_uw() / 1e3)
     }
 
@@ -81,14 +77,14 @@ impl Photodetector {
     /// # Panics
     ///
     /// Panics if `cr <= 1` (no eye opening).
-    pub fn average_power(&self, prec: MicroWatts, cr: f64) -> MilliWatts {
+    fn average_power(&self, prec: MicroWatts, cr: f64) -> MilliWatts {
         assert!(cr > 1.0, "contrast ratio must exceed 1, got {cr}");
         let i_avg_ma = self.responsivity_a_per_w() * prec.as_uw() / 1e3 * (cr + 1.0) / (cr - 1.0);
         MilliAmps::from_ma(i_avg_ma) * self.bias_voltage
     }
 
     /// Static dissipation from dark current alone.
-    pub fn dark_power(&self) -> MilliWatts {
+    fn dark_power(&self) -> MilliWatts {
         self.dark_current * self.bias_voltage
     }
 }

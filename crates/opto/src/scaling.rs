@@ -59,6 +59,24 @@ impl ScalingTrend {
             ScalingTrend::Vdd2Br => v * v * b,
         }
     }
+
+    /// Whether this trend responds to supply-voltage scaling at all.
+    #[cfg(test)]
+    fn voltage_sensitive(self) -> bool {
+        matches!(
+            self,
+            ScalingTrend::Vdd | ScalingTrend::VddBr | ScalingTrend::Vdd2Br
+        )
+    }
+
+    /// Whether this trend responds to bit-rate scaling at all.
+    #[cfg(test)]
+    fn rate_sensitive(self) -> bool {
+        matches!(
+            self,
+            ScalingTrend::Br | ScalingTrend::VddBr | ScalingTrend::Vdd2Br
+        )
+    }
 }
 
 impl fmt::Display for ScalingTrend {
@@ -99,6 +117,18 @@ mod tests {
         ] {
             assert_eq!(t.factor(1.0, 1.0), 1.0, "{t}");
         }
+    }
+
+    #[test]
+    fn sensitivity_flags() {
+        assert!(!ScalingTrend::Constant.voltage_sensitive());
+        assert!(!ScalingTrend::Constant.rate_sensitive());
+        assert!(ScalingTrend::Vdd.voltage_sensitive());
+        assert!(!ScalingTrend::Vdd.rate_sensitive());
+        assert!(!ScalingTrend::Br.voltage_sensitive());
+        assert!(ScalingTrend::Br.rate_sensitive());
+        assert!(ScalingTrend::VddBr.voltage_sensitive());
+        assert!(ScalingTrend::Vdd2Br.rate_sensitive());
     }
 
     #[test]

@@ -14,13 +14,17 @@
 //! with it and the supply can scale too, giving the `Vdd · BR` scaling trend
 //! of Table 2. A lower supply also means a smaller required output swing, so
 //! less photocurrent — and hence less optical power — suffices.
+//!
+//! The network integrates the calibrated Table 2 power instead
+//! ([`crate::presets`]), so this model is compiled for tests only: it is
+//! the Eq. 7–8 reference that reproduces the 100 mW calibration point and
+//! its `Vdd · BR` trend.
 
 use crate::units::{Gbps, MilliAmps, MilliWatts, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A transimpedance amplifier model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Tia {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Tia {
     /// Bias-current-per-bandwidth constant `c`, in mA per Gb/s.
     bias_ma_per_gbps: f64,
     /// Feedback resistance `Rf` in ohms.
@@ -36,7 +40,7 @@ impl Tia {
     /// # Panics
     ///
     /// Panics if any parameter is non-positive or `swing_fraction` exceeds 1.
-    pub fn new(bias_ma_per_gbps: f64, feedback_ohms: f64, swing_fraction: f64) -> Self {
+    fn new(bias_ma_per_gbps: f64, feedback_ohms: f64, swing_fraction: f64) -> Self {
         assert!(bias_ma_per_gbps > 0.0, "bias constant must be positive");
         assert!(feedback_ohms > 0.0, "feedback resistance must be positive");
         assert!(
@@ -56,37 +60,32 @@ impl Tia {
     /// # Panics
     ///
     /// Panics if any argument is non-positive.
-    pub fn calibrated(target: MilliWatts, vdd: Volts, br_max: Gbps) -> Self {
+    fn calibrated(target: MilliWatts, vdd: Volts, br_max: Gbps) -> Self {
         assert!(target.as_mw() > 0.0 && vdd.as_v() > 0.0 && br_max.as_gbps() > 0.0);
         let c = target.as_mw() / vdd.as_v() / br_max.as_gbps();
         Tia::new(c, 500.0, 0.25)
     }
 
     /// Eq. 7 — amplifier bias current needed to support `br_max`.
-    pub fn bias_current(&self, br_max: Gbps) -> MilliAmps {
+    fn bias_current(&self, br_max: Gbps) -> MilliAmps {
         MilliAmps::from_ma(self.bias_ma_per_gbps * br_max.as_gbps())
     }
 
     /// Eq. 8 — power at a given supply and maximum supported bit rate.
-    pub fn power(&self, vdd: Volts, br_max: Gbps) -> MilliWatts {
+    fn power(&self, vdd: Volts, br_max: Gbps) -> MilliWatts {
         self.bias_current(br_max) * vdd
     }
 
     /// Output voltage swing for a given photocurrent: `Ip · Rf`.
-    pub fn output_swing(&self, photocurrent: MilliAmps) -> Volts {
+    fn output_swing(&self, photocurrent: MilliAmps) -> Volts {
         Volts::from_v(photocurrent.as_ma() / 1e3 * self.feedback_ohms)
     }
 
     /// The photocurrent required to produce the full output swing at supply
     /// `vdd` (swing requirement scales with the rail).
-    pub fn required_photocurrent(&self, vdd: Volts) -> MilliAmps {
+    fn required_photocurrent(&self, vdd: Volts) -> MilliAmps {
         let swing = vdd.as_v() * self.swing_fraction;
         MilliAmps::from_ma(swing / self.feedback_ohms * 1e3)
-    }
-
-    /// Feedback resistance `Rf` in ohms.
-    pub fn feedback_ohms(&self) -> f64 {
-        self.feedback_ohms
     }
 }
 

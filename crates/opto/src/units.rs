@@ -143,6 +143,18 @@ impl MilliWatts {
     pub const fn as_mw(self) -> f64 {
         self.0
     }
+
+    /// The value in watts.
+    #[cfg(test)]
+    pub(crate) fn as_watts(self) -> f64 {
+        self.0 / 1e3
+    }
+
+    /// Converts to microwatts (e.g. for optical power bookkeeping).
+    #[cfg(test)]
+    fn to_micro(self) -> MicroWatts {
+        MicroWatts(self.0 * 1e3)
+    }
 }
 
 impl MicroWatts {
@@ -154,6 +166,29 @@ impl MicroWatts {
     /// The value in microwatts.
     pub const fn as_uw(self) -> f64 {
         self.0
+    }
+
+    /// Converts to milliwatts.
+    #[cfg(test)]
+    fn to_milli(self) -> MilliWatts {
+        MilliWatts(self.0 / 1e3)
+    }
+
+    /// Expresses this power relative to 1 mW, in dBm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the power is not strictly positive.
+    #[cfg(test)]
+    fn as_dbm(self) -> Decibels {
+        assert!(self.0 > 0.0, "dBm undefined for non-positive power");
+        Decibels(10.0 * (self.0 / 1e3).log10())
+    }
+
+    /// Constructs an optical power from a dBm level.
+    #[cfg(test)]
+    fn from_dbm(dbm: Decibels) -> Self {
+        MicroWatts(1e3 * 10f64.powf(dbm.0 / 10.0))
     }
 
     /// Attenuates this power by a positive dB loss.
@@ -200,6 +235,12 @@ impl Gbps {
     /// The value in Gb/s.
     pub const fn as_gbps(self) -> f64 {
         self.0
+    }
+
+    /// The value in bits per second.
+    #[cfg(test)]
+    pub(crate) fn as_bits_per_sec(self) -> f64 {
+        self.0 * 1e9
     }
 
     /// Time to serialize `bits` at this rate, in picoseconds (rounded).
@@ -284,6 +325,25 @@ mod tests {
     }
 
     #[test]
+    fn micro_milli_round_trip() {
+        let p = MilliWatts::from_mw(0.025);
+        assert!((p.to_micro().as_uw() - 25.0).abs() < 1e-12);
+        assert!((MicroWatts::from_uw(25.0).to_milli().as_mw() - 0.025).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dbm_conversions() {
+        // 1 mW = 0 dBm
+        let p = MicroWatts::from_uw(1000.0);
+        assert!(p.as_dbm().as_db().abs() < 1e-12);
+        // 100 µW = -10 dBm
+        let p = MicroWatts::from_uw(100.0);
+        assert!((p.as_dbm().as_db() + 10.0).abs() < 1e-9);
+        let back = MicroWatts::from_dbm(Decibels::from_db(-10.0));
+        assert!((back.as_uw() - 100.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn attenuation() {
         let p = MicroWatts::from_uw(1000.0);
         let out = p.attenuate(Decibels::from_db(3.0));
@@ -307,5 +367,11 @@ mod tests {
         assert_eq!(Gbps::from_gbps(5.0).serialization_ps(16), 3200);
         // at 7 Gb/s, a non-integral number of cycles
         assert_eq!(Gbps::from_gbps(7.0).serialization_ps(16), 2286);
+    }
+
+    #[test]
+    #[should_panic(expected = "dBm undefined")]
+    fn dbm_of_zero_panics() {
+        let _ = MicroWatts::ZERO.as_dbm();
     }
 }

@@ -117,6 +117,29 @@ impl Histogram {
         }
         (self.overflow_edge(), true)
     }
+
+    /// Merges another histogram with identical geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometries differ.
+    #[cfg(test)]
+    fn merge(&mut self, other: &Histogram) {
+        assert_eq!(
+            self.bucket_width, other.bucket_width,
+            "bucket width mismatch"
+        );
+        assert_eq!(
+            self.buckets.len(),
+            other.buckets.len(),
+            "bucket count mismatch"
+        );
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.overflow += other.overflow;
+        self.count += other.count;
+    }
 }
 
 #[cfg(test)]
@@ -197,10 +220,38 @@ mod tests {
     }
 
     #[test]
+    fn merge_adds_counts() {
+        let mut a = Histogram::new(1.0, 3);
+        let mut b = Histogram::new(1.0, 3);
+        a.record(0.5);
+        b.record(0.5);
+        b.record(2.5);
+        a.merge(&b);
+        assert_eq!(a.buckets, [2, 0, 1]);
+        assert_eq!(a.count(), 3);
+    }
+
+    #[test]
     #[should_panic(expected = "empty")]
     fn percentile_of_empty_panics() {
         let h = Histogram::new(1.0, 3);
         let _ = h.percentile(50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket width mismatch")]
+    fn merge_width_checked() {
+        let mut a = Histogram::new(1.0, 3);
+        let b = Histogram::new(2.0, 3);
+        a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket count mismatch")]
+    fn merge_count_checked() {
+        let mut a = Histogram::new(1.0, 3);
+        let b = Histogram::new(1.0, 4);
+        a.merge(&b);
     }
 
     proptest! {

@@ -133,6 +133,16 @@ mod tests {
     }
 
     #[test]
+    fn iter_oldest_first() {
+        let mut w = SlidingWindow::new(3);
+        for x in [1.0, 2.0, 3.0, 4.0] {
+            w.push(x);
+        }
+        let v: Vec<f64> = w.items.iter().copied().collect();
+        assert_eq!(v, vec![2.0, 3.0, 4.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         let _ = SlidingWindow::new(0);

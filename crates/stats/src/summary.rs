@@ -54,6 +54,28 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
+    /// Merges another summary into this one (Chan et al.'s pairwise
+    /// combination of count, mean and M2).
+    #[cfg(test)]
+    fn merge(&mut self, other: &Summary) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = other.clone();
+            return;
+        }
+        let n1 = self.count as f64;
+        let n2 = other.count as f64;
+        let delta = other.mean - self.mean;
+        let total = n1 + n2;
+        self.mean += delta * n2 / total;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.count += other.count;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -165,6 +187,30 @@ mod tests {
     }
 
     #[test]
+    fn merge_equals_sequential() {
+        let mut a: Summary = [1.0, 2.0, 3.0].into_iter().collect();
+        let b: Summary = [10.0, 20.0].into_iter().collect();
+        a.merge(&b);
+        let all: Summary = [1.0, 2.0, 3.0, 10.0, 20.0].into_iter().collect();
+        assert_eq!(a.count(), all.count());
+        assert!((a.mean() - all.mean()).abs() < 1e-12);
+        assert!((a.variance() - all.variance()).abs() < 1e-12);
+        assert_eq!(a.min(), all.min());
+        assert_eq!(a.max(), all.max());
+    }
+
+    #[test]
+    fn merge_with_empty() {
+        let mut a: Summary = [1.0].into_iter().collect();
+        a.merge(&Summary::new());
+        assert_eq!(a.count(), 1);
+        let mut e = Summary::new();
+        e.merge(&a);
+        assert_eq!(e.count(), 1);
+        assert_eq!(e.mean(), 1.0);
+    }
+
+    #[test]
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         let mut s = Summary::new();
@@ -184,6 +230,20 @@ mod tests {
         fn variance_non_negative(xs in proptest::collection::vec(-1e6f64..1e6, 0..200)) {
             let s: Summary = xs.iter().copied().collect();
             prop_assert!(s.variance() >= 0.0);
+        }
+
+        #[test]
+        fn merge_matches_sequential_prop(
+            xs in proptest::collection::vec(-1e3f64..1e3, 0..50),
+            ys in proptest::collection::vec(-1e3f64..1e3, 0..50),
+        ) {
+            let mut a: Summary = xs.iter().copied().collect();
+            let b: Summary = ys.iter().copied().collect();
+            a.merge(&b);
+            let all: Summary = xs.iter().chain(ys.iter()).copied().collect();
+            prop_assert_eq!(a.count(), all.count());
+            prop_assert!((a.mean() - all.mean()).abs() < 1e-6);
+            prop_assert!((a.variance() - all.variance()).abs() < 1e-4);
         }
     }
 }

@@ -55,6 +55,22 @@ impl Trace {
         self.records.is_empty()
     }
 
+    /// Appends a record, keeping time order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record is earlier than the current last record.
+    #[cfg(test)]
+    fn push(&mut self, record: TraceRecord) {
+        if let Some(last) = self.records.last() {
+            assert!(
+                record.at_ps >= last.at_ps,
+                "records must be appended in time order"
+            );
+        }
+        self.records.push(record);
+    }
+
     /// Serializes to JSON.
     ///
     /// # Errors
@@ -137,6 +153,23 @@ mod tests {
         assert_eq!(times, vec![10, 20, 30]);
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn push_in_order() {
+        let mut t = Trace::default();
+        t.push(rec(5));
+        t.push(rec(5));
+        t.push(rec(9));
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "time order")]
+    fn push_out_of_order_rejected() {
+        let mut t = Trace::default();
+        t.push(rec(9));
+        t.push(rec(5));
     }
 
     #[test]
