@@ -13,24 +13,21 @@
 //! Every point runs with the flit/credit conservation auditor enabled,
 //! and the scenario honours `--shards N` — the 32×32 mesh under
 //! `--shards 2` is the acceptance gate for topology-provided shard cuts.
-//! `--topology` applies to the mesh scenario only (the folded-Clos
-//! scenario always runs; see TOPOLOGIES.md).
 //!
 //! Run: `cargo run --release -p lumen-bench --bin ext_datacenter
-//! [--quick] [--jobs N] [--shards N] [--topology T]`
+//! [--quick] [--jobs N] [--shards N]`
 
 use lumen_bench::{banner, defaults, run_points, write_trace, BenchArgs};
 use lumen_core::prelude::*;
 use lumen_policy::OnOffConfig;
 use lumen_stats::csv::CsvBuilder;
 
-/// The 32×32 single-node-per-rack mesh (`--topology` applies here).
-fn scaleout_noc(args: &BenchArgs) -> NocConfig {
+/// The 32×32 single-node-per-rack mesh.
+fn scaleout_noc() -> NocConfig {
     let mut noc = NocConfig::paper_default();
     noc.width = 32;
     noc.height = 32;
     noc.nodes_per_rack = 1;
-    args.apply_topology(&mut noc);
     noc
 }
 
@@ -57,7 +54,7 @@ fn main() {
     // Scenario: (name, fabric). The workload derives from each fabric's
     // node count so both run at a comparable per-node intensity.
     let scenarios = [
-        ("mesh-32x32", scaleout_noc(&args)),
+        ("mesh-32x32", scaleout_noc()),
         ("folded-clos", fattree_noc()),
     ];
     let dc_for = |noc: &NocConfig| {

@@ -17,12 +17,10 @@
 //! thread count are pure performance knobs). `--quick` shrinks both the
 //! horizons and the trial budget for CI smoke runs; `--trace PATH`
 //! re-runs the best discovered policy and the Table 1 reference with
-//! telemetry recording and writes the merged trace; `--topology`
-//! re-fabrics the two mesh scenarios (the datacenter scenario keeps its
-//! folded Clos).
+//! telemetry recording and writes the merged trace.
 //!
 //! Run: `cargo run --release -p lumen-bench --bin ext_dse -- [--quick]
-//! [--jobs N] [--shards N] [--topology T] [--trace PATH] [--out DIR]
+//! [--jobs N] [--shards N] [--trace PATH] [--out DIR]
 //! [--seed N] [--trials N] [--survivors N] [--batch N] [--min-delivery X]`
 
 use lumen_bench::{banner, defaults, write_trace, BenchArgs, ParseOutcome, RunScale};
@@ -137,14 +135,12 @@ fn fattree_noc() -> NocConfig {
     noc
 }
 
-fn scenarios(args: &BenchArgs, dse_args: &DseArgs, scale: RunScale) -> Vec<Scenario> {
+fn scenarios(dse_args: &DseArgs, scale: RunScale) -> Vec<Scenario> {
     let warmup = scale.cycles(defaults::WARMUP_CYCLES);
     let measure = scale.cycles(defaults::MEASURE_CYCLES);
-    let mesh_config = |group: u64| {
+    let mesh = {
         let mut config = SystemConfig::paper_default();
         config.seed = dse_args.seed;
-        args.apply_topology(&mut config.noc);
-        let _ = group;
         config
     };
 
@@ -162,7 +158,7 @@ fn scenarios(args: &BenchArgs, dse_args: &DseArgs, scale: RunScale) -> Vec<Scena
     vec![
         Scenario {
             name: "fig5-uniform".into(),
-            config: mesh_config(0),
+            config: mesh.clone(),
             workload: DseWorkload::Uniform { rate: 0.3 },
             group: 0,
             warmup_cycles: warmup,
@@ -170,7 +166,7 @@ fn scenarios(args: &BenchArgs, dse_args: &DseArgs, scale: RunScale) -> Vec<Scena
         },
         Scenario {
             name: "fig6-hotspot".into(),
-            config: mesh_config(1),
+            config: mesh,
             workload: DseWorkload::HotspotCompressed,
             group: 1,
             warmup_cycles: warmup,
@@ -249,7 +245,7 @@ fn main() {
     };
     dse.validate();
 
-    let scenarios = scenarios(&args, &dse_args, scale);
+    let scenarios = scenarios(&dse_args, scale);
     let executor = args.executor();
     println!(
         "\n{} scenarios x ({} quick trials -> {} full survivors{}), batch {}, \

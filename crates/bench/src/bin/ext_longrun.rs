@@ -121,10 +121,8 @@ fn run_child(args: &BenchArgs, factor: u64) {
     let base = scale.cycles(defaults::MEASURE_CYCLES);
     let measure = base * factor;
 
-    let mut noc = NocConfig::paper_default();
-    args.apply_topology(&mut noc);
-    let mut config = SystemConfig::paper_default();
-    config.noc = noc.clone();
+    let config = SystemConfig::paper_default();
+    let workload = diurnal_workload(&config.noc, base);
     // Retention is the point of this harness: keep the last 8 windows
     // dense per link, decimate beyond, never exceed 16 windows of rows.
     let telemetry = TelemetryConfig {
@@ -138,11 +136,7 @@ fn run_child(args: &BenchArgs, factor: u64) {
         .measure_cycles(measure)
         .telemetry(telemetry)
         .audit_conservation();
-    let mut points = vec![Point::new(
-        format!("diurnal {factor}x"),
-        exp,
-        diurnal_workload(&noc, base),
-    )];
+    let mut points = vec![Point::new(format!("diurnal {factor}x"), exp, workload)];
     if factor > 1 {
         // --checkpoint / --resume target the long run: that is the one
         // worth snapshotting, and the one CI round-trips.
@@ -183,11 +177,7 @@ fn run_parent(args: &BenchArgs, argv: &[String]) {
         "Extension",
         "long-horizon diurnal serving with flat-memory telemetry",
     );
-    let noc = {
-        let mut noc = NocConfig::paper_default();
-        args.apply_topology(&mut noc);
-        noc
-    };
+    let noc = NocConfig::paper_default();
     println!(
         "\nfabric: {} routers / {} nodes, retention 8 windows/link, \
          horizons {:?} x {} measured cycles; one child process per horizon\n",

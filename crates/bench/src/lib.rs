@@ -52,13 +52,6 @@ pub struct BenchArgs {
     /// leaves telemetry off entirely; a `.csv` suffix selects CSV, any
     /// other suffix JSON Lines (see OBSERVABILITY.md for the schema).
     pub trace: Option<String>,
-    /// Fabric geometry override (`--topology mesh|folded-clos[:S]`,
-    /// default `None` = keep each harness's configured topology — the
-    /// paper's mesh for the figure/table harnesses). `folded-clos`
-    /// defaults to 4 spine routers; `folded-clos:S` selects `S`. Only
-    /// harnesses that call [`BenchArgs::apply_topology`] honour it; see
-    /// TOPOLOGIES.md for what each geometry means.
-    pub topology: Option<TopologyKind>,
     /// Mid-run checkpointing (`--checkpoint PATH@CYCLE`): every point
     /// saves a `lumen-ckpt/4` snapshot at the given router cycle and then
     /// runs to completion. Multi-point sweeps write one file per point
@@ -118,7 +111,6 @@ impl BenchArgs {
         let mut jobs = Executor::available().jobs();
         let mut shards = 1usize;
         let mut trace = None;
-        let mut topology = None;
         let mut checkpoint = None;
         let mut resume = None;
         let mut extras = Vec::new();
@@ -145,12 +137,6 @@ impl BenchArgs {
                         .ok_or_else(|| ParseOutcome::Error("`--trace` needs a path".into()))?;
                     trace = Some(parse_trace(value)?);
                 }
-                "--topology" => {
-                    let value = it.next().ok_or_else(|| {
-                        ParseOutcome::Error("`--topology` needs a geometry name".into())
-                    })?;
-                    topology = Some(parse_topology(value)?);
-                }
                 "--checkpoint" => {
                     let value = it.next().ok_or_else(|| {
                         ParseOutcome::Error("`--checkpoint` needs PATH@CYCLE".into())
@@ -170,8 +156,6 @@ impl BenchArgs {
                         shards = parse_shards(value)?;
                     } else if let Some(value) = other.strip_prefix("--trace=") {
                         trace = Some(parse_trace(value)?);
-                    } else if let Some(value) = other.strip_prefix("--topology=") {
-                        topology = Some(parse_topology(value)?);
                     } else if let Some(value) = other.strip_prefix("--checkpoint=") {
                         checkpoint = Some(parse_checkpoint(value)?);
                     } else if let Some(value) = other.strip_prefix("--resume=") {
@@ -195,27 +179,11 @@ impl BenchArgs {
                 jobs,
                 shards,
                 trace,
-                topology,
                 checkpoint,
                 resume,
             },
             extras,
         ))
-    }
-
-    /// Applies the `--topology` override (if any) to a NoC configuration,
-    /// returning whether it changed. Harnesses that support alternative
-    /// geometries call this on each scenario's config; harnesses pinned
-    /// to the paper's mesh simply never call it, and the flag parses but
-    /// has no effect there (their banner output stays comparable).
-    pub fn apply_topology(&self, noc: &mut NocConfig) -> bool {
-        match self.topology {
-            Some(kind) if noc.topology != kind => {
-                noc.topology = kind;
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Applies `--checkpoint PATH@CYCLE` / `--resume PATH` to every point
@@ -285,7 +253,7 @@ impl BenchArgs {
     /// The usage text shared by every harness binary.
     pub fn usage() -> String {
         format!(
-            "usage: <harness> [--quick] [--jobs N] [--shards N] [--trace PATH] [--topology T] \
+            "usage: <harness> [--quick] [--jobs N] [--shards N] [--trace PATH] \
              [--checkpoint P@C | --resume P] [--help]\n\
              \n\
              options:\n\
@@ -299,9 +267,6 @@ impl BenchArgs {
              \x20 --trace PATH     record per-link telemetry for every point\n\
              \x20                  and write a merged trace (JSONL; CSV if\n\
              \x20                  PATH ends in .csv) — see OBSERVABILITY.md\n\
-             \x20 --topology T     fabric geometry for harnesses that\n\
-             \x20                  support it: mesh or\n\
-             \x20                  folded-clos[:spines] (see TOPOLOGIES.md)\n\
              \x20 --checkpoint P@C save a lumen-ckpt/4 snapshot of every\n\
              \x20                  point at router cycle C to path P, then\n\
              \x20                  run to completion (see CHECKPOINTS.md)\n\
@@ -338,24 +303,6 @@ fn parse_shards(value: &str) -> Result<usize, ParseOutcome> {
         _ => Err(ParseOutcome::Error(format!(
             "`--shards` needs a positive integer, got `{value}`"
         ))),
-    }
-}
-
-fn parse_topology(value: &str) -> Result<TopologyKind, ParseOutcome> {
-    match value {
-        "mesh" => Ok(TopologyKind::Mesh),
-        "folded-clos" => Ok(TopologyKind::FoldedClos { spines: 4 }),
-        other => {
-            if let Some(spec) = other.strip_prefix("folded-clos:") {
-                match spec.parse::<u8>() {
-                    Ok(spines) if spines >= 1 => return Ok(TopologyKind::FoldedClos { spines }),
-                    _ => {}
-                }
-            }
-            Err(ParseOutcome::Error(format!(
-                "`--topology` needs mesh or folded-clos[:spines], got `{other}`"
-            )))
-        }
     }
 }
 
@@ -576,40 +523,7 @@ mod tests {
         assert_eq!(a.jobs, Executor::available().jobs());
         assert_eq!(a.shards, 1);
         assert_eq!(a.trace, None);
-        assert_eq!(a.topology, None);
         assert!(!a.telemetry().enabled(), "no --trace, no telemetry cost");
-    }
-
-    #[test]
-    fn args_topology_forms() {
-        for (form, want) in [
-            (argv(&["--topology", "mesh"]), TopologyKind::Mesh),
-            (
-                argv(&["--topology", "folded-clos"]),
-                TopologyKind::FoldedClos { spines: 4 },
-            ),
-            (
-                argv(&["--topology=folded-clos:8"]),
-                TopologyKind::FoldedClos { spines: 8 },
-            ),
-        ] {
-            let a = BenchArgs::try_parse(&form).unwrap();
-            assert_eq!(a.topology, Some(want), "{form:?}");
-        }
-    }
-
-    #[test]
-    fn apply_topology_only_changes_when_asked() {
-        let mut noc = lumen_noc::NocConfig::paper_default();
-        let none = BenchArgs::try_parse(&[]).unwrap();
-        assert!(!none.apply_topology(&mut noc));
-        assert_eq!(noc.topology, TopologyKind::Mesh);
-
-        let clos = BenchArgs::try_parse(&argv(&["--topology", "folded-clos"])).unwrap();
-        assert!(clos.apply_topology(&mut noc));
-        assert_eq!(noc.topology, TopologyKind::FoldedClos { spines: 4 });
-        // Idempotent: already that Clos, nothing to change.
-        assert!(!clos.apply_topology(&mut noc));
     }
 
     #[test]
@@ -788,23 +702,16 @@ mod tests {
             argv(&["--trace"]),
             argv(&["--trace="]),
             argv(&["--trace", "--quick"]),
-            argv(&["--topology"]),
-            argv(&["--topology", "ring"]),
-            argv(&["--topology=folded-clos:0"]),
-            argv(&["--topology=folded-clos:x"]),
+            // Each harness runs the fabric it was written for; there is
+            // no flag to swap it.
+            argv(&["--topology", "mesh"]),
+            argv(&["--topology=folded-clos"]),
             argv(&["extra"]),
         ] {
             match BenchArgs::try_parse(&bad) {
                 Err(ParseOutcome::Error(_)) => {}
                 other => panic!("{bad:?} parsed as {other:?}"),
             }
-        }
-        // A fabric that is not built in is refused, naming the ones that are.
-        match BenchArgs::try_parse(&argv(&["--topology", "torus"])) {
-            Err(ParseOutcome::Error(msg)) => {
-                assert!(msg.contains("mesh") && msg.contains("folded-clos"), "{msg}")
-            }
-            other => panic!("parsed as {other:?}"),
         }
     }
 
@@ -850,7 +757,6 @@ mod tests {
             ("--jobs", Some("-j"), Some("2")),
             ("--shards", Some("-s"), Some("2")),
             ("--trace", None, Some("t.jsonl")),
-            ("--topology", None, Some("folded-clos")),
             ("--checkpoint", None, Some("c.ckpt@10")),
             ("--resume", None, Some("c.ckpt")),
             ("--help", Some("-h"), None),
@@ -925,7 +831,6 @@ mod tests {
             jobs: 1,
             shards: 1,
             trace: Some(jsonl.to_str().unwrap().into()),
-            topology: None,
             checkpoint: None,
             resume: None,
         };

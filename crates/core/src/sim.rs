@@ -375,10 +375,13 @@ impl PowerAwareSim {
         };
         // Calendar sizing: each link can have a flit and a credit in
         // flight per cycle, spread over a few cycles of serialization
-        // fan-out, plus the tick/policy/laser/fault tail. Buckets are one
-        // router cycle wide so same-cycle arrivals drain as one batch.
+        // fan-out, plus the tick/policy/laser/fault tail. Lanes are an
+        // eighth of a cycle wide (128 ps at 625 MHz), narrower than the
+        // gap between the instants ticks, flits and credits land on, so a
+        // lane nearly always holds one instant and loads without a sort.
         let capacity = link_count * 8 + 64;
-        let queue = EventQueue::with_capacity_and_width(capacity, cycle);
+        let lane = (cycle / 8).max(Picos::from_ps(1));
+        let queue = EventQueue::with_capacity_and_width(capacity, lane);
         let mut engine = Engine::with_queue(sim, queue);
         engine.queue_mut().schedule(Picos::ZERO, SimEvent::CoreTick);
         if three_level {

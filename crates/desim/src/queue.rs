@@ -1,36 +1,56 @@
 //! The event calendar: a **bucketed cycle wheel**.
 //!
-//! A ring of [`WHEEL_SLOTS`] per-bucket FIFO lanes, each bucket one router
-//! cycle wide by default, plus an overflow binary heap for far-future
-//! events (policy transition completions, laser decisions, fault onsets).
-//! The cycle-synchronous common case — every flit/credit arrival landing
-//! within a few cycles of `now` — becomes an O(1) lane append and an
-//! amortized O(1) drain of a sorted `Vec`, instead of O(log n) heap sifts
-//! per event.
+//! A ring of [`WHEEL_SLOTS`] FIFO lanes, each lane a fixed span of time
+//! (an eighth of a router cycle on the simulator's calendar), plus an
+//! overflow binary heap for events beyond the ring's horizon (policy
+//! transitions, laser decisions, fault onsets). Scheduling an event
+//! within the horizon is an O(1) lane append; popping swaps the next
+//! nonempty lane into a drain buffer and takes entries off its back.
+//!
+//! Lanes fill in sequence order, so a lane whose entries share one
+//! instant is already in `(time, seq)` order when it is loaded: it is
+//! only reversed, never sorted. With lanes narrower than the gap between
+//! the instants the simulator schedules, nearly every lane is such a
+//! lane. A lane that mixes instants, merges overflow entries out of
+//! order, or takes an insertion while it drains falls back to one sort
+//! of its entries by `(time, seq)`. [`EventQueue::resorted_total`] counts
+//! those sorts and [`EventQueue::spilled_total`] the entries that went to
+//! the overflow heap.
 //!
 //! Events are delivered in nondecreasing `(time, seq)` order, i.e. FIFO
 //! among events scheduled for the same instant — exactly the order of a
 //! plain binary heap keyed on `(time, seq)`. The property tests in
 //! `tests/tests/event_core.rs` pin that equivalence against such a heap
-//! model, for arbitrary schedules and for a full power-aware run.
+//! model, for arbitrary schedules, for schedules on the simulator's time
+//! lattice, and for a full power-aware run.
 
 use crate::time::Picos;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Default bucket width: one 625 MHz router-core cycle (1600 ps). Widths
-/// are rounded *down* to a power of two internally (1024 ps here) so
-/// bucket indexing compiles to a shift; this only changes how events are
-/// grouped into lanes, never the delivery order. Rounding down (not up)
-/// matters for speed: with buckets no wider than the cycle, an event
-/// scheduled a cycle or more ahead always lands in a *later* bucket, so
-/// the in-progress drain almost never takes a mid-flight insertion and
-/// the re-sort path stays cold.
-pub(crate) const DEFAULT_BUCKET_PS: u64 = 1600;
+/// Default lane width: an eighth of a 625 MHz router-core cycle (200 ps
+/// of the 1600 ps cycle). Widths are rounded *down* to a power of two
+/// internally (128 ps here) so lane indexing compiles to a shift; this
+/// only changes how events are grouped into lanes, never the delivery
+/// order.
+///
+/// Why an eighth: the simulator schedules ticks on cycle multiples and
+/// flit and credit arrivals at those plus a link's serialization and
+/// propagation time, and on the built-in ladders distinct instants sit
+/// at least 178 ps apart within a cycle (the 5–10 Gb/s ladder) or, at
+/// worst, 48 ps (the 3.3–10 Gb/s one). A 128 ps lane therefore almost
+/// always holds a single instant and loads without a sort. A lane as wide
+/// as the cycle (1024 ps) held about three instants on the 8×8 mesh,
+/// scheduled interleaved, and only 13% of such lanes arrived in order.
+pub(crate) const DEFAULT_BUCKET_PS: u64 = 1600 / 8;
 
-/// Number of near-future buckets in the wheel (must be a power of two).
-/// 256 cycles comfortably covers flit serialization at the slowest ladder
-/// rate and credit round-trips; anything further out is overflow.
+/// Number of lanes in the wheel (must be a power of two). At 128 ps lanes
+/// the ring spans 32.8 ns, about 20 router cycles: more than three times
+/// the slowest flit hop on any built-in or searched ladder (serialization
+/// at 3.0 Gb/s plus propagation, 8.5 ns), so flit, credit and tick events
+/// never spill and only policy, fault and laser events reach the overflow
+/// heap. A longer ring is not free: every lane keeps the buffer it grew,
+/// and 2048 lanes raised the 8×8 mesh's peak RSS from 12.2 to 59.2 MiB.
 pub const WHEEL_SLOTS: usize = 256;
 
 const SLOT_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
@@ -82,7 +102,8 @@ impl<E> Ord for Entry<E> {
 ///   `drain_sorted`, it is sorted *descending* by `(time, seq)` so the
 ///   earliest entry pops off the back in O(1).
 /// - every slot holds entries of exactly one absolute bucket in
-///   `(cursor, cursor + WHEEL_SLOTS)`; a bucket index maps to slot
+///   `(cursor, cursor + WHEEL_SLOTS)`, in the order they were scheduled,
+///   so ascending by `seq`; a bucket index maps to slot
 ///   `bucket & SLOT_MASK`.
 /// - `overflow` holds entries whose bucket was `>= cursor + WHEEL_SLOTS`
 ///   at schedule time; they are pulled into `drain` when the cursor
@@ -90,8 +111,9 @@ impl<E> Ord for Entry<E> {
 struct Wheel<E> {
     /// log2 of the bucket width: the requested width is rounded down to a
     /// power of two so bucket indexing is a shift, not a 64-bit division
-    /// (which is a measurable cost at two ops per event). See
-    /// [`DEFAULT_BUCKET_PS`] for why down rather than up.
+    /// (which is a measurable cost at two ops per event). Down rather than
+    /// up, so a lane is never wider than asked for: a wider lane could take
+    /// in a second instant and need the sort (see [`DEFAULT_BUCKET_PS`]).
     shift: u32,
     slots: Vec<Vec<Entry<E>>>,
     /// Absolute index of the bucket currently draining.
@@ -101,6 +123,10 @@ struct Wheel<E> {
     /// Entries across all slots (excluding `drain` and `overflow`).
     in_slots: usize,
     overflow: BinaryHeap<Entry<E>>,
+    /// Entries ever pushed onto `overflow`.
+    spilled: u64,
+    /// Drains ever sorted by the full key (lanes not loaded in order).
+    resorted: u64,
 }
 
 impl<E> Wheel<E> {
@@ -119,6 +145,8 @@ impl<E> Wheel<E> {
             drain_sorted: true,
             in_slots: 0,
             overflow: BinaryHeap::with_capacity(capacity / 16),
+            spilled: 0,
+            resorted: 0,
         }
     }
 
@@ -150,6 +178,7 @@ impl<E> Wheel<E> {
             self.in_slots += 1;
         } else {
             self.overflow.push(entry);
+            self.spilled += 1;
         }
     }
 
@@ -161,6 +190,7 @@ impl<E> Wheel<E> {
         self.drain
             .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
         self.drain_sorted = true;
+        self.resorted += 1;
     }
 
     /// Advances the cursor to the next pending bucket and loads it into
@@ -200,7 +230,15 @@ impl<E> Wheel<E> {
             self.drain
                 .push(self.overflow.pop().expect("peeked entry must pop"));
         }
-        self.sort_drain();
+        // A lane of one instant was filled in `seq` order and is already
+        // ascending by key; only a lane that mixes instants (or merged
+        // overflow entries behind later ones) needs the full sort.
+        if self.drain.is_sorted_by_key(Entry::key) {
+            self.drain.reverse();
+            self.drain_sorted = true;
+        } else {
+            self.sort_drain();
+        }
     }
 
     fn pop_if_at_or_before(&mut self, horizon: Picos) -> Option<(Picos, E)> {
@@ -289,17 +327,17 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty wheel-backed queue with the default bucket width
-    /// (one router-core cycle, `DEFAULT_BUCKET_PS`).
+    /// Creates an empty wheel-backed queue with the default lane width
+    /// (an eighth of a router-core cycle, `DEFAULT_BUCKET_PS`).
     pub fn new() -> Self {
         Self::with_capacity_and_width(0, Picos::from_ps(DEFAULT_BUCKET_PS))
     }
 
-    /// Creates an empty wheel-backed queue whose buckets are `width` wide
-    /// (typically the driving clock's cycle, so that the near-future ring
-    /// holds about one FIFO lane per cycle). The width is rounded down to
-    /// a power of two so bucket indexing is a shift; delivery order is
-    /// unaffected.
+    /// Creates an empty wheel-backed queue whose lanes are `width` wide
+    /// (best narrower than the gap between the distinct instants the
+    /// model schedules, so that a lane holds one instant and loads without
+    /// a sort; see the module docs). The width is rounded down to a power
+    /// of two so lane indexing is a shift; delivery order is unaffected.
     ///
     /// # Panics
     ///
@@ -377,6 +415,20 @@ impl<E> EventQueue<E> {
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// Number of events ever scheduled beyond the wheel's horizon, into
+    /// the overflow heap.
+    pub fn spilled_total(&self) -> u64 {
+        self.wheel.spilled
+    }
+
+    /// Number of times a lane had to be sorted by `(time, seq)` before it
+    /// could be drained: it mixed instants, merged overflow entries out of
+    /// order, or took an insertion while draining. A lane that arrives in
+    /// order is only reversed and is not counted.
+    pub fn resorted_total(&self) -> u64 {
+        self.wheel.resorted
     }
 
     /// Removes **every** pending event and returns them in delivery
@@ -524,19 +576,26 @@ mod tests {
         // bucket). It must be delivered after already-queued events at t
         // (FIFO) but before the next bucket.
         let mut q = EventQueue::new();
+        // An empty queue takes its first event straight into the drain,
+        // so anchor the cursor at zero and let the rest fill a lane.
+        q.schedule(Picos::ZERO, 0);
         q.schedule(Picos::from_ps(1000), 1);
         q.schedule(Picos::from_ps(1000), 2);
         q.schedule(Picos::from_ps(3200), 9);
+        assert_eq!(q.pop(), Some((Picos::ZERO, 0)));
         assert_eq!(q.pop(), Some((Picos::from_ps(1000), 1)));
-        // Mid-drain insertions: same instant, and same bucket but later.
+        assert_eq!(q.resorted_total(), 0, "a one-instant lane loads in order");
+        // Mid-drain insertions: same instant, and same 128 ps lane but later.
         q.schedule(Picos::from_ps(1000), 3);
-        q.schedule(Picos::from_ps(1500), 4);
+        q.schedule(Picos::from_ps(1010), 4);
         assert_eq!(q.pop(), Some((Picos::from_ps(1000), 2)));
+        assert_eq!(q.resorted_total(), 1, "a mid-drain insertion re-sorts");
         assert_eq!(q.pop(), Some((Picos::from_ps(1000), 3)));
-        assert_eq!(q.peek_time(), Some(Picos::from_ps(1500)));
-        assert_eq!(q.pop(), Some((Picos::from_ps(1500), 4)));
+        assert_eq!(q.peek_time(), Some(Picos::from_ps(1010)));
+        assert_eq!(q.pop(), Some((Picos::from_ps(1010), 4)));
         assert_eq!(q.pop(), Some((Picos::from_ps(3200), 9)));
         assert_eq!(q.pop(), None);
+        assert_eq!(q.resorted_total(), 1);
     }
 
     #[test]
@@ -552,6 +611,7 @@ mod tests {
         assert_eq!(q.peek_time(), Some(Picos::from_ns(1)));
         assert_eq!(q.pop(), Some((Picos::from_ns(1), 2)));
         assert_eq!(q.pop(), Some((Picos::from_ns(500), 3)));
+        assert_eq!(q.spilled_total(), 1);
     }
 
     #[test]
@@ -644,5 +704,6 @@ mod tests {
         assert_eq!(q.len(), 0);
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 3);
+        assert_eq!(q.spilled_total(), 1);
     }
 }
