@@ -20,6 +20,12 @@
 //!   5. **Activity sets** — a source is in the network's active set iff
 //!      it has queued flits, and a router iff it is not idle. A missed
 //!      member would silently stop stepping (DESIGN.md §6j).
+//!   6. **Router caches** — no VC ring holds more flits than its depth,
+//!      each input port's buffered-flit count equals the flits in its VC
+//!      rings, and each router's buffered-flit count equals the flits in
+//!      all its rings (DESIGN.md §6k). The counts feed the `Bu`
+//!      statistic and the idle test, and the rings are what the other
+//!      invariants count, so a drifted cache would skew both unseen.
 //!
 //! - [`audit_quiescent`] additionally requires the stronger equalities
 //!   that only hold once the network has drained: every credit returned
@@ -28,8 +34,10 @@
 //! Fault-injection runs lean on this: dropped packets must be accounted,
 //! not leaked, and a faulted link must never corrupt the credit economy.
 
+use crate::ids::{PortId, VcId};
 use crate::link::Endpoint;
 use crate::network::Network;
+use crate::router::Router;
 use std::fmt;
 
 /// Counter snapshot plus any invariant violations found.
@@ -102,11 +110,20 @@ pub fn audit(net: &Network) -> AuditReport {
         .links()
         .map(|l| l.flits_sent() - l.flits_arrived())
         .sum();
-    let flits_buffered: u64 = net
-        .routers()
-        .flat_map(|r| r.inputs.iter())
-        .map(|p| p.buffer.total_occupancy() as u64)
-        .sum();
+    let (vcs, depth) = (net.config().vcs, usize::from(net.config().depth_per_vc()));
+    let mut flits_buffered = 0;
+    for router in net.routers() {
+        let buffered = check_rings(router, vcs, depth, &mut violations);
+        if router.flits_accepted != router.flits_switched + buffered {
+            violations.push(format!(
+                "{}: accepted {} != switched {} + buffered {buffered}",
+                router.id(),
+                router.flits_accepted,
+                router.flits_switched
+            ));
+        }
+        flits_buffered += buffered;
+    }
     let flits_received: u64 = net.sinks().map(|s| s.flits_received).sum();
     let flits_delivered: u64 = net.sinks().map(|s| s.flits_delivered).sum();
     let flits_dropped: u64 = net.sinks().map(|s| s.flits_dropped).sum();
@@ -123,22 +140,6 @@ pub fn audit(net: &Network) -> AuditReport {
             "sink flit conservation: received {flits_received} != delivered \
              {flits_delivered} + dropped {flits_dropped} + partial {partial_flits}"
         ));
-    }
-
-    for router in net.routers() {
-        let buffered: u64 = router
-            .inputs
-            .iter()
-            .map(|p| p.buffer.total_occupancy() as u64)
-            .sum();
-        if router.flits_accepted != router.flits_switched + buffered {
-            violations.push(format!(
-                "{}: accepted {} != switched {} + buffered {buffered}",
-                router.id(),
-                router.flits_accepted,
-                router.flits_switched
-            ));
-        }
     }
 
     check_credits(net, false, &mut violations);
@@ -182,6 +183,43 @@ pub fn audit_quiescent(net: &Network) -> AuditReport {
     report
 }
 
+/// Checks a router's cached counts against its `vcs` VC rings of `depth`
+/// flits per port, and returns the flits the rings hold.
+fn check_rings(router: &Router, vcs: u8, depth: usize, violations: &mut Vec<String>) -> u64 {
+    let mut in_rings = 0;
+    for p in 0..router.port_count() {
+        let port = PortId(p as u8);
+        let mut queued = 0;
+        for v in 0..vcs {
+            let vc = VcId(v);
+            let len = router.queue_len(port, vc);
+            if len > depth {
+                violations.push(format!(
+                    "{} {port} {vc}: ring holds {len} flits, deeper than its {depth}-flit VC",
+                    router.id()
+                ));
+            }
+            queued += len;
+        }
+        let counted = router.port_occupancy(port);
+        if counted != queued {
+            violations.push(format!(
+                "{} {port}: occupancy {counted} != {queued} flits in its VC rings",
+                router.id()
+            ));
+        }
+        in_rings += queued as u64;
+    }
+    if router.buffered_flits() != in_rings {
+        violations.push(format!(
+            "{}: buffered count {} != {in_rings} flits in its rings",
+            router.id(),
+            router.buffered_flits()
+        ));
+    }
+    in_rings
+}
+
 /// The activity sets hold exactly the sources with queued flits and the
 /// routers that are not idle.
 fn check_activity(net: &Network, violations: &mut Vec<String>) {
@@ -219,15 +257,14 @@ fn check_credits(net: &Network, quiescent: bool, violations: &mut Vec<String>) {
                     u64::from(src.credits()[vc])
                 }
                 Endpoint::RouterPort { router, port } => {
-                    u64::from(net.router(router).outputs[port.0 as usize].credits[vc])
+                    u64::from(net.router(router).credits(port)[vc])
                 }
             };
             let occupancy = match link.to() {
                 Endpoint::Node(_) => 0, // sinks drain instantly
-                Endpoint::RouterPort { router, port } => net.router(router).inputs[port.0 as usize]
-                    .buffer
-                    .len(crate::ids::VcId(vc as u8))
-                    as u64,
+                Endpoint::RouterPort { router, port } => {
+                    net.router(router).queue_len(port, VcId(vc as u8)) as u64
+                }
             };
             if held + occupancy > depth {
                 violations.push(format!(

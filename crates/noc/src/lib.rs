@@ -52,7 +52,6 @@
 
 pub mod arbiter;
 pub mod audit;
-pub mod buffer;
 pub mod config;
 pub mod flit;
 pub mod ids;

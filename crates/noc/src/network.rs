@@ -23,7 +23,7 @@ use crate::ids::{LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 use crate::link::{Endpoint, Link, LinkKind};
 use crate::node::{SinkNode, SourceNode};
 use crate::route_table::RouteTable;
-use crate::router::{InputPort, Router, SlotSet, Stall};
+use crate::router::{Router, Stall};
 use crate::topology::Topology;
 use lumen_desim::Picos;
 use serde::{Serialize, Sink, Source};
@@ -70,6 +70,71 @@ pub enum Effect {
         /// When the tail flit arrived (latency end).
         at: Picos,
     },
+}
+
+/// A bitset over dense indices, iterated in ascending order: the
+/// network's active sources and routers.
+#[derive(Debug, Clone)]
+struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    fn new(slots: usize) -> Self {
+        SlotSet {
+            words: vec![0; slots.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize) {
+        self.words[i >> 6] |= 1u64 << (i & 63);
+    }
+
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.words[i >> 6] &= !(1u64 << (i & 63));
+    }
+
+    #[inline]
+    fn assign(&mut self, i: usize, on: bool) {
+        if on {
+            self.set(i);
+        } else {
+            self.clear(i);
+        }
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i >> 6] >> (i & 63) & 1 == 1
+    }
+
+    /// Calls `step` on every member in `range`, in ascending order, and
+    /// drops each member for which it returns `false`.
+    #[inline]
+    fn retain_range(&mut self, range: std::ops::Range<usize>, mut step: impl FnMut(usize) -> bool) {
+        if range.is_empty() {
+            return;
+        }
+        let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
+        for wi in first..=last {
+            let mut w = self.words[wi];
+            if wi == first {
+                w &= !0u64 << (range.start & 63);
+            }
+            if wi == last {
+                w &= !0u64 >> (63 - ((range.end - 1) & 63));
+            }
+            while w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                if !step(wi << 6 | bit) {
+                    self.words[wi] &= !(1u64 << bit);
+                }
+            }
+        }
+    }
 }
 
 /// The whole simulated network system.
@@ -163,8 +228,8 @@ impl Network {
                 topo.channel_latency(&ch, config.propagation),
                 config.max_rate,
             ));
-            routers[ch.from.index()].outputs[ch.from_port.0 as usize].link = Some(id);
-            routers[ch.to.index()].inputs[ch.to_port.0 as usize].feeder = Some(id);
+            routers[ch.from.index()].set_link(ch.from_port, id);
+            routers[ch.to.index()].set_feeder(ch.to_port, id);
         }
         let inter_router_links = links.len();
 
@@ -189,7 +254,7 @@ impl Network {
                 config.propagation,
                 config.max_rate,
             ));
-            routers[router.index()].inputs[local.0 as usize].feeder = Some(inj);
+            routers[router.index()].set_feeder(local, inj);
             sources.push(SourceNode::new(
                 node,
                 inj,
@@ -210,7 +275,7 @@ impl Network {
                 config.propagation,
                 config.max_rate,
             ));
-            routers[router.index()].outputs[local.0 as usize].link = Some(ej);
+            routers[router.index()].set_link(local, ej);
             sinks.push(SinkNode::new(node, ej));
         }
 
@@ -297,9 +362,7 @@ impl Network {
     /// Panics if `link` is an injection link (no upstream router port).
     pub fn output_credits(&self, link: LinkId) -> &[u16] {
         match self.from_ep[link.index()] {
-            Endpoint::RouterPort { router, port } => {
-                &self.routers[router.index()].outputs[port.0 as usize].credits
-            }
+            Endpoint::RouterPort { router, port } => self.routers[router.index()].credits(port),
             Endpoint::Node(_) => panic!("{link:?} has no upstream router port"),
         }
     }
@@ -429,13 +492,14 @@ impl Network {
         }
     }
 
-    /// The input port downstream of `link`, its router settled first so
-    /// the port's occupancy counter is current. `None` for ejection links.
-    fn downstream_input(&mut self, link: LinkId) -> Option<&mut InputPort> {
+    /// The router and input port downstream of `link`, the router settled
+    /// first so the port's occupancy counter is current. `None` for
+    /// ejection links.
+    fn downstream_input(&mut self, link: LinkId) -> Option<(&mut Router, PortId)> {
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
                 self.settle(router);
-                Some(&mut self.routers[router.index()].inputs[port.0 as usize])
+                Some((&mut self.routers[router.index()], port))
             }
             Endpoint::Node(_) => None,
         }
@@ -516,7 +580,8 @@ impl Network {
     /// since last sampled, over `cycles` observation cycles. `None` for
     /// ejection links (the sink drains instantly, so `Bu` is zero there).
     pub fn take_downstream_occupancy(&mut self, link: LinkId, cycles: u64) -> Option<f64> {
-        let accum = self.downstream_input(link)?.take_occupancy_accum();
+        let (router, port) = self.downstream_input(link)?;
+        let accum = router.take_occupancy_accum(port);
         (cycles > 0).then(|| accum as f64 / cycles as f64)
     }
 
@@ -529,15 +594,15 @@ impl Network {
     /// [`Network::take_downstream_occupancy`] then reads the true value.
     pub fn take_input_occupancy(&mut self, link: LinkId) -> u64 {
         self.downstream_input(link)
-            .map_or(0, InputPort::take_occupancy_accum)
+            .map_or(0, |(router, port)| router.take_occupancy_accum(port))
     }
 
     /// Installs a raw occupancy accumulator on the input port downstream of
     /// `link` (see [`Network::take_input_occupancy`]). No-op for ejection
     /// links.
     pub fn set_input_occupancy(&mut self, link: LinkId, accum: u64) {
-        if let Some(input) = self.downstream_input(link) {
-            input.set_occupancy_accum(accum);
+        if let Some((router, port)) = self.downstream_input(link) {
+            router.set_occupancy_accum(port, accum);
         }
     }
 
@@ -592,14 +657,19 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Fails if the stream is malformed or a component count does not
-    /// match this network's topology (a checkpoint from a different
-    /// configuration). The network is then partly restored and must be
-    /// discarded.
+    /// Fails if the stream is malformed, a component count does not
+    /// match this network's topology, or a router does not fit the one
+    /// built here (a checkpoint from a different configuration, or a
+    /// corrupted one; see `Router::restore`). The network is then partly
+    /// restored and must be discarded.
     pub fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "Network";
         src.map_of(5, TY)?;
-        src.field_into("routers", &mut self.routers, TY)?;
+        src.expect_key("routers", TY)?;
+        src.seq_of(self.routers.len(), "routers")?;
+        for router in &mut self.routers {
+            router.restore(src)?;
+        }
         src.field_into("sources", &mut self.sources, TY)?;
         src.expect_key("sinks", TY)?;
         src.seq_of(self.sinks.len(), "sinks")?;
@@ -687,8 +757,8 @@ mod tests {
     fn injection_link(net: &Network, n: usize) -> LinkId {
         let node = NodeId(n as u32);
         let router = net.router(net.config().router_of_node(node));
-        router.inputs[net.config().local_index(node) as usize]
-            .feeder
+        router
+            .feeder(PortId(net.config().local_index(node)))
             .expect("local input wired")
     }
 
@@ -696,8 +766,8 @@ mod tests {
     fn ejection_link(net: &Network, n: usize) -> LinkId {
         let node = NodeId(n as u32);
         let router = net.router(net.config().router_of_node(node));
-        router.outputs[net.config().local_index(node) as usize]
-            .link
+        router
+            .link(PortId(net.config().local_index(node)))
             .expect("local output wired")
     }
 
@@ -822,15 +892,15 @@ mod tests {
             let coord = config.coord_of(RouterId(r as u32));
             // Local ports always wired both ways.
             for p in 0..config.nodes_per_rack {
-                assert!(router.outputs[p as usize].link.is_some());
-                assert!(router.inputs[p as usize].feeder.is_some());
+                assert!(router.link(PortId(p)).is_some());
+                assert!(router.feeder(PortId(p)).is_some());
             }
             // Mesh ports wired exactly when a neighbor exists.
             for dir in Direction::ALL {
                 let port = PortId(config.nodes_per_rack + dir.index() as u8);
                 let has = coord.neighbor(dir, config.width, config.height).is_some();
-                assert_eq!(router.outputs[port.0 as usize].link.is_some(), has);
-                assert_eq!(router.inputs[port.0 as usize].feeder.is_some(), has);
+                assert_eq!(router.link(port).is_some(), has);
+                assert_eq!(router.feeder(port).is_some(), has);
             }
         }
     }
@@ -1059,7 +1129,7 @@ mod tests {
                 d.tick();
                 // The router ticked for real: the new head computed its route.
                 assert!(matches!(
-                    d.net.routers[0].inputs[1].vc_state[0],
+                    d.net.routers[0].vc_state(PortId(1), VcId(0)),
                     crate::router::VcState::VcAlloc { .. }
                 ));
                 break;
@@ -1084,18 +1154,16 @@ mod tests {
             assert!(d.now < cycle * 120, "no credit ever woke router 0");
             let stalled = d.stall(0);
             credit_bound |= stalled.is_some_and(|s| s.wake_at == Picos::MAX);
-            let credits: u16 = d.net.routers[0]
-                .outputs
-                .iter()
-                .flat_map(|o| &o.credits)
-                .sum();
+            let credits = |net: &Network| -> u16 {
+                let router = &net.routers[0];
+                (0..router.port_count())
+                    .flat_map(|p| router.credits(PortId(p as u8)))
+                    .sum()
+            };
+            let before = credits(&d.net);
             d.deliver();
-            let now_credits: u16 = d.net.routers[0]
-                .outputs
-                .iter()
-                .flat_map(|o| &o.credits)
-                .sum();
-            if stalled.is_some() && now_credits > credits {
+            let now_credits = credits(&d.net);
+            if stalled.is_some() && now_credits > before {
                 assert!(d.stall(0).is_none(), "the credit must end the stall");
                 let switched = d.net.routers[0].flits_switched;
                 d.tick();
@@ -1147,6 +1215,26 @@ mod tests {
         let report = crate::audit::audit(&stale);
         let named = format!("router r{idle}: activity bit true");
         assert!(report.violations[0].starts_with(&named), "{report}");
+    }
+
+    #[test]
+    fn auditor_names_a_miscounted_port() {
+        let config = NocConfig::small_for_tests();
+        let mut d = Driver::new(&config);
+        d.net.inject(packet(1, 0, 7, 16, Picos::ZERO));
+        d.run(6);
+        crate::audit::audit(&d.net).assert_ok();
+        // Router 0's local input 0 holds flits of the long packet; one
+        // flit too many in its port count, and the rings disagree.
+        assert!(d.net.routers[0].port_occupancy(PortId(0)) > 0);
+        let mut miscounted = d.net.clone();
+        *miscounted.routers[0].occupancy_mut(PortId(0)) += 1;
+        let report = crate::audit::audit(&miscounted);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert!(
+            report.violations[0].starts_with("r0 p0: occupancy"),
+            "{report}"
+        );
     }
 
     #[test]

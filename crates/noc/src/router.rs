@@ -16,16 +16,29 @@
 //! Credit-based flow control: each output port tracks free buffer slots in
 //! the downstream input port per VC; a credit returns upstream when a flit
 //! leaves an input buffer.
+//!
+//! ## State layout
+//!
+//! A router keeps its state in a few flat arrays indexed by *slot*,
+//! `port × vcs + vc` (DESIGN.md §6k). Per input slot it holds the VC's
+//! pipeline state and a `(head, len)` ring into one
+//! `ports × vcs × depth_per_vc` flit array; per output slot, the
+//! downstream credits and the input VC owning the output VC; per port,
+//! the feeding and outgoing links, the switch and VC arbiters, the
+//! buffered-flit count and the `Bu` accumulator. The pipeline stages'
+//! requester sets are `u64` masks over the input slots. A checkpoint
+//! holds the nested per-port `inputs` and `outputs` entries of
+//! `lumen-ckpt/4`; the hand-written serializer and reader translate.
 
 use crate::arbiter::RoundRobinArbiter;
-use crate::buffer::InputBuffer;
 use crate::config::NocConfig;
-use crate::ids::{LinkId, PortId, RouterId, VcId};
+use crate::flit::{Flit, FlitKind};
+use crate::ids::{LinkId, NodeId, PacketId, PortId, RouterId, VcId};
 use crate::link::Link;
 use crate::network::Effect;
 use crate::route_table::RouteTable;
 use lumen_desim::Picos;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink, Source, Token};
 
 /// Per-input-VC pipeline state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,140 +59,37 @@ pub enum VcState {
     },
 }
 
-/// One input port: buffer, per-VC state, and the link that feeds it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InputPort {
-    /// The per-VC flit FIFOs.
-    pub buffer: InputBuffer,
-    /// Pipeline state per VC.
-    pub vc_state: Vec<VcState>,
-    /// The upstream link filling this port (None on mesh-edge ports).
-    pub feeder: Option<LinkId>,
-    // Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
-    occupancy_accum: u64,
+/// One input slot: its VC's pipeline state and its ring, `len` flits
+/// starting at cell `head` of the slot's `depth_per_vc` cells.
+#[derive(Debug, Clone, Copy)]
+struct InSlot {
+    state: VcState,
+    head: u16,
+    len: u16,
 }
 
-impl InputPort {
-    fn new(config: &NocConfig) -> Self {
-        InputPort {
-            buffer: InputBuffer::new(config.vcs, config.depth_per_vc()),
-            vc_state: vec![VcState::Idle; config.vcs as usize],
-            feeder: None,
-            occupancy_accum: 0,
-        }
-    }
-
-    /// Drains the accumulated occupancy counter.
-    pub(crate) fn take_occupancy_accum(&mut self) -> u64 {
-        std::mem::replace(&mut self.occupancy_accum, 0)
-    }
-
-    pub(crate) fn set_occupancy_accum(&mut self, accum: u64) {
-        self.occupancy_accum = accum;
-    }
-}
-
-/// One output port: downstream credit state, VC ownership, and arbiters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OutputPort {
-    /// The outgoing link (None on mesh-edge ports).
-    pub link: Option<LinkId>,
-    /// Free downstream buffer slots per VC.
-    pub credits: Vec<u16>,
-    /// Which input (port, VC) currently owns each output VC.
-    pub vc_owner: Vec<Option<(PortId, VcId)>>,
+/// One port's wiring and arbiters.
+#[derive(Debug, Clone)]
+struct Port {
+    // The upstream link filling the input side (None on mesh-edge ports).
+    feeder: Option<LinkId>,
+    // The outgoing link (None on mesh-edge ports).
+    link: Option<LinkId>,
     sa_arbiter: RoundRobinArbiter,
     va_arbiter: RoundRobinArbiter,
 }
 
-impl OutputPort {
-    fn new(config: &NocConfig) -> Self {
-        let requesters = config.ports_per_router() * config.vcs as usize;
-        OutputPort {
-            link: None,
-            credits: vec![config.depth_per_vc(); config.vcs as usize],
-            vc_owner: vec![None; config.vcs as usize],
-            sa_arbiter: RoundRobinArbiter::new(requesters),
-            va_arbiter: RoundRobinArbiter::new(requesters),
-        }
-    }
-}
-
-/// A bitset over dense indices, iterated in ascending order: the
-/// router's `ports × vcs` input-VC slots — the same `(port, vc)` order the
-/// pipeline's full scans used, so replacing a scan with a set walk is
-/// order-identical — and the network's active sources and routers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct SlotSet {
-    words: Vec<u64>,
-}
-
-impl SlotSet {
-    pub(crate) fn new(slots: usize) -> Self {
-        SlotSet {
-            words: vec![0; slots.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
-    }
-
-    #[inline]
-    pub(crate) fn clear(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1u64 << (i & 63));
-    }
-
-    #[inline]
-    pub(crate) fn assign(&mut self, i: usize, on: bool) {
-        if on {
-            self.set(i);
-        } else {
-            self.clear(i);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn contains(&self, i: usize) -> bool {
-        self.words[i >> 6] >> (i & 63) & 1 == 1
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Calls `step` on every member in `range`, in ascending order, and
-    /// drops each member for which it returns `false`.
-    #[inline]
-    pub(crate) fn retain_range(
-        &mut self,
-        range: std::ops::Range<usize>,
-        mut step: impl FnMut(usize) -> bool,
-    ) {
-        if range.is_empty() {
-            return;
-        }
-        let (first, last) = (range.start >> 6, (range.end - 1) >> 6);
-        for wi in first..=last {
-            let mut w = self.words[wi];
-            if wi == first {
-                w &= !0u64 << (range.start & 63);
-            }
-            if wi == last {
-                w &= !0u64 >> (63 - ((range.end - 1) & 63));
-            }
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                if !step(wi << 6 | bit) {
-                    self.words[wi] &= !(1u64 << bit);
-                }
-            }
-        }
-    }
-}
+/// What a ring cell holds before its first flit arrives.
+const NO_FLIT: Flit = Flit {
+    packet: PacketId(0),
+    kind: FlitKind::HeadTail,
+    seq: 0,
+    src: NodeId(0),
+    dst: NodeId(0),
+    size_flits: 0,
+    created_at: Picos::ZERO,
+    corrupted: false,
+};
 
 /// What a router's tick repeats every cycle while it is stalled: switch
 /// allocation has requesters but grants none, and VA and RC have nothing
@@ -202,20 +112,32 @@ pub(crate) struct Stall {
 }
 
 /// A rack's communication router.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Router {
     id: RouterId,
     vcs: usize,
-    /// Input ports, indexed by [`PortId`].
-    pub inputs: Vec<InputPort>,
-    /// Output ports, indexed by [`PortId`].
-    pub outputs: Vec<OutputPort>,
+    // Flits per VC ring (`NocConfig::depth_per_vc`).
+    depth: usize,
+    // Per input slot (`port * vcs + vc`).
+    slots: Box<[InSlot]>,
+    // The rings' cells: slot `s` owns `flits[s * depth..(s + 1) * depth]`.
+    flits: Box<[Flit]>,
+    // Per output slot: free downstream buffer slots, and the input
+    // (port, VC) that owns the output VC.
+    credits: Box<[u16]>,
+    vc_owner: Box<[Option<(PortId, VcId)>]>,
+    // Per port.
+    ports: Box<[Port]>,
+    // Flits buffered per input port (the `F(t)` of the paper's
+    // buffer-utilization statistic, Eq. 10), kept in step with the rings.
+    occupancy: Box<[u32]>,
+    // Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
+    occupancy_accum: Box<[u64]>,
     sa_rotate: usize,
-    // Scratch buffers reused across ticks to avoid per-cycle allocation.
-    // Requesters are bucketed per output port as a u64 bitmask over the
-    // `port * vcs + vc` slot space (capped at 64 slots per router), so
-    // allocation iterates set bits instead of pushing through Vecs.
-    scratch_port_mask: Vec<u64>,
+    // Switch and VC allocation bucket their requesters per output port
+    // here, as masks over the slots. Refilled before every read, yet part
+    // of the checkpoint, so it keeps what the last allocation left.
+    scratch_port_mask: Box<[u64]>,
     /// Flits this router has switched over its lifetime.
     pub flits_switched: u64,
     /// Flits accepted into input buffers over its lifetime. The invariant
@@ -230,48 +152,113 @@ pub struct Router {
     buffered_flits: u32,
     active_vcs: u32,
     // Incrementally maintained pipeline-stage membership, one bit per
-    // input-VC slot (`port * vcs + vc`), so each stage visits only live
-    // VCs instead of scanning every slot every cycle:
-    // - `sa_ready`: state Active and buffer non-empty (SA requesters)
+    // input slot, so each stage visits only live VCs instead of scanning
+    // every slot every cycle:
+    // - `sa_ready`: state Active and ring non-empty (SA requesters)
     // - `va_set`:   state VcAlloc (VA requesters)
-    // - `rc_ready`: state Idle and buffer non-empty (RC candidates)
-    sa_ready: SlotSet,
-    va_set: SlotSet,
-    rc_ready: SlotSet,
+    // - `rc_ready`: state Idle and ring non-empty (RC candidates)
+    sa_ready: u64,
+    va_set: u64,
+    rc_ready: u64,
 }
 
 impl Router {
     /// Creates a router with unwired ports (the network builder attaches
     /// links and feeders afterwards).
     pub fn new(id: RouterId, config: &NocConfig) -> Self {
-        let p = config.ports_per_router();
-        let slots = p * config.vcs as usize;
+        let ports = config.ports_per_router();
+        let vcs = config.vcs as usize;
+        let slots = ports * vcs;
         assert!(
             slots <= 64,
             "mask-based switch/VC allocation supports at most 64 input-VC \
              slots per router (got {slots})"
         );
+        let depth = config.depth_per_vc();
+        let idle = InSlot {
+            state: VcState::Idle,
+            head: 0,
+            len: 0,
+        };
+        let port = Port {
+            feeder: None,
+            link: None,
+            sa_arbiter: RoundRobinArbiter::new(slots),
+            va_arbiter: RoundRobinArbiter::new(slots),
+        };
         Router {
             id,
-            vcs: config.vcs as usize,
-            inputs: (0..p).map(|_| InputPort::new(config)).collect(),
-            outputs: (0..p).map(|_| OutputPort::new(config)).collect(),
+            vcs,
+            depth: depth as usize,
+            slots: vec![idle; slots].into(),
+            flits: vec![NO_FLIT; slots * depth as usize].into(),
+            credits: vec![depth; slots].into(),
+            vc_owner: vec![None; slots].into(),
+            ports: vec![port; ports].into(),
+            occupancy: vec![0; ports].into(),
+            occupancy_accum: vec![0; ports].into(),
             sa_rotate: 0,
-            scratch_port_mask: vec![0; p],
+            scratch_port_mask: vec![0; ports].into(),
             flits_switched: 0,
             flits_accepted: 0,
             sa_denials: 0,
             buffered_flits: 0,
             active_vcs: 0,
-            sa_ready: SlotSet::new(slots),
-            va_set: SlotSet::new(slots),
-            rc_ready: SlotSet::new(slots),
+            sa_ready: 0,
+            va_set: 0,
+            rc_ready: 0,
         }
     }
 
     /// The router's id.
     pub(crate) fn id(&self) -> RouterId {
         self.id
+    }
+
+    /// Number of ports.
+    pub(crate) fn port_count(&self) -> usize {
+        self.ports.len()
+    }
+
+    /// Wires `link` as the outgoing link of `port`.
+    pub(crate) fn set_link(&mut self, port: PortId, link: LinkId) {
+        self.ports[port.0 as usize].link = Some(link);
+    }
+
+    /// Wires `link` as the upstream link filling `port`.
+    pub(crate) fn set_feeder(&mut self, port: PortId, link: LinkId) {
+        self.ports[port.0 as usize].feeder = Some(link);
+    }
+
+    /// Free downstream buffer slots per VC of output `port`.
+    pub(crate) fn credits(&self, port: PortId) -> &[u16] {
+        let first = port.0 as usize * self.vcs;
+        &self.credits[first..first + self.vcs]
+    }
+
+    /// Flits in the ring of input `port`'s VC `vc`.
+    pub(crate) fn queue_len(&self, port: PortId, vc: VcId) -> usize {
+        self.slots[port.0 as usize * self.vcs + vc.0 as usize].len as usize
+    }
+
+    /// Flits input `port` counts as buffered (a cache of its rings).
+    pub(crate) fn port_occupancy(&self, port: PortId) -> usize {
+        self.occupancy[port.0 as usize] as usize
+    }
+
+    /// Flits the router counts as buffered (a cache of its rings).
+    pub(crate) fn buffered_flits(&self) -> u64 {
+        u64::from(self.buffered_flits)
+    }
+
+    /// Drains input `port`'s accumulated occupancy counter.
+    pub(crate) fn take_occupancy_accum(&mut self, port: PortId) -> u64 {
+        std::mem::take(&mut self.occupancy_accum[port.0 as usize])
+    }
+
+    /// Installs input `port`'s accumulated occupancy counter.
+    pub(crate) fn set_occupancy_accum(&mut self, port: PortId, accum: u64) {
+        self.occupancy_accum[port.0 as usize] = accum;
     }
 
     /// Switch-allocation requests denied over its lifetime: a requester
@@ -308,17 +295,17 @@ impl Router {
             return; // idle fast path: nothing buffered, no packet in flight
         }
         self.switch_allocation(now, config, links, effects);
-        self.vc_allocation(config);
-        self.route_computation(config, route_table);
-        for input in &mut self.inputs {
-            input.occupancy_accum += input.buffer.total_occupancy() as u64;
+        self.vc_allocation();
+        self.route_computation(route_table);
+        for (accum, &occupancy) in self.occupancy_accum.iter_mut().zip(&*self.occupancy) {
+            *accum += u64::from(occupancy);
         }
     }
 
     /// The input-VC slots requesting the switch, as a bitmask.
     #[inline]
     pub(crate) fn requesters(&self) -> u64 {
-        self.sa_ready.words[0]
+        self.sa_ready
     }
 
     /// The [`Stall`] the router repeats from the tick after `now` on, or
@@ -335,21 +322,20 @@ impl Router {
             wake_at: Picos::MAX,
             ..Stall::default()
         };
-        let mut w = self.sa_ready.words[0];
+        let mut w = self.sa_ready;
         while w != 0 {
             let req = w.trailing_zeros() as usize;
             w &= w - 1;
-            let (ip, vc) = (req / self.vcs, req % self.vcs);
-            let VcState::Active { out_port, out_vc } = self.inputs[ip].vc_state[vc] else {
+            let VcState::Active { out_port, out_vc } = self.slots[req].state else {
                 unreachable!("sa_ready slot not in Active state");
             };
             let op = out_port.0 as usize;
-            let Some(link) = self.outputs[op].link else {
+            let Some(link) = self.ports[op].link else {
                 continue;
             };
             stall.denials += 1;
             stall.demand |= 1u64 << op;
-            if self.outputs[op].credits[out_vc.0 as usize] > 0 {
+            if self.credits[op * self.vcs + out_vc.0 as usize] > 0 {
                 let ready = links[link.index()].next_free().saturating_sub(cycle);
                 if ready <= next {
                     return None; // the link is ready for the next tick
@@ -357,16 +343,16 @@ impl Router {
                 stall.wake_at = stall.wake_at.min(ready);
             }
         }
-        let mut w = self.va_set.words[0];
+        let mut w = self.va_set;
         while w != 0 {
             let req = w.trailing_zeros() as usize;
             w &= w - 1;
-            let (ip, vc) = (req / self.vcs, req % self.vcs);
-            let VcState::VcAlloc { out_port } = self.inputs[ip].vc_state[vc] else {
+            let VcState::VcAlloc { out_port } = self.slots[req].state else {
                 unreachable!("va_set slot not in VcAlloc state");
             };
-            let out = &self.outputs[out_port.0 as usize];
-            if out.link.is_some() && out.vc_owner.iter().any(Option::is_none) {
+            let op = out_port.0 as usize;
+            let owners = &self.vc_owner[op * self.vcs..(op + 1) * self.vcs];
+            if self.ports[op].link.is_some() && owners.iter().any(Option::is_none) {
                 return None; // VA hands out a free output VC next tick
             }
         }
@@ -381,21 +367,69 @@ impl Router {
         if n == 0 {
             return; // ended before its first skipped tick
         }
-        let ports = self.outputs.len() as u64;
+        let ports = self.ports.len() as u64;
         self.sa_rotate = ((self.sa_rotate as u64 + n) % ports) as usize;
         self.sa_denials += n * u64::from(stall.denials);
         let mut m = stall.demand;
         while m != 0 {
             let op = m.trailing_zeros() as usize;
             m &= m - 1;
-            let link = self.outputs[op]
-                .link
-                .expect("demand noted on a wired output");
+            let link = self.ports[op].link.expect("demand noted on a wired output");
             links[link.index()].note_demand_ticks(n);
         }
-        for input in &mut self.inputs {
-            input.occupancy_accum += n * input.buffer.total_occupancy() as u64;
+        for (accum, &occupancy) in self.occupancy_accum.iter_mut().zip(&*self.occupancy) {
+            *accum += n * u64::from(occupancy);
         }
+    }
+
+    /// Appends `flit` to the ring of input slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring is full: the upstream side sent without a
+    /// credit.
+    fn push(&mut self, slot: usize, flit: Flit) {
+        let (depth, vcs) = (self.depth, self.vcs);
+        let ring = &mut self.slots[slot];
+        assert!(
+            (ring.len as usize) < depth,
+            "buffer overflow on {}:{}:{}: credit protocol violated",
+            self.id,
+            PortId((slot / vcs) as u8),
+            VcId((slot % vcs) as u8)
+        );
+        let mut cell = ring.head as usize + ring.len as usize;
+        if cell >= depth {
+            cell -= depth;
+        }
+        ring.len += 1;
+        self.flits[slot * depth + cell] = flit;
+        self.occupancy[slot / vcs] += 1;
+    }
+
+    /// The flit at the front of input slot `slot`'s ring, which must not
+    /// be empty.
+    fn front(&self, slot: usize) -> &Flit {
+        let ring = self.slots[slot];
+        assert!(ring.len > 0, "front of an empty ring");
+        &self.flits[slot * self.depth + ring.head as usize]
+    }
+
+    /// Removes the flit at the front of input slot `slot`'s ring, which
+    /// must not be empty.
+    fn pop(&mut self, slot: usize) -> Flit {
+        let depth = self.depth;
+        let ring = &mut self.slots[slot];
+        assert!(ring.len > 0, "pop from an empty ring");
+        let flit = self.flits[slot * depth + ring.head as usize];
+        ring.head = if ring.head as usize + 1 == depth {
+            0
+        } else {
+            ring.head + 1
+        };
+        ring.len -= 1;
+        self.occupancy[slot / self.vcs] -= 1;
+        flit
     }
 
     /// SA + ST: for each output port (rotating start for fairness), grant
@@ -407,9 +441,8 @@ impl Router {
         links: &mut [Link],
         effects: &mut Vec<Effect>,
     ) {
-        let ports = self.outputs.len();
-        let vcs = config.vcs as usize;
-        if self.sa_ready.is_empty() {
+        let (ports, vcs) = (self.ports.len(), self.vcs);
+        if self.sa_ready == 0 {
             // No Active VC holds a flit: nothing to allocate, but the
             // rotating priority still advances exactly as it always did.
             self.sa_rotate = if self.sa_rotate + 1 == ports {
@@ -420,20 +453,21 @@ impl Router {
             return;
         }
         let st_time = now + config.cycle();
-        let mut input_used: u64 = 0;
-        // Bucket requesters by output port once; `sa_ready` walks the same
-        // ascending (port, vc) order the full scan did, visiting only VCs
-        // that are Active with a flit buffered.
+        // The slots of the input ports already granted this cycle, and
+        // the slots of port 0.
+        let (mut used, port_slots) = (0u64, u64::MAX >> (64 - vcs));
+        // Bucket requesters by output port once; `sa_ready` walks the
+        // slots in ascending (port, vc) order, visiting only VCs that are
+        // Active with a flit buffered.
         self.scratch_port_mask.fill(0);
-        let mut w = self.sa_ready.words[0];
+        let mut w = self.sa_ready;
         while w != 0 {
             let req = w.trailing_zeros() as usize;
             w &= w - 1;
-            let (ip, vc) = (req / vcs, req % vcs);
-            let VcState::Active { out_port, .. } = self.inputs[ip].vc_state[vc] else {
+            let VcState::Active { out_port, .. } = self.slots[req].state else {
                 unreachable!("sa_ready slot not in Active state");
             };
-            debug_assert!(self.inputs[ip].buffer.front(VcId(vc as u8)).is_some());
+            debug_assert!(self.slots[req].len > 0);
             self.scratch_port_mask[out_port.0 as usize] |= 1u64 << req;
         }
         // Rotating scan over output ports without a modulo per step.
@@ -445,11 +479,12 @@ impl Router {
             if req_mask == 0 {
                 continue;
             }
-            let Some(link_id) = self.outputs[op].link else {
+            let Some(link_id) = self.ports[op].link else {
                 continue;
             };
-            links[link_id.index()].note_demand();
-            if !links[link_id.index()].ready_at(st_time) {
+            let link = &mut links[link_id.index()];
+            link.note_demand();
+            if !link.ready_at(st_time) {
                 // Link busy serializing or relocking: every requester for
                 // this output port loses the cycle.
                 self.sa_denials += req_mask.count_ones() as u64;
@@ -457,45 +492,40 @@ impl Router {
             }
             // An input port already granted this cycle (crossbar conflict)
             // or an output VC out of credits disqualifies a requester.
+            let credits = &self.credits[op * vcs..(op + 1) * vcs];
             let mut eligible: u64 = 0;
-            let mut m = req_mask;
+            let mut m = req_mask & !used;
             while m != 0 {
                 let req = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let (ip, vc) = (req / vcs, req % vcs);
-                let ok = input_used >> ip & 1 == 0
-                    && match self.inputs[ip].vc_state[vc] {
-                        VcState::Active { out_vc, .. } => {
-                            self.outputs[op].credits[out_vc.0 as usize] > 0
-                        }
-                        _ => false,
-                    };
+                let ok = match self.slots[req].state {
+                    VcState::Active { out_vc, .. } => credits[out_vc.0 as usize] > 0,
+                    _ => false,
+                };
                 eligible |= (ok as u64) << req;
             }
-            let Some(req) = self.outputs[op].sa_arbiter.grant_masked(eligible) else {
+            let Some(req) = self.ports[op].sa_arbiter.grant_masked(eligible) else {
                 // Nothing eligible (crossbar conflicts or exhausted
                 // credits): all requesters lose.
                 self.sa_denials += req_mask.count_ones() as u64;
                 continue;
             };
             let (ip, vc) = (req / vcs, VcId((req % vcs) as u8));
-            let VcState::Active { out_vc, .. } = self.inputs[ip].vc_state[vc.0 as usize] else {
+            let VcState::Active { out_vc, .. } = self.slots[req].state else {
                 unreachable!("eligibility mask admitted a non-active VC");
             };
-            let flit = self.inputs[ip]
-                .buffer
-                .pop(vc)
-                .expect("eligibility mask admitted an empty VC");
-            self.outputs[op].credits[out_vc.0 as usize] -= 1;
+            let out_slot = op * vcs + out_vc.0 as usize;
+            let flit = self.pop(req);
+            self.credits[out_slot] -= 1;
             self.flits_switched += 1;
             // One requester won; its co-requesters for this port lost.
             self.sa_denials += (req_mask.count_ones() - 1) as u64;
             self.buffered_flits -= 1;
-            if self.inputs[ip].buffer.is_empty(vc) {
+            if self.slots[req].len == 0 {
                 // Last buffered flit left; the VC stops requesting the
                 // switch until another flit arrives (or, for a tail, until
                 // a new packet restarts the pipeline below).
-                self.sa_ready.clear(req);
+                self.sa_ready &= !(1u64 << req);
             }
             let arrival = links[link_id.index()].start_flit(st_time);
             effects.push(Effect::Flit {
@@ -504,7 +534,7 @@ impl Router {
                 flit,
                 at: arrival,
             });
-            if let Some(feeder) = self.inputs[ip].feeder {
+            if let Some(feeder) = self.ports[ip].feeder {
                 effects.push(Effect::Credit {
                     link: feeder,
                     vc,
@@ -512,17 +542,17 @@ impl Router {
                 });
             }
             if flit.kind.is_tail() {
-                self.outputs[op].vc_owner[out_vc.0 as usize] = None;
-                self.inputs[ip].vc_state[vc.0 as usize] = VcState::Idle;
+                self.vc_owner[out_slot] = None;
+                self.slots[req].state = VcState::Idle;
                 self.active_vcs -= 1;
-                self.sa_ready.clear(req);
-                if !self.inputs[ip].buffer.is_empty(vc) {
+                self.sa_ready &= !(1u64 << req);
+                if self.slots[req].len != 0 {
                     // The next packet's head is already waiting: it becomes
                     // an RC candidate this very cycle (RC runs after SA).
-                    self.rc_ready.set(req);
+                    self.rc_ready |= 1u64 << req;
                 }
             }
-            input_used |= 1u64 << ip;
+            used |= port_slots << (ip * vcs);
         }
         self.sa_rotate = if self.sa_rotate + 1 == ports {
             0
@@ -532,47 +562,45 @@ impl Router {
     }
 
     /// VA: hand free output VCs to packets whose route is computed.
-    fn vc_allocation(&mut self, config: &NocConfig) {
-        let ports = self.outputs.len();
-        let vcs = config.vcs as usize;
-        if self.va_set.is_empty() {
+    fn vc_allocation(&mut self) {
+        if self.va_set == 0 {
             return;
         }
-        // Bucket VC-allocation requesters by requested output port, in the
-        // same ascending (port, vc) order the full scan produced.
+        let (ports, vcs) = (self.ports.len(), self.vcs);
+        // Bucket VC-allocation requesters by requested output port, in
+        // ascending (port, vc) order.
         self.scratch_port_mask.fill(0);
-        let mut w = self.va_set.words[0];
+        let mut w = self.va_set;
         while w != 0 {
             let req = w.trailing_zeros() as usize;
             w &= w - 1;
-            let (ip, vc) = (req / vcs, req % vcs);
-            let VcState::VcAlloc { out_port } = self.inputs[ip].vc_state[vc] else {
+            let VcState::VcAlloc { out_port } = self.slots[req].state else {
                 unreachable!("va_set slot not in VcAlloc state");
             };
             self.scratch_port_mask[out_port.0 as usize] |= 1u64 << req;
         }
         for op in 0..ports {
             let mut req_mask = self.scratch_port_mask[op];
-            if req_mask == 0 || self.outputs[op].link.is_none() {
+            if req_mask == 0 || self.ports[op].link.is_none() {
                 continue;
             }
             for out_vc in 0..vcs {
-                if self.outputs[op].vc_owner[out_vc].is_some() {
+                if self.vc_owner[op * vcs + out_vc].is_some() {
                     continue;
                 }
-                let Some(req) = self.outputs[op].va_arbiter.grant_masked(req_mask) else {
+                let Some(req) = self.ports[op].va_arbiter.grant_masked(req_mask) else {
                     break; // no remaining requester for this output
                 };
                 req_mask &= !(1u64 << req);
                 let (ip, vc) = (req / vcs, req % vcs);
-                self.outputs[op].vc_owner[out_vc] = Some((PortId(ip as u8), VcId(vc as u8)));
-                self.inputs[ip].vc_state[vc] = VcState::Active {
+                self.vc_owner[op * vcs + out_vc] = Some((PortId(ip as u8), VcId(vc as u8)));
+                self.slots[req].state = VcState::Active {
                     out_port: PortId(op as u8),
                     out_vc: VcId(out_vc as u8),
                 };
-                self.va_set.clear(req);
-                if !self.inputs[ip].buffer.is_empty(VcId(vc as u8)) {
-                    self.sa_ready.set(req);
+                self.va_set &= !(1u64 << req);
+                if self.slots[req].len != 0 {
+                    self.sa_ready |= 1u64 << req;
                 }
             }
         }
@@ -584,63 +612,61 @@ impl Router {
     /// preferring ready links (not mid-transition) with the most
     /// downstream credits — which makes routing *power-aware*: traffic
     /// steers around links parked at low rates or disabled for relock.
-    fn route_computation(&mut self, config: &NocConfig, table: &RouteTable) {
-        let vcs = config.vcs as usize;
+    fn route_computation(&mut self, table: &RouteTable) {
+        let vcs = self.vcs;
         // Every rc_ready VC (Idle with a buffered head flit) computes its
-        // route this cycle, so the whole word empties; take it up front.
-        for wi in 0..self.rc_ready.words.len() {
-            let mut w = std::mem::take(&mut self.rc_ready.words[wi]);
-            while w != 0 {
-                let req = (wi << 6) | w.trailing_zeros() as usize;
-                w &= w - 1;
-                let (ip, vc) = (req / vcs, req % vcs);
-                debug_assert_eq!(self.inputs[ip].vc_state[vc], VcState::Idle);
-                let front = self.inputs[ip]
-                    .buffer
-                    .front(VcId(vc as u8))
-                    .expect("rc_ready VC with an empty buffer");
-                debug_assert!(
-                    front.kind.is_head(),
-                    "non-head flit {front} at front of idle VC: wormhole order violated"
-                );
-                // One indexed load from the precomputed table, whose
-                // candidates keep the routing algorithm's order.
-                let candidates = table.candidates(self.id, front.dst);
-                let cands = candidates.as_slice();
-                let out_port = if cands.len() == 1 {
-                    cands[0]
-                } else {
-                    let mut best = cands[0];
-                    let mut best_score = -1i64;
-                    for &cand in cands {
-                        let out = &self.outputs[cand.0 as usize];
-                        let free_vc = out.vc_owner.iter().filter(|o| o.is_none()).count() as i64;
-                        let credits: i64 = out.credits.iter().map(|&c| c as i64).sum();
-                        let score = free_vc * 1_000 + credits;
-                        if score > best_score {
-                            best_score = score;
-                            best = cand;
-                        }
+        // route this cycle, so the whole mask empties; take it up front.
+        let mut w = std::mem::take(&mut self.rc_ready);
+        while w != 0 {
+            let req = w.trailing_zeros() as usize;
+            w &= w - 1;
+            debug_assert_eq!(self.slots[req].state, VcState::Idle);
+            let front = self.front(req);
+            debug_assert!(
+                front.kind.is_head(),
+                "non-head flit {front} at front of idle VC: wormhole order violated"
+            );
+            // One indexed load from the precomputed table, whose
+            // candidates keep the routing algorithm's order.
+            let candidates = table.candidates(self.id, front.dst);
+            let cands = candidates.as_slice();
+            let out_port = if cands.len() == 1 {
+                cands[0]
+            } else {
+                let mut best = cands[0];
+                let mut best_score = -1i64;
+                for &cand in cands {
+                    let out = cand.0 as usize * vcs..(cand.0 as usize + 1) * vcs;
+                    let free_vc = self.vc_owner[out.clone()]
+                        .iter()
+                        .filter(|o| o.is_none())
+                        .count() as i64;
+                    let credits: i64 = self.credits[out].iter().map(|&c| c as i64).sum();
+                    let score = free_vc * 1_000 + credits;
+                    if score > best_score {
+                        best_score = score;
+                        best = cand;
                     }
-                    best
-                };
-                self.inputs[ip].vc_state[vc] = VcState::VcAlloc { out_port };
-                self.va_set.set(req);
-                self.active_vcs += 1;
-            }
+                }
+                best
+            };
+            self.slots[req].state = VcState::VcAlloc { out_port };
+            self.va_set |= 1u64 << req;
+            self.active_vcs += 1;
         }
     }
 
     /// Accepts a flit delivered by an upstream link into an input buffer.
-    pub(crate) fn accept_flit(&mut self, port: PortId, vc: VcId, flit: crate::flit::Flit) {
-        let ip = port.0 as usize;
-        self.inputs[ip].buffer.push(vc, flit);
+    pub(crate) fn accept_flit(&mut self, port: PortId, vc: VcId, flit: Flit) {
+        debug_assert!((vc.0 as usize) < self.vcs, "{vc} out of range");
+        let slot = port.0 as usize * self.vcs + vc.0 as usize;
+        self.push(slot, flit);
         // A previously-empty VC becomes a pipeline candidate: Idle VCs go
         // to RC, Active ones back into SA contention. VcAlloc VCs are
         // already tracked in va_set and need nothing here.
-        match self.inputs[ip].vc_state[vc.0 as usize] {
-            VcState::Idle => self.rc_ready.set(ip * self.vcs + vc.0 as usize),
-            VcState::Active { .. } => self.sa_ready.set(ip * self.vcs + vc.0 as usize),
+        match self.slots[slot].state {
+            VcState::Idle => self.rc_ready |= 1u64 << slot,
+            VcState::Active { .. } => self.sa_ready |= 1u64 << slot,
             VcState::VcAlloc { .. } => {}
         }
         self.buffered_flits += 1;
@@ -654,7 +680,7 @@ impl Router {
     /// Panics if the credit would exceed the downstream buffer capacity
     /// (a flow-control accounting bug).
     pub(crate) fn return_credit(&mut self, port: PortId, vc: VcId, depth_per_vc: u16) {
-        let c = &mut self.outputs[port.0 as usize].credits[vc.0 as usize];
+        let c = &mut self.credits[port.0 as usize * self.vcs + vc.0 as usize];
         assert!(
             *c < depth_per_vc,
             "credit overflow on {}:{port}:{vc}",
@@ -666,9 +692,206 @@ impl Router {
     /// Whether every input buffer and pipeline state is empty/idle (used
     /// for drain detection in tests and experiments).
     pub(crate) fn is_quiescent(&self) -> bool {
-        self.inputs.iter().all(|p| {
-            p.buffer.total_occupancy() == 0 && p.vc_state.iter().all(|s| *s == VcState::Idle)
-        })
+        self.slots
+            .iter()
+            .all(|s| s.len == 0 && s.state == VcState::Idle)
+    }
+
+    /// Reads the state its [`Serialize`] impl wrote back into this
+    /// router, which was built from the saving run's configuration.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the stream is malformed, or if its router does not fit
+    /// this one: another id, port count, VC count or VC depth, a VC queue
+    /// longer than its depth, or a port occupancy that is not the sum of
+    /// its queues. The router is then partly restored and must be
+    /// discarded.
+    pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+        const TY: &str = "Router";
+        let (id, vcs, depth, ports) = (self.id, self.vcs, self.depth, self.ports.len());
+        let misfit =
+            |what: String| serde::Error::custom(format!("router {id} does not fit: {what}"));
+        src.map_of(14, TY)?;
+        let saved: RouterId = src.field("id", TY)?;
+        if saved != id {
+            return Err(misfit(format!("the file's router is {saved}")));
+        }
+        let saved: usize = src.field("vcs", TY)?;
+        if saved != vcs {
+            return Err(misfit(format!("{saved} VCs per port, built with {vcs}")));
+        }
+        src.expect_key("inputs", TY)?;
+        let saved = src.seq("inputs")?;
+        if saved != ports {
+            return Err(misfit(format!("{saved} ports, built with {ports}")));
+        }
+        for p in 0..ports {
+            let port = PortId(p as u8);
+            src.map_of(4, "InputPort")?;
+            src.expect_key("buffer", "InputPort")?;
+            src.map_of(3, "InputBuffer")?;
+            src.expect_key("queues", "InputBuffer")?;
+            src.seq_of(vcs, "queues")?;
+            let mut queued = 0;
+            for slot in p * vcs..(p + 1) * vcs {
+                let len = src.seq("queue")?;
+                if len > depth {
+                    let vc = VcId((slot % vcs) as u8);
+                    return Err(misfit(format!(
+                        "{port} {vc} queues {len} flits, deeper than its {depth}-flit VC"
+                    )));
+                }
+                for cell in &mut self.flits[slot * depth..slot * depth + len] {
+                    *cell = Flit::deserialize(src)?;
+                }
+                self.slots[slot].head = 0;
+                self.slots[slot].len = len as u16;
+                queued += len;
+            }
+            let saved: usize = src.field("depth_per_vc", "InputBuffer")?;
+            if saved != depth {
+                return Err(misfit(format!(
+                    "{saved}-flit VCs, the configuration gives {depth}"
+                )));
+            }
+            let saved: usize = src.field("occupancy", "InputBuffer")?;
+            if saved != queued {
+                return Err(misfit(format!(
+                    "{port} occupancy {saved}, its queues hold {queued} flits"
+                )));
+            }
+            self.occupancy[p] = queued as u32;
+            src.expect_key("vc_state", "InputPort")?;
+            src.seq_of(vcs, "vc_state")?;
+            for slot in p * vcs..(p + 1) * vcs {
+                self.slots[slot].state = VcState::deserialize(src)?;
+            }
+            self.ports[p].feeder = src.field("feeder", "InputPort")?;
+            self.occupancy_accum[p] = src.field("occupancy_accum", "InputPort")?;
+        }
+        src.expect_key("outputs", TY)?;
+        src.seq_of(ports, "outputs")?;
+        for p in 0..ports {
+            let out = p * vcs..(p + 1) * vcs;
+            src.map_of(5, "OutputPort")?;
+            self.ports[p].link = src.field("link", "OutputPort")?;
+            src.field_into("credits", &mut self.credits[out.clone()], "OutputPort")?;
+            src.field_into("vc_owner", &mut self.vc_owner[out], "OutputPort")?;
+            self.ports[p].sa_arbiter = src.field("sa_arbiter", "OutputPort")?;
+            self.ports[p].va_arbiter = src.field("va_arbiter", "OutputPort")?;
+        }
+        self.sa_rotate = src.field("sa_rotate", TY)?;
+        src.field_into("scratch_port_mask", &mut self.scratch_port_mask, TY)?;
+        self.flits_switched = src.field("flits_switched", TY)?;
+        self.flits_accepted = src.field("flits_accepted", TY)?;
+        self.sa_denials = src.field("sa_denials", TY)?;
+        self.buffered_flits = src.field("buffered_flits", TY)?;
+        self.active_vcs = src.field("active_vcs", TY)?;
+        self.sa_ready = restore_mask(src, "sa_ready")?;
+        self.va_set = restore_mask(src, "va_set")?;
+        self.rc_ready = restore_mask(src, "rc_ready")?;
+        Ok(())
+    }
+}
+
+/// Reads a mask written by [`write_mask`].
+fn restore_mask<S: Source>(src: &mut S, key: &str) -> Result<u64, serde::Error> {
+    src.expect_key(key, "Router")?;
+    src.map_of(1, "SlotSet")?;
+    let [word]: [u64; 1] = src.field("words", "SlotSet")?;
+    Ok(word)
+}
+
+/// Writes a slot mask as the one-word bitset `lumen-ckpt/4` holds.
+fn write_mask<S: Sink>(out: &mut S, key: &str, mask: u64) {
+    out.key(key);
+    out.token(Token::Map(1));
+    out.field("words", &[mask]);
+}
+
+/// Hand-written so the flat layout writes `lumen-ckpt/4`'s router shape:
+/// per port an `inputs` entry (the VC queues front to back, the depth,
+/// the occupancy, the VC states, the feeder, the `Bu` accumulator) and an
+/// `outputs` entry (the link, the credits, the VC owners, the two
+/// arbiters), then the scalars and the three masks as bitsets (DESIGN.md
+/// §6k). `Router::restore` reads it back.
+impl Serialize for Router {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        let (vcs, depth, ports) = (self.vcs, self.depth, self.ports.len());
+        out.token(Token::Map(14));
+        out.field("id", &self.id);
+        out.field("vcs", &vcs);
+        out.key("inputs");
+        out.token(Token::Seq(ports));
+        for (p, port) in self.ports.iter().enumerate() {
+            out.token(Token::Map(4));
+            out.key("buffer");
+            out.token(Token::Map(3));
+            out.key("queues");
+            out.token(Token::Seq(vcs));
+            for slot in p * vcs..(p + 1) * vcs {
+                let ring = self.slots[slot];
+                out.token(Token::Seq(ring.len as usize));
+                for i in 0..ring.len as usize {
+                    let cell = (ring.head as usize + i) % depth;
+                    self.flits[slot * depth + cell].serialize(out);
+                }
+            }
+            out.field("depth_per_vc", &depth);
+            out.field("occupancy", &self.occupancy[p]);
+            out.key("vc_state");
+            out.token(Token::Seq(vcs));
+            for slot in &self.slots[p * vcs..(p + 1) * vcs] {
+                slot.state.serialize(out);
+            }
+            out.field("feeder", &port.feeder);
+            out.field("occupancy_accum", &self.occupancy_accum[p]);
+        }
+        out.key("outputs");
+        out.token(Token::Seq(ports));
+        for (p, port) in self.ports.iter().enumerate() {
+            let slots = p * vcs..(p + 1) * vcs;
+            out.token(Token::Map(5));
+            out.field("link", &port.link);
+            out.field("credits", &self.credits[slots.clone()]);
+            out.field("vc_owner", &self.vc_owner[slots]);
+            out.field("sa_arbiter", &port.sa_arbiter);
+            out.field("va_arbiter", &port.va_arbiter);
+        }
+        out.field("sa_rotate", &self.sa_rotate);
+        out.field("scratch_port_mask", &self.scratch_port_mask);
+        out.field("flits_switched", &self.flits_switched);
+        out.field("flits_accepted", &self.flits_accepted);
+        out.field("sa_denials", &self.sa_denials);
+        out.field("buffered_flits", &self.buffered_flits);
+        out.field("active_vcs", &self.active_vcs);
+        write_mask(out, "sa_ready", self.sa_ready);
+        write_mask(out, "va_set", self.va_set);
+        write_mask(out, "rc_ready", self.rc_ready);
+    }
+}
+
+#[cfg(test)]
+impl Router {
+    /// The outgoing link of `port` (None on mesh-edge ports).
+    pub(crate) fn link(&self, port: PortId) -> Option<LinkId> {
+        self.ports[port.0 as usize].link
+    }
+
+    /// The upstream link filling `port` (None on mesh-edge ports).
+    pub(crate) fn feeder(&self, port: PortId) -> Option<LinkId> {
+        self.ports[port.0 as usize].feeder
+    }
+
+    /// The pipeline state of input `port`'s VC `vc`.
+    pub(crate) fn vc_state(&self, port: PortId, vc: VcId) -> VcState {
+        self.slots[port.0 as usize * self.vcs + vc.0 as usize].state
+    }
+
+    /// Input `port`'s buffered-flit count, to corrupt in auditor tests.
+    pub(crate) fn occupancy_mut(&mut self, port: PortId) -> &mut u32 {
+        &mut self.occupancy[port.0 as usize]
     }
 }
 
@@ -676,7 +899,6 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::Packet;
-    use crate::ids::{NodeId, PacketId};
     use crate::link::{Endpoint, LinkKind};
     use lumen_opto::Gbps;
 
@@ -722,9 +944,9 @@ mod tests {
                 config.propagation,
                 Gbps::from_gbps(10.0),
             );
-            router.outputs[0].link = Some(LinkId(0));
-            router.outputs[4].link = Some(LinkId(1));
-            router.inputs[1].feeder = Some(LinkId(7)); // pretend injection feeder
+            router.set_link(PortId(0), LinkId(0));
+            router.set_link(PortId(4), LinkId(1));
+            router.set_feeder(PortId(1), LinkId(7)); // pretend injection feeder
             let table = RouteTable::build(&config, crate::routing::RoutingAlgorithm::XY);
             Harness {
                 config,
@@ -764,14 +986,14 @@ mod tests {
         h.tick();
         assert!(h.effects.is_empty());
         assert_eq!(
-            h.router.inputs[1].vc_state[0],
+            h.router.vc_state(PortId(1), VcId(0)),
             VcState::VcAlloc {
                 out_port: PortId(0)
             }
         );
         h.tick();
         assert!(matches!(
-            h.router.inputs[1].vc_state[0],
+            h.router.vc_state(PortId(1), VcId(0)),
             VcState::Active { .. }
         ));
         h.tick();
@@ -794,7 +1016,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, Effect::Credit { link, .. } if *link == LinkId(7))));
         // Tail flit released everything.
-        assert_eq!(h.router.inputs[1].vc_state[0], VcState::Idle);
+        assert_eq!(h.router.vc_state(PortId(1), VcId(0)), VcState::Idle);
         assert!(h.router.is_quiescent());
     }
 
@@ -832,7 +1054,7 @@ mod tests {
         pending.reverse();
         for _ in 0..24 {
             if let Some(&next) = pending.last() {
-                if h.router.inputs[1].buffer.len(VcId(0)) < depth as usize {
+                if h.router.queue_len(PortId(1), VcId(0)) < depth as usize {
                     h.router.accept_flit(PortId(1), VcId(0), next);
                     pending.pop();
                 }
@@ -846,6 +1068,7 @@ mod tests {
             .count();
         // Only `depth` flits may leave before credits run out.
         assert_eq!(sent, depth as usize);
+        assert_eq!(h.router.credits(PortId(0)), [0]);
         // Returning one credit lets exactly one more through.
         h.router
             .return_credit(PortId(0), VcId(0), h.config.depth_per_vc());
@@ -910,8 +1133,8 @@ mod tests {
             h.router.accept_flit(PortId(1), VcId(0), f);
         }
         h.tick();
-        assert_eq!(h.router.inputs[1].take_occupancy_accum(), 2);
-        assert_eq!(h.router.inputs[1].take_occupancy_accum(), 0);
+        assert_eq!(h.router.take_occupancy_accum(PortId(1)), 2);
+        assert_eq!(h.router.take_occupancy_accum(PortId(1)), 0);
     }
 
     #[test]
@@ -952,9 +1175,7 @@ mod tests {
         assert_eq!(skipped.sa_rotate, real.sa_rotate);
         assert_eq!(skipped.sa_denials, real.sa_denials);
         assert!(real.sa_denials >= n);
-        for (a, b) in skipped.inputs.iter().zip(&real.inputs) {
-            assert_eq!(a.occupancy_accum, b.occupancy_accum);
-        }
+        assert_eq!(skipped.occupancy_accum, real.occupancy_accum);
         assert_eq!(
             skipped_links[0].window_demand(),
             real_links[0].window_demand()
@@ -969,5 +1190,113 @@ mod tests {
         let mut h = Harness::new();
         let depth = h.config.depth_per_vc();
         h.router.return_credit(PortId(0), VcId(0), depth);
+    }
+
+    // --- the VC rings ---------------------------------------------------
+
+    /// A router whose input VCs are `vcs` rings of `depth` flits.
+    fn ring_router(vcs: u8, depth: u16) -> Router {
+        let mut config = NocConfig::small_for_tests();
+        config.vcs = vcs;
+        config.buffer_depth = depth * u16::from(vcs);
+        Router::new(RouterId(0), &config)
+    }
+
+    fn flit(seq: u32) -> Flit {
+        Packet::new(PacketId(1), NodeId(0), NodeId(1), 8, Picos::ZERO)
+            .into_flits()
+            .nth(seq as usize)
+            .unwrap()
+    }
+
+    #[test]
+    fn fifo_order() {
+        let mut r = ring_router(1, 4);
+        r.accept_flit(PortId(0), VcId(0), flit(0));
+        r.accept_flit(PortId(0), VcId(0), flit(1));
+        assert_eq!(r.queue_len(PortId(0), VcId(0)), 2);
+        assert_eq!(r.front(0).seq, 0);
+        assert_eq!(r.pop(0).seq, 0);
+        assert_eq!(r.pop(0).seq, 1);
+        assert_eq!(r.queue_len(PortId(0), VcId(0)), 0);
+        assert_eq!(r.port_occupancy(PortId(0)), 0);
+    }
+
+    #[test]
+    fn per_vc_isolation() {
+        let mut r = ring_router(2, 2);
+        r.accept_flit(PortId(0), VcId(0), flit(0));
+        r.accept_flit(PortId(0), VcId(1), flit(1));
+        assert_eq!(r.queue_len(PortId(0), VcId(0)), 1);
+        assert_eq!(r.queue_len(PortId(0), VcId(1)), 1);
+        assert_eq!(r.port_occupancy(PortId(0)), 2);
+        assert_eq!(r.pop(1).seq, 1);
+        assert_eq!(r.queue_len(PortId(0), VcId(1)), 0);
+        assert_eq!(r.queue_len(PortId(0), VcId(0)), 1);
+        assert_eq!(r.port_occupancy(PortId(0)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "credit protocol violated")]
+    fn overflow_panics() {
+        let mut r = ring_router(1, 1);
+        r.accept_flit(PortId(0), VcId(0), flit(0));
+        r.accept_flit(PortId(0), VcId(0), flit(1));
+    }
+
+    #[test]
+    fn kind_structure_preserved() {
+        let mut r = ring_router(1, 8);
+        for f in Packet::new(PacketId(2), NodeId(0), NodeId(1), 3, Picos::ZERO).into_flits() {
+            r.accept_flit(PortId(0), VcId(0), f);
+        }
+        assert_eq!(r.pop(0).kind, FlitKind::Head);
+        assert_eq!(r.pop(0).kind, FlitKind::Body);
+        assert_eq!(r.pop(0).kind, FlitKind::Tail);
+    }
+
+    #[test]
+    fn ring_wraps_in_fifo_order() {
+        // Port 1's two VCs each own a depth-4 stretch of the flit array.
+        // Push and pop them alternately, in a pattern that keeps both
+        // rings partly full, until each has gone round at least three
+        // times, checking every step against two plain queues.
+        const DEPTH: u16 = 4;
+        let mut r = ring_router(2, DEPTH);
+        let port = PortId(1);
+        let slot = |vc: usize| port.0 as usize * 2 + vc;
+        let mut model = [std::collections::VecDeque::new(), Default::default()];
+        let (mut next_id, mut popped) = (0u64, [0usize; 2]);
+        let mut step = 0usize;
+        while popped.iter().any(|&n| n < 3 * DEPTH as usize) {
+            assert!(step < 200, "the rings stopped draining");
+            let vc = step % 2;
+            // Push twice for every pop while the ring has room, so the
+            // fill level walks up and down across the wrap point.
+            if model[vc].len() < DEPTH as usize && step % 6 < 4 {
+                next_id += 1;
+                let f = Packet::new(PacketId(next_id), NodeId(0), NodeId(1), 1, Picos::ZERO)
+                    .into_flits()
+                    .next()
+                    .unwrap();
+                r.accept_flit(port, VcId(vc as u8), f);
+                model[vc].push_back(f);
+            } else if let Some(want) = model[vc].pop_front() {
+                assert_eq!(r.pop(slot(vc)), want, "step {step}: vc{vc} order");
+                popped[vc] += 1;
+            }
+            for (v, queue) in model.iter().enumerate() {
+                assert_eq!(r.queue_len(port, VcId(v as u8)), queue.len(), "step {step}");
+                if let Some(front) = queue.front() {
+                    assert_eq!(r.front(slot(v)), front, "step {step}: vc{v} front");
+                }
+            }
+            assert_eq!(
+                r.port_occupancy(port),
+                model[0].len() + model[1].len(),
+                "step {step}"
+            );
+            step += 1;
+        }
     }
 }

@@ -569,6 +569,122 @@ fn resume_refuses_corrupted_files_with_typed_errors() {
     }
 }
 
+/// The entry `name` of a map in a checkpoint tree, to edit.
+fn field_mut<'v>(v: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
+    let serde::Value::Map(entries) = v else {
+        panic!("{name}: not in a map");
+    };
+    let (_, value) = entries
+        .iter_mut()
+        .find(|(k, _)| k == name)
+        .expect("field present");
+    value
+}
+
+/// Element `i` of a sequence in a checkpoint tree, to edit.
+fn item_mut(v: &mut serde::Value, i: usize) -> &mut serde::Value {
+    let serde::Value::Seq(items) = v else {
+        panic!("item {i}: not in a sequence");
+    };
+    &mut items[i]
+}
+
+/// A saved file with router 0's input buffer on port 0 broken by `edit`
+/// (its `queues`, `depth_per_vc` and `occupancy`) through the reference
+/// codec. The result is a well-formed checkpoint.
+fn with_router_buffer_broken(bytes: &[u8], edit: impl FnOnce(&mut serde::Value)) -> Vec<u8> {
+    let mut tree = reference::decode(bytes).expect("the reference codec reads the file");
+    let routers = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "routers");
+    let input = item_mut(field_mut(item_mut(routers, 0), "inputs"), 0);
+    edit(field_mut(input, "buffer"));
+    let file = reference::encode(&tree);
+    Checkpoint::from_bytes(&file).expect("the broken file is well-formed");
+    file
+}
+
+/// Resumes from `file` and returns the panic message it refuses with.
+fn resume_refusal(config: &SystemConfig, file: &[u8], tag: &str) -> String {
+    let path = ckpt_path(tag);
+    std::fs::write(&path, file).expect("write the file");
+    let result = std::panic::catch_unwind(|| {
+        experiment(config.clone())
+            .resume(&path)
+            .run_uniform(0.1, PacketSize::Fixed(4))
+    });
+    std::fs::remove_file(&path).ok();
+    panic_message(result.expect_err("a router that does not fit must refuse"))
+}
+
+/// The queue lengths of a router input buffer in a checkpoint tree.
+fn queue_lens(buffer: &mut serde::Value) -> Vec<usize> {
+    let queues = field_mut(buffer, "queues").as_seq().expect("queues");
+    queues
+        .iter()
+        .map(|q| q.as_seq().expect("a queue").len())
+        .collect()
+}
+
+#[test]
+fn resume_refuses_a_router_queue_deeper_than_its_vc() {
+    // Router restore reads into the flat rings the network built, so a
+    // queue longer than its VC must stop the read, not overrun a ring.
+    let bytes = valid_checkpoint_bytes("deep-queue");
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let depth = usize::from(config.noc.depth_per_vc());
+    let flit = serde::Serialize::serialize_value(&lumen_noc::Flit {
+        packet: lumen_noc::PacketId(1),
+        kind: lumen_noc::flit::FlitKind::Body,
+        seq: 1,
+        src: lumen_noc::NodeId(0),
+        dst: lumen_noc::NodeId(1),
+        size_flits: 4,
+        created_at: lumen_desim::Picos::ZERO,
+        corrupted: false,
+    });
+    let file = with_router_buffer_broken(&bytes, |buffer| {
+        let serde::Value::Seq(queue) = item_mut(field_mut(buffer, "queues"), 0) else {
+            panic!("a queue");
+        };
+        queue.resize(depth + 1, flit);
+        // The port's count agrees with its queues: only the depth is off.
+        let queued = queue_lens(buffer).iter().sum::<usize>();
+        *field_mut(buffer, "occupancy") = serde::Value::U64(queued as u64);
+    });
+    let msg = resume_refusal(&config, &file, "deep-queue");
+    let want = format!(
+        "checkpoint does not fit this run: router r0 does not fit: \
+         p0 vc0 queues {} flits, deeper than its {depth}-flit VC",
+        depth + 1
+    );
+    assert!(
+        msg.starts_with("cannot resume from") && msg.ends_with(&want),
+        "unexpected refusal {msg:?}"
+    );
+}
+
+#[test]
+fn resume_refuses_a_router_occupancy_that_is_not_its_queues() {
+    // A port's occupancy caches its queue lengths; the reader must not
+    // trust the file's count over the flits it holds.
+    let bytes = valid_checkpoint_bytes("occupancy");
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let mut queued = 0;
+    let file = with_router_buffer_broken(&bytes, |buffer| {
+        queued = queue_lens(buffer).iter().sum::<usize>();
+        *field_mut(buffer, "occupancy") = serde::Value::U64(queued as u64 + 1);
+    });
+    let msg = resume_refusal(&config, &file, "occupancy");
+    let want = format!(
+        "checkpoint does not fit this run: router r0 does not fit: \
+         p0 occupancy {}, its queues hold {queued} flits",
+        queued + 1
+    );
+    assert!(
+        msg.starts_with("cannot resume from") && msg.ends_with(&want),
+        "unexpected refusal {msg:?}"
+    );
+}
+
 #[test]
 fn resume_into_a_different_configuration_panics() {
     let path = ckpt_path("mismatch");
