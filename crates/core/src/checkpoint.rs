@@ -40,7 +40,7 @@ use std::path::Path;
 /// Checkpoint schema identifier, stored inside the file body. Bump the
 /// trailing number when a field is added, removed, or changes meaning
 /// (see `CHECKPOINTS.md` for the compatibility policy).
-pub const CKPT_SCHEMA: &str = "lumen-ckpt/4";
+pub const CKPT_SCHEMA: &str = "lumen-ckpt/5";
 
 /// File magic: identifies a lumen checkpoint before any decoding.
 const MAGIC: &[u8; 8] = b"LUMENCK\n";
@@ -760,11 +760,16 @@ mod tests {
 
     #[test]
     fn wrong_schema_string_rejected() {
-        // The two previous schemas (`/2`'s time series carried a
+        // The three previous schemas (`/2`'s time series carried a
         // `retention` entry; `/3`'s network config carried a routing
-        // opt-in and every DVS controller its window length), and a
-        // future one.
-        for schema in ["lumen-ckpt/2", "lumen-ckpt/3", "lumen-ckpt/999"] {
+        // opt-in and every DVS controller its window length; `/4`'s
+        // sources queued flits, not packets), and a future one.
+        for schema in [
+            "lumen-ckpt/2",
+            "lumen-ckpt/3",
+            "lumen-ckpt/4",
+            "lumen-ckpt/999",
+        ] {
             let mut v = sample().serialize_value();
             if let Value::Map(entries) = &mut v {
                 entries[0].1 = Value::Str(schema.to_string());

@@ -265,9 +265,9 @@ mod tests {
             flits_corrupted: 0,
             link_faults: 0,
             latency_summary: Summary::new(),
-            latency_series: TimeSeries::new("l"),
-            power_series: TimeSeries::new("p"),
-            injection_series: TimeSeries::new("i"),
+            latency_series: TimeSeries::default(),
+            power_series: TimeSeries::default(),
+            injection_series: TimeSeries::default(),
             telemetry: None,
             resumed: false,
         }

@@ -661,9 +661,9 @@ impl Coordinator {
             bucket_injected: 0,
             last_sample_time: Picos::ZERO,
             last_sample_energy_nj: 0.0,
-            latency_series: TimeSeries::new("latency_cycles"),
-            power_series: TimeSeries::new("normalized_power"),
-            injection_series: TimeSeries::new("injection_rate"),
+            latency_series: TimeSeries::default(),
+            power_series: TimeSeries::default(),
+            injection_series: TimeSeries::default(),
         }
     }
 

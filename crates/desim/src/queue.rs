@@ -4,18 +4,24 @@
 //! (an eighth of a router cycle on the simulator's calendar), plus an
 //! overflow binary heap for events beyond the ring's horizon (policy
 //! transitions, laser decisions, fault onsets). Scheduling an event
-//! within the horizon is an O(1) lane append; popping swaps the next
-//! nonempty lane into a drain buffer and takes entries off its back.
+//! within the horizon is an O(1) lane append; popping moves the next
+//! nonempty lane into a drain and reads it front to back.
 //!
-//! Lanes fill in sequence order, so a lane whose entries share one
-//! instant is already in `(time, seq)` order when it is loaded: it is
-//! only reversed, never sorted. With lanes narrower than the gap between
-//! the instants the simulator schedules, nearly every lane is such a
-//! lane. A lane that mixes instants, merges overflow entries out of
-//! order, or takes an insertion while it drains falls back to one sort
-//! of its entries by `(time, seq)`. [`EventQueue::resorted_total`] counts
-//! those sorts and [`EventQueue::spilled_total`] the entries that went to
-//! the overflow heap.
+//! An empty lane holds no buffer. Its first append takes the most
+//! recently drained buffer from a LIFO pool, and every drained buffer goes
+//! back to the pool, so the calendar keeps at most one buffer per lane in
+//! use at once plus the drain's, and a lane's first append writes into
+//! the buffer drained most recently.
+//!
+//! Lanes fill in sequence order, so a lane stays in `(time, seq)` order
+//! unless an append lands earlier than its tail; each lane records that
+//! at append time. A lane that never did is drained as it stands. A lane
+//! that did (it mixed instants out of order), a drain that merges
+//! overflow entries behind later ones, or a drain that takes an insertion
+//! earlier than its tail falls back to one sort of its entries by
+//! `(time, seq)`. [`EventQueue::resorted_total`] counts those sorts and
+//! [`EventQueue::spilled_total`] the entries that went to the overflow
+//! heap.
 //!
 //! Events are delivered in nondecreasing `(time, seq)` order, i.e. FIFO
 //! among events scheduled for the same instant — exactly the order of a
@@ -26,7 +32,7 @@
 
 use crate::time::Picos;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Default lane width: an eighth of a 625 MHz router-core cycle (200 ps
 /// of the 1600 ps cycle). Widths are rounded *down* to a power of two
@@ -39,8 +45,8 @@ use std::collections::BinaryHeap;
 /// propagation time, and on the built-in ladders distinct instants sit
 /// at least 178 ps apart within a cycle (the 5–10 Gb/s ladder) or, at
 /// worst, 48 ps (the 3.3–10 Gb/s one). A 128 ps lane therefore almost
-/// always holds a single instant and loads without a sort. A lane as wide
-/// as the cycle (1024 ps) held about three instants on the 8×8 mesh,
+/// always holds a single instant and drains without a sort. A lane as
+/// wide as the cycle (1024 ps) held about three instants on the 8×8 mesh,
 /// scheduled interleaved, and only 13% of such lanes arrived in order.
 pub(crate) const DEFAULT_BUCKET_PS: u64 = 1600 / 8;
 
@@ -49,8 +55,8 @@ pub(crate) const DEFAULT_BUCKET_PS: u64 = 1600 / 8;
 /// the slowest flit hop on any built-in or searched ladder (serialization
 /// at 3.0 Gb/s plus propagation, 8.5 ns), so flit, credit and tick events
 /// never spill and only policy, fault and laser events reach the overflow
-/// heap. A longer ring is not free: every lane keeps the buffer it grew,
-/// and 2048 lanes raised the 8×8 mesh's peak RSS from 12.2 to 59.2 MiB.
+/// heap. Lanes share their buffers through the pool, so the ring's length
+/// does not set how many buffers the calendar keeps.
 pub const WHEEL_SLOTS: usize = 256;
 
 const SLOT_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
@@ -93,18 +99,28 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One lane of the wheel: its entries in the order they were scheduled.
+struct Lane<E> {
+    /// Empty lanes hold no buffer (capacity zero).
+    entries: Vec<Entry<E>>,
+    /// Whether an entry was appended earlier than the lane's tail, so the
+    /// lane is not in `(time, seq)` order.
+    unordered: bool,
+}
+
 /// The hierarchical bucketed cycle wheel.
 ///
 /// Invariants (checked in debug builds where cheap):
 ///
 /// - `drain` holds the entries of the bucket at `cursor` (plus any entries
 ///   scheduled at-or-before the cursor bucket after the fact); when
-///   `drain_sorted`, it is sorted *descending* by `(time, seq)` so the
-///   earliest entry pops off the back in O(1).
+///   `drain_sorted`, it is ascending by `(time, seq)` and pops from the
+///   front.
 /// - every slot holds entries of exactly one absolute bucket in
 ///   `(cursor, cursor + WHEEL_SLOTS)`, in the order they were scheduled,
 ///   so ascending by `seq`; a bucket index maps to slot
-///   `bucket & SLOT_MASK`.
+///   `bucket & SLOT_MASK`. A slot holds a buffer exactly when it holds
+///   entries.
 /// - `overflow` holds entries whose bucket was `>= cursor + WHEEL_SLOTS`
 ///   at schedule time; they are pulled into `drain` when the cursor
 ///   reaches their bucket (no intermediate migration pass needed).
@@ -115,33 +131,40 @@ struct Wheel<E> {
     /// up, so a lane is never wider than asked for: a wider lane could take
     /// in a second instant and need the sort (see [`DEFAULT_BUCKET_PS`]).
     shift: u32,
-    slots: Vec<Vec<Entry<E>>>,
+    slots: Vec<Lane<E>>,
+    /// Empty buffers of drained lanes, the most recently drained last.
+    pool: Vec<Vec<Entry<E>>>,
     /// Absolute index of the bucket currently draining.
     cursor: u64,
-    drain: Vec<Entry<E>>,
+    drain: VecDeque<Entry<E>>,
     drain_sorted: bool,
     /// Entries across all slots (excluding `drain` and `overflow`).
     in_slots: usize,
     overflow: BinaryHeap<Entry<E>>,
     /// Entries ever pushed onto `overflow`.
     spilled: u64,
-    /// Drains ever sorted by the full key (lanes not loaded in order).
+    /// Drains ever sorted by the full key.
     resorted: u64,
 }
 
 impl<E> Wheel<E> {
     fn new(width: Picos, capacity: usize) -> Self {
         assert!(width > Picos::ZERO, "bucket width must be positive");
-        // The drain and a handful of slots recycle their buffers between
-        // bucket swaps, so a modest up-front reservation suffices.
-        let drain = Vec::with_capacity(capacity / 8);
         let w = width.as_ps();
         let shift = 63 - w.leading_zeros(); // floor(log2(width))
         Wheel {
             shift,
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            slots: (0..WHEEL_SLOTS)
+                .map(|_| Lane {
+                    entries: Vec::new(),
+                    unordered: false,
+                })
+                .collect(),
+            pool: Vec::new(),
             cursor: 0,
-            drain,
+            // Buffers recycle between lanes, so a modest up-front
+            // reservation suffices.
+            drain: VecDeque::with_capacity(capacity / 8),
             drain_sorted: true,
             in_slots: 0,
             overflow: BinaryHeap::with_capacity(capacity / 16),
@@ -164,17 +187,29 @@ impl<E> Wheel<E> {
             // behind after idle stretches).
             debug_assert!(self.drain.is_empty() && self.in_slots == 0);
             self.cursor = bucket;
-            self.drain.push(entry);
+            self.drain.push_back(entry);
             self.drain_sorted = true;
             return;
         }
         if bucket <= self.cursor {
-            // Current (or past) bucket: joins the in-progress drain and
-            // forces a re-sort so (time, seq) order still holds.
-            self.drain.push(entry);
-            self.drain_sorted = false;
+            // Current (or past) bucket: joins the in-progress drain. Its
+            // sequence number is the largest yet, so it keeps the drain in
+            // order unless it is earlier than the drain's tail.
+            if self.drain.back().is_some_and(|tail| entry.time < tail.time) {
+                self.drain_sorted = false;
+            }
+            self.drain.push_back(entry);
         } else if bucket < self.cursor + WHEEL_SLOTS as u64 {
-            self.slots[(bucket & SLOT_MASK) as usize].push(entry);
+            let lane = &mut self.slots[(bucket & SLOT_MASK) as usize];
+            match lane.entries.last() {
+                Some(tail) => lane.unordered |= entry.time < tail.time,
+                None => {
+                    if let Some(buffer) = self.pool.pop() {
+                        lane.entries = buffer;
+                    }
+                }
+            }
+            lane.entries.push(entry);
             self.in_slots += 1;
         } else {
             self.overflow.push(entry);
@@ -182,13 +217,14 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Sorts the drain descending by `(time, seq)` (earliest last).
+    /// Sorts the drain ascending by `(time, seq)`.
     #[inline]
     fn sort_drain(&mut self) {
         // Keys are unique (the sequence number breaks time ties), so an
         // unstable sort is exact.
         self.drain
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+            .make_contiguous()
+            .sort_unstable_by_key(Entry::key);
         self.drain_sorted = true;
         self.resorted += 1;
     }
@@ -204,7 +240,7 @@ impl<E> Wheel<E> {
             let mut found = None;
             for k in 1..=WHEEL_SLOTS as u64 {
                 let b = self.cursor + k;
-                if !self.slots[(b & SLOT_MASK) as usize].is_empty() {
+                if !self.slots[(b & SLOT_MASK) as usize].entries.is_empty() {
                     found = Some(b);
                     break;
                 }
@@ -216,28 +252,25 @@ impl<E> Wheel<E> {
             }
         };
         self.cursor = next;
-        // Swap rather than move so the drained bucket inherits the
-        // drain's (empty, but allocated) buffer.
-        std::mem::swap(
-            &mut self.drain,
-            &mut self.slots[(next & SLOT_MASK) as usize],
-        );
-        self.in_slots -= self.drain.len();
+        let lane = &mut self.slots[(next & SLOT_MASK) as usize];
+        self.drain_sorted = !std::mem::take(&mut lane.unordered);
+        if !lane.entries.is_empty() {
+            // The lane's buffer becomes the drain; the drain's empty one
+            // goes back to the pool.
+            let entries = std::mem::take(&mut lane.entries);
+            self.in_slots -= entries.len();
+            let drained = std::mem::replace(&mut self.drain, VecDeque::from(entries));
+            self.pool.push(Vec::from(drained));
+        }
         while let Some(e) = self.overflow.peek() {
             if self.bucket_of(e.time) != next {
                 break;
             }
-            self.drain
-                .push(self.overflow.pop().expect("peeked entry must pop"));
-        }
-        // A lane of one instant was filled in `seq` order and is already
-        // ascending by key; only a lane that mixes instants (or merged
-        // overflow entries behind later ones) needs the full sort.
-        if self.drain.is_sorted_by_key(Entry::key) {
-            self.drain.reverse();
-            self.drain_sorted = true;
-        } else {
-            self.sort_drain();
+            let e = self.overflow.pop().expect("peeked entry must pop");
+            if self.drain.back().is_some_and(|tail| e.key() < tail.key()) {
+                self.drain_sorted = false;
+            }
+            self.drain.push_back(e);
         }
     }
 
@@ -247,11 +280,11 @@ impl<E> Wheel<E> {
                 if !self.drain_sorted {
                     self.sort_drain();
                 }
-                let earliest = self.drain.last().expect("drain nonempty").time;
+                let earliest = self.drain.front().expect("drain nonempty").time;
                 if earliest > horizon {
                     return None;
                 }
-                let e = self.drain.pop().expect("drain nonempty");
+                let e = self.drain.pop_front().expect("drain nonempty");
                 return Some((e.time, e.event));
             }
             if self.in_slots == 0 && self.overflow.is_empty() {
@@ -264,7 +297,7 @@ impl<E> Wheel<E> {
     fn peek_time(&self) -> Option<Picos> {
         if !self.drain.is_empty() {
             if self.drain_sorted {
-                return self.drain.last().map(|e| e.time);
+                return self.drain.front().map(|e| e.time);
             }
             return self.drain.iter().map(|e| e.time).min();
         }
@@ -278,7 +311,7 @@ impl<E> Wheel<E> {
         let mut slot_min = None;
         for k in 1..=WHEEL_SLOTS as u64 {
             let b = self.cursor + k;
-            let slot = &self.slots[(b & SLOT_MASK) as usize];
+            let slot = &self.slots[(b & SLOT_MASK) as usize].entries;
             if !slot.is_empty() {
                 let t = slot.iter().map(|e| e.time).min().expect("slot nonempty");
                 slot_min = Some((b, t));
@@ -423,10 +456,11 @@ impl<E> EventQueue<E> {
         self.wheel.spilled
     }
 
-    /// Number of times a lane had to be sorted by `(time, seq)` before it
-    /// could be drained: it mixed instants, merged overflow entries out of
-    /// order, or took an insertion while draining. A lane that arrives in
-    /// order is only reversed and is not counted.
+    /// Number of times a drain had to be sorted by `(time, seq)`: its lane
+    /// took an append earlier than its tail, it merged overflow entries
+    /// behind later ones, or it took an insertion earlier than its tail
+    /// while draining. A drain in order is read front to back as it stands
+    /// and is not counted.
     pub fn resorted_total(&self) -> u64 {
         self.wheel.resorted
     }
@@ -585,16 +619,38 @@ mod tests {
         assert_eq!(q.pop(), Some((Picos::ZERO, 0)));
         assert_eq!(q.pop(), Some((Picos::from_ps(1000), 1)));
         assert_eq!(q.resorted_total(), 0, "a one-instant lane loads in order");
-        // Mid-drain insertions: same instant, and same 128 ps lane but later.
+        // Mid-drain insertions at or after the drain's tail: same instant,
+        // and same 128 ps lane but later. Both append in order.
         q.schedule(Picos::from_ps(1000), 3);
         q.schedule(Picos::from_ps(1010), 4);
         assert_eq!(q.pop(), Some((Picos::from_ps(1000), 2)));
-        assert_eq!(q.resorted_total(), 1, "a mid-drain insertion re-sorts");
+        assert_eq!(q.resorted_total(), 0, "an in-order insertion needs no sort");
+        // One earlier than the drain's tail (1010 ps) must sort.
+        q.schedule(Picos::from_ps(1005), 5);
+        assert_eq!(q.peek_time(), Some(Picos::from_ps(1000)));
         assert_eq!(q.pop(), Some((Picos::from_ps(1000), 3)));
+        assert_eq!(q.resorted_total(), 1, "an insertion before the tail sorts");
+        assert_eq!(q.pop(), Some((Picos::from_ps(1005), 5)));
         assert_eq!(q.peek_time(), Some(Picos::from_ps(1010)));
         assert_eq!(q.pop(), Some((Picos::from_ps(1010), 4)));
         assert_eq!(q.pop(), Some((Picos::from_ps(3200), 9)));
         assert_eq!(q.pop(), None);
+        assert_eq!(q.resorted_total(), 1);
+    }
+
+    #[test]
+    fn a_lane_appended_out_of_order_sorts_once() {
+        // Lanes 128 ps wide: 1000 and 1010 ps share one. Scheduled in time
+        // order the lane drains as it stands; scheduled the other way round
+        // it is flagged at append and sorted once when loaded.
+        let mut q = EventQueue::new();
+        q.schedule(Picos::ZERO, 0);
+        q.schedule(Picos::from_ps(1000), 1);
+        q.schedule(Picos::from_ps(1010), 2);
+        q.schedule(Picos::from_ps(2010), 4);
+        q.schedule(Picos::from_ps(2000), 3);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert_eq!(q.resorted_total(), 1);
     }
 
@@ -705,5 +761,54 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 3);
         assert_eq!(q.spilled_total(), 1);
+    }
+
+    impl<E> Wheel<E> {
+        /// Lanes holding entries.
+        fn lanes_in_use(&self) -> usize {
+            self.slots.iter().filter(|l| !l.entries.is_empty()).count()
+        }
+
+        /// Buffers the calendar holds: in lanes, in the pool and the
+        /// drain's. None is ever freed, so this counts every buffer it
+        /// allocated.
+        fn buffers(&self) -> usize {
+            let lanes = self.slots.iter().filter(|l| l.entries.capacity() > 0);
+            lanes.count() + self.pool.len() + usize::from(self.drain.capacity() > 0)
+        }
+    }
+
+    #[test]
+    fn a_long_lattice_schedule_keeps_one_buffer_per_lane_in_use() {
+        use crate::rng::Rng;
+        // The paper's lattice: ticks every 1600 ps; each tick launches a
+        // few flits, landing a link hop later (3200 ps of propagation plus
+        // one 16-bit flit's serialization at a rung of the 5–10 Gb/s
+        // ladder, or at the static 3.3 Gb/s rate), and the credits their
+        // sinks return one cycle after that.
+        const CYCLE: u64 = 1600;
+        const HOPS: [u64; 7] = [4800, 4978, 5200, 5486, 5867, 6400, 8048];
+        let mut q = EventQueue::new();
+        let mut rng = Rng::seed_from(7);
+        let mut peak = 0;
+        q.schedule(Picos::ZERO, 0u8);
+        while let Some((now, kind)) = q.pop() {
+            let now = now.as_ps();
+            if kind == 0 && now < CYCLE * 20_000 {
+                q.schedule(Picos::from_ps(now + CYCLE), 0);
+                for _ in 0..rng.next_below(6) {
+                    let hop = HOPS[rng.index(HOPS.len())];
+                    q.schedule(Picos::from_ps(now + hop), 1);
+                    q.schedule(Picos::from_ps(now + hop + CYCLE), 2);
+                }
+            }
+            peak = peak.max(q.wheel.lanes_in_use());
+        }
+        assert!(peak > 10, "the schedule keeps {peak} lanes busy");
+        let buffers = q.wheel.buffers();
+        assert!(
+            buffers <= peak + 1,
+            "{buffers} lane buffers for at most {peak} lanes in use"
+        );
     }
 }

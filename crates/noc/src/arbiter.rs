@@ -1,6 +1,6 @@
 //! Round-robin arbitration.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Source};
 
 /// A rotating-priority (round-robin) arbiter over `n` requesters.
 ///
@@ -17,10 +17,28 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(arb.grant(|_| true), Some(1)); // rotates past the winner
 /// assert_eq!(arb.grant(|_| true), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RoundRobinArbiter {
     n: usize,
     next: usize,
+}
+
+/// Hand-written to refuse a priority pointer outside the requesters:
+/// `new` and every grant keep `next < n`, and a grant from a pointer past
+/// them would hand out a requester the caller does not have.
+impl Deserialize for RoundRobinArbiter {
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, serde::Error> {
+        const TY: &str = "RoundRobinArbiter";
+        src.map_of(2, TY)?;
+        let n: usize = src.field("n", TY)?;
+        let next: usize = src.field("next", TY)?;
+        if next >= n {
+            return Err(serde::Error::custom(format!(
+                "arbiter priority {next} is not one of its {n} requesters"
+            )));
+        }
+        Ok(RoundRobinArbiter { n, next })
+    }
 }
 
 impl RoundRobinArbiter {

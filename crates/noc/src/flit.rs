@@ -39,30 +39,37 @@ impl Packet {
         }
     }
 
-    /// Breaks the packet into its flit sequence.
-    pub(crate) fn into_flits(self) -> impl Iterator<Item = Flit> {
+    /// Flit `seq` of the packet (`seq < size_flits`): the source builds
+    /// each flit as it launches it.
+    #[inline]
+    pub(crate) fn flit(&self, seq: u32) -> Flit {
+        debug_assert!(seq < self.size_flits, "flit {seq} of {self}");
         let size = self.size_flits;
-        (0..size).map(move |seq| {
-            let kind = if size == 1 {
-                FlitKind::HeadTail
-            } else if seq == 0 {
-                FlitKind::Head
-            } else if seq == size - 1 {
-                FlitKind::Tail
-            } else {
-                FlitKind::Body
-            };
-            Flit {
-                packet: self.id,
-                kind,
-                seq,
-                src: self.src,
-                dst: self.dst,
-                size_flits: size,
-                created_at: self.created_at,
-                corrupted: false,
-            }
-        })
+        let kind = if size == 1 {
+            FlitKind::HeadTail
+        } else if seq == 0 {
+            FlitKind::Head
+        } else if seq == size - 1 {
+            FlitKind::Tail
+        } else {
+            FlitKind::Body
+        };
+        Flit {
+            packet: self.id,
+            kind,
+            seq,
+            src: self.src,
+            dst: self.dst,
+            size_flits: size,
+            created_at: self.created_at,
+            corrupted: false,
+        }
+    }
+
+    /// Breaks the packet into its flit sequence.
+    #[cfg(test)]
+    pub(crate) fn into_flits(self) -> impl Iterator<Item = Flit> {
+        (0..self.size_flits).map(move |seq| self.flit(seq))
     }
 }
 

@@ -41,33 +41,10 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// The role a link plays in the clustered topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LinkKind {
-    /// Router-to-router mesh channel.
-    InterRouter,
-    /// Node-to-router channel.
-    Injection,
-    /// Router-to-node channel.
-    Ejection,
-}
-
-impl fmt::Display for LinkKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LinkKind::InterRouter => "inter-router",
-            LinkKind::Injection => "injection",
-            LinkKind::Ejection => "ejection",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A unidirectional, variable-bit-rate opto-electronic channel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Link {
     id: LinkId,
-    kind: LinkKind,
     from: Endpoint,
     to: Endpoint,
     flit_bits: u32,
@@ -93,7 +70,6 @@ impl Link {
     /// Panics if the rate is not strictly positive or `flit_bits` is zero.
     pub fn new(
         id: LinkId,
-        kind: LinkKind,
         from: Endpoint,
         to: Endpoint,
         flit_bits: u32,
@@ -104,7 +80,6 @@ impl Link {
         assert!(flit_bits > 0, "flits must carry bits");
         Link {
             id,
-            kind,
             from,
             to,
             flit_bits,
@@ -298,7 +273,6 @@ mod tests {
     fn link(rate: f64) -> Link {
         Link::new(
             LinkId(0),
-            LinkKind::InterRouter,
             Endpoint::RouterPort {
                 router: RouterId(0),
                 port: PortId(8),

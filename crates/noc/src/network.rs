@@ -20,7 +20,7 @@
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet};
 use crate::ids::{LinkId, NodeId, PacketId, PortId, RouterId, VcId};
-use crate::link::{Endpoint, Link, LinkKind};
+use crate::link::{Endpoint, Link};
 use crate::node::{SinkNode, SourceNode};
 use crate::route_table::RouteTable;
 use crate::router::{Router, Stall};
@@ -215,7 +215,6 @@ impl Network {
             let id = LinkId(links.len() as u32);
             links.push(Link::new(
                 id,
-                LinkKind::InterRouter,
                 Endpoint::RouterPort {
                     router: ch.from,
                     port: ch.from_port,
@@ -244,7 +243,6 @@ impl Network {
             let inj = LinkId(links.len() as u32);
             links.push(Link::new(
                 inj,
-                LinkKind::Injection,
                 Endpoint::Node(node),
                 Endpoint::RouterPort {
                     router,
@@ -265,7 +263,6 @@ impl Network {
             let ej = LinkId(links.len() as u32);
             links.push(Link::new(
                 ej,
-                LinkKind::Ejection,
                 Endpoint::RouterPort {
                     router,
                     port: local,
@@ -658,10 +655,11 @@ impl Network {
     /// # Errors
     ///
     /// Fails if the stream is malformed, a component count does not
-    /// match this network's topology, or a router does not fit the one
-    /// built here (a checkpoint from a different configuration, or a
-    /// corrupted one; see `Router::restore`). The network is then partly
-    /// restored and must be discarded.
+    /// match this network's topology, or a router or source does not fit
+    /// the one built here (a checkpoint from a different configuration,
+    /// or a corrupted one; see `Router::restore` and
+    /// `SourceNode::restore`). The network is then partly restored and
+    /// must be discarded.
     pub fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "Network";
         src.map_of(5, TY)?;
@@ -670,7 +668,12 @@ impl Network {
         for router in &mut self.routers {
             router.restore(src)?;
         }
-        src.field_into("sources", &mut self.sources, TY)?;
+        src.expect_key("sources", TY)?;
+        src.seq_of(self.sources.len(), "sources")?;
+        let depth = self.config.depth_per_vc();
+        for source in &mut self.sources {
+            source.restore(src, depth)?;
+        }
         src.expect_key("sinks", TY)?;
         src.seq_of(self.sinks.len(), "sinks")?;
         for sink in &mut self.sinks {

@@ -45,15 +45,24 @@ impl Hasher for PacketIdHasher {
 type PacketMap<V> = HashMap<PacketId, V, BuildHasherDefault<PacketIdHasher>>;
 
 /// The traffic-source half of a processing node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A source queues packets, not flits: it builds each flit from the head
+/// packet as the flit launches, so a backlog costs one packet entry per
+/// packet instead of one flit entry per flit, and the flits on the wire
+/// are those `Packet::into_flits` gives.
+#[derive(Debug, Clone)]
 pub(crate) struct SourceNode {
     id: NodeId,
     inj_link: LinkId,
-    queue: VecDeque<Flit>,
+    /// Packets waiting, the one being sent first.
+    queue: VecDeque<Packet>,
+    /// Flits of the head packet already sent.
+    head_sent: u32,
+    /// Flits still waiting: the queued packets' flits less `head_sent`.
+    backlog: usize,
     credits: Vec<u16>,
     active_vc: Option<VcId>,
     vc_arbiter: RoundRobinArbiter,
-    scratch_eligible: Vec<bool>,
     /// Packets handed to this source over its lifetime.
     pub packets_queued: u64,
     /// Flits that have left on the injection link.
@@ -68,10 +77,11 @@ impl SourceNode {
             id,
             inj_link,
             queue: VecDeque::new(),
+            head_sent: 0,
+            backlog: 0,
             credits: vec![depth_per_vc; vcs as usize],
             active_vc: None,
             vc_arbiter: RoundRobinArbiter::new(vcs as usize),
-            scratch_eligible: vec![false; vcs as usize],
             packets_queued: 0,
             flits_injected: 0,
         }
@@ -90,12 +100,13 @@ impl SourceNode {
     pub(crate) fn enqueue(&mut self, packet: Packet) {
         assert_eq!(packet.src, self.id, "packet source mismatch");
         self.packets_queued += 1;
-        self.queue.extend(packet.into_flits());
+        self.backlog += packet.size_flits as usize;
+        self.queue.push_back(packet);
     }
 
     /// Flits still waiting (source queue occupancy).
     pub(crate) fn backlog_flits(&self) -> usize {
-        self.queue.len()
+        self.backlog
     }
 
     /// Current credit balance per VC (for the conservation auditor).
@@ -114,23 +125,17 @@ impl SourceNode {
         *c += 1;
     }
 
-    /// One core cycle: try to put the next queued flit on the injection
-    /// link.
+    /// One core cycle: try to put the head packet's next flit on the
+    /// injection link.
     pub(crate) fn tick(&mut self, now: Picos, links: &mut [Link], effects: &mut Vec<Effect>) {
-        let Some(front) = self.queue.front() else {
+        let Some(packet) = self.queue.front() else {
             return;
         };
         links[self.inj_link.index()].note_demand();
         if self.active_vc.is_none() {
-            debug_assert!(
-                front.kind.is_head(),
-                "source queue must start at a head flit"
-            );
-            for (v, &c) in self.credits.iter().enumerate() {
-                self.scratch_eligible[v] = c > 0;
-            }
-            let eligible = &self.scratch_eligible;
-            match self.vc_arbiter.grant(|v| eligible[v]) {
+            debug_assert_eq!(self.head_sent, 0, "a packet starts on a free VC");
+            let credits = &self.credits;
+            match self.vc_arbiter.grant(|v| credits[v] > 0) {
                 Some(v) => self.active_vc = Some(VcId(v as u8)),
                 None => return,
             }
@@ -143,7 +148,14 @@ impl SourceNode {
         if !link.ready_at(now) {
             return;
         }
-        let flit = self.queue.pop_front().expect("checked non-empty");
+        let flit = packet.flit(self.head_sent);
+        self.head_sent += 1;
+        if self.head_sent == packet.size_flits {
+            self.queue.pop_front();
+            self.head_sent = 0;
+            self.active_vc = None;
+        }
+        self.backlog -= 1;
         self.credits[vc.0 as usize] -= 1;
         self.flits_injected += 1;
         let at = link.start_flit(now);
@@ -153,9 +165,115 @@ impl SourceNode {
             flit,
             at,
         });
-        if flit.kind.is_tail() {
-            self.active_vc = None;
+    }
+
+    /// Reads the state its [`Serialize`] impl wrote back into this
+    /// source, which was built from the saving run's configuration.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the stream is malformed, or if its source does not fit
+    /// this one: another node id or injection link, a queued packet from
+    /// another node or with no flits, a head count that is not below the
+    /// head packet's size, a credit count per VC other than this source's
+    /// VCs or above `depth_per_vc`, an active VC it does not have, or a VC
+    /// arbiter over another number of VCs. The source is then partly
+    /// restored and must be discarded.
+    pub(crate) fn restore<S: Source>(
+        &mut self,
+        src: &mut S,
+        depth_per_vc: u16,
+    ) -> Result<(), serde::Error> {
+        const TY: &str = "SourceNode";
+        let (id, inj_link, vcs) = (self.id, self.inj_link, self.credits.len());
+        let misfit =
+            |what: String| serde::Error::custom(format!("source {id} does not fit: {what}"));
+        src.map_of(9, TY)?;
+        let saved: NodeId = src.field("id", TY)?;
+        if saved != id {
+            return Err(misfit(format!("the file's source is {saved}")));
         }
+        let saved: LinkId = src.field("inj_link", TY)?;
+        if saved != inj_link {
+            return Err(misfit(format!(
+                "it injects on {saved}, built on {inj_link}"
+            )));
+        }
+        src.expect_key("queue", TY)?;
+        let queued = src.seq("queue")?;
+        self.queue.clear();
+        self.backlog = 0;
+        for _ in 0..queued {
+            let packet = Packet::deserialize(src)?;
+            if packet.src != id {
+                return Err(misfit(format!(
+                    "queued packet {packet} is from {}",
+                    packet.src
+                )));
+            }
+            if packet.size_flits == 0 {
+                return Err(misfit(format!("queued packet {} has no flits", packet.id)));
+            }
+            self.backlog += packet.size_flits as usize;
+            self.queue.push_back(packet);
+        }
+        self.head_sent = src.field("head_sent", TY)?;
+        let sent = self.head_sent;
+        match self.queue.front() {
+            Some(head) if sent >= head.size_flits => {
+                return Err(misfit(format!("{sent} flits of head packet {head} sent")));
+            }
+            None if sent > 0 => {
+                return Err(misfit(format!("{sent} flits sent with no packet queued")));
+            }
+            _ => {}
+        }
+        self.backlog -= self.head_sent as usize;
+        src.expect_key("credits", TY)?;
+        let saved = src.seq("credits")?;
+        if saved != vcs {
+            return Err(misfit(format!("credits for {saved} VCs, built with {vcs}")));
+        }
+        for (vc, credit) in self.credits.iter_mut().enumerate() {
+            *credit = u16::deserialize(src)?;
+            if *credit > depth_per_vc {
+                return Err(misfit(format!(
+                    "vc{vc} holds {credit} credits, above its {depth_per_vc}-flit VC"
+                )));
+            }
+        }
+        self.active_vc = src.field("active_vc", TY)?;
+        if let Some(vc) = self.active_vc.filter(|vc| usize::from(vc.0) >= vcs) {
+            return Err(misfit(format!("active {vc}, built with {vcs} VCs")));
+        }
+        self.vc_arbiter = src.field("vc_arbiter", TY)?;
+        if self.vc_arbiter.len() != vcs {
+            return Err(misfit(format!(
+                "its VC arbiter covers {} VCs, built with {vcs}",
+                self.vc_arbiter.len()
+            )));
+        }
+        self.packets_queued = src.field("packets_queued", TY)?;
+        self.flits_injected = src.field("flits_injected", TY)?;
+        Ok(())
+    }
+}
+
+/// Hand-written so the flit backlog stays derived: the file holds the
+/// queued packets and how many of the head packet's flits are sent, and
+/// [`SourceNode::restore`] recounts the backlog from them.
+impl Serialize for SourceNode {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        out.token(Token::Map(9));
+        out.field("id", &self.id);
+        out.field("inj_link", &self.inj_link);
+        out.field("queue", &self.queue);
+        out.field("head_sent", &self.head_sent);
+        out.field("credits", &self.credits);
+        out.field("active_vc", &self.active_vc);
+        out.field("vc_arbiter", &self.vc_arbiter);
+        out.field("packets_queued", &self.packets_queued);
+        out.field("flits_injected", &self.flits_injected);
     }
 }
 
@@ -334,13 +452,12 @@ impl SinkNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{Endpoint, LinkKind};
+    use crate::link::Endpoint;
     use lumen_opto::Gbps;
 
     fn inj_link() -> Link {
         Link::new(
             LinkId(0),
-            LinkKind::Injection,
             Endpoint::Node(NodeId(0)),
             Endpoint::RouterPort {
                 router: crate::ids::RouterId(0),
@@ -409,6 +526,93 @@ mod tests {
         assert_eq!(src.flits_injected, 1);
         src.tick(now, &mut links, &mut effects);
         assert_eq!(src.flits_injected, 2);
+    }
+
+    /// A source restored from a checkpoint tree: built as the saving
+    /// run built it, then read in place.
+    struct Resumed(SourceNode);
+
+    const VCS: u8 = 2;
+    const DEPTH: u16 = 2;
+
+    impl Deserialize for Resumed {
+        fn deserialize<S: Source>(src: &mut S) -> Result<Self, serde::Error> {
+            let mut node = SourceNode::new(NodeId(0), LinkId(0), VCS, DEPTH);
+            node.restore(src, DEPTH)?;
+            Ok(Resumed(node))
+        }
+    }
+
+    #[test]
+    fn source_emits_each_packets_flits_in_order() {
+        // Packets of 1 to 9 flits and back, on two VCs two flits deep. A
+        // credit comes back only every third cycle, so the source starves
+        // mid-packet; the link slows to 5 Gb/s with a relock pause in the
+        // middle of one packet, and the source is saved and restored in
+        // the middle of a later one.
+        let packets: Vec<Packet> = (1..=9)
+            .chain((1..=9).rev())
+            .enumerate()
+            .map(|(i, size)| pkt(i as u64, size))
+            .collect();
+        let want: Vec<Flit> = packets.iter().flat_map(|p| p.into_flits()).collect();
+        let mut src = SourceNode::new(NodeId(0), LinkId(0), VCS, DEPTH);
+        for &p in &packets {
+            src.enqueue(p);
+        }
+        assert_eq!(src.backlog_flits(), want.len());
+        let mut links = vec![inj_link()];
+        let mut effects = Vec::new();
+        let mut sent: Vec<(VcId, Flit)> = Vec::new();
+        let (cycle, mut now) = (Picos::from_ps(1600), Picos::ZERO);
+        let (mut slowed, mut resumed, mut starved) = (false, false, 0);
+        for tick in 0u64.. {
+            if sent.len() == want.len() {
+                break;
+            }
+            assert!(tick < 10_000, "the source stopped sending");
+            let before = sent.len();
+            src.tick(now, &mut links, &mut effects);
+            for effect in effects.drain(..) {
+                let Effect::Flit { vc, flit, .. } = effect else {
+                    panic!("a source only launches flits");
+                };
+                sent.push((vc, flit));
+            }
+            if sent.len() == before && src.credits().iter().all(|&c| c == 0) {
+                starved += 1;
+            }
+            if tick % 3 == 2 {
+                let owed = (0..VCS).find(|&v| src.credits()[v as usize] < DEPTH);
+                if let Some(v) = owed {
+                    src.return_credit(VcId(v), DEPTH);
+                }
+            }
+            let head_size = src.queue.front().map_or(0, |p| p.size_flits);
+            if !slowed && src.head_sent > 0 && head_size > 3 {
+                links[0].begin_rate_change(now, Gbps::from_gbps(5.0), cycle * 2);
+                slowed = true;
+            }
+            if slowed && !resumed && src.head_sent >= 2 {
+                let saved = src.serialize_value();
+                let restored = serde::from_value::<Resumed>(&saved).expect("restores").0;
+                assert_eq!(restored.serialize_value(), saved);
+                assert_eq!(restored.backlog_flits(), src.backlog_flits());
+                src = restored;
+                resumed = true;
+            }
+            now += cycle;
+        }
+        assert!(slowed && resumed && starved > 0);
+        assert_eq!(src.backlog_flits(), 0);
+        let flits: Vec<Flit> = sent.iter().map(|&(_, f)| f).collect();
+        assert_eq!(flits, want);
+        // A packet rides one VC from head to tail.
+        for pair in sent.windows(2) {
+            if !pair[1].1.kind.is_head() {
+                assert_eq!(pair[0].0, pair[1].0, "{} changed VC", pair[1].1);
+            }
+        }
     }
 
     #[test]

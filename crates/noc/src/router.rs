@@ -28,7 +28,7 @@
 //! buffered-flit count and the `Bu` accumulator. The pipeline stages'
 //! requester sets are `u64` masks over the input slots. A checkpoint
 //! holds the nested per-port `inputs` and `outputs` entries of
-//! `lumen-ckpt/4`; the hand-written serializer and reader translate.
+//! `lumen-ckpt/5`; the hand-written serializer and reader translate.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::config::NocConfig;
@@ -135,8 +135,8 @@ pub struct Router {
     occupancy_accum: Box<[u64]>,
     sa_rotate: usize,
     // Switch and VC allocation bucket their requesters per output port
-    // here, as masks over the slots. Refilled before every read, yet part
-    // of the checkpoint, so it keeps what the last allocation left.
+    // here, as masks over the slots. Refilled before every read, so a
+    // checkpoint does not hold it.
     scratch_port_mask: Box<[u64]>,
     /// Flits this router has switched over its lifetime.
     pub flits_switched: u64,
@@ -704,15 +704,16 @@ impl Router {
     ///
     /// Fails if the stream is malformed, or if its router does not fit
     /// this one: another id, port count, VC count or VC depth, a VC queue
-    /// longer than its depth, or a port occupancy that is not the sum of
-    /// its queues. The router is then partly restored and must be
+    /// longer than its depth, a port occupancy that is not the sum of its
+    /// queues, or an arbiter over another number of requesters than the
+    /// router's slots. The router is then partly restored and must be
     /// discarded.
     pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "Router";
         let (id, vcs, depth, ports) = (self.id, self.vcs, self.depth, self.ports.len());
         let misfit =
             |what: String| serde::Error::custom(format!("router {id} does not fit: {what}"));
-        src.map_of(14, TY)?;
+        src.map_of(13, TY)?;
         let saved: RouterId = src.field("id", TY)?;
         if saved != id {
             return Err(misfit(format!("the file's router is {saved}")));
@@ -780,9 +781,18 @@ impl Router {
             src.field_into("vc_owner", &mut self.vc_owner[out], "OutputPort")?;
             self.ports[p].sa_arbiter = src.field("sa_arbiter", "OutputPort")?;
             self.ports[p].va_arbiter = src.field("va_arbiter", "OutputPort")?;
+            let port = &self.ports[p];
+            for (stage, arbiter) in [("switch", &port.sa_arbiter), ("VC", &port.va_arbiter)] {
+                if arbiter.len() != self.slots.len() {
+                    return Err(misfit(format!(
+                        "p{p}'s {stage} arbiter covers {} requesters, built with {}",
+                        arbiter.len(),
+                        self.slots.len()
+                    )));
+                }
+            }
         }
         self.sa_rotate = src.field("sa_rotate", TY)?;
-        src.field_into("scratch_port_mask", &mut self.scratch_port_mask, TY)?;
         self.flits_switched = src.field("flits_switched", TY)?;
         self.flits_accepted = src.field("flits_accepted", TY)?;
         self.sa_denials = src.field("sa_denials", TY)?;
@@ -803,14 +813,14 @@ fn restore_mask<S: Source>(src: &mut S, key: &str) -> Result<u64, serde::Error> 
     Ok(word)
 }
 
-/// Writes a slot mask as the one-word bitset `lumen-ckpt/4` holds.
+/// Writes a slot mask as the one-word bitset `lumen-ckpt/5` holds.
 fn write_mask<S: Sink>(out: &mut S, key: &str, mask: u64) {
     out.key(key);
     out.token(Token::Map(1));
     out.field("words", &[mask]);
 }
 
-/// Hand-written so the flat layout writes `lumen-ckpt/4`'s router shape:
+/// Hand-written so the flat layout writes `lumen-ckpt/5`'s router shape:
 /// per port an `inputs` entry (the VC queues front to back, the depth,
 /// the occupancy, the VC states, the feeder, the `Bu` accumulator) and an
 /// `outputs` entry (the link, the credits, the VC owners, the two
@@ -819,7 +829,7 @@ fn write_mask<S: Sink>(out: &mut S, key: &str, mask: u64) {
 impl Serialize for Router {
     fn serialize<S: Sink>(&self, out: &mut S) {
         let (vcs, depth, ports) = (self.vcs, self.depth, self.ports.len());
-        out.token(Token::Map(14));
+        out.token(Token::Map(13));
         out.field("id", &self.id);
         out.field("vcs", &vcs);
         out.key("inputs");
@@ -860,7 +870,6 @@ impl Serialize for Router {
             out.field("va_arbiter", &port.va_arbiter);
         }
         out.field("sa_rotate", &self.sa_rotate);
-        out.field("scratch_port_mask", &self.scratch_port_mask);
         out.field("flits_switched", &self.flits_switched);
         out.field("flits_accepted", &self.flits_accepted);
         out.field("sa_denials", &self.sa_denials);
@@ -899,7 +908,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::Packet;
-    use crate::link::{Endpoint, LinkKind};
+    use crate::link::Endpoint;
     use lumen_opto::Gbps;
 
     /// A 1-router harness: router 0 of a 2×2 mesh with 2 local ports,
@@ -919,7 +928,6 @@ mod tests {
             let mut router = Router::new(RouterId(0), &config);
             let eject = Link::new(
                 LinkId(0),
-                LinkKind::Ejection,
                 Endpoint::RouterPort {
                     router: RouterId(0),
                     port: PortId(0),
@@ -931,7 +939,6 @@ mod tests {
             );
             let east = Link::new(
                 LinkId(1),
-                LinkKind::InterRouter,
                 Endpoint::RouterPort {
                     router: RouterId(0),
                     port: PortId(4), // East = 2 locals + index 2

@@ -52,8 +52,6 @@ pub struct LaserSourceController {
     /// Lazy power decreases issued.
     pub pdecs: u64,
     attenuator_transition: Picos,
-    /// The decision period (200 µs in the paper).
-    decision_period: Picos,
 }
 
 impl LaserSourceController {
@@ -68,7 +66,6 @@ impl LaserSourceController {
             pincs: 0,
             pdecs: 0,
             attenuator_transition: timing.attenuator_transition,
-            decision_period: timing.laser_decision_period,
         }
     }
 

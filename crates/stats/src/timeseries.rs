@@ -3,36 +3,26 @@
 use lumen_desim::Picos;
 use serde::{Deserialize, Serialize};
 
-/// A named series of `(time, value)` samples in non-decreasing time order.
+/// A series of `(time, value)` samples in non-decreasing time order.
 ///
 /// # Example
 ///
 /// ```
 /// use lumen_desim::Picos;
 /// use lumen_stats::TimeSeries;
-/// let mut ts = TimeSeries::new("latency");
+/// let mut ts = TimeSeries::default();
 /// ts.record(Picos::from_us(1), 12.0);
 /// ts.record(Picos::from_us(2), 14.0);
 /// assert_eq!(ts.len(), 2);
 /// assert_eq!(ts.last(), Some((Picos::from_us(2), 14.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
-    name: String,
     times: Vec<Picos>,
     values: Vec<f64>,
 }
 
 impl TimeSeries {
-    /// Creates an empty series with a display name.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            times: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Appends a sample.
     ///
     /// # Panics
@@ -85,7 +75,7 @@ mod tests {
     use super::*;
 
     fn series(n: usize) -> TimeSeries {
-        let mut ts = TimeSeries::new("s");
+        let mut ts = TimeSeries::default();
         for i in 0..n {
             ts.record(Picos::from_ns(i as u64), i as f64);
         }
@@ -102,7 +92,7 @@ mod tests {
 
     #[test]
     fn equal_timestamps_allowed() {
-        let mut ts = TimeSeries::new("s");
+        let mut ts = TimeSeries::default();
         ts.record(Picos::from_ns(1), 1.0);
         ts.record(Picos::from_ns(1), 2.0);
         assert_eq!(ts.len(), 2);
@@ -111,14 +101,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "time-ordered")]
     fn out_of_order_rejected() {
-        let mut ts = TimeSeries::new("s");
+        let mut ts = TimeSeries::default();
         ts.record(Picos::from_ns(2), 1.0);
         ts.record(Picos::from_ns(1), 2.0);
     }
 
     #[test]
     fn empty_series() {
-        let ts = TimeSeries::new("e");
+        let ts = TimeSeries::default();
         assert!(ts.is_empty());
         assert_eq!(ts.mean(), 0.0);
         assert_eq!(ts.last(), None);

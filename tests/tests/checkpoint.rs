@@ -685,6 +685,219 @@ fn resume_refuses_a_router_occupancy_that_is_not_its_queues() {
     );
 }
 
+/// Resumes the battery's file with one source's entry broken by `edit`
+/// through the reference codec, and checks that resume refuses it, naming
+/// the source and the misfit `edit` returns. `busy` picks the one source
+/// whose queue holds a packet mid-way through (the battery's file has
+/// exactly one); otherwise source 0, whose queue is empty.
+fn assert_source_refused(tag: &str, busy: bool, edit: impl FnOnce(&mut serde::Value) -> String) {
+    let bytes = valid_checkpoint_bytes(tag);
+    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
+    let serde::Value::Seq(sources) =
+        field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "sources")
+    else {
+        panic!("sources");
+    };
+    let queued = |source: &serde::Value| field(source, "queue").as_seq().expect("queue").len();
+    let n = if busy {
+        let busy: Vec<usize> = (0..sources.len())
+            .filter(|&n| queued(&sources[n]) > 0)
+            .collect();
+        assert_eq!(busy.len(), 1, "one source holds a packet");
+        assert!(
+            count(&sources[busy[0]], "head_sent") > 0,
+            "it is mid-packet"
+        );
+        busy[0]
+    } else {
+        assert_eq!(queued(&sources[0]), 0);
+        0
+    };
+    let misfit = edit(&mut sources[n]);
+    let file = reference::encode(&tree);
+    Checkpoint::from_bytes(&file).expect("the broken file is well-formed");
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let msg = resume_refusal(&config, &file, tag);
+    let want = format!("checkpoint does not fit this run: source n{n} does not fit: {misfit}");
+    assert!(
+        msg.starts_with("cannot resume from") && msg.ends_with(&want),
+        "unexpected refusal {msg:?}, wanted {want:?}"
+    );
+}
+
+#[test]
+fn resume_refuses_a_source_of_another_node() {
+    // Sources restore in place into the ones the network built.
+    assert_source_refused("source-id", false, |source| {
+        *field_mut(source, "id") = serde::Value::U64(5);
+        "the file's source is n5".to_string()
+    });
+}
+
+#[test]
+fn resume_refuses_a_source_on_another_injection_link() {
+    assert_source_refused("source-link", false, |source| {
+        let built = count(source, "inj_link");
+        *field_mut(source, "inj_link") = serde::Value::U64(built + 1);
+        format!("it injects on l{}, built on l{built}", built + 1)
+    });
+}
+
+#[test]
+fn resume_refuses_source_credits_for_other_vcs() {
+    assert_source_refused("source-credit-vcs", false, |source| {
+        let serde::Value::Seq(credits) = field_mut(source, "credits") else {
+            panic!("credits");
+        };
+        let vcs = credits.len();
+        credits.push(serde::Value::U64(1));
+        format!("credits for {} VCs, built with {vcs}", vcs + 1)
+    });
+}
+
+#[test]
+fn resume_refuses_a_source_credit_above_its_vc_depth() {
+    // A credit above the VC's depth would let the source overrun the
+    // router's ring downstream.
+    let depth = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3)
+        .noc
+        .depth_per_vc();
+    assert_source_refused("source-credit-depth", false, |source| {
+        *item_mut(field_mut(source, "credits"), 0) = serde::Value::U64(u64::from(depth) + 1);
+        format!("vc0 holds {} credits, above its {depth}-flit VC", depth + 1)
+    });
+}
+
+#[test]
+fn resume_refuses_a_source_active_vc_it_does_not_have() {
+    let vcs = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3).noc.vcs;
+    assert_source_refused("source-active-vc", false, |source| {
+        *field_mut(source, "active_vc") = serde::Value::U64(u64::from(vcs));
+        format!("active vc{vcs}, built with {vcs} VCs")
+    });
+}
+
+#[test]
+fn resume_refuses_a_queued_packet_from_another_node() {
+    assert_source_refused("source-packet-src", true, |source| {
+        let packet = item_mut(field_mut(source, "queue"), 0);
+        let [id, src, dst, size] = ["id", "src", "dst", "size_flits"].map(|f| count(packet, f));
+        *field_mut(packet, "src") = serde::Value::U64(src + 1);
+        format!(
+            "queued packet pkt{id}[n{}→n{dst}, {size} flits] is from n{}",
+            src + 1,
+            src + 1
+        )
+    });
+}
+
+#[test]
+fn resume_refuses_a_queued_packet_with_no_flits() {
+    assert_source_refused("source-packet-empty", true, |source| {
+        let packet = item_mut(field_mut(source, "queue"), 0);
+        *field_mut(packet, "size_flits") = serde::Value::U64(0);
+        format!("queued packet pkt{} has no flits", count(packet, "id"))
+    });
+}
+
+#[test]
+fn resume_refuses_a_head_count_not_below_the_head_packet_size() {
+    // The source builds flit `head_sent` of its head packet next, so the
+    // count must name one of the packet's flits.
+    assert_source_refused("source-head-sent", true, |source| {
+        let packet = item_mut(field_mut(source, "queue"), 0);
+        let [id, src, dst, size] = ["id", "src", "dst", "size_flits"].map(|f| count(packet, f));
+        *field_mut(source, "head_sent") = serde::Value::U64(size);
+        format!("{size} flits of head packet pkt{id}[n{src}→n{dst}, {size} flits] sent")
+    });
+    // With no packet queued, no flit can have been sent.
+    assert_source_refused("source-head-sent-idle", false, |source| {
+        *field_mut(source, "head_sent") = serde::Value::U64(1);
+        "1 flits sent with no packet queued".to_string()
+    });
+}
+
+#[test]
+fn resume_refuses_a_source_vc_arbiter_over_other_vcs() {
+    // The arbiter grants VCs by index into the source's credits.
+    assert_source_refused("source-arbiter", false, |source| {
+        let arbiter = field_mut(source, "vc_arbiter");
+        let vcs = count(arbiter, "n");
+        *field_mut(arbiter, "n") = serde::Value::U64(vcs + 1);
+        format!("its VC arbiter covers {} VCs, built with {vcs}", vcs + 1)
+    });
+}
+
+#[test]
+fn resume_refuses_an_arbiter_priority_past_its_requesters() {
+    // A pointer at or past the requesters is refused as it is read, for
+    // every arbiter in the file; this one is source 0's.
+    let bytes = valid_checkpoint_bytes("arbiter-next");
+    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
+    let sources = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "sources");
+    let arbiter = field_mut(item_mut(sources, 0), "vc_arbiter");
+    let n = count(arbiter, "n");
+    *field_mut(arbiter, "next") = serde::Value::U64(n);
+    let file = reference::encode(&tree);
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let msg = resume_refusal(&config, &file, "arbiter-next");
+    let want = format!(
+        "checkpoint does not fit this run: arbiter priority {n} is not one of its {n} requesters"
+    );
+    assert!(
+        msg.starts_with("cannot resume from") && msg.ends_with(&want),
+        "unexpected refusal {msg:?}"
+    );
+}
+
+#[test]
+fn resume_refuses_a_router_arbiter_over_other_requesters() {
+    let bytes = valid_checkpoint_bytes("router-arbiter");
+    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
+    let routers = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "routers");
+    let output = item_mut(field_mut(item_mut(routers, 0), "outputs"), 0);
+    let arbiter = field_mut(output, "va_arbiter");
+    let slots = count(arbiter, "n");
+    *field_mut(arbiter, "n") = serde::Value::U64(slots + 1);
+    let file = reference::encode(&tree);
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let msg = resume_refusal(&config, &file, "router-arbiter");
+    let want = format!(
+        "checkpoint does not fit this run: router r0 does not fit: \
+         p0's VC arbiter covers {} requesters, built with {slots}",
+        slots + 1
+    );
+    assert!(
+        msg.starts_with("cannot resume from") && msg.ends_with(&want),
+        "unexpected refusal {msg:?}"
+    );
+}
+
+#[test]
+fn resume_refuses_a_lumen_ckpt_4_file_with_the_schema_error() {
+    // The schema id is read before any other field, so a `/4` file —
+    // sources queueing flits, the four never-read fields still there — is
+    // refused as a schema mismatch, whatever its body holds.
+    let bytes = valid_checkpoint_bytes("schema-4");
+    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
+    *field_mut(&mut tree, "schema") = serde::Value::Str("lumen-ckpt/4".to_string());
+    let file = reference::encode(&tree);
+    assert!(matches!(
+        Checkpoint::from_bytes(&file),
+        Err(CheckpointError::Mismatch(_))
+    ));
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let msg = resume_refusal(&config, &file, "schema-4");
+    assert!(
+        msg.starts_with("cannot resume from")
+            && msg.ends_with(
+                "checkpoint mismatch: checkpoint schema \"lumen-ckpt/4\", \
+             this build reads \"lumen-ckpt/5\""
+            ),
+        "unexpected refusal {msg:?}"
+    );
+}
+
 #[test]
 fn resume_into_a_different_configuration_panics() {
     let path = ckpt_path("mismatch");
@@ -1006,13 +1219,22 @@ fn fnv64(bytes: &[u8]) -> u64 {
 #[test]
 fn checkpoint_bytes_are_pinned_to_the_tree_codec() {
     // The rejection battery's file, written by the engine's streaming
-    // path, has the size and hash of the tree codec's `lumen-ckpt/3`
-    // file for the same run, re-encoded without the network config's
-    // routing opt-in entry and the 24 DVS controllers' `tw` entries, and
-    // with the `lumen-ckpt/4` schema id.
+    // path, has the size and hash of the `lumen-ckpt/4` file for the same
+    // run (86,526 bytes, FNV-1a `ba5c6080931c16e2`) decoded by the
+    // reference codec and re-encoded with: each of the 8 sources' flit
+    // queues turned into its packets (one entry per queued packet, taken
+    // from its first queued flit) and a `head_sent` count, the first
+    // queued flit's `seq` (here 2 queued flits of one packet, 2 of its
+    // flits sent); the sources' `scratch_eligible`, the 4 routers'
+    // `scratch_port_mask`, the 24 links' `kind`, the 24 laser
+    // controllers' `decision_period` and the three time series' `name`
+    // entries deleted; and the `lumen-ckpt/5` schema id. The `/4` file in
+    // turn was the tree codec's `lumen-ckpt/3` file without the network
+    // config's routing opt-in entry and the 24 DVS controllers' `tw`
+    // entries.
     let bytes = valid_checkpoint_bytes("pin");
-    assert_eq!(bytes.len(), 86_526);
-    assert_eq!(format!("{:016x}", fnv64(&bytes)), "ba5c6080931c16e2");
+    assert_eq!(bytes.len(), 84_241);
+    assert_eq!(format!("{:016x}", fnv64(&bytes)), "ca1fab991f77fb43");
     assert_reencodes(&bytes, "pin");
 }
 

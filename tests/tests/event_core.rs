@@ -293,10 +293,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On the lattice the simulator schedules on, the default queue's
-    /// lanes mostly hold one instant and load without a sort, and the
-    /// fallbacks (two instants in a lane, overflow entries merged into a
-    /// lane, mid-drain insertions, schedules behind the cursor) keep the
-    /// heap model's `(time, seq)` order.
+    /// lanes mostly hold one instant and drain without a sort, and the
+    /// fallbacks (two instants appended out of order in a lane, overflow
+    /// entries merged into a lane, mid-drain insertions and schedules
+    /// behind the cursor that land before the drain's tail) keep the heap
+    /// model's `(time, seq)` order.
     #[test]
     fn lattice_schedules_agree_with_heap(
         kinds in proptest::collection::vec(0u64..8, 200..800),
@@ -379,21 +380,32 @@ fn lattice_fallbacks_sort_only_out_of_order_lanes() {
     assert_eq!(twin.wheel.spilled_total(), spilled + 1);
     assert_eq!(twin.pop_through(policy), 1);
 
-    // A mid-drain insertion: a zero-delay follow-up at the instant being
-    // drained.
+    // Mid-drain insertions. A zero-delay follow-up at the instant being
+    // drained appends behind its equals and needs no sort.
     let t = policy + CYCLE;
+    let first = twin.seq;
     twin.schedule(t);
     twin.schedule(t);
-    twin.schedule(t + CYCLE);
-    let sorted = twin.wheel.resorted_total();
-    assert_eq!(twin.pop(), Some((t, twin.seq - 3)));
+    let u = t + CYCLE;
+    let tick = twin.seq;
+    twin.schedule(u);
+    assert_eq!(twin.pop(), Some((t, first)));
     twin.schedule(t);
-    assert_eq!(twin.pop_through(t), 1);
-    assert_eq!(twin.wheel.resorted_total(), sorted + 1);
+    assert_eq!(twin.pop_through(t), 0);
+    // One earlier than the drain's tail sorts: the tick at cycle 72 shares
+    // its lane with a slow flit 48 ps later (scheduled after it, so the
+    // lane is in order), and the tick's zero-delay follow-up lands between
+    // the two.
+    twin.schedule(u + Picos::from_ps(48));
+    assert_eq!(twin.pop(), Some((u, tick)));
+    twin.schedule(u);
+    assert_eq!(twin.pop_through(u), 1);
 
-    // A schedule behind the cursor joins the drain and pops first.
-    twin.schedule(t - CYCLE);
-    assert_eq!(twin.pop_through(t + CYCLE), 1);
+    // A schedule behind the cursor joins the drain ahead of its tail (the
+    // slow flit), so it sorts and pops first.
+    twin.schedule(u - CYCLE);
+    assert_eq!(twin.pop_through(u + CYCLE), 1);
+    assert_eq!(twin.wheel.resorted_total(), 4, "one sort per case above");
 
     assert_eq!(twin.pop(), Some((anchor, 1)));
     assert_eq!(twin.pop(), None);
