@@ -99,11 +99,15 @@ impl Experiment {
         self
     }
 
-    /// Sets the number of parallel shards the run is split into
-    /// (clamped to the mesh height; 1 = sequential engine). The run uses
-    /// the requested partition even when the host has fewer cores than
-    /// shards, which is what differential tests want. The one host clamp
-    /// is the harness CLI's: it clamps `--shards` to the host's cores.
+    /// Sets the number of parallel shards the run is split into (1 =
+    /// sequential engine). The count is clamped by [`effective_shards`]:
+    /// to the topology's cut granularity (one mesh row or Clos leaf row
+    /// per shard), capped at 16. The run uses the requested partition even
+    /// when the host has fewer cores than shards, which is what
+    /// differential tests want. The one host clamp is the harness CLI's:
+    /// it clamps `--shards` to the host's cores.
+    ///
+    /// [`effective_shards`]: crate::effective_shards
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

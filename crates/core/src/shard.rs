@@ -114,13 +114,12 @@
 //! least one further barrier).
 
 use crate::config::SystemConfig;
-use crate::sim::{PowerAwareSim, SimEvent};
+use crate::sim::{PowerAwareSim, Recorder, SimEvent};
 use crate::telemetry::TelemetryConfig;
-use lumen_desim::Picos;
+use lumen_desim::{EventQueue, Picos};
 use lumen_noc::ids::{LinkId, VcId};
 use lumen_noc::{Channel, Network, NocConfig, Packet, RouteTable, Topology};
 use lumen_policy::{PolicyMode, TimingConfig};
-use lumen_stats::{Histogram, Summary, TimeSeries};
 use lumen_traffic::TrafficSource;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -131,9 +130,9 @@ use std::sync::{Arc, Condvar, Mutex};
 /// sorting `(arrival time, key)` reproduces the sequential calendar's
 /// delivery order. 20 bits of position bound ejection launches per shard
 /// per cycle (≤ #ejection links), 4 bits of shard bound the shard count.
-pub(crate) const KEY_CYCLE_SHIFT: u64 = 24;
+const KEY_CYCLE_SHIFT: u64 = 24;
 /// Shard-id field offset within a delivery key (see [`KEY_CYCLE_SHIFT`]).
-pub(crate) const KEY_SHARD_SHIFT: u64 = 20;
+const KEY_SHARD_SHIFT: u64 = 20;
 /// Hard shard-count ceiling: the delivery key's shard field is 4 bits,
 /// so even fabrics whose topology offers finer cuts (a 32-row mesh, say)
 /// clamp here.
@@ -169,25 +168,111 @@ pub fn effective_shards(noc: &NocConfig, requested: usize) -> usize {
 // Partitioning
 // ---------------------------------------------------------------------
 
-/// One shard's contiguous slice of the system: a band of routers (from
-/// the topology's cuts) and everything attached to it. Link ranges are
-/// contiguous because the network builds inter-router links grouped by
-/// source router in ascending order and node links in node order.
+/// The routers, nodes and links one engine steps, polices and
+/// fault-schedules: the whole fabric on the sequential engine, one band
+/// of routers (from the topology's cuts) and everything attached to it
+/// on a shard replica. Link ranges are contiguous because the network
+/// builds inter-router links grouped by source router in ascending order
+/// and node links in node order.
 #[derive(Debug, Clone)]
-pub(crate) struct ShardSpec {
-    pub id: usize,
+pub(crate) struct Region {
     pub routers: Range<usize>,
     pub nodes: Range<usize>,
     pub ir_links: Range<usize>,
     pub node_links: Range<usize>,
+}
+
+impl Region {
+    /// The whole fabric, from the network's counts.
+    pub(crate) fn whole(net: &Network) -> Self {
+        let ir = net.inter_router_links();
+        Region {
+            routers: 0..net.router_count(),
+            nodes: 0..net.node_count(),
+            ir_links: 0..ir,
+            node_links: ir..net.link_count(),
+        }
+    }
+
+    /// The region's links, in index order.
+    pub(crate) fn links(self) -> impl Iterator<Item = usize> {
+        self.ir_links.chain(self.node_links)
+    }
+}
+
+/// One shard's slice of the system.
+#[derive(Debug, Clone)]
+pub(crate) struct ShardSpec {
+    pub id: usize,
+    pub region: Region,
     /// Total inter-router links in the whole mesh (node links start here).
     pub ir_total: usize,
 }
 
-impl ShardSpec {
-    /// Whether this shard owns link `l` (its from-endpoint is in-band).
-    pub(crate) fn owns_link(&self, l: usize) -> bool {
-        self.ir_links.contains(&l) || self.node_links.contains(&l)
+/// Where the effects of an engine's ticks and flit arrivals go. The
+/// sequential engine's [`Local`] keeps every effect on its own calendar
+/// and records deliveries itself; a shard replica's [`ShardCtx`] routes
+/// effects to the shards that handle them. The tick and arrival
+/// handlers are generic over it, so the sequential engine's instance
+/// compiles to plain calendar inserts.
+pub(crate) trait Route {
+    /// Starts a tick's launches.
+    fn begin_tick(&mut self);
+
+    /// Sends an effect of the tick `launch_cycle` on its way.
+    fn send(
+        &mut self,
+        at: Picos,
+        event: SimEvent,
+        launch_cycle: u64,
+        queue: &mut EventQueue<SimEvent>,
+    );
+
+    /// Books a flit arrival on `link`. Returns whether the engine keeps
+    /// the link's counters, and the delivery key of an ejection link's
+    /// launch, if the route keys them.
+    fn arrival(&mut self, link: LinkId) -> (bool, Option<u64>);
+
+    /// Delivers a packet created at `created_at` whose tail arrived at
+    /// `at` under delivery `key`; the sequential engine records it into
+    /// `measure`, in cycles of `cycle`.
+    fn deliver(
+        &mut self,
+        measure: &mut Recorder,
+        cycle: Picos,
+        created_at: Picos,
+        at: Picos,
+        key: Option<u64>,
+    );
+}
+
+/// The sequential engine's [`Route`].
+pub(crate) struct Local;
+
+impl Route for Local {
+    #[inline]
+    fn begin_tick(&mut self) {}
+
+    #[inline]
+    fn send(&mut self, at: Picos, event: SimEvent, _: u64, queue: &mut EventQueue<SimEvent>) {
+        queue.schedule(at, event);
+    }
+
+    #[inline]
+    fn arrival(&mut self, _: LinkId) -> (bool, Option<u64>) {
+        (true, None)
+    }
+
+    #[inline]
+    fn deliver(
+        &mut self,
+        measure: &mut Recorder,
+        cycle: Picos,
+        created_at: Picos,
+        at: Picos,
+        _: Option<u64>,
+    ) {
+        measure.record_delivery(created_at, at, cycle);
     }
 }
 
@@ -224,10 +309,12 @@ pub(crate) fn partition(noc: &NocConfig, requested: usize) -> Vec<ShardSpec> {
             let node_links = ir_total + 2 * nodes.start..ir_total + 2 * nodes.end;
             ShardSpec {
                 id: s,
-                ir_links: prefix[routers.start]..prefix[routers.end],
-                routers,
-                nodes,
-                node_links,
+                region: Region {
+                    ir_links: prefix[routers.start]..prefix[routers.end],
+                    routers,
+                    nodes,
+                    node_links,
+                },
                 ir_total,
             }
         })
@@ -242,7 +329,7 @@ fn ownership(noc: &NocConfig, specs: &[ShardSpec]) -> (Vec<u8>, Vec<u8>) {
     let topo = noc.topo();
     let mut router_shard = vec![0u8; topo.router_count()];
     for spec in specs {
-        for r in spec.routers.clone() {
+        for r in spec.region.routers.clone() {
             router_shard[r] = spec.id as u8;
         }
     }
@@ -321,15 +408,84 @@ impl ShardCtx {
         }
     }
 
-    /// Whether this shard owns link `l`.
-    pub(crate) fn owns_link(&self, l: usize) -> bool {
-        self.spec.owns_link(l)
-    }
-
     /// Whether `l` is an ejection link this shard owns. Node links
     /// alternate injection (even offset) / ejection (odd offset).
-    pub(crate) fn owns_ej_link(&self, l: usize) -> bool {
-        self.spec.node_links.contains(&l) && (l - self.spec.ir_total) % 2 == 1
+    fn owns_ej_link(&self, l: usize) -> bool {
+        self.spec.region.node_links.contains(&l) && (l - self.spec.ir_total) % 2 == 1
+    }
+}
+
+impl Route for ShardCtx {
+    fn begin_tick(&mut self) {
+        self.launch_pos = 0;
+    }
+
+    /// Onto `queue` when this shard handles the effect, else into the
+    /// handling shard's outbox. A flit arrival is handled by the shard of
+    /// the link's to-endpoint, a credit by that of its from-endpoint. A
+    /// flit launched onto an owned ejection link is tagged with the
+    /// delivery key (launch cycle, shard, launch position). Ejections
+    /// only launch from router ticks, which global drain order visits in
+    /// router-index order, so this key sorts identically to the
+    /// sequential calendar's insertion sequence.
+    fn send(
+        &mut self,
+        at: Picos,
+        event: SimEvent,
+        launch_cycle: u64,
+        queue: &mut EventQueue<SimEvent>,
+    ) {
+        let dest = match event {
+            SimEvent::FlitArrive { link, .. } => {
+                let l = link.index();
+                if self.owns_ej_link(l) {
+                    let key = (launch_cycle << KEY_CYCLE_SHIFT)
+                        | ((self.spec.id as u64) << KEY_SHARD_SHIFT)
+                        | self.launch_pos;
+                    self.launch_pos += 1;
+                    self.ej_keys[l].push_back(key);
+                }
+                self.to_owner[l]
+            }
+            SimEvent::CreditArrive { link, .. } => self.owner[link.index()],
+            other => unreachable!("{other:?} is not a tick effect"),
+        };
+        let dest = usize::from(dest);
+        if dest == self.spec.id {
+            queue.schedule(at, event);
+        } else {
+            self.outbox[dest].push((at, event));
+        }
+    }
+
+    /// An arrival on a link another shard owns is counted here for the
+    /// merge. On an owned ejection link, the arrival pops the key its
+    /// launch pushed: a link is FIFO, so keys pop in launch order.
+    fn arrival(&mut self, link: LinkId) -> (bool, Option<u64>) {
+        let l = link.index();
+        let owned = usize::from(self.owner[l]) == self.spec.id;
+        if !owned {
+            self.foreign_arrivals[l] += 1;
+        }
+        let key = if self.owns_ej_link(l) {
+            self.ej_keys[l].pop_front()
+        } else {
+            None
+        };
+        (owned, key)
+    }
+
+    /// To the coordinator's ordered replay, with the launch key.
+    fn deliver(
+        &mut self,
+        _: &mut Recorder,
+        _: Picos,
+        created_at: Picos,
+        at: Picos,
+        key: Option<u64>,
+    ) {
+        let key = key.expect("ejection without launch key");
+        self.deliveries.push((at, key, created_at));
     }
 }
 
@@ -373,7 +529,7 @@ fn pregenerate(
 ) -> (Vec<Vec<(u64, Packet)>>, Vec<u32>) {
     let mut node_shard = vec![0u8; noc.node_count()];
     for spec in specs {
-        for n in spec.nodes.clone() {
+        for n in spec.region.nodes.clone() {
             node_shard[n] = spec.id as u8;
         }
     }
@@ -621,60 +777,30 @@ impl SpinBarrier {
 // Coordinator (worker 0's merged-measurement replica)
 // ---------------------------------------------------------------------
 
-/// The sequential engine's measurement state, re-enacted by worker 0
-/// from ordered delivery replays and per-shard energy snapshots. All
-/// floating-point accumulation happens here in the sequential engine's
-/// order, which is what makes the merged statistics bit-identical.
+/// Worker 0's measurement: the sequential engine's [`Recorder`], fed by
+/// ordered delivery replays, per-shard energy snapshots and the
+/// pre-generated per-cycle injection counts. All floating-point
+/// accumulation happens in the recorder the sequential engine runs, in
+/// that engine's order, which is what makes the merged statistics
+/// bit-identical.
 struct Coordinator {
     cycle: Picos,
-    cycle_ps: f64,
     baseline_mw: f64,
     sample_every: Option<u64>,
     per_cycle: Vec<u32>,
     /// Next per-cycle injection count not yet folded into the bucket.
     inj_ptr: usize,
-    measure_from: Picos,
-    latency: Summary,
-    latency_hist: Histogram,
-    bucket_latency: Summary,
-    bucket_injected: u64,
-    last_sample_time: Picos,
-    last_sample_energy_nj: f64,
-    latency_series: TimeSeries,
-    power_series: TimeSeries,
-    injection_series: TimeSeries,
+    measure: Recorder,
 }
 
 impl Coordinator {
-    fn new(cycle: Picos, baseline_mw: f64, sample_every: Option<u64>, per_cycle: Vec<u32>) -> Self {
-        Coordinator {
-            cycle,
-            cycle_ps: cycle.as_ps() as f64,
-            baseline_mw,
-            sample_every,
-            per_cycle,
-            inj_ptr: 0,
-            measure_from: Picos::ZERO,
-            latency: Summary::new(),
-            latency_hist: Histogram::new(10.0, 2_000),
-            bucket_latency: Summary::new(),
-            bucket_injected: 0,
-            last_sample_time: Picos::ZERO,
-            last_sample_energy_nj: 0.0,
-            latency_series: TimeSeries::default(),
-            power_series: TimeSeries::default(),
-            injection_series: TimeSeries::default(),
-        }
-    }
-
     /// Folds per-cycle injection counts through tick `k` (inclusive)
-    /// into the bucket, honoring the measurement gate exactly as the
-    /// sequential tick handler does.
+    /// into the recorder, as the sequential tick handler does.
     fn advance_injections(&mut self, k: u64) {
         while self.inj_ptr <= k as usize {
-            if self.cycle * self.inj_ptr as u64 >= self.measure_from {
-                self.bucket_injected += u64::from(self.per_cycle[self.inj_ptr]);
-            }
+            let n = u64::from(self.per_cycle[self.inj_ptr]);
+            self.measure
+                .note_injected(self.cycle * self.inj_ptr as u64, n);
             self.inj_ptr += 1;
         }
     }
@@ -683,37 +809,19 @@ impl Coordinator {
     fn replay(&mut self, batch: &mut Vec<Delivery>) {
         batch.sort_unstable_by_key(|&(at, key, _)| (at, key));
         for &(at, _, created_at) in batch.iter() {
-            if created_at < self.measure_from {
-                continue;
-            }
-            let cycles = (at - created_at).as_ps() as f64 / self.cycle_ps;
-            self.latency.record(cycles);
-            self.latency_hist.record(cycles);
-            self.bucket_latency.record(cycles);
+            self.measure.record_delivery(created_at, at, self.cycle);
         }
         batch.clear();
     }
 
-    /// The sequential `take_sample`, fed by per-shard energy snapshots
-    /// summed in global link order (all inter-router slices first, then
-    /// all node slices — exactly link-index order).
+    /// Closes a sample period at tick `k`, fed by per-shard energy
+    /// snapshots summed in global link order (all inter-router slices
+    /// first, then all node slices — exactly link-index order).
     fn take_sample(&mut self, now: Picos, k: u64, energy_nj: f64) {
         let every = self.sample_every.expect("sampling disabled");
-        let dt_ps = (now - self.last_sample_time).as_ps() as f64;
-        if dt_ps > 0.0 {
-            let power_mw = (energy_nj - self.last_sample_energy_nj) / dt_ps * 1e6;
-            self.power_series.record(now, power_mw / self.baseline_mw);
-            self.last_sample_energy_nj = energy_nj;
-            self.last_sample_time = now;
-        }
-        if !self.bucket_latency.is_empty() {
-            self.latency_series.record(now, self.bucket_latency.mean());
-        }
         self.advance_injections(k);
-        self.injection_series
-            .record(now, self.bucket_injected as f64 / every as f64);
-        self.bucket_latency = Summary::new();
-        self.bucket_injected = 0;
+        self.measure
+            .take_sample(now, every, energy_nj, self.baseline_mw);
     }
 
     /// The sequential `begin_measurement`, coordinator half.
@@ -721,28 +829,13 @@ impl Coordinator {
         // Injections through the warmup tick were counted under the old
         // gate and are wiped with the bucket, like the sequential engine.
         self.advance_injections(k);
-        self.measure_from = now;
-        self.latency = Summary::new();
-        self.latency_hist = Histogram::new(10.0, 2_000);
-        self.bucket_latency = Summary::new();
-        self.bucket_injected = 0;
-        self.last_sample_time = now;
-        self.last_sample_energy_nj = 0.0;
+        self.measure.begin(now);
     }
 
-    /// Installs the coordinator's measurement state into the merged sim.
+    /// Installs the coordinator's measurement into the merged sim.
     fn install(mut self, sim: &mut PowerAwareSim, total: u64) {
         self.advance_injections(total);
-        sim.measure_from = self.measure_from;
-        sim.latency = self.latency;
-        sim.latency_hist = self.latency_hist;
-        sim.bucket_latency = self.bucket_latency;
-        sim.bucket_injected = self.bucket_injected;
-        sim.last_sample_time = self.last_sample_time;
-        sim.last_sample_energy_nj = self.last_sample_energy_nj;
-        sim.latency_series = self.latency_series;
-        sim.power_series = self.power_series;
-        sim.injection_series = self.injection_series;
+        sim.measure = self.measure;
     }
 }
 
@@ -845,7 +938,6 @@ pub(crate) fn run_sharded_with(
 
     let has_dvs = config.power_aware && matches!(config.policy.mode, PolicyMode::DvsLadder);
     let tw = config.policy.timing.tw_cycles;
-    let baseline_mw = config.link_model().max_power().as_mw() * link_count as f64;
 
     // Boundary-occupancy exchange lists: publisher (to-endpoint owner) →
     // consumer (from-endpoint owner), in link order. `boundary_out[s]`
@@ -912,8 +1004,10 @@ pub(crate) fn run_sharded_with(
         }
     };
 
-    let ir_lens: Vec<usize> = specs.iter().map(|sp| sp.ir_links.len()).collect();
+    let ir_lens: Vec<usize> = specs.iter().map(|sp| sp.region.ir_links.len()).collect();
 
+    // Worker 0 coordinates the measurement.
+    let mut per_cycle = Some(per_cycle);
     type WorkerResult = (PowerAwareSim, u64, Option<Coordinator>, u64, u64);
     let mut results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(s_count);
@@ -922,8 +1016,7 @@ pub(crate) fn run_sharded_with(
             let cfg = config.clone();
             let owner = Arc::clone(&owner);
             let to_owner = Arc::clone(&to_owner);
-            let coordinator = (s == 0)
-                .then(|| Coordinator::new(cycle, baseline_mw, sample_every, per_cycle.clone()));
+            let per_cycle = per_cycle.take();
             let barrier = &barrier;
             let mailboxes = &mailboxes;
             let occ_links = &occ_links;
@@ -950,7 +1043,14 @@ pub(crate) fn run_sharded_with(
                     Some(route_table),
                     Some(Box::new(ctx)),
                 );
-                let mut coordinator = coordinator;
+                let mut coordinator = per_cycle.map(|per_cycle| Coordinator {
+                    cycle,
+                    baseline_mw: engine.model().baseline_power().as_mw(),
+                    sample_every,
+                    per_cycle,
+                    inj_ptr: 0,
+                    measure: Recorder::new(),
+                });
                 let (mut windows, mut barriers) = (0u64, 0u64);
                 // Exchange parities: the policy and publish slots flip
                 // on their own stop cadences (see the module docs).
@@ -1092,11 +1192,7 @@ pub(crate) fn run_sharded_with(
                         {
                             let mut slot = energy_slots[s][qp].lock().unwrap();
                             slot.clear();
-                            let (ir, nl) = {
-                                let ctx = sim.shard.as_deref().expect("shard ctx");
-                                (ctx.spec.ir_links.clone(), ctx.spec.node_links.clone())
-                            };
-                            for l in ir.chain(nl) {
+                            for l in sim.owned().links() {
                                 slot.push(sim.accounts[l].energy_nj_at(t_k));
                             }
                         }
@@ -1129,9 +1225,7 @@ pub(crate) fn run_sharded_with(
                         }
                         pp ^= 1;
                         let (sim, queue) = engine.model_and_queue_mut();
-                        if sim.policy_pending() {
-                            sim.run_deferred_policy(t_k, queue);
-                        }
+                        sim.run_deferred_policy(t_k, queue);
                     }
                     if publish_due {
                         // Worker 0 re-enacts the sequential measurement
@@ -1196,14 +1290,14 @@ pub(crate) fn run_sharded_with(
         let (sim, ev, coord, w, b) = results.remove(0);
         (sim, ev, coord.expect("worker 0 owns the coordinator"), w, b)
     };
-    let base_ctx = base.take_shard().expect("shard ctx");
+    let base_ctx = base.shard.take().expect("shard ctx");
     let mut foreign = base_ctx.foreign_arrivals;
     for (i, (mut donor, ev, _, w, _)) in results.into_iter().enumerate() {
-        let donor_ctx = donor.take_shard().expect("shard ctx");
+        let donor_ctx = donor.shard.take().expect("shard ctx");
         for (l, n) in donor_ctx.foreign_arrivals.iter().enumerate() {
             foreign[l] += n;
         }
-        base.merge_shard(&mut donor, &specs[i + 1]);
+        base.merge_shard(&mut donor, &specs[i + 1].region);
         events += ev;
         // Window framings between stops are per-shard; report the
         // busiest worker. Barrier counts agree across workers.
@@ -1230,6 +1324,7 @@ pub(crate) fn run_sharded_with(
 mod tests {
     use super::*;
     use lumen_desim::Rng;
+    use lumen_policy::OpticalMode;
     use lumen_traffic::{PacketSize, Pattern, RateProfile, SyntheticSource};
 
     fn small_config(power_aware: bool) -> SystemConfig {
@@ -1264,20 +1359,21 @@ mod tests {
             let mut next_ir = 0;
             for (i, spec) in specs.iter().enumerate() {
                 assert_eq!(spec.id, i);
-                assert_eq!(spec.routers.start, next_router);
-                assert_eq!(spec.nodes.start, next_node);
-                assert_eq!(spec.ir_links.start, next_ir);
-                assert_eq!(spec.node_links.start, spec.ir_total + 2 * spec.nodes.start);
-                assert_eq!(spec.node_links.end, spec.ir_total + 2 * spec.nodes.end);
-                next_router = spec.routers.end;
-                next_node = spec.nodes.end;
-                next_ir = spec.ir_links.end;
+                let r = &spec.region;
+                assert_eq!(r.routers.start, next_router);
+                assert_eq!(r.nodes.start, next_node);
+                assert_eq!(r.ir_links.start, next_ir);
+                assert_eq!(r.node_links.start, spec.ir_total + 2 * r.nodes.start);
+                assert_eq!(r.node_links.end, spec.ir_total + 2 * r.nodes.end);
+                next_router = r.routers.end;
+                next_node = r.nodes.end;
+                next_ir = r.ir_links.end;
             }
             assert_eq!(next_router, noc.rack_count());
             assert_eq!(next_node, noc.node_count());
             assert_eq!(next_ir, specs[0].ir_total);
             assert_eq!(
-                specs.last().unwrap().node_links.end,
+                specs.last().unwrap().region.node_links.end,
                 net.link_count(),
                 "link ranges must cover the real network"
             );
@@ -1294,7 +1390,10 @@ mod tests {
         let mut boundary = 0;
         for l in 0..net.link_count() {
             let spec = &specs[usize::from(owner[l])];
-            assert!(spec.owns_link(l), "owner map disagrees with spec ranges");
+            assert!(
+                spec.region.clone().links().any(|x| x == l),
+                "owner map disagrees with spec ranges"
+            );
             if owner[l] != to_owner[l] {
                 boundary += 1;
                 // Only inter-router links cross bands.
@@ -1391,9 +1490,15 @@ mod tests {
 
     #[test]
     fn sharded_matches_sequential_onoff() {
-        let mut config = small_config(true);
-        config.policy.mode = PolicyMode::OnOff(lumen_policy::OnOffConfig::reference_default());
-        assert_matches_sequential(config, 0.05, None);
+        // Three optical levels schedule laser decisions, which on/off
+        // gating has no lasers for; a short period makes them fire.
+        for optical_mode in [OpticalMode::SingleLevel, OpticalMode::ThreeLevel] {
+            let mut config = small_config(true);
+            config.policy.mode = PolicyMode::OnOff(lumen_policy::OnOffConfig::reference_default());
+            config.policy.optical_mode = optical_mode;
+            config.policy.timing.laser_decision_period = config.noc.cycle() * 300;
+            assert_matches_sequential(config, 0.05, None);
+        }
     }
 
     #[test]

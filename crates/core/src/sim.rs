@@ -20,6 +20,7 @@
 
 use crate::config::SystemConfig;
 use crate::fault::{FaultKind, FaultPlan};
+use crate::shard::{Local, Region, Route};
 use crate::telemetry::{
     LinkWindowRow, MetricsRegistry, TelemetryCollector, TelemetryConfig, TelemetryReport,
     TRACE_SCHEMA,
@@ -148,6 +149,100 @@ impl PowerLut {
     }
 }
 
+/// What a run measures: per-packet latency since measurement began and
+/// the sampled time series. The sequential engine records into its own.
+/// On the sharded engine, worker 0's coordinator records into one from
+/// ordered delivery replays and summed energy snapshots, and the merged
+/// sim takes it over; both engines run this code, so their f64 results
+/// are equal by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct Recorder {
+    pub(crate) measure_from: Picos,
+    pub(crate) latency: Summary,
+    pub(crate) latency_hist: Histogram,
+    pub(crate) bucket_latency: Summary,
+    pub(crate) bucket_injected: u64,
+    pub(crate) last_sample_time: Picos,
+    pub(crate) last_sample_energy_nj: f64,
+    pub(crate) latency_series: TimeSeries,
+    pub(crate) power_series: TimeSeries,
+    pub(crate) injection_series: TimeSeries,
+}
+
+impl Recorder {
+    /// Measuring from time 0, nothing recorded.
+    pub(crate) fn new() -> Self {
+        Recorder {
+            measure_from: Picos::ZERO,
+            latency: Summary::new(),
+            latency_hist: Histogram::new(10.0, 2_000),
+            bucket_latency: Summary::new(),
+            bucket_injected: 0,
+            last_sample_time: Picos::ZERO,
+            last_sample_energy_nj: 0.0,
+            latency_series: TimeSeries::default(),
+            power_series: TimeSeries::default(),
+            injection_series: TimeSeries::default(),
+        }
+    }
+
+    /// Restarts measurement at `now`: the latency statistics and the
+    /// sample bucket start empty; the series keep what they hold.
+    pub(crate) fn begin(&mut self, now: Picos) {
+        self.measure_from = now;
+        self.latency = Summary::new();
+        self.latency_hist = Histogram::new(10.0, 2_000);
+        self.bucket_latency = Summary::new();
+        self.bucket_injected = 0;
+        self.last_sample_time = now;
+        self.last_sample_energy_nj = 0.0;
+    }
+
+    /// Counts `n` packets injected at `now` into the sample bucket if
+    /// measurement has begun by then, and says whether it had.
+    pub(crate) fn note_injected(&mut self, now: Picos, n: u64) -> bool {
+        let measured = now >= self.measure_from;
+        if measured {
+            self.bucket_injected += n;
+        }
+        measured
+    }
+
+    /// Records the latency, in cycles of `cycle`, of a packet created at
+    /// `created_at` and delivered at `at`, unless it was created before
+    /// measurement began.
+    pub(crate) fn record_delivery(&mut self, created_at: Picos, at: Picos, cycle: Picos) {
+        if created_at < self.measure_from {
+            return;
+        }
+        let cycles = (at - created_at).as_ps() as f64 / cycle.as_ps() as f64;
+        self.latency.record(cycles);
+        self.latency_hist.record(cycles);
+        self.bucket_latency.record(cycles);
+    }
+
+    /// Closes a sample period of `every` cycles at `now`: the power since
+    /// the last sample, from the network's energy `energy_nj` (summed in
+    /// link order) and normalized to `baseline_mw`; the bucket's mean
+    /// latency; and its injection rate.
+    pub(crate) fn take_sample(&mut self, now: Picos, every: u64, energy_nj: f64, baseline_mw: f64) {
+        let dt_ps = (now - self.last_sample_time).as_ps() as f64;
+        if dt_ps > 0.0 {
+            let power_mw = (energy_nj - self.last_sample_energy_nj) / dt_ps * 1e6;
+            self.power_series.record(now, power_mw / baseline_mw);
+            self.last_sample_energy_nj = energy_nj;
+            self.last_sample_time = now;
+        }
+        if !self.bucket_latency.is_empty() {
+            self.latency_series.record(now, self.bucket_latency.mean());
+        }
+        self.injection_series
+            .record(now, self.bucket_injected as f64 / every as f64);
+        self.bucket_latency = Summary::new();
+        self.bucket_injected = 0;
+    }
+}
+
 /// The complete simulated system.
 pub struct PowerAwareSim {
     pub(crate) config: SystemConfig,
@@ -169,24 +264,17 @@ pub struct PowerAwareSim {
     // Per-link transition epoch: bumped when a fault pins a link, so
     // transition events planned before the pin are discarded on arrival.
     pub(crate) link_epoch: Vec<u64>,
-    // Measurement state.
-    pub(crate) measure_from: Picos,
-    pub(crate) latency: Summary,
-    pub(crate) latency_hist: Histogram,
+    // Measurement state: latencies and series in the recorder, counters
+    // as this engine counted them (a shard replica counts its own
+    // region's; the merge sums them).
+    pub(crate) measure: Recorder,
     pub(crate) packets_injected_measured: u64,
     pub(crate) packets_dropped_at_measure: u64,
     pub(crate) flits_dropped_at_measure: u64,
     pub(crate) flits_corrupted_at_measure: u64,
     pub(crate) faults_at_measure: u64,
-    // Optional time-series sampling.
+    // Optional time-series sampling period.
     pub(crate) sample_every: Option<u64>,
-    pub(crate) bucket_latency: Summary,
-    pub(crate) bucket_injected: u64,
-    pub(crate) last_sample_time: Picos,
-    pub(crate) last_sample_energy_nj: f64,
-    pub(crate) latency_series: TimeSeries,
-    pub(crate) power_series: TimeSeries,
-    pub(crate) injection_series: TimeSeries,
     // Scratch buffers.
     pub(crate) effects: Vec<Effect>,
     pub(crate) packets: Vec<Packet>,
@@ -283,55 +371,26 @@ impl PowerAwareSim {
             && config.policy.optical_mode == lumen_policy::OpticalMode::ThreeLevel;
         let laser_period = config.policy.timing.laser_decision_period;
 
-        // Fault schedules: draw each link's first onset up front so the
-        // plan can move into the sim before the queue is populated.
-        // Dropouts model the shared external laser sagging, so they only
-        // exist on MQW-modulator systems.
-        let mut fault_onsets: Vec<(Picos, SimEvent)> = Vec::new();
-        let faults = if config.faults.enabled() {
-            let mut plan = FaultPlan::new(
+        // Fault onsets. Dropouts model the shared external laser
+        // sagging, so they only exist on MQW-modulator systems.
+        let faults = config.faults.enabled().then(|| {
+            FaultPlan::new(
                 &config.faults,
                 config.seed,
                 link_count,
                 cycle,
                 config.noc.flit_bits,
-            );
-            let dropouts = config.faults.dropouts_enabled()
-                && config.transmitter == lumen_opto::link::TransmitterKind::MqwModulator;
-            for l in 0..link_count {
-                // A shard replica schedules (and later processes) fault
-                // events only for the links it owns; per-link RNG streams
-                // make the skipped draws invisible to the owned ones.
-                if let Some(ctx) = shard.as_deref() {
-                    if !ctx.owns_link(l) {
-                        continue;
-                    }
-                }
-                if config.faults.outages_enabled() {
-                    let at = plan.next_begin(Picos::ZERO, l, FaultKind::Outage);
-                    fault_onsets.push((
-                        at,
-                        SimEvent::FaultBegin {
-                            link: LinkId(l as u32),
-                            kind: FaultKind::Outage,
-                        },
-                    ));
-                }
-                if dropouts {
-                    let at = plan.next_begin(Picos::ZERO, l, FaultKind::LaserDropout);
-                    fault_onsets.push((
-                        at,
-                        SimEvent::FaultBegin {
-                            link: LinkId(l as u32),
-                            kind: FaultKind::LaserDropout,
-                        },
-                    ));
-                }
-            }
-            Some(plan)
-        } else {
-            None
-        };
+            )
+        });
+        let mut onset_kinds = Vec::new();
+        if config.faults.outages_enabled() {
+            onset_kinds.push(FaultKind::Outage);
+        }
+        if config.faults.dropouts_enabled()
+            && config.transmitter == lumen_opto::link::TransmitterKind::MqwModulator
+        {
+            onset_kinds.push(FaultKind::LaserDropout);
+        }
 
         let sim = PowerAwareSim {
             net,
@@ -349,22 +408,13 @@ impl PowerAwareSim {
             tw_cycles,
             faults,
             link_epoch: vec![0; link_count],
-            measure_from: Picos::ZERO,
-            latency: Summary::new(),
-            latency_hist: Histogram::new(10.0, 2_000),
+            measure: Recorder::new(),
             packets_injected_measured: 0,
             packets_dropped_at_measure: 0,
             flits_dropped_at_measure: 0,
             flits_corrupted_at_measure: 0,
             faults_at_measure: 0,
             sample_every,
-            bucket_latency: Summary::new(),
-            bucket_injected: 0,
-            last_sample_time: Picos::ZERO,
-            last_sample_energy_nj: 0.0,
-            latency_series: TimeSeries::default(),
-            power_series: TimeSeries::default(),
-            injection_series: TimeSeries::default(),
             effects: Vec::new(),
             packets: Vec::new(),
             shard,
@@ -389,8 +439,19 @@ impl PowerAwareSim {
                 .queue_mut()
                 .schedule(laser_period, SimEvent::LaserDecision);
         }
-        for (at, ev) in fault_onsets {
-            engine.queue_mut().schedule(at, ev);
+        // Each engine schedules (and later processes) fault events only
+        // for the links it owns; per-link RNG streams make a shard
+        // replica's skipped draws invisible to the owned ones.
+        let (sim, queue) = engine.model_and_queue_mut();
+        let owned = sim.owned();
+        if let Some(plan) = sim.faults.as_mut() {
+            for l in owned.links() {
+                let link = LinkId(l as u32);
+                for &kind in &onset_kinds {
+                    let at = plan.next_begin(Picos::ZERO, l, kind);
+                    queue.schedule(at, SimEvent::FaultBegin { link, kind });
+                }
+            }
         }
         engine
     }
@@ -418,9 +479,7 @@ impl PowerAwareSim {
     /// Resets all measurement state at `now`: latency statistics restart
     /// and every link's energy account reopens at its current power.
     pub fn begin_measurement(&mut self, now: Picos) {
-        self.measure_from = now;
-        self.latency = Summary::new();
-        self.latency_hist = Histogram::new(10.0, 2_000);
+        self.measure.begin(now);
         self.packets_injected_measured = 0;
         self.packets_dropped_at_measure = self.net.packets_dropped();
         self.flits_dropped_at_measure = self.net.flits_dropped();
@@ -429,10 +488,6 @@ impl PowerAwareSim {
         for (l, acct) in self.accounts.iter_mut().enumerate() {
             *acct = EnergyAccount::new(now, self.lut.power(&self.model, self.current_point[l]));
         }
-        self.bucket_latency = Summary::new();
-        self.bucket_injected = 0;
-        self.last_sample_time = now;
-        self.last_sample_energy_nj = 0.0;
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.reset();
         }
@@ -440,12 +495,12 @@ impl PowerAwareSim {
 
     /// Per-packet latency statistics (cycles) since measurement began.
     pub fn latency_summary(&self) -> &Summary {
-        &self.latency
+        &self.measure.latency
     }
 
     /// Latency histogram (bucketed in 10-cycle bins).
     pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_hist
+        &self.measure.latency_hist
     }
 
     /// Packets injected since measurement began.
@@ -487,7 +542,7 @@ impl PowerAwareSim {
 
     /// Average network power since measurement began.
     pub fn average_power(&self, now: Picos) -> MilliWatts {
-        let dt = (now - self.measure_from).as_ps() as f64;
+        let dt = (now - self.measure.measure_from).as_ps() as f64;
         if dt == 0.0 {
             return MilliWatts::ZERO;
         }
@@ -516,10 +571,20 @@ impl PowerAwareSim {
     /// The recorded time series (empty unless sampling was enabled).
     pub fn series(&self) -> (&TimeSeries, &TimeSeries, &TimeSeries) {
         (
-            &self.latency_series,
-            &self.power_series,
-            &self.injection_series,
+            &self.measure.latency_series,
+            &self.measure.power_series,
+            &self.measure.injection_series,
         )
+    }
+
+    /// The routers, nodes and links this engine steps, polices and
+    /// fault-schedules: the whole fabric on the sequential engine, the
+    /// shard's band on a replica.
+    pub(crate) fn owned(&self) -> Region {
+        match self.shard.as_deref() {
+            Some(ctx) => ctx.spec.region.clone(),
+            None => Region::whole(&self.net),
+        }
     }
 
     fn on_core_tick(&mut self, now: Picos, queue: &mut EventQueue<SimEvent>) {
@@ -527,21 +592,24 @@ impl PowerAwareSim {
         self.packets.clear();
         self.source
             .packets_for_cycle(self.cycle_index, now, &mut self.packets);
+        let injected = self.packets.len() as u64;
+        if self.measure.note_injected(now, injected) {
+            self.packets_injected_measured += injected;
+        }
         for pkt in self.packets.drain(..) {
-            if now >= self.measure_from {
-                self.packets_injected_measured += 1;
-                self.bucket_injected += 1;
-            }
             self.net.inject(pkt);
         }
 
-        // 2. One cycle of every source node and router. Drain effects by
-        // index (Effect is Copy) to keep the buffer's capacity across
-        // cycles rather than reallocating it every tick.
-        if self.shard.is_some() {
-            self.tick_and_drain_sharded(now, queue);
-        } else {
-            self.tick_and_drain(now, queue);
+        // 2. One cycle of every owned source node and router. A shard
+        // replica's context leaves `self` for the call, so the handler
+        // can borrow both.
+        let owned = self.owned();
+        match self.shard.take() {
+            None => self.tick_and_drain(&mut Local, owned, now, queue),
+            Some(mut ctx) => {
+                self.tick_and_drain(&mut *ctx, owned, now, queue);
+                self.shard = Some(ctx);
+            }
         }
 
         // 3. Power management: wake sleeping links the moment demand
@@ -552,53 +620,37 @@ impl PowerAwareSim {
         }
         if self.cycle_index.is_multiple_of(self.tw_cycles) {
             if !self.controllers.is_empty() {
-                if let Some(ctx) = self.shard.as_deref_mut() {
+                match self.shard.as_deref_mut() {
                     // DVS windows need cross-shard buffer occupancy; the
                     // runtime injects it at the barrier and then calls
                     // `run_deferred_policy` — still at this tick's time,
                     // still before the next CoreTick, like the sequential
                     // engine.
-                    ctx.policy_pending = true;
-                } else {
-                    self.run_policy_windows(now, queue);
+                    Some(ctx) => ctx.policy_pending = true,
+                    None => self.run_policy_windows(now, queue),
                 }
-            } else if !self.onoff.is_empty() {
-                if let Some(ctx) = self.shard.as_deref() {
-                    let (ir, nl) = (ctx.spec.ir_links.clone(), ctx.spec.node_links.clone());
-                    self.run_onoff_windows_range(now, ir.chain(nl));
-                } else {
-                    self.run_onoff_windows(now);
-                }
-            } else if self
-                .telemetry
-                .as_deref()
-                .is_some_and(|t| t.config.link_series)
+            } else if !self.onoff.is_empty()
+                || self
+                    .telemetry
+                    .as_deref()
+                    .is_some_and(|t| t.config.link_series)
             {
-                // Non-power-aware system: no policy consumes the window
-                // counters, so a telemetry-only pass reads them. Taking
-                // them is invisible to the simulation (nothing else reads
-                // window busy/demand here) and happens identically on the
-                // owning shard, preserving bit-identity.
-                if let Some(ctx) = self.shard.as_deref() {
-                    let (ir, nl) = (ctx.spec.ir_links.clone(), ctx.spec.node_links.clone());
-                    self.run_telemetry_windows_range(now, ir.chain(nl));
-                } else {
-                    let n = self.net.link_count();
-                    self.run_telemetry_windows_range(now, 0..n);
-                }
+                self.run_gate_windows(now);
             }
         }
 
         // 4. Time-series sampling (sharded runs sample at the coordinator,
-        // which owns the merged measurement state).
-        if self.shard.is_none() {
-            if let Some(every) = self.sample_every {
-                if self.cycle_index.is_multiple_of(every) {
-                    self.take_sample(now, every);
+        // which owns the merged measurement state), then the next tick.
+        match self.shard.as_deref() {
+            None => {
+                if let Some(every) = self.sample_every {
+                    if self.cycle_index.is_multiple_of(every) {
+                        let energy = self.energy_nj(now);
+                        let baseline = self.baseline_power().as_mw();
+                        self.measure.take_sample(now, every, energy, baseline);
+                    }
                 }
             }
-            queue.schedule(now + self.cycle, SimEvent::CoreTick);
-        } else {
             // Sharded: ticks up to the window stop self-schedule exactly
             // like the sequential engine (so the tick handler's calendar
             // inserts land *before* the next CoreTick at equal
@@ -607,18 +659,28 @@ impl PowerAwareSim {
             // policy), preserving the rule that the tick is the last
             // same-time event. `cycle_index` was incremented above, so it
             // names the *next* tick here.
-            let stop = self.shard.as_deref().expect("shard ctx").window_stop;
-            if self.cycle_index <= stop {
-                queue.schedule(now + self.cycle, SimEvent::CoreTick);
-            }
+            Some(ctx) if self.cycle_index > ctx.window_stop => return,
+            Some(_) => {}
         }
+        queue.schedule(now + self.cycle, SimEvent::CoreTick);
     }
 
-    fn tick_and_drain(&mut self, now: Picos, queue: &mut EventQueue<SimEvent>) {
-        self.net.tick(now, &mut self.effects);
+    /// One cycle of the `owned` sources and routers. Each launch's
+    /// corruption is drawn, and `route` sends each effect on its way.
+    /// Drains by index (Effect is Copy) to keep the buffer's capacity
+    /// across cycles.
+    fn tick_and_drain<R: Route>(
+        &mut self,
+        route: &mut R,
+        owned: Region,
+        now: Picos,
+        queue: &mut EventQueue<SimEvent>,
+    ) {
+        route.begin_tick();
+        self.net
+            .tick_range(now, &mut self.effects, owned.routers, owned.nodes);
         for i in 0..self.effects.len() {
-            let eff = self.effects[i];
-            match eff {
+            let (at, event) = match self.effects[i] {
                 Effect::Flit {
                     link,
                     vc,
@@ -627,6 +689,9 @@ impl PowerAwareSim {
                 } => {
                     // Flits launched while a laser dropout starves the
                     // link's light risk bit errors at the current rate.
+                    // The draw happens on the link owner's engine: the
+                    // same per-link RNG stream, in the same per-link
+                    // order, on either engine.
                     if let Some(plan) = self.faults.as_mut() {
                         if plan.dropout_active(link.index(), now) {
                             let p = plan.corruption_probability(self.net.link(link).rate());
@@ -635,137 +700,44 @@ impl PowerAwareSim {
                             }
                         }
                     }
-                    queue.schedule(at, SimEvent::FlitArrive { link, vc, flit });
+                    (at, SimEvent::FlitArrive { link, vc, flit })
                 }
-                Effect::Credit { link, vc, at } => {
-                    queue.schedule(at, SimEvent::CreditArrive { link, vc });
-                }
-                Effect::Ejected { created_at, at, .. } => {
-                    self.record_delivery(created_at, at);
-                }
-            }
+                Effect::Credit { link, vc, at } => (at, SimEvent::CreditArrive { link, vc }),
+                Effect::Ejected { .. } => unreachable!("only a flit arrival ejects a packet"),
+            };
+            route.send(at, event, self.cycle_index, queue);
         }
         self.effects.clear();
     }
 
-    /// The sharded tick: only the owned region steps, and every effect
-    /// whose handler belongs to another shard is routed to that shard's
-    /// outbox instead of the local calendar. Ejection-link launches are
-    /// tagged with a globally-ordered delivery key so the coordinator can
-    /// replay deliveries in the sequential engine's order.
-    fn tick_and_drain_sharded(&mut self, now: Picos, queue: &mut EventQueue<SimEvent>) {
-        let launch_cycle = self.cycle_index;
-        {
-            let ctx = self.shard.as_deref_mut().expect("sharded drain");
-            ctx.launch_pos = 0;
-            let (routers, nodes) = (ctx.spec.routers.clone(), ctx.spec.nodes.clone());
-            self.net.tick_range(now, &mut self.effects, routers, nodes);
-        }
-        for i in 0..self.effects.len() {
-            let eff = self.effects[i];
-            match eff {
-                Effect::Flit {
-                    link,
-                    vc,
-                    mut flit,
-                    at,
-                } => {
-                    // Corruption is drawn at launch on the link owner's
-                    // replica — the same per-link RNG stream, in the same
-                    // per-link order, as the sequential engine.
-                    if let Some(plan) = self.faults.as_mut() {
-                        if plan.dropout_active(link.index(), now) {
-                            let p = plan.corruption_probability(self.net.link(link).rate());
-                            if plan.draw_corruption(link.index(), p) {
-                                flit.corrupted = true;
-                            }
-                        }
-                    }
-                    let ctx = self.shard.as_deref_mut().expect("sharded drain");
-                    let dest = usize::from(ctx.to_owner[link.index()]);
-                    if dest == ctx.spec.id {
-                        // Ejection flits launched by owned routers: tag
-                        // with (launch cycle, shard, launch position).
-                        // Ejections only launch from router ticks, which
-                        // global drain order visits in router-index order,
-                        // so this key sorts identically to the sequential
-                        // calendar's insertion sequence.
-                        if ctx.owns_ej_link(link.index()) {
-                            let key = (launch_cycle << crate::shard::KEY_CYCLE_SHIFT)
-                                | ((ctx.spec.id as u64) << crate::shard::KEY_SHARD_SHIFT)
-                                | ctx.launch_pos;
-                            ctx.launch_pos += 1;
-                            ctx.ej_keys[link.index()].push_back(key);
-                        }
-                        queue.schedule(at, SimEvent::FlitArrive { link, vc, flit });
-                    } else {
-                        ctx.outbox[dest].push((at, SimEvent::FlitArrive { link, vc, flit }));
-                    }
-                }
-                Effect::Credit { link, vc, at } => {
-                    let ctx = self.shard.as_deref_mut().expect("sharded drain");
-                    let dest = usize::from(ctx.owner[link.index()]);
-                    if dest == ctx.spec.id {
-                        queue.schedule(at, SimEvent::CreditArrive { link, vc });
-                    } else {
-                        ctx.outbox[dest].push((at, SimEvent::CreditArrive { link, vc }));
-                    }
-                }
-                Effect::Ejected { created_at, at, .. } => {
-                    // Ejections are emitted while draining flit arrivals,
-                    // never by the tick itself; keep the sequential
-                    // behavior if that ever changes.
-                    debug_assert!(false, "tick emitted an ejection");
-                    self.record_delivery(created_at, at);
-                }
-            }
-        }
-        self.effects.clear();
-    }
-
-    /// A flit arrival on a shard replica. The link's own arrival counter
-    /// is only touched when this shard owns the link; ejections are logged
-    /// with their launch key for the coordinator's ordered replay instead
-    /// of being recorded into this replica's (unused) latency state.
-    fn on_flit_arrive_sharded(
+    /// A flit arrival, booked and its ejection delivered by `route`. On a
+    /// shard replica, an arrival on a link another shard owns is counted
+    /// for the merge instead of on the link, and an ejection goes to the
+    /// coordinator's ordered replay instead of into this replica's
+    /// (unused) recorder. Drains by index (Effect is Copy): this runs once
+    /// per flit hop.
+    #[inline]
+    fn on_flit_arrive<R: Route>(
         &mut self,
+        route: &mut R,
         now: Picos,
         link: LinkId,
         vc: VcId,
         flit: Flit,
         queue: &mut EventQueue<SimEvent>,
     ) {
-        let ctx = self.shard.as_deref_mut().expect("sharded arrival");
-        let owned = usize::from(ctx.owner[link.index()]) == ctx.spec.id;
-        // Every ejection-link launch pushed a key; arrivals on a FIFO link
-        // pop them in the same order.
-        let key = if ctx.owns_ej_link(link.index()) {
-            ctx.ej_keys[link.index()].pop_front()
-        } else {
-            None
-        };
-        if owned {
-            self.net
-                .flit_arrived(now, link, vc, flit, &mut self.effects);
-        } else {
-            ctx.foreign_arrivals[link.index()] += 1;
-            self.net
-                .flit_arrived_unowned(now, link, vc, flit, &mut self.effects);
-        }
+        let (owned, key) = route.arrival(link);
+        self.net
+            .flit_arrived(now, link, vc, flit, owned, &mut self.effects);
         for i in 0..self.effects.len() {
-            let eff = self.effects[i];
-            match eff {
+            match self.effects[i] {
+                // A sink's credit returns on its ejection link, whose
+                // router is on this engine.
                 Effect::Credit { link, vc, at } => {
-                    // Sink credits return on the ejection link and router
-                    // credits on locally-owned feeders: always local.
                     queue.schedule(at, SimEvent::CreditArrive { link, vc });
                 }
                 Effect::Ejected { created_at, at, .. } => {
-                    ctx.deliveries.push((
-                        at,
-                        key.expect("ejection without launch key"),
-                        created_at,
-                    ));
+                    route.deliver(&mut self.measure, self.cycle, created_at, at, key);
                 }
                 Effect::Flit { .. } => {
                     unreachable!("flit arrival cannot launch a flit")
@@ -775,44 +747,30 @@ impl PowerAwareSim {
         self.effects.clear();
     }
 
-    fn record_delivery(&mut self, created_at: Picos, at: Picos) {
-        if created_at < self.measure_from {
-            return;
-        }
-        let cycles = (at - created_at).as_ps() as f64 / self.cycle.as_ps() as f64;
-        self.latency.record(cycles);
-        self.latency_hist.record(cycles);
-        self.bucket_latency.record(cycles);
-    }
-
-    fn run_policy_windows(&mut self, now: Picos, queue: &mut EventQueue<SimEvent>) {
-        self.run_policy_windows_range(now, queue, 0..self.net.link_count());
-    }
-
-    /// Runs the DVS window policy for `links` only. The sequential engine
-    /// passes the full range; a shard passes its owned ranges. Per-link
-    /// decisions are independent, and the events different links schedule
-    /// at equal times commute, so a shard-restricted pass reproduces the
-    /// sequential outcome exactly on the links it covers.
-    fn run_policy_windows_range(
-        &mut self,
-        now: Picos,
-        queue: &mut EventQueue<SimEvent>,
-        links: impl Iterator<Item = usize>,
-    ) {
+    /// Takes link `id`'s window counters and returns its `Lu`: the
+    /// fraction of the window the link was serving or wanted by traffic.
+    /// The demand term keeps saturation visible through allocator and
+    /// flow-control overheads (DESIGN.md note).
+    fn take_window_lu(&mut self, id: LinkId) -> f64 {
         let tw_duration = self.cycle * self.tw_cycles;
+        let link = self.net.link_mut(id);
+        let busy = link.take_window_busy();
+        let demand = link.take_window_demand();
+        (busy.as_ps() as f64 / tw_duration.as_ps() as f64)
+            .max(demand as f64 / self.tw_cycles as f64)
+            .min(1.0)
+    }
+
+    /// Runs the DVS window policy on the owned links. Per-link decisions
+    /// are independent, and the events different links schedule at equal
+    /// times commute, so a shard's pass reproduces the sequential outcome
+    /// exactly on the links it owns.
+    fn run_policy_windows(&mut self, now: Picos, queue: &mut EventQueue<SimEvent>) {
         let buffer_cap =
             (self.config.noc.depth_per_vc() as u64 * self.config.noc.vcs as u64) as f64;
-        for l in links {
+        for l in self.owned().links() {
             let id = LinkId(l as u32);
-            let busy = self.net.link_mut(id).take_window_busy();
-            let demand = self.net.link_mut(id).take_window_demand();
-            // Lu is the fraction of the window the link was serving or
-            // wanted by traffic — the demand term keeps saturation visible
-            // through allocator/flow-control overheads (DESIGN.md note).
-            let lu = (busy.as_ps() as f64 / tw_duration.as_ps() as f64)
-                .max(demand as f64 / self.tw_cycles as f64)
-                .min(1.0);
+            let lu = self.take_window_lu(id);
             let bu = self
                 .net
                 .take_downstream_occupancy(id, self.tw_cycles)
@@ -885,29 +843,25 @@ impl PowerAwareSim {
         }
     }
 
-    /// On/off mode: evaluate each link's sleep rule at the window boundary.
-    fn run_onoff_windows(&mut self, now: Picos) {
-        self.run_onoff_windows_range(now, 0..self.net.link_count());
-    }
-
-    /// [`PowerAwareSim::run_onoff_windows`] restricted to `links` (a
-    /// shard's owned ranges). Sleep rules read only per-link window
-    /// counters, which accumulate on the owner's replica.
-    fn run_onoff_windows_range(&mut self, now: Picos, links: impl Iterator<Item = usize>) {
-        let tw_duration = self.cycle * self.tw_cycles;
-        for l in links {
+    /// The window pass without a DVS policy, on the owned links: on/off
+    /// gating evaluates each link's sleep rule, and on a non-power-aware
+    /// system, where no policy consumes the window counters, a
+    /// telemetry-only pass reads them. Both read only per-link window
+    /// counters, which accumulate on the owner's engine. There is no `Bu`
+    /// input (the occupancy exchange is a DVS-barrier service) and no
+    /// predictor, so the telemetry row records 0 for `Bu` and repeats the
+    /// raw `Lu` as the smoothed one.
+    fn run_gate_windows(&mut self, now: Picos) {
+        for l in self.owned().links() {
             let id = LinkId(l as u32);
-            let busy = self.net.link_mut(id).take_window_busy();
-            let demand = self.net.link_mut(id).take_window_demand();
-            let lu = (busy.as_ps() as f64 / tw_duration.as_ps() as f64)
-                .max(demand as f64 / self.tw_cycles as f64)
-                .min(1.0);
+            let lu = self.take_window_lu(id);
             if self.telemetry.is_some() {
-                // On/off windows have no `Bu` input and no predictor; the
-                // smoothed column repeats the raw sample.
                 self.telemetry_push(now, l, lu, lu, 0.0, false);
             }
-            if let Some(GateAction::SleepNow) = self.onoff[l].on_window(now, lu) {
+            let Some(gate) = self.onoff.get_mut(l) else {
+                continue;
+            };
+            if let Some(GateAction::SleepNow) = gate.on_window(now, lu) {
                 self.net.link_mut(id).power_gate_off();
                 let off = self.model.max_power() * self.onoff[l].off_power_fraction();
                 self.accounts[l].set_power(now, off);
@@ -1007,25 +961,6 @@ impl PowerAwareSim {
         self.apply_power_point(now, link, point);
     }
 
-    fn take_sample(&mut self, now: Picos, every: u64) {
-        let dt_ps = (now - self.last_sample_time).as_ps() as f64;
-        if dt_ps > 0.0 {
-            let energy = self.energy_nj(now);
-            let power_mw = (energy - self.last_sample_energy_nj) / dt_ps * 1e6;
-            let normalized = power_mw / self.baseline_power().as_mw();
-            self.power_series.record(now, normalized);
-            self.last_sample_energy_nj = energy;
-            self.last_sample_time = now;
-        }
-        if !self.bucket_latency.is_empty() {
-            self.latency_series.record(now, self.bucket_latency.mean());
-        }
-        self.injection_series
-            .record(now, self.bucket_injected as f64 / every as f64);
-        self.bucket_latency = Summary::new();
-        self.bucket_injected = 0;
-    }
-
     /// Records one per-link telemetry row at a window boundary (or the
     /// closing flush). No-op unless the link series is enabled and
     /// measurement has begun. Reads only values the policy path already
@@ -1073,23 +1008,6 @@ impl PowerAwareSim {
             components_mw,
             decimated: false,
         });
-    }
-
-    /// The telemetry-only window pass for non-power-aware systems: same
-    /// `Lu` arithmetic as the policies, rows only. `Bu` is not read — the
-    /// occupancy exchange is a DVS-barrier service, so a telemetry-only
-    /// pass records 0 there and stays shard-safe.
-    fn run_telemetry_windows_range(&mut self, now: Picos, links: impl Iterator<Item = usize>) {
-        let tw_duration = self.cycle * self.tw_cycles;
-        for l in links {
-            let id = LinkId(l as u32);
-            let busy = self.net.link_mut(id).take_window_busy();
-            let demand = self.net.link_mut(id).take_window_demand();
-            let lu = (busy.as_ps() as f64 / tw_duration.as_ps() as f64)
-                .max(demand as f64 / self.tw_cycles as f64)
-                .min(1.0);
-            self.telemetry_push(now, l, lu, lu, 0.0, false);
-        }
     }
 
     /// Emits one final `closing` row per link at `end` so the energy
@@ -1181,43 +1099,26 @@ impl PowerAwareSim {
     /// Runs the DVS window deferred by [`PowerAwareSim::on_core_tick`] on
     /// a shard replica, once the runtime has injected cross-shard buffer
     /// occupancy. `now` is the tick the window closed at.
+    /// No-op unless a window is waiting on the barrier exchange.
     pub(crate) fn run_deferred_policy(&mut self, now: Picos, queue: &mut EventQueue<SimEvent>) {
-        let (ir, nl) = {
-            let ctx = self.shard.as_deref_mut().expect("deferred policy on shard");
-            debug_assert!(ctx.policy_pending, "no policy window pending");
-            ctx.policy_pending = false;
-            (ctx.spec.ir_links.clone(), ctx.spec.node_links.clone())
-        };
-        self.run_policy_windows_range(now, queue, ir.chain(nl));
+        let ctx = self.shard.as_deref_mut().expect("deferred policy on shard");
+        if std::mem::take(&mut ctx.policy_pending) {
+            self.run_policy_windows(now, queue);
+        }
     }
 
-    /// Whether a DVS window is waiting on the barrier exchange.
-    pub(crate) fn policy_pending(&self) -> bool {
-        self.shard.as_deref().is_some_and(|ctx| ctx.policy_pending)
-    }
-
-    /// Detaches the shard context (after a parallel run, before merge),
-    /// returning the replica to sequential accessor behavior.
-    pub(crate) fn take_shard(&mut self) -> Option<Box<crate::shard::ShardCtx>> {
-        self.shard.take()
-    }
-
-    /// Adopts `donor`'s owned region — network state, per-link policy
+    /// Adopts `donor`'s owned `region` — network state, per-link policy
     /// controllers, lasers, energy accounts, operating points, epochs, and
     /// fault state — and folds in its owned counters, reassembling the
     /// sequential engine's state from per-shard replicas.
-    pub(crate) fn merge_shard(
-        &mut self,
-        donor: &mut PowerAwareSim,
-        spec: &crate::shard::ShardSpec,
-    ) {
+    pub(crate) fn merge_shard(&mut self, donor: &mut PowerAwareSim, region: &Region) {
         self.net.adopt_region(
             &mut donor.net,
-            spec.routers.clone(),
-            spec.nodes.clone(),
-            [spec.ir_links.clone(), spec.node_links.clone()],
+            region.routers.clone(),
+            region.nodes.clone(),
+            [region.ir_links.clone(), region.node_links.clone()],
         );
-        for l in spec.ir_links.clone().chain(spec.node_links.clone()) {
+        for l in region.clone().links() {
             if !self.controllers.is_empty() {
                 self.controllers[l] = donor.controllers[l].clone();
             }
@@ -1232,8 +1133,8 @@ impl PowerAwareSim {
             self.link_epoch[l] = donor.link_epoch[l];
         }
         if let (Some(mine), Some(theirs)) = (self.faults.as_mut(), donor.faults.as_ref()) {
-            mine.adopt_links(theirs, spec.ir_links.clone());
-            mine.adopt_links(theirs, spec.node_links.clone());
+            mine.adopt_links(theirs, region.ir_links.clone());
+            mine.adopt_links(theirs, region.node_links.clone());
             mine.add_faults_injected(theirs.faults_injected());
         }
         if let (Some(mine), Some(theirs)) =
@@ -1243,7 +1144,7 @@ impl PowerAwareSim {
             // (time, link) emission order by `take_telemetry_report`; the
             // energy baselines move with the links' energy accounts.
             mine.rows.extend(theirs.rows.iter().cloned());
-            for l in spec.ir_links.clone().chain(spec.node_links.clone()) {
+            for l in region.clone().links() {
                 mine.last_energy_nj[l] = theirs.last_energy_nj[l];
             }
         }
@@ -1287,21 +1188,23 @@ impl PowerAwareSim {
         }
         self.faults = faults;
         src.field_into("link_epoch", &mut self.link_epoch, TY)?;
-        self.measure_from = src.field("measure_from", TY)?;
-        self.latency = src.field("latency", TY)?;
-        self.latency_hist = src.field("latency_hist", TY)?;
+        let m = &mut self.measure;
+        m.measure_from = src.field("measure_from", TY)?;
+        m.latency = src.field("latency", TY)?;
+        m.latency_hist = src.field("latency_hist", TY)?;
         self.packets_injected_measured = src.field("packets_injected_measured", TY)?;
         self.packets_dropped_at_measure = src.field("packets_dropped_at_measure", TY)?;
         self.flits_dropped_at_measure = src.field("flits_dropped_at_measure", TY)?;
         self.flits_corrupted_at_measure = src.field("flits_corrupted_at_measure", TY)?;
         self.faults_at_measure = src.field("faults_at_measure", TY)?;
-        self.bucket_latency = src.field("bucket_latency", TY)?;
-        self.bucket_injected = src.field("bucket_injected", TY)?;
-        self.last_sample_time = src.field("last_sample_time", TY)?;
-        self.last_sample_energy_nj = src.field("last_sample_energy_nj", TY)?;
-        self.latency_series = src.field("latency_series", TY)?;
-        self.power_series = src.field("power_series", TY)?;
-        self.injection_series = src.field("injection_series", TY)?;
+        let m = &mut self.measure;
+        m.bucket_latency = src.field("bucket_latency", TY)?;
+        m.bucket_injected = src.field("bucket_injected", TY)?;
+        m.last_sample_time = src.field("last_sample_time", TY)?;
+        m.last_sample_energy_nj = src.field("last_sample_energy_nj", TY)?;
+        m.latency_series = src.field("latency_series", TY)?;
+        m.power_series = src.field("power_series", TY)?;
+        m.injection_series = src.field("injection_series", TY)?;
         src.expect_key("telemetry", TY)?;
         match (self.telemetry.as_deref_mut(), src.peek_null()?) {
             (Some(t), false) => t.restore(src),
@@ -1349,9 +1252,10 @@ impl Serialize for PowerAwareSim {
         out.field("cycle_index", &self.cycle_index);
         out.field("faults", &self.faults);
         out.field("link_epoch", &self.link_epoch);
-        out.field("measure_from", &self.measure_from);
-        out.field("latency", &self.latency);
-        out.field("latency_hist", &self.latency_hist);
+        let m = &self.measure;
+        out.field("measure_from", &m.measure_from);
+        out.field("latency", &m.latency);
+        out.field("latency_hist", &m.latency_hist);
         out.field("packets_injected_measured", &self.packets_injected_measured);
         out.field(
             "packets_dropped_at_measure",
@@ -1363,13 +1267,13 @@ impl Serialize for PowerAwareSim {
             &self.flits_corrupted_at_measure,
         );
         out.field("faults_at_measure", &self.faults_at_measure);
-        out.field("bucket_latency", &self.bucket_latency);
-        out.field("bucket_injected", &self.bucket_injected);
-        out.field("last_sample_time", &self.last_sample_time);
-        out.field("last_sample_energy_nj", &self.last_sample_energy_nj);
-        out.field("latency_series", &self.latency_series);
-        out.field("power_series", &self.power_series);
-        out.field("injection_series", &self.injection_series);
+        out.field("bucket_latency", &m.bucket_latency);
+        out.field("bucket_injected", &m.bucket_injected);
+        out.field("last_sample_time", &m.last_sample_time);
+        out.field("last_sample_energy_nj", &m.last_sample_energy_nj);
+        out.field("latency_series", &m.latency_series);
+        out.field("power_series", &m.power_series);
+        out.field("injection_series", &m.injection_series);
         out.field("telemetry", &self.telemetry);
     }
 }
@@ -1380,31 +1284,13 @@ impl SimModel for PowerAwareSim {
     fn handle(&mut self, now: Picos, event: SimEvent, queue: &mut EventQueue<SimEvent>) {
         match event {
             SimEvent::CoreTick => self.on_core_tick(now, queue),
-            SimEvent::FlitArrive { link, vc, flit } if self.shard.is_some() => {
-                self.on_flit_arrive_sharded(now, link, vc, flit, queue);
-            }
-            SimEvent::FlitArrive { link, vc, flit } => {
-                self.net
-                    .flit_arrived(now, link, vc, flit, &mut self.effects);
-                // Drain by index (Effect is Copy) so the buffer keeps its
-                // capacity — this path runs once per flit hop, and a
-                // `mem::take` here would reallocate the Vec every arrival.
-                for i in 0..self.effects.len() {
-                    let eff = self.effects[i];
-                    match eff {
-                        Effect::Credit { link, vc, at } => {
-                            queue.schedule(at, SimEvent::CreditArrive { link, vc });
-                        }
-                        Effect::Ejected { created_at, at, .. } => {
-                            self.record_delivery(created_at, at);
-                        }
-                        Effect::Flit { .. } => {
-                            unreachable!("flit arrival cannot launch a flit")
-                        }
-                    }
+            SimEvent::FlitArrive { link, vc, flit } => match self.shard.take() {
+                None => self.on_flit_arrive(&mut Local, now, link, vc, flit, queue),
+                Some(mut ctx) => {
+                    self.on_flit_arrive(&mut *ctx, now, link, vc, flit, queue);
+                    self.shard = Some(ctx);
                 }
-                self.effects.clear();
-            }
+            },
             SimEvent::CreditArrive { link, vc } => {
                 self.net.credit_arrived(link, vc);
             }
@@ -1437,14 +1323,10 @@ impl SimModel for PowerAwareSim {
                 self.on_fault_end(now, link, kind, queue);
             }
             SimEvent::LaserDecision => {
-                if let Some(ctx) = self.shard.as_deref() {
-                    let (ir, nl) = (ctx.spec.ir_links.clone(), ctx.spec.node_links.clone());
-                    for l in ir.chain(nl) {
+                // On/off systems have no lasers to decide for.
+                if !self.lasers.is_empty() {
+                    for l in self.owned().links() {
                         self.lasers[l].on_decision_period(now);
-                    }
-                } else {
-                    for laser in &mut self.lasers {
-                        laser.on_decision_period(now);
                     }
                 }
                 let period = self.config.policy.timing.laser_decision_period;

@@ -308,7 +308,7 @@ mod tests {
                 let (at, eff) = queue.pop().expect("peeked");
                 match eff {
                     Effect::Flit { link, vc, flit, .. } => {
-                        net.flit_arrived(at, link, vc, flit, &mut effects);
+                        net.flit_arrived(at, link, vc, flit, true, &mut effects);
                     }
                     Effect::Credit { link, vc, .. } => net.credit_arrived(link, vc),
                     Effect::Ejected { .. } => unreachable!("ejections emitted inline"),
@@ -422,7 +422,7 @@ mod tests {
                             flit.corrupted = true;
                             poisoned += 1;
                         }
-                        net.flit_arrived(at, link, vc, flit, &mut effects);
+                        net.flit_arrived(at, link, vc, flit, true, &mut effects);
                     }
                     Effect::Credit { link, vc, .. } => net.credit_arrived(link, vc),
                     Effect::Ejected { .. } => unreachable!(),

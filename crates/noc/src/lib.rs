@@ -24,7 +24,7 @@
 //!
 //! [`network::Network`] is a passive model: the caller (normally
 //! `lumen-core`'s simulation facade) owns the event loop, calls
-//! [`network::Network::tick`] once per core cycle and feeds back the
+//! [`network::Network::tick_range`] once per core cycle and feeds back the
 //! [`network::Effect`]s (flit deliveries, credit returns) at their due
 //! times. This keeps the network decoupled from the power-control policy
 //! that schedules around it.

@@ -3,9 +3,9 @@
 //! [`Network`] owns the routers, nodes and links of the paper's system
 //! (Fig. 3(a) / Fig. 4) — or of whichever fabric the configuration's
 //! [`Topology`] describes — and exposes a *passive* stepping interface: the
-//! caller owns the event loop, invokes [`Network::tick`] once per router
-//! cycle, and feeds the returned [`Effect`]s (flit deliveries and credit
-//! returns) back at their due times via [`Network::flit_arrived`] /
+//! caller owns the event loop, invokes [`Network::tick_range`] once per
+//! router cycle, and feeds the returned [`Effect`]s (flit deliveries and
+//! credit returns) back at their due times via [`Network::flit_arrived`] /
 //! [`Network::credit_arrived`]. The power-aware layer manipulates link
 //! rates between ticks through [`Network::link_mut`].
 //!
@@ -398,16 +398,17 @@ impl Network {
 
     /// One router-core cycle: all sources try to inject, all routers step
     /// their pipelines. Effects are appended to `effects`.
-    pub fn tick(&mut self, now: Picos, effects: &mut Vec<Effect>) {
+    #[cfg(test)]
+    pub(crate) fn tick(&mut self, now: Picos, effects: &mut Vec<Effect>) {
         let (routers, nodes) = (0..self.routers.len(), 0..self.sources.len());
         self.tick_range(now, effects, routers, nodes);
     }
 
-    /// One router-core cycle restricted to a contiguous region: only the
-    /// sources in `nodes` and the routers in `routers` are stepped, in the
-    /// same relative order as [`Network::tick`]. This is the sharded
-    /// runtime's stepping primitive — each shard replica ticks only the
-    /// rows it owns, so effect emission order within a shard matches the
+    /// One router-core cycle of a contiguous region: the sources in
+    /// `nodes` try to inject, then the routers in `routers` step their
+    /// pipelines, and effects are appended to `effects`. The sequential
+    /// engine steps the whole fabric; a shard replica steps only the band
+    /// it owns, so effect emission order within a shard matches the
     /// sequential engine's order restricted to that region.
     ///
     /// Only the active sources and routers are visited, in ascending
@@ -503,43 +504,26 @@ impl Network {
     }
 
     /// Delivers a flit that finished traversing `link` (an
-    /// [`Effect::Flit`] whose time has come).
+    /// [`Effect::Flit`] whose time has come). `owned` says whether this
+    /// network keeps the link's counters. A shard replica also delivers
+    /// flits on links another shard launched them onto; it passes `false`
+    /// for those, counts them itself and folds them into the link with
+    /// [`Network::absorb_link_arrivals`] at merge time (the owning
+    /// replica holds the authoritative `flits_sent`, so counting the
+    /// arrival here would trip the `arrived <= sent` invariant on this
+    /// replica's zero-send copy).
     pub fn flit_arrived(
         &mut self,
         now: Picos,
         link: LinkId,
         vc: VcId,
         flit: Flit,
+        owned: bool,
         effects: &mut Vec<Effect>,
     ) {
-        self.links[link.index()].note_arrival();
-        match self.to_ep[link.index()] {
-            Endpoint::RouterPort { router, port } => {
-                self.settle(router);
-                self.routers[router.index()].accept_flit(port, vc, flit);
-                self.active_routers.set(router.index());
-            }
-            Endpoint::Node(n) => {
-                self.sinks[n.index()].receive(now, vc, flit, self.config.credit_delay, effects);
-            }
+        if owned {
+            self.links[link.index()].note_arrival();
         }
-    }
-
-    /// Delivers a flit whose link is *owned by another shard*: identical to
-    /// [`Network::flit_arrived`] except the link's own arrival counter is
-    /// not touched (the owning shard's replica holds the authoritative
-    /// `flits_sent`; counting an arrival here would trip the
-    /// `arrived <= sent` invariant on this replica's zero-send copy).
-    /// Callers must count these externally and reconcile via
-    /// [`Network::absorb_link_arrivals`] at merge time.
-    pub fn flit_arrived_unowned(
-        &mut self,
-        now: Picos,
-        link: LinkId,
-        vc: VcId,
-        flit: Flit,
-        effects: &mut Vec<Effect>,
-    ) {
         match self.to_ep[link.index()] {
             Endpoint::RouterPort { router, port } => {
                 self.settle(router);
@@ -553,7 +537,7 @@ impl Network {
     }
 
     /// Folds `n` externally-counted arrivals into `link`'s counter (shard
-    /// merge reconciliation; see [`Network::flit_arrived_unowned`]).
+    /// merge reconciliation; see [`Network::flit_arrived`]).
     pub fn absorb_link_arrivals(&mut self, link: LinkId, n: u64) {
         self.links[link.index()].absorb_arrivals(n);
     }
@@ -655,11 +639,11 @@ impl Network {
     /// # Errors
     ///
     /// Fails if the stream is malformed, a component count does not
-    /// match this network's topology, or a router or source does not fit
-    /// the one built here (a checkpoint from a different configuration,
-    /// or a corrupted one; see `Router::restore` and
-    /// `SourceNode::restore`). The network is then partly restored and
-    /// must be discarded.
+    /// match this network's topology, or a router, source or sink does not
+    /// fit the one built here (a checkpoint from a different
+    /// configuration, or a corrupted one; see `Router::restore`,
+    /// `SourceNode::restore` and `SinkNode::restore`). The network is
+    /// then partly restored and must be discarded.
     pub fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "Network";
         src.map_of(5, TY)?;
@@ -812,7 +796,8 @@ mod tests {
                 let (at, eff) = self.queue.pop().expect("peeked");
                 match eff {
                     Effect::Flit { link, vc, flit, .. } => {
-                        self.net.flit_arrived(at, link, vc, flit, &mut self.effects);
+                        self.net
+                            .flit_arrived(at, link, vc, flit, true, &mut self.effects);
                     }
                     Effect::Credit { link, vc, .. } => {
                         self.net.credit_arrived(link, vc);

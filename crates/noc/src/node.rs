@@ -428,12 +428,27 @@ impl Serialize for SinkNode {
 }
 
 impl SinkNode {
-    /// Reads the state its [`Serialize`] impl wrote back into this sink.
+    /// Reads the state its [`Serialize`] impl wrote back into this sink,
+    /// which was built from the saving run's configuration.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the stream is malformed, or if its sink does not fit this
+    /// one: another node id or ejection link. The sink is then partly
+    /// restored and must be discarded.
     pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "SinkNode";
+        let (id, ej_link) = (self.id, self.ej_link);
+        let misfit = |what: String| serde::Error::custom(format!("sink {id} does not fit: {what}"));
         src.map_of(9, TY)?;
-        self.id = src.field("id", TY)?;
-        self.ej_link = src.field("ej_link", TY)?;
+        let saved: NodeId = src.field("id", TY)?;
+        if saved != id {
+            return Err(misfit(format!("the file's sink is {saved}")));
+        }
+        let saved: LinkId = src.field("ej_link", TY)?;
+        if saved != ej_link {
+            return Err(misfit(format!("it ejects on {saved}, built on {ej_link}")));
+        }
         let in_flight: Vec<(u64, u32, bool)> = src.field("in_flight", TY)?;
         self.in_flight = in_flight
             .into_iter()

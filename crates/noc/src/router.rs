@@ -705,9 +705,11 @@ impl Router {
     /// Fails if the stream is malformed, or if its router does not fit
     /// this one: another id, port count, VC count or VC depth, a VC queue
     /// longer than its depth, a port occupancy that is not the sum of its
-    /// queues, or an arbiter over another number of requesters than the
-    /// router's slots. The router is then partly restored and must be
-    /// discarded.
+    /// queues, a port fed by or driving another link than the one built,
+    /// a VC routed to a port or holding an output VC the router does not
+    /// have, an output VC held by such an input, or an arbiter over
+    /// another number of requesters than the router's slots. The router is
+    /// then partly restored and must be discarded.
     pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "Router";
         let (id, vcs, depth, ports) = (self.id, self.vcs, self.depth, self.ports.len());
@@ -766,19 +768,63 @@ impl Router {
             src.expect_key("vc_state", "InputPort")?;
             src.seq_of(vcs, "vc_state")?;
             for slot in p * vcs..(p + 1) * vcs {
-                self.slots[slot].state = VcState::deserialize(src)?;
+                let state = VcState::deserialize(src)?;
+                let vc = VcId((slot % vcs) as u8);
+                let (out_port, out_vc) = match state {
+                    VcState::Idle => (PortId(0), VcId(0)),
+                    VcState::VcAlloc { out_port } => (out_port, VcId(0)),
+                    VcState::Active { out_port, out_vc } => (out_port, out_vc),
+                };
+                if usize::from(out_port.0) >= ports {
+                    return Err(misfit(format!(
+                        "{port} {vc} is routed to {out_port}, past its {ports} ports"
+                    )));
+                }
+                if usize::from(out_vc.0) >= vcs {
+                    return Err(misfit(format!(
+                        "{port} {vc} holds output {out_vc}, past its {vcs} VCs"
+                    )));
+                }
+                self.slots[slot].state = state;
             }
-            self.ports[p].feeder = src.field("feeder", "InputPort")?;
+            let saved: Option<LinkId> = src.field("feeder", "InputPort")?;
+            let built = self.ports[p].feeder;
+            if saved != built {
+                return Err(misfit(format!(
+                    "{port} is fed by {}, built on {}",
+                    link_name(saved),
+                    link_name(built)
+                )));
+            }
             self.occupancy_accum[p] = src.field("occupancy_accum", "InputPort")?;
         }
         src.expect_key("outputs", TY)?;
         src.seq_of(ports, "outputs")?;
         for p in 0..ports {
+            let port = PortId(p as u8);
             let out = p * vcs..(p + 1) * vcs;
             src.map_of(5, "OutputPort")?;
-            self.ports[p].link = src.field("link", "OutputPort")?;
+            let saved: Option<LinkId> = src.field("link", "OutputPort")?;
+            let built = self.ports[p].link;
+            if saved != built {
+                return Err(misfit(format!(
+                    "{port} drives {}, built on {}",
+                    link_name(saved),
+                    link_name(built)
+                )));
+            }
             src.field_into("credits", &mut self.credits[out.clone()], "OutputPort")?;
-            src.field_into("vc_owner", &mut self.vc_owner[out], "OutputPort")?;
+            src.field_into("vc_owner", &mut self.vc_owner[out.clone()], "OutputPort")?;
+            for (v, owner) in self.vc_owner[out].iter().enumerate() {
+                if let Some((in_port, in_vc)) = *owner {
+                    if usize::from(in_port.0) >= ports || usize::from(in_vc.0) >= vcs {
+                        return Err(misfit(format!(
+                            "{port} vc{v} is held by {in_port} {in_vc}, \
+                             not one of its {ports} ports × {vcs} VCs"
+                        )));
+                    }
+                }
+            }
             self.ports[p].sa_arbiter = src.field("sa_arbiter", "OutputPort")?;
             self.ports[p].va_arbiter = src.field("va_arbiter", "OutputPort")?;
             let port = &self.ports[p];
@@ -803,6 +849,11 @@ impl Router {
         self.rc_ready = restore_mask(src, "rc_ready")?;
         Ok(())
     }
+}
+
+/// A port's link as restore errors name it.
+fn link_name(link: Option<LinkId>) -> String {
+    link.map_or_else(|| "no link".to_string(), |l| l.to_string())
 }
 
 /// Reads a mask written by [`write_mask`].

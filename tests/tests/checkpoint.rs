@@ -873,6 +873,132 @@ fn resume_refuses_a_router_arbiter_over_other_requesters() {
     );
 }
 
+/// Resumes the battery's file with entry `i` of the network's `list`
+/// (`routers` or `sinks`) broken by `edit` through the reference codec,
+/// and checks that resume refuses it: `who` (`router r0`, say) does not
+/// fit, for the reason `edit` returns.
+fn assert_entry_refused(
+    tag: &str,
+    list: &str,
+    i: usize,
+    who: &str,
+    edit: impl FnOnce(&mut serde::Value) -> String,
+) {
+    let bytes = valid_checkpoint_bytes(tag);
+    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
+    let entries = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), list);
+    let misfit = edit(item_mut(entries, i));
+    let file = reference::encode(&tree);
+    Checkpoint::from_bytes(&file).expect("the broken file is well-formed");
+    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let msg = resume_refusal(&config, &file, tag);
+    let want = format!("checkpoint does not fit this run: {who} does not fit: {misfit}");
+    assert!(
+        msg.starts_with("cannot resume from") && msg.ends_with(&want),
+        "unexpected refusal {msg:?}, wanted {want:?}"
+    );
+}
+
+/// The first of a router's `inputs` or `outputs` whose `key` names a
+/// link, with that link.
+fn wired_port(router: &mut serde::Value, side: &str, key: &str) -> (usize, u64) {
+    let ports = field_mut(router, side).as_seq().expect("ports");
+    ports
+        .iter()
+        .enumerate()
+        .find_map(|(p, port)| match field(port, key) {
+            serde::Value::U64(link) => Some((p, *link)),
+            _ => None,
+        })
+        .expect("a wired port")
+}
+
+/// A VC state as the checkpoint writes it.
+fn vc_state(variant: &str, fields: &[(&str, u64)]) -> serde::Value {
+    let fields = fields
+        .iter()
+        .map(|&(k, v)| (k.to_string(), serde::Value::U64(v)))
+        .collect();
+    serde::Value::Map(vec![(variant.to_string(), serde::Value::Map(fields))])
+}
+
+#[test]
+fn resume_refuses_a_router_port_fed_by_another_link() {
+    assert_entry_refused("router-feeder", "routers", 0, "router r0", |router| {
+        let (p, built) = wired_port(router, "inputs", "feeder");
+        let input = item_mut(field_mut(router, "inputs"), p);
+        *field_mut(input, "feeder") = serde::Value::U64(built + 1);
+        format!("p{p} is fed by l{}, built on l{built}", built + 1)
+    });
+}
+
+#[test]
+fn resume_refuses_a_router_port_driving_another_link() {
+    // An output link the network does not have must be refused as it is
+    // read: the router's first launch onto it would index out of bounds.
+    assert_entry_refused("router-link", "routers", 0, "router r0", |router| {
+        let (p, built) = wired_port(router, "outputs", "link");
+        let output = item_mut(field_mut(router, "outputs"), p);
+        *field_mut(output, "link") = serde::Value::U64(9999);
+        format!("p{p} drives l9999, built on l{built}")
+    });
+}
+
+#[test]
+fn resume_refuses_a_vc_routed_past_the_router_ports() {
+    assert_entry_refused("router-out-port", "routers", 0, "router r0", |router| {
+        let ports = field(router, "inputs").as_seq().expect("inputs").len() as u64;
+        let input = item_mut(field_mut(router, "inputs"), 0);
+        *item_mut(field_mut(input, "vc_state"), 0) = vc_state("VcAlloc", &[("out_port", ports)]);
+        format!("p0 vc0 is routed to p{ports}, past its {ports} ports")
+    });
+}
+
+#[test]
+fn resume_refuses_a_vc_holding_an_output_vc_past_its_vcs() {
+    let vcs = u64::from(config_for(TopologyKind::Mesh, Mode::Dvs, false, 3).noc.vcs);
+    assert_entry_refused("router-out-vc", "routers", 0, "router r0", |router| {
+        let input = item_mut(field_mut(router, "inputs"), 0);
+        *item_mut(field_mut(input, "vc_state"), 0) =
+            vc_state("Active", &[("out_port", 0), ("out_vc", vcs)]);
+        format!("p0 vc0 holds output vc{vcs}, past its {vcs} VCs")
+    });
+}
+
+#[test]
+fn resume_refuses_an_output_vc_held_by_an_input_the_router_lacks() {
+    let vcs = u64::from(config_for(TopologyKind::Mesh, Mode::Dvs, false, 3).noc.vcs);
+    for (tag, past_port) in [("router-owner-port", true), ("router-owner-vc", false)] {
+        assert_entry_refused(tag, "routers", 0, "router r0", |router| {
+            let ports = field(router, "inputs").as_seq().expect("inputs").len() as u64;
+            let (in_port, in_vc) = if past_port { (ports, 0) } else { (0, vcs) };
+            let output = item_mut(field_mut(router, "outputs"), 0);
+            *item_mut(field_mut(output, "vc_owner"), 0) =
+                serde::Value::Seq(vec![serde::Value::U64(in_port), serde::Value::U64(in_vc)]);
+            format!(
+                "p0 vc0 is held by p{in_port} vc{in_vc}, not one of its {ports} ports × {vcs} VCs"
+            )
+        });
+    }
+}
+
+#[test]
+fn resume_refuses_a_sink_of_another_node() {
+    assert_entry_refused("sink-id", "sinks", 0, "sink n0", |sink| {
+        *field_mut(sink, "id") = serde::Value::U64(5);
+        "the file's sink is n5".to_string()
+    });
+}
+
+#[test]
+fn resume_refuses_a_sink_on_another_ejection_link() {
+    assert_entry_refused("sink-link", "sinks", 0, "sink n0", |sink| {
+        let built = count(sink, "ej_link");
+        *field_mut(sink, "ej_link") = serde::Value::U64(built + 1);
+        format!("it ejects on l{}, built on l{built}", built + 1)
+    });
+}
+
 #[test]
 fn resume_refuses_a_lumen_ckpt_4_file_with_the_schema_error() {
     // The schema id is read before any other field, so a `/4` file —

@@ -158,6 +158,51 @@ fn sharded_faults_across_boundaries_match_and_conserve() {
     }
 }
 
+/// The whole result, not a chosen few fields: on/off gating, outages and
+/// laser dropouts, time-series sampling and full telemetry together, at
+/// 1, 2 and 4 shards. Every field `RunResult` serializes must agree —
+/// series, p99, fault counters, the telemetry trace and its counters —
+/// except the engine's event count, which counts each core tick once per
+/// shard.
+#[test]
+fn sharded_whole_result_matches_sequential_under_gating_and_faults() {
+    let mut config = mesh_config(5, 3, 4, 2, 1, true);
+    config.policy = config
+        .policy
+        .with_onoff(lumen_policy::OnOffConfig::reference_default());
+    config.faults = FaultConfig {
+        outage_mtbf_cycles: 700,
+        outage_mean_duration_cycles: 40,
+        dropout_mtbf_cycles: 900,
+        dropout_mean_duration_cycles: 150,
+        ..FaultConfig::disabled()
+    };
+    let exp = Experiment::new(config)
+        .warmup_cycles(400)
+        .measure_cycles(3_000)
+        .sample_every(250)
+        .telemetry(TelemetryConfig::full())
+        .audit_conservation();
+    let run = |shards: usize| {
+        let mut r = exp
+            .clone()
+            .shards(shards)
+            .run_uniform(0.1, PacketSize::Fixed(4));
+        r.telemetry.as_mut().expect("telemetry").counters.events = 0;
+        let text = serde_json::to_string(&r).expect("a finite result");
+        (r, text)
+    };
+    let (seq, want) = run(1);
+    // Each mechanism must act for the comparison to cover it.
+    assert!(seq.link_faults > 0, "no faults fired");
+    assert!(seq.flits_corrupted > 0, "no dropout corrupted a flit");
+    assert!(seq.transitions > 0, "no link slept or woke");
+    assert!(seq.power_series.len() >= 12, "too few samples");
+    for shards in [2usize, 4] {
+        assert_eq!(run(shards).1, want, "shards {shards}");
+    }
+}
+
 /// The sequential fallback: shard counts above the mesh height clamp
 /// rather than panic, and `--shards 1` is exactly the sequential engine.
 #[test]
