@@ -53,7 +53,7 @@ pub struct BenchArgs {
     /// other suffix JSON Lines (see OBSERVABILITY.md for the schema).
     pub trace: Option<String>,
     /// Mid-run checkpointing (`--checkpoint PATH@CYCLE`): every point
-    /// saves a `lumen-ckpt/5` snapshot at the given router cycle and then
+    /// saves a `lumen-ckpt/6` snapshot at the given router cycle and then
     /// runs to completion. Multi-point sweeps write one file per point
     /// (`PATH.<label>`); a single-point run uses `PATH` verbatim. Only
     /// harnesses that call [`BenchArgs::apply_run_control`] honour it;
@@ -267,7 +267,7 @@ impl BenchArgs {
              \x20 --trace PATH     record per-link telemetry for every point\n\
              \x20                  and write a merged trace (JSONL; CSV if\n\
              \x20                  PATH ends in .csv) — see OBSERVABILITY.md\n\
-             \x20 --checkpoint P@C save a lumen-ckpt/5 snapshot of every\n\
+             \x20 --checkpoint P@C save a lumen-ckpt/6 snapshot of every\n\
              \x20                  point at router cycle C to path P, then\n\
              \x20                  run to completion (see CHECKPOINTS.md)\n\
              \x20 --resume P       restore every point from the snapshot a\n\

@@ -40,7 +40,7 @@ use std::path::Path;
 /// Checkpoint schema identifier, stored inside the file body. Bump the
 /// trailing number when a field is added, removed, or changes meaning
 /// (see `CHECKPOINTS.md` for the compatibility policy).
-pub const CKPT_SCHEMA: &str = "lumen-ckpt/5";
+pub const CKPT_SCHEMA: &str = "lumen-ckpt/6";
 
 /// File magic: identifies a lumen checkpoint before any decoding.
 const MAGIC: &[u8; 8] = b"LUMENCK\n";
@@ -760,14 +760,17 @@ mod tests {
 
     #[test]
     fn wrong_schema_string_rejected() {
-        // The three previous schemas (`/2`'s time series carried a
+        // The four previous schemas (`/2`'s time series carried a
         // `retention` entry; `/3`'s network config carried a routing
         // opt-in and every DVS controller its window length; `/4`'s
-        // sources queued flits, not packets), and a future one.
+        // sources queued flits, not packets; `/5`'s links, routers,
+        // controllers and fault plan carried copies of the configuration
+        // and caches, and its routers a per-port shape), and a future one.
         for schema in [
             "lumen-ckpt/2",
             "lumen-ckpt/3",
             "lumen-ckpt/4",
+            "lumen-ckpt/5",
             "lumen-ckpt/999",
         ] {
             let mut v = sample().serialize_value();

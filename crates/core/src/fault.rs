@@ -30,7 +30,7 @@ use lumen_desim::{Picos, Rng};
 use lumen_opto::optics::{ExternalLaserSource, OpticalLevel};
 use lumen_opto::sensitivity::SensitivityModel;
 use lumen_opto::{Decibels, Gbps, MicroWatts};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink, Source, Token};
 
 /// The reserved seed-derivation stream for fault schedules.
 ///
@@ -151,7 +151,7 @@ impl Default for FaultConfig {
 /// each kind begins, tells it when begin/end events fire, and queries
 /// per-flit corruption during active dropouts. All draws come from
 /// per-link sub-streams of the master seed's [`FAULT_STREAM`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct FaultPlan {
     config: FaultConfig,
     cycle: Picos,
@@ -310,6 +310,35 @@ impl FaultPlan {
     /// onsets only for the links it owns).
     pub(crate) fn add_faults_injected(&mut self, n: u64) {
         self.faults_injected += n;
+    }
+
+    /// Reads the state its [`Serialize`] impl wrote over this plan, built
+    /// from the saving run's configuration, one entry per link. On an
+    /// error the plan is partly restored and must be discarded.
+    pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+        const TY: &str = "FaultPlan";
+        src.map_of(6, TY)?;
+        src.field_into("outage_rng", &mut self.outage_rng, TY)?;
+        src.field_into("dropout_rng", &mut self.dropout_rng, TY)?;
+        src.field_into("corruption_rng", &mut self.corruption_rng, TY)?;
+        src.field_into("outage_until", &mut self.outage_until, TY)?;
+        src.field_into("dropout_until", &mut self.dropout_until, TY)?;
+        self.faults_injected = src.field("faults_injected", TY)?;
+        Ok(())
+    }
+}
+
+/// The plan's evolved state: the per-link RNG streams and fault windows,
+/// and the onset count. [`FaultPlan::new`] rebuilds the rest.
+impl Serialize for FaultPlan {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        out.token(Token::Map(6));
+        out.field("outage_rng", &self.outage_rng);
+        out.field("dropout_rng", &self.dropout_rng);
+        out.field("corruption_rng", &self.corruption_rng);
+        out.field("outage_until", &self.outage_until);
+        out.field("dropout_until", &self.dropout_until);
+        out.field("faults_injected", &self.faults_injected);
     }
 }
 

@@ -5,7 +5,7 @@ use crate::config::SystemConfig;
 use crate::results::RunResult;
 use crate::sim::{PowerAwareSim, SimEvent};
 use crate::telemetry::TelemetryConfig;
-use lumen_desim::{Picos, Rng};
+use lumen_desim::{Engine, Picos, Rng};
 use lumen_traffic::{PacketSize, Pattern, RateProfile, SplashApp, SyntheticSource, TrafficSource};
 use serde::{Deserialize, Value};
 use std::path::{Path, PathBuf};
@@ -191,110 +191,120 @@ impl Experiment {
     /// [`Experiment::resume`]) and runs with bounded telemetry retention
     /// execute on the sequential engine.
     pub fn run(&self, source: Box<dyn TrafficSource + Send>) -> RunResult {
-        if let Some(path) = self.resume_from.clone() {
-            assert!(
-                self.save.is_none(),
-                "resume + save_at in one run is not supported; resume, then save from that run"
-            );
-            return self.run_resumed(&path, source);
-        }
-        if let Some((cycle, path)) = self.save.clone() {
-            return self.run_with_save(source, cycle, &path);
-        }
-        let shards = if self.needs_sequential() {
-            1
-        } else {
-            self.shards
-        };
-        let outcome = crate::shard::run_sharded_with(
-            self.config.clone(),
-            source,
-            self.sample_every,
-            self.telemetry,
-            self.warmup_cycles,
-            self.measure_cycles,
-            shards,
-            self.lookahead_cap,
+        assert!(
+            self.resume_from.is_none() || self.save.is_none(),
+            "resume + save_at in one run is not supported; resume, then save from that run"
         );
-        self.collect(outcome.sim, outcome.end, outcome.events, false)
+        self.config.validate(); // before the topology gives the shard count
+
+        let (sim, end, events) = if !self.needs_sequential()
+            && crate::shard::effective_shards(&self.config.noc, self.shards) > 1
+        {
+            let outcome = crate::shard::run_sharded_with(
+                self.config.clone(),
+                source,
+                self.sample_every,
+                self.telemetry,
+                self.warmup_cycles,
+                self.measure_cycles,
+                self.shards,
+                self.lookahead_cap,
+            );
+            (outcome.sim, outcome.end, outcome.events)
+        } else {
+            self.run_sequential(source)
+        };
+        self.collect(sim, end, events, self.resume_from.is_some())
     }
 
-    /// The `save_at` run: sequential to the save point, the engine state
-    /// streamed to disk there, then on to the end on the same engine.
-    fn run_with_save(
+    /// The sequential engine's run: build the engine (restored from the
+    /// checkpoint when resuming), run to the warmup boundary and begin
+    /// measurement, save on the way if asked (after the boundary when both
+    /// fall on one cycle), and run to the end. Returns the final system,
+    /// the end time and the events processed since cycle 0.
+    pub(crate) fn run_sequential(
         &self,
         source: Box<dyn TrafficSource + Send>,
-        save_cycle: u64,
-        path: &Path,
-    ) -> RunResult {
+    ) -> (PowerAwareSim, Picos, u64) {
         let total = self.warmup_cycles + self.measure_cycles;
-        assert!(
-            save_cycle <= total,
-            "checkpoint cycle {save_cycle} is beyond the run's {total}-cycle horizon"
-        );
-        assert!(
-            source.checkpoint_state().is_some(),
-            "this traffic source is not checkpointable"
-        );
+        if let Some((save_cycle, _)) = self.save {
+            assert!(
+                save_cycle <= total,
+                "checkpoint cycle {save_cycle} is beyond the run's {total}-cycle horizon"
+            );
+            assert!(
+                source.checkpoint_state().is_some(),
+                "this traffic source is not checkpointable"
+            );
+        }
         let mut engine = PowerAwareSim::build_engine_telemetry(
             self.config.clone(),
             source,
             self.sample_every,
             self.telemetry,
         );
+        let (mut measuring, events) = match &self.resume_from {
+            Some(path) => self.restore(path, &mut engine),
+            None => (false, 0),
+        };
         let cycle = engine.model().cycle;
-        if save_cycle >= self.warmup_cycles {
+        let begin = |engine: &mut Engine<PowerAwareSim>| {
             engine.run_until(cycle * self.warmup_cycles);
             let now = engine.now();
             engine.model_mut().begin_measurement(now);
+        };
+        if let Some((save_cycle, path)) = &self.save {
+            if !measuring && *save_cycle >= self.warmup_cycles {
+                begin(&mut engine);
+                measuring = true;
+            }
+            engine.run_until(cycle * *save_cycle);
+            // Stalled routers apply their skipped ticks, so the capture
+            // holds what every router would have had ticking every cycle.
+            engine.model_mut().network_mut().settle_all();
+            // Capture non-destructively: drain the calendar, snapshot it,
+            // and re-schedule in drain order — ascending insertion
+            // sequence keeps same-time events in their original order.
+            let pending = engine.drain_pending();
+            for &(at, ev) in &pending {
+                engine.queue_mut().schedule(at, ev);
+            }
+            let source = engine
+                .model()
+                .source
+                .checkpoint_state()
+                .expect("checked checkpointable above");
+            Snapshot {
+                head: Head {
+                    config: self.config.clone(),
+                    warmup_cycles: self.warmup_cycles,
+                    measure_cycles: self.measure_cycles,
+                    sample_every: self.sample_every,
+                    cycle: *save_cycle,
+                    events: engine.processed(),
+                },
+                pending: &pending,
+                sim: engine.model(),
+                source: &source,
+            }
+            .write_to(path)
+            .unwrap_or_else(|e| panic!("cannot write checkpoint to {}: {e}", path.display()));
         }
-        engine.run_until(cycle * save_cycle);
-        // Stalled routers apply their skipped ticks, so the capture holds
-        // what every router would have had ticking every cycle.
-        engine.model_mut().network_mut().settle_all();
-        // Capture non-destructively: drain the calendar, snapshot it, and
-        // re-schedule in drain order — ascending insertion sequence keeps
-        // same-time events in their original relative order.
-        let pending = engine.drain_pending();
-        for &(at, ev) in &pending {
-            engine.queue_mut().schedule(at, ev);
-        }
-        let source = engine
-            .model()
-            .source
-            .checkpoint_state()
-            .expect("checked checkpointable above");
-        Snapshot {
-            head: Head {
-                config: self.config.clone(),
-                warmup_cycles: self.warmup_cycles,
-                measure_cycles: self.measure_cycles,
-                sample_every: self.sample_every,
-                cycle: save_cycle,
-                events: engine.processed(),
-            },
-            pending: &pending,
-            sim: engine.model(),
-            source: &source,
-        }
-        .write_to(path)
-        .unwrap_or_else(|e| panic!("cannot write checkpoint to {}: {e}", path.display()));
-        if save_cycle < self.warmup_cycles {
-            engine.run_until(cycle * self.warmup_cycles);
-            let now = engine.now();
-            engine.model_mut().begin_measurement(now);
+        if !measuring {
+            begin(&mut engine);
         }
         let end = cycle * total;
         engine.run_until(end);
-        let events = engine.processed();
-        self.collect(engine.into_model(), end, events, false)
+        let events = events + engine.processed();
+        (engine.into_model(), end, events)
     }
 
     /// The resume path: check the checkpoint's header against this
-    /// experiment, build a fresh system from configuration, stream the
-    /// saved state into it in file order, replay the saved calendar, and
-    /// run from the save point to the end.
-    fn run_resumed(&self, path: &Path, source: Box<dyn TrafficSource + Send>) -> RunResult {
+    /// experiment, stream the saved state into the freshly built `engine`
+    /// in file order, and replay the saved calendar. Returns whether
+    /// measurement had begun at the save, and the events processed before
+    /// it.
+    fn restore(&self, path: &Path, engine: &mut Engine<PowerAwareSim>) -> (bool, u64) {
         let fail =
             |e: CheckpointError| -> ! { panic!("cannot resume from {}: {e}", path.display()) };
         let mut reader = Reader::open(path).unwrap_or_else(|e| fail(e));
@@ -317,12 +327,6 @@ impl Experiment {
             "checkpoint cycle {} is beyond this run's {total}-cycle horizon",
             head.cycle
         );
-        let mut engine = PowerAwareSim::build_engine_telemetry(
-            self.config.clone(),
-            source,
-            self.sample_every,
-            self.telemetry,
-        );
         // The fresh engine scheduled a cold start (tick 0, laser epoch,
         // fault onsets); the checkpoint's calendar replaces all of it.
         let _ = engine.drain_pending();
@@ -330,7 +334,7 @@ impl Experiment {
             .section("pending", Vec::deserialize)
             .unwrap_or_else(|e| fail(e));
         reader
-            .section("sim", |src| engine.model_mut().restore(src))
+            .section("sim", |src| engine.model_mut().restore(src, head.cycle))
             .unwrap_or_else(|e| fail(e));
         let source: Value = reader
             .section("source", Value::deserialize)
@@ -344,20 +348,11 @@ impl Experiment {
         for (at, ev) in pending {
             engine.queue_mut().schedule(at, ev);
         }
-        let cycle = engine.model().cycle;
-        if head.cycle < self.warmup_cycles {
-            engine.run_until(cycle * self.warmup_cycles);
-            let now = engine.now();
-            engine.model_mut().begin_measurement(now);
-        }
-        let end = cycle * total;
-        engine.run_until(end);
-        let events = head.events + engine.processed();
-        self.collect(engine.into_model(), end, events, true)
+        (head.cycle >= self.warmup_cycles, head.events)
     }
 
     /// Audits, finalizes telemetry, and assembles the [`RunResult`] —
-    /// shared by the sharded, save, and resume paths.
+    /// shared by the sharded and sequential paths.
     fn collect(&self, mut sim: PowerAwareSim, end: Picos, events: u64, resumed: bool) -> RunResult {
         // Stalled routers apply their skipped ticks before anything below
         // reads the network.

@@ -857,27 +857,26 @@ pub(crate) struct ShardedOutcome {
     /// policy, and fault event is processed exactly once; core ticks and
     /// laser decisions are replicated per shard.
     pub events: u64,
-    /// Windows executed by the busiest worker (0 for the sequential
-    /// path). With full lookahead this is ~`(total ticks) / lookahead`;
+    /// Windows executed by the busiest worker. With full lookahead this is ~`(total ticks) / lookahead`;
     /// window framing between stops is paced by the live peer clocks,
     /// so this count is scheduling-dependent telemetry — the simulation
     /// results never are.
     pub windows: u64,
-    /// Barrier waits executed per worker (0 for the sequential path).
-    /// Exactly one per *mandatory stop* — §3.3 DVS closes, sample
+    /// Barrier waits executed per worker. Exactly one per *mandatory stop* — §3.3 DVS closes, sample
     /// boundaries, the warmup tick, and the run end — and deterministic
     /// for a given schedule.
     pub barriers: u64,
     /// The static flit lookahead the run was scheduled with, in cycles
-    /// (after any caller cap; 0 for the sequential path).
+    /// (after any caller cap).
     pub lookahead: u64,
 }
 
 /// Runs the system on `shards` worker threads (clamped to the
-/// topology's cut granularity and `MAX_SHARDS` (16); 1 runs the sequential
-/// engine verbatim), producing results
-/// bit-identical to [`PowerAwareSim::build_engine`] driven sequentially
-/// over the same warmup/measure schedule.
+/// topology's cut granularity and `MAX_SHARDS` (16), which must leave at
+/// least two; one shard is the sequential engine, which
+/// `Experiment::run_sequential` drives), producing results bit-identical
+/// to [`PowerAwareSim::build_engine`] driven sequentially over the same
+/// warmup/measure schedule.
 ///
 /// `lookahead_cap` caps the conservative lookahead (barrier window
 /// length, in router cycles). `Some(1)` reproduces the pre-lookahead
@@ -906,23 +905,10 @@ pub(crate) fn run_sharded_with(
     let total = warmup_cycles + measure_cycles;
     let end = cycle * total;
     let specs = partition(&config.noc, shards);
-    if specs.len() <= 1 {
-        // Sequential reference path, identical to Experiment::run.
-        let mut engine =
-            PowerAwareSim::build_engine_telemetry(config, source, sample_every, telemetry);
-        engine.run_until(cycle * warmup_cycles);
-        let now = engine.now();
-        engine.model_mut().begin_measurement(now);
-        engine.run_until(end);
-        return ShardedOutcome {
-            events: engine.processed(),
-            end,
-            sim: engine.into_model(),
-            windows: 0,
-            barriers: 0,
-            lookahead: 0,
-        };
-    }
+    assert!(
+        specs.len() > 1,
+        "the sharded backend runs two or more shards; one is the sequential engine"
+    );
 
     let s_count = specs.len();
     // One table for the whole run: built here, shared by `Arc` into
@@ -1427,16 +1413,13 @@ mod tests {
     /// deliveries, latency statistics, energy, transitions, and audit.
     fn assert_matches_sequential(config: SystemConfig, rate: f64, sample: Option<u64>) {
         let (warmup, measure) = (500, 3_000);
-        let seq = run_sharded_with(
-            config.clone(),
-            uniform(&config, rate),
-            sample,
-            TelemetryConfig::default(),
-            warmup,
-            measure,
-            1,
-            None,
-        );
+        let mut exp = crate::Experiment::new(config.clone())
+            .warmup_cycles(warmup)
+            .measure_cycles(measure);
+        if let Some(every) = sample {
+            exp = exp.sample_every(every);
+        }
+        let (sim, end, _) = exp.run_sequential(uniform(&config, rate));
         let par = run_sharded_with(
             config.clone(),
             uniform(&config, rate),
@@ -1447,9 +1430,8 @@ mod tests {
             2,
             None,
         );
-        let end = seq.end;
         assert_eq!(par.end, end);
-        let (s, p) = (&seq.sim, &par.sim);
+        let (s, p) = (&sim, &par.sim);
         assert_eq!(p.packets_injected_measured(), s.packets_injected_measured());
         assert_eq!(p.latency_summary().count(), s.latency_summary().count());
         assert_eq!(
@@ -1511,7 +1493,7 @@ mod tests {
         assert_eq!(static_lookahead(&small, 2), 3);
         // One shard has no cut: lookahead degenerates to the uniform
         // default, which must still be safe (and is, trivially: it is
-        // never used — run_sharded_with falls back to the sequential engine).
+        // never used — one shard runs on the sequential engine).
         assert!(static_lookahead(&small, 1) >= 1);
     }
 

@@ -337,24 +337,13 @@ impl PowerAwareSim {
         let (controllers, onoff, lasers) = if config.power_aware {
             match config.policy.mode {
                 PolicyMode::DvsLadder => (
-                    (0..link_count)
-                        .map(|_| LinkPolicyController::new(&config.policy, cycle, top))
-                        .collect(),
+                    vec![LinkPolicyController::new(&config.policy, top); link_count],
                     Vec::new(),
-                    (0..link_count)
-                        .map(|_| {
-                            LaserSourceController::new(
-                                config.policy.optical_mode,
-                                &config.policy.timing,
-                            )
-                        })
-                        .collect(),
+                    vec![LaserSourceController::default(); link_count],
                 ),
-                PolicyMode::OnOff(gate_config) => (
+                PolicyMode::OnOff(_) => (
                     Vec::new(),
-                    (0..link_count)
-                        .map(|_| OnOffController::new(gate_config, cycle))
-                        .collect(),
+                    vec![OnOffController::default(); link_count],
                     Vec::new(),
                 ),
             }
@@ -778,7 +767,8 @@ impl PowerAwareSim {
                 .unwrap_or(0.0);
             let current_rate = self.net.link(id).rate();
             self.lasers[l].note_rate(current_rate);
-            let decision = self.controllers[l].on_window(now, lu, bu);
+            let policy = &self.config.policy;
+            let decision = self.controllers[l].on_window(policy, self.cycle, now, lu, bu);
             if self.telemetry.is_some() {
                 // Row reflects the state the decision was made *from*:
                 // recorded before any transition this window plans.
@@ -792,7 +782,7 @@ impl PowerAwareSim {
             // for the external laser to raise the light level first.
             if tr.new_rate.as_gbps() > current_rate.as_gbps() {
                 if let OpticalGate::WaitUntil(ready) =
-                    self.lasers[l].request_increase(now, tr.new_rate)
+                    self.lasers[l].request_increase(&self.config.policy, now, tr.new_rate)
                 {
                     tr = tr.delayed_by(ready - now);
                 }
@@ -852,18 +842,22 @@ impl PowerAwareSim {
     /// predictor, so the telemetry row records 0 for `Bu` and repeats the
     /// raw `Lu` as the smoothed one.
     fn run_gate_windows(&mut self, now: Picos) {
+        let gate = match self.config.policy.mode {
+            PolicyMode::OnOff(gate) if !self.onoff.is_empty() => Some(gate),
+            _ => None,
+        };
         for l in self.owned().links() {
             let id = LinkId(l as u32);
             let lu = self.take_window_lu(id);
             if self.telemetry.is_some() {
                 self.telemetry_push(now, l, lu, lu, 0.0, false);
             }
-            let Some(gate) = self.onoff.get_mut(l) else {
+            let Some(gate) = gate else {
                 continue;
             };
-            if let Some(GateAction::SleepNow) = gate.on_window(now, lu) {
+            if let Some(GateAction::SleepNow) = self.onoff[l].on_window(&gate, now, lu) {
                 self.net.link_mut(id).power_gate_off();
-                let off = self.model.max_power() * self.onoff[l].off_power_fraction();
+                let off = self.model.max_power() * gate.off_power_fraction;
                 self.accounts[l].set_power(now, off);
                 self.sleeping.push(id);
             }
@@ -874,6 +868,9 @@ impl PowerAwareSim {
     /// burns full power from the wake order (lock circuitry active) and
     /// becomes usable after the wake penalty.
     fn wake_demanded_links(&mut self, now: Picos) {
+        let PolicyMode::OnOff(gate) = self.config.policy.mode else {
+            unreachable!("sleeping links without on/off gating");
+        };
         let mut i = 0;
         while i < self.sleeping.len() {
             let id = self.sleeping[i];
@@ -883,7 +880,9 @@ impl PowerAwareSim {
             // requests the link again noted demand in the real tick before
             // it stalled, so whether the count is zero is already settled.
             if self.net.link(id).window_demand() > 0 {
-                if let Some(GateAction::WakeAt(ready)) = self.onoff[id.index()].on_demand(now) {
+                if let Some(GateAction::WakeAt(ready)) =
+                    self.onoff[id.index()].on_demand(&gate, self.cycle, now)
+                {
                     self.net.link_mut(id).power_gate_wake(ready);
                     // A wake mid-outage must not re-enable the link
                     // before the fault clears.
@@ -953,8 +952,9 @@ impl PowerAwareSim {
     /// bottom operating point.
     fn pin_link_safe(&mut self, now: Picos, link: LinkId) {
         self.link_epoch[link.index()] += 1;
-        self.controllers[link.index()].pin_to_level(0);
-        let point = self.config.policy.ladder.point_at(0);
+        let ladder = &self.config.policy.ladder;
+        self.controllers[link.index()].pin_to_level(ladder, 0);
+        let point = ladder.point_at(0);
         self.net
             .link_mut(link)
             .begin_rate_change(now, point.bit_rate(), Picos::ZERO);
@@ -1158,35 +1158,57 @@ impl PowerAwareSim {
 
     /// Restores the state [`PowerAwareSim`]'s [`Serialize`] impl wrote
     /// into a freshly built sim of the *same* [`SystemConfig`], reading
-    /// the checkpoint stream in place. Validates that every per-link
-    /// vector matches this system's link count and that the fault plan,
-    /// telemetry and its retention are configured alike, so loading a
-    /// checkpoint into a mismatched system fails loudly instead of
-    /// silently corrupting state. On an error the sim is partly restored
-    /// and must be discarded.
-    pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+    /// the checkpoint stream in place; both tick counters resume after the
+    /// save cycle `cycle`. Refuses per-link vectors of another length,
+    /// sleeping links and DVS levels this system lacks, and a fault plan,
+    /// telemetry or retention configured otherwise, instead of silently
+    /// corrupting state. On an error the sim is partly restored and must
+    /// be discarded.
+    pub(crate) fn restore<S: Source>(
+        &mut self,
+        src: &mut S,
+        cycle: u64,
+    ) -> Result<(), serde::Error> {
         assert!(
             self.shard.is_none(),
             "checkpoints restore onto the sequential engine, not shard replicas"
         );
         const TY: &str = "PowerAwareSim";
-        src.map_of(26, TY)?;
+        let links = self.net.link_count();
+        self.cycle_index = cycle + 1;
+        src.map_of(25, TY)?;
         src.expect_key("net", TY)?;
-        self.net.restore(src)?;
+        self.net.restore(src, cycle + 1)?;
         src.field_into("controllers", &mut self.controllers, TY)?;
+        let levels = self.config.policy.ladder.level_count();
+        for (l, c) in self.controllers.iter().enumerate() {
+            if c.level() >= levels {
+                return Err(serde::Error::custom(format!(
+                    "l{l}'s DVS controller is at level {}, past the {levels}-level ladder",
+                    c.level()
+                )));
+            }
+        }
         src.field_into("onoff", &mut self.onoff, TY)?;
         self.sleeping = src.field("sleeping", TY)?;
+        if let Some(id) = self.sleeping.iter().find(|id| id.index() >= links) {
+            return Err(serde::Error::custom(format!(
+                "sleeping link {id} is not one of the {links} links"
+            )));
+        }
         src.field_into("lasers", &mut self.lasers, TY)?;
         src.field_into("accounts", &mut self.accounts, TY)?;
         src.field_into("current_point", &mut self.current_point, TY)?;
-        self.cycle_index = src.field("cycle_index", TY)?;
-        let faults: Option<FaultPlan> = src.field("faults", TY)?;
-        if faults.is_some() != self.faults.is_some() {
-            return Err(serde::Error::custom(
-                "checkpoint fault plan presence does not match this configuration",
-            ));
+        src.expect_key("faults", TY)?;
+        match (self.faults.as_mut(), src.peek_null()?) {
+            (Some(plan), false) => plan.restore(src)?,
+            (None, true) => drop(src.token()?),
+            _ => {
+                return Err(serde::Error::custom(
+                    "checkpoint fault plan presence does not match this configuration",
+                ))
+            }
         }
-        self.faults = faults;
         src.field_into("link_epoch", &mut self.link_epoch, TY)?;
         let m = &mut self.measure;
         m.measure_from = src.field("measure_from", TY)?;
@@ -1222,7 +1244,8 @@ impl PowerAwareSim {
 ///
 /// Serializes exactly the state that evolves during a run; everything
 /// derivable from [`SystemConfig`] (the power model, the LUT, cycle and
-/// window constants, routing tables) is rebuilt on restore. The traffic
+/// window constants, routing tables, policy parameters) is rebuilt on
+/// restore, and the tick counters come from the checkpoint's cycle. The traffic
 /// source is *not* included — it lives beside the sim in the checkpoint
 /// because it is a trait object the sim does not own the concrete type
 /// of.
@@ -1241,7 +1264,7 @@ impl Serialize for PowerAwareSim {
             self.shard.is_none(),
             "checkpoints capture the sequential engine, not shard replicas"
         );
-        out.token(Token::Map(26));
+        out.token(Token::Map(25));
         out.field("net", &self.net);
         out.field("controllers", &self.controllers);
         out.field("onoff", &self.onoff);
@@ -1249,7 +1272,6 @@ impl Serialize for PowerAwareSim {
         out.field("lasers", &self.lasers);
         out.field("accounts", &self.accounts);
         out.field("current_point", &self.current_point);
-        out.field("cycle_index", &self.cycle_index);
         out.field("faults", &self.faults);
         out.field("link_epoch", &self.link_epoch);
         let m = &self.measure;
@@ -1326,7 +1348,7 @@ impl SimModel for PowerAwareSim {
                 // On/off systems have no lasers to decide for.
                 if !self.lasers.is_empty() {
                     for l in self.owned().links() {
-                        self.lasers[l].on_decision_period(now);
+                        self.lasers[l].on_decision_period(&self.config.policy, now);
                     }
                 }
                 let period = self.config.policy.timing.laser_decision_period;

@@ -140,7 +140,7 @@ pub struct DseConfig {
     /// Warm-start the full-fidelity pass from quick-run checkpoints.
     ///
     /// When set, quick trials run the **full** warmup followed by the
-    /// quick measure window and save a `lumen-ckpt/5` snapshot at their
+    /// quick measure window and save a `lumen-ckpt/6` snapshot at their
     /// end; survivors *resume* those snapshots and only simulate the
     /// remaining `measure - quick_measure` cycles instead of re-running
     /// warmup + full measure from scratch. Because resume is

@@ -1,7 +1,5 @@
 //! Round-robin arbitration.
 
-use serde::{Deserialize, Serialize, Source};
-
 /// A rotating-priority (round-robin) arbiter over `n` requesters.
 ///
 /// The requester immediately after the previous winner has highest
@@ -17,28 +15,10 @@ use serde::{Deserialize, Serialize, Source};
 /// assert_eq!(arb.grant(|_| true), Some(1)); // rotates past the winner
 /// assert_eq!(arb.grant(|_| true), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobinArbiter {
     n: usize,
     next: usize,
-}
-
-/// Hand-written to refuse a priority pointer outside the requesters:
-/// `new` and every grant keep `next < n`, and a grant from a pointer past
-/// them would hand out a requester the caller does not have.
-impl Deserialize for RoundRobinArbiter {
-    fn deserialize<S: Source>(src: &mut S) -> Result<Self, serde::Error> {
-        const TY: &str = "RoundRobinArbiter";
-        src.map_of(2, TY)?;
-        let n: usize = src.field("n", TY)?;
-        let next: usize = src.field("next", TY)?;
-        if next >= n {
-            return Err(serde::Error::custom(format!(
-                "arbiter priority {next} is not one of its {n} requesters"
-            )));
-        }
-        Ok(RoundRobinArbiter { n, next })
-    }
 }
 
 impl RoundRobinArbiter {
@@ -104,15 +84,25 @@ impl RoundRobinArbiter {
         Some(winner)
     }
 
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
+    /// The priority pointer, which a checkpoint holds: the requester
+    /// that wins next if it requests.
+    pub(crate) fn next(&self) -> usize {
+        self.next
     }
 
-    /// Whether the arbiter covers zero requesters (never true by
-    /// construction; provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
+    /// Restores the priority pointer a checkpoint holds, refusing one that
+    /// is not a requester: `new` and every grant keep `next < n`, and a
+    /// grant from a pointer past them would hand out a requester the
+    /// caller does not have.
+    pub(crate) fn restore_next(&mut self, next: usize) -> Result<(), serde::Error> {
+        if next >= self.n {
+            return Err(serde::Error::custom(format!(
+                "arbiter priority {next} is not one of its {} requesters",
+                self.n
+            )));
+        }
+        self.next = next;
+        Ok(())
     }
 }
 

@@ -21,11 +21,12 @@
 //!      it has queued flits, and a router iff it is not idle. A missed
 //!      member would silently stop stepping (DESIGN.md §6j).
 //!   6. **Router caches** — no VC ring holds more flits than its depth,
-//!      each input port's buffered-flit count equals the flits in its VC
-//!      rings, and each router's buffered-flit count equals the flits in
-//!      all its rings (DESIGN.md §6k). The counts feed the `Bu`
-//!      statistic and the idle test, and the rings are what the other
-//!      invariants count, so a drifted cache would skew both unseen.
+//!      and every cache a router keeps of its rings and VC states (port
+//!      and router buffered-flit counts, active-VC count, stage masks)
+//!      equals the recount a checkpoint restore installs (DESIGN.md §6k).
+//!      The counts feed `Bu` and the idle test and the masks pick what
+//!      each pipeline stage visits, so a drifted cache would skew them
+//!      unseen.
 //!
 //! - [`audit_quiescent`] additionally requires the stronger equalities
 //!   that only hold once the network has drained: every credit returned
@@ -113,7 +114,7 @@ pub fn audit(net: &Network) -> AuditReport {
     let (vcs, depth) = (net.config().vcs, usize::from(net.config().depth_per_vc()));
     let mut flits_buffered = 0;
     for router in net.routers() {
-        let buffered = check_rings(router, vcs, depth, &mut violations);
+        let buffered = check_router(router, vcs, depth, &mut violations);
         if router.flits_accepted != router.flits_switched + buffered {
             violations.push(format!(
                 "{}: accepted {} != switched {} + buffered {buffered}",
@@ -183,41 +184,46 @@ pub fn audit_quiescent(net: &Network) -> AuditReport {
     report
 }
 
-/// Checks a router's cached counts against its `vcs` VC rings of `depth`
-/// flits per port, and returns the flits the rings hold.
-fn check_rings(router: &Router, vcs: u8, depth: usize, violations: &mut Vec<String>) -> u64 {
-    let mut in_rings = 0;
+/// Checks a router's `vcs` VC rings per port against their `depth`, and
+/// its caches against [`Router::recount`]; returns the flits the rings
+/// hold.
+fn check_router(router: &Router, vcs: u8, depth: usize, violations: &mut Vec<String>) -> u64 {
+    let id = router.id();
     for p in 0..router.port_count() {
         let port = PortId(p as u8);
-        let mut queued = 0;
         for v in 0..vcs {
-            let vc = VcId(v);
-            let len = router.queue_len(port, vc);
+            let (vc, len) = (VcId(v), router.queue_len(port, VcId(v)));
             if len > depth {
                 violations.push(format!(
-                    "{} {port} {vc}: ring holds {len} flits, deeper than its {depth}-flit VC",
-                    router.id()
+                    "{id} {port} {vc}: ring holds {len} flits, deeper than its {depth}-flit VC"
                 ));
             }
-            queued += len;
         }
-        let counted = router.port_occupancy(port);
-        if counted != queued {
+    }
+    let (kept, counted) = (router.caches(), router.recount());
+    for (p, (kept, queued)) in kept.occupancy.iter().zip(&*counted.occupancy).enumerate() {
+        if kept != queued {
             violations.push(format!(
-                "{} {port}: occupancy {counted} != {queued} flits in its VC rings",
-                router.id()
+                "{id} {}: occupancy {kept} != {queued} flits in its VC rings",
+                PortId(p as u8)
             ));
         }
-        in_rings += queued as u64;
     }
-    if router.buffered_flits() != in_rings {
-        violations.push(format!(
-            "{}: buffered count {} != {in_rings} flits in its rings",
-            router.id(),
-            router.buffered_flits()
-        ));
+    let (buffered, active) = (counted.buffered_flits, counted.active_vcs);
+    for (what, kept, counted) in [
+        ("buffered", kept.buffered_flits.into(), buffered.into()),
+        ("active VCs", kept.active_vcs.into(), active.into()),
+        ("sa_ready", kept.sa_ready, counted.sa_ready),
+        ("va_set", kept.va_set, counted.va_set),
+        ("rc_ready", kept.rc_ready, counted.rc_ready),
+    ] {
+        if kept != counted {
+            violations.push(format!(
+                "{id}: {what} {kept} != {counted} recounted from its rings and VC states"
+            ));
+        }
     }
-    in_rings
+    u64::from(buffered)
 }
 
 /// The activity sets hold exactly the sources with queued flits and the

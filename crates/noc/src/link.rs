@@ -15,7 +15,7 @@
 use crate::ids::{LinkId, NodeId, PortId, RouterId};
 use lumen_desim::Picos;
 use lumen_opto::Gbps;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink, Source, Token};
 use std::fmt;
 
 /// What a link connects on one side.
@@ -42,7 +42,7 @@ impl fmt::Display for Endpoint {
 }
 
 /// A unidirectional, variable-bit-rate opto-electronic channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     id: LinkId,
     from: Endpoint,
@@ -263,6 +263,49 @@ impl Link {
     /// Lifetime count of bit-rate changes.
     pub fn rate_changes(&self) -> u64 {
         self.rate_changes
+    }
+
+    /// Reads the state its [`Serialize`] impl wrote back into this link,
+    /// built from the saving run's configuration, and recomputes the flit
+    /// time from the rate, which must be positive and finite. On an error
+    /// the link is partly restored and must be discarded.
+    pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+        const TY: &str = "Link";
+        src.map_of(8, TY)?;
+        let rate: Gbps = src.field("rate", TY)?;
+        if !(rate.as_gbps() > 0.0 && rate.as_gbps().is_finite()) {
+            return Err(serde::Error::custom(format!(
+                "link {} does not fit: a rate of {} Gb/s is not positive and finite",
+                self.id,
+                rate.as_gbps()
+            )));
+        }
+        self.rate = rate;
+        self.flit_ps = rate.serialization_ps(self.flit_bits);
+        self.busy_until = src.field("busy_until", TY)?;
+        self.disabled_until = src.field("disabled_until", TY)?;
+        self.window_busy = src.field("window_busy", TY)?;
+        self.window_demand_ticks = src.field("window_demand_ticks", TY)?;
+        self.flits_sent = src.field("flits_sent", TY)?;
+        self.flits_arrived = src.field("flits_arrived", TY)?;
+        self.rate_changes = src.field("rate_changes", TY)?;
+        Ok(())
+    }
+}
+
+/// The link's evolved state, which `Link::restore` reads back; wiring,
+/// latency, flit width and flit time are derived.
+impl Serialize for Link {
+    fn serialize<S: Sink>(&self, out: &mut S) {
+        out.token(Token::Map(8));
+        out.field("rate", &self.rate);
+        out.field("busy_until", &self.busy_until);
+        out.field("disabled_until", &self.disabled_until);
+        out.field("window_busy", &self.window_busy);
+        out.field("window_demand_ticks", &self.window_demand_ticks);
+        out.field("flits_sent", &self.flits_sent);
+        out.field("flits_arrived", &self.flits_arrived);
+        out.field("rate_changes", &self.rate_changes);
     }
 }
 

@@ -634,19 +634,19 @@ impl Network {
 
     /// Restores the mutable state [`Network`]'s [`Serialize`] impl wrote
     /// into a freshly constructed network of the *same configuration*,
-    /// reading the checkpoint stream in place.
+    /// reading the checkpoint stream in place, with `ticks` router cycles
+    /// run (the checkpoint's save cycle plus one).
     ///
     /// # Errors
     ///
     /// Fails if the stream is malformed, a component count does not
-    /// match this network's topology, or a router, source or sink does not
-    /// fit the one built here (a checkpoint from a different
-    /// configuration, or a corrupted one; see `Router::restore`,
-    /// `SourceNode::restore` and `SinkNode::restore`). The network is
-    /// then partly restored and must be discarded.
-    pub fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
+    /// match this network's topology, or a router, source or link holds
+    /// state that does not fit the one built here (see `Router::restore`,
+    /// `SourceNode::restore` and `Link::restore`). The network is then
+    /// partly restored and must be discarded.
+    pub fn restore<S: Source>(&mut self, src: &mut S, ticks: u64) -> Result<(), serde::Error> {
         const TY: &str = "Network";
-        src.map_of(5, TY)?;
+        src.map_of(4, TY)?;
         src.expect_key("routers", TY)?;
         src.seq_of(self.routers.len(), "routers")?;
         for router in &mut self.routers {
@@ -663,8 +663,12 @@ impl Network {
         for sink in &mut self.sinks {
             sink.restore(src)?;
         }
-        src.field_into("links", &mut self.links, TY)?;
-        self.ticks = src.field("ticks", TY)?;
+        src.expect_key("links", TY)?;
+        src.seq_of(self.links.len(), "links")?;
+        for link in &mut self.links {
+            link.restore(src)?;
+        }
+        self.ticks = ticks;
         self.wake.fill(Picos::ZERO);
         self.rebuild_activity(0..self.routers.len(), 0..self.sources.len());
         Ok(())
@@ -710,25 +714,24 @@ impl Network {
 }
 
 /// The network's *mutable* state, the `net` section of a checkpoint:
-/// routers, source/sink nodes, links, and the tick counter. Everything
-/// else — topology wiring, endpoint tables, the route table — is a pure
-/// function of the configuration and is rebuilt by the constructor at
-/// resume (see `CHECKPOINTS.md` for the serialized-vs-recomputed
-/// contract). Call [`Network::settle_all`] first: the state of a stalled
-/// router is only complete once its skipped ticks are applied (debug
-/// builds assert it).
+/// routers, source/sink nodes and links. Everything else — topology
+/// wiring, endpoint tables, the route table — is a pure function of the
+/// configuration and is rebuilt by the constructor at resume, and the
+/// tick counter is the checkpoint's cycle (see `CHECKPOINTS.md` for the
+/// serialized-vs-recomputed contract). Call [`Network::settle_all`]
+/// first: the state of a stalled router is only complete once its
+/// skipped ticks are applied (debug builds assert it).
 impl Serialize for Network {
     fn serialize<S: Sink>(&self, out: &mut S) {
         debug_assert!(
             self.wake.iter().all(|&w| w == Picos::ZERO),
             "checkpoint capture with a stalled router unsettled"
         );
-        out.token(serde::Token::Map(5));
+        out.token(serde::Token::Map(4));
         out.field("routers", &self.routers);
         out.field("sources", &self.sources);
         out.field("sinks", &self.sinks);
         out.field("links", &self.links);
-        out.field("ticks", &self.ticks);
     }
 }
 
@@ -1223,6 +1226,22 @@ mod tests {
             report.violations[0].starts_with("r0 p0: occupancy"),
             "{report}"
         );
+    }
+
+    #[test]
+    fn auditor_names_a_stale_stage_mask() {
+        let config = NocConfig::small_for_tests();
+        let mut d = Driver::new(&config);
+        d.net.inject(packet(1, 0, 7, 16, Picos::ZERO));
+        d.run(6);
+        crate::audit::audit(&d.net).assert_ok();
+        // One switch-requester bit flipped: router 0's mask no longer
+        // matches the recount from its VC states and rings.
+        let mut stale = d.net.clone();
+        *stale.routers[0].sa_ready_mut() ^= 1;
+        let report = crate::audit::audit(&stale);
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert!(report.violations[0].starts_with("r0: sa_ready"), "{report}");
     }
 
     #[test]

@@ -172,33 +172,22 @@ impl SourceNode {
     ///
     /// # Errors
     ///
-    /// Fails if the stream is malformed, or if its source does not fit
-    /// this one: another node id or injection link, a queued packet from
-    /// another node or with no flits, a head count that is not below the
-    /// head packet's size, a credit count per VC other than this source's
-    /// VCs or above `depth_per_vc`, an active VC it does not have, or a VC
-    /// arbiter over another number of VCs. The source is then partly
-    /// restored and must be discarded.
+    /// Fails if the stream is malformed, or if its state does not fit
+    /// this source: a queued packet from another node or with no flits, a
+    /// head count that is not below the head packet's size, a credit count
+    /// per VC other than this source's VCs or above `depth_per_vc`, an
+    /// active VC it does not have, or a VC arbiter priority past its VCs.
+    /// The source is then partly restored and must be discarded.
     pub(crate) fn restore<S: Source>(
         &mut self,
         src: &mut S,
         depth_per_vc: u16,
     ) -> Result<(), serde::Error> {
         const TY: &str = "SourceNode";
-        let (id, inj_link, vcs) = (self.id, self.inj_link, self.credits.len());
+        let (id, vcs) = (self.id, self.credits.len());
         let misfit =
             |what: String| serde::Error::custom(format!("source {id} does not fit: {what}"));
-        src.map_of(9, TY)?;
-        let saved: NodeId = src.field("id", TY)?;
-        if saved != id {
-            return Err(misfit(format!("the file's source is {saved}")));
-        }
-        let saved: LinkId = src.field("inj_link", TY)?;
-        if saved != inj_link {
-            return Err(misfit(format!(
-                "it injects on {saved}, built on {inj_link}"
-            )));
-        }
+        src.map_of(7, TY)?;
         src.expect_key("queue", TY)?;
         let queued = src.seq("queue")?;
         self.queue.clear();
@@ -246,32 +235,30 @@ impl SourceNode {
         if let Some(vc) = self.active_vc.filter(|vc| usize::from(vc.0) >= vcs) {
             return Err(misfit(format!("active {vc}, built with {vcs} VCs")));
         }
-        self.vc_arbiter = src.field("vc_arbiter", TY)?;
-        if self.vc_arbiter.len() != vcs {
-            return Err(misfit(format!(
-                "its VC arbiter covers {} VCs, built with {vcs}",
-                self.vc_arbiter.len()
-            )));
-        }
+        src.expect_key("vc_arbiter", TY)?;
+        src.map_of(1, "RoundRobinArbiter")?;
+        let next = src.field("next", "RoundRobinArbiter")?;
+        self.vc_arbiter.restore_next(next)?;
         self.packets_queued = src.field("packets_queued", TY)?;
         self.flits_injected = src.field("flits_injected", TY)?;
         Ok(())
     }
 }
 
-/// Hand-written so the flit backlog stays derived: the file holds the
-/// queued packets and how many of the head packet's flits are sent, and
-/// [`SourceNode::restore`] recounts the backlog from them.
+/// Hand-written so the flit backlog and the wiring stay derived: the file
+/// holds the queued packets and how many of the head packet's flits are
+/// sent, and [`SourceNode::restore`] recounts the backlog from them; the
+/// VC arbiter writes only its priority pointer.
 impl Serialize for SourceNode {
     fn serialize<S: Sink>(&self, out: &mut S) {
-        out.token(Token::Map(9));
-        out.field("id", &self.id);
-        out.field("inj_link", &self.inj_link);
+        out.token(Token::Map(7));
         out.field("queue", &self.queue);
         out.field("head_sent", &self.head_sent);
         out.field("credits", &self.credits);
         out.field("active_vc", &self.active_vc);
-        out.field("vc_arbiter", &self.vc_arbiter);
+        out.key("vc_arbiter");
+        out.token(Token::Map(1));
+        out.field("next", &self.vc_arbiter.next());
         out.field("packets_queued", &self.packets_queued);
         out.field("flits_injected", &self.flits_injected);
     }
@@ -405,7 +392,8 @@ impl SinkNode {
 // Hand-written: the vendored serde has no HashMap impl, and hash-map
 // iteration order must not leak into serialized bytes anyway (checkpoints
 // of identical states must be byte-identical). Mid-flight packets are
-// written as a sequence sorted by packet id.
+// written as a sequence sorted by packet id. The node and its ejection
+// link come from the configuration.
 impl Serialize for SinkNode {
     fn serialize<S: Sink>(&self, out: &mut S) {
         let mut in_flight: Vec<(u64, u32, bool)> = self
@@ -414,9 +402,7 @@ impl Serialize for SinkNode {
             .map(|(id, p)| (id.0, p.seen, p.poisoned))
             .collect();
         in_flight.sort_unstable_by_key(|&(id, ..)| id);
-        out.token(Token::Map(9));
-        out.field("id", &self.id);
-        out.field("ej_link", &self.ej_link);
+        out.token(Token::Map(7));
         out.field("in_flight", &in_flight);
         out.field("packets_received", &self.packets_received);
         out.field("flits_received", &self.flits_received);
@@ -433,22 +419,11 @@ impl SinkNode {
     ///
     /// # Errors
     ///
-    /// Fails if the stream is malformed, or if its sink does not fit this
-    /// one: another node id or ejection link. The sink is then partly
-    /// restored and must be discarded.
+    /// Fails if the stream is malformed. The sink is then partly restored
+    /// and must be discarded.
     pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "SinkNode";
-        let (id, ej_link) = (self.id, self.ej_link);
-        let misfit = |what: String| serde::Error::custom(format!("sink {id} does not fit: {what}"));
-        src.map_of(9, TY)?;
-        let saved: NodeId = src.field("id", TY)?;
-        if saved != id {
-            return Err(misfit(format!("the file's sink is {saved}")));
-        }
-        let saved: LinkId = src.field("ej_link", TY)?;
-        if saved != ej_link {
-            return Err(misfit(format!("it ejects on {saved}, built on {ej_link}")));
-        }
+        src.map_of(7, TY)?;
         let in_flight: Vec<(u64, u32, bool)> = src.field("in_flight", TY)?;
         self.in_flight = in_flight
             .into_iter()

@@ -27,8 +27,10 @@
 //! the feeding and outgoing links, the switch and VC arbiters, the
 //! buffered-flit count and the `Bu` accumulator. The pipeline stages'
 //! requester sets are `u64` masks over the input slots. A checkpoint
-//! holds the nested per-port `inputs` and `outputs` entries of
-//! `lumen-ckpt/5`; the hand-written serializer and reader translate.
+//! holds the evolved arrays as they are (DESIGN.md §6k); the buffered
+//! counts and the stage masks are caches of the rings and VC states,
+//! which `Router::recount` derives on restore and the auditor checks
+//! against.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::config::NocConfig;
@@ -239,16 +241,6 @@ impl Router {
     /// Flits in the ring of input `port`'s VC `vc`.
     pub(crate) fn queue_len(&self, port: PortId, vc: VcId) -> usize {
         self.slots[port.0 as usize * self.vcs + vc.0 as usize].len as usize
-    }
-
-    /// Flits input `port` counts as buffered (a cache of its rings).
-    pub(crate) fn port_occupancy(&self, port: PortId) -> usize {
-        self.occupancy[port.0 as usize] as usize
-    }
-
-    /// Flits the router counts as buffered (a cache of its rings).
-    pub(crate) fn buffered_flits(&self) -> u64 {
-        u64::from(self.buffered_flits)
     }
 
     /// Drains input `port`'s accumulated occupancy counter.
@@ -697,243 +689,203 @@ impl Router {
             .all(|s| s.len == 0 && s.state == VcState::Idle)
     }
 
+    /// The caches the router keeps in step with its rings and VC states,
+    /// recounted from them: per port the buffered flits; the buffered
+    /// flits and the VCs not in Idle; and the stage masks (`sa_ready`:
+    /// Active with a flit buffered, `va_set`: VcAlloc, `rc_ready`: Idle
+    /// with a flit buffered). Restore installs them; the conservation
+    /// auditor compares them with [`Router::caches`].
+    pub(crate) fn recount(&self) -> Caches {
+        let mut c = Caches {
+            occupancy: vec![0; self.ports.len()].into(),
+            ..Caches::default()
+        };
+        for (s, slot) in self.slots.iter().enumerate() {
+            c.occupancy[s / self.vcs] += u32::from(slot.len);
+            c.buffered_flits += u32::from(slot.len);
+            let (bit, queued) = (1u64 << s, slot.len > 0);
+            match slot.state {
+                VcState::Idle if queued => c.rc_ready |= bit,
+                VcState::Idle => {}
+                VcState::VcAlloc { .. } => {
+                    c.va_set |= bit;
+                    c.active_vcs += 1;
+                }
+                VcState::Active { .. } => {
+                    if queued {
+                        c.sa_ready |= bit;
+                    }
+                    c.active_vcs += 1;
+                }
+            }
+        }
+        c
+    }
+
+    /// The caches as the router keeps them (see [`Router::recount`]).
+    pub(crate) fn caches(&self) -> Caches {
+        Caches {
+            occupancy: self.occupancy.clone(),
+            buffered_flits: self.buffered_flits,
+            active_vcs: self.active_vcs,
+            sa_ready: self.sa_ready,
+            va_set: self.va_set,
+            rc_ready: self.rc_ready,
+        }
+    }
+
     /// Reads the state its [`Serialize`] impl wrote back into this
-    /// router, which was built from the saving run's configuration.
+    /// router, which was built from the saving run's configuration, and
+    /// recounts its caches from the restored rings and VC states.
     ///
     /// # Errors
     ///
-    /// Fails if the stream is malformed, or if its router does not fit
-    /// this one: another id, port count, VC count or VC depth, a VC queue
-    /// longer than its depth, a port occupancy that is not the sum of its
-    /// queues, a port fed by or driving another link than the one built,
-    /// a VC routed to a port or holding an output VC the router does not
-    /// have, an output VC held by such an input, or an arbiter over
-    /// another number of requesters than the router's slots. The router is
-    /// then partly restored and must be discarded.
+    /// Fails if the stream is malformed (an array of another length than
+    /// the router's slots or ports among it), or if its state does not
+    /// fit this router: a VC queue longer than its depth, a VC routed to a
+    /// port or holding an output VC the router does not have, an output
+    /// VC held by such an input, or an arbiter priority past the router's
+    /// slots. The router is then partly restored and must be discarded.
     pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "Router";
-        let (id, vcs, depth, ports) = (self.id, self.vcs, self.depth, self.ports.len());
+        let (id, vcs, depth) = (self.id, self.vcs, self.depth);
+        let (ports, slots) = (self.ports.len(), self.slots.len());
         let misfit =
             |what: String| serde::Error::custom(format!("router {id} does not fit: {what}"));
-        src.map_of(13, TY)?;
-        let saved: RouterId = src.field("id", TY)?;
-        if saved != id {
-            return Err(misfit(format!("the file's router is {saved}")));
+        let name = |slot: usize| (PortId((slot / vcs) as u8), VcId((slot % vcs) as u8));
+        src.map_of(10, TY)?;
+        src.expect_key("queues", TY)?;
+        src.seq_of(slots, "queues")?;
+        for slot in 0..slots {
+            let len = src.seq("queue")?;
+            if len > depth {
+                let (port, vc) = name(slot);
+                return Err(misfit(format!(
+                    "{port} {vc} queues {len} flits, deeper than its {depth}-flit VC"
+                )));
+            }
+            for cell in &mut self.flits[slot * depth..slot * depth + len] {
+                *cell = Flit::deserialize(src)?;
+            }
+            self.slots[slot].head = 0;
+            self.slots[slot].len = len as u16;
         }
-        let saved: usize = src.field("vcs", TY)?;
-        if saved != vcs {
-            return Err(misfit(format!("{saved} VCs per port, built with {vcs}")));
+        src.expect_key("vc_state", TY)?;
+        src.seq_of(slots, "vc_state")?;
+        for slot in 0..slots {
+            let state = VcState::deserialize(src)?;
+            let (port, vc) = name(slot);
+            let (out_port, out_vc) = match state {
+                VcState::Idle => (PortId(0), VcId(0)),
+                VcState::VcAlloc { out_port } => (out_port, VcId(0)),
+                VcState::Active { out_port, out_vc } => (out_port, out_vc),
+            };
+            if usize::from(out_port.0) >= ports {
+                return Err(misfit(format!(
+                    "{port} {vc} is routed to {out_port}, past its {ports} ports"
+                )));
+            }
+            if usize::from(out_vc.0) >= vcs {
+                return Err(misfit(format!(
+                    "{port} {vc} holds output {out_vc}, past its {vcs} VCs"
+                )));
+            }
+            self.slots[slot].state = state;
         }
-        src.expect_key("inputs", TY)?;
-        let saved = src.seq("inputs")?;
-        if saved != ports {
-            return Err(misfit(format!("{saved} ports, built with {ports}")));
-        }
-        for p in 0..ports {
-            let port = PortId(p as u8);
-            src.map_of(4, "InputPort")?;
-            src.expect_key("buffer", "InputPort")?;
-            src.map_of(3, "InputBuffer")?;
-            src.expect_key("queues", "InputBuffer")?;
-            src.seq_of(vcs, "queues")?;
-            let mut queued = 0;
-            for slot in p * vcs..(p + 1) * vcs {
-                let len = src.seq("queue")?;
-                if len > depth {
-                    let vc = VcId((slot % vcs) as u8);
+        src.field_into("occupancy_accum", &mut self.occupancy_accum, TY)?;
+        src.field_into("credits", &mut self.credits, TY)?;
+        src.field_into("vc_owner", &mut self.vc_owner, TY)?;
+        for (slot, owner) in self.vc_owner.iter().enumerate() {
+            if let Some((in_port, in_vc)) = *owner {
+                if usize::from(in_port.0) >= ports || usize::from(in_vc.0) >= vcs {
+                    let (port, vc) = name(slot);
                     return Err(misfit(format!(
-                        "{port} {vc} queues {len} flits, deeper than its {depth}-flit VC"
+                        "{port} {vc} is held by {in_port} {in_vc}, \
+                         not one of its {ports} ports × {vcs} VCs"
                     )));
                 }
-                for cell in &mut self.flits[slot * depth..slot * depth + len] {
-                    *cell = Flit::deserialize(src)?;
-                }
-                self.slots[slot].head = 0;
-                self.slots[slot].len = len as u16;
-                queued += len;
             }
-            let saved: usize = src.field("depth_per_vc", "InputBuffer")?;
-            if saved != depth {
-                return Err(misfit(format!(
-                    "{saved}-flit VCs, the configuration gives {depth}"
-                )));
-            }
-            let saved: usize = src.field("occupancy", "InputBuffer")?;
-            if saved != queued {
-                return Err(misfit(format!(
-                    "{port} occupancy {saved}, its queues hold {queued} flits"
-                )));
-            }
-            self.occupancy[p] = queued as u32;
-            src.expect_key("vc_state", "InputPort")?;
-            src.seq_of(vcs, "vc_state")?;
-            for slot in p * vcs..(p + 1) * vcs {
-                let state = VcState::deserialize(src)?;
-                let vc = VcId((slot % vcs) as u8);
-                let (out_port, out_vc) = match state {
-                    VcState::Idle => (PortId(0), VcId(0)),
-                    VcState::VcAlloc { out_port } => (out_port, VcId(0)),
-                    VcState::Active { out_port, out_vc } => (out_port, out_vc),
+        }
+        for (key, va) in [("sa_next", false), ("va_next", true)] {
+            src.expect_key(key, TY)?;
+            src.seq_of(ports, key)?;
+            for port in &mut self.ports {
+                let arbiter = if va {
+                    &mut port.va_arbiter
+                } else {
+                    &mut port.sa_arbiter
                 };
-                if usize::from(out_port.0) >= ports {
-                    return Err(misfit(format!(
-                        "{port} {vc} is routed to {out_port}, past its {ports} ports"
-                    )));
-                }
-                if usize::from(out_vc.0) >= vcs {
-                    return Err(misfit(format!(
-                        "{port} {vc} holds output {out_vc}, past its {vcs} VCs"
-                    )));
-                }
-                self.slots[slot].state = state;
-            }
-            let saved: Option<LinkId> = src.field("feeder", "InputPort")?;
-            let built = self.ports[p].feeder;
-            if saved != built {
-                return Err(misfit(format!(
-                    "{port} is fed by {}, built on {}",
-                    link_name(saved),
-                    link_name(built)
-                )));
-            }
-            self.occupancy_accum[p] = src.field("occupancy_accum", "InputPort")?;
-        }
-        src.expect_key("outputs", TY)?;
-        src.seq_of(ports, "outputs")?;
-        for p in 0..ports {
-            let port = PortId(p as u8);
-            let out = p * vcs..(p + 1) * vcs;
-            src.map_of(5, "OutputPort")?;
-            let saved: Option<LinkId> = src.field("link", "OutputPort")?;
-            let built = self.ports[p].link;
-            if saved != built {
-                return Err(misfit(format!(
-                    "{port} drives {}, built on {}",
-                    link_name(saved),
-                    link_name(built)
-                )));
-            }
-            src.field_into("credits", &mut self.credits[out.clone()], "OutputPort")?;
-            src.field_into("vc_owner", &mut self.vc_owner[out.clone()], "OutputPort")?;
-            for (v, owner) in self.vc_owner[out].iter().enumerate() {
-                if let Some((in_port, in_vc)) = *owner {
-                    if usize::from(in_port.0) >= ports || usize::from(in_vc.0) >= vcs {
-                        return Err(misfit(format!(
-                            "{port} vc{v} is held by {in_port} {in_vc}, \
-                             not one of its {ports} ports × {vcs} VCs"
-                        )));
-                    }
-                }
-            }
-            self.ports[p].sa_arbiter = src.field("sa_arbiter", "OutputPort")?;
-            self.ports[p].va_arbiter = src.field("va_arbiter", "OutputPort")?;
-            let port = &self.ports[p];
-            for (stage, arbiter) in [("switch", &port.sa_arbiter), ("VC", &port.va_arbiter)] {
-                if arbiter.len() != self.slots.len() {
-                    return Err(misfit(format!(
-                        "p{p}'s {stage} arbiter covers {} requesters, built with {}",
-                        arbiter.len(),
-                        self.slots.len()
-                    )));
-                }
+                arbiter.restore_next(usize::deserialize(src)?)?;
             }
         }
         self.sa_rotate = src.field("sa_rotate", TY)?;
         self.flits_switched = src.field("flits_switched", TY)?;
-        self.flits_accepted = src.field("flits_accepted", TY)?;
         self.sa_denials = src.field("sa_denials", TY)?;
-        self.buffered_flits = src.field("buffered_flits", TY)?;
-        self.active_vcs = src.field("active_vcs", TY)?;
-        self.sa_ready = restore_mask(src, "sa_ready")?;
-        self.va_set = restore_mask(src, "va_set")?;
-        self.rc_ready = restore_mask(src, "rc_ready")?;
+        let c = self.recount();
+        (self.occupancy, self.buffered_flits, self.active_vcs) =
+            (c.occupancy, c.buffered_flits, c.active_vcs);
+        (self.sa_ready, self.va_set, self.rc_ready) = (c.sa_ready, c.va_set, c.rc_ready);
+        // Every flit a router holds was accepted and not yet switched.
+        self.flits_accepted = self.flits_switched + u64::from(c.buffered_flits);
         Ok(())
     }
 }
 
-/// A port's link as restore errors name it.
-fn link_name(link: Option<LinkId>) -> String {
-    link.map_or_else(|| "no link".to_string(), |l| l.to_string())
+/// A router's caches of its rings and VC states (see [`Router::recount`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Caches {
+    pub(crate) occupancy: Box<[u32]>,
+    pub(crate) buffered_flits: u32,
+    pub(crate) active_vcs: u32,
+    pub(crate) sa_ready: u64,
+    pub(crate) va_set: u64,
+    pub(crate) rc_ready: u64,
 }
 
-/// Reads a mask written by [`write_mask`].
-fn restore_mask<S: Source>(src: &mut S, key: &str) -> Result<u64, serde::Error> {
-    src.expect_key(key, "Router")?;
-    src.map_of(1, "SlotSet")?;
-    let [word]: [u64; 1] = src.field("words", "SlotSet")?;
-    Ok(word)
-}
-
-/// Writes a slot mask as the one-word bitset `lumen-ckpt/5` holds.
-fn write_mask<S: Sink>(out: &mut S, key: &str, mask: u64) {
-    out.key(key);
-    out.token(Token::Map(1));
-    out.field("words", &[mask]);
-}
-
-/// Hand-written so the flat layout writes `lumen-ckpt/5`'s router shape:
-/// per port an `inputs` entry (the VC queues front to back, the depth,
-/// the occupancy, the VC states, the feeder, the `Bu` accumulator) and an
-/// `outputs` entry (the link, the credits, the VC owners, the two
-/// arbiters), then the scalars and the three masks as bitsets (DESIGN.md
-/// §6k). `Router::restore` reads it back.
+/// Writes the router's evolved state as its flat arrays are: per input
+/// slot the VC queues front to back and the VC states, per port the `Bu`
+/// accumulators, per output slot the credits and VC owners, per port the
+/// two arbiters' priority pointers, then `sa_rotate` and the two
+/// lifetime counters (DESIGN.md §6k). The caches and the wiring are not
+/// written; `Router::restore` reads it back.
 impl Serialize for Router {
     fn serialize<S: Sink>(&self, out: &mut S) {
-        let (vcs, depth, ports) = (self.vcs, self.depth, self.ports.len());
-        out.token(Token::Map(13));
-        out.field("id", &self.id);
-        out.field("vcs", &vcs);
-        out.key("inputs");
-        out.token(Token::Seq(ports));
-        for (p, port) in self.ports.iter().enumerate() {
-            out.token(Token::Map(4));
-            out.key("buffer");
-            out.token(Token::Map(3));
-            out.key("queues");
-            out.token(Token::Seq(vcs));
-            for slot in p * vcs..(p + 1) * vcs {
-                let ring = self.slots[slot];
-                out.token(Token::Seq(ring.len as usize));
-                for i in 0..ring.len as usize {
-                    let cell = (ring.head as usize + i) % depth;
-                    self.flits[slot * depth + cell].serialize(out);
-                }
+        let depth = self.depth;
+        out.token(Token::Map(10));
+        out.key("queues");
+        out.token(Token::Seq(self.slots.len()));
+        for (slot, ring) in self.slots.iter().enumerate() {
+            out.token(Token::Seq(ring.len as usize));
+            for i in 0..ring.len as usize {
+                let cell = (ring.head as usize + i) % depth;
+                self.flits[slot * depth + cell].serialize(out);
             }
-            out.field("depth_per_vc", &depth);
-            out.field("occupancy", &self.occupancy[p]);
-            out.key("vc_state");
-            out.token(Token::Seq(vcs));
-            for slot in &self.slots[p * vcs..(p + 1) * vcs] {
-                slot.state.serialize(out);
-            }
-            out.field("feeder", &port.feeder);
-            out.field("occupancy_accum", &self.occupancy_accum[p]);
         }
-        out.key("outputs");
-        out.token(Token::Seq(ports));
-        for (p, port) in self.ports.iter().enumerate() {
-            let slots = p * vcs..(p + 1) * vcs;
-            out.token(Token::Map(5));
-            out.field("link", &port.link);
-            out.field("credits", &self.credits[slots.clone()]);
-            out.field("vc_owner", &self.vc_owner[slots]);
-            out.field("sa_arbiter", &port.sa_arbiter);
-            out.field("va_arbiter", &port.va_arbiter);
+        out.key("vc_state");
+        out.token(Token::Seq(self.slots.len()));
+        for slot in &*self.slots {
+            slot.state.serialize(out);
         }
+        out.field("occupancy_accum", &*self.occupancy_accum);
+        out.field("credits", &*self.credits);
+        out.field("vc_owner", &*self.vc_owner);
+        let sa_next: Vec<usize> = self.ports.iter().map(|p| p.sa_arbiter.next()).collect();
+        let va_next: Vec<usize> = self.ports.iter().map(|p| p.va_arbiter.next()).collect();
+        out.field("sa_next", &sa_next);
+        out.field("va_next", &va_next);
         out.field("sa_rotate", &self.sa_rotate);
         out.field("flits_switched", &self.flits_switched);
-        out.field("flits_accepted", &self.flits_accepted);
         out.field("sa_denials", &self.sa_denials);
-        out.field("buffered_flits", &self.buffered_flits);
-        out.field("active_vcs", &self.active_vcs);
-        write_mask(out, "sa_ready", self.sa_ready);
-        write_mask(out, "va_set", self.va_set);
-        write_mask(out, "rc_ready", self.rc_ready);
     }
 }
 
 #[cfg(test)]
 impl Router {
+    /// Flits input `port` counts as buffered (a cache of its rings).
+    pub(crate) fn port_occupancy(&self, port: PortId) -> usize {
+        self.occupancy[port.0 as usize] as usize
+    }
+
     /// The outgoing link of `port` (None on mesh-edge ports).
     pub(crate) fn link(&self, port: PortId) -> Option<LinkId> {
         self.ports[port.0 as usize].link
@@ -952,6 +904,11 @@ impl Router {
     /// Input `port`'s buffered-flit count, to corrupt in auditor tests.
     pub(crate) fn occupancy_mut(&mut self, port: PortId) -> &mut u32 {
         &mut self.occupancy[port.0 as usize]
+    }
+
+    /// The switch requesters' mask, to corrupt in auditor tests.
+    pub(crate) fn sa_ready_mut(&mut self) -> &mut u64 {
+        &mut self.sa_ready
     }
 }
 

@@ -77,6 +77,10 @@ impl Transition {
 
 /// The per-link policy controller.
 ///
+/// It holds one link's level, utilization history and counters; the
+/// parameters every link shares come from the [`PolicyConfig`] the caller
+/// passes in.
+///
 /// # Example
 ///
 /// An idle window drives the averaged utilization below `TL`, so the
@@ -90,9 +94,11 @@ impl Transition {
 /// let config = PolicyConfig::paper_default();
 /// let cycle = ClockDomain::router_core().period();
 /// let top = config.ladder.top_level();
-/// let mut c = LinkPolicyController::new(&config, cycle, top);
+/// let mut c = LinkPolicyController::new(&config, top);
 ///
-/// let t = c.on_window(Picos::ZERO, 0.0, 0.0).expect("idle link steps down");
+/// let t = c
+///     .on_window(&config, cycle, Picos::ZERO, 0.0, 0.0)
+///     .expect("idle link steps down");
 /// assert_eq!(t.to_level, top - 1);
 /// // Down: the frequency hops immediately; the voltage saving lands later.
 /// assert_eq!(t.rate_change_at, Picos::ZERO);
@@ -103,13 +109,8 @@ impl Transition {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinkPolicyController {
-    ladder: BitRateLadder,
-    thresholds: ThresholdTable,
-    tbr: Picos,
-    tv: Picos,
     level: usize,
     sliding: SlidingWindow,
-    predictor: Predictor,
     ewma: Option<f64>,
     last_predicted: f64,
     in_transition: bool,
@@ -123,28 +124,21 @@ pub struct LinkPolicyController {
 }
 
 impl LinkPolicyController {
-    /// Creates a controller starting at `initial_level` of the ladder.
-    ///
-    /// `cycle` is the router-core clock period, used to convert the
-    /// cycle-denominated timing parameters.
+    /// Creates a controller starting at `initial_level` of `config`'s
+    /// ladder.
     ///
     /// # Panics
     ///
     /// Panics if the config is invalid or `initial_level` is out of range.
-    pub fn new(config: &PolicyConfig, cycle: Picos, initial_level: usize) -> Self {
+    pub fn new(config: &PolicyConfig, initial_level: usize) -> Self {
         config.validate();
         assert!(
             initial_level < config.ladder.level_count(),
             "initial level {initial_level} out of range"
         );
         LinkPolicyController {
-            ladder: config.ladder.clone(),
-            thresholds: config.thresholds,
-            tbr: cycle * config.timing.tbr_cycles,
-            tv: cycle * config.timing.tv_cycles,
             level: initial_level,
-            sliding: SlidingWindow::new(config.timing.n_windows),
-            predictor: config.predictor,
+            sliding: SlidingWindow::default(),
             ewma: None,
             last_predicted: 0.0,
             in_transition: false,
@@ -153,11 +147,6 @@ impl LinkPolicyController {
             ups: 0,
             downs: 0,
         }
-    }
-
-    /// The ladder this controller steps through.
-    pub fn ladder(&self) -> &BitRateLadder {
-        &self.ladder
     }
 
     /// The current ladder level.
@@ -180,25 +169,20 @@ impl LinkPolicyController {
         self.last_predicted
     }
 
-    /// The raw threshold decision for a given averaged utilization and
-    /// buffer utilization (exposed for analysis and tests).
-    pub(crate) fn classify(&self, lu_avg: f64, bu: f64) -> RateDecision {
-        let (tl, th) = self.thresholds.select(bu);
-        if lu_avg > th {
-            RateDecision::Up
-        } else if lu_avg < tl {
-            RateDecision::Down
-        } else {
-            RateDecision::Hold
-        }
-    }
-
-    /// Feeds one window's statistics; returns a transition plan if the
+    /// Feeds one window's statistics under `config`, whose `Tbr` and `Tv`
+    /// count `cycle`-long core cycles; returns a transition plan if the
     /// policy decides to move. `lu` and `bu` are clamped into `[0, 1]`.
-    pub fn on_window(&mut self, now: Picos, lu: f64, bu: f64) -> Option<Transition> {
+    pub fn on_window(
+        &mut self,
+        config: &PolicyConfig,
+        cycle: Picos,
+        now: Picos,
+        lu: f64,
+        bu: f64,
+    ) -> Option<Transition> {
         let lu = lu.clamp(0.0, 1.0);
-        self.sliding.push(lu);
-        let predicted = match self.predictor {
+        self.sliding.push(lu, config.timing.n_windows);
+        let predicted = match config.predictor {
             Predictor::SlidingMean => self.sliding.mean(),
             Predictor::Ewma(alpha) => {
                 let next = match self.ewma {
@@ -217,55 +201,58 @@ impl LinkPolicyController {
             return None;
         }
         self.decisions += 1;
-        let lu_avg = predicted;
-        match self.classify(lu_avg, bu.clamp(0.0, 1.0)) {
-            RateDecision::Up if self.level < self.ladder.top_level() => {
+        match classify(&config.thresholds, predicted, bu.clamp(0.0, 1.0)) {
+            RateDecision::Up if self.level < config.ladder.top_level() => {
                 self.ups += 1;
-                Some(self.plan_up(now))
+                Some(self.plan_up(config, cycle, now))
             }
             RateDecision::Down if self.level > 0 => {
                 self.downs += 1;
-                Some(self.plan_down(now))
+                Some(self.plan_down(config, cycle, now))
             }
             _ => None,
         }
     }
 
-    fn plan_up(&mut self, now: Picos) -> Transition {
+    fn plan_up(&mut self, config: &PolicyConfig, cycle: Picos, now: Picos) -> Transition {
+        let (ladder, timing) = (&config.ladder, &config.timing);
+        let (tbr, tv) = (cycle * timing.tbr_cycles, cycle * timing.tv_cycles);
         let to_level = self.level + 1;
-        let old_rate = self.ladder.rate_at(self.level);
-        let new_rate = self.ladder.rate_at(to_level);
-        let new_vdd = self.ladder.vdd_at(to_level);
-        let rate_change_at = now + self.tv;
+        let old_rate = ladder.rate_at(self.level);
+        let new_rate = ladder.rate_at(to_level);
+        let new_vdd = ladder.vdd_at(to_level);
+        let rate_change_at = now + tv;
         self.level = to_level;
         self.in_transition = true;
         Transition {
             to_level,
             new_rate,
             rate_change_at,
-            disable_for: self.tbr,
+            disable_for: tbr,
             // Voltage rises first: pay the higher rail at the old rate.
             interim_point: OperatingPoint::new(old_rate, new_vdd),
             interim_at: now,
             final_point: OperatingPoint::new(new_rate, new_vdd),
             final_at: rate_change_at,
-            complete_at: rate_change_at + self.tbr,
+            complete_at: rate_change_at + tbr,
         }
     }
 
-    fn plan_down(&mut self, now: Picos) -> Transition {
+    fn plan_down(&mut self, config: &PolicyConfig, cycle: Picos, now: Picos) -> Transition {
+        let (ladder, timing) = (&config.ladder, &config.timing);
+        let (tbr, tv) = (cycle * timing.tbr_cycles, cycle * timing.tv_cycles);
         let to_level = self.level - 1;
-        let old_vdd = self.ladder.vdd_at(self.level);
-        let new_rate = self.ladder.rate_at(to_level);
-        let new_vdd = self.ladder.vdd_at(to_level);
-        let final_at = now + self.tbr + self.tv;
+        let old_vdd = ladder.vdd_at(self.level);
+        let new_rate = ladder.rate_at(to_level);
+        let new_vdd = ladder.vdd_at(to_level);
+        let final_at = now + tbr + tv;
         self.level = to_level;
         self.in_transition = true;
         Transition {
             to_level,
             new_rate,
             rate_change_at: now,
-            disable_for: self.tbr,
+            disable_for: tbr,
             // Frequency drops first: the old rail is paid until the
             // voltage ramp completes.
             interim_point: OperatingPoint::new(new_rate, old_vdd),
@@ -282,19 +269,19 @@ impl LinkPolicyController {
         self.in_transition = false;
     }
 
-    /// Fault response: jump the controller to `level` immediately and
-    /// freeze decision-making until [`LinkPolicyController::unpin`].
-    /// Any in-flight transition plan is abandoned (the driver must also
-    /// discard its scheduled events — see the epoch guard in
-    /// `lumen-core`). The caller applies the rate/power change itself;
-    /// this only realigns the controller's state machine.
+    /// Fault response: jump the controller to `level` of `ladder`
+    /// immediately and freeze decision-making until
+    /// [`LinkPolicyController::unpin`]. Any in-flight transition plan is
+    /// abandoned (the driver must also discard its scheduled events — see
+    /// the epoch guard in `lumen-core`). The caller applies the rate/power
+    /// change itself; this only realigns the controller's state machine.
     ///
     /// # Panics
     ///
     /// Panics if `level` is out of ladder range.
-    pub fn pin_to_level(&mut self, level: usize) {
+    pub fn pin_to_level(&mut self, ladder: &BitRateLadder, level: usize) {
         assert!(
-            level < self.ladder.level_count(),
+            level < ladder.level_count(),
             "pin level {level} out of range"
         );
         self.level = level;
@@ -315,34 +302,77 @@ impl LinkPolicyController {
     }
 }
 
+/// The threshold decision for averaged utilization `lu_avg` and buffer
+/// utilization `bu`.
+fn classify(thresholds: &ThresholdTable, lu_avg: f64, bu: f64) -> RateDecision {
+    let (tl, th) = thresholds.select(bu);
+    if lu_avg > th {
+        RateDecision::Up
+    } else if lu_avg < tl {
+        RateDecision::Down
+    } else {
+        RateDecision::Hold
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lumen_desim::ClockDomain;
 
-    fn controller(initial: usize) -> LinkPolicyController {
-        let config = PolicyConfig::paper_default();
-        LinkPolicyController::new(&config, ClockDomain::router_core().period(), initial)
+    /// A controller at `initial` under `config`, fed windows at `now`.
+    struct Harness {
+        config: PolicyConfig,
+        c: LinkPolicyController,
     }
 
-    fn controller_n1(initial: usize) -> LinkPolicyController {
+    impl Harness {
+        fn new(config: PolicyConfig, initial: usize) -> Self {
+            let c = LinkPolicyController::new(&config, initial);
+            Harness { config, c }
+        }
+
+        fn on_window(&mut self, now: Picos, lu: f64, bu: f64) -> Option<Transition> {
+            let cycle = ClockDomain::router_core().period();
+            self.c.on_window(&self.config, cycle, now, lu, bu)
+        }
+    }
+
+    impl std::ops::Deref for Harness {
+        type Target = LinkPolicyController;
+        fn deref(&self) -> &LinkPolicyController {
+            &self.c
+        }
+    }
+
+    impl std::ops::DerefMut for Harness {
+        fn deref_mut(&mut self) -> &mut LinkPolicyController {
+            &mut self.c
+        }
+    }
+
+    fn controller(initial: usize) -> Harness {
+        Harness::new(PolicyConfig::paper_default(), initial)
+    }
+
+    fn controller_n1(initial: usize) -> Harness {
         let mut config = PolicyConfig::paper_default();
         config.timing.n_windows = 1;
-        LinkPolicyController::new(&config, ClockDomain::router_core().period(), initial)
+        Harness::new(config, initial)
     }
 
     #[test]
     fn classify_matches_table1() {
-        let c = controller(5);
-        assert_eq!(c.classify(0.7, 0.0), RateDecision::Up);
-        assert_eq!(c.classify(0.5, 0.0), RateDecision::Hold);
-        assert_eq!(c.classify(0.3, 0.0), RateDecision::Down);
+        let t = PolicyConfig::paper_default().thresholds;
+        assert_eq!(classify(&t, 0.7, 0.0), RateDecision::Up);
+        assert_eq!(classify(&t, 0.5, 0.0), RateDecision::Hold);
+        assert_eq!(classify(&t, 0.3, 0.0), RateDecision::Down);
         // Congested: thresholds shift up, so the same utilization that
         // reads Up when uncongested reads Hold/Down under congestion.
-        assert_eq!(c.classify(0.55, 0.8), RateDecision::Down);
-        assert_eq!(c.classify(0.65, 0.8), RateDecision::Hold);
-        assert_eq!(c.classify(0.65, 0.2), RateDecision::Up);
-        assert_eq!(c.classify(0.75, 0.8), RateDecision::Up);
+        assert_eq!(classify(&t, 0.55, 0.8), RateDecision::Down);
+        assert_eq!(classify(&t, 0.65, 0.8), RateDecision::Hold);
+        assert_eq!(classify(&t, 0.65, 0.2), RateDecision::Up);
+        assert_eq!(classify(&t, 0.75, 0.8), RateDecision::Up);
     }
 
     #[test]
@@ -431,11 +461,9 @@ mod tests {
 
     #[test]
     fn ewma_predictor_reacts_faster_than_sliding_mean() {
-        use crate::config::Predictor;
-        let cycle = ClockDomain::router_core().period();
         let mut config = PolicyConfig::paper_default();
         config.predictor = Predictor::Ewma(0.8);
-        let mut ewma = LinkPolicyController::new(&config, cycle, 0);
+        let mut ewma = Harness::new(config, 0);
         let mut mean = controller(0); // N = 4 sliding mean
                                       // Three idle windows, then a sudden surge: EWMA crosses TH first.
         for c in [&mut ewma, &mut mean] {
@@ -451,21 +479,18 @@ mod tests {
 
     #[test]
     fn ewma_alpha_one_is_last_value() {
-        use crate::config::Predictor;
-        let cycle = ClockDomain::router_core().period();
         let mut config = PolicyConfig::paper_default();
         config.predictor = Predictor::Ewma(1.0);
-        let mut c = LinkPolicyController::new(&config, cycle, 3);
+        let mut c = Harness::new(config, 3);
         assert!(c.on_window(Picos::ZERO, 0.0, 0.0).is_some()); // instant down
     }
 
     #[test]
     #[should_panic(expected = "EWMA alpha")]
     fn bad_ewma_rejected() {
-        use crate::config::Predictor;
         let mut config = PolicyConfig::paper_default();
         config.predictor = Predictor::Ewma(1.5);
-        let _ = LinkPolicyController::new(&config, ClockDomain::router_core().period(), 0);
+        let _ = LinkPolicyController::new(&config, 0);
     }
 
     #[test]
@@ -474,7 +499,8 @@ mod tests {
         // Mid-transition pin: the in-flight plan is abandoned.
         let _ = c.on_window(Picos::ZERO, 0.0, 0.0).expect("step down");
         assert!(c.in_transition());
-        c.pin_to_level(0);
+        let ladder = c.config.ladder.clone();
+        c.pin_to_level(&ladder, 0);
         assert!(c.pinned);
         assert!(!c.in_transition());
         assert_eq!(c.level(), 0);
@@ -494,7 +520,8 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn pin_out_of_range_rejected() {
         let mut c = controller_n1(0);
-        c.pin_to_level(17);
+        let ladder = c.config.ladder.clone();
+        c.pin_to_level(&ladder, 17);
     }
 
     #[test]

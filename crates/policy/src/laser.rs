@@ -14,7 +14,7 @@
 //!   link interruption — the remaining light still supports the current
 //!   rate).
 
-use crate::config::{OpticalMode, TimingConfig};
+use crate::config::{OpticalMode, PolicyConfig};
 use lumen_desim::Picos;
 use lumen_opto::optics::OpticalLevel;
 use lumen_opto::Gbps;
@@ -41,9 +41,13 @@ pub struct LaserUpdate {
 }
 
 /// Per-link external-laser-source policy controller.
+///
+/// It holds one link's light level and period tracker only; the optical
+/// mode and the attenuator timing every link shares come from the
+/// [`PolicyConfig`] the caller passes in. It starts with the light at
+/// `High`, where [`OpticalMode::SingleLevel`] keeps it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LaserSourceController {
-    mode: OpticalMode,
     level: OpticalLevel,
     transition_until: Picos,
     max_required_in_period: OpticalLevel,
@@ -51,24 +55,21 @@ pub struct LaserSourceController {
     pub pincs: u64,
     /// Lazy power decreases issued.
     pub pdecs: u64,
-    attenuator_transition: Picos,
 }
 
-impl LaserSourceController {
-    /// Creates a controller. In [`OpticalMode::SingleLevel`] it pins the
-    /// light at `High` and never gates anything.
-    pub fn new(mode: OpticalMode, timing: &TimingConfig) -> Self {
+impl Default for LaserSourceController {
+    fn default() -> Self {
         LaserSourceController {
-            mode,
             level: OpticalLevel::High,
             transition_until: Picos::ZERO,
             max_required_in_period: OpticalLevel::Low,
             pincs: 0,
             pdecs: 0,
-            attenuator_transition: timing.attenuator_transition,
         }
     }
+}
 
+impl LaserSourceController {
     /// Observes the link running at `rate` (called at least once per
     /// policy window so the period tracker sees the full history).
     pub fn note_rate(&mut self, rate: Gbps) {
@@ -76,10 +77,16 @@ impl LaserSourceController {
         self.max_required_in_period = self.max_required_in_period.max(need);
     }
 
-    /// Gates an electrical rate increase to `desired_rate`: if more light
-    /// is needed, orders the increase and returns when it completes.
-    pub fn request_increase(&mut self, now: Picos, desired_rate: Gbps) -> OpticalGate {
-        if self.mode == OpticalMode::SingleLevel {
+    /// Gates an electrical rate increase to `desired_rate` under
+    /// `config`: if more light is needed, orders the increase and returns
+    /// when it completes.
+    pub fn request_increase(
+        &mut self,
+        config: &PolicyConfig,
+        now: Picos,
+        desired_rate: Gbps,
+    ) -> OpticalGate {
+        if config.optical_mode == OpticalMode::SingleLevel {
             return OpticalGate::Ready;
         }
         self.note_rate(desired_rate);
@@ -96,18 +103,18 @@ impl LaserSourceController {
             steps += 1;
         }
         let start = now.max(self.transition_until);
-        let done = start + self.attenuator_transition * steps;
+        let done = start + config.timing.attenuator_transition * steps;
         self.level = need;
         self.transition_until = done;
         self.pincs += steps;
         OpticalGate::WaitUntil(done)
     }
 
-    /// Evaluates the lazy `Pdec` rule at a 200 µs decision boundary.
-    /// Returns the level change, if one is ordered.
-    pub fn on_decision_period(&mut self, now: Picos) -> Option<LaserUpdate> {
+    /// Evaluates the lazy `Pdec` rule under `config` at a 200 µs
+    /// decision boundary. Returns the level change, if one is ordered.
+    pub fn on_decision_period(&mut self, config: &PolicyConfig, now: Picos) -> Option<LaserUpdate> {
         let observed = std::mem::replace(&mut self.max_required_in_period, OpticalLevel::Low);
-        if self.mode == OpticalMode::SingleLevel {
+        if config.optical_mode == OpticalMode::SingleLevel {
             return None;
         }
         if now < self.transition_until {
@@ -115,7 +122,7 @@ impl LaserSourceController {
         }
         if observed < self.level {
             self.level = self.level.step_down();
-            self.transition_until = now + self.attenuator_transition;
+            self.transition_until = now + config.timing.attenuator_transition;
             self.pdecs += 1;
             Some(LaserUpdate {
                 new_level: self.level,
@@ -131,21 +138,47 @@ impl LaserSourceController {
 mod tests {
     use super::*;
 
-    fn three_level() -> LaserSourceController {
-        LaserSourceController::new(OpticalMode::ThreeLevel, &TimingConfig::paper_default())
+    /// A controller under the paper's timing and optical `mode`.
+    struct Laser {
+        config: PolicyConfig,
+        c: LaserSourceController,
+    }
+
+    impl Laser {
+        fn new(mode: OpticalMode) -> Self {
+            let mut config = PolicyConfig::paper_default();
+            config.optical_mode = mode;
+            let c = LaserSourceController::default();
+            Laser { config, c }
+        }
+
+        fn note_rate(&mut self, rate: Gbps) {
+            self.c.note_rate(rate);
+        }
+
+        fn request_increase(&mut self, now: Picos, rate: Gbps) -> OpticalGate {
+            self.c.request_increase(&self.config, now, rate)
+        }
+
+        fn on_decision_period(&mut self, now: Picos) -> Option<LaserUpdate> {
+            self.c.on_decision_period(&self.config, now)
+        }
+    }
+
+    fn three_level() -> Laser {
+        Laser::new(OpticalMode::ThreeLevel)
     }
 
     #[test]
     fn single_level_never_gates() {
-        let mut c =
-            LaserSourceController::new(OpticalMode::SingleLevel, &TimingConfig::paper_default());
+        let mut c = Laser::new(OpticalMode::SingleLevel);
         assert_eq!(
             c.request_increase(Picos::ZERO, Gbps::from_gbps(10.0)),
             OpticalGate::Ready
         );
         c.note_rate(Gbps::from_gbps(3.0));
         assert_eq!(c.on_decision_period(Picos::from_us(200)), None);
-        assert_eq!(c.level, OpticalLevel::High);
+        assert_eq!(c.c.level, OpticalLevel::High);
     }
 
     #[test]
@@ -155,7 +188,7 @@ mod tests {
             c.request_increase(Picos::ZERO, Gbps::from_gbps(8.0)),
             OpticalGate::Ready
         );
-        assert_eq!(c.pincs, 0);
+        assert_eq!(c.c.pincs, 0);
     }
 
     #[test]
@@ -166,12 +199,12 @@ mod tests {
         let upd = c.on_decision_period(Picos::from_us(200)).expect("Pdec");
         assert_eq!(upd.new_level, OpticalLevel::Mid);
         assert_eq!(upd.effective_at, Picos::from_us(300));
-        assert_eq!(c.pdecs, 1);
+        assert_eq!(c.c.pdecs, 1);
         // Now a rate in the High band must wait for light.
         let gate = c.request_increase(Picos::from_us(400), Gbps::from_gbps(7.0));
         assert_eq!(gate, OpticalGate::WaitUntil(Picos::from_us(500)));
-        assert_eq!(c.level, OpticalLevel::High);
-        assert_eq!(c.pincs, 1);
+        assert_eq!(c.c.level, OpticalLevel::High);
+        assert_eq!(c.c.pincs, 1);
     }
 
     #[test]
@@ -181,11 +214,11 @@ mod tests {
         assert!(c.on_decision_period(Picos::from_us(200)).is_some()); // High→Mid
         c.note_rate(Gbps::from_gbps(3.0));
         assert!(c.on_decision_period(Picos::from_us(400)).is_some()); // Mid→Low
-        assert_eq!(c.level, OpticalLevel::Low);
+        assert_eq!(c.c.level, OpticalLevel::Low);
         // Jumping straight to the High band needs two attenuator moves.
         let gate = c.request_increase(Picos::from_us(600), Gbps::from_gbps(9.0));
         assert_eq!(gate, OpticalGate::WaitUntil(Picos::from_us(800)));
-        assert_eq!(c.pincs, 2);
+        assert_eq!(c.c.pincs, 2);
     }
 
     #[test]
@@ -199,7 +232,7 @@ mod tests {
         // A boundary after the move completes may decrement again.
         c.note_rate(Gbps::from_gbps(3.0));
         assert!(c.on_decision_period(Picos::from_us(600)).is_some());
-        assert_eq!(c.level, OpticalLevel::Low);
+        assert_eq!(c.c.level, OpticalLevel::Low);
     }
 
     #[test]
@@ -208,6 +241,6 @@ mod tests {
         c.note_rate(Gbps::from_gbps(5.0));
         c.note_rate(Gbps::from_gbps(9.5)); // one spike into the High band
         assert_eq!(c.on_decision_period(Picos::from_us(200)), None);
-        assert_eq!(c.level, OpticalLevel::High);
+        assert_eq!(c.c.level, OpticalLevel::High);
     }
 }

@@ -70,9 +70,10 @@ impl OnOffConfig {
 }
 
 /// The link's gating state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) enum GateState {
     /// Link running at full rate.
+    #[default]
     On,
     /// Link powered down.
     Off,
@@ -94,10 +95,11 @@ pub enum GateAction {
 }
 
 /// Per-link on/off policy controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// It holds one link's gating state only; the [`OnOffConfig`] every link
+/// shares comes from the caller. Links start on.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OnOffController {
-    config: OnOffConfig,
-    wake_penalty: Picos,
     state: GateState,
     window: SlidingWindow,
     /// Sleeps ordered.
@@ -107,32 +109,17 @@ pub struct OnOffController {
 }
 
 impl OnOffController {
-    /// Creates a controller for a link that starts on.
-    ///
-    /// `cycle` is the core-clock period used to convert the wake penalty.
-    pub fn new(config: OnOffConfig, cycle: Picos) -> Self {
-        config.validate();
-        OnOffController {
-            config,
-            wake_penalty: cycle * config.wake_penalty_cycles,
-            state: GateState::On,
-            window: SlidingWindow::new(config.n_windows),
-            sleeps: 0,
-            wakes: 0,
-        }
-    }
-
-    /// Feeds one window's utilization; may order a sleep.
-    pub fn on_window(&mut self, _now: Picos, lu: f64) -> Option<GateAction> {
-        self.window.push(lu.clamp(0.0, 1.0));
+    /// Feeds one window's utilization under `config`; may order a sleep.
+    pub fn on_window(&mut self, config: &OnOffConfig, now: Picos, lu: f64) -> Option<GateAction> {
+        self.window.push(lu.clamp(0.0, 1.0), config.n_windows);
         if let GateState::Waking { until } = self.state {
-            if _now >= until {
+            if now >= until {
                 self.state = GateState::On;
             }
         }
         if self.state == GateState::On
-            && self.window.is_full()
-            && self.window.mean() < self.config.off_threshold
+            && self.window.is_full(config.n_windows)
+            && self.window.mean() < config.off_threshold
         {
             self.state = GateState::Off;
             self.sleeps += 1;
@@ -143,22 +130,23 @@ impl OnOffController {
     }
 
     /// Notifies the controller that a sleeping link has pending demand;
-    /// orders the wake sequence.
+    /// orders the wake sequence, `config`'s wake penalty of `cycle`-long
+    /// core cycles from `now`.
     ///
     /// Returns `None` if the link is not off (spurious call).
-    pub fn on_demand(&mut self, now: Picos) -> Option<GateAction> {
+    pub fn on_demand(
+        &mut self,
+        config: &OnOffConfig,
+        cycle: Picos,
+        now: Picos,
+    ) -> Option<GateAction> {
         if self.state != GateState::Off {
             return None;
         }
-        let until = now + self.wake_penalty;
+        let until = now + cycle * config.wake_penalty_cycles;
         self.state = GateState::Waking { until };
         self.wakes += 1;
         Some(GateAction::WakeAt(until))
-    }
-
-    /// The fraction of full power drawn while off.
-    pub fn off_power_fraction(&self) -> f64 {
-        self.config.off_power_fraction
     }
 }
 
@@ -166,16 +154,28 @@ impl OnOffController {
 mod tests {
     use super::*;
 
-    fn ctl() -> OnOffController {
-        OnOffController::new(
-            OnOffConfig {
-                off_threshold: 0.1,
-                wake_penalty_cycles: 100,
-                off_power_fraction: 0.0,
-                n_windows: 2,
-            },
-            Picos::from_ps(1600),
-        )
+    const CONFIG: OnOffConfig = OnOffConfig {
+        off_threshold: 0.1,
+        wake_penalty_cycles: 100,
+        off_power_fraction: 0.0,
+        n_windows: 2,
+    };
+
+    /// A controller under [`CONFIG`] on a 1600 ps core cycle.
+    struct Ctl(OnOffController);
+
+    impl Ctl {
+        fn on_window(&mut self, now: Picos, lu: f64) -> Option<GateAction> {
+            self.0.on_window(&CONFIG, now, lu)
+        }
+
+        fn on_demand(&mut self, now: Picos) -> Option<GateAction> {
+            self.0.on_demand(&CONFIG, Picos::from_ps(1600), now)
+        }
+    }
+
+    fn ctl() -> Ctl {
+        Ctl(OnOffController::default())
     }
 
     #[test]
@@ -186,8 +186,8 @@ mod tests {
             c.on_window(Picos::from_us(1), 0.05),
             Some(GateAction::SleepNow)
         );
-        assert_eq!(c.state, GateState::Off);
-        assert_eq!(c.sleeps, 1);
+        assert_eq!(c.0.state, GateState::Off);
+        assert_eq!(c.0.sleeps, 1);
     }
 
     #[test]
@@ -196,8 +196,8 @@ mod tests {
         for i in 0..10 {
             assert_eq!(c.on_window(Picos::from_us(i), 0.5), None);
         }
-        assert_eq!(c.state, GateState::On);
-        assert_eq!(c.sleeps, 0);
+        assert_eq!(c.0.state, GateState::On);
+        assert_eq!(c.0.sleeps, 0);
     }
 
     #[test]
@@ -205,12 +205,12 @@ mod tests {
         let mut c = ctl();
         c.on_window(Picos::ZERO, 0.0);
         c.on_window(Picos::ZERO, 0.0);
-        assert_eq!(c.state, GateState::Off);
+        assert_eq!(c.0.state, GateState::Off);
         let action = c.on_demand(Picos::from_us(10)).expect("wake");
         let expect = Picos::from_us(10) + Picos::from_ps(1600) * 100;
         assert_eq!(action, GateAction::WakeAt(expect));
-        assert_eq!(c.state, GateState::Waking { until: expect });
-        assert_eq!(c.wakes, 1);
+        assert_eq!(c.0.state, GateState::Waking { until: expect });
+        assert_eq!(c.0.wakes, 1);
         // Further demand while waking is ignored.
         assert_eq!(c.on_demand(Picos::from_us(11)), None);
     }
@@ -223,7 +223,7 @@ mod tests {
         c.on_demand(Picos::from_us(1));
         // A window boundary after the wake time flips the state to On.
         assert_eq!(c.on_window(Picos::from_us(5), 0.8), None);
-        assert_eq!(c.state, GateState::On);
+        assert_eq!(c.0.state, GateState::On);
     }
 
     #[test]
@@ -239,27 +239,23 @@ mod tests {
             c.on_window(Picos::from_us(7), 0.0),
             Some(GateAction::SleepNow)
         ));
-        assert_eq!(c.sleeps, 2);
+        assert_eq!(c.0.sleeps, 2);
     }
 
     #[test]
     fn demand_on_running_link_is_noop() {
         let mut c = ctl();
         assert_eq!(c.on_demand(Picos::from_us(1)), None);
-        assert_eq!(c.wakes, 0);
+        assert_eq!(c.0.wakes, 0);
     }
 
     #[test]
     #[should_panic(expected = "off threshold")]
     fn bad_threshold_rejected() {
-        let _ = OnOffController::new(
-            OnOffConfig {
-                off_threshold: 1.5,
-                wake_penalty_cycles: 10,
-                off_power_fraction: 0.0,
-                n_windows: 1,
-            },
-            Picos::from_ps(1600),
-        );
+        OnOffConfig {
+            off_threshold: 1.5,
+            ..CONFIG
+        }
+        .validate();
     }
 }

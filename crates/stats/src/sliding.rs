@@ -2,54 +2,46 @@
 //!
 //! The paper's link policy controller averages utilization statistics over
 //! the last `N` sampling windows (Eq. 11) to stay robust to short-term
-//! traffic fluctuation; [`SlidingWindow`] is that structure.
+//! traffic fluctuation; [`SlidingWindow`] is that structure. The window
+//! holds only its samples and their running sum: `N` is the caller's
+//! (one value for every link), passed to [`SlidingWindow::push`] and
+//! [`SlidingWindow::is_full`].
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// A sliding window holding the most recent `capacity` samples.
+/// A sliding window holding the most recent samples, up to the bound the
+/// caller passes.
 ///
 /// # Example
 ///
 /// ```
 /// use lumen_stats::SlidingWindow;
-/// let mut w = SlidingWindow::new(3);
-/// w.push(1.0);
-/// w.push(2.0);
-/// w.push(3.0);
-/// w.push(4.0); // evicts 1.0
+/// let mut w = SlidingWindow::default();
+/// w.push(1.0, 3);
+/// w.push(2.0, 3);
+/// w.push(3.0, 3);
+/// w.push(4.0, 3); // evicts 1.0
 /// assert_eq!(w.mean(), 3.0);
+/// assert!(w.is_full(3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SlidingWindow {
-    capacity: usize,
     items: VecDeque<f64>,
     sum: f64,
 }
 
 impl SlidingWindow {
-    /// Creates an empty window holding up to `capacity` samples.
+    /// Pushes a sample, first evicting the oldest if the window already
+    /// holds `capacity` samples.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        SlidingWindow {
-            capacity,
-            items: VecDeque::with_capacity(capacity),
-            sum: 0.0,
-        }
-    }
-
-    /// Pushes a sample, evicting the oldest if full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN.
-    pub fn push(&mut self, x: f64) {
+    /// Panics if `x` is NaN or `capacity` is zero.
+    pub fn push(&mut self, x: f64, capacity: usize) {
         assert!(!x.is_nan(), "cannot record NaN");
-        if self.items.len() == self.capacity {
+        assert!(capacity > 0, "window capacity must be positive");
+        if self.items.len() >= capacity {
             if let Some(old) = self.items.pop_front() {
                 self.sum -= old;
             }
@@ -81,9 +73,9 @@ impl SlidingWindow {
         self.items.is_empty()
     }
 
-    /// Whether the window has reached its capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
+    /// Whether the window holds `capacity` samples.
+    pub fn is_full(&self, capacity: usize) -> bool {
+        self.items.len() == capacity
     }
 
     /// Clears all samples.
@@ -102,15 +94,15 @@ mod tests {
 
     #[test]
     fn fills_then_slides() {
-        let mut w = SlidingWindow::new(2);
+        let mut w = SlidingWindow::default();
         assert!(w.is_empty());
-        w.push(10.0);
+        w.push(10.0, 2);
         assert_eq!(w.mean(), 10.0);
-        assert!(!w.is_full());
-        w.push(20.0);
-        assert!(w.is_full());
+        assert!(!w.is_full(2));
+        w.push(20.0, 2);
+        assert!(w.is_full(2));
         assert_eq!(w.mean(), 15.0);
-        w.push(40.0);
+        w.push(40.0, 2);
         assert_eq!(w.mean(), 30.0);
         assert_eq!(w.len(), 2);
         assert_eq!(w.items.back().copied(), Some(40.0));
@@ -118,15 +110,15 @@ mod tests {
 
     #[test]
     fn empty_mean_is_zero() {
-        let w = SlidingWindow::new(4);
+        let w = SlidingWindow::default();
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.items.back().copied(), None);
     }
 
     #[test]
     fn clear_resets() {
-        let mut w = SlidingWindow::new(2);
-        w.push(5.0);
+        let mut w = SlidingWindow::default();
+        w.push(5.0, 2);
         w.clear();
         assert!(w.is_empty());
         assert_eq!(w.mean(), 0.0);
@@ -134,9 +126,9 @@ mod tests {
 
     #[test]
     fn iter_oldest_first() {
-        let mut w = SlidingWindow::new(3);
+        let mut w = SlidingWindow::default();
         for x in [1.0, 2.0, 3.0, 4.0] {
-            w.push(x);
+            w.push(x, 3);
         }
         let v: Vec<f64> = w.items.iter().copied().collect();
         assert_eq!(v, vec![2.0, 3.0, 4.0]);
@@ -145,7 +137,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        let _ = SlidingWindow::new(0);
+        SlidingWindow::default().push(1.0, 0);
     }
 
     proptest! {
@@ -154,9 +146,9 @@ mod tests {
             xs in proptest::collection::vec(-1e3f64..1e3, 1..300),
             cap in 1usize..16,
         ) {
-            let mut w = SlidingWindow::new(cap);
+            let mut w = SlidingWindow::default();
             for &x in &xs {
-                w.push(x);
+                w.push(x, cap);
             }
             let tail: Vec<f64> = xs.iter().rev().take(cap).rev().copied().collect();
             let naive = tail.iter().sum::<f64>() / tail.len() as f64;

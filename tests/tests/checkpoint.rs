@@ -406,11 +406,53 @@ fn split_with_busy_sources_and_routers_matches_unbroken() {
     let routers = field(net, "routers").as_seq().expect("routers");
     let busy = routers
         .iter()
-        .filter(|r| count(r, "buffered_flits") + count(r, "active_vcs") > 0)
+        .filter(|r| {
+            let queues = field(r, "queues").as_seq().expect("queues");
+            let states = field(r, "vc_state").as_seq().expect("vc_state");
+            queues
+                .iter()
+                .any(|q| !q.as_seq().expect("a queue").is_empty())
+                || states.iter().any(|s| s.as_str() != Some("Idle"))
+        })
         .count();
     assert!(queued > 0, "no source has queued flits at cycle {cut}");
     assert!(busy > 0, "every router is idle at cycle {cut}");
     assert_split_invariant(config, cut, &uniform(rate), &[1, 2, 4], "active-sets");
+}
+
+#[test]
+fn split_under_three_level_optics_matches_unbroken() {
+    // Three optical levels run a laser controller per link, whose mode
+    // and attenuator timing the file does not hold. Decisions every 300
+    // cycles and a 200-cycle attenuator put the cut (100 cycles after the
+    // sixth decision) where lasers sit at mixed levels and an attenuator
+    // is still moving.
+    let mut config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 13);
+    let cycle = config.noc.cycle();
+    config.policy.optical_mode = lumen_policy::OpticalMode::ThreeLevel;
+    config.policy.timing.laser_decision_period = cycle * 300;
+    config.policy.timing.attenuator_transition = cycle * 200;
+    let (cut, rate) = (1_900, 0.4);
+    let path = ckpt_path("three-level");
+    experiment(config.clone())
+        .save_at(cut, &path)
+        .run_uniform(rate, PacketSize::Fixed(4));
+    let ckpt = Checkpoint::read_from(&path).expect("checkpoint written");
+    std::fs::remove_file(&path).ok();
+    let lasers = field(&ckpt.sim, "lasers").as_seq().expect("lasers");
+    let levels: std::collections::BTreeSet<&str> = lasers
+        .iter()
+        .map(|l| field(l, "level").as_str().expect("a level"))
+        .collect();
+    let at_cut = (cycle * cut).as_ps();
+    let moving = lasers
+        .iter()
+        .filter(|l| count(l, "transition_until") > at_cut)
+        .count();
+    assert!(levels.len() > 1, "lasers all at {levels:?} at cycle {cut}");
+    assert!(moving > 0, "no attenuator moving at cycle {cut}");
+    assert!(lasers.iter().map(|l| count(l, "pdecs")).sum::<u64>() > 0);
+    assert_split_invariant(config, cut, &uniform(rate), &[1, 2], "three-level");
 }
 
 proptest! {
@@ -448,11 +490,16 @@ proptest! {
 
 // --- rejection battery -----------------------------------------------------
 
-/// Writes a real checkpoint to disk and returns its bytes.
+/// The battery's configuration (DVS on the small mesh, no faults).
+fn battery_config() -> SystemConfig {
+    config_for(TopologyKind::Mesh, Mode::Dvs, false, 3)
+}
+
+/// Writes a real checkpoint of [`battery_config`] to disk and returns its
+/// bytes.
 fn valid_checkpoint_bytes(tag: &str) -> Vec<u8> {
     let path = ckpt_path(tag);
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
-    experiment(config)
+    experiment(battery_config())
         .save_at(WARMUP, &path)
         .run_uniform(0.1, PacketSize::Fixed(4));
     let bytes = std::fs::read(&path).expect("checkpoint written");
@@ -519,7 +566,7 @@ fn resume_refuses_corrupted_files_with_typed_errors() {
     // inspection view reports for the same bytes, never an index,
     // capacity or allocation panic from half-read state.
     let bytes = valid_checkpoint_bytes("resume-reject");
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let config = battery_config();
     let mut future = bytes.clone();
     future[8..12].copy_from_slice(&7u32.to_le_bytes());
     let mut flipped = bytes.clone();
@@ -589,19 +636,6 @@ fn item_mut(v: &mut serde::Value, i: usize) -> &mut serde::Value {
     &mut items[i]
 }
 
-/// A saved file with router 0's input buffer on port 0 broken by `edit`
-/// (its `queues`, `depth_per_vc` and `occupancy`) through the reference
-/// codec. The result is a well-formed checkpoint.
-fn with_router_buffer_broken(bytes: &[u8], edit: impl FnOnce(&mut serde::Value)) -> Vec<u8> {
-    let mut tree = reference::decode(bytes).expect("the reference codec reads the file");
-    let routers = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "routers");
-    let input = item_mut(field_mut(item_mut(routers, 0), "inputs"), 0);
-    edit(field_mut(input, "buffer"));
-    let file = reference::encode(&tree);
-    Checkpoint::from_bytes(&file).expect("the broken file is well-formed");
-    file
-}
-
 /// Resumes from `file` and returns the panic message it refuses with.
 fn resume_refusal(config: &SystemConfig, file: &[u8], tag: &str) -> String {
     let path = ckpt_path(tag);
@@ -615,21 +649,11 @@ fn resume_refusal(config: &SystemConfig, file: &[u8], tag: &str) -> String {
     panic_message(result.expect_err("a router that does not fit must refuse"))
 }
 
-/// The queue lengths of a router input buffer in a checkpoint tree.
-fn queue_lens(buffer: &mut serde::Value) -> Vec<usize> {
-    let queues = field_mut(buffer, "queues").as_seq().expect("queues");
-    queues
-        .iter()
-        .map(|q| q.as_seq().expect("a queue").len())
-        .collect()
-}
-
 #[test]
 fn resume_refuses_a_router_queue_deeper_than_its_vc() {
     // Router restore reads into the flat rings the network built, so a
     // queue longer than its VC must stop the read, not overrun a ring.
-    let bytes = valid_checkpoint_bytes("deep-queue");
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
+    let config = battery_config();
     let depth = usize::from(config.noc.depth_per_vc());
     let flit = serde::Serialize::serialize_value(&lumen_noc::Flit {
         packet: lumen_noc::PacketId(1),
@@ -641,47 +665,37 @@ fn resume_refuses_a_router_queue_deeper_than_its_vc() {
         created_at: lumen_desim::Picos::ZERO,
         corrupted: false,
     });
-    let file = with_router_buffer_broken(&bytes, |buffer| {
-        let serde::Value::Seq(queue) = item_mut(field_mut(buffer, "queues"), 0) else {
+    assert_router_refused("deep-queue", |router| {
+        let serde::Value::Seq(queue) = item_mut(field_mut(router, "queues"), 0) else {
             panic!("a queue");
         };
         queue.resize(depth + 1, flit);
-        // The port's count agrees with its queues: only the depth is off.
-        let queued = queue_lens(buffer).iter().sum::<usize>();
-        *field_mut(buffer, "occupancy") = serde::Value::U64(queued as u64);
+        format!(
+            "p0 vc0 queues {} flits, deeper than its {depth}-flit VC",
+            depth + 1
+        )
     });
-    let msg = resume_refusal(&config, &file, "deep-queue");
-    let want = format!(
-        "checkpoint does not fit this run: router r0 does not fit: \
-         p0 vc0 queues {} flits, deeper than its {depth}-flit VC",
-        depth + 1
-    );
-    assert!(
-        msg.starts_with("cannot resume from") && msg.ends_with(&want),
-        "unexpected refusal {msg:?}"
-    );
 }
 
-#[test]
-fn resume_refuses_a_router_occupancy_that_is_not_its_queues() {
-    // A port's occupancy caches its queue lengths; the reader must not
-    // trust the file's count over the flits it holds.
-    let bytes = valid_checkpoint_bytes("occupancy");
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
-    let mut queued = 0;
-    let file = with_router_buffer_broken(&bytes, |buffer| {
-        queued = queue_lens(buffer).iter().sum::<usize>();
-        *field_mut(buffer, "occupancy") = serde::Value::U64(queued as u64 + 1);
-    });
-    let msg = resume_refusal(&config, &file, "occupancy");
-    let want = format!(
-        "checkpoint does not fit this run: router r0 does not fit: \
-         p0 occupancy {}, its queues hold {queued} flits",
-        queued + 1
-    );
+/// Breaks the `sim` section of `bytes`, a file `config`'s experiment
+/// saved, with `edit` through the reference codec, and checks that resume
+/// refuses the result: the file does not fit this run, for the reason
+/// `edit` returns.
+fn assert_sim_refused(
+    config: &SystemConfig,
+    bytes: &[u8],
+    tag: &str,
+    edit: impl FnOnce(&mut serde::Value) -> String,
+) {
+    let mut tree = reference::decode(bytes).expect("the reference codec reads the file");
+    let misfit = edit(field_mut(&mut tree, "sim"));
+    let file = reference::encode(&tree);
+    Checkpoint::from_bytes(&file).expect("the broken file is well-formed");
+    let msg = resume_refusal(config, &file, tag);
+    let want = format!("checkpoint does not fit this run: {misfit}");
     assert!(
         msg.starts_with("cannot resume from") && msg.ends_with(&want),
-        "unexpected refusal {msg:?}"
+        "unexpected refusal {msg:?}, wanted {want:?}"
     );
 }
 
@@ -691,56 +705,48 @@ fn resume_refuses_a_router_occupancy_that_is_not_its_queues() {
 /// whose queue holds a packet mid-way through (the battery's file has
 /// exactly one); otherwise source 0, whose queue is empty.
 fn assert_source_refused(tag: &str, busy: bool, edit: impl FnOnce(&mut serde::Value) -> String) {
-    let bytes = valid_checkpoint_bytes(tag);
-    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
-    let serde::Value::Seq(sources) =
-        field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "sources")
-    else {
-        panic!("sources");
-    };
-    let queued = |source: &serde::Value| field(source, "queue").as_seq().expect("queue").len();
-    let n = if busy {
-        let busy: Vec<usize> = (0..sources.len())
-            .filter(|&n| queued(&sources[n]) > 0)
-            .collect();
-        assert_eq!(busy.len(), 1, "one source holds a packet");
-        assert!(
-            count(&sources[busy[0]], "head_sent") > 0,
-            "it is mid-packet"
-        );
-        busy[0]
-    } else {
-        assert_eq!(queued(&sources[0]), 0);
-        0
-    };
-    let misfit = edit(&mut sources[n]);
-    let file = reference::encode(&tree);
-    Checkpoint::from_bytes(&file).expect("the broken file is well-formed");
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
-    let msg = resume_refusal(&config, &file, tag);
-    let want = format!("checkpoint does not fit this run: source n{n} does not fit: {misfit}");
-    assert!(
-        msg.starts_with("cannot resume from") && msg.ends_with(&want),
-        "unexpected refusal {msg:?}, wanted {want:?}"
+    assert_sim_refused(
+        &battery_config(),
+        &valid_checkpoint_bytes(tag),
+        tag,
+        |sim| {
+            let serde::Value::Seq(sources) = field_mut(field_mut(sim, "net"), "sources") else {
+                panic!("sources");
+            };
+            let queued =
+                |source: &serde::Value| field(source, "queue").as_seq().expect("queue").len();
+            let n = if busy {
+                let busy: Vec<usize> = (0..sources.len())
+                    .filter(|&n| queued(&sources[n]) > 0)
+                    .collect();
+                assert_eq!(busy.len(), 1, "one source holds a packet");
+                assert!(
+                    count(&sources[busy[0]], "head_sent") > 0,
+                    "it is mid-packet"
+                );
+                busy[0]
+            } else {
+                assert_eq!(queued(&sources[0]), 0);
+                0
+            };
+            format!("source n{n} does not fit: {}", edit(&mut sources[n]))
+        },
     );
 }
 
-#[test]
-fn resume_refuses_a_source_of_another_node() {
-    // Sources restore in place into the ones the network built.
-    assert_source_refused("source-id", false, |source| {
-        *field_mut(source, "id") = serde::Value::U64(5);
-        "the file's source is n5".to_string()
-    });
-}
-
-#[test]
-fn resume_refuses_a_source_on_another_injection_link() {
-    assert_source_refused("source-link", false, |source| {
-        let built = count(source, "inj_link");
-        *field_mut(source, "inj_link") = serde::Value::U64(built + 1);
-        format!("it injects on l{}, built on l{built}", built + 1)
-    });
+/// Resumes the battery's file with router 0's entry broken by `edit`
+/// through the reference codec, and checks that resume refuses it, naming
+/// the router and the misfit `edit` returns.
+fn assert_router_refused(tag: &str, edit: impl FnOnce(&mut serde::Value) -> String) {
+    assert_sim_refused(
+        &battery_config(),
+        &valid_checkpoint_bytes(tag),
+        tag,
+        |sim| {
+            let routers = field_mut(field_mut(sim, "net"), "routers");
+            format!("router r0 does not fit: {}", edit(item_mut(routers, 0)))
+        },
+    );
 }
 
 #[test]
@@ -759,9 +765,7 @@ fn resume_refuses_source_credits_for_other_vcs() {
 fn resume_refuses_a_source_credit_above_its_vc_depth() {
     // A credit above the VC's depth would let the source overrun the
     // router's ring downstream.
-    let depth = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3)
-        .noc
-        .depth_per_vc();
+    let depth = battery_config().noc.depth_per_vc();
     assert_source_refused("source-credit-depth", false, |source| {
         *item_mut(field_mut(source, "credits"), 0) = serde::Value::U64(u64::from(depth) + 1);
         format!("vc0 holds {} credits, above its {depth}-flit VC", depth + 1)
@@ -770,7 +774,7 @@ fn resume_refuses_a_source_credit_above_its_vc_depth() {
 
 #[test]
 fn resume_refuses_a_source_active_vc_it_does_not_have() {
-    let vcs = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3).noc.vcs;
+    let vcs = battery_config().noc.vcs;
     assert_source_refused("source-active-vc", false, |source| {
         *field_mut(source, "active_vc") = serde::Value::U64(u64::from(vcs));
         format!("active vc{vcs}, built with {vcs} VCs")
@@ -818,99 +822,28 @@ fn resume_refuses_a_head_count_not_below_the_head_packet_size() {
 }
 
 #[test]
-fn resume_refuses_a_source_vc_arbiter_over_other_vcs() {
-    // The arbiter grants VCs by index into the source's credits.
-    assert_source_refused("source-arbiter", false, |source| {
-        let arbiter = field_mut(source, "vc_arbiter");
-        let vcs = count(arbiter, "n");
-        *field_mut(arbiter, "n") = serde::Value::U64(vcs + 1);
-        format!("its VC arbiter covers {} VCs, built with {vcs}", vcs + 1)
-    });
-}
-
-#[test]
 fn resume_refuses_an_arbiter_priority_past_its_requesters() {
     // A pointer at or past the requesters is refused as it is read, for
-    // every arbiter in the file; this one is source 0's.
+    // every arbiter in the file: source 0's over its VCs, and router 0's
+    // over its slots.
+    let config = battery_config();
+    let vcs = u64::from(config.noc.vcs);
     let bytes = valid_checkpoint_bytes("arbiter-next");
-    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
-    let sources = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "sources");
-    let arbiter = field_mut(item_mut(sources, 0), "vc_arbiter");
-    let n = count(arbiter, "n");
-    *field_mut(arbiter, "next") = serde::Value::U64(n);
-    let file = reference::encode(&tree);
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
-    let msg = resume_refusal(&config, &file, "arbiter-next");
-    let want = format!(
-        "checkpoint does not fit this run: arbiter priority {n} is not one of its {n} requesters"
-    );
-    assert!(
-        msg.starts_with("cannot resume from") && msg.ends_with(&want),
-        "unexpected refusal {msg:?}"
-    );
-}
-
-#[test]
-fn resume_refuses_a_router_arbiter_over_other_requesters() {
-    let bytes = valid_checkpoint_bytes("router-arbiter");
-    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
-    let routers = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), "routers");
-    let output = item_mut(field_mut(item_mut(routers, 0), "outputs"), 0);
-    let arbiter = field_mut(output, "va_arbiter");
-    let slots = count(arbiter, "n");
-    *field_mut(arbiter, "n") = serde::Value::U64(slots + 1);
-    let file = reference::encode(&tree);
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
-    let msg = resume_refusal(&config, &file, "router-arbiter");
-    let want = format!(
-        "checkpoint does not fit this run: router r0 does not fit: \
-         p0's VC arbiter covers {} requesters, built with {slots}",
-        slots + 1
-    );
-    assert!(
-        msg.starts_with("cannot resume from") && msg.ends_with(&want),
-        "unexpected refusal {msg:?}"
-    );
-}
-
-/// Resumes the battery's file with entry `i` of the network's `list`
-/// (`routers` or `sinks`) broken by `edit` through the reference codec,
-/// and checks that resume refuses it: `who` (`router r0`, say) does not
-/// fit, for the reason `edit` returns.
-fn assert_entry_refused(
-    tag: &str,
-    list: &str,
-    i: usize,
-    who: &str,
-    edit: impl FnOnce(&mut serde::Value) -> String,
-) {
-    let bytes = valid_checkpoint_bytes(tag);
-    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
-    let entries = field_mut(field_mut(field_mut(&mut tree, "sim"), "net"), list);
-    let misfit = edit(item_mut(entries, i));
-    let file = reference::encode(&tree);
-    Checkpoint::from_bytes(&file).expect("the broken file is well-formed");
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
-    let msg = resume_refusal(&config, &file, tag);
-    let want = format!("checkpoint does not fit this run: {who} does not fit: {misfit}");
-    assert!(
-        msg.starts_with("cannot resume from") && msg.ends_with(&want),
-        "unexpected refusal {msg:?}, wanted {want:?}"
-    );
-}
-
-/// The first of a router's `inputs` or `outputs` whose `key` names a
-/// link, with that link.
-fn wired_port(router: &mut serde::Value, side: &str, key: &str) -> (usize, u64) {
-    let ports = field_mut(router, side).as_seq().expect("ports");
-    ports
-        .iter()
-        .enumerate()
-        .find_map(|(p, port)| match field(port, key) {
-            serde::Value::U64(link) => Some((p, *link)),
-            _ => None,
-        })
-        .expect("a wired port")
+    assert_sim_refused(&config, &bytes, "arbiter-next", |sim| {
+        let sources = field_mut(field_mut(sim, "net"), "sources");
+        let arbiter = field_mut(item_mut(sources, 0), "vc_arbiter");
+        *field_mut(arbiter, "next") = serde::Value::U64(vcs);
+        format!("arbiter priority {vcs} is not one of its {vcs} requesters")
+    });
+    for key in ["sa_next", "va_next"] {
+        assert_sim_refused(&config, &bytes, "arbiter-next", |sim| {
+            let routers = field_mut(field_mut(sim, "net"), "routers");
+            let router = item_mut(routers, 0);
+            let slots = field(router, "vc_state").as_seq().expect("vc_state").len();
+            *item_mut(field_mut(router, key), 0) = serde::Value::U64(slots as u64);
+            format!("arbiter priority {slots} is not one of its {slots} requesters")
+        });
+    }
 }
 
 /// A VC state as the checkpoint writes it.
@@ -922,44 +855,28 @@ fn vc_state(variant: &str, fields: &[(&str, u64)]) -> serde::Value {
     serde::Value::Map(vec![(variant.to_string(), serde::Value::Map(fields))])
 }
 
-#[test]
-fn resume_refuses_a_router_port_fed_by_another_link() {
-    assert_entry_refused("router-feeder", "routers", 0, "router r0", |router| {
-        let (p, built) = wired_port(router, "inputs", "feeder");
-        let input = item_mut(field_mut(router, "inputs"), p);
-        *field_mut(input, "feeder") = serde::Value::U64(built + 1);
-        format!("p{p} is fed by l{}, built on l{built}", built + 1)
-    });
-}
-
-#[test]
-fn resume_refuses_a_router_port_driving_another_link() {
-    // An output link the network does not have must be refused as it is
-    // read: the router's first launch onto it would index out of bounds.
-    assert_entry_refused("router-link", "routers", 0, "router r0", |router| {
-        let (p, built) = wired_port(router, "outputs", "link");
-        let output = item_mut(field_mut(router, "outputs"), p);
-        *field_mut(output, "link") = serde::Value::U64(9999);
-        format!("p{p} drives l9999, built on l{built}")
-    });
+/// The port count of a router entry: one `Bu` accumulator per port.
+fn ports(router: &serde::Value) -> u64 {
+    field(router, "occupancy_accum")
+        .as_seq()
+        .expect("occupancy_accum")
+        .len() as u64
 }
 
 #[test]
 fn resume_refuses_a_vc_routed_past_the_router_ports() {
-    assert_entry_refused("router-out-port", "routers", 0, "router r0", |router| {
-        let ports = field(router, "inputs").as_seq().expect("inputs").len() as u64;
-        let input = item_mut(field_mut(router, "inputs"), 0);
-        *item_mut(field_mut(input, "vc_state"), 0) = vc_state("VcAlloc", &[("out_port", ports)]);
+    assert_router_refused("router-out-port", |router| {
+        let ports = ports(router);
+        *item_mut(field_mut(router, "vc_state"), 0) = vc_state("VcAlloc", &[("out_port", ports)]);
         format!("p0 vc0 is routed to p{ports}, past its {ports} ports")
     });
 }
 
 #[test]
 fn resume_refuses_a_vc_holding_an_output_vc_past_its_vcs() {
-    let vcs = u64::from(config_for(TopologyKind::Mesh, Mode::Dvs, false, 3).noc.vcs);
-    assert_entry_refused("router-out-vc", "routers", 0, "router r0", |router| {
-        let input = item_mut(field_mut(router, "inputs"), 0);
-        *item_mut(field_mut(input, "vc_state"), 0) =
+    let vcs = u64::from(battery_config().noc.vcs);
+    assert_router_refused("router-out-vc", |router| {
+        *item_mut(field_mut(router, "vc_state"), 0) =
             vc_state("Active", &[("out_port", 0), ("out_vc", vcs)]);
         format!("p0 vc0 holds output vc{vcs}, past its {vcs} VCs")
     });
@@ -967,13 +884,12 @@ fn resume_refuses_a_vc_holding_an_output_vc_past_its_vcs() {
 
 #[test]
 fn resume_refuses_an_output_vc_held_by_an_input_the_router_lacks() {
-    let vcs = u64::from(config_for(TopologyKind::Mesh, Mode::Dvs, false, 3).noc.vcs);
+    let vcs = u64::from(battery_config().noc.vcs);
     for (tag, past_port) in [("router-owner-port", true), ("router-owner-vc", false)] {
-        assert_entry_refused(tag, "routers", 0, "router r0", |router| {
-            let ports = field(router, "inputs").as_seq().expect("inputs").len() as u64;
+        assert_router_refused(tag, |router| {
+            let ports = ports(router);
             let (in_port, in_vc) = if past_port { (ports, 0) } else { (0, vcs) };
-            let output = item_mut(field_mut(router, "outputs"), 0);
-            *item_mut(field_mut(output, "vc_owner"), 0) =
+            *item_mut(field_mut(router, "vc_owner"), 0) =
                 serde::Value::Seq(vec![serde::Value::U64(in_port), serde::Value::U64(in_vc)]);
             format!(
                 "p0 vc0 is held by p{in_port} vc{in_vc}, not one of its {ports} ports × {vcs} VCs"
@@ -983,45 +899,119 @@ fn resume_refuses_an_output_vc_held_by_an_input_the_router_lacks() {
 }
 
 #[test]
-fn resume_refuses_a_sink_of_another_node() {
-    assert_entry_refused("sink-id", "sinks", 0, "sink n0", |sink| {
-        *field_mut(sink, "id") = serde::Value::U64(5);
-        "the file's sink is n5".to_string()
+fn resume_refuses_a_link_rate_that_is_not_positive_and_finite() {
+    // The flit time is computed from the restored rate, which must be one
+    // a link can serialize at.
+    let bytes = valid_checkpoint_bytes("link-rate");
+    for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+        assert_sim_refused(&battery_config(), &bytes, "link-rate", |sim| {
+            let links = field_mut(field_mut(sim, "net"), "links");
+            *field_mut(item_mut(links, 0), "rate") = serde::Value::F64(rate);
+            format!("link l0 does not fit: a rate of {rate} Gb/s is not positive and finite")
+        });
+    }
+}
+
+#[test]
+fn resume_refuses_a_dvs_level_past_the_ladder() {
+    // Controllers read their ladder from the configuration, so a level
+    // the file holds must be one of its rungs.
+    let config = battery_config();
+    let levels = config.policy.ladder.level_count() as u64;
+    assert_sim_refused(
+        &config,
+        &valid_checkpoint_bytes("dvs-level"),
+        "dvs-level",
+        |sim| {
+            let serde::Value::Seq(controllers) = field_mut(sim, "controllers") else {
+                panic!("controllers");
+            };
+            for c in controllers {
+                *field_mut(c, "level") = serde::Value::U64(levels);
+            }
+            format!("l0's DVS controller is at level {levels}, past the {levels}-level ladder")
+        },
+    );
+}
+
+#[test]
+fn resume_refuses_a_sleeping_link_past_the_link_count() {
+    let config = config_for(TopologyKind::Mesh, Mode::OnOff, false, 3);
+    let path = ckpt_path("sleeping");
+    experiment(config.clone())
+        .save_at(WARMUP, &path)
+        .run_uniform(0.1, PacketSize::Fixed(4));
+    let bytes = std::fs::read(&path).expect("checkpoint written");
+    std::fs::remove_file(&path).ok();
+    assert_sim_refused(&config, &bytes, "sleeping", |sim| {
+        let links = field(field(sim, "net"), "links")
+            .as_seq()
+            .expect("links")
+            .len();
+        *field_mut(sim, "sleeping") = serde::Value::Seq(vec![serde::Value::U64(99_999)]);
+        format!("sleeping link l99999 is not one of the {links} links")
     });
 }
 
 #[test]
-fn resume_refuses_a_sink_on_another_ejection_link() {
-    assert_entry_refused("sink-link", "sinks", 0, "sink n0", |sink| {
-        let built = count(sink, "ej_link");
-        *field_mut(sink, "ej_link") = serde::Value::U64(built + 1);
-        format!("it ejects on l{}, built on l{built}", built + 1)
-    });
+fn resume_refuses_a_configuration_copy_put_back_into_the_file() {
+    // What the configuration gives is not in the file, so an edited copy
+    // cannot be adopted: the reader refuses the key as one field too many.
+    let config = battery_config();
+    let bytes = valid_checkpoint_bytes("copy");
+    type Edit = fn(&mut serde::Value) -> &mut serde::Value;
+    let entries: [(&str, Edit, &str, usize); 4] = [
+        ("cycle_index", |sim| sim, "PowerAwareSim", 25),
+        ("ticks", |sim| field_mut(sim, "net"), "Network", 4),
+        (
+            "propagation",
+            |sim| item_mut(field_mut(field_mut(sim, "net"), "links"), 0),
+            "Link",
+            8,
+        ),
+        (
+            "thresholds",
+            |sim| item_mut(field_mut(sim, "controllers"), 0),
+            "LinkPolicyController",
+            9,
+        ),
+    ];
+    for (key, entry, ty, fields) in entries {
+        assert_sim_refused(&config, &bytes, "copy", |sim| {
+            let serde::Value::Map(map) = entry(sim) else {
+                panic!("{key}: not a map");
+            };
+            map.push((key.to_string(), serde::Value::U64(5)));
+            format!("expected {fields} fields for {ty}, got {}", fields + 1)
+        });
+    }
 }
 
 #[test]
 fn resume_refuses_a_lumen_ckpt_4_file_with_the_schema_error() {
     // The schema id is read before any other field, so a `/4` file —
-    // sources queueing flits, the four never-read fields still there — is
+    // sources queueing flits — or a `/5` one — links, routers, controllers
+    // and the fault plan holding configuration copies and caches — is
     // refused as a schema mismatch, whatever its body holds.
     let bytes = valid_checkpoint_bytes("schema-4");
-    let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
-    *field_mut(&mut tree, "schema") = serde::Value::Str("lumen-ckpt/4".to_string());
-    let file = reference::encode(&tree);
-    assert!(matches!(
-        Checkpoint::from_bytes(&file),
-        Err(CheckpointError::Mismatch(_))
-    ));
-    let config = config_for(TopologyKind::Mesh, Mode::Dvs, false, 3);
-    let msg = resume_refusal(&config, &file, "schema-4");
-    assert!(
-        msg.starts_with("cannot resume from")
-            && msg.ends_with(
-                "checkpoint mismatch: checkpoint schema \"lumen-ckpt/4\", \
-             this build reads \"lumen-ckpt/5\""
-            ),
-        "unexpected refusal {msg:?}"
-    );
+    for schema in ["lumen-ckpt/4", "lumen-ckpt/5"] {
+        let mut tree = reference::decode(&bytes).expect("the reference codec reads the file");
+        *field_mut(&mut tree, "schema") = serde::Value::Str(schema.to_string());
+        let file = reference::encode(&tree);
+        assert!(matches!(
+            Checkpoint::from_bytes(&file),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        let msg = resume_refusal(&battery_config(), &file, "schema-4");
+        let want = format!(
+            "checkpoint mismatch: checkpoint schema \"{schema}\", \
+             this build reads \"lumen-ckpt/6\""
+        );
+        assert!(
+            msg.starts_with("cannot resume from") && msg.ends_with(&want),
+            "unexpected refusal {msg:?}"
+        );
+    }
 }
 
 #[test]
@@ -1345,22 +1335,30 @@ fn fnv64(bytes: &[u8]) -> u64 {
 #[test]
 fn checkpoint_bytes_are_pinned_to_the_tree_codec() {
     // The rejection battery's file, written by the engine's streaming
-    // path, has the size and hash of the `lumen-ckpt/4` file for the same
-    // run (86,526 bytes, FNV-1a `ba5c6080931c16e2`) decoded by the
-    // reference codec and re-encoded with: each of the 8 sources' flit
-    // queues turned into its packets (one entry per queued packet, taken
-    // from its first queued flit) and a `head_sent` count, the first
-    // queued flit's `seq` (here 2 queued flits of one packet, 2 of its
-    // flits sent); the sources' `scratch_eligible`, the 4 routers'
-    // `scratch_port_mask`, the 24 links' `kind`, the 24 laser
-    // controllers' `decision_period` and the three time series' `name`
-    // entries deleted; and the `lumen-ckpt/5` schema id. The `/4` file in
-    // turn was the tree codec's `lumen-ckpt/3` file without the network
-    // config's routing opt-in entry and the 24 DVS controllers' `tw`
-    // entries.
+    // path, has the size and hash of the `lumen-ckpt/5` file for the same
+    // run (84,241 bytes, FNV-1a `ca1fab991f77fb43`) decoded by the
+    // reference codec and re-encoded with: `cycle_index` and the
+    // network's `ticks` deleted (the header's `cycle` + 1); each of the 24
+    // links' `id`, `from`, `to`, `flit_bits`, `propagation` and `flit_ps`;
+    // each of the 8 sources' `id`, `inj_link` and its VC arbiter's `n`;
+    // each of the 8 sinks' `id` and `ej_link`; each of the 24 DVS
+    // controllers' `ladder`, `thresholds`, `tbr`, `tv`, `predictor` and
+    // sliding window `capacity`; each of the 24 laser controllers' `mode`
+    // and `attenuator_transition`; each of the 4 routers flattened to
+    // `queues` and `vc_state` per input slot, `occupancy_accum` per port,
+    // `credits` and `vc_owner` per output slot, the arbiters' pointers as
+    // `sa_next` and `va_next` per port, then `sa_rotate`, `flits_switched`
+    // and `sa_denials` (its ids, depth, wiring, port counts, arbiter
+    // sizes, `flits_accepted`, buffered and active counts and stage masks
+    // dropped); and the `lumen-ckpt/6` schema id. The `/5` file in turn
+    // was the `/4` file (86,526 bytes) with each source's flit queue
+    // turned into its packets and a `head_sent` count, and the sources'
+    // `scratch_eligible`, the routers' `scratch_port_mask`, the links'
+    // `kind`, the laser controllers' `decision_period` and the series'
+    // `name` entries deleted.
     let bytes = valid_checkpoint_bytes("pin");
-    assert_eq!(bytes.len(), 84_241);
-    assert_eq!(format!("{:016x}", fnv64(&bytes)), "ca1fab991f77fb43");
+    assert_eq!(bytes.len(), 56_431);
+    assert_eq!(format!("{:016x}", fnv64(&bytes)), "1d45c29ea7e58ca9");
     assert_reencodes(&bytes, "pin");
 }
 

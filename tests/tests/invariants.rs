@@ -150,10 +150,10 @@ proptest! {
         let cycle = Picos::from_ps(1600);
         let tw = cycle * config.timing.tw_cycles;
         let start = start_level.min(config.ladder.top_level());
-        let mut c = LinkPolicyController::new(&config, cycle, start);
+        let mut c = LinkPolicyController::new(&config, start);
         let mut now = Picos::ZERO;
         for _ in 0..48 {
-            if let Some(t) = c.on_window(now, lu, bu) {
+            if let Some(t) = c.on_window(&config, cycle, now, lu, bu) {
                 now = t.complete_at;
                 c.transition_complete();
             }
@@ -166,7 +166,7 @@ proptest! {
         // The fixed point really is fixed: further windows decide nothing.
         let settled = c.level();
         for _ in 0..8 {
-            prop_assert!(c.on_window(now, lu, bu).is_none());
+            prop_assert!(c.on_window(&config, cycle, now, lu, bu).is_none());
             now += tw;
         }
         prop_assert_eq!(c.level(), settled);
