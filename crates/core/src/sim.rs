@@ -1160,10 +1160,11 @@ impl PowerAwareSim {
     /// into a freshly built sim of the *same* [`SystemConfig`], reading
     /// the checkpoint stream in place; both tick counters resume after the
     /// save cycle `cycle`. Refuses per-link vectors of another length,
-    /// sleeping links and DVS levels this system lacks, and a fault plan,
-    /// telemetry or retention configured otherwise, instead of silently
-    /// corrupting state. On an error the sim is partly restored and must
-    /// be discarded.
+    /// sleeping links and DVS levels this system lacks, a DVS or on/off
+    /// utilization average over more windows than configured, and a fault
+    /// plan, telemetry or retention configured otherwise, instead of
+    /// silently corrupting state. On an error the sim is partly restored
+    /// and must be discarded.
     pub(crate) fn restore<S: Source>(
         &mut self,
         src: &mut S,
@@ -1181,6 +1182,9 @@ impl PowerAwareSim {
         self.net.restore(src, cycle + 1)?;
         src.field_into("controllers", &mut self.controllers, TY)?;
         let levels = self.config.policy.ladder.level_count();
+        // A window holding more samples than the average spans stays that
+        // long: each push evicts only one.
+        let windows = self.config.policy.timing.n_windows;
         for (l, c) in self.controllers.iter().enumerate() {
             if c.level() >= levels {
                 return Err(serde::Error::custom(format!(
@@ -1188,8 +1192,23 @@ impl PowerAwareSim {
                     c.level()
                 )));
             }
+            if c.window_samples() > windows {
+                return Err(serde::Error::custom(format!(
+                    "l{l}'s DVS controller averages {} windows, more than its {windows}",
+                    c.window_samples()
+                )));
+            }
         }
         src.field_into("onoff", &mut self.onoff, TY)?;
+        if let PolicyMode::OnOff(gate) = self.config.policy.mode {
+            let windows = gate.n_windows;
+            if let Some(l) = self.onoff.iter().position(|c| c.window_samples() > windows) {
+                return Err(serde::Error::custom(format!(
+                    "l{l}'s on/off controller averages {} windows, more than its {windows}",
+                    self.onoff[l].window_samples()
+                )));
+            }
+        }
         self.sleeping = src.field("sleeping", TY)?;
         if let Some(id) = self.sleeping.iter().find(|id| id.index() >= links) {
             return Err(serde::Error::custom(format!(

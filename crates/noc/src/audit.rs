@@ -22,11 +22,12 @@
 //!      member would silently stop stepping (DESIGN.md §6j).
 //!   6. **Router caches** — no VC ring holds more flits than its depth,
 //!      and every cache a router keeps of its rings and VC states (port
-//!      and router buffered-flit counts, active-VC count, stage masks)
-//!      equals the recount a checkpoint restore installs (DESIGN.md §6k).
-//!      The counts feed `Bu` and the idle test and the masks pick what
-//!      each pipeline stage visits, so a drifted cache would skew them
-//!      unseen.
+//!      and router buffered-flit counts, active-VC count, stage masks,
+//!      and switch and VC allocation's per-output-port requesters with
+//!      the masks of the ports that have any) equals the recount a
+//!      checkpoint restore installs (DESIGN.md §6k). The counts feed `Bu`
+//!      and the idle test and the masks pick what each pipeline stage
+//!      visits, so a drifted cache would skew them unseen.
 //!
 //! - [`audit_quiescent`] additionally requires the stronger equalities
 //!   that only hold once the network has drained: every credit returned
@@ -209,13 +210,27 @@ fn check_router(router: &Router, vcs: u8, depth: usize, violations: &mut Vec<Str
             ));
         }
     }
+    for (what, kept, counted) in [
+        ("sa_req", &kept.sa_req, &counted.sa_req),
+        ("va_req", &kept.va_req, &counted.va_req),
+    ] {
+        for (p, (kept, counted)) in kept.iter().zip(&**counted).enumerate() {
+            if kept != counted {
+                violations.push(format!(
+                    "{id} {}: {what} {kept} != {counted} recounted from its rings and VC states",
+                    PortId(p as u8)
+                ));
+            }
+        }
+    }
     let (buffered, active) = (counted.buffered_flits, counted.active_vcs);
     for (what, kept, counted) in [
         ("buffered", kept.buffered_flits.into(), buffered.into()),
         ("active VCs", kept.active_vcs.into(), active.into()),
         ("sa_ready", kept.sa_ready, counted.sa_ready),
-        ("va_set", kept.va_set, counted.va_set),
         ("rc_ready", kept.rc_ready, counted.rc_ready),
+        ("sa_ports", kept.sa_ports, counted.sa_ports),
+        ("va_ports", kept.va_ports, counted.va_ports),
     ] {
         if kept != counted {
             violations.push(format!(

@@ -1245,6 +1245,31 @@ mod tests {
     }
 
     #[test]
+    fn auditor_names_a_stale_port_mask() {
+        let config = NocConfig::small_for_tests();
+        let mut d = Driver::new(&config);
+        d.net.inject(packet(1, 0, 7, 16, Picos::ZERO));
+        d.run(6);
+        crate::audit::audit(&d.net).assert_ok();
+        // One bit flipped in output p2's switch requesters, its VC
+        // requesters, and the masks of the ports that have either: each
+        // no longer matches the recount, and only that mask is named.
+        let wants = [
+            "r0 p2: sa_req",
+            "r0 p2: va_req",
+            "r0: sa_ports",
+            "r0: va_ports",
+        ];
+        for (i, want) in wants.into_iter().enumerate() {
+            let mut stale = d.net.clone();
+            *stale.routers[0].port_masks_mut(PortId(2))[i] ^= 1 << 2;
+            let report = crate::audit::audit(&stale);
+            assert_eq!(report.violations.len(), 1, "{report}");
+            assert!(report.violations[0].starts_with(want), "{report}");
+        }
+    }
+
+    #[test]
     fn utilization_counters_track_traffic() {
         let config = NocConfig::small_for_tests();
         let mut d = Driver::new(&config);

@@ -26,11 +26,15 @@
 //! downstream credits and the input VC owning the output VC; per port,
 //! the feeding and outgoing links, the switch and VC arbiters, the
 //! buffered-flit count and the `Bu` accumulator. The pipeline stages'
-//! requester sets are `u64` masks over the input slots. A checkpoint
-//! holds the evolved arrays as they are (DESIGN.md §6k); the buffered
-//! counts and the stage masks are caches of the rings and VC states,
-//! which `Router::recount` derives on restore and the auditor checks
-//! against.
+//! requester sets are `u64` masks over the input slots: RC's and SA's
+//! over all slots, and SA's and VA's per output port, with a `u64` mask
+//! each of the ports that have requesters, so SA and VA visit only
+//! those ports. The masks change where a VC's state or ring changes: a
+//! flit accepted into an Active VC, a VA grant, SA's pop that empties a
+//! ring or releases a tail, and RC's move to VcAlloc. A checkpoint holds
+//! the evolved arrays as they are (DESIGN.md §6k); the buffered counts
+//! and the stage masks are caches of the rings and VC states, which
+//! `Router::recount` derives on restore and the auditor checks against.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::config::NocConfig;
@@ -136,10 +140,10 @@ pub struct Router {
     // Sum of per-cycle occupancy samples (numerator of the paper's `Bu`).
     occupancy_accum: Box<[u64]>,
     sa_rotate: usize,
-    // Switch and VC allocation bucket their requesters per output port
-    // here, as masks over the slots. Refilled before every read, so a
-    // checkpoint does not hold it.
-    scratch_port_mask: Box<[u64]>,
+    // SA and VA requesters per output port `op`, as masks over the slots:
+    // `port_req[op]` holds the `sa_ready` slots whose Active VC holds
+    // `op`, and `port_req[ports + op]` the slots in `VcAlloc` for `op`.
+    port_req: Box<[u64]>,
     /// Flits this router has switched over its lifetime.
     pub flits_switched: u64,
     /// Flits accepted into input buffers over its lifetime. The invariant
@@ -157,11 +161,13 @@ pub struct Router {
     // input slot, so each stage visits only live VCs instead of scanning
     // every slot every cycle:
     // - `sa_ready`: state Active and ring non-empty (SA requesters)
-    // - `va_set`:   state VcAlloc (VA requesters)
     // - `rc_ready`: state Idle and ring non-empty (RC candidates)
     sa_ready: u64,
-    va_set: u64,
     rc_ready: u64,
+    // The output ports whose SA (`sa_ports`) or VA (`va_ports`)
+    // requesters in `port_req` are not empty.
+    sa_ports: u64,
+    va_ports: u64,
 }
 
 impl Router {
@@ -200,15 +206,16 @@ impl Router {
             occupancy: vec![0; ports].into(),
             occupancy_accum: vec![0; ports].into(),
             sa_rotate: 0,
-            scratch_port_mask: vec![0; ports].into(),
+            port_req: vec![0; 2 * ports].into(),
             flits_switched: 0,
             flits_accepted: 0,
             sa_denials: 0,
             buffered_flits: 0,
             active_vcs: 0,
             sa_ready: 0,
-            va_set: 0,
             rc_ready: 0,
+            sa_ports: 0,
+            va_ports: 0,
         }
     }
 
@@ -335,14 +342,10 @@ impl Router {
                 stall.wake_at = stall.wake_at.min(ready);
             }
         }
-        let mut w = self.va_set;
-        while w != 0 {
-            let req = w.trailing_zeros() as usize;
-            w &= w - 1;
-            let VcState::VcAlloc { out_port } = self.slots[req].state else {
-                unreachable!("va_set slot not in VcAlloc state");
-            };
-            let op = out_port.0 as usize;
+        let mut m = self.va_ports;
+        while m != 0 {
+            let op = m.trailing_zeros() as usize;
+            m &= m - 1;
             let owners = &self.vc_owner[op * self.vcs..(op + 1) * self.vcs];
             if self.ports[op].link.is_some() && owners.iter().any(Option::is_none) {
                 return None; // VA hands out a free output VC next tick
@@ -424,8 +427,30 @@ impl Router {
         flit
     }
 
-    /// SA + ST: for each output port (rotating start for fairness), grant
-    /// one input VC and launch its flit onto the link one cycle later.
+    /// Makes `slot`, whose Active VC holds output port `op`, a switch
+    /// requester.
+    #[inline]
+    fn sa_insert(&mut self, slot: usize, op: usize) {
+        self.sa_ready |= 1u64 << slot;
+        self.port_req[op] |= 1u64 << slot;
+        self.sa_ports |= 1u64 << op;
+    }
+
+    /// Stops `slot`, whose Active VC holds output port `op`, requesting
+    /// the switch.
+    #[inline]
+    fn sa_remove(&mut self, slot: usize, op: usize) {
+        self.sa_ready &= !(1u64 << slot);
+        let req = &mut self.port_req[op];
+        *req &= !(1u64 << slot);
+        if *req == 0 {
+            self.sa_ports &= !(1u64 << op);
+        }
+    }
+
+    /// SA + ST: for each output port with requesters (rotating start for
+    /// fairness), grant one input VC and launch its flit onto the link one
+    /// cycle later.
     fn switch_allocation(
         &mut self,
         now: Picos,
@@ -434,7 +459,7 @@ impl Router {
         effects: &mut Vec<Effect>,
     ) {
         let (ports, vcs) = (self.ports.len(), self.vcs);
-        if self.sa_ready == 0 {
+        if self.sa_ports == 0 {
             // No Active VC holds a flit: nothing to allocate, but the
             // rotating priority still advances exactly as it always did.
             self.sa_rotate = if self.sa_rotate + 1 == ports {
@@ -448,29 +473,17 @@ impl Router {
         // The slots of the input ports already granted this cycle, and
         // the slots of port 0.
         let (mut used, port_slots) = (0u64, u64::MAX >> (64 - vcs));
-        // Bucket requesters by output port once; `sa_ready` walks the
-        // slots in ascending (port, vc) order, visiting only VCs that are
-        // Active with a flit buffered.
-        self.scratch_port_mask.fill(0);
-        let mut w = self.sa_ready;
-        while w != 0 {
-            let req = w.trailing_zeros() as usize;
-            w &= w - 1;
-            let VcState::Active { out_port, .. } = self.slots[req].state else {
-                unreachable!("sa_ready slot not in Active state");
-            };
-            debug_assert!(self.slots[req].len > 0);
-            self.scratch_port_mask[out_port.0 as usize] |= 1u64 << req;
-        }
-        // Rotating scan over output ports without a modulo per step.
-        let mut next_op = self.sa_rotate;
-        for _ in 0..ports {
-            let op = next_op;
-            next_op = if op + 1 == ports { 0 } else { op + 1 };
-            let req_mask = self.scratch_port_mask[op];
-            if req_mask == 0 {
-                continue;
-            }
+        // The ports with requesters from `sa_rotate` upward, then those
+        // below it: rotated right by `sa_rotate`, port `sa_rotate` is bit
+        // 0, and the ports below it land above the router's last port (a
+        // router has at most 64). A grant changes only its own port's
+        // requesters, so the snapshot stays exact.
+        let rotate = self.sa_rotate;
+        let mut m = self.sa_ports.rotate_right(rotate as u32);
+        while m != 0 {
+            let op = (m.trailing_zeros() as usize + rotate) & 63;
+            m &= m - 1;
+            let req_mask = self.port_req[op];
             let Some(link_id) = self.ports[op].link else {
                 continue;
             };
@@ -513,11 +526,12 @@ impl Router {
             // One requester won; its co-requesters for this port lost.
             self.sa_denials += (req_mask.count_ones() - 1) as u64;
             self.buffered_flits -= 1;
-            if self.slots[req].len == 0 {
-                // Last buffered flit left; the VC stops requesting the
-                // switch until another flit arrives (or, for a tail, until
-                // a new packet restarts the pipeline below).
-                self.sa_ready &= !(1u64 << req);
+            if self.slots[req].len == 0 || flit.kind.is_tail() {
+                // Last buffered flit or the packet's tail left; the VC
+                // stops requesting the switch until another flit arrives
+                // (or, for a tail, until a new packet restarts the
+                // pipeline below).
+                self.sa_remove(req, op);
             }
             let arrival = links[link_id.index()].start_flit(st_time);
             effects.push(Effect::Flit {
@@ -537,7 +551,6 @@ impl Router {
                 self.vc_owner[out_slot] = None;
                 self.slots[req].state = VcState::Idle;
                 self.active_vcs -= 1;
-                self.sa_ready &= !(1u64 << req);
                 if self.slots[req].len != 0 {
                     // The next packet's head is already waiting: it becomes
                     // an RC candidate this very cycle (RC runs after SA).
@@ -553,29 +566,18 @@ impl Router {
         };
     }
 
-    /// VA: hand free output VCs to packets whose route is computed.
+    /// VA: hand free output VCs to packets whose route is computed, port
+    /// by port in ascending order over the ports with requesters.
     fn vc_allocation(&mut self) {
-        if self.va_set == 0 {
-            return;
-        }
         let (ports, vcs) = (self.ports.len(), self.vcs);
-        // Bucket VC-allocation requesters by requested output port, in
-        // ascending (port, vc) order.
-        self.scratch_port_mask.fill(0);
-        let mut w = self.va_set;
-        while w != 0 {
-            let req = w.trailing_zeros() as usize;
-            w &= w - 1;
-            let VcState::VcAlloc { out_port } = self.slots[req].state else {
-                unreachable!("va_set slot not in VcAlloc state");
-            };
-            self.scratch_port_mask[out_port.0 as usize] |= 1u64 << req;
-        }
-        for op in 0..ports {
-            let mut req_mask = self.scratch_port_mask[op];
-            if req_mask == 0 || self.ports[op].link.is_none() {
+        let mut m = self.va_ports;
+        while m != 0 {
+            let op = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if self.ports[op].link.is_none() {
                 continue;
             }
+            let mut req_mask = self.port_req[ports + op];
             for out_vc in 0..vcs {
                 if self.vc_owner[op * vcs + out_vc].is_some() {
                     continue;
@@ -590,10 +592,13 @@ impl Router {
                     out_port: PortId(op as u8),
                     out_vc: VcId(out_vc as u8),
                 };
-                self.va_set &= !(1u64 << req);
                 if self.slots[req].len != 0 {
-                    self.sa_ready |= 1u64 << req;
+                    self.sa_insert(req, op);
                 }
+            }
+            self.port_req[ports + op] = req_mask;
+            if req_mask == 0 {
+                self.va_ports &= !(1u64 << op);
             }
         }
     }
@@ -605,7 +610,7 @@ impl Router {
     /// downstream credits — which makes routing *power-aware*: traffic
     /// steers around links parked at low rates or disabled for relock.
     fn route_computation(&mut self, table: &RouteTable) {
-        let vcs = self.vcs;
+        let (ports, vcs) = (self.ports.len(), self.vcs);
         // Every rc_ready VC (Idle with a buffered head flit) computes its
         // route this cycle, so the whole mask empties; take it up front.
         let mut w = std::mem::take(&mut self.rc_ready);
@@ -643,7 +648,9 @@ impl Router {
                 best
             };
             self.slots[req].state = VcState::VcAlloc { out_port };
-            self.va_set |= 1u64 << req;
+            let op = out_port.0 as usize;
+            self.port_req[ports + op] |= 1u64 << req;
+            self.va_ports |= 1u64 << op;
             self.active_vcs += 1;
         }
     }
@@ -655,10 +662,10 @@ impl Router {
         self.push(slot, flit);
         // A previously-empty VC becomes a pipeline candidate: Idle VCs go
         // to RC, Active ones back into SA contention. VcAlloc VCs are
-        // already tracked in va_set and need nothing here.
+        // already VA requesters and need nothing here.
         match self.slots[slot].state {
             VcState::Idle => self.rc_ready |= 1u64 << slot,
-            VcState::Active { .. } => self.sa_ready |= 1u64 << slot,
+            VcState::Active { out_port, .. } => self.sa_insert(slot, out_port.0 as usize),
             VcState::VcAlloc { .. } => {}
         }
         self.buffered_flits += 1;
@@ -691,13 +698,19 @@ impl Router {
 
     /// The caches the router keeps in step with its rings and VC states,
     /// recounted from them: per port the buffered flits; the buffered
-    /// flits and the VCs not in Idle; and the stage masks (`sa_ready`:
-    /// Active with a flit buffered, `va_set`: VcAlloc, `rc_ready`: Idle
-    /// with a flit buffered). Restore installs them; the conservation
-    /// auditor compares them with [`Router::caches`].
+    /// flits and the VCs not in Idle; the stage masks (`sa_ready`: Active
+    /// with a flit buffered, `rc_ready`: Idle with a flit buffered); and
+    /// per output port its SA requesters (the `sa_ready` slots whose VC
+    /// holds it) and VA requesters (the slots in `VcAlloc` for it), with
+    /// the masks of the ports that have any (`sa_ports`, `va_ports`).
+    /// Restore installs them; the conservation auditor compares them with
+    /// [`Router::caches`].
     pub(crate) fn recount(&self) -> Caches {
+        let ports = self.ports.len();
         let mut c = Caches {
-            occupancy: vec![0; self.ports.len()].into(),
+            occupancy: vec![0; ports].into(),
+            sa_req: vec![0; ports].into(),
+            va_req: vec![0; ports].into(),
             ..Caches::default()
         };
         for (s, slot) in self.slots.iter().enumerate() {
@@ -707,13 +720,16 @@ impl Router {
             match slot.state {
                 VcState::Idle if queued => c.rc_ready |= bit,
                 VcState::Idle => {}
-                VcState::VcAlloc { .. } => {
-                    c.va_set |= bit;
+                VcState::VcAlloc { out_port } => {
+                    c.va_req[out_port.0 as usize] |= bit;
+                    c.va_ports |= 1u64 << out_port.0;
                     c.active_vcs += 1;
                 }
-                VcState::Active { .. } => {
+                VcState::Active { out_port, .. } => {
                     if queued {
                         c.sa_ready |= bit;
+                        c.sa_req[out_port.0 as usize] |= bit;
+                        c.sa_ports |= 1u64 << out_port.0;
                     }
                     c.active_vcs += 1;
                 }
@@ -724,13 +740,17 @@ impl Router {
 
     /// The caches as the router keeps them (see [`Router::recount`]).
     pub(crate) fn caches(&self) -> Caches {
+        let (sa_req, va_req) = self.port_req.split_at(self.ports.len());
         Caches {
             occupancy: self.occupancy.clone(),
             buffered_flits: self.buffered_flits,
             active_vcs: self.active_vcs,
             sa_ready: self.sa_ready,
-            va_set: self.va_set,
             rc_ready: self.rc_ready,
+            sa_req: sa_req.into(),
+            va_req: va_req.into(),
+            sa_ports: self.sa_ports,
+            va_ports: self.va_ports,
         }
     }
 
@@ -744,8 +764,10 @@ impl Router {
     /// the router's slots or ports among it), or if its state does not
     /// fit this router: a VC queue longer than its depth, a VC routed to a
     /// port or holding an output VC the router does not have, an output
-    /// VC held by such an input, or an arbiter priority past the router's
-    /// slots. The router is then partly restored and must be discarded.
+    /// credit above the downstream VC's depth, an output VC held by such
+    /// an input, an arbiter priority past the router's slots, or a
+    /// rotating switch priority past its ports. The router is then partly
+    /// restored and must be discarded.
     pub(crate) fn restore<S: Source>(&mut self, src: &mut S) -> Result<(), serde::Error> {
         const TY: &str = "Router";
         let (id, vcs, depth) = (self.id, self.vcs, self.depth);
@@ -794,6 +816,12 @@ impl Router {
         }
         src.field_into("occupancy_accum", &mut self.occupancy_accum, TY)?;
         src.field_into("credits", &mut self.credits, TY)?;
+        if let Some(slot) = self.credits.iter().position(|&c| usize::from(c) > depth) {
+            let ((port, vc), credits) = (name(slot), self.credits[slot]);
+            return Err(misfit(format!(
+                "output {port} {vc} holds {credits} credits, above its {depth}-flit VC"
+            )));
+        }
         src.field_into("vc_owner", &mut self.vc_owner, TY)?;
         for (slot, owner) in self.vc_owner.iter().enumerate() {
             if let Some((in_port, in_vc)) = *owner {
@@ -819,12 +847,21 @@ impl Router {
             }
         }
         self.sa_rotate = src.field("sa_rotate", TY)?;
+        if self.sa_rotate >= ports {
+            return Err(misfit(format!(
+                "switch priority {} is not one of its {ports} ports",
+                self.sa_rotate
+            )));
+        }
         self.flits_switched = src.field("flits_switched", TY)?;
         self.sa_denials = src.field("sa_denials", TY)?;
         let c = self.recount();
         (self.occupancy, self.buffered_flits, self.active_vcs) =
             (c.occupancy, c.buffered_flits, c.active_vcs);
-        (self.sa_ready, self.va_set, self.rc_ready) = (c.sa_ready, c.va_set, c.rc_ready);
+        (self.sa_ready, self.rc_ready) = (c.sa_ready, c.rc_ready);
+        self.port_req[..ports].copy_from_slice(&c.sa_req);
+        self.port_req[ports..].copy_from_slice(&c.va_req);
+        (self.sa_ports, self.va_ports) = (c.sa_ports, c.va_ports);
         // Every flit a router holds was accepted and not yet switched.
         self.flits_accepted = self.flits_switched + u64::from(c.buffered_flits);
         Ok(())
@@ -832,14 +869,18 @@ impl Router {
 }
 
 /// A router's caches of its rings and VC states (see [`Router::recount`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Caches {
     pub(crate) occupancy: Box<[u32]>,
     pub(crate) buffered_flits: u32,
     pub(crate) active_vcs: u32,
     pub(crate) sa_ready: u64,
-    pub(crate) va_set: u64,
     pub(crate) rc_ready: u64,
+    // Per output port.
+    pub(crate) sa_req: Box<[u64]>,
+    pub(crate) va_req: Box<[u64]>,
+    pub(crate) sa_ports: u64,
+    pub(crate) va_ports: u64,
 }
 
 /// Writes the router's evolved state as its flat arrays are: per input
@@ -909,6 +950,20 @@ impl Router {
     /// The switch requesters' mask, to corrupt in auditor tests.
     pub(crate) fn sa_ready_mut(&mut self) -> &mut u64 {
         &mut self.sa_ready
+    }
+
+    /// Output `op`'s switch and VC requesters, then the masks of the
+    /// ports with switch and with VC requesters, to corrupt in auditor
+    /// tests.
+    pub(crate) fn port_masks_mut(&mut self, op: PortId) -> [&mut u64; 4] {
+        let (sa_req, va_req) = self.port_req.split_at_mut(self.ports.len());
+        let op = op.0 as usize;
+        [
+            &mut sa_req[op],
+            &mut va_req[op],
+            &mut self.sa_ports,
+            &mut self.va_ports,
+        ]
     }
 }
 
@@ -1312,6 +1367,280 @@ mod tests {
                 "step {step}"
             );
             step += 1;
+        }
+    }
+
+    // --- the per-port masks against the per-tick bucketing ---------------
+
+    /// Switch allocation as it was before the per-port masks: it buckets
+    /// the `sa_ready` slots by output port every tick and then scans every
+    /// port from `sa_rotate`. The oracle of `port_masks_match_per_tick_bucketing`.
+    fn bucketed_switch_allocation(
+        r: &mut Router,
+        now: Picos,
+        config: &NocConfig,
+        links: &mut [Link],
+        effects: &mut Vec<Effect>,
+    ) {
+        let (ports, vcs) = (r.ports.len(), r.vcs);
+        if r.sa_ready == 0 {
+            r.sa_rotate = (r.sa_rotate + 1) % ports;
+            return;
+        }
+        let st_time = now + config.cycle();
+        let (mut used, port_slots) = (0u64, u64::MAX >> (64 - vcs));
+        let mut bucket = vec![0u64; ports];
+        let mut w = r.sa_ready;
+        while w != 0 {
+            let req = w.trailing_zeros() as usize;
+            w &= w - 1;
+            let VcState::Active { out_port, .. } = r.slots[req].state else {
+                unreachable!("sa_ready slot not in Active state");
+            };
+            bucket[out_port.0 as usize] |= 1u64 << req;
+        }
+        for op in (r.sa_rotate..ports).chain(0..r.sa_rotate) {
+            let req_mask = bucket[op];
+            if req_mask == 0 {
+                continue;
+            }
+            let Some(link_id) = r.ports[op].link else {
+                continue;
+            };
+            let link = &mut links[link_id.index()];
+            link.note_demand();
+            if !link.ready_at(st_time) {
+                r.sa_denials += req_mask.count_ones() as u64;
+                continue;
+            }
+            let credits = &r.credits[op * vcs..(op + 1) * vcs];
+            let mut eligible: u64 = 0;
+            let mut m = req_mask & !used;
+            while m != 0 {
+                let req = m.trailing_zeros() as usize;
+                m &= m - 1;
+                let ok = match r.slots[req].state {
+                    VcState::Active { out_vc, .. } => credits[out_vc.0 as usize] > 0,
+                    _ => false,
+                };
+                eligible |= (ok as u64) << req;
+            }
+            let Some(req) = r.ports[op].sa_arbiter.grant_masked(eligible) else {
+                r.sa_denials += req_mask.count_ones() as u64;
+                continue;
+            };
+            let (ip, vc) = (req / vcs, VcId((req % vcs) as u8));
+            let VcState::Active { out_vc, .. } = r.slots[req].state else {
+                unreachable!("eligibility mask admitted a non-active VC");
+            };
+            let out_slot = op * vcs + out_vc.0 as usize;
+            let flit = r.pop(req);
+            r.credits[out_slot] -= 1;
+            r.flits_switched += 1;
+            r.sa_denials += (req_mask.count_ones() - 1) as u64;
+            r.buffered_flits -= 1;
+            if r.slots[req].len == 0 {
+                r.sa_ready &= !(1u64 << req);
+            }
+            let arrival = links[link_id.index()].start_flit(st_time);
+            effects.push(Effect::Flit {
+                link: link_id,
+                vc: out_vc,
+                flit,
+                at: arrival,
+            });
+            if let Some(feeder) = r.ports[ip].feeder {
+                effects.push(Effect::Credit {
+                    link: feeder,
+                    vc,
+                    at: now + config.credit_delay,
+                });
+            }
+            if flit.kind.is_tail() {
+                r.vc_owner[out_slot] = None;
+                r.slots[req].state = VcState::Idle;
+                r.active_vcs -= 1;
+                r.sa_ready &= !(1u64 << req);
+                if r.slots[req].len != 0 {
+                    r.rc_ready |= 1u64 << req;
+                }
+            }
+            used |= port_slots << (ip * vcs);
+        }
+        r.sa_rotate = (r.sa_rotate + 1) % ports;
+    }
+
+    /// VC allocation as it was before the per-port masks: it buckets the
+    /// slots in `VcAlloc` (then its `va_set` mask) by output port every
+    /// tick, in ascending slot order, and then scans every port.
+    fn bucketed_vc_allocation(r: &mut Router) {
+        let (ports, vcs) = (r.ports.len(), r.vcs);
+        let mut bucket = vec![0u64; ports];
+        for (req, slot) in r.slots.iter().enumerate() {
+            if let VcState::VcAlloc { out_port } = slot.state {
+                bucket[out_port.0 as usize] |= 1u64 << req;
+            }
+        }
+        for (op, &mask) in bucket.iter().enumerate() {
+            let mut req_mask = mask;
+            if req_mask == 0 || r.ports[op].link.is_none() {
+                continue;
+            }
+            for out_vc in 0..vcs {
+                if r.vc_owner[op * vcs + out_vc].is_some() {
+                    continue;
+                }
+                let Some(req) = r.ports[op].va_arbiter.grant_masked(req_mask) else {
+                    break;
+                };
+                req_mask &= !(1u64 << req);
+                let (ip, vc) = (req / vcs, req % vcs);
+                r.vc_owner[op * vcs + out_vc] = Some((PortId(ip as u8), VcId(vc as u8)));
+                r.slots[req].state = VcState::Active {
+                    out_port: PortId(op as u8),
+                    out_vc: VcId(out_vc as u8),
+                };
+                if r.slots[req].len != 0 {
+                    r.sa_ready |= 1u64 << req;
+                }
+            }
+        }
+    }
+
+    /// [`Router::tick`] with the bucketing switch and VC allocation.
+    fn bucketed_tick(
+        r: &mut Router,
+        now: Picos,
+        config: &NocConfig,
+        table: &RouteTable,
+        links: &mut [Link],
+        effects: &mut Vec<Effect>,
+    ) {
+        if r.is_idle() {
+            return;
+        }
+        bucketed_switch_allocation(r, now, config, links, effects);
+        bucketed_vc_allocation(r);
+        r.route_computation(table);
+        for (accum, &occupancy) in r.occupancy_accum.iter_mut().zip(&*r.occupancy) {
+            *accum += u64::from(occupancy);
+        }
+    }
+
+    #[test]
+    fn port_masks_match_per_tick_bucketing() {
+        use crate::ids::RackCoord;
+        use crate::routing::RoutingAlgorithm;
+        use lumen_desim::Rng;
+        // The paper's 12-port, 2-VC router, inside its 8×8 mesh, so that
+        // all four directions and the eight ejection ports are wired.
+        let config = NocConfig::paper_default();
+        let id = config.router_at(RackCoord { x: 3, y: 4 });
+        let (ports, vcs) = (config.ports_per_router(), usize::from(config.vcs));
+        let depth = config.depth_per_vc();
+        let cycle = config.cycle();
+        let rates = [10.0, 5.0, 2.5].map(Gbps::from_gbps);
+        for (seed, routing) in [(1, RoutingAlgorithm::XY), (2, RoutingAlgorithm::WestFirst)] {
+            let table = RouteTable::build(&config, routing);
+            let mut rng = Rng::seed_from(seed);
+            let mut router = Router::new(id, &config);
+            let mut links: Vec<Link> = (0..ports)
+                .map(|p| {
+                    let from = Endpoint::RouterPort {
+                        router: id,
+                        port: PortId(p as u8),
+                    };
+                    let to = Endpoint::Node(NodeId(p as u32));
+                    Link::new(
+                        LinkId(p as u32),
+                        from,
+                        to,
+                        config.flit_bits,
+                        config.propagation,
+                        rates[0],
+                    )
+                })
+                .collect();
+            for p in 0..ports {
+                router.set_link(PortId(p as u8), LinkId(p as u32));
+                router.set_feeder(PortId(p as u8), LinkId((ports + p) as u32));
+            }
+            // Per input slot, the rest of the packet it is receiving.
+            let mut incoming = vec![std::collections::VecDeque::new(); ports * vcs];
+            let (mut next_packet, mut now) = (0u64, Picos::ZERO);
+            // The rotations at which switch allocation served two or more
+            // ports with requesters, so the scan order mattered.
+            let mut contended = vec![false; ports];
+            for tick in 0..6_000 {
+                // Bursts and lulls: full load, light load, then none, so the
+                // router also drains and idles.
+                let load = [0.4, 0.08, 0.0][tick / 250 % 3];
+                for (slot, pending) in incoming.iter_mut().enumerate() {
+                    if !rng.chance(load) || router.slots[slot].len == depth {
+                        continue;
+                    }
+                    if pending.is_empty() {
+                        next_packet += 1;
+                        let dst = if rng.chance(0.4) {
+                            let local = rng.index(usize::from(config.nodes_per_rack));
+                            config.node_at(id, local as u8)
+                        } else {
+                            NodeId(rng.index(config.node_count()) as u32)
+                        };
+                        let src = NodeId((dst.0 + 1) % config.node_count() as u32);
+                        let size = 1 + rng.index(6) as u32;
+                        let packet = Packet::new(PacketId(next_packet), src, dst, size, now);
+                        pending.extend(packet.into_flits());
+                    }
+                    let flit = pending.pop_front().expect("a packet in flight");
+                    router.accept_flit(PortId((slot / vcs) as u8), VcId((slot % vcs) as u8), flit);
+                }
+                for slot in 0..ports * vcs {
+                    if router.credits[slot] < depth && rng.chance(0.25) {
+                        let (port, vc) = (PortId((slot / vcs) as u8), VcId((slot % vcs) as u8));
+                        router.return_credit(port, vc, depth);
+                    }
+                }
+                if rng.chance(0.05) {
+                    let link = &mut links[rng.index(ports)];
+                    if rng.chance(0.5) {
+                        link.disable_until(now + cycle * (1 + rng.index(12) as u64));
+                    } else {
+                        link.begin_rate_change(now, rates[rng.index(rates.len())], cycle);
+                    }
+                }
+                let (mut oracle, mut oracle_links) = (router.clone(), links.clone());
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                if router.sa_ports.count_ones() >= 2 {
+                    contended[router.sa_rotate] = true;
+                }
+                router.tick(now, &config, &table, &mut links, &mut got);
+                bucketed_tick(
+                    &mut oracle,
+                    now,
+                    &config,
+                    &table,
+                    &mut oracle_links,
+                    &mut want,
+                );
+                let at = format!("seed {seed}, tick {tick}");
+                assert_eq!(got, want, "{at}: effects");
+                assert_eq!(links, oracle_links, "{at}: links");
+                assert_eq!(
+                    router.serialize_value(),
+                    oracle.serialize_value(),
+                    "{at}: state"
+                );
+                assert_eq!(router.recount(), oracle.recount(), "{at}: recount");
+                assert_eq!(router.caches(), router.recount(), "{at}: caches");
+                now += cycle;
+            }
+            assert!(router.flits_switched > 4_000, "{}", router.flits_switched);
+            assert_eq!(
+                contended,
+                vec![true; ports],
+                "a rotation without contention"
+            );
         }
     }
 }

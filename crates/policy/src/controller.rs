@@ -169,6 +169,12 @@ impl LinkPolicyController {
         self.last_predicted
     }
 
+    /// The window samples the sliding average holds: at most the config's
+    /// `n_windows`.
+    pub fn window_samples(&self) -> usize {
+        self.sliding.len()
+    }
+
     /// Feeds one window's statistics under `config`, whose `Tbr` and `Tv`
     /// count `cycle`-long core cycles; returns a transition plan if the
     /// policy decides to move. `lu` and `bu` are clamped into `[0, 1]`.

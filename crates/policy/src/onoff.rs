@@ -109,6 +109,12 @@ pub struct OnOffController {
 }
 
 impl OnOffController {
+    /// The window samples the utilization average holds: at most the
+    /// config's `n_windows`.
+    pub fn window_samples(&self) -> usize {
+        self.window.len()
+    }
+
     /// Feeds one window's utilization under `config`; may order a sleep.
     pub fn on_window(&mut self, config: &OnOffConfig, now: Picos, lu: f64) -> Option<GateAction> {
         self.window.push(lu.clamp(0.0, 1.0), config.n_windows);

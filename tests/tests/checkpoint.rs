@@ -498,8 +498,14 @@ fn battery_config() -> SystemConfig {
 /// Writes a real checkpoint of [`battery_config`] to disk and returns its
 /// bytes.
 fn valid_checkpoint_bytes(tag: &str) -> Vec<u8> {
+    checkpoint_bytes(battery_config(), tag)
+}
+
+/// Writes a real checkpoint of `config`'s run, saved at the end of its
+/// warmup, to disk and returns its bytes.
+fn checkpoint_bytes(config: SystemConfig, tag: &str) -> Vec<u8> {
     let path = ckpt_path(tag);
-    experiment(battery_config())
+    experiment(config)
         .save_at(WARMUP, &path)
         .run_uniform(0.1, PacketSize::Fixed(4));
     let bytes = std::fs::read(&path).expect("checkpoint written");
@@ -646,7 +652,7 @@ fn resume_refusal(config: &SystemConfig, file: &[u8], tag: &str) -> String {
             .run_uniform(0.1, PacketSize::Fixed(4))
     });
     std::fs::remove_file(&path).ok();
-    panic_message(result.expect_err("a router that does not fit must refuse"))
+    panic_message(result.expect_err("a file that does not fit must refuse"))
 }
 
 #[test]
@@ -899,6 +905,33 @@ fn resume_refuses_an_output_vc_held_by_an_input_the_router_lacks() {
 }
 
 #[test]
+fn resume_refuses_a_switch_priority_past_the_router_ports() {
+    // Switch allocation starts its scan of the output ports at
+    // `sa_rotate`, so it must name one of them.
+    assert_router_refused("router-sa-rotate", |router| {
+        let ports = ports(router);
+        *field_mut(router, "sa_rotate") = serde::Value::U64(ports);
+        format!("switch priority {ports} is not one of its {ports} ports")
+    });
+}
+
+#[test]
+fn resume_refuses_an_output_credit_above_its_vc_depth() {
+    // A credit above the downstream VC's depth would let the router
+    // overrun the ring it feeds.
+    let config = battery_config();
+    let (vcs, depth) = (u64::from(config.noc.vcs), config.noc.depth_per_vc());
+    assert_router_refused("router-credit", |router| {
+        let slot = vcs as usize; // output p1 vc0, an ejection port
+        *item_mut(field_mut(router, "credits"), slot) = serde::Value::U64(u64::from(depth) + 1);
+        format!(
+            "output p1 vc0 holds {} credits, above its {depth}-flit VC",
+            depth + 1
+        )
+    });
+}
+
+#[test]
 fn resume_refuses_a_link_rate_that_is_not_positive_and_finite() {
     // The flit time is computed from the restored rate, which must be one
     // a link can serialize at.
@@ -934,15 +967,64 @@ fn resume_refuses_a_dvs_level_past_the_ladder() {
     );
 }
 
+/// A sliding window holding `n` samples, as the checkpoint writes it.
+fn window_of(n: usize) -> serde::Value {
+    serde::Value::Map(vec![
+        (
+            "items".to_string(),
+            serde::Value::Seq(vec![serde::Value::F64(0.5); n]),
+        ),
+        ("sum".to_string(), serde::Value::F64(0.5 * n as f64)),
+    ])
+}
+
+#[test]
+fn resume_refuses_a_dvs_average_over_more_windows_than_configured() {
+    // Each window evicts only one sample, so a window holding more than
+    // the configured average spans would average over too many for the
+    // rest of the run.
+    let config = battery_config();
+    let windows = config.policy.timing.n_windows;
+    assert_sim_refused(
+        &config,
+        &valid_checkpoint_bytes("dvs-window"),
+        "dvs-window",
+        |sim| {
+            let serde::Value::Seq(controllers) = field_mut(sim, "controllers") else {
+                panic!("controllers");
+            };
+            for c in controllers {
+                *field_mut(c, "sliding") = window_of(3 * windows);
+            }
+            format!(
+                "l0's DVS controller averages {} windows, more than its {windows}",
+                3 * windows
+            )
+        },
+    );
+}
+
+#[test]
+fn resume_refuses_an_onoff_average_over_more_windows_than_configured() {
+    let config = config_for(TopologyKind::Mesh, Mode::OnOff, false, 3);
+    let windows = OnOffConfig::reference_default().n_windows;
+    let bytes = checkpoint_bytes(config.clone(), "onoff-window");
+    assert_sim_refused(&config, &bytes, "onoff-window", |sim| {
+        let serde::Value::Seq(gates) = field_mut(sim, "onoff") else {
+            panic!("onoff");
+        };
+        *field_mut(&mut gates[1], "window") = window_of(windows + 1);
+        format!(
+            "l1's on/off controller averages {} windows, more than its {windows}",
+            windows + 1
+        )
+    });
+}
+
 #[test]
 fn resume_refuses_a_sleeping_link_past_the_link_count() {
     let config = config_for(TopologyKind::Mesh, Mode::OnOff, false, 3);
-    let path = ckpt_path("sleeping");
-    experiment(config.clone())
-        .save_at(WARMUP, &path)
-        .run_uniform(0.1, PacketSize::Fixed(4));
-    let bytes = std::fs::read(&path).expect("checkpoint written");
-    std::fs::remove_file(&path).ok();
+    let bytes = checkpoint_bytes(config.clone(), "sleeping");
     assert_sim_refused(&config, &bytes, "sleeping", |sim| {
         let links = field(field(sim, "net"), "links")
             .as_seq()
